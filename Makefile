@@ -8,16 +8,17 @@ GO ?= go
 # Fail `make cover` when total -short statement coverage drops below
 # this floor (the tree sits around 69%; the floor leaves headroom for
 # incidental drift, not for untested subsystems). The replicated
-# kvstore and the placement ring carry their own floors — their tests
-# are the consistency acceptance surface, so a regression there must
-# not hide inside an unchanged total.
+# kvstore, the placement ring and the record log carry their own floors
+# — their tests are the consistency and recovery acceptance surface, so
+# a regression there must not hide inside an unchanged total.
 COVER_FLOOR ?= 65.0
 KVSTORE_FLOOR ?= 78.0
 RING_FLOOR ?= 82.0
+RECLOG_FLOOR ?= 85.0
 
-.PHONY: ci vet build test test-race test-full cover fuzz fmt-check fmt docs-check bench bench-cache bench-tiering bench-reopen bench-parallel bench-serve bench-rebalance bench-quorum profile
+.PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check bench bench-cache bench-tiering bench-reopen bench-parallel bench-serve bench-rebalance bench-quorum profile
 
-ci: vet build test test-race fmt-check
+ci: vet build test test-race test-benchmark fmt-check
 
 vet:
 	$(GO) vet ./...
@@ -31,17 +32,23 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 
+# benchmark/ is a nested module (root ./... does not see it) that
+# imports disklog, tiered, kvstore and fetch directly.
+test-benchmark:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
+
 test-full:
 	$(GO) test ./...
 
 # Total -short statement coverage with hard floors (total plus the
-# kvstore/ring per-package floors, scripts/coverfloor); prints the
+# kvstore/ring/reclog per-package floors, scripts/coverfloor); prints the
 # per-function summary so CI logs show what regressed.
 cover:
 	$(GO) test -short -coverprofile=coverage.out ./...
 	@$(GO) tool cover -func=coverage.out | tail -20
 	$(GO) run ./scripts/coverfloor -profile coverage.out -total $(COVER_FLOOR) \
-		-pkg hgs/internal/kvstore=$(KVSTORE_FLOOR) -pkg hgs/internal/ring=$(RING_FLOOR)
+		-pkg hgs/internal/kvstore=$(KVSTORE_FLOOR) -pkg hgs/internal/ring=$(RING_FLOOR) \
+		-pkg hgs/internal/reclog=$(RECLOG_FLOOR)
 
 # Brief native fuzzing of the decode and placement invariants (the same
 # targets `make test` replays against the committed corpora). CI runs
@@ -51,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/codec/ -fuzz FuzzUnframe -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/codec/ -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/ring/ -fuzz FuzzRingLookup -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/reclog/ -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt-check:
 	@files="$$(gofmt -l .)"; \
@@ -70,7 +78,7 @@ docs-check:
 bench:
 	$(GO) run ./cmd/hgs-bench
 
-# Cache v2 passes: cold / warm / legacy-v1 / disabled, with the
+# Cache v2 passes: cold / warm / disabled, with the
 # negative-hit ratio on sparse probes and the eviction-quality notes
 # (KV ops, round-trips, simulated wait per pass).
 bench-cache:

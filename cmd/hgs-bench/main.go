@@ -7,7 +7,7 @@
 //	hgs-bench                 # run everything
 //	hgs-bench -list           # list experiment ids
 //	hgs-bench -run fig11      # run one experiment
-//	hgs-bench -run cache      # cache v2: cold / warm / legacy-v1 / off
+//	hgs-bench -run cache      # cache v2: cold / warm / off
 //	                          # passes with the negative-hit ratio
 //	hgs-bench -run tiering    # hot-tier budget sweep on the tiered backend
 //	hgs-bench -run reopen     # post-restart probes, warm-up off vs on

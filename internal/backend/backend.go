@@ -8,8 +8,8 @@
 //
 //   - memtable: the original in-process sorted-slice store (no
 //     durability; what the paper's evaluation simulates),
-//   - disklog: a durable append-only WAL/segment engine with
-//     CRC-checked records, log-replay recovery and compaction, and
+//   - disklog: a durable append-only engine over a record log
+//     (internal/reclog), with log-replay recovery and compaction, and
 //   - tiered: a hot in-memory tier (memtable + write-ahead log) over a
 //     cold disklog tier, with rate-limited background flushing — recent
 //     timespans are served from memory, history stays on disk.
@@ -22,8 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"os"
 )
 
 // Row is one clustered row inside a partition.
@@ -214,32 +212,6 @@ type Digester interface {
 // engine as if it were the original directory.
 type Backuper interface {
 	Backup(dir string) error
-}
-
-// CopyFile copies the first size bytes of src into a fresh file at dst
-// and fsyncs the copy — the backup primitive shared by the durable
-// engines. Reading through the open handle (not the path) keeps the
-// copy consistent with the caller's in-memory index even if the file
-// was since renamed or grown. A partial copy is removed on error; dst
-// must not already exist.
-func CopyFile(src *os.File, size int64, dst string) error {
-	f, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("backend: backup: %w", err)
-	}
-	if _, err := io.Copy(f, io.NewSectionReader(src, 0, size)); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(dst)
-		return fmt.Errorf("backend: backup copy %s: %w", dst, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(dst)
-		return fmt.Errorf("backend: backup: %w", err)
-	}
-	return nil
 }
 
 // Factory creates the backend for cluster node idx. Factories are how a

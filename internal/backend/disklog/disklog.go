@@ -1,6 +1,6 @@
-// Package disklog is a durable storage engine: an append-only log of
-// length-prefixed, CRC32-checksummed records split across numbered
-// segment files, with an in-memory index (table → partition → sorted
+// Package disklog is a durable storage engine: an append-only record
+// log (internal/reclog: checksummed records in numbered segment files),
+// with an in-memory index (table → partition → sorted
 // clustering keys → value location) rebuilt on open by replaying the
 // log. Writes append a record and go to the OS immediately; fsync is
 // batched — automatic every Options.SyncBytes of appended data and
@@ -17,39 +17,17 @@
 package disklog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
 	"hgs/internal/backend"
+	"hgs/internal/reclog"
 )
-
-// Record operations.
-const (
-	opPut  byte = 1
-	opDel  byte = 2
-	opDrop byte = 3
-)
-
-// recHeaderLen is the fixed record prelude: uint32 payload length +
-// uint32 IEEE CRC32 of the payload, both little-endian.
-const recHeaderLen = 8
-
-// maxRecordBytes bounds a decoded payload length so that a corrupt
-// length prefix cannot drive a giant allocation during replay.
-const maxRecordBytes = 1 << 30
-
-// ErrCorrupt reports a record that failed validation during replay in a
-// position where recovery-by-truncation is not safe (a non-final
-// segment: bytes after it are acknowledged data, not a torn tail).
-var ErrCorrupt = errors.New("disklog: corrupt record in non-final segment")
 
 // Options tune the engine. Zero values take the defaults.
 type Options struct {
@@ -86,18 +64,10 @@ func (o *Options) normalize() {
 // drives cold compaction itself) share the same trigger floor.
 const DefaultCompactMinDead = 1 << 20
 
-// segment is one log file.
-type segment struct {
-	id   int
-	path string
-	f    *os.File
-	size int64
-}
-
 // idxRow locates one live row's value inside a segment.
 type idxRow struct {
 	ckey string
-	seg  *segment
+	seg  *reclog.Segment
 	off  int64 // offset of the value bytes within seg
 	vlen int
 	rec  int64 // full record length (header + payload), for dead-byte accounting
@@ -121,16 +91,15 @@ type Store struct {
 	dir  string
 	opts Options
 
-	segs []*segment // ascending id; the last one is active for appends
+	log *reclog.Log
 
 	tables map[string]map[string]*partition
 	stored int64 // logical live bytes: sum of len(ckey)+len(value)
 	live   int64 // on-disk bytes of records that are still the latest version
 	dead   int64 // on-disk bytes superseded by later records (compaction reclaims)
 
-	unsynced int64 // bytes appended since the last fsync
-	werr     error // sticky write error, surfaced by Flush/Close
-	closed   bool
+	werr   error // sticky write error, surfaced by Flush/Close
+	closed bool
 	// backingUp defers compaction (which closes and deletes segment
 	// files) while Backup copies them outside the engine lock.
 	backingUp bool
@@ -143,37 +112,19 @@ type Store struct {
 // is truncated away; corruption anywhere else fails the open.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.normalize()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := reclog.Open(dir, "seg", opts.SegmentBytes)
+	if err != nil {
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	s := &Store{
 		dir:    dir,
 		opts:   opts,
+		log:    log,
 		tables: make(map[string]map[string]*partition),
 	}
-	ids, err := listSegmentIDs(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		seg, err := s.openSegment(id)
-		if err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-		s.segs = append(s.segs, seg)
-	}
-	for i, seg := range s.segs {
-		if err := s.replay(seg, i == len(s.segs)-1); err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-	}
-	if len(s.segs) == 0 {
-		if err := s.addSegment(1); err != nil {
-			s.closeFiles() // addSegment may have opened the file before failing
-			return nil, err
-		}
+	if err := log.Scan(s.applyPayload); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	return s, nil
 }
@@ -186,273 +137,46 @@ func Factory(root string, opts Options) backend.Factory {
 	}
 }
 
-func segmentName(id int) string { return fmt.Sprintf("seg-%08d.log", id) }
-
-func listSegmentIDs(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("disklog: %w", err)
-	}
-	var ids []int
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(name, "seg-%08d.log", &id); err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
-}
-
-func (s *Store) openSegment(id int) (*segment, error) {
-	path := filepath.Join(s.dir, segmentName(id))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("disklog: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disklog: %w", err)
-	}
-	return &segment{id: id, path: path, f: f, size: st.Size()}, nil
-}
-
-// addSegment creates an empty segment and makes it the active one.
-func (s *Store) addSegment(id int) error {
-	seg, err := s.openSegment(id)
-	if err != nil {
-		return err
-	}
-	s.segs = append(s.segs, seg)
-	return s.syncDir()
-}
-
-// syncDir fsyncs the engine directory so segment creation/removal
-// survives a crash.
-func (s *Store) syncDir() error {
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("disklog: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("disklog: sync dir: %w", err)
-	}
-	return nil
-}
-
-func (s *Store) closeFiles() {
-	for _, seg := range s.segs {
-		seg.f.Close()
-	}
-}
-
-// --- record encoding -------------------------------------------------
-//
-// record  := len:u32le crc:u32le payload
-// payload := op:byte str(table) str(pkey) [str(ckey)] [str(value)]
-// str     := uvarint(len) bytes
-//
-// ckey is present for put and delete; value only for put. The uvarint
-// string framing reuses internal/codec's wire idiom.
-
-func appendStr(buf []byte, v string) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(v)))
-	buf = append(buf, tmp[:n]...)
-	return append(buf, v...)
-}
-
-// encodeRecord builds a full record in s.enc and returns it along with
-// the offset of the value bytes within the record (put only).
-func (s *Store) encodeRecord(op byte, table, pkey, ckey string, value []byte) (rec []byte, valOff int) {
-	payload := s.enc[:0]
-	payload = append(payload, op)
-	payload = appendStr(payload, table)
-	payload = appendStr(payload, pkey)
-	if op != opDrop {
-		payload = appendStr(payload, ckey)
-	}
-	if op == opPut {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], uint64(len(value)))
-		payload = append(payload, tmp[:n]...)
-		valOff = recHeaderLen + len(payload)
-		payload = append(payload, value...)
-	}
-	// Prepend the header by building into a fresh prefix of the scratch
-	// buffer; payload already lives there, so shift via copy into rec.
-	rec = make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	copy(rec[recHeaderLen:], payload)
-	s.enc = payload // keep the grown buffer for reuse
+// encodeRecord builds a full record in the scratch buffer and returns
+// it along with the offset of the value bytes within it (put only).
+func (s *Store) encodeRecord(op reclog.Op, table, pkey, ckey string, value []byte) (rec []byte, valOff int) {
+	rec, valOff = reclog.Mutation{Op: op, Table: table, PKey: pkey, CKey: ckey, Value: value}.AppendRecord(s.enc[:0])
+	s.enc = rec // keep the grown buffer for reuse
 	return rec, valOff
 }
 
-// appendRecord writes rec to the active segment (rotating first if it
-// is full) and returns the segment and the record's start offset.
-// Write failures poison the engine; they surface on Flush/Close.
-func (s *Store) appendRecord(rec []byte) (*segment, int64) {
-	active := s.segs[len(s.segs)-1]
-	if active.size > 0 && active.size+int64(len(rec)) > s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			s.werr = errors.Join(s.werr, err)
-			return active, active.size
-		}
-		active = s.segs[len(s.segs)-1]
+// appendRecord writes rec to the log and returns the segment and the
+// record's start offset. Write failures poison the engine; they surface
+// on Flush/Close.
+func (s *Store) appendRecord(rec []byte) (*reclog.Segment, int64) {
+	seg, off, err := s.log.Append(rec)
+	if err == nil && s.log.Unsynced() >= s.opts.SyncBytes {
+		err = s.log.Sync()
 	}
-	off := active.size
-	if _, err := active.f.WriteAt(rec, off); err != nil {
-		s.werr = errors.Join(s.werr, fmt.Errorf("disklog: append: %w", err))
-		return active, off
+	if err != nil {
+		s.werr = errors.Join(s.werr, fmt.Errorf("disklog: %w", err))
 	}
-	active.size += int64(len(rec))
-	s.unsynced += int64(len(rec))
-	if s.unsynced >= s.opts.SyncBytes {
-		if err := active.f.Sync(); err != nil {
-			s.werr = errors.Join(s.werr, fmt.Errorf("disklog: sync: %w", err))
-		}
-		s.unsynced = 0
-	}
-	return active, off
+	return seg, off
 }
 
-// rotateLocked fsyncs the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	active := s.segs[len(s.segs)-1]
-	if err := active.f.Sync(); err != nil {
-		return fmt.Errorf("disklog: sync before rotate: %w", err)
-	}
-	s.unsynced = 0
-	return s.addSegment(active.id + 1)
-}
-
-// --- replay ----------------------------------------------------------
-
-type payloadReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *payloadReader) str() (string, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return "", fmt.Errorf("bad string length")
-	}
-	r.pos += n
-	if uint64(len(r.data)-r.pos) < v {
-		return "", fmt.Errorf("string exceeds payload")
-	}
-	out := string(r.data[r.pos : r.pos+int(v)])
-	r.pos += int(v)
-	return out, nil
-}
-
-// replay scans one segment and applies its records to the index. final
-// marks the last segment: trailing corruption there is a torn write
-// from a crash and is truncated away; anywhere else it is fatal.
-func (s *Store) replay(seg *segment, final bool) error {
-	var (
-		off    int64
-		header [recHeaderLen]byte
-	)
-	corruptAt := int64(-1)
-	for off < seg.size {
-		if seg.size-off < recHeaderLen {
-			corruptAt = off
-			break
-		}
-		if _, err := seg.f.ReadAt(header[:], off); err != nil {
-			return fmt.Errorf("disklog: replay %s: %w", seg.path, err)
-		}
-		plen := int64(binary.LittleEndian.Uint32(header[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(header[4:8])
-		if plen > maxRecordBytes || off+recHeaderLen+plen > seg.size {
-			corruptAt = off
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := seg.f.ReadAt(payload, off+recHeaderLen); err != nil {
-			return fmt.Errorf("disklog: replay %s: %w", seg.path, err)
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			corruptAt = off
-			break
-		}
-		if err := s.applyPayload(seg, off, payload); err != nil {
-			// A CRC-valid record that fails to decode is not a torn
-			// write (those cannot pass the checksum) — it is version
-			// skew or a writer bug, and truncating would silently
-			// delete acknowledged data. Fail the open instead.
-			return fmt.Errorf("disklog: undecodable record in %s at offset %d: %w", seg.path, off, err)
-		}
-		off += recHeaderLen + plen
-	}
-	if corruptAt < 0 {
-		return nil
-	}
-	if !final {
-		return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, seg.path, corruptAt)
-	}
-	if err := seg.f.Truncate(corruptAt); err != nil {
-		return fmt.Errorf("disklog: truncate torn tail of %s: %w", seg.path, err)
-	}
-	if err := seg.f.Sync(); err != nil {
-		return fmt.Errorf("disklog: %w", err)
-	}
-	seg.size = corruptAt
-	return nil
-}
-
-// applyPayload decodes one record payload and applies it to the index.
-func (s *Store) applyPayload(seg *segment, recOff int64, payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("empty payload")
-	}
-	r := &payloadReader{data: payload, pos: 1}
-	op := payload[0]
-	table, err := r.str()
+// applyPayload decodes one replayed record and applies it to the index.
+func (s *Store) applyPayload(seg *reclog.Segment, recOff int64, payload []byte) error {
+	m, valOff, err := reclog.DecodeMutation(payload)
 	if err != nil {
 		return err
 	}
-	pkey, err := r.str()
-	if err != nil {
-		return err
-	}
-	recLen := int64(recHeaderLen + len(payload))
-	switch op {
-	case opPut:
-		ckey, err := r.str()
-		if err != nil {
-			return err
-		}
-		vlen, n := binary.Uvarint(r.data[r.pos:])
-		if n <= 0 || uint64(len(r.data)-r.pos-n) < vlen {
-			return fmt.Errorf("bad value length")
-		}
-		valOff := recOff + recHeaderLen + int64(r.pos+n)
-		s.applyPut(table, pkey, idxRow{
-			ckey: ckey, seg: seg, off: valOff, vlen: int(vlen), rec: recLen,
+	recLen := int64(reclog.HeaderLen + len(payload))
+	switch m.Op {
+	case reclog.OpPut:
+		s.applyPut(m.Table, m.PKey, idxRow{
+			ckey: m.CKey, seg: seg, off: recOff + int64(valOff), vlen: len(m.Value), rec: recLen,
 		})
-	case opDel:
-		ckey, err := r.str()
-		if err != nil {
-			return err
-		}
-		s.applyDelete(table, pkey, ckey)
+	case reclog.OpDel:
+		s.applyDelete(m.Table, m.PKey, m.CKey)
 		s.dead += recLen // the tombstone itself is reclaimable
-	case opDrop:
-		s.applyDrop(table, pkey)
+	case reclog.OpDrop:
+		s.applyDrop(m.Table, m.PKey)
 		s.dead += recLen
-	default:
-		return fmt.Errorf("unknown op 0x%02x", op)
 	}
 	return nil
 }
@@ -546,7 +270,7 @@ func (s *Store) Put(table, pkey, ckey string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mustOpenLocked()
-	rec, valOff := s.encodeRecord(opPut, table, pkey, ckey, value)
+	rec, valOff := s.encodeRecord(reclog.OpPut, table, pkey, ckey, value)
 	seg, off := s.appendRecord(rec)
 	s.applyPut(table, pkey, idxRow{
 		ckey: ckey, seg: seg, off: off + int64(valOff), vlen: len(value), rec: int64(len(rec)),
@@ -580,8 +304,8 @@ func (s *Store) readValue(row idxRow) ([]byte, error) {
 	if row.vlen == 0 {
 		return out, nil
 	}
-	if _, err := row.seg.f.ReadAt(out, row.off); err != nil {
-		return nil, fmt.Errorf("disklog: read %s@%d: %w", row.seg.path, row.off, err)
+	if _, err := row.seg.ReadAt(out, row.off); err != nil {
+		return nil, fmt.Errorf("disklog: read %s@%d: %w", row.seg.Path(), row.off, err)
 	}
 	return out, nil
 }
@@ -685,7 +409,7 @@ func (s *Store) IterNewest(fn func(table, pkey, ckey string, value []byte) bool)
 	for table, parts := range s.tables {
 		for pkey, p := range parts {
 			for _, row := range p.rows {
-				buckets[row.seg.id] = append(buckets[row.seg.id], ref{table: table, pkey: pkey, ckey: row.ckey, off: row.off})
+				buckets[row.seg.ID()] = append(buckets[row.seg.ID()], ref{table: table, pkey: pkey, ckey: row.ckey, off: row.off})
 			}
 		}
 	}
@@ -739,7 +463,7 @@ func (s *Store) Delete(table, pkey, ckey string) bool {
 	if _, ok := p.find(ckey); !ok {
 		return false
 	}
-	rec, _ := s.encodeRecord(opDel, table, pkey, ckey, nil)
+	rec, _ := s.encodeRecord(reclog.OpDel, table, pkey, ckey, nil)
 	s.appendRecord(rec)
 	s.applyDelete(table, pkey, ckey)
 	s.dead += int64(len(rec))
@@ -757,7 +481,7 @@ func (s *Store) DropPartition(table, pkey string) {
 	} else if _, ok := t[pkey]; !ok {
 		return
 	}
-	rec, _ := s.encodeRecord(opDrop, table, pkey, "", nil)
+	rec, _ := s.encodeRecord(reclog.OpDrop, table, pkey, "", nil)
 	s.appendRecord(rec)
 	s.applyDrop(table, pkey)
 	s.dead += int64(len(rec))
@@ -824,7 +548,7 @@ func (s *Store) DeadBytes() int64 {
 func (s *Store) Segments() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.segs)
+	return s.log.Len()
 }
 
 // Flush fsyncs the active segment and reports any sticky write error.
@@ -838,11 +562,8 @@ func (s *Store) flushLocked() error {
 	if s.closed {
 		return errors.Join(s.werr, errors.New("disklog: store closed"))
 	}
-	if s.unsynced > 0 {
-		if err := s.segs[len(s.segs)-1].f.Sync(); err != nil {
-			s.werr = errors.Join(s.werr, fmt.Errorf("disklog: sync: %w", err))
-		}
-		s.unsynced = 0
+	if err := s.log.Sync(); err != nil {
+		s.werr = errors.Join(s.werr, fmt.Errorf("disklog: %w", err))
 	}
 	return s.werr
 }
@@ -855,7 +576,7 @@ func (s *Store) Close() error {
 		return s.werr
 	}
 	err := s.flushLocked()
-	s.closeFiles()
+	s.log.Close()
 	s.closed = true
 	return err
 }
@@ -895,23 +616,13 @@ func (s *Store) compactLocked() error {
 	if s.backingUp {
 		return errors.New("disklog: compaction deferred during backup")
 	}
-	old := s.segs
-	nextID := old[len(old)-1].id + 1
-
-	// abort removes any partially-written compacted segments and
-	// restores the pre-compaction state. Leaving a partial higher-id
-	// segment behind would be corruption: it replays after the old
-	// segments and its stale rows would shadow post-failure writes.
-	abort := func() {
-		s.removeSegments(s.segs)
-		s.segs = old
-	}
+	old := s.log.Segments()
+	abort := func() { s.dropOutput(len(old)) }
 
 	// Write every live row, in deterministic order, into fresh segments.
-	s.segs = nil
-	if err := s.addSegment(nextID); err != nil {
+	if err := s.log.Rotate(); err != nil {
 		abort()
-		return err
+		return fmt.Errorf("disklog: compact: %w", err)
 	}
 	var (
 		newLive   int64
@@ -941,7 +652,7 @@ func (s *Store) compactLocked() error {
 					abort()
 					return fmt.Errorf("disklog: compact: %w", err)
 				}
-				rec, valOff := s.encodeRecord(opPut, tbl, pk, row.ckey, v)
+				rec, valOff := s.encodeRecord(reclog.OpPut, tbl, pk, row.ckey, v)
 				seg, off := s.appendRecord(rec)
 				if s.werr != nil {
 					abort()
@@ -956,19 +667,25 @@ func (s *Store) compactLocked() error {
 			}
 		}
 	}
-	if err := s.segs[len(s.segs)-1].f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		abort()
-		return fmt.Errorf("disklog: compact sync: %w", err)
+		return fmt.Errorf("disklog: compact: %w", err)
 	}
-	s.unsynced = 0
 
 	// Point of no return: adopt the new index, then delete old files.
 	s.tables = relocated
 	s.stored = newStored
 	s.live = newLive
 	s.dead = 0
-	s.removeSegments(old)
-	return s.syncDir()
+	return s.log.Remove(old)
+}
+
+// dropOutput backs a failed rewrite out: it removes every segment past
+// the first n, which makes segment n-1 active again. Leaving a partial
+// higher-id segment behind would be corruption: it replays after the
+// old segments and its stale rows would shadow post-failure writes.
+func (s *Store) dropOutput(n int) {
+	s.log.Remove(s.log.Segments()[n:])
 }
 
 // MergeSmall merges the maximal run of small segments at the tail of
@@ -1000,105 +717,78 @@ func (s *Store) MergeSmall(maxBytes int64, minSegs int) (int, error) {
 	if minSegs < 2 {
 		minSegs = 2
 	}
-	from := len(s.segs)
-	for from > 0 && s.segs[from-1].size <= maxBytes {
+	segs := s.log.Segments()
+	from := len(segs)
+	for from > 0 && segs[from-1].Size() <= maxBytes {
 		from--
 	}
-	n := len(s.segs) - from
+	n := len(segs) - from
 	if n < minSegs {
 		return 0, nil
 	}
-	if err := s.mergeTailLocked(from); err != nil {
+	if err := s.mergeLocked(segs[from:]); err != nil {
 		return 0, err
 	}
 	return n, nil
 }
 
-// mergeTailLocked rewrites segments [from:] into fresh higher-id
-// segments: live put records and all tombstones are copied verbatim
-// (in order), dead puts are dropped. The index is repointed only after
-// the new segments are synced.
-func (s *Store) mergeTailLocked(from int) error {
-	old := append([]*segment(nil), s.segs[from:]...)
-	keep := s.segs[:from:from]
-	nextID := s.segs[len(s.segs)-1].id + 1
-
+// mergeLocked rewrites old, the segments at the tail of the log, into
+// fresh higher-id segments: live put records and all tombstones are
+// copied verbatim (in order), dead puts are dropped. Every record is
+// checksum-verified before it is copied forward; a bad one aborts the
+// merge with reclog.ErrCorrupt, the originals and the index untouched.
+// The index is repointed only after the new segments are synced.
+func (s *Store) mergeLocked(old []*reclog.Segment) error {
 	type repoint struct {
-		table, pkey, ckey string
-		row               idxRow
+		table, pkey string
+		row         idxRow
 	}
 	var (
 		repoints  []repoint
 		deadFreed int64
 	)
-	abort := func() {
-		s.removeSegments(s.segs[from:])
-		s.segs = append(keep, old...)
-	}
-	s.segs = keep
-	if err := s.addSegment(nextID); err != nil {
-		abort()
-		return err
-	}
-	var header [recHeaderLen]byte
-	for _, seg := range old {
-		for off := int64(0); off < seg.size; {
-			if _, err := seg.f.ReadAt(header[:], off); err != nil {
-				abort()
-				return fmt.Errorf("disklog: merge read %s: %w", seg.path, err)
-			}
-			plen := int64(binary.LittleEndian.Uint32(header[0:4]))
-			if plen > maxRecordBytes || off+recHeaderLen+plen > seg.size {
-				abort()
-				return fmt.Errorf("%w: %s at offset %d", ErrCorrupt, seg.path, off)
-			}
-			raw := make([]byte, recHeaderLen+plen)
-			if _, err := seg.f.ReadAt(raw, off); err != nil {
-				abort()
-				return fmt.Errorf("disklog: merge read %s: %w", seg.path, err)
-			}
-			op, table, pkey, ckey, valOff, err := decodeRecordKeys(raw[recHeaderLen:])
+	before := s.log.Len()
+	abort := func() { s.dropOutput(before) }
+	err := s.log.Rotate()
+	for i := 0; err == nil && i < len(old); i++ {
+		seg := old[i]
+		err = seg.Scan(false, func(off int64, payload []byte) error {
+			m, valOff, err := reclog.DecodeMutation(payload)
 			if err != nil {
-				abort()
-				return fmt.Errorf("disklog: merge: undecodable record in %s at offset %d: %w", seg.path, off, err)
+				return err
 			}
+			recLen := int64(reclog.HeaderLen + len(payload))
 			live := false
-			if op == opPut {
-				if p := s.partitionFor(table, pkey, false); p != nil {
-					if i, ok := p.find(ckey); ok {
-						r := p.rows[i]
-						live = r.seg == seg && r.off == off+int64(valOff)
+			if m.Op == reclog.OpPut {
+				if p := s.partitionFor(m.Table, m.PKey, false); p != nil {
+					if i, ok := p.find(m.CKey); ok {
+						live = p.rows[i].seg == seg && p.rows[i].off == off+int64(valOff)
 					}
 				}
+				if !live { // superseded put: reclaimed
+					deadFreed += recLen
+					return nil
+				}
 			}
-			switch {
-			case op != opPut: // tombstone: preserve its effect on older segments
-				s.appendRecord(raw)
-				if s.werr != nil {
-					abort()
-					return s.werr
-				}
-			case live:
-				newSeg, newOff := s.appendRecord(raw)
-				if s.werr != nil {
-					abort()
-					return s.werr
-				}
-				repoints = append(repoints, repoint{table: table, pkey: pkey, ckey: ckey, row: idxRow{
-					ckey: ckey, seg: newSeg, off: newOff + int64(valOff),
-					vlen: len(raw) - valOff, rec: int64(len(raw)),
+			// A live put moves; a tombstone is kept for its effect on
+			// older segments.
+			s.enc = reclog.Frame(s.enc[:0], payload)
+			newSeg, newOff := s.appendRecord(s.enc)
+			if live {
+				repoints = append(repoints, repoint{table: m.Table, pkey: m.PKey, row: idxRow{
+					ckey: m.CKey, seg: newSeg, off: newOff + int64(valOff), vlen: len(m.Value), rec: recLen,
 				}})
-			default: // superseded put: reclaimed
-				deadFreed += int64(len(raw))
 			}
-			off += recHeaderLen + plen
-		}
+			return s.werr
+		})
 	}
-	if err := s.segs[len(s.segs)-1].f.Sync(); err != nil {
+	if err == nil {
+		err = s.log.Sync()
+	}
+	if err != nil {
 		abort()
-		return fmt.Errorf("disklog: merge sync: %w", err)
+		return fmt.Errorf("disklog: merge: %w", err)
 	}
-	s.unsynced = 0
 
 	// Point of no return: adopt the relocations, then delete old files.
 	for _, rp := range repoints {
@@ -1106,50 +796,12 @@ func (s *Store) mergeTailLocked(from int) error {
 		if p == nil {
 			continue
 		}
-		if i, ok := p.find(rp.ckey); ok {
+		if i, ok := p.find(rp.row.ckey); ok {
 			p.rows[i] = rp.row
 		}
 	}
 	s.dead -= deadFreed
-	s.removeSegments(old)
-	return s.syncDir()
-}
-
-// decodeRecordKeys decodes a record payload's op and keys without
-// copying the value; valOff is the value's offset within the full
-// record, header included (puts only).
-func decodeRecordKeys(payload []byte) (op byte, table, pkey, ckey string, valOff int, err error) {
-	if len(payload) < 1 {
-		return 0, "", "", "", 0, fmt.Errorf("empty payload")
-	}
-	r := &payloadReader{data: payload, pos: 1}
-	op = payload[0]
-	if table, err = r.str(); err != nil {
-		return
-	}
-	if pkey, err = r.str(); err != nil {
-		return
-	}
-	switch op {
-	case opPut:
-		if ckey, err = r.str(); err != nil {
-			return
-		}
-		vlen, n := binary.Uvarint(r.data[r.pos:])
-		if n <= 0 || uint64(len(r.data)-r.pos-n) < vlen {
-			err = fmt.Errorf("bad value length")
-			return
-		}
-		valOff = recHeaderLen + r.pos + n
-	case opDel:
-		if ckey, err = r.str(); err != nil {
-			return
-		}
-	case opDrop:
-	default:
-		err = fmt.Errorf("unknown op 0x%02x", op)
-	}
-	return
+	return s.log.Remove(old)
 }
 
 // Backup writes a consistent copy of the engine's segment files into
@@ -1175,15 +827,7 @@ func (s *Store) Backup(dir string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("disklog: backup: %w", err)
 	}
-	type segSnap struct {
-		f    *os.File
-		size int64
-		name string
-	}
-	snap := make([]segSnap, len(s.segs))
-	for i, seg := range s.segs {
-		snap[i] = segSnap{f: seg.f, size: seg.size, name: segmentName(seg.id)}
-	}
+	snap := s.log.Snapshot()
 	s.backingUp = true
 	s.mu.Unlock()
 	defer func() {
@@ -1191,39 +835,10 @@ func (s *Store) Backup(dir string) error {
 		s.backingUp = false
 		s.mu.Unlock()
 	}()
-
-	// Validate the whole target before writing anything, so a failure
-	// cannot leave a half-written backup directory behind.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := snap.CopyTo(dir); err != nil {
 		return fmt.Errorf("disklog: backup: %w", err)
-	}
-	if ids, err := listSegmentIDs(dir); err != nil {
-		return err
-	} else if len(ids) > 0 {
-		return fmt.Errorf("disklog: backup target %s already holds segments", dir)
-	}
-	for _, seg := range snap {
-		if err := backend.CopyFile(seg.f, seg.size, filepath.Join(dir, seg.name)); err != nil {
-			return err
-		}
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("disklog: backup: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("disklog: backup sync %s: %w", dir, err)
 	}
 	return nil
-}
-
-// removeSegments closes and deletes log files.
-func (s *Store) removeSegments(segs []*segment) {
-	for _, seg := range segs {
-		seg.f.Close()
-		os.Remove(seg.path)
-	}
 }
 
 // String describes the engine state (fmt.Stringer, for inspection).
@@ -1231,7 +846,7 @@ func (s *Store) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return fmt.Sprintf("disklog(%s: %d segments, %dB live, %dB dead)",
-		s.dir, len(s.segs), s.live, s.dead)
+		s.dir, s.log.Len(), s.live, s.dead)
 }
 
 var _ backend.Backend = (*Store)(nil)

@@ -3,6 +3,7 @@ package disklog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"hgs/internal/backend"
+	"hgs/internal/reclog"
 )
 
 func open(t *testing.T, dir string, opts Options) *Store {
@@ -472,6 +474,61 @@ func TestMergeSmallCoalescesTailSegments(t *testing.T) {
 	}
 }
 
+// TestMergeSmallVerifiesChecksums flips one key byte of a live put in a
+// small tail segment. Copying it forward on the strength of its length
+// prefix alone would judge the row superseded (its key no longer matches
+// the index), drop the record and delete the only file the index points
+// at. The merge must refuse instead, and change nothing.
+func TestMergeSmallVerifiesChecksums(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
+	defer s.Close()
+	for i := 0; i < 40; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("value-%03d", i)))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(before) < 6 {
+		t.Fatalf("precondition: want many small segments, got %d", len(before))
+	}
+	// header(8) op(1) "deltas"(1+6) "p0"(1+2) len(1): the clustering key
+	// of a segment's first record starts at byte 20.
+	f, err := os.OpenFile(before[2], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	f.ReadAt(b[:], 22)
+	b[0] ^= 0x01
+	f.WriteAt(b[:], 22)
+	f.Close()
+
+	n, err := s.MergeSmall(1<<20, 2)
+	if !errors.Is(err, reclog.ErrCorrupt) || n != 0 {
+		t.Fatalf("merge over a corrupt record = %d, %v; want reclog.ErrCorrupt", n, err)
+	}
+	after, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if fmt.Sprint(after) != fmt.Sprint(before) || s.Segments() != len(before) {
+		t.Fatalf("aborted merge changed the segment set:\n%v\n%v", before, after)
+	}
+	for i := 0; i < 40; i++ {
+		want := fmt.Sprintf("value-%03d", i)
+		if v, ok := s.Get("deltas", "p0", fmt.Sprintf("c%03d", i)); !ok || string(v) != want {
+			t.Fatalf("row %d after aborted merge: %q,%v", i, v, ok)
+		}
+	}
+	// The last original segment is active again and takes writes.
+	s.Put("deltas", "p0", "later", []byte("still writable"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Get("deltas", "p0", "later"); !ok || string(v) != "still writable" {
+		t.Fatalf("write after aborted merge: %q,%v", v, ok)
+	}
+}
+
 func TestMergeSmallPreservesTombstones(t *testing.T) {
 	// A delete whose tombstone sits in a merged tail segment may kill a
 	// row recorded in an older, untouched segment. Dropping the
@@ -484,13 +541,13 @@ func TestMergeSmallPreservesTombstones(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		s.Put("deltas", "p1", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("filler-%03d", i)))
 	}
-	firstID := s.segs[0].id
+	firstID := s.log.Segments()[0].ID()
 	s.Delete("deltas", "p0", "victim")
 	s.DropPartition("deltas", "dropme")
 	if _, err := s.MergeSmall(256, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.segs[0].id; got != firstID {
+	if got := s.log.Segments()[0].ID(); got != firstID {
 		t.Fatalf("merge touched the old segment (first id %d -> %d)", firstID, got)
 	}
 	if err := s.Close(); err != nil {

@@ -61,7 +61,11 @@ import (
 	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
 	"hgs/internal/backend/memtable"
+	"hgs/internal/reclog"
 )
+
+// walPrefix names the write-ahead log's segment files (wal-%08d.log).
+const walPrefix = "wal"
 
 // Options tune the engine. Zero values take the defaults.
 type Options struct {
@@ -177,7 +181,12 @@ type Store struct {
 	mu   sync.Mutex
 	hot  *memtable.Store
 	warm *memtable.Store // read-only copies of the newest cold rows
-	wal  *wal
+	// wal makes the hot tier durable. It has no index — the hot memtable
+	// IS the index — and is only ever replayed front to back on open;
+	// segments are deleted from the front once every record in them is
+	// superseded or durably flushed into the cold tier (pending, below).
+	wal  *reclog.Log
+	enc  []byte // scratch WAL record buffer
 	cold *disklog.Store
 
 	hotMeta map[string]map[string]*rowMeta // table\0pkey → ckey → meta
@@ -268,7 +277,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		lock.release()
 		return nil, err
 	}
-	w, err := openWAL(filepath.Join(dir, "wal"), opts.WALSegmentBytes)
+	w, err := reclog.Open(filepath.Join(dir, "wal"), walPrefix, opts.WALSegmentBytes)
 	if err != nil {
 		cold.Close()
 		lock.release()
@@ -294,14 +303,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Rebuild the hot tier. Replayed deletes and drops are re-applied to
 	// the cold tier too: a crash may have cut in after the WAL append
 	// but before the cold tombstone.
-	err = w.replay(func(segID int, op byte, table, pkey, ckey string, value []byte) error {
-		switch op {
-		case walPut:
-			s.applyHotPut(segID, table, pkey, ckey, value)
-		case walDel:
-			s.applyDelete(segID, table, pkey, ckey)
-		case walDrop:
-			s.applyDrop(segID, table, pkey)
+	err = w.Scan(func(seg *reclog.Segment, _ int64, payload []byte) error {
+		m, _, err := reclog.DecodeMutation(payload)
+		if err != nil {
+			return err
+		}
+		switch m.Op {
+		case reclog.OpPut:
+			// The scan reuses payload; the hot tier keeps the value.
+			s.applyHotPut(seg.ID(), m.Table, m.PKey, m.CKey, append([]byte(nil), m.Value...))
+		case reclog.OpDel:
+			s.applyDelete(seg.ID(), m.Table, m.PKey, m.CKey)
+		case reclog.OpDrop:
+			s.applyDrop(seg.ID(), m.Table, m.PKey)
 		}
 		return nil
 	})
@@ -316,10 +330,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	if err != nil {
-		w.closeFiles()
+		w.Close()
 		cold.Close()
 		lock.release()
-		return nil, err
+		return nil, fmt.Errorf("tiered: %w", err)
 	}
 	s.hotBytes.Store(s.hot.StoredBytes())
 	if !opts.DisableWarm {
@@ -647,18 +661,16 @@ func (s *Store) dropShadow(key, ckey string) {
 
 // walAppend writes one record, batching fsyncs, and records any write
 // error in the sticky werr (surfaced by Flush/Close, WAL semantics).
-func (s *Store) walAppend(op byte, table, pkey, ckey string, value []byte) int {
-	seg, err := s.wal.append(op, table, pkey, ckey, value)
+func (s *Store) walAppend(op reclog.Op, table, pkey, ckey string, value []byte) int {
+	s.enc, _ = reclog.Mutation{Op: op, Table: table, PKey: pkey, CKey: ckey, Value: value}.AppendRecord(s.enc[:0])
+	seg, _, err := s.wal.Append(s.enc)
+	if err == nil && s.wal.Unsynced() >= s.opts.WALSyncBytes {
+		err = s.wal.Sync()
+	}
 	if err != nil {
-		s.werr = errors.Join(s.werr, err)
-		return seg
+		s.werr = errors.Join(s.werr, fmt.Errorf("tiered: wal: %w", err))
 	}
-	if s.wal.unsynced >= s.opts.WALSyncBytes {
-		if err := s.wal.fsync(); err != nil {
-			s.werr = errors.Join(s.werr, err)
-		}
-	}
-	return seg
+	return seg.ID()
 }
 
 // --- Backend interface ----------------------------------------------
@@ -669,7 +681,7 @@ func (s *Store) Put(table, pkey, ckey string, value []byte) {
 	s.touch()
 	s.mu.Lock()
 	s.mustOpenLocked()
-	seg := s.walAppend(walPut, table, pkey, ckey, value)
+	seg := s.walAppend(reclog.OpPut, table, pkey, ckey, value)
 	s.applyHotPut(seg, table, pkey, ckey, value)
 	over := s.hot.StoredBytes()+s.warmBytes > s.opts.HotBytes
 	s.mu.Unlock()
@@ -838,7 +850,7 @@ func (s *Store) Delete(table, pkey, ckey string) bool {
 			return false
 		}
 	}
-	seg := s.walAppend(walDel, table, pkey, ckey, nil)
+	seg := s.walAppend(reclog.OpDel, table, pkey, ckey, nil)
 	return s.applyDelete(seg, table, pkey, ckey)
 }
 
@@ -856,7 +868,7 @@ func (s *Store) DropPartition(table, pkey string) {
 	if !s.hot.HasPartition(table, pkey) && !s.cold.HasPartition(table, pkey) {
 		return
 	}
-	seg := s.walAppend(walDrop, table, pkey, "", nil)
+	seg := s.walAppend(reclog.OpDrop, table, pkey, "", nil)
 	s.applyDrop(seg, table, pkey)
 }
 
@@ -936,7 +948,7 @@ func (s *Store) Flush() error {
 // flushDurableLocked fsyncs both logs and clears satisfied tombstone
 // obligations; callers hold ioMu and mu.
 func (s *Store) flushDurableLocked() error {
-	if err := s.wal.fsync(); err != nil {
+	if err := s.wal.Sync(); err != nil {
 		s.werr = errors.Join(s.werr, err)
 	}
 	if err := s.cold.Flush(); err != nil {
@@ -977,13 +989,13 @@ func (s *Store) Close() error {
 		}
 		if clean {
 			s.retireWAL()
-			if terr := s.wal.truncateActive(); terr != nil {
+			if terr := s.wal.TruncateActive(); terr != nil {
 				err = errors.Join(err, terr)
 				s.werr = err
 			}
 		}
 	}
-	s.wal.closeFiles()
+	s.wal.Close()
 	if cerr := s.cold.Close(); cerr != nil {
 		err = errors.Join(err, cerr)
 		s.werr = err
@@ -1007,7 +1019,7 @@ func (s *Store) Kill() {
 		return
 	}
 	s.closed = true
-	s.wal.closeFiles()
+	s.wal.Close()
 	s.cold.Close()
 	s.lock.release()
 }
@@ -1039,19 +1051,6 @@ func (s *Store) TierCounters() backend.TierCounters {
 // backup streams.
 var backupCopyHook func()
 
-// hasWALSegments reports whether dir exists and already holds WAL
-// segment files (a missing directory is simply empty).
-func hasWALSegments(dir string) (bool, error) {
-	ids, err := listWALSegmentIDs(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return len(ids) > 0, nil
-}
-
 // Backup writes a consistent copy of the engine's durable state (cold
 // segments and WAL) into dir, mirroring the on-disk layout so the copy
 // opens as a normal tiered directory. The whole target is validated
@@ -1075,20 +1074,12 @@ func (s *Store) Backup(dir string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("tiered: backup: %w", err)
 	}
-	type walSnap struct {
-		f    *os.File
-		size int64
-		name string
-	}
-	snap := make([]walSnap, len(s.wal.segs))
-	for i, seg := range s.wal.segs {
-		snap[i] = walSnap{f: seg.f, size: seg.size, name: walSegmentName(seg.id)}
-	}
+	snap := s.wal.Snapshot()
 	s.mu.Unlock()
 
 	// Validate the whole target before writing anything.
 	walDir := filepath.Join(dir, "wal")
-	if dirty, err := hasWALSegments(walDir); err != nil {
+	if dirty, err := reclog.HasSegments(walDir, walPrefix); err != nil {
 		return err
 	} else if dirty {
 		return fmt.Errorf("tiered: backup target %s already holds WAL segments", walDir)
@@ -1100,21 +1091,8 @@ func (s *Store) Backup(dir string) error {
 	if err := s.cold.Backup(filepath.Join(dir, "cold")); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
+	if err := snap.CopyTo(walDir); err != nil {
 		return fmt.Errorf("tiered: backup: %w", err)
-	}
-	for _, seg := range snap {
-		if err := backend.CopyFile(seg.f, seg.size, filepath.Join(walDir, seg.name)); err != nil {
-			return err
-		}
-	}
-	d, err := os.Open(walDir)
-	if err != nil {
-		return fmt.Errorf("tiered: backup: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("tiered: backup sync %s: %w", walDir, err)
 	}
 	return nil
 }
@@ -1416,13 +1394,13 @@ func (s *Store) retireWAL() {
 			delete(s.pending, seg)
 		}
 	}
-	dropUpTo := s.wal.activeID() - 1
+	dropUpTo := s.wal.Active().ID() - 1
 	for seg := range s.pending {
 		if seg-1 < dropUpTo {
 			dropUpTo = seg - 1
 		}
 	}
-	if dropUpTo < 1 || len(s.wal.segs) <= 1 || s.wal.segs[0].id > dropUpTo {
+	if dropUpTo < 1 || s.wal.Len() <= 1 || s.wal.Segments()[0].ID() > dropUpTo {
 		return // nothing would actually drop
 	}
 	// A segment's pending count can reach zero because its records were
@@ -1432,11 +1410,11 @@ func (s *Store) retireWAL() {
 	// even if an earlier Flush had made the old version durable. Sync the
 	// WAL first; retirement is infrequent and the sync is a no-op when
 	// the batch fsync already ran.
-	if err := s.wal.fsync(); err != nil {
+	if err := s.wal.Sync(); err != nil {
 		s.werr = errors.Join(s.werr, err)
 		return
 	}
-	if err := s.wal.dropThrough(dropUpTo); err != nil {
+	if err := s.wal.DropThrough(dropUpTo); err != nil {
 		s.werr = errors.Join(s.werr, err)
 	}
 }
@@ -1511,7 +1489,7 @@ func (s *Store) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return fmt.Sprintf("tiered(%s: %dB hot, %d wal segments, cold %s)",
-		s.dir, s.hot.StoredBytes(), len(s.wal.segs), s.cold)
+		s.dir, s.hot.StoredBytes(), s.wal.Len(), s.cold)
 }
 
 var _ backend.Backend = (*Store)(nil)

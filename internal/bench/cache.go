@@ -54,33 +54,20 @@ func cacheFixture(sc Scale) (ix *builtIndex, probes []temporal.Time, nodes []gra
 	return ix, probes, nodes, early
 }
 
-// legacyCache reproduces the PR 2 cache for comparison passes: flat LRU
-// admission (a scan can evict the whole hot set) and no negative
-// caching (absent rows are re-read every probe).
-func legacyCache() *fetch.Cache {
-	return fetch.NewCacheWith(fetch.CacheOptions{
-		MaxBytes:   core.DefaultCacheBytes,
-		PlainLRU:   true,
-		NoNegative: true,
-	})
-}
-
 // CacheBench — the cache v2 experiment: the same snapshot + node-fetch +
 // sparse-probe workload runs cold and warm over a v2 cache handle
-// (segmented-LRU admission, negative caching), warm over a legacy v1
-// cache handle (flat LRU, no negative entries — the PR 2 behavior), and
-// over a cache-disabled handle, reporting logical KV operations,
-// machine round-trips, simulated service time and wall time for each
-// pass. The warm v2 pass must answer part of the workload from negative
-// entries (nonzero negative-hit ratio) and issue strictly fewer KV
-// reads than the v1 warm pass — checked by TestCacheV2NegativeCaching;
+// (segmented-LRU admission, negative caching) and over a cache-disabled
+// handle, reporting logical KV operations, machine round-trips,
+// simulated service time and wall time for each pass. The warm pass
+// must answer part of the workload from negative entries (nonzero
+// negative-hit ratio) — checked by TestCacheV2NegativeCaching;
 // TestCacheBenchSpeedup keeps the original ≥2× cold/warm bar.
 func CacheBench(sc Scale) *Result {
 	start := time.Now()
 	ix, probes, nodes, early := cacheFixture(sc)
 	res := &Result{
 		ID:    "cache",
-		Title: "Decoded-delta cache v2: cold vs warm vs legacy-v1 vs disabled (m=4, c=4)",
+		Title: "Decoded-delta cache v2: cold vs warm vs disabled (m=4, c=4)",
 	}
 
 	// run meters one pass and appends its structured PassMetrics (KV
@@ -117,14 +104,11 @@ func CacheBench(sc Scale) *Result {
 		return m, sec
 	}
 
-	// Fresh handles over the built cluster: v2 cache (the default), the
-	// legacy v1 cache, and caching disabled, all with cold metadata.
+	// Fresh handles over the built cluster: the default cache and caching
+	// disabled, both with cold metadata.
 	cfg := ix.TGI.Config()
 	cfg.CacheBytes = 0 // default budget (bench indexes are built cache-off)
 	v2TGI := core.New(ix.Cluster, cfg)
-	cfgV1 := cfg
-	cfgV1.Cache = legacyCache()
-	v1TGI := core.New(ix.Cluster, cfgV1)
 	cfgOff := cfg
 	cfgOff.CacheBytes = -1
 	uncachedTGI := core.New(ix.Cluster, cfgOff)
@@ -135,8 +119,6 @@ func CacheBench(sc Scale) *Result {
 	coldStats := v2TGI.CacheStats()
 	warmM, warmSec := run("warm (v2)", v2TGI)
 	warmStats := v2TGI.CacheStats()
-	run("cold (v1 legacy)", v1TGI) // cold v1 pass warms the legacy cache
-	v1M, v1Sec := run("warm (v1 legacy)", v1TGI)
 	offM, offSec := run("cache off", uncachedTGI)
 
 	res.TableHeader = []string{"pass", "kv reads", "round-trips", "read KB", "sim wait", "elapsed"}
@@ -153,7 +135,6 @@ func CacheBench(sc Scale) *Result {
 	res.TableRows = append(res.TableRows,
 		row("cold (v2)", coldM, coldSec),
 		row("warm (v2)", warmM, warmSec),
-		row("warm (v1 legacy)", v1M, v1Sec),
 		row("cache off", offM, offSec),
 	)
 	if warmM.Reads > 0 {
@@ -167,9 +148,6 @@ func CacheBench(sc Scale) *Result {
 	if answers > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf("warm v2 negative-hit ratio: %.2f (%d of %d cache answers; each one an absent-row KV read not issued)",
 			float64(negHits)/float64(answers), negHits, answers))
-	}
-	if v1M.Reads > warmM.Reads {
-		res.Notes = append(res.Notes, fmt.Sprintf("warm v2 issues %d fewer kv reads than the v1 (PR 2) cache on the same workload", v1M.Reads-warmM.Reads))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("warm v2 evictions since cold: %d; protected segment: %d KB of %d KB budget",
 		warmStats.Evictions-coldStats.Evictions, warmStats.ProtectedBytes/1024, warmStats.MaxBytes/1024))
@@ -203,34 +181,29 @@ func CachePasses(sc Scale) (cold, warm kvstore.Metrics) {
 }
 
 // CacheV2Passes runs the full cache-v2 workload without the latency
-// model and returns the warm-pass metrics of the v2 and legacy-v1
-// caches plus the v2 warm-pass cache-counter deltas — the testable core
-// of the v2 experiment (used by TestCacheV2NegativeCaching).
-func CacheV2Passes(sc Scale) (warmV2, warmV1 kvstore.Metrics, warmDelta fetch.CacheStats) {
+// model and returns the cold and warm pass metrics plus the warm-pass
+// cache-counter deltas — the testable core of the v2 experiment (used
+// by TestCacheV2NegativeCaching).
+func CacheV2Passes(sc Scale) (cold, warm kvstore.Metrics, warmDelta fetch.CacheStats) {
 	ix, probes, nodes, early := cacheFixture(sc)
 	cfg := ix.TGI.Config()
 	cfg.CacheBytes = 0
-	v2TGI := core.New(ix.Cluster, cfg)
-	cfgV1 := cfg
-	cfgV1.Cache = legacyCache()
-	v1TGI := core.New(ix.Cluster, cfgV1)
+	t := core.New(ix.Cluster, cfg)
 
-	run := func(t *core.TGI) kvstore.Metrics {
+	run := func() kvstore.Metrics {
 		ix.Cluster.ResetMetrics()
 		cacheWorkload(t, probes, nodes, early)
 		return ix.Cluster.Metrics()
 	}
-	run(v2TGI) // cold
-	cold := v2TGI.CacheStats()
-	warmV2 = run(v2TGI)
-	warm := v2TGI.CacheStats()
-	run(v1TGI) // cold
-	warmV1 = run(v1TGI)
+	cold = run()
+	before := t.CacheStats()
+	warm = run()
+	after := t.CacheStats()
 	warmDelta = fetch.CacheStats{
-		Hits:         warm.Hits - cold.Hits,
-		Misses:       warm.Misses - cold.Misses,
-		NegativeHits: warm.NegativeHits - cold.NegativeHits,
-		Evictions:    warm.Evictions - cold.Evictions,
+		Hits:         after.Hits - before.Hits,
+		Misses:       after.Misses - before.Misses,
+		NegativeHits: after.NegativeHits - before.NegativeHits,
+		Evictions:    after.Evictions - before.Evictions,
 	}
-	return warmV2, warmV1, warmDelta
+	return cold, warm, warmDelta
 }

@@ -36,24 +36,6 @@ const (
 	adaptStep             = 0.05
 )
 
-// CacheOptions configure a Cache beyond its byte budget. The zero value
-// of each field selects the v2 defaults; the legacy knobs exist so
-// benchmarks and regression tests can reproduce the v1 (PR 2) behavior
-// and quantify what the v2 policies buy.
-type CacheOptions struct {
-	// MaxBytes bounds the cache; <= 0 disables caching (nil cache).
-	MaxBytes int64
-	// PlainLRU disables the segmented (probation/protected) admission
-	// policy and runs one flat LRU list — the v1 eviction behavior, in
-	// which a single large scan can evict the entire hot set.
-	PlainLRU bool
-	// NoNegative disables negative caching of absent micro-delta rows —
-	// the v1 absence behavior, in which only complete group entries know
-	// absence and repeated point reads of absent rows hit the store
-	// every time.
-	NoNegative bool
-}
-
 // Cache is a bytes-bounded cache of decoded micro-deltas, keyed by
 // (tsid, sid, did) group. Hot root and interior deltas of the tree —
 // shared by every snapshot and micro-partition retrieval of a timespan —
@@ -82,15 +64,12 @@ type Cache struct {
 	mu        sync.Mutex
 	max       int64
 	share     float64    // protected-segment share of the budget (adaptive)
-	protMax   int64      // protected-segment byte bound (0 in plain-LRU mode)
+	protMax   int64      // protected-segment byte bound
 	used      int64      // total bytes across both segments
 	protUsed  int64      // bytes in the protected segment
-	probation *list.List // front = most recently used; also the sole list in plain-LRU mode
+	probation *list.List // front = most recently used
 	protected *list.List
 	entries   map[GroupKey]*list.Element
-
-	plainLRU   bool
-	noNegative bool
 
 	hits, misses, negativeHits              int64
 	eventHits                               int64
@@ -133,31 +112,19 @@ func (e *cacheEntry) has(pid int) bool {
 }
 
 // NewCache returns a segmented-LRU cache bounded to maxBytes with
-// negative caching enabled (the v2 defaults); maxBytes <= 0 returns nil
-// (caching disabled).
+// negative caching; maxBytes <= 0 returns nil (caching disabled).
 func NewCache(maxBytes int64) *Cache {
-	return NewCacheWith(CacheOptions{MaxBytes: maxBytes})
-}
-
-// NewCacheWith returns a cache configured by opts; opts.MaxBytes <= 0
-// returns nil (caching disabled).
-func NewCacheWith(opts CacheOptions) *Cache {
-	if opts.MaxBytes <= 0 {
+	if maxBytes <= 0 {
 		return nil
 	}
-	c := &Cache{
-		max:        opts.MaxBytes,
-		probation:  list.New(),
-		protected:  list.New(),
-		entries:    make(map[GroupKey]*list.Element),
-		plainLRU:   opts.PlainLRU,
-		noNegative: opts.NoNegative,
+	return &Cache{
+		max:       maxBytes,
+		share:     initialProtectedShare,
+		protMax:   int64(float64(maxBytes) * initialProtectedShare),
+		probation: list.New(),
+		protected: list.New(),
+		entries:   make(map[GroupKey]*list.Element),
 	}
-	if !c.plainLRU {
-		c.share = initialProtectedShare
-		c.protMax = int64(float64(opts.MaxBytes) * c.share)
-	}
-	return c
 }
 
 // refreshLocked moves an entry to the MRU position of its current
@@ -172,15 +139,11 @@ func (c *Cache) refreshLocked(el *list.Element) {
 }
 
 // touchLocked registers a hit on an entry's element: move to the front
-// of its segment and, under the segmented policy, promote probation
-// entries into the protected segment (demoting the protected LRU back
+// of its segment and promote probation entries into the protected
+// segment (demoting the protected LRU back
 // to probation when the segment overflows its share).
 func (c *Cache) touchLocked(el *list.Element) {
 	e := el.Value.(*cacheEntry)
-	if c.plainLRU {
-		c.probation.MoveToFront(el)
-		return
-	}
 	if e.protected {
 		c.winProt++
 		c.adaptLocked()
@@ -388,7 +351,7 @@ func (c *Cache) AddGroup(k GroupKey, parts []Part, sizes []int64) {
 		// A completed entry inherits the protection its incomplete
 		// predecessor earned, so completing a hot group does not expose
 		// it to the next scan.
-		e.protected = old.protected && !c.plainLRU
+		e.protected = old.protected
 	}
 	c.admissions++
 	c.insertLocked(e)
@@ -461,7 +424,7 @@ func (c *Cache) AddEventGroup(k GroupKey, parts []EventPart, sizes []int64) {
 	if el, ok := c.entries[k]; ok {
 		old := el.Value.(*cacheEntry)
 		c.removeLocked(el)
-		e.protected = old.protected && !c.plainLRU
+		e.protected = old.protected
 	}
 	c.admissions++
 	c.insertLocked(e)
@@ -519,7 +482,7 @@ func (c *Cache) AddEventPart(k PartKey, evs []graph.Event, size int64) {
 // they are dropped wholesale by Purge when Append rebuilds the trailing
 // timespan.
 func (c *Cache) AddNegative(k PartKey) {
-	if c == nil || c.noNegative {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
@@ -660,7 +623,7 @@ type CacheStats struct {
 	ProtectedBytes   int64
 	MaxBytes         int64
 	// ProtectedShare is the current adaptive protected-segment share of
-	// the byte budget (0 in plain-LRU mode).
+	// the byte budget.
 	ProtectedShare float64
 }
 

@@ -428,19 +428,11 @@ func TestCacheNegativeMarkers(t *testing.T) {
 	if _, known := c.Part(k9); known {
 		t.Fatal("purge must drop negative markers")
 	}
-	// The legacy mode records nothing.
-	off := NewCacheWith(CacheOptions{MaxBytes: 1 << 20, NoNegative: true})
-	off.AddNegative(k)
-	if _, known := off.Part(k); known {
-		t.Fatal("NoNegative cache must not remember absence")
-	}
 }
 
 // TestCacheScanResistance pins the segmented admission policy: a
 // one-shot scan far larger than the budget must not evict the
-// proven-hot protected set. The same workload over the v1 plain-LRU
-// policy loses every hot entry — which is exactly the regression this
-// test guards against.
+// proven-hot protected set (a flat LRU loses every hot entry to it).
 func TestCacheScanResistance(t *testing.T) {
 	const budget = 64 * 1024
 	workload := func(c *Cache) (kept int) {
@@ -467,9 +459,6 @@ func TestCacheScanResistance(t *testing.T) {
 	}
 	if kept := workload(NewCache(budget)); kept != 8 {
 		t.Fatalf("segmented admission kept %d of 8 hot groups across the scan, want all 8", kept)
-	}
-	if kept := workload(NewCacheWith(CacheOptions{MaxBytes: budget, PlainLRU: true})); kept != 0 {
-		t.Fatalf("plain LRU kept %d hot groups; the scan should have evicted all of them (the v1 failure mode)", kept)
 	}
 }
 

@@ -49,6 +49,6 @@ func (c *Cache) RegisterObs(r *obs.Registry) {
 		"Entries currently resident in the cache.",
 		stat(func(s CacheStats) int64 { return int64(s.Entries) }))
 	r.GaugeFunc("hgs_cache_protected_share",
-		"Adaptive protected-segment share of the byte budget (0 in plain-LRU mode).",
+		"Adaptive protected-segment share of the byte budget.",
 		func() float64 { return c.Stats().ProtectedShare })
 }

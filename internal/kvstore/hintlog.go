@@ -5,51 +5,40 @@ package kvstore
 // a process restart: hints pending at Open are replayed (stamp-guarded)
 // straight into the node's engine before the cluster serves traffic,
 // and the log is truncated whenever the in-memory queue fully drains
-// (revive, fault-clear). The record framing follows the disklog WAL:
-//
-//	[u32 payload length][u32 IEEE CRC32 of payload][payload]
-//
-// both little-endian, payload =
+// (revive, fault-clear). The file is one internal/reclog segment — its
+// record frame and torn-tail recovery — with the payload
 //
 //	[op byte][u32 len][table][u32 len][pkey][u32 len][ckey][u32 len][value]
 //
-// A torn tail (partial record, bad CRC) is truncated at the last good
-// record on open — the tail hint was not acknowledged as hinted
-// durably, and the write that queued it was already counted
-// under-replicated, so dropping it is the crash semantics hints always
-// had, just with a far smaller window. Appends fsync before returning:
-// hints are rare (a replica was down), so the write path only pays the
-// sync when already degraded.
+// (little-endian). A torn tail is cut off on open — the tail hint was
+// not acknowledged as hinted durably, and the write that queued it was
+// already counted under-replicated, so dropping it is the crash
+// semantics hints always had, just with a far smaller window. Appends
+// fsync before returning: hints are rare (a replica was down), so the
+// write path only pays the sync when already degraded.
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+
+	"hgs/internal/reclog"
 )
-
-// hintRecHeader is the per-record framing overhead: payload length and
-// CRC32, both little-endian u32.
-const hintRecHeader = 8
-
-// maxHintRecord guards decode against a corrupt length prefix.
-const maxHintRecord = 1 << 30
 
 // hintFileName names node id's hint log inside Config.HintDir.
 func hintFileName(id int) string { return fmt.Sprintf("node-%03d.hints", id) }
 
 // hintLog is one node's durable hint queue. All methods are called with
 // the owning node's hintMu held (append/reset) or during single-threaded
-// open/teardown, so the type needs no lock of its own.
+// open/teardown, so the type needs no lock of its own. seg is nil once
+// a write has failed: in-memory hints still replay on revive; only
+// restart durability degrades, matching the pre-log behavior rather
+// than failing the write.
 type hintLog struct {
-	f    *os.File
+	seg  *reclog.Segment
 	path string
-	// size is the current valid length; appends extend it, reset zeroes
-	// it. Kept in memory so reset can skip the syscall when already
-	// empty (the common case: every drain after the first).
-	size int64
 }
 
 // openHintLog opens (creating if needed) the hint log at path and
@@ -59,46 +48,24 @@ func openHintLog(path string) (*hintLog, []hint, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	seg, err := reclog.OpenSegment(path)
 	if err != nil {
-		return nil, nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	var pending []hint
-	off := 0
-	for off+hintRecHeader <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxHintRecord || off+hintRecHeader+n > len(data) {
-			break
-		}
-		payload := data[off+hintRecHeader : off+hintRecHeader+n]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
+	err = seg.Scan(true, func(_ int64, payload []byte) error {
 		h, ok := decodeHint(payload)
 		if !ok {
-			break
+			return errors.New("malformed hint")
 		}
 		pending = append(pending, h)
-		off += hintRecHeader + n
-	}
-	if int64(off) != int64(len(data)) {
-		// Torn tail: drop everything past the last good record.
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
+		return nil
+	})
+	if err != nil {
+		seg.Close()
 		return nil, nil, err
 	}
-	return &hintLog{f: f, path: path, size: int64(off)}, pending, nil
+	return &hintLog{seg: seg, path: path}, pending, nil
 }
 
 // encodeHint serializes one hint payload.
@@ -131,9 +98,9 @@ func decodeHint(p []byte) (hint, bool) {
 		if len(p) < 4 {
 			return nil, false
 		}
-		n := int(binary.LittleEndian.Uint32(p))
+		n := binary.LittleEndian.Uint32(p)
 		p = p[4:]
-		if n > maxHintRecord || n > len(p) {
+		if uint64(n) > uint64(len(p)) {
 			return nil, false
 		}
 		b := p[:n]
@@ -160,59 +127,39 @@ func decodeHint(p []byte) (hint, bool) {
 	return h, true
 }
 
-// append durably records one queued hint. Errors are swallowed after
-// marking the log broken by closing it — in-memory hints still replay
-// on revive; only restart durability degrades, matching the pre-log
-// behavior rather than failing the write.
+// append durably records one queued hint.
 func (l *hintLog) append(h hint) {
-	if l.f == nil {
+	if l.seg == nil {
 		return
 	}
-	payload := encodeHint(h)
-	rec := make([]byte, hintRecHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	copy(rec[hintRecHeader:], payload)
-	if _, err := l.f.Write(rec); err != nil {
-		l.f.Close()
-		l.f = nil
-		return
+	_, err := l.seg.Append(reclog.Frame(nil, encodeHint(h)))
+	if err == nil {
+		err = l.seg.Sync()
 	}
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		l.f = nil
-		return
+	if err != nil {
+		l.Close()
 	}
-	l.size += int64(len(rec))
 }
 
 // reset marks every record replayed: the in-memory queue drained, so
-// the log restarts empty.
+// the log restarts empty (no syscall when it already is — every drain
+// after the first).
 func (l *hintLog) reset() {
-	if l.f == nil || l.size == 0 {
+	if l.seg == nil || l.seg.Size() == 0 {
 		return
 	}
-	if err := l.f.Truncate(0); err != nil {
-		l.f.Close()
-		l.f = nil
-		return
+	if err := l.seg.Truncate(0); err != nil {
+		l.Close()
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		l.f.Close()
-		l.f = nil
-		return
-	}
-	l.f.Sync()
-	l.size = 0
 }
 
 // Close releases the file handle.
 func (l *hintLog) Close() error {
-	if l.f == nil {
+	if l.seg == nil {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
+	err := l.seg.Close()
+	l.seg = nil
 	return err
 }
 

@@ -101,8 +101,8 @@ type Config struct {
 	// read-your-writes through the quorum intersection.
 	WriteQuorum int
 	// HintDir, when non-empty, persists each node's hinted-handoff
-	// queue to a per-node log under this directory (length-prefixed
-	// CRC32 records, disklog-style), so hints survive a process restart:
+	// queue to a per-node record log (internal/reclog) under this
+	// directory, so hints survive a process restart:
 	// they are replayed on revive and on reopen. Empty keeps hints
 	// in memory only.
 	HintDir string
@@ -839,10 +839,14 @@ func (c *Cluster) applyWrite(rt *route, bytes int, mk func() hint) {
 // and must NOT release it — ownership passes to the completion
 // goroutine.
 //
-// Cross-replica write order is not serialized between concurrent
-// writers to the same key once tails run in the background; replica
-// application is last-write-wins by stamp under replay/repair, and a
-// transiently stale replica is healed by read-repair or anti-entropy.
+// Once tails run in the background, a straggler of an older write can
+// reach a replica after a newer write to the same key — even from the
+// same caller, whose second Put may return before the first one's tail
+// has run. So every apply here is guarded by the version stamp like a
+// replayed hint: an older put never overwrites a newer row. (Applied
+// blind, the stale tail could win on every replica and the newer,
+// acknowledged write was lost for good — the chaos harness caught it
+// on W=1 seeds.)
 func (c *Cluster) applyWriteQuorum(rt *route, bytes int, mk func() hint, w int) {
 	n := len(rt.nodes)
 	if n == 0 {
@@ -861,7 +865,7 @@ func (c *Cluster) applyWriteQuorum(rt *route, bytes int, mk func() hint, w int) 
 			defer pending.Done()
 			h := mk()
 			hinted := c.writeReplica(node, h, func(be backend.Backend) int {
-				applyHint(be, h)
+				replayHint(be, h) // stamp-guarded: see above
 				return bytes
 			})
 			if hinted {

@@ -2,10 +2,12 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -539,6 +541,39 @@ func TestHintLogTornTailTruncated(t *testing.T) {
 	}
 	if fi, _ := os.Stat(path); fi.Size() == int64(len(data)-3) {
 		t.Fatal("torn tail was not truncated")
+	}
+}
+
+// TestHintLogGoldenBytes pins the exact bytes of one hint record as the
+// hint log wrote them before it moved onto internal/reclog: pending
+// hints are recovery data, so logs left by older processes must keep
+// replaying.
+func TestHintLogGoldenBytes(t *testing.T) {
+	const golden = "26000000" + "2a9fb2eb" + // payload length, CRC32
+		"00" + "06000000" + "64656c746173" + "05000000" + "74302f7331" + // put, "deltas", "t0/s1"
+		"05000000" + "64332f7030" + "05000000" + "76616c7565" // "d3/p0", "value"
+	path := filepath.Join(t.TempDir(), "node-000.hints")
+	hl, _, err := openHintLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hint{op: hintPut, table: "deltas", pkey: "t0/s1", ckey: "d3/p0", value: []byte("value")}
+	hl.append(want)
+	hl.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("hint record encodes as\n %s, want\n %s", got, golden)
+	}
+	hl, pending, err := openHintLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hl.Close()
+	if len(pending) != 1 || !reflect.DeepEqual(pending[0], want) {
+		t.Fatalf("golden record decodes as %+v", pending)
 	}
 }
 

@@ -714,8 +714,15 @@ func (s *Server) handleRebalanceWait(w http.ResponseWriter, r *http.Request) err
 	}
 }
 
+// maxAppendBody caps a /v1/append request body (a few hundred thousand
+// events): the whole batch is decoded into memory before any of it is
+// ingested, so an unbounded body is an unbounded allocation.
+const maxAppendBody = 16 << 20
+
 // handleAppend ingests new events: POST {"events": [...]}. The request
 // context bounds admission only — a started ingest runs to completion.
+// A body over maxAppendBody is refused with 413 before anything is
+// appended.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return &httpError{code: http.StatusMethodNotAllowed, msg: "POST required"}
@@ -723,7 +730,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) error {
 	var body struct {
 		Events []EventJSON `json:"events"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{code: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("body exceeds %d bytes; split the batch", maxAppendBody)}
+		}
 		return badRequest("bad body: %v", err)
 	}
 	if len(body.Events) == 0 {

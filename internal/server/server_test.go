@@ -255,6 +255,44 @@ func TestAppendAndHistory(t *testing.T) {
 	}
 }
 
+func TestAppendBodyLimit(t *testing.T) {
+	_, store, addr := testServer(t, Config{})
+	_, last, _ := store.TimeRange()
+	url := fmt.Sprintf("http://%s/v1/append", addr)
+	event := fmt.Sprintf(`{"time":%d,"kind":"add-node","node":88888}`, last+1)
+
+	// A well-formed batch that is only too large: refused whole.
+	var big strings.Builder
+	big.WriteString(`{"events":[` + event)
+	for big.Len() <= maxAppendBody {
+		big.WriteString("," + event)
+	}
+	big.WriteString("]}")
+	resp, err := http.Post(url, "application/json", strings.NewReader(big.String()))
+	if err != nil {
+		t.Fatalf("oversized append: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized append: got %d want 413", resp.StatusCode)
+	}
+	if _, now, _ := store.TimeRange(); now != last {
+		t.Fatalf("refused body still appended: history end %d -> %d", last, now)
+	}
+	// The store is not wedged: the same event in a small body lands.
+	resp, err = http.Post(url, "application/json", strings.NewReader(`{"events":[`+event+`]}`))
+	if err != nil {
+		t.Fatalf("append after refusal: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append after refusal: status %d", resp.StatusCode)
+	}
+	if r, _ := get(t, fmt.Sprintf("http://%s/v1/node?id=88888&t=%d", addr, last+1)); r.StatusCode != http.StatusOK {
+		t.Fatalf("node appended after refusal: %d", r.StatusCode)
+	}
+}
+
 func TestChangeTimesAndAnalytics(t *testing.T) {
 	_, store, addr := testServer(t, Config{})
 	first, last, _ := store.TimeRange()
