@@ -16,7 +16,7 @@ KVSTORE_FLOOR ?= 78.0
 RING_FLOOR ?= 82.0
 RECLOG_FLOOR ?= 85.0
 
-.PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check bench bench-cache bench-tiering bench-reopen bench-parallel bench-serve bench-rebalance bench-quorum profile
+.PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check loc bench bench-cache bench-tiering bench-reopen bench-parallel bench-serve bench-rebalance bench-quorum profile
 
 ci: vet build test test-race test-benchmark fmt-check
 
@@ -74,6 +74,11 @@ fmt:
 docs-check:
 	$(GO) vet ./scripts/...
 	$(GO) run ./scripts/checkdocs
+
+# Size of the system: non-test Go lines outside the benchmark module —
+# the number every PR reports before/after (ROADMAP north-star #2).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 bench:
 	$(GO) run ./cmd/hgs-bench

@@ -179,6 +179,9 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	if _, err := store.Stats(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Stats after Close returned %v, want ErrClosed", err)
 	}
+	if _, _, err := store.TimeRange(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("TimeRange after Close returned %v, want ErrClosed", err)
+	}
 	if err := store.Append([]Event{{Time: last + 1, Kind: AddNode, Node: 9}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close returned %v, want ErrClosed", err)
 	}

@@ -1124,7 +1124,13 @@ func (s *Store) SnapshotsWith(times []Time, opts *FetchOptions) ([]*Graph, error
 }
 
 // TimeRange returns the [first, last] event times of the indexed history.
-func (s *Store) TimeRange() (Time, Time, error) { return s.tgi.TimeRange() }
+func (s *Store) TimeRange() (Time, Time, error) {
+	if err := s.beginOp(); err != nil {
+		return 0, 0, err
+	}
+	defer s.endOp()
+	return s.tgi.TimeRange()
+}
 
 // Stats reports storage statistics.
 func (s *Store) Stats() (core.Stats, error) {

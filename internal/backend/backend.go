@@ -16,6 +16,18 @@
 //
 // Future adapters (a real Cassandra client, an object-storage cold
 // tier, ...) plug in behind the same interface.
+//
+// What an engine must and may implement:
+//
+//   - required: Backend — point, batched (MultiGet) and prefix reads,
+//     writes, partition and table enumeration (PartitionKeys, Tables),
+//     StoredBytes, Flush, Close. The cluster calls all of it
+//     unconditionally; nothing here is probed.
+//   - optional: Tiered (hot/cold engines: cumulative tier counters plus
+//     reads that report their own cold-row count), Digester (digest a
+//     partition without copying its rows), Backuper (durable engines).
+//     Each is probed by one type assertion in kvstore and has a stated
+//     behaviour for engines without it.
 package backend
 
 import (
@@ -52,6 +64,14 @@ type Backend interface {
 	// existing row. Write errors of durable engines surface at the next
 	// Flush or Close (WAL semantics).
 	Put(table, pkey, ckey string, value []byte)
+	// MultiGet serves many point reads in one engine call, so the
+	// cluster resolves a node's whole share of a batched read plan under
+	// a single service charge (and the engine can amortize its per-call
+	// overhead — lock acquisition, partition lookup). result[i] is nil
+	// exactly when reqs[i] is absent (a present row with an empty value
+	// yields a non-nil empty slice), and every returned value is the
+	// caller's to keep.
+	MultiGet(reqs []KeyRead) [][]byte
 	// ScanPrefix returns the partition's rows whose clustering key
 	// starts with prefix, in clustering order.
 	ScanPrefix(table, pkey, prefix string) []Row
@@ -61,6 +81,11 @@ type Backend interface {
 	DropPartition(table, pkey string)
 	// PartitionKeys returns the sorted partition keys of a table.
 	PartitionKeys(table string) []string
+	// Tables returns the sorted names of the tables the engine holds
+	// rows for. The cluster's rebalancer, anti-entropy sweep and
+	// topology report walk Tables + PartitionKeys to enumerate a node's
+	// partitions.
+	Tables() []string
 	// StoredBytes returns the logical live bytes held by this node
 	// (sum over rows of clustering-key and value lengths).
 	StoredBytes() int64
@@ -77,35 +102,8 @@ type KeyRead struct {
 	Table, PKey, CKey string
 }
 
-// BatchReader is an optional fast path for serving many point reads in
-// one engine call. The cluster probes for it when executing a batched
-// read plan: an engine that implements it resolves the whole batch under
-// a single service charge (and can amortize its own per-call overhead —
-// lock acquisition, partition lookup); engines that do not are served by
-// a Get loop. result[i] is nil exactly when reqs[i] is absent (a present
-// row with an empty value yields a non-nil empty slice), and every
-// returned value is the caller's to keep.
-type BatchReader interface {
-	MultiGet(reqs []KeyRead) [][]byte
-}
-
-// MultiGet serves a batch of point reads through be's BatchReader fast
-// path when available, falling back to one Get per key.
-func MultiGet(be Backend, reqs []KeyRead) [][]byte {
-	if br, ok := be.(BatchReader); ok {
-		return br.MultiGet(reqs)
-	}
-	out := make([][]byte, len(reqs))
-	for i, r := range reqs {
-		if v, ok := be.Get(r.Table, r.PKey, r.CKey); ok {
-			if v == nil {
-				v = []byte{}
-			}
-			out[i] = v
-		}
-	}
-	return out
-}
+// MultiGet serves a batch of point reads from be.
+func MultiGet(be Backend, reqs []KeyRead) [][]byte { return be.MultiGet(reqs) }
 
 // TierCounters reports per-tier activity of an engine that places data
 // across a hot (memory) and a cold (disk) tier. HotHits and ColdReads
@@ -137,38 +135,25 @@ type TierCounters struct {
 	Warming         int64
 }
 
-// TierCounting is an optional interface of engines that track per-tier
-// activity. The cluster aggregates these into its Metrics.
-// Implementations must be cheap and safe to call concurrently with
-// operations (atomic counters); the cumulative counters may move from
-// the engine's own background work (flushing, warm-up, compaction) at
-// any time, which is why the latency model does NOT charge from deltas
-// of these gauges — per-operation attribution comes from TierReader.
-type TierCounting interface {
+// Tiered is the optional interface of engines that place data across a
+// hot and a cold tier. TierCounters feeds the cluster's Metrics; it must
+// be cheap and safe to call concurrently with operations (atomic
+// counters), and the cumulative counters may move from the engine's own
+// background work (flushing, warm-up, compaction) at any time — which is
+// why the latency model does NOT charge from deltas of these gauges.
+// Per-operation attribution comes from the three reads: each reports,
+// per call, how many of the returned rows were served from the cold
+// (disk) tier, and the cluster charges the cold-read surcharge from
+// these exact counts, so concurrent operations and background
+// maintenance can never misbill each other the way diffing a shared
+// cumulative counter around a call would. The value/row semantics match
+// Get, MultiGet and ScanPrefix. Engines without it charge no surcharge
+// and report zero tier counters.
+type Tiered interface {
 	TierCounters() TierCounters
-}
-
-// TierReader is an optional interface of tiered engines whose read
-// operations report, per call, how many of the returned rows were
-// served from the cold (disk) tier. The cluster charges the latency
-// model's cold-read surcharge from these exact counts, so concurrent
-// operations and background maintenance can never misbill each other
-// the way diffing a shared cumulative counter around a call would.
-// The value/row semantics match Get, MultiGet and ScanPrefix.
-type TierReader interface {
 	GetTier(table, pkey, ckey string) (value []byte, ok bool, coldRows int)
 	MultiGetTier(reqs []KeyRead) (vals [][]byte, coldRows int)
 	ScanPrefixTier(table, pkey, prefix string) (rows []Row, coldRows int)
-}
-
-// TableLister is an optional interface of engines that can enumerate
-// the tables they hold rows for. The cluster's rebalancer walks
-// Tables + PartitionKeys to build its move plan when the ring changes;
-// engines without it are skipped (their data stays put and keeps being
-// served through the pre-change routing, so correctness is preserved —
-// only movement is).
-type TableLister interface {
-	Tables() []string
 }
 
 // DigestRows computes the canonical digest of a partition's rows for

@@ -516,8 +516,7 @@ func (s *Store) PartitionKeys(table string) []string {
 	return out
 }
 
-// Tables returns the sorted table names holding at least one partition
-// (backend.TableLister).
+// Tables returns the sorted table names holding at least one partition.
 func (s *Store) Tables() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

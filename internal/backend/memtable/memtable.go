@@ -169,8 +169,7 @@ func (s *Store) HasPartition(table, pkey string) bool {
 	return ok
 }
 
-// Tables returns the sorted table names holding at least one partition
-// (backend.TableLister).
+// Tables returns the sorted table names holding at least one partition.
 func (s *Store) Tables() []string {
 	out := make([]string, 0, len(s.tables))
 	for t := range s.tables {

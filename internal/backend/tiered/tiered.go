@@ -43,9 +43,9 @@
 // ingesting once Flush fails; the hgs write path does this naturally
 // because every Load/Append batch ends in a cluster Flush.
 //
-// The engine implements backend.Backend, backend.BatchReader,
-// backend.TierCounting (per-tier read counters surfaced through
-// kvstore.Metrics) and backend.Backuper.
+// The engine implements backend.Backend, backend.Tiered (per-tier read
+// counters surfaced through kvstore.Metrics, per-call cold-row counts
+// for the latency model) and backend.Backuper.
 package tiered
 
 import (
@@ -701,7 +701,7 @@ func (s *Store) Get(table, pkey, ckey string) ([]byte, bool) {
 }
 
 // GetTier is Get plus the per-call cold-row count the cluster's latency
-// model charges (backend.TierReader).
+// model charges (backend.Tiered).
 func (s *Store) GetTier(table, pkey, ckey string) ([]byte, bool, int) {
 	s.touch()
 	s.mu.Lock()
@@ -733,7 +733,7 @@ func (s *Store) MultiGet(reqs []backend.KeyRead) [][]byte {
 }
 
 // MultiGetTier is MultiGet plus the per-call cold-row count
-// (backend.TierReader).
+// (backend.Tiered).
 func (s *Store) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
 	s.touch()
 	out := make([][]byte, len(reqs))
@@ -814,7 +814,7 @@ func (s *Store) ScanPrefix(table, pkey, prefix string) []backend.Row {
 }
 
 // ScanPrefixTier is ScanPrefix plus the per-call cold-row count
-// (backend.TierReader). Rows the memory tiers shadow may be read from
+// (backend.Tiered). Rows the memory tiers shadow may be read from
 // the cold log but are not served from it; only the rows the cold tier
 // actually contributes count as cold, so hit ratios and the cold-read
 // latency surcharge reflect the serving tier.
@@ -897,8 +897,7 @@ func (s *Store) PartitionKeys(table string) []string {
 	return out
 }
 
-// Tables returns the union of both tiers' table names, sorted
-// (backend.TableLister).
+// Tables returns the union of both tiers' table names, sorted.
 func (s *Store) Tables() []string {
 	s.mu.Lock()
 	s.mustOpenLocked()
@@ -1493,7 +1492,5 @@ func (s *Store) String() string {
 }
 
 var _ backend.Backend = (*Store)(nil)
-var _ backend.BatchReader = (*Store)(nil)
-var _ backend.TierCounting = (*Store)(nil)
-var _ backend.TierReader = (*Store)(nil)
+var _ backend.Tiered = (*Store)(nil)
 var _ backend.Backuper = (*Store)(nil)

@@ -62,75 +62,48 @@ func getScratch() *execScratch {
 }
 
 // Store is the batched read surface the executor runs plans against;
-// *kvstore.Cluster implements it. Both calls answer positionally.
+// *kvstore.Cluster implements it. Both calls answer positionally, stop
+// visiting storage nodes once ctx is cancelled (the results are then
+// incomplete), and return the exact logical reads, round-trips, bytes
+// and simulated wait the call charged, which fill per-query plan
+// traces.
 type Store interface {
-	MultiGet(refs []kvstore.KeyRef) []kvstore.GetResult
-	MultiScan(refs []kvstore.ScanRef) [][]kvstore.Row
-}
-
-// TracedStore is the optional attribution surface of a Store:
-// *kvstore.Cluster implements it, returning with each batched call the
-// exact logical reads, round-trips, bytes and simulated wait that call
-// charged. The executor uses it to fill per-query plan traces; against
-// a plain Store, traces count issued requests but report zero
-// round-trips and wait.
-type TracedStore interface {
-	Store
-	MultiGetStats(refs []kvstore.KeyRef) ([]kvstore.GetResult, kvstore.CallStats)
-	MultiScanStats(refs []kvstore.ScanRef) ([][]kvstore.Row, kvstore.CallStats)
-}
-
-// ContextStore is the optional cancellable read surface of a Store:
-// *kvstore.Cluster implements it. When the plan's context carries a
-// deadline or cancellation signal, the executor routes the batched
-// round through these so node visits stop early; a plain Store is
-// always driven to completion.
-type ContextStore interface {
 	MultiGetStatsCtx(ctx context.Context, refs []kvstore.KeyRef) ([]kvstore.GetResult, kvstore.CallStats)
 	MultiScanStatsCtx(ctx context.Context, refs []kvstore.ScanRef) ([][]kvstore.Row, kvstore.CallStats)
 }
 
 // Executor runs read plans: delta requests are served from the decoded
 // cache when resident, everything else goes to the store as one batched
-// round (a MultiScan and a MultiGet issued concurrently, each charging
-// one simulated round-trip per storage node touched). Freshly decoded
-// deltas are installed in the cache on the way out; point reads that
-// found nothing install negative markers so the next probe of the same
-// absent row skips the store.
+// round (a batched scan and a batched get issued concurrently, each
+// charging one simulated round-trip per storage node touched). Freshly
+// decoded deltas are installed in the cache on the way out; point reads
+// that found nothing install negative markers so the next probe of the
+// same absent row skips the store.
 type Executor struct {
-	store    Store
-	traced   TracedStore  // non-nil when store supports per-call attribution
-	ctxStore ContextStore // non-nil when store supports cancellable reads
-	cdc      codec.Codec
-	cache    *Cache
+	store Store
+	cdc   codec.Codec
+	cache *Cache
 }
 
 // NewExecutor builds an executor over a store; cache may be nil
 // (caching disabled).
 func NewExecutor(store Store, cdc codec.Codec, cache *Cache) *Executor {
-	ts, _ := store.(TracedStore)
-	cs, _ := store.(ContextStore)
-	return &Executor{store: store, traced: ts, ctxStore: cs, cdc: cdc, cache: cache}
+	return &Executor{store: store, cdc: cdc, cache: cache}
 }
 
 // Cache returns the executor's delta cache (nil when disabled).
 func (e *Executor) Cache() *Cache { return e.cache }
 
-// Parallel runs f(0..n-1) with up to clients concurrent workers (the
+// ParallelCtx runs f(0..n-1) with up to clients concurrent workers (the
 // paper's query processors), returning the first error. It is the one
 // bounded worker pool of the fetch path; core's retrieval sites drive
-// their decode/merge tasks through it too.
-func Parallel(clients, n int, f func(i int) error) error {
-	return ParallelCtx(context.Background(), clients, n, f)
-}
-
-// ParallelCtx is Parallel with cancellation checked at task boundaries:
-// no new task starts once ctx is done, workers drain without running
-// the items already queued, and every worker goroutine has exited by
-// return. A task in flight when cancellation arrives finishes (the unit
-// of work is one partition's decode or merge — bounded, so returns stay
-// prompt); the first error wins, with ctx.Err() reported when no task
-// failed first.
+// their decode/merge tasks through it too. Cancellation is checked at
+// task boundaries: no new task starts once ctx is done, workers drain
+// without running the items already queued, and every worker goroutine
+// has exited by return. A task in flight when cancellation arrives
+// finishes (the unit of work is one partition's decode or merge —
+// bounded, so returns stay prompt); the first error wins, with
+// ctx.Err() reported when no task failed first.
 func ParallelCtx(ctx context.Context, clients, n int, f func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -191,22 +164,18 @@ dispatch:
 // node regardless. The returned deltas are shared with the cache — see
 // Result.
 func (e *Executor) Exec(p *Plan, clients int) (*Result, error) {
-	return e.ExecTraced(p, clients, nil)
+	return e.ExecCtx(context.Background(), p, clients, nil)
 }
 
-// ExecTraced runs the plan like Exec and additionally folds the
-// execution's plan/cache/read breakdown into tr (nil records nothing).
-func (e *Executor) ExecTraced(p *Plan, clients int, tr *Trace) (*Result, error) {
-	return e.ExecCtx(context.Background(), p, clients, tr)
-}
-
-// ExecCtx runs the plan like ExecTraced under a context: the batched
-// store round is issued through the store's cancellable surface when it
-// has one, decode work stops at partition boundaries, and — critically
-// — a round cut short by cancellation installs NOTHING in the cache:
-// a skipped node visit leaves zero-valued results indistinguishable
-// from genuine absence, and admitting those as negative markers would
-// poison every later query with phantom "row does not exist" answers.
+// ExecCtx runs the plan like Exec under a context, additionally folding
+// the execution's plan/cache/read breakdown into tr (nil records
+// nothing): the batched store round stops visiting nodes once ctx is
+// cancelled, decode work stops at partition boundaries, and —
+// critically — a round cut short by cancellation installs NOTHING in
+// the cache: a skipped node visit leaves zero-valued results
+// indistinguishable from genuine absence, and admitting those as
+// negative markers would poison every later query with phantom "row
+// does not exist" answers.
 func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -273,9 +242,9 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 	}
 
 	// 2. One batched store round for everything that missed: the group
-	// prefixes ride the raw scans' MultiScan, the single micro-deltas
-	// and micro-eventlists ride the raw gets' MultiGet, issued
-	// concurrently.
+	// prefixes ride the raw scans' batched scan, the single
+	// micro-deltas and micro-eventlists ride the raw gets' batched get,
+	// issued concurrently.
 	scanRefs := scratch.scanRefs
 	for _, k := range missGroups {
 		scanRefs = append(scanRefs, k.scanRef())
@@ -303,11 +272,6 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		}
 	}
 
-	// A context that can actually fire routes the round through the
-	// store's cancellable surface; Background-driven plans keep the
-	// plain path so existing behavior (and fakes implementing only
-	// Store/TracedStore) is untouched.
-	useCtx := e.ctxStore != nil && ctx.Done() != nil
 	var (
 		scanRows [][]kvstore.Row
 		getVals  []kvstore.GetResult
@@ -317,36 +281,18 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch {
-			case useCtx:
-				var cs kvstore.CallStats
-				scanRows, cs = e.ctxStore.MultiScanStatsCtx(ctx, scanRefs)
-				tr.addCall(cs)
-			case tr != nil && e.traced != nil:
-				var cs kvstore.CallStats
-				scanRows, cs = e.traced.MultiScanStats(scanRefs)
-				tr.addCall(cs)
-			default:
-				scanRows = e.store.MultiScan(scanRefs)
-			}
+			var cs kvstore.CallStats
+			scanRows, cs = e.store.MultiScanStatsCtx(ctx, scanRefs)
+			tr.addCall(cs)
 		}()
 	}
 	if len(getRefs) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch {
-			case useCtx:
-				var cs kvstore.CallStats
-				getVals, cs = e.ctxStore.MultiGetStatsCtx(ctx, getRefs)
-				tr.addCall(cs)
-			case tr != nil && e.traced != nil:
-				var cs kvstore.CallStats
-				getVals, cs = e.traced.MultiGetStats(getRefs)
-				tr.addCall(cs)
-			default:
-				getVals = e.store.MultiGet(getRefs)
-			}
+			var cs kvstore.CallStats
+			getVals, cs = e.store.MultiGetStatsCtx(ctx, getRefs)
+			tr.addCall(cs)
 		}()
 	}
 	wg.Wait()
@@ -354,20 +300,6 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 	// entries. Bail before decoding or installing anything.
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if tr != nil && e.traced == nil && !useCtx {
-		// No per-call attribution: at least account the bytes moved.
-		var cs kvstore.CallStats
-		for _, rows := range scanRows {
-			for _, r := range rows {
-				cs.BytesRead += int64(len(r.Value))
-			}
-		}
-		for _, gv := range getVals {
-			cs.BytesRead += int64(len(gv.Value))
-		}
-		cs.RoundTrips = 0
-		tr.addCall(cs)
 	}
 
 	// 3. Decode the missed deltas and eventlists in parallel, installing

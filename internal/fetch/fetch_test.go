@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -179,8 +180,8 @@ func TestNilCacheIsDisabled(t *testing.T) {
 type fakeStore struct {
 	mu    sync.Mutex
 	rows  map[kvstore.KeyRef][]byte
-	gets  int // MultiGet invocations
-	scans int // MultiScan invocations
+	gets  int // batched get invocations
+	scans int // batched scan invocations
 }
 
 func newFakeStore() *fakeStore { return &fakeStore{rows: make(map[kvstore.KeyRef][]byte)} }
@@ -189,7 +190,7 @@ func (f *fakeStore) put(table, pkey, ckey string, v []byte) {
 	f.rows[kvstore.KeyRef{Table: table, PKey: pkey, CKey: ckey}] = v
 }
 
-func (f *fakeStore) MultiGet(refs []kvstore.KeyRef) []kvstore.GetResult {
+func (f *fakeStore) MultiGetStatsCtx(_ context.Context, refs []kvstore.KeyRef) ([]kvstore.GetResult, kvstore.CallStats) {
 	f.mu.Lock()
 	f.gets++
 	f.mu.Unlock()
@@ -199,10 +200,10 @@ func (f *fakeStore) MultiGet(refs []kvstore.KeyRef) []kvstore.GetResult {
 			out[i] = kvstore.GetResult{Value: v, Found: true}
 		}
 	}
-	return out
+	return out, kvstore.CallStats{RoundTrips: 1}
 }
 
-func (f *fakeStore) MultiScan(refs []kvstore.ScanRef) [][]kvstore.Row {
+func (f *fakeStore) MultiScanStatsCtx(_ context.Context, refs []kvstore.ScanRef) ([][]kvstore.Row, kvstore.CallStats) {
 	f.mu.Lock()
 	f.scans++
 	f.mu.Unlock()
@@ -214,7 +215,7 @@ func (f *fakeStore) MultiScan(refs []kvstore.ScanRef) [][]kvstore.Row {
 			}
 		}
 	}
-	return out
+	return out, kvstore.CallStats{RoundTrips: 1}
 }
 
 func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
@@ -252,7 +253,7 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 		t.Fatalf("raw scan rows = %d, want 1", len(rows))
 	}
 	if st.gets != 1 || st.scans != 1 {
-		t.Fatalf("cold exec used %d MultiGet and %d MultiScan calls; want one batched round of each", st.gets, st.scans)
+		t.Fatalf("cold exec used %d batched get and %d batched scan calls; want one batched round of each", st.gets, st.scans)
 	}
 
 	// Warm rerun of the delta-only plan: no store traffic at all.
@@ -501,14 +502,14 @@ func TestExecutorNegativeCachesAbsentParts(t *testing.T) {
 	plan.DeltaPart(0, 0, 0, 7)
 
 	tr := &Trace{}
-	if _, err := ex.ExecTraced(plan, 1, tr); err != nil {
+	if _, err := ex.ExecCtx(context.Background(), plan, 1, tr); err != nil {
 		t.Fatal(err)
 	}
 	if st.gets != 1 {
 		t.Fatalf("cold probe issued %d MultiGets, want 1", st.gets)
 	}
 	rec := tr.Record()
-	if rec.Parts != 1 || rec.KVReads != 1 || rec.NegativeHits != 0 {
+	if rec.Parts != 1 || rec.KVReads != 1 || rec.NegativeHits != 0 || rec.RoundTrips != 1 {
 		t.Fatalf("cold trace = %+v", rec)
 	}
 	if tt := rec.Tables[TableDeltas]; tt.KVReads != 1 {
@@ -516,7 +517,7 @@ func TestExecutorNegativeCachesAbsentParts(t *testing.T) {
 	}
 
 	tr2 := &Trace{}
-	res, err := ex.ExecTraced(plan, 1, tr2)
+	res, err := ex.ExecCtx(context.Background(), plan, 1, tr2)
 	if err != nil {
 		t.Fatal(err)
 	}

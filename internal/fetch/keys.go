@@ -8,7 +8,7 @@
 // tree delta), single micro-deltas, raw point reads and prefix scans —
 // with duplicates collapsed as they are added. The Executor then serves
 // delta requests out of a bytes-bounded LRU of decoded deltas and issues
-// the rest as kvstore.MultiGet/MultiScan batches, paying one simulated
+// the rest as kvstore batched gets and scans, paying one simulated
 // network round-trip per storage node instead of one per key. Hot
 // root-path deltas, which every snapshot and micro-partition fetch of a
 // timespan shares ("Efficient Snapshot Retrieval over Historical Graph

@@ -26,9 +26,7 @@ type TableTrace struct {
 // expansion runs one per hop). KVReads/RoundTrips/BytesRead/SimWait are
 // attributed per call by the store (kvstore.CallStats) and therefore
 // match the cluster's Metrics deltas exactly for retrievals whose
-// metadata is already cached; against a store without per-call
-// attribution, KVReads and BytesRead are counted from the issued
-// request set and RoundTrips/SimWait stay zero.
+// metadata is already cached.
 type TraceRecord struct {
 	// Op names the retrieval that owns the trace ("snapshot",
 	// "node-history", ...).

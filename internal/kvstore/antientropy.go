@@ -128,9 +128,8 @@ func (c *Cluster) antiEntropyLoop(interval time.Duration) {
 	}
 }
 
-// replicaGroups enumerates every partition in the cluster (engines
-// implementing backend.TableLister) and groups them by owner set under
-// the active ring, sorted for determinism.
+// replicaGroups enumerates every partition in the cluster and groups
+// them by owner set under the active ring, sorted for determinism.
 func (c *Cluster) replicaGroups() []aeGroup {
 	c.topoMu.RLock()
 	r := c.ring
@@ -146,22 +145,7 @@ func (c *Cluster) replicaGroups() []aeGroup {
 	var buf [routeStack]int
 	var keys []string
 	for _, node := range nodes {
-		if node.tl == nil {
-			continue
-		}
-		node.mu.Lock()
-		if node.closed {
-			node.mu.Unlock()
-			continue
-		}
-		var parts []aePartition
-		for _, table := range node.tl.Tables() {
-			for _, pk := range node.be.PartitionKeys(table) {
-				parts = append(parts, aePartition{table, pk})
-			}
-		}
-		node.mu.Unlock()
-		for _, p := range parts {
+		for _, p := range node.partitions() {
 			k := partKey(p.table, p.pkey)
 			if seen[k] {
 				continue

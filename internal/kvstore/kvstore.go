@@ -210,7 +210,7 @@ func clampQuorum(q, def, max int) int {
 // rebalancer's partition streaming; RebalanceActive is a 0/1 gauge.
 //
 // The Tier* fields aggregate the per-tier counters of engines that
-// implement backend.TierCounting (the tiered hot/cold backend); they
+// implement backend.Tiered (the tiered hot/cold backend); they
 // stay zero on single-tier engines. TierHotReads row lookups were
 // served from memory without disk I/O, TierColdReads fell through to
 // the disk tier; Compactions and FlushedBytes count the background
@@ -294,14 +294,12 @@ type storageNode struct {
 	// a straggler routed here before the ring swap fails over instead of
 	// touching a closed engine.
 	closed bool
-	// tc, tr and tl are the engine's optional interfaces, asserted once
-	// at open so the serve hot path avoids a type switch per operation:
-	// tc aggregates cumulative counters into Metrics, tr reports each
-	// read's exact cold-row count for the latency surcharge, tl lets the
-	// rebalancer enumerate partitions.
-	tc backend.TierCounting
-	tr backend.TierReader
-	tl backend.TableLister
+	// tiered is the engine's optional hot/cold surface, asserted once at
+	// open so the serve hot path avoids a type switch per operation: its
+	// cumulative counters aggregate into Metrics and its reads report
+	// their exact cold-row count for the latency surcharge. Nil on
+	// single-tier engines.
+	tiered backend.Tiered
 
 	// down simulates a failed machine: every visit errors until revive.
 	down atomic.Bool
@@ -322,10 +320,54 @@ type storageNode struct {
 
 func newStorageNode(id int, be backend.Backend) *storageNode {
 	n := &storageNode{id: id, be: be}
-	n.tc, _ = be.(backend.TierCounting)
-	n.tr, _ = be.(backend.TierReader)
-	n.tl, _ = be.(backend.TableLister)
+	n.tiered, _ = be.(backend.Tiered)
 	return n
+}
+
+// get, scan and multiGet are the three engine reads the cluster serves.
+// Each returns what the engine stored plus the number of those rows a
+// tiered engine pulled from its cold tier (zero on a single-tier
+// engine) — the only places the read path cares which kind of engine
+// it is talking to. Callers hold n.mu (serveNode).
+func (n *storageNode) get(table, pkey, ckey string) (val []byte, found bool, cold int) {
+	if n.tiered != nil {
+		return n.tiered.GetTier(table, pkey, ckey)
+	}
+	val, found = n.be.Get(table, pkey, ckey)
+	return val, found, 0
+}
+
+func (n *storageNode) scan(table, pkey, prefix string) (rows []Row, cold int) {
+	if n.tiered != nil {
+		return n.tiered.ScanPrefixTier(table, pkey, prefix)
+	}
+	return n.be.ScanPrefix(table, pkey, prefix), 0
+}
+
+func (n *storageNode) multiGet(reqs []backend.KeyRead) (vals [][]byte, cold int) {
+	if n.tiered != nil {
+		return n.tiered.MultiGetTier(reqs)
+	}
+	return n.be.MultiGet(reqs), 0
+}
+
+// partitions lists every partition the node's engine holds rows for
+// (none once the engine is torn down): the enumeration behind the
+// rebalancer's move plan, the anti-entropy sweep and the topology
+// report.
+func (n *storageNode) partitions() []aePartition {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	var parts []aePartition
+	for _, table := range n.be.Tables() {
+		for _, pk := range n.be.PartitionKeys(table) {
+			parts = append(parts, aePartition{table, pk})
+		}
+	}
+	return parts
 }
 
 // queueHint queues one missed mutation for replay on revive, iff the
@@ -678,15 +720,12 @@ func (c *Cluster) ReplicasOf(table, pkey string) []int {
 
 // simulateWork charges d of service time. Sub-scheduler-granularity
 // waits busy-spin for accuracy; anything longer sleeps so that many
-// simulated clients can wait concurrently without burning cores.
-func simulateWork(d time.Duration) { simulateWorkCtx(context.Background(), d) }
-
-// simulateWorkCtx is simulateWork with an abandonment signal: a sleep
-// is cut short when ctx is cancelled, so a caller holding a deadline is
-// not stuck behind a long simulated disk wait. The service time was
-// already charged to the counters by then — cancellation abandons the
-// wait, it does not refund the work the node performed.
-func simulateWorkCtx(ctx context.Context, d time.Duration) {
+// simulated clients can wait concurrently without burning cores. A
+// sleep is cut short when ctx is cancelled, so a caller holding a
+// deadline is not stuck behind a long simulated disk wait. The service
+// time was already charged to the counters by then — cancellation
+// abandons the wait, it does not refund the work the node performed.
+func simulateWork(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -716,11 +755,11 @@ var (
 	errNodeFault = errors.New("kvstore: injected node fault")
 )
 
-// serveNode runs f on the node's engine while holding its service lock
-// and charges the operation cost for the byte count f reports, plus the
+// serveNode runs f on the node while holding its service lock and
+// charges the operation cost for the byte count f reports, plus the
 // cold-read surcharge for each row f reports as served from a disk
 // tier. The cold count comes from the engine's own per-call accounting
-// (backend.TierReader) — never from diffing the engine's cumulative
+// (backend.Tiered) — never from diffing the engine's cumulative
 // counters around the call, which would bill this operation for cold
 // rows concurrent operations or the engine's background maintenance
 // touched in the meantime. Charging inside the lock models a disk-bound
@@ -730,49 +769,49 @@ var (
 //
 // A down node refuses the visit without charge; an injected fault burns
 // a base-op of service time before erroring (the request did reach the
-// machine). serveNode returns the simulated service time it charged, so
-// batched reads can attribute their exact cost to the calling query
-// (CallStats).
-func (c *Cluster) serveNode(node *storageNode, f func(be backend.Backend) (n, coldRows int)) (time.Duration, error) {
-	return c.serveNodeCtx(context.Background(), node, f)
-}
-
-// serveNodeCtx is serveNode with cancellable simulated waiting: the
-// service cost is computed and charged to the counters as usual, but
-// the in-process sleep modelling it is abandoned once ctx is cancelled
-// (the node lock releases early — a real server would keep spinning its
-// disk, but nobody is left to wait for it).
-func (c *Cluster) serveNodeCtx(ctx context.Context, node *storageNode, f func(be backend.Backend) (n, coldRows int)) (time.Duration, error) {
+// machine) and f does not run. The round-trip and the simulated service
+// time are charged to the cluster counters and to cs in the same
+// breath, failed visit or not, which is what makes a read's CallStats
+// equal what it added to Metrics. The in-process sleep modelling the
+// service time is abandoned once ctx is cancelled (the node lock
+// releases early — a real server would keep spinning its disk, but
+// nobody is left to wait for it).
+func (c *Cluster) serveNode(ctx context.Context, node *storageNode, cs *CallStats, f func(n *storageNode) (bytes, coldRows int)) error {
 	if node.down.Load() {
-		return 0, errNodeDown
+		return errNodeDown
 	}
 	c.roundTrips.Add(1)
+	cs.RoundTrips++
 	node.mu.Lock()
 	defer node.mu.Unlock()
 	if node.closed || node.down.Load() {
-		return 0, errNodeDown
+		return errNodeDown
 	}
 	lm := c.Latency()
-	var extra time.Duration
+	var (
+		err         error
+		extra       time.Duration
+		bytes, cold int
+	)
 	if fl := node.fault.Load(); fl != nil {
 		extra = fl.ExtraLatency
 		if fl.fires(node) {
-			d := lm.Cost(0) + extra
-			c.simWait.Add(int64(d))
-			simulateWorkCtx(ctx, d)
-			return d, errNodeFault
+			err = errNodeFault
 		}
 	}
-	n, cold := f(node.be)
-	d := lm.Cost(n) + extra
+	if err == nil {
+		bytes, cold = f(node)
+	}
+	d := lm.Cost(bytes) + extra
 	if lm.Enabled && cold > 0 {
 		// Each row the operation pulled from the cold tier pays the
 		// disk-seek surcharge the hot tier would have absorbed.
 		d += time.Duration(cold) * lm.ColdRead
 	}
 	c.simWait.Add(int64(d))
-	simulateWorkCtx(ctx, d)
-	return d, nil
+	cs.SimWait += d
+	simulateWork(ctx, d)
+	return err
 }
 
 // writeFaultAttempts bounds a write's visits to a replica with an
@@ -791,12 +830,13 @@ const writeFaultAttempts = 4
 // mutation on the engine and reports the byte volume to charge.
 // Returns whether the mutation ended up hinted instead of applied.
 func (c *Cluster) writeReplica(node *storageNode, h hint, visit func(be backend.Backend) int) bool {
+	var unreported CallStats // writes return no per-call stats
 	for attempt := 0; attempt < writeFaultAttempts; attempt++ {
 		if node.down.Load() && node.queueHint(h) {
 			return true
 		}
-		_, err := c.serveNode(node, func(be backend.Backend) (int, int) {
-			return visit(be), 0
+		err := c.serveNode(context.Background(), node, &unreported, func(n *storageNode) (int, int) {
+			return visit(n.be), 0
 		})
 		if err == nil {
 			return false
@@ -948,73 +988,9 @@ func (c *Cluster) Put(table, pkey, ckey string, value []byte) {
 func (c *Cluster) Get(table, pkey, ckey string) ([]byte, bool) {
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
-	var rt route
-	c.readRoute(table, pkey, &rt)
-	if r := int(c.readQ.Load()); r > 1 {
-		stored, found, _, _ := c.quorumGet(context.Background(), &rt, r, table, pkey, ckey)
-		c.reads.Add(1)
-		if !found {
-			return nil, false
-		}
-		_, val := splitStamp(stored)
-		c.bytesRead.Add(int64(len(val)))
-		return val, true
-	}
-	var out []byte
-	found := false
-	_, ok := c.readOne(&rt, func(node *storageNode) (int, error) {
-		tr := node.tr
-		_, err := c.serveNode(node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				out, found, cold = tr.GetTier(table, pkey, ckey)
-			} else {
-				out, found = be.Get(table, pkey, ckey)
-			}
-			return len(out), cold
-		})
-		return len(out), err
-	})
-	c.reads.Add(1)
-	if !ok || !found {
-		return nil, false
-	}
-	_, val := splitStamp(out)
-	c.bytesRead.Add(int64(len(val)))
-	return val, true
-}
-
-// readOne serves a read from the first responsive replica, starting at
-// the round-robin rotation point (this is where r>1 increases read
-// capacity, Fig 12c) and failing over clockwise. Each failed visit
-// counts a Failover; an answer from any replica other than the rotation
-// choice counts a DegradedRead. Returns false when every replica
-// refused.
-func (c *Cluster) readOne(rt *route, visit func(node *storageNode) (int, error)) (int, bool) {
-	n := len(rt.nodes)
-	if n == 0 {
-		return 0, false
-	}
-	start := 0
-	if n > 1 {
-		start = int(atomic.AddUint64(&c.rr, 1) % uint64(n))
-	}
-	failed := 0
-	for i := 0; i < n; i++ {
-		node := rt.nodes[(start+i)%n]
-		bytes, err := visit(node)
-		if err != nil {
-			failed++
-			continue
-		}
-		if failed > 0 {
-			c.failovers.Add(int64(failed))
-			c.degradedReads.Add(1)
-		}
-		return bytes, true
-	}
-	c.failovers.Add(int64(failed))
-	return 0, false
+	var cs CallStats
+	res := c.readKey(context.Background(), KeyRef{Table: table, PKey: pkey, CKey: ckey}, int(c.readQ.Load()), nil, &cs)
+	return res.Value, res.Found
 }
 
 // ScanPrefix returns all rows in the partition whose clustering key starts
@@ -1026,38 +1002,8 @@ func (c *Cluster) readOne(rt *route, visit func(node *storageNode) (int, error))
 func (c *Cluster) ScanPrefix(table, pkey, prefix string) []Row {
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
-	var rt route
-	c.readRoute(table, pkey, &rt)
-	if r := int(c.readQ.Load()); r > 1 {
-		rows, _, _ := c.quorumScan(context.Background(), &rt, r, table, pkey, prefix)
-		c.reads.Add(1)
-		c.bytesRead.Add(int64(unwrapRows(rows)))
-		return rows
-	}
-	var out []Row
-	_, ok := c.readOne(&rt, func(node *storageNode) (int, error) {
-		tr := node.tr
-		total := 0
-		_, err := c.serveNode(node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				out, cold = tr.ScanPrefixTier(table, pkey, prefix)
-			} else {
-				out = be.ScanPrefix(table, pkey, prefix)
-			}
-			for _, r := range out {
-				total += len(r.Value)
-			}
-			return total, cold
-		})
-		return total, err
-	})
-	c.reads.Add(1)
-	if !ok {
-		return nil
-	}
-	c.bytesRead.Add(int64(unwrapRows(out)))
-	return out
+	var cs CallStats
+	return c.readScan(context.Background(), ScanRef{Table: table, PKey: pkey, Prefix: prefix}, int(c.readQ.Load()), nil, &cs)
 }
 
 // ScanPartition returns every row of the partition in clustering order.
@@ -1083,10 +1029,11 @@ type GetResult struct {
 
 // CallStats is the exact accounting of one batched read call: the same
 // quantities the cluster-wide Metrics counters accumulate, attributed
-// to the call that incurred them (the per-call pattern TierReader
-// established for cold-read billing — never diff the shared cumulative
-// counters around a call, which would misattribute concurrent work).
-// The query layer folds these into per-query plan traces.
+// to the call that incurred them. Every site that charges one of these
+// counters charges the call's stats with it (serveNode, countReads) —
+// never diff the shared cumulative counters around a call, which would
+// misattribute concurrent work. The query layer folds these into
+// per-query plan traces.
 type CallStats struct {
 	// Reads counts logical operations (one per key or prefix scan).
 	Reads int64
@@ -1098,59 +1045,73 @@ type CallStats struct {
 	SimWait time.Duration
 }
 
-// add folds one node visit into the stats under the mutex-free
-// assumption that the caller serializes (each batched read accumulates
-// its goroutines' visits under its own lock).
-func (cs *CallStats) add(reads, bytes int64, wait time.Duration) {
-	cs.Reads += reads
-	cs.RoundTrips++
-	cs.BytesRead += bytes
-	cs.SimWait += wait
+// add folds another accumulation (one batch's share) into cs.
+func (cs *CallStats) add(o CallStats) {
+	cs.Reads += o.Reads
+	cs.RoundTrips += o.RoundTrips
+	cs.BytesRead += o.BytesRead
+	cs.SimWait += o.SimWait
 }
 
-// batch is one storage node's share of a batched read.
+// countReads charges logical reads and the payload bytes they returned
+// to the cluster counters and to the calling read's stats.
+func (c *Cluster) countReads(cs *CallStats, reads, bytes int) {
+	c.reads.Add(int64(reads))
+	c.bytesRead.Add(int64(bytes))
+	cs.Reads += int64(reads)
+	cs.BytesRead += int64(bytes)
+}
+
+// batch is one concurrently served share of a batched read. At R=1 it
+// is everything one storage node serves, in a single visit; at R>1
+// (node nil) it is the requests of one partition, each of which needs
+// every consulted replica's answer and is served by its own quorum
+// read.
 type batch struct {
 	node *storageNode
 	idxs []int
 }
 
-// groupByNode picks a read replica once per partition (so all keys of a
-// partition travel in the same request) and groups request indexes by
-// the chosen storage node. Partitions whose rotation-preferred replica
-// is down are assigned the next live replica and counted as degraded;
-// partitions with no live replica are left out entirely (their results
-// stay zero-valued, like a store miss).
-func (c *Cluster) groupByNode(n int, at func(i int) (table, pkey string)) map[int]*batch {
+// planBatches groups request indexes into batches. At R=1 it picks a
+// read replica once per partition (so all keys of a partition travel in
+// the same request) and groups by the chosen storage node; partitions
+// with no live replica are left out entirely (their results stay
+// zero-valued, like a store miss).
+func (c *Cluster) planBatches(n int, at func(i int) (table, pkey string), quorum bool) []*batch {
 	type part struct{ table, pkey string }
-	nodeOf := make(map[part]*storageNode)
-	batches := make(map[int]*batch)
+	byPart := make(map[part]*batch)
+	byNode := make(map[*storageNode]*batch)
+	var out []*batch
 	var rt route
 	for i := 0; i < n; i++ {
 		table, pkey := at(i)
 		k := part{table, pkey}
-		node, seen := nodeOf[k]
+		b, seen := byPart[k]
 		if !seen {
-			c.readRoute(table, pkey, &rt)
-			node = c.pickRead(&rt)
-			nodeOf[k] = node
+			if quorum {
+				b = &batch{}
+				out = append(out, b)
+			} else if node := c.pickRead(table, pkey, &rt); node != nil {
+				if b = byNode[node]; b == nil {
+					b = &batch{node: node}
+					byNode[node] = b
+					out = append(out, b)
+				}
+			}
+			byPart[k] = b
 		}
-		if node == nil {
-			continue
+		if b != nil {
+			b.idxs = append(b.idxs, i)
 		}
-		b := batches[node.id]
-		if b == nil {
-			b = &batch{node: node}
-			batches[node.id] = b
-		}
-		b.idxs = append(b.idxs, i)
 	}
-	return batches
+	return out
 }
 
 // pickRead chooses the replica to serve one partition's reads: the
 // rotation choice when live, else the next live replica (counted as a
 // degraded read), else nil.
-func (c *Cluster) pickRead(rt *route) *storageNode {
+func (c *Cluster) pickRead(table, pkey string, rt *route) *storageNode {
+	c.readRoute(table, pkey, rt)
 	n := len(rt.nodes)
 	if n == 0 {
 		return nil
@@ -1171,265 +1132,152 @@ func (c *Cluster) pickRead(rt *route) *storageNode {
 	return nil
 }
 
-// MultiGet reads a batch of rows, grouping the keys per storage node and
-// serving each node's share in one request: one base-latency charge per
-// machine round-trip instead of per key (the executor half of the
-// query-manager plan, paper Figure 3c). Nodes are visited concurrently,
-// so the wall-clock cost is the busiest node's service time. Results are
-// positional: out[i] answers refs[i].
-func (c *Cluster) MultiGet(refs []KeyRef) []GetResult {
-	out, _ := c.MultiGetStats(refs)
-	return out
-}
-
-// MultiGetStats is MultiGet with exact per-call attribution: the second
-// return value reports the logical reads, node round-trips, bytes and
-// simulated wait this call (and only this call) charged to the cluster
-// counters.
-func (c *Cluster) MultiGetStats(refs []KeyRef) ([]GetResult, CallStats) {
-	return c.MultiGetStatsCtx(context.Background(), refs)
-}
-
-// MultiGetStatsCtx is MultiGetStats with cancellation: node visits not
-// yet started when ctx is cancelled are skipped entirely (their results
-// stay zero-valued and nothing is charged for them), and a visit
-// sleeping out its simulated service time wakes early. The caller must
-// check ctx.Err() after the call — results are incomplete once it is
-// non-nil, and a Found=false under cancellation means "unknown", not
-// "absent". A batch whose node fails mid-visit is retried key by key
-// against the remaining replicas (Failovers counts the lost visit).
-func (c *Cluster) MultiGetStatsCtx(ctx context.Context, refs []KeyRef) ([]GetResult, CallStats) {
-	out := make([]GetResult, len(refs))
-	var cs CallStats
-	if len(refs) == 0 {
-		return out, cs
+// readBatches is the frame both batched reads run in: take the read
+// gate, plan the batches for the active read quorum r, and serve them
+// concurrently, so the wall-clock cost is the busiest node's service
+// time. serve returns what its batch charged (accumulated privately, so
+// visits need no lock), folded into the call's total when it finishes.
+// Batches not yet started when ctx is cancelled are skipped entirely:
+// their results stay zero-valued and nothing is charged for them.
+func (c *Cluster) readBatches(ctx context.Context, n int, at func(i int) (table, pkey string), serve func(b *batch, r int) CallStats) CallStats {
+	var total CallStats
+	if n == 0 {
+		return total
 	}
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
-	var csMu sync.Mutex
-	if r := int(c.readQ.Load()); r > 1 {
-		c.multiGetQuorum(ctx, refs, r, out, &cs, &csMu)
-		return out, cs
-	}
-	batches := c.groupByNode(len(refs), func(i int) (string, string) { return refs[i].Table, refs[i].PKey })
-	var wg sync.WaitGroup
-	for _, b := range batches {
+	r := int(c.readQ.Load())
+	var (
+		mu sync.Mutex
+		wg sync.WaitGroup
+	)
+	for _, b := range c.planBatches(n, at, r > 1) {
 		wg.Add(1)
 		go func(b *batch) {
 			defer wg.Done()
 			if ctx.Err() != nil {
 				return
 			}
+			cs := serve(b, r)
+			mu.Lock()
+			total.add(cs)
+			mu.Unlock()
+		}(b)
+	}
+	wg.Wait()
+	return total
+}
+
+// MultiGet is MultiGetStatsCtx for callers with neither a deadline nor
+// a use for the call's stats.
+func (c *Cluster) MultiGet(refs []KeyRef) []GetResult {
+	out, _ := c.MultiGetStatsCtx(context.Background(), refs)
+	return out
+}
+
+// MultiGetStatsCtx reads a batch of rows, grouping the keys per storage
+// node and serving each node's share in one request: one base-latency
+// charge per machine round-trip instead of per key (the executor half of
+// the query-manager plan, paper Figure 3c). Results are positional:
+// out[i] answers refs[i]. The CallStats report the logical reads, node
+// round-trips, bytes and simulated wait this call (and only this call)
+// charged to the cluster counters.
+//
+// With ReadQuorum > 1 every key is served through its own quorum read
+// instead (R visits per key — divergence detection needs every
+// replica's answer per key), partitions running concurrently.
+//
+// Node visits not yet started when ctx is cancelled are skipped, and a
+// visit sleeping out its simulated service time wakes early. The caller
+// must check ctx.Err() after the call — results are incomplete once it
+// is non-nil, and a Found=false under cancellation means "unknown", not
+// "absent".
+func (c *Cluster) MultiGetStatsCtx(ctx context.Context, refs []KeyRef) ([]GetResult, CallStats) {
+	out := make([]GetResult, len(refs))
+	at := func(i int) (string, string) { return refs[i].Table, refs[i].PKey }
+	cs := c.readBatches(ctx, len(refs), at, func(b *batch, r int) (bs CallStats) {
+		if b.node != nil {
 			reqs := make([]backend.KeyRead, len(b.idxs))
 			for j, i := range b.idxs {
 				reqs[j] = refs[i]
 			}
-			tr := b.node.tr
 			var vals [][]byte
-			d, err := c.serveNodeCtx(ctx, b.node, func(be backend.Backend) (int, int) {
-				cold := 0
-				if tr != nil {
-					vals, cold = tr.MultiGetTier(reqs)
-				} else {
-					vals = backend.MultiGet(be, reqs)
-				}
-				n := 0
+			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) (int, int) {
+				var cold int
+				vals, cold = n.multiGet(reqs)
+				total := 0
 				for _, v := range vals {
-					n += len(v)
-				}
-				return n, cold
-			})
-			if err != nil {
-				// The whole node visit failed (it went down or errored
-				// under us): retry each key against the other replicas.
-				c.failovers.Add(1)
-				for _, i := range b.idxs {
-					c.retryGet(ctx, refs[i], b.node, out, i, &cs, &csMu)
-				}
-				return
-			}
-			total := 0
-			for j, i := range b.idxs {
-				if v := vals[j]; v != nil {
-					_, val := splitStamp(v)
-					out[i] = GetResult{Value: val, Found: true}
-					total += len(val)
-				}
-			}
-			c.reads.Add(int64(len(b.idxs)))
-			c.bytesRead.Add(int64(total))
-			csMu.Lock()
-			cs.add(int64(len(b.idxs)), int64(total), d)
-			csMu.Unlock()
-		}(b)
-	}
-	wg.Wait()
-	return out, cs
-}
-
-// retryGet re-serves one key of a failed batch from the remaining
-// replicas, with the same counter accounting a point Get would have.
-func (c *Cluster) retryGet(ctx context.Context, ref KeyRef, exclude *storageNode, out []GetResult, i int, cs *CallStats, csMu *sync.Mutex) {
-	var rt route
-	c.readRoute(ref.Table, ref.PKey, &rt)
-	var val []byte
-	found := false
-	served := false
-	for _, node := range rt.nodes {
-		if node == exclude {
-			continue
-		}
-		tr := node.tr
-		d, err := c.serveNodeCtx(ctx, node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				val, found, cold = tr.GetTier(ref.Table, ref.PKey, ref.CKey)
-			} else {
-				val, found = be.Get(ref.Table, ref.PKey, ref.CKey)
-			}
-			return len(val), cold
-		})
-		if err != nil {
-			c.failovers.Add(1)
-			continue
-		}
-		served = true
-		_, val = splitStamp(val)
-		c.degradedReads.Add(1)
-		c.reads.Add(1)
-		if found {
-			c.bytesRead.Add(int64(len(val)))
-		}
-		csMu.Lock()
-		cs.add(1, int64(len(val)), d)
-		csMu.Unlock()
-		break
-	}
-	if served && found {
-		out[i] = GetResult{Value: val, Found: true}
-	}
-}
-
-// MultiScan runs a batch of prefix scans, grouped per storage node like
-// MultiGet: each node serves its share of scans under one base-latency
-// charge. out[i] holds the rows of refs[i], in clustering order.
-func (c *Cluster) MultiScan(refs []ScanRef) [][]Row {
-	out, _ := c.MultiScanStats(refs)
-	return out
-}
-
-// MultiScanStats is MultiScan with exact per-call attribution (see
-// MultiGetStats).
-func (c *Cluster) MultiScanStats(refs []ScanRef) ([][]Row, CallStats) {
-	return c.MultiScanStatsCtx(context.Background(), refs)
-}
-
-// MultiScanStatsCtx is MultiScanStats with cancellation (see
-// MultiGetStatsCtx): skipped node visits leave nil row slices, so the
-// caller must treat results as incomplete once ctx.Err() is non-nil.
-func (c *Cluster) MultiScanStatsCtx(ctx context.Context, refs []ScanRef) ([][]Row, CallStats) {
-	out := make([][]Row, len(refs))
-	var cs CallStats
-	if len(refs) == 0 {
-		return out, cs
-	}
-	c.readGate.RLock()
-	defer c.readGate.RUnlock()
-	var csMu sync.Mutex
-	if r := int(c.readQ.Load()); r > 1 {
-		c.multiScanQuorum(ctx, refs, r, out, &cs, &csMu)
-		return out, cs
-	}
-	batches := c.groupByNode(len(refs), func(i int) (string, string) { return refs[i].Table, refs[i].PKey })
-	var wg sync.WaitGroup
-	for _, b := range batches {
-		wg.Add(1)
-		go func(b *batch) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			tr := b.node.tr
-			total := 0
-			d, err := c.serveNodeCtx(ctx, b.node, func(be backend.Backend) (int, int) {
-				cold := 0
-				for _, i := range b.idxs {
-					var rows []Row
-					if tr != nil {
-						var scanCold int
-						rows, scanCold = tr.ScanPrefixTier(refs[i].Table, refs[i].PKey, refs[i].Prefix)
-						cold += scanCold
-					} else {
-						rows = be.ScanPrefix(refs[i].Table, refs[i].PKey, refs[i].Prefix)
-					}
-					for _, r := range rows {
-						total += len(r.Value)
-					}
-					out[i] = rows
+					total += len(v)
 				}
 				return total, cold
 			})
-			if err != nil {
-				c.failovers.Add(1)
-				for _, i := range b.idxs {
-					out[i] = nil // a partial write from inside the failed visit is discarded
-					c.retryScan(ctx, refs[i], b.node, out, i, &cs, &csMu)
+			if err == nil {
+				total := 0
+				for j, i := range b.idxs {
+					if v := vals[j]; v != nil {
+						_, val := splitStamp(v)
+						out[i] = GetResult{Value: val, Found: true}
+						total += len(val)
+					}
 				}
-				return
+				c.countReads(&bs, len(b.idxs), total)
+				return bs
 			}
-			total = 0
-			for _, i := range b.idxs {
-				total += unwrapRows(out[i])
+			// The whole node visit failed (it went down or errored under
+			// us): serve each key from the partition's other replicas.
+			c.failovers.Add(1)
+		}
+		for _, i := range b.idxs {
+			if ctx.Err() != nil {
+				break
 			}
-			c.reads.Add(int64(len(b.idxs)))
-			c.bytesRead.Add(int64(total))
-			csMu.Lock()
-			cs.add(int64(len(b.idxs)), int64(total), d)
-			csMu.Unlock()
-		}(b)
-	}
-	wg.Wait()
+			out[i] = c.readKey(ctx, refs[i], r, b.node, &bs)
+		}
+		return bs
+	})
 	return out, cs
 }
 
-// retryScan re-serves one scan of a failed batch from the remaining
-// replicas.
-func (c *Cluster) retryScan(ctx context.Context, ref ScanRef, exclude *storageNode, out [][]Row, i int, cs *CallStats, csMu *sync.Mutex) {
-	var rt route
-	c.readRoute(ref.Table, ref.PKey, &rt)
-	for _, node := range rt.nodes {
-		if node == exclude {
-			continue
-		}
-		tr := node.tr
-		var rows []Row
-		total := 0
-		d, err := c.serveNodeCtx(ctx, node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				rows, cold = tr.ScanPrefixTier(ref.Table, ref.PKey, ref.Prefix)
-			} else {
-				rows = be.ScanPrefix(ref.Table, ref.PKey, ref.Prefix)
+// MultiScanStatsCtx runs a batch of prefix scans, grouped per storage
+// node like MultiGetStatsCtx: each node serves its share of scans under
+// one base-latency charge. out[i] holds the rows of refs[i], in
+// clustering order. Cancellation and ReadQuorum > 1 behave as there:
+// skipped visits leave nil row slices, so the caller must treat results
+// as incomplete once ctx.Err() is non-nil.
+func (c *Cluster) MultiScanStatsCtx(ctx context.Context, refs []ScanRef) ([][]Row, CallStats) {
+	out := make([][]Row, len(refs))
+	at := func(i int) (string, string) { return refs[i].Table, refs[i].PKey }
+	cs := c.readBatches(ctx, len(refs), at, func(b *batch, r int) (bs CallStats) {
+		if b.node != nil {
+			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) (int, int) {
+				total, cold := 0, 0
+				for _, i := range b.idxs {
+					rows, scanCold := n.scan(refs[i].Table, refs[i].PKey, refs[i].Prefix)
+					out[i] = rows
+					total += rowBytes(rows)
+					cold += scanCold
+				}
+				return total, cold
+			})
+			if err == nil {
+				total := 0
+				for _, i := range b.idxs {
+					total += unwrapRows(out[i])
+				}
+				c.countReads(&bs, len(b.idxs), total)
+				return bs
 			}
-			for _, r := range rows {
-				total += len(r.Value)
-			}
-			return total, cold
-		})
-		if err != nil {
 			c.failovers.Add(1)
-			continue
 		}
-		total = unwrapRows(rows)
-		c.degradedReads.Add(1)
-		c.reads.Add(1)
-		c.bytesRead.Add(int64(total))
-		out[i] = rows
-		csMu.Lock()
-		cs.add(1, int64(total), d)
-		csMu.Unlock()
-		return
-	}
+		for _, i := range b.idxs {
+			if ctx.Err() != nil {
+				break
+			}
+			out[i] = c.readScan(ctx, refs[i], r, b.node, &bs)
+		}
+		return bs
+	})
+	return out, cs
 }
 
 // Delete removes a row from all replicas; it reports whether the row
@@ -1572,10 +1420,10 @@ func (c *Cluster) Close() error {
 func (c *Cluster) tierTotals() backend.TierCounters {
 	var t backend.TierCounters
 	for _, node := range c.nodeList() {
-		if node.tc == nil {
+		if node.tiered == nil {
 			continue
 		}
-		tc := node.tc.TierCounters()
+		tc := node.tiered.TierCounters()
 		t.HotHits += tc.HotHits
 		t.ColdReads += tc.ColdReads
 		t.FlushedRows += tc.FlushedRows

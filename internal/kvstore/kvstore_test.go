@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -335,7 +336,7 @@ func TestMultiScanMatchesScanPrefix(t *testing.T) {
 		{Table: "t", PKey: "p2", Prefix: ""},
 		{Table: "t", PKey: "nope", Prefix: "a"},
 	}
-	got := c.MultiScan(refs)
+	got, _ := c.MultiScanStatsCtx(context.Background(), refs)
 	for i, ref := range refs {
 		want := c.ScanPrefix(ref.Table, ref.PKey, ref.Prefix)
 		if len(want) != len(got[i]) {
@@ -518,8 +519,8 @@ func TestBackupRequiresDurableEngines(t *testing.T) {
 // tierStub is a storage stub whose cumulative ColdReads gauge moves
 // from background maintenance concurrently with foreground reads —
 // the scenario in which diffing the shared gauge around a serve bills
-// one caller for rows somebody else touched. The TierReader side
-// reports the true per-call count: exactly one cold row per found Get.
+// one caller for rows somebody else touched. The backend.Tiered reads
+// report the true per-call count: exactly one cold row per found Get.
 type tierStub struct {
 	backend.Backend
 	cold int64 // cumulative, moved by reads AND background noise
@@ -539,7 +540,7 @@ func (s *tierStub) GetTier(table, pkey, ckey string) ([]byte, bool, int) {
 }
 
 func (s *tierStub) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
-	out := backend.MultiGet(s.Backend, reqs)
+	out := s.Backend.MultiGet(reqs)
 	cold := 0
 	for _, v := range out {
 		if v != nil {
@@ -673,46 +674,143 @@ func TestWarmUpMetricsAggregation(t *testing.T) {
 	}
 }
 
-// TestCallStatsMatchMetrics pins per-call attribution: the CallStats a
-// batched read returns must equal exactly what the call added to the
-// cluster counters — reads, round-trips, bytes and simulated wait.
+// TestCallStatsMatchMetrics pins the read path's accounting over
+// R∈{1,2} × {healthy, replica down, replica faulting} × the four read
+// spellings, each on a fresh 3-node / replication-2 cluster so the
+// round-robin rotation starts from the same point:
+//
+//   - per-call attribution: the CallStats a batched read returns equals
+//     exactly what the call added to the cluster counters — including
+//     the visits that failed (the R=1 faulting-replica rows under-reported
+//     round-trips and simulated wait before the shared visit loop);
+//   - parity: every spelling returns the written values in every cell,
+//     and Reads / BytesRead / Failovers are the numbers the pre-collapse
+//     implementation produced (recorded from a run of this table there);
+//   - DegradedReads is non-zero exactly when some read was answered by a
+//     replica other than its rotation choice.
 func TestCallStatsMatchMetrics(t *testing.T) {
-	c := NewCluster(Config{
-		Machines: 3, Replication: 1,
-		Latency: LatencyModel{Enabled: true, BaseOp: 2 * time.Microsecond, PerKB: 4 * time.Microsecond},
-	})
-	refs := make([]KeyRef, 0, 40)
-	for i := 0; i < 40; i++ {
-		pkey := fmt.Sprintf("p%d", i%5)
-		ckey := fmt.Sprintf("c%02d", i)
-		c.Put("t", pkey, ckey, []byte(fmt.Sprintf("value-%03d", i)))
-		refs = append(refs, KeyRef{Table: "t", PKey: pkey, CKey: ckey})
+	const keys, parts = 40, 5
+	value := func(i int) string { return fmt.Sprintf("value-%03d", i) }
+	healths := []struct {
+		name  string
+		apply func(c *Cluster) error
+	}{
+		{"healthy", func(*Cluster) error { return nil }},
+		{"down", func(c *Cluster) error { return c.FailNode(0) }},
+		{"faulting", func(c *Cluster) error { return c.InjectFault(0, &Fault{ErrRate: 1}) }},
 	}
-	refs = append(refs, KeyRef{Table: "t", PKey: "p0", CKey: "missing"})
+	type counts struct {
+		reads, bytes, failovers int64
+		degraded                bool
+	}
+	kinds := []string{"Get", "ScanPrefix", "batched get", "batched scan"}
+	// want[r-1][health][kind]. At R=1 a batched read routes around a
+	// down replica when it plans its per-node batches (degraded, no
+	// failover) and loses one whole batch visit to a faulting one.
+	want := [2][3][4]counts{
+		{
+			{{41, 360, 0, false}, {6, 360, 0, false}, {41, 360, 0, false}, {6, 360, 0, false}},
+			{{41, 360, 12, true}, {6, 360, 1, true}, {41, 360, 0, true}, {6, 360, 0, true}},
+			{{41, 360, 12, true}, {6, 360, 1, true}, {41, 360, 1, true}, {6, 360, 1, true}},
+		},
+		{
+			{{41, 360, 0, false}, {6, 360, 0, false}, {41, 360, 0, false}, {6, 360, 0, false}},
+			{{41, 360, 25, true}, {6, 360, 4, true}, {41, 360, 25, true}, {6, 360, 4, true}},
+			{{41, 360, 25, true}, {6, 360, 4, true}, {41, 360, 25, true}, {6, 360, 4, true}},
+		},
+	}
+	for r := 1; r <= 2; r++ {
+		for hi, h := range healths {
+			for ki, kind := range kinds {
+				t.Run(fmt.Sprintf("R=%d/%s/%s", r, h.name, kind), func(t *testing.T) {
+					c := NewCluster(Config{
+						Machines: 3, Replication: 2, ReadQuorum: r,
+						Latency: LatencyModel{Enabled: true, BaseOp: 2 * time.Microsecond, PerKB: 4 * time.Microsecond},
+					})
+					defer c.Close()
+					refs := make([]KeyRef, 0, keys+1)
+					scans := make([]ScanRef, 0, parts+1)
+					for i := 0; i < keys; i++ {
+						pkey, ckey := fmt.Sprintf("p%d", i%parts), fmt.Sprintf("c%02d", i)
+						c.Put("t", pkey, ckey, []byte(value(i)))
+						refs = append(refs, KeyRef{Table: "t", PKey: pkey, CKey: ckey})
+					}
+					refs = append(refs, KeyRef{Table: "t", PKey: "p0", CKey: "missing"})
+					for p := 0; p < parts; p++ {
+						scans = append(scans, ScanRef{Table: "t", PKey: fmt.Sprintf("p%d", p), Prefix: "c"})
+					}
+					scans = append(scans, ScanRef{Table: "t", PKey: "nope"})
+					if err := h.apply(c); err != nil {
+						t.Fatal(err)
+					}
+					checkGet := func(i int, v []byte, found bool) {
+						t.Helper()
+						if i == keys {
+							if found {
+								t.Fatalf("absent key found (%q)", v)
+							}
+						} else if !found || string(v) != value(i) {
+							t.Fatalf("key %d = %q, %v; want %q", i, v, found, value(i))
+						}
+					}
+					checkScan := func(p int, rows []Row) {
+						t.Helper()
+						if p == parts {
+							if len(rows) != 0 {
+								t.Fatalf("scan of an absent partition returned %d rows", len(rows))
+							}
+							return
+						}
+						if len(rows) != keys/parts {
+							t.Fatalf("scan %d: %d rows, want %d", p, len(rows), keys/parts)
+						}
+						for j, row := range rows {
+							i := p + j*parts
+							if row.CKey != refs[i].CKey || string(row.Value) != value(i) {
+								t.Fatalf("scan %d row %d = %s %q, want %s %q", p, j, row.CKey, row.Value, refs[i].CKey, value(i))
+							}
+						}
+					}
 
-	c.ResetMetrics()
-	out, cs := c.MultiGetStats(refs)
-	m := c.Metrics()
-	if !out[0].Found || out[len(out)-1].Found {
-		t.Fatalf("unexpected results: first found=%v last found=%v", out[0].Found, out[len(out)-1].Found)
-	}
-	if cs.Reads != m.Reads || cs.RoundTrips != m.RoundTrips || cs.BytesRead != m.BytesRead || cs.SimWait != m.SimWait {
-		t.Fatalf("MultiGetStats %+v != metrics {Reads:%d RoundTrips:%d BytesRead:%d SimWait:%v}",
-			cs, m.Reads, m.RoundTrips, m.BytesRead, m.SimWait)
-	}
-	if cs.Reads != int64(len(refs)) {
-		t.Fatalf("Reads = %d, want %d", cs.Reads, len(refs))
-	}
-
-	c.ResetMetrics()
-	scans := []ScanRef{{Table: "t", PKey: "p0", Prefix: "c"}, {Table: "t", PKey: "p1", Prefix: "c"}, {Table: "t", PKey: "nope", Prefix: ""}}
-	rows, scs := c.MultiScanStats(scans)
-	sm := c.Metrics()
-	if len(rows[0]) == 0 || len(rows[2]) != 0 {
-		t.Fatalf("unexpected scan rows: %d, %d", len(rows[0]), len(rows[2]))
-	}
-	if scs.Reads != sm.Reads || scs.RoundTrips != sm.RoundTrips || scs.BytesRead != sm.BytesRead || scs.SimWait != sm.SimWait {
-		t.Fatalf("MultiScanStats %+v != metrics {Reads:%d RoundTrips:%d BytesRead:%d SimWait:%v}",
-			scs, sm.Reads, sm.RoundTrips, sm.BytesRead, sm.SimWait)
+					c.ResetMetrics()
+					var cs CallStats
+					batched := false
+					switch kind {
+					case "Get":
+						for i, ref := range refs {
+							v, ok := c.Get(ref.Table, ref.PKey, ref.CKey)
+							checkGet(i, v, ok)
+						}
+					case "ScanPrefix":
+						for p, ref := range scans {
+							checkScan(p, c.ScanPrefix(ref.Table, ref.PKey, ref.Prefix))
+						}
+					case "batched get":
+						var out []GetResult
+						out, cs = c.MultiGetStatsCtx(context.Background(), refs)
+						batched = true
+						for i, g := range out {
+							checkGet(i, g.Value, g.Found)
+						}
+					case "batched scan":
+						var out [][]Row
+						out, cs = c.MultiScanStatsCtx(context.Background(), scans)
+						batched = true
+						for p, rows := range out {
+							checkScan(p, rows)
+						}
+					}
+					m := c.Metrics()
+					if batched && (cs.Reads != m.Reads || cs.RoundTrips != m.RoundTrips || cs.BytesRead != m.BytesRead || cs.SimWait != m.SimWait) {
+						t.Errorf("CallStats %+v != metrics {Reads:%d RoundTrips:%d BytesRead:%d SimWait:%v}",
+							cs, m.Reads, m.RoundTrips, m.BytesRead, m.SimWait)
+					}
+					got := counts{m.Reads, m.BytesRead, m.Failovers, m.DegradedReads > 0}
+					if w := want[r-1][hi][ki]; got != w {
+						t.Errorf("counters {reads bytes failovers degraded} = %+v, want %+v", got, w)
+					}
+				})
+			}
+		}
 	}
 }

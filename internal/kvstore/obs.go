@@ -6,7 +6,7 @@ import "hgs/internal/obs"
 // metric families, sampled at exposition/snapshot time: the logical
 // operation counters (reads, writes, bytes, round-trips, simulated
 // wait) and the per-tier counters aggregated from engines implementing
-// backend.TierCounting. The tier families report the engines' raw
+// backend.Tiered. The tier families report the engines' raw
 // cumulative totals (monotone for Prometheus); the operation counters
 // read the same atomics Metrics does and therefore restart from zero
 // after ResetMetrics — scrape-side rate() handles the reset like a

@@ -1,8 +1,9 @@
 package kvstore
 
-// Quorum reads and asynchronous read-repair.
+// The replica-visit loop every read goes through, quorum merging and
+// asynchronous read-repair.
 //
-// With ReadQuorum R > 1 a read consults R replicas instead of one,
+// A read consults ReadQuorum replicas (one by default). With R > 1 it
 // merges their answers by version stamp (stamp.go) and returns the
 // newest. Any replica observed stale — an older stamp, or the row
 // missing entirely — gets the winning version queued for background
@@ -17,11 +18,7 @@ import (
 	"bytes"
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
-
-	"hgs/internal/backend"
 )
 
 // repairQueueDepth bounds the read-repair backlog. Overflow drops the
@@ -110,75 +107,75 @@ func (c *Cluster) applyRepair(t repairTask) {
 	c.readRepairs.Add(1)
 }
 
-// replicaResp is one replica's answer to a quorum point read.
+// visitReplicas is the one replica-visit loop behind every read: a
+// point Get or scan (want = R, one by default), each key of a quorum
+// batch, and the per-key retry after a node lost a whole R=1 batch
+// (exclude = that node). Starting at the round-robin rotation point
+// (this is where r>1 increases read capacity, Fig 12c) it visits the
+// route's replicas clockwise, skipping exclude, until want of them
+// answered or none is left. visit runs on an answering replica under
+// its service lock (serveNode) and reports the bytes and cold rows to
+// charge. Every refused visit counts a Failover; an answer that had to
+// come from a replica beyond the rotation's first want — always the
+// case once exclude has failed — counts one DegradedRead.
+func (c *Cluster) visitReplicas(ctx context.Context, rt *route, want int, exclude *storageNode, cs *CallStats, visit func(n *storageNode) (bytes, coldRows int)) {
+	n := len(rt.nodes)
+	start := 0
+	if n > 1 {
+		start = int(atomic.AddUint64(&c.rr, 1) % uint64(n))
+	}
+	answered, failed := 0, 0
+	for i := 0; i < n && answered < want; i++ {
+		node := rt.nodes[(start+i)%n]
+		if node == exclude {
+			continue
+		}
+		if c.serveNode(ctx, node, cs, visit) != nil {
+			failed++
+			continue
+		}
+		answered++
+	}
+	c.failovers.Add(int64(failed))
+	if answered > 0 && (failed > 0 || exclude != nil) {
+		c.degradedReads.Add(1)
+	}
+}
+
+// replicaResp is one replica's answer to a point read.
 type replicaResp struct {
 	node   *storageNode
 	stored []byte
 	found  bool
 }
 
-// quorumGet serves one key from up to want replicas, starting at the
-// round-robin rotation point and failing over clockwise past refusing
-// nodes, then merges by stamp. Failed visits count Failovers; needing a
-// replica beyond the first want counts a DegradedRead. Returns the
-// winning stored (stamped) value, whether any replica had the row, the
-// number of node visits and the simulated wait charged. Caller holds
-// readGate.RLock.
-func (c *Cluster) quorumGet(ctx context.Context, rt *route, want int, table, pkey, ckey string) ([]byte, bool, int, time.Duration) {
-	n := len(rt.nodes)
-	if n == 0 {
-		return nil, false, 0, 0
+// readKey serves one key from up to want replicas (visitReplicas) and
+// merges their answers by stamp; it counts one logical read whether or
+// not any replica answered. Caller holds readGate.RLock.
+func (c *Cluster) readKey(ctx context.Context, ref KeyRef, want int, exclude *storageNode, cs *CallStats) GetResult {
+	var rt route
+	c.readRoute(ref.Table, ref.PKey, &rt)
+	var buf [routeStack]replicaResp
+	got := buf[:0]
+	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) (int, int) {
+		stored, found, cold := n.get(ref.Table, ref.PKey, ref.CKey)
+		got = append(got, replicaResp{node: n, stored: stored, found: found})
+		return len(stored), cold
+	})
+	var res GetResult
+	if stored, found := c.mergeGet(got, ref); found {
+		_, res.Value = splitStamp(stored)
+		res.Found = true
 	}
-	if want > n {
-		want = n
-	}
-	start := 0
-	if n > 1 {
-		start = int(atomic.AddUint64(&c.rr, 1) % uint64(n))
-	}
-	var (
-		got    []replicaResp
-		wait   time.Duration
-		failed int
-	)
-	visits := 0
-	for i := 0; i < n && len(got) < want; i++ {
-		node := rt.nodes[(start+i)%n]
-		var out []byte
-		found := false
-		tr := node.tr
-		d, err := c.serveNodeCtx(ctx, node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				out, found, cold = tr.GetTier(table, pkey, ckey)
-			} else {
-				out, found = be.Get(table, pkey, ckey)
-			}
-			return len(out), cold
-		})
-		visits++
-		wait += d
-		if err != nil {
-			failed++
-			continue
-		}
-		got = append(got, replicaResp{node: node, stored: out, found: found})
-	}
-	if failed > 0 {
-		c.failovers.Add(int64(failed))
-		if len(got) > 0 {
-			c.degradedReads.Add(1)
-		}
-	}
-	stored, found := c.mergeGet(got, table, pkey, ckey)
-	return stored, found, visits, wait
+	c.countReads(cs, 1, len(res.Value))
+	return res
 }
 
 // mergeGet picks the newest version among the replica answers and
 // queues read-repair for every replica that returned an older version
 // or no row at all. A key absent on every consulted replica merges to
 // not-found (deletes carry no tombstones; see the anti-entropy notes).
-func (c *Cluster) mergeGet(got []replicaResp, table, pkey, ckey string) ([]byte, bool) {
+func (c *Cluster) mergeGet(got []replicaResp, ref KeyRef) ([]byte, bool) {
 	var win []byte
 	found := false
 	for _, g := range got {
@@ -195,79 +192,50 @@ func (c *Cluster) mergeGet(got []replicaResp, table, pkey, ckey string) ([]byte,
 	}
 	for _, g := range got {
 		if !g.found || newerThan(win, g.stored) {
-			c.enqueueRepair(repairTask{table: table, pkey: pkey, ckey: ckey, value: win, node: g.node})
+			c.enqueueRepair(repairTask{table: ref.Table, pkey: ref.PKey, ckey: ref.CKey, value: win, node: g.node})
 		}
 	}
 	return win, true
 }
 
-// quorumScan serves one prefix scan from up to want replicas and merges
-// per clustering key by stamp: for every row, the newest version any
-// consulted replica holds wins, and replicas missing it (or holding an
-// older one) get it queued for repair. A row present on one replica and
-// absent on another is treated as present — the store keeps no
-// tombstones, so a scan cannot distinguish "deleted here" from "never
-// arrived here". Returns stored (stamped) rows in clustering order,
-// the number of node visits and the simulated wait. Caller holds
-// readGate.RLock.
-func (c *Cluster) quorumScan(ctx context.Context, rt *route, want int, table, pkey, prefix string) ([]Row, int, time.Duration) {
-	n := len(rt.nodes)
-	if n == 0 {
-		return nil, 0, 0
-	}
-	if want > n {
-		want = n
-	}
-	start := 0
-	if n > 1 {
-		start = int(atomic.AddUint64(&c.rr, 1) % uint64(n))
-	}
-	type scanResp struct {
-		node *storageNode
-		rows []Row
-	}
-	var (
-		got    []scanResp
-		wait   time.Duration
-		failed int
-	)
-	visits := 0
-	for i := 0; i < n && len(got) < want; i++ {
-		node := rt.nodes[(start+i)%n]
-		var rows []Row
-		tr := node.tr
-		d, err := c.serveNodeCtx(ctx, node, func(be backend.Backend) (int, int) {
-			cold := 0
-			if tr != nil {
-				rows, cold = tr.ScanPrefixTier(table, pkey, prefix)
-			} else {
-				rows = be.ScanPrefix(table, pkey, prefix)
-			}
-			total := 0
-			for _, r := range rows {
-				total += len(r.Value)
-			}
-			return total, cold
-		})
-		visits++
-		wait += d
-		if err != nil {
-			failed++
-			continue
-		}
-		got = append(got, scanResp{node: node, rows: rows})
-	}
-	if failed > 0 {
-		c.failovers.Add(int64(failed))
-		if len(got) > 0 {
-			c.degradedReads.Add(1)
-		}
-	}
+// scanResp is one replica's answer to a prefix scan.
+type scanResp struct {
+	node *storageNode
+	rows []Row
+}
+
+// readScan serves one prefix scan from up to want replicas
+// (visitReplicas), merges their rows by stamp and strips the stamps;
+// it counts one logical read whether or not any replica answered.
+// Caller holds readGate.RLock.
+func (c *Cluster) readScan(ctx context.Context, ref ScanRef, want int, exclude *storageNode, cs *CallStats) []Row {
+	var rt route
+	c.readRoute(ref.Table, ref.PKey, &rt)
+	var buf [routeStack]scanResp
+	got := buf[:0]
+	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) (int, int) {
+		rows, cold := n.scan(ref.Table, ref.PKey, ref.Prefix)
+		got = append(got, scanResp{node: n, rows: rows})
+		return rowBytes(rows), cold
+	})
+	rows := c.mergeScan(got, ref)
+	c.countReads(cs, 1, unwrapRows(rows))
+	return rows
+}
+
+// mergeScan merges the replicas' scans per clustering key by stamp: for
+// every row, the newest version any consulted replica holds wins, and
+// replicas missing it (or holding an older one) get it queued for
+// repair. A row present on one replica and absent on another is treated
+// as present — the store keeps no tombstones, so a scan cannot
+// distinguish "deleted here" from "never arrived here". Returns stored
+// (stamped) rows in clustering order.
+func (c *Cluster) mergeScan(got []scanResp, ref ScanRef) []Row {
 	if len(got) == 0 {
-		return nil, visits, wait
+		return nil
 	}
 	if len(got) == 1 {
-		return got[0].rows, visits, wait
+		return got[0].rows
 	}
 	win := make(map[string][]byte)
 	for _, g := range got {
@@ -284,7 +252,7 @@ func (c *Cluster) quorumScan(ctx context.Context, rt *route, want int, table, pk
 		}
 		for ck, v := range win {
 			if cur, ok := have[ck]; !ok || newerThan(v, cur) {
-				c.enqueueRepair(repairTask{table: table, pkey: pkey, ckey: ck, value: v, node: g.node})
+				c.enqueueRepair(repairTask{table: ref.Table, pkey: ref.PKey, ckey: ck, value: v, node: g.node})
 			}
 		}
 	}
@@ -293,79 +261,5 @@ func (c *Cluster) quorumScan(ctx context.Context, rt *route, want int, table, pk
 		out = append(out, Row{CKey: ck, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].CKey < out[j].CKey })
-	return out, visits, wait
-}
-
-// multiGetQuorum is the ReadQuorum > 1 body of MultiGetStatsCtx: each
-// partition's keys are served concurrently through the per-key quorum
-// path (quorum reads trade the single-visit batching of the R=1 path
-// for R visits per key — divergence detection needs every replica's
-// answer per key). Caller holds readGate.RLock.
-func (c *Cluster) multiGetQuorum(ctx context.Context, refs []KeyRef, r int, out []GetResult, cs *CallStats, csMu *sync.Mutex) {
-	type part struct{ table, pkey string }
-	groups := make(map[part][]int)
-	for i, ref := range refs {
-		k := part{ref.Table, ref.PKey}
-		groups[k] = append(groups[k], i)
-	}
-	var wg sync.WaitGroup
-	for k, idxs := range groups {
-		wg.Add(1)
-		go func(k part, idxs []int) {
-			defer wg.Done()
-			var rt route
-			c.readRoute(k.table, k.pkey, &rt)
-			for _, i := range idxs {
-				if ctx.Err() != nil {
-					return
-				}
-				stored, found, visits, d := c.quorumGet(ctx, &rt, r, k.table, k.pkey, refs[i].CKey)
-				c.reads.Add(1)
-				nb := 0
-				if found {
-					_, val := splitStamp(stored)
-					out[i] = GetResult{Value: val, Found: true}
-					nb = len(val)
-					c.bytesRead.Add(int64(nb))
-				}
-				csMu.Lock()
-				cs.Reads++
-				cs.RoundTrips += int64(visits)
-				cs.BytesRead += int64(nb)
-				cs.SimWait += d
-				csMu.Unlock()
-			}
-		}(k, idxs)
-	}
-	wg.Wait()
-}
-
-// multiScanQuorum is the ReadQuorum > 1 body of MultiScanStatsCtx: the
-// scans run concurrently, each through the merging quorum scan. Caller
-// holds readGate.RLock.
-func (c *Cluster) multiScanQuorum(ctx context.Context, refs []ScanRef, r int, out [][]Row, cs *CallStats, csMu *sync.Mutex) {
-	var wg sync.WaitGroup
-	for i := range refs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			var rt route
-			c.readRoute(refs[i].Table, refs[i].PKey, &rt)
-			rows, visits, d := c.quorumScan(ctx, &rt, r, refs[i].Table, refs[i].PKey, refs[i].Prefix)
-			c.reads.Add(1)
-			total := unwrapRows(rows)
-			c.bytesRead.Add(int64(total))
-			out[i] = rows
-			csMu.Lock()
-			cs.Reads++
-			cs.RoundTrips += int64(visits)
-			cs.BytesRead += int64(total)
-			cs.SimWait += d
-			csMu.Unlock()
-		}(i)
-	}
-	wg.Wait()
+	return out
 }

@@ -62,3 +62,13 @@ func unwrapRows(rows []Row) int {
 	}
 	return total
 }
+
+// rowBytes returns the stored (stamped) byte count of rows — what the
+// service-time model charges for moving them.
+func rowBytes(rows []Row) int {
+	total := 0
+	for _, r := range rows {
+		total += len(r.Value)
+	}
+	return total
+}

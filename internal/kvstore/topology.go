@@ -429,9 +429,9 @@ func (c *Cluster) rebalance(retiring int) {
 	}
 }
 
-// planMoves enumerates every partition in the cluster (engines
-// implementing backend.TableLister), computes its owner sets under the
-// old and new rings, and returns the partitions whose set changed.
+// planMoves enumerates every partition in the cluster, computes its
+// owner sets under the old and new rings, and returns the partitions
+// whose set changed.
 // Partitions whose owners are unchanged are committed as moved
 // immediately so reads route through the new ring without waiting
 // behind the streaming queue.
@@ -450,23 +450,10 @@ func (c *Cluster) planMoves() []pendingMove {
 	var settled []string
 	var oldBuf, newBuf [routeStack]int
 	for _, node := range nodes {
-		if node.tl == nil || !oldR.Has(node.id) {
+		if !oldR.Has(node.id) {
 			continue
 		}
-		node.mu.Lock()
-		if node.closed {
-			node.mu.Unlock()
-			continue
-		}
-		type tp struct{ table, pkey string }
-		var parts []tp
-		for _, table := range node.tl.Tables() {
-			for _, pk := range node.be.PartitionKeys(table) {
-				parts = append(parts, tp{table, pk})
-			}
-		}
-		node.mu.Unlock()
-		for _, p := range parts {
+		for _, p := range node.partitions() {
 			k := partKey(p.table, p.pkey)
 			if seen[k] {
 				continue
@@ -654,7 +641,7 @@ type TopologyInfo struct {
 
 // Topology inspects the cluster: ring shares and health per node, and a
 // sweep over every partition counting the ones with a down replica.
-// The sweep enumerates engines (TableLister), so it is an inspection
+// The sweep enumerates every engine, so it is an inspection
 // surface, not a hot path.
 func (c *Cluster) Topology() TopologyInfo {
 	c.topoMu.RLock()
@@ -697,23 +684,7 @@ func (c *Cluster) Topology() TopologyInfo {
 	seen := make(map[string]bool)
 	var buf [routeStack]int
 	for _, node := range nodes {
-		if node.tl == nil {
-			continue
-		}
-		node.mu.Lock()
-		if node.closed {
-			node.mu.Unlock()
-			continue
-		}
-		type tp struct{ table, pkey string }
-		var parts []tp
-		for _, table := range node.tl.Tables() {
-			for _, pk := range node.be.PartitionKeys(table) {
-				parts = append(parts, tp{table, pk})
-			}
-		}
-		node.mu.Unlock()
-		for _, p := range parts {
+		for _, p := range node.partitions() {
 			k := partKey(p.table, p.pkey)
 			if seen[k] {
 				continue

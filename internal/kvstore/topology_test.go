@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -149,10 +150,10 @@ func TestBatchedReadsFailOver(t *testing.T) {
 			t.Fatalf("MultiGet[%d]: found=%v v=%q want %q", i, g.Found, g.Value, want)
 		}
 	}
-	rows := c.MultiScan(scans)
+	rows, _ := c.MultiScanStatsCtx(context.Background(), scans)
 	for i, rs := range rows {
 		if len(rs) != 2 {
-			t.Fatalf("MultiScan[%d]: %d rows", i, len(rs))
+			t.Fatalf("batched scan[%d]: %d rows", i, len(rs))
 		}
 	}
 }

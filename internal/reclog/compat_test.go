@@ -45,12 +45,7 @@ func copyFixture(t *testing.T, name string) string {
 	return dst
 }
 
-type engine interface {
-	backend.Backend
-	backend.TableLister
-}
-
-func dump(be engine) []byte {
+func dump(be backend.Backend) []byte {
 	var b bytes.Buffer
 	for _, tbl := range be.Tables() {
 		for _, pk := range be.PartitionKeys(tbl) {
