@@ -1,22 +1,22 @@
 # Tier-1 CI gate for the Historical Graph Store. `make ci` is the
 # documented pre-merge check (ROADMAP.md): vet, build, fast tests (with
 # and without the race detector), and formatting. `make test-full`
-# additionally runs the ~30s bench smoke tests that -short skips.
+# additionally runs the paper-figure smoke tests that -short skips.
 
 GO ?= go
 
 # Fail `make cover` when total -short statement coverage drops below
-# this floor (the tree sits around 69%; the floor leaves headroom for
+# this floor (the tree sits around 74%; the floor leaves headroom for
 # incidental drift, not for untested subsystems). The replicated
 # kvstore, the placement ring and the record log carry their own floors
 # — their tests are the consistency and recovery acceptance surface, so
 # a regression there must not hide inside an unchanged total.
-COVER_FLOOR ?= 65.0
+COVER_FLOOR ?= 70.0
 KVSTORE_FLOOR ?= 78.0
 RING_FLOOR ?= 82.0
 RECLOG_FLOOR ?= 85.0
 
-.PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check loc bench bench-cache bench-tiering bench-reopen bench-parallel bench-serve bench-rebalance bench-quorum profile
+.PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check loc bench profile
 
 ci: vet build test test-race test-benchmark fmt-check
 
@@ -80,51 +80,11 @@ docs-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
+# The paper reproduction (Table 1, Figures 11-17, two ablations) under
+# the simulated latency model. Real-cost performance is measured by the
+# benchmark/ module: `bash benchmark/run.sh` (BENCHMARK.json).
 bench:
 	$(GO) run ./cmd/hgs-bench
-
-# Cache v2 passes: cold / warm / disabled, with the
-# negative-hit ratio on sparse probes and the eviction-quality notes
-# (KV ops, round-trips, simulated wait per pass).
-bench-cache:
-	$(GO) run ./cmd/hgs-bench -run cache
-
-# Tiered backend: sweep the hot-tier budget, report the per-tier read
-# split and simulated wait (Store.Stats proves hot hits skip the disk).
-bench-tiering:
-	$(GO) run ./cmd/hgs-bench -run tiering
-
-# Tiered backend restart: post-reopen recent-timespan probes with hot
-# tier warm-up off vs on (hit ratio and simulated wait per pass).
-bench-reopen:
-	$(GO) run ./cmd/hgs-bench -run reopen
-
-# Parallel materialization: warm-cache snapshot retrieval swept over
-# MaterializeWorkers, with speedup, allocs/op and the byte-identity
-# check (set HGS_SCALE>=2 for a meaningful speedup axis on multi-core).
-bench-parallel:
-	$(GO) run ./cmd/hgs-bench -run parallel
-
-# HTTP serve path: an in-process hgs-server driven closed-loop by 12
-# concurrent clients over a weighted query mix; reports achieved QPS,
-# latency quantiles, 429 shed rate and 504 deadline-miss rate (JSON via
-# -json feeds scripts/perfdiff like every other experiment).
-bench-serve:
-	$(GO) run ./cmd/hgs-bench -run serve
-
-# Node lifecycle: query latency during a live node-add (partitions
-# streamed under the rebalance rate limit), rows moved vs the
-# consistent-hashing movement bound, and the degraded-read rate with a
-# replica down — every phase byte-identical to the healthy baseline.
-bench-rebalance:
-	$(GO) run ./cmd/hgs-bench -run rebalance
-
-# Consistency: quorum-read amplification and latency vs the R=1
-# baseline (healthy, one replica down, concurrent anti-entropy sweep),
-# and write-all vs W=1 latency with a slow replica — read phases must
-# answer bit-identically and repair nothing while healthy.
-bench-quorum:
-	$(GO) run ./cmd/hgs-bench -run quorum
 
 # CPU and allocation profiles over the Figure 11 bench workload
 # (snapshot retrieval with parallel fetch — the read hot path). Inspect

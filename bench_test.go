@@ -5,11 +5,9 @@
 // the whole evaluation.
 //
 // Dataset sizes come from bench.DefaultScale (HGS_SCALE multiplies them).
-//
-// This file lives in the external test package: internal/bench drives
-// the HTTP serve experiment through the public hgs API, so an
-// in-package test importing it would be an import cycle.
-package hgs_test
+// The figures run under the simulated latency model and reproduce the
+// paper's shapes; real-cost performance is the benchmark/ module's job.
+package hgs
 
 import (
 	"testing"
@@ -17,10 +15,10 @@ import (
 	"hgs/internal/bench"
 )
 
-// run executes an experiment once per benchmark iteration and reports
+// runFigure executes an experiment once per benchmark iteration and reports
 // the last series' last point (the largest configuration measured) as a
 // metric, plus prints the full result under -v.
-func run(b *testing.B, f func(bench.Scale) *bench.Result) {
+func runFigure(b *testing.B, f func(bench.Scale) *bench.Result) {
 	b.Helper()
 	sc := bench.DefaultScale()
 	for i := 0; i < b.N; i++ {
@@ -47,64 +45,64 @@ func (w benchWriter) Write(p []byte) (int, error) {
 // BenchmarkTable1 regenerates Table 1: analytical access costs plus
 // measured store reads for Log, Copy, Copy+Log, Node-centric,
 // DeltaGraph, and TGI.
-func BenchmarkTable1(b *testing.B) { run(b, bench.Table1) }
+func BenchmarkTable1(b *testing.B) { runFigure(b, bench.Table1) }
 
 // BenchmarkFig11SnapshotParallelFetch regenerates Figure 11: snapshot
 // retrieval times for parallel fetch factors c ∈ {1..32}.
-func BenchmarkFig11SnapshotParallelFetch(b *testing.B) { run(b, bench.Fig11) }
+func BenchmarkFig11SnapshotParallelFetch(b *testing.B) { runFigure(b, bench.Fig11) }
 
 // BenchmarkFig12ClusterConfigs regenerates Figure 12: snapshot retrieval
 // across (m=1,r=1), (m=2,r=1), (m=2,r=2).
-func BenchmarkFig12ClusterConfigs(b *testing.B) { run(b, bench.Fig12) }
+func BenchmarkFig12ClusterConfigs(b *testing.B) { runFigure(b, bench.Fig12) }
 
 // BenchmarkFig13aCompression regenerates Figure 13a: compressed vs
 // uncompressed delta storage.
-func BenchmarkFig13aCompression(b *testing.B) { run(b, bench.Fig13a) }
+func BenchmarkFig13aCompression(b *testing.B) { runFigure(b, bench.Fig13a) }
 
 // BenchmarkFig13bPartitionSize regenerates Figure 13b: the effect of
 // micro-delta partition sizes on snapshot retrieval.
-func BenchmarkFig13bPartitionSize(b *testing.B) { run(b, bench.Fig13b) }
+func BenchmarkFig13bPartitionSize(b *testing.B) { runFigure(b, bench.Fig13b) }
 
 // BenchmarkFig13cFriendsterSnapshots regenerates Figure 13c: snapshot
 // retrieval on the Friendster dataset.
-func BenchmarkFig13cFriendsterSnapshots(b *testing.B) { run(b, bench.Fig13c) }
+func BenchmarkFig13cFriendsterSnapshots(b *testing.B) { runFigure(b, bench.Fig13c) }
 
 // BenchmarkFig14aEventlistSize regenerates Figure 14a: node version
 // retrieval across eventlist sizes.
-func BenchmarkFig14aEventlistSize(b *testing.B) { run(b, bench.Fig14a) }
+func BenchmarkFig14aEventlistSize(b *testing.B) { runFigure(b, bench.Fig14a) }
 
 // BenchmarkFig14bVersionParallelFetch regenerates Figure 14b: node
 // version retrieval speedups with parallel fetch.
-func BenchmarkFig14bVersionParallelFetch(b *testing.B) { run(b, bench.Fig14b) }
+func BenchmarkFig14bVersionParallelFetch(b *testing.B) { runFigure(b, bench.Fig14b) }
 
 // BenchmarkFig14cVersionPartitionSize regenerates Figure 14c: node
 // version retrieval across micro-delta partition sizes.
-func BenchmarkFig14cVersionPartitionSize(b *testing.B) { run(b, bench.Fig14c) }
+func BenchmarkFig14cVersionPartitionSize(b *testing.B) { runFigure(b, bench.Fig14c) }
 
 // BenchmarkFig15aPartitioningReplication regenerates Figure 15a: 1-hop
 // retrieval under random vs locality vs locality+replication layouts.
-func BenchmarkFig15aPartitioningReplication(b *testing.B) { run(b, bench.Fig15a) }
+func BenchmarkFig15aPartitioningReplication(b *testing.B) { runFigure(b, bench.Fig15a) }
 
 // BenchmarkFig15bGrowingData regenerates Figure 15b: snapshot retrieval
 // as the indexed history grows (Datasets 1–3).
-func BenchmarkFig15bGrowingData(b *testing.B) { run(b, bench.Fig15b) }
+func BenchmarkFig15bGrowingData(b *testing.B) { runFigure(b, bench.Fig15b) }
 
 // BenchmarkFig15cTAFScaling regenerates Figure 15c: TAF local clustering
 // coefficient computation across compute-worker counts.
-func BenchmarkFig15cTAFScaling(b *testing.B) { run(b, bench.Fig15c) }
+func BenchmarkFig15cTAFScaling(b *testing.B) { runFigure(b, bench.Fig15c) }
 
 // BenchmarkFig16FriendsterVersions regenerates Figure 16: node version
 // retrieval on Friendster.
-func BenchmarkFig16FriendsterVersions(b *testing.B) { run(b, bench.Fig16) }
+func BenchmarkFig16FriendsterVersions(b *testing.B) { runFigure(b, bench.Fig16) }
 
 // BenchmarkFig17IncrementalCompute regenerates Figure 17:
 // NodeComputeTemporal vs NodeComputeDelta cumulative compute times.
-func BenchmarkFig17IncrementalCompute(b *testing.B) { run(b, bench.Fig17) }
+func BenchmarkFig17IncrementalCompute(b *testing.B) { runFigure(b, bench.Fig17) }
 
 // BenchmarkAblationArity measures snapshot retrieval and index size
-// across delta-tree arities (DESIGN.md §6).
-func BenchmarkAblationArity(b *testing.B) { run(b, bench.AblationArity) }
+// across delta-tree arities.
+func BenchmarkAblationArity(b *testing.B) { runFigure(b, bench.AblationArity) }
 
 // BenchmarkAblationVersionChains measures node history retrieval with
-// and without the Versions table (DESIGN.md §6).
-func BenchmarkAblationVersionChains(b *testing.B) { run(b, bench.AblationVersionChains) }
+// and without the Versions table.
+func BenchmarkAblationVersionChains(b *testing.B) { runFigure(b, bench.AblationVersionChains) }

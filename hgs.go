@@ -141,9 +141,9 @@
 // an in-flight limiter sheds overload with 429, and per-request
 // deadlines ride the context plumbing below. The store's observability
 // endpoints (/metrics, /debug/pprof/*, /traces) mount into any mux via
-// Store.DebugHandler. The closed-loop load driver `hgs-bench -run
-// serve` replays workload mixes against a spawned server and reports
-// QPS and latency quantiles. See README "Serving".
+// Store.DebugHandler. The benchmark's serve_http workload (benchmark/)
+// drives a spawned server closed- and open-loop and reports throughput,
+// latency and the shed ratio. See README "Serving".
 //
 // Every retrieval has a ...Ctx variant (SnapshotCtx, NodeCtx, ...)
 // taking a context.Context whose deadline and cancellation propagate
@@ -182,6 +182,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hgs/internal/backend"
@@ -484,10 +485,16 @@ type Store struct {
 	cluster  *kvstore.Cluster
 	tgi      *core.TGI
 	obs      *obs.Registry
-	loaded   bool
 	durable  bool
 	engine   StorageEngine
 	cacheKey string // shared decoded-delta cache registration (DataDir stores)
+
+	// ingestMu serializes Load and Append: an ingest checks the indexed
+	// history's end and then rebuilds the trailing timespan, so two of
+	// them interleaved would both pass the check and corrupt the index.
+	// loaded is written under it and read lock-free by Loaded.
+	ingestMu sync.Mutex
+	loaded   atomic.Bool
 
 	// closeMu guards closed; active refcounts in-flight operations so
 	// Close can drain them before tearing the cluster down.
@@ -844,11 +851,11 @@ func Open(opts Options) (*Store, error) {
 		cluster:  cluster,
 		tgi:      tgi,
 		obs:      reg,
-		loaded:   attached,
 		durable:  opts.DataDir != "",
 		engine:   engine,
 		cacheKey: cacheKey,
 	}
+	s.loaded.Store(attached)
 	if opts.DebugAddr != "" {
 		if _, err := s.ServeDebug(opts.DebugAddr); err != nil {
 			s.Close()
@@ -865,13 +872,15 @@ func (s *Store) Load(events []Event) error {
 		return err
 	}
 	defer s.endOp()
-	if s.loaded {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if s.loaded.Load() {
 		return fmt.Errorf("hgs: store already loaded; use Append for updates")
 	}
 	if err := s.tgi.BuildAll(events); err != nil {
 		return err
 	}
-	s.loaded = true
+	s.loaded.Store(true)
 	return s.cluster.Flush()
 }
 
@@ -883,7 +892,9 @@ func (s *Store) Append(events []Event) error {
 // AppendCtx is Append honoring a context: cancellation is checked
 // before the ingest starts. A started ingest always runs to completion
 // — aborting it midway would leave a torn index — so the context bounds
-// admission, not the write itself.
+// admission, not the write itself. Concurrent ingests are serialized:
+// of several batches racing for the same trailing range one is indexed
+// and the rest fail the "not after indexed history end" ordering check.
 func (s *Store) AppendCtx(ctx context.Context, events []Event) error {
 	if err := s.beginOp(); err != nil {
 		return err
@@ -892,11 +903,13 @@ func (s *Store) AppendCtx(ctx context.Context, events []Event) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !s.loaded {
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	if !s.loaded.Load() {
 		if err := s.tgi.BuildAll(events); err != nil {
 			return err
 		}
-		s.loaded = true
+		s.loaded.Store(true)
 		return s.cluster.Flush()
 	}
 	if err := s.tgi.Append(events); err != nil {
@@ -907,7 +920,7 @@ func (s *Store) AppendCtx(ctx context.Context, events []Event) error {
 
 // Loaded reports whether the store holds an index — after a Load in
 // this process or by reattaching to a durable DataDir.
-func (s *Store) Loaded() bool { return s.loaded }
+func (s *Store) Loaded() bool { return s.loaded.Load() }
 
 // Durable reports whether the store persists to disk (DataDir set).
 func (s *Store) Durable() bool { return s.durable }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,6 +119,62 @@ func TestStoreAppend(t *testing.T) {
 	}
 	if err := store.Load(events); err == nil {
 		t.Fatal("double Load must fail")
+	}
+}
+
+// TestConcurrentAppendSerialized: ingests are serialized, so of several
+// goroutines appending the same trailing batch exactly one is indexed
+// and the rest fail the ordering check — unserialized, all of them pass
+// it before any writes graph-meta, and each then drops and rebuilds the
+// trailing span over the others.
+func TestConcurrentAppendSerialized(t *testing.T) {
+	events := workload.Wikipedia(workload.WikiConfig{Nodes: 800, EdgesPerNode: 3, Seed: 42})
+	cut := len(events) * 3 / 4
+	store, err := Open(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.Load(events[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	const writers = 4
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = store.Append(events[cut:])
+		}()
+	}
+	wg.Wait()
+	accepted := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			accepted++
+		case !strings.Contains(err.Error(), "not after indexed history end"):
+			t.Fatalf("losing append failed with %v, want the ordering error", err)
+		}
+	}
+	if accepted != 1 {
+		t.Fatalf("%d of %d concurrent appends of one batch accepted, want exactly 1 (errors: %v)", accepted, writers, errs)
+	}
+	st, err := store.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Events != len(events) {
+		t.Fatalf("stats events = %d, want %d", st.Events, len(events))
+	}
+	hi := events[len(events)-1].Time
+	g, err := store.Snapshot(hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustGraph(events, hi); !g.Equal(want) {
+		t.Fatalf("snapshot after concurrent appends has %d nodes, replay has %d", g.NumNodes(), want.NumNodes())
 	}
 }
 
@@ -535,6 +593,51 @@ func TestTieredDurableRoundTrip(t *testing.T) {
 	bad := Options{DataDir: dir, Engine: EngineDisk}
 	if _, err := Open(bad); err == nil {
 		t.Fatal("conflicting engine must be rejected")
+	}
+}
+
+// TestTieredUnboundedHotTierServesFromMemory: with a hot tier large
+// enough for the whole index, snapshot and node queries are answered
+// without a single cold-tier read — hot hits skip the disk entirely.
+func TestTieredUnboundedHotTierServesFromMemory(t *testing.T) {
+	opts := smallOptions()
+	opts.DataDir = t.TempDir()
+	opts.Engine = EngineTiered
+	opts.HotBytes = 1 << 40
+	opts.CacheBytes = -1 // measure the tiers, not the decoded-delta cache
+	store, events := loadWiki(t, opts, 400)
+	defer store.Close()
+	lo, hi, err := store.TimeRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []Time{(lo + hi) / 2, hi} {
+		g, err := store.Snapshot(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Equal(mustGraph(events, tt)) {
+			t.Fatalf("snapshot@%d mismatch", tt)
+		}
+	}
+	for id := NodeID(0); id < 24; id++ {
+		if _, err := store.Node(id, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := store.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hot := after.StoreMetrics.TierHotReads - before.StoreMetrics.TierHotReads; hot == 0 {
+		t.Fatal("probes recorded no hot-tier reads")
+	}
+	if cold := after.StoreMetrics.TierColdReads - before.StoreMetrics.TierColdReads; cold != 0 {
+		t.Fatalf("unbounded hot tier still issued %d cold reads", cold)
 	}
 }
 

@@ -661,17 +661,7 @@ var Order = []string{
 	"fig14a", "fig14b", "fig14c",
 	"fig15a", "fig15b", "fig15c",
 	"fig16", "fig17",
-	"cache", "tiering", "reopen", "parallel", "serve", "rebalance",
-	"quorum", "ablation-arity", "ablation-vc",
-}
-
-// All runs every experiment in paper order.
-func All(sc Scale) []*Result {
-	out := make([]*Result, 0, len(Order))
-	for _, id := range Order {
-		out = append(out, Runners[id](sc))
-	}
-	return out
+	"ablation-arity", "ablation-vc",
 }
 
 // Runners maps experiment ids to their runners for CLI selection.
@@ -690,13 +680,6 @@ var Runners = map[string]func(Scale) *Result{
 	"fig15c":         Fig15c,
 	"fig16":          Fig16,
 	"fig17":          Fig17,
-	"cache":          CacheBench,
-	"tiering":        TieringBench,
-	"reopen":         ReopenBench,
-	"parallel":       ParallelBench,
-	"serve":          ServeBench,
-	"rebalance":      RebalanceBench,
-	"quorum":         QuorumBench,
 	"ablation-arity": AblationArity,
 	"ablation-vc":    AblationVersionChains,
 }

@@ -123,7 +123,7 @@ func TestWarmCacheReducesKVOps(t *testing.T) {
 
 	probes := []temporal.Time{255, 1200, 2405, 4000}
 	ids := []graph.NodeID{0, 5, 11, 23, 39}
-	pass := func() int64 {
+	pass := func() (reads, roundTrips int64) {
 		cluster.ResetMetrics()
 		for _, tt := range probes {
 			if _, err := tgi.GetSnapshot(tt, nil); err != nil {
@@ -135,10 +135,11 @@ func TestWarmCacheReducesKVOps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return cluster.Metrics().Reads
+		m := cluster.Metrics()
+		return m.Reads, m.RoundTrips
 	}
-	cold := pass()
-	warm := pass()
+	cold, coldTrips := pass()
+	warm, warmTrips := pass()
 	if cold == 0 {
 		t.Fatal("cold pass issued no KV reads")
 	}
@@ -146,6 +147,9 @@ func TestWarmCacheReducesKVOps(t *testing.T) {
 	// to zero KV reads — the strongest possible reduction.
 	if cold < 2*warm {
 		t.Fatalf("cold pass %d KV reads, warm pass %d: want >= 2x reduction", cold, warm)
+	}
+	if warmTrips >= coldTrips {
+		t.Fatalf("warm pass made %d machine round-trips, not fewer than the cold pass's %d", warmTrips, coldTrips)
 	}
 	if hits := tgi.CacheStats().EventlistHits; hits == 0 {
 		t.Fatalf("warm pass recorded no eventlist cache hits: %+v", tgi.CacheStats())

@@ -449,10 +449,8 @@ type Cluster struct {
 
 	// stamp is the cluster-wide write sequence (see stamp.go): every
 	// mutation takes the next value, so any two versions of a row order
-	// by stamp. readQ/writeQ are the runtime quorum knobs (SetQuorum).
-	stamp  atomic.Uint64
-	readQ  atomic.Int32
-	writeQ atomic.Int32
+	// by stamp.
+	stamp atomic.Uint64
 
 	// repairCh feeds the background read-repair worker; pendingRepairs
 	// tracks enqueued-but-unapplied tasks so tests can quiesce. stopCh
@@ -515,8 +513,6 @@ func Open(cfg Config) (*Cluster, error) {
 	// the previous maximum (the counter advances one per write, far
 	// slower than nanoseconds pass between sessions).
 	c.stamp.Store(uint64(time.Now().UnixNano()))
-	c.readQ.Store(int32(cfg.ReadQuorum))
-	c.writeQ.Store(int32(cfg.WriteQuorum))
 	fail := func(err error) (*Cluster, error) {
 		for _, n := range c.nodes {
 			n.be.Close()
@@ -550,17 +546,9 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// SetQuorum changes the read/write quorum at runtime (benchmarks sweep
-// R/W over one dataset). Zero restores the defaults (R=1, W=all);
-// values are clamped to [1, Replication].
-func (c *Cluster) SetQuorum(read, write int) {
-	c.readQ.Store(int32(clampQuorum(read, 1, c.cfg.Replication)))
-	c.writeQ.Store(int32(clampQuorum(write, c.cfg.Replication, c.cfg.Replication)))
-}
-
 // Quorum returns the active read and write quorum.
 func (c *Cluster) Quorum() (read, write int) {
-	return int(c.readQ.Load()), int(c.writeQ.Load())
+	return c.cfg.ReadQuorum, c.cfg.WriteQuorum
 }
 
 // NewCluster builds a cluster per the configuration, panicking if a
@@ -969,7 +957,7 @@ func (c *Cluster) Put(table, pkey, ckey string, value []byte) {
 	mk := func() hint {
 		return hint{op: hintPut, table: table, pkey: pkey, ckey: ckey, value: v}
 	}
-	if w := int(c.writeQ.Load()); w < len(rt.nodes) {
+	if w := c.cfg.WriteQuorum; w < len(rt.nodes) {
 		c.applyWriteQuorum(&rt, len(v), mk, w) // releases writeGate when the tail finishes
 	} else {
 		c.applyWrite(&rt, len(v), mk)
@@ -989,7 +977,7 @@ func (c *Cluster) Get(table, pkey, ckey string) ([]byte, bool) {
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
 	var cs CallStats
-	res := c.readKey(context.Background(), KeyRef{Table: table, PKey: pkey, CKey: ckey}, int(c.readQ.Load()), nil, &cs)
+	res := c.readKey(context.Background(), KeyRef{Table: table, PKey: pkey, CKey: ckey}, c.cfg.ReadQuorum, nil, &cs)
 	return res.Value, res.Found
 }
 
@@ -1003,7 +991,7 @@ func (c *Cluster) ScanPrefix(table, pkey, prefix string) []Row {
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
 	var cs CallStats
-	return c.readScan(context.Background(), ScanRef{Table: table, PKey: pkey, Prefix: prefix}, int(c.readQ.Load()), nil, &cs)
+	return c.readScan(context.Background(), ScanRef{Table: table, PKey: pkey, Prefix: prefix}, c.cfg.ReadQuorum, nil, &cs)
 }
 
 // ScanPartition returns every row of the partition in clustering order.
@@ -1146,7 +1134,7 @@ func (c *Cluster) readBatches(ctx context.Context, n int, at func(i int) (table,
 	}
 	c.readGate.RLock()
 	defer c.readGate.RUnlock()
-	r := int(c.readQ.Load())
+	r := c.cfg.ReadQuorum
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
@@ -1362,19 +1350,6 @@ func (c *Cluster) Flush() error {
 		}
 	}
 	return firstErr
-}
-
-// Quiesce blocks until background write activity settles: quorum-write
-// tails still completing on remaining replicas have landed and the
-// asynchronous read-repair queue is empty. Rebalances and anti-entropy
-// sweeps are not waited on — use WaitRebalance and RepairPartitions for
-// those. Useful before comparing replicas or reading repair metrics.
-func (c *Cluster) Quiesce() {
-	c.writeGate.Lock()
-	c.writeGate.Unlock() //nolint:staticcheck // empty critical section is the tail barrier
-	for c.pendingRepairs.Load() != 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
 }
 
 // Close flushes and closes every node's engine, waiting out an active

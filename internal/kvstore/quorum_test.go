@@ -43,13 +43,10 @@ func TestQuorumConfigClamping(t *testing.T) {
 	if r, w := c.Quorum(); r != 3 || w != 1 {
 		t.Fatalf("Quorum() = %d,%d, want clamped 3,1", r, w)
 	}
-	c.SetQuorum(0, 0)
-	if r, w := c.Quorum(); r != 1 || w != 3 {
-		t.Fatalf("after SetQuorum(0,0): %d,%d, want defaults 1,3", r, w)
-	}
-	c.SetQuorum(2, 2)
-	if r, w := c.Quorum(); r != 2 || w != 2 {
-		t.Fatalf("after SetQuorum(2,2): %d,%d", r, w)
+	d := NewCluster(Config{Machines: 3, Replication: 3})
+	defer d.Close()
+	if r, w := d.Quorum(); r != 1 || w != 3 {
+		t.Fatalf("zero-valued quorum knobs: %d,%d, want defaults 1,3", r, w)
 	}
 }
 

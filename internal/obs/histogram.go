@@ -29,9 +29,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 
 // Histogram is a fixed-bucket distribution: counts per bucket, total
 // count and sum, all maintained with atomics so Observe is lock-free
-// and safe under the race detector. Quantiles are estimated from the
-// bucket counts (see HistSnapshot.Quantile). A nil *Histogram is
-// valid and records nothing.
+// and safe under the race detector. A nil *Histogram is valid and
+// records nothing.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf implicit
 	counts []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
@@ -133,83 +132,4 @@ func (h HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 		out.Counts[i] = h.Counts[i] - prev.Counts[i]
 	}
 	return out
-}
-
-// Merge returns the combined distribution of two snapshots with
-// identical bounds — how per-op deltas aggregate into one pass-level
-// distribution for quantile reporting. A zero-value argument returns h
-// unchanged; otherwise mismatched bounds also return h unchanged.
-func (h HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if len(o.Counts) == 0 {
-		return h
-	}
-	if len(h.Counts) == 0 {
-		return o
-	}
-	if len(h.Counts) != len(o.Counts) {
-		return h
-	}
-	out := HistSnapshot{
-		Bounds: h.Bounds,
-		Counts: make([]uint64, len(h.Counts)),
-		Count:  h.Count + o.Count,
-		Sum:    h.Sum + o.Sum,
-	}
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] + o.Counts[i]
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the recorded
-// distribution by linear interpolation inside the bucket holding the
-// target rank — the classic fixed-bucket estimator, accurate to the
-// bucket resolution (a factor-2 log bucket bounds the estimate within
-// 2x of the true value). Returns 0 for an empty histogram; samples in
-// the +Inf bucket report the largest finite bound.
-func (h HistSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var seen float64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		next := seen + float64(c)
-		if next >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.Bounds[i-1]
-			}
-			if i >= len(h.Bounds) {
-				// +Inf bucket: no upper bound to interpolate toward.
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			upper := h.Bounds[i]
-			frac := (rank - seen) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		seen = next
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// Mean returns the exact mean of the recorded samples (Sum/Count), 0
-// when empty.
-func (h HistSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"testing"
 )
 
@@ -44,48 +43,6 @@ func TestHistogramBucketAssignment(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileAccuracy feeds a known uniform distribution and
-// checks the estimated quantiles stay within one bucket of the truth —
-// the estimator's documented resolution.
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	// 1000 samples uniform over (0, 10] against bounds every 0.5: the
-	// interpolated quantile should be accurate to well under a bucket.
-	h := newHistogram(ExpBuckets(0.5, 1.2589, 20)) // ~0.5 .. ~50 log-spaced
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i) / 100.0)
-	}
-	s := h.snapshot()
-	for _, tc := range []struct{ q, want float64 }{
-		{0.5, 5.0}, {0.9, 9.0}, {0.95, 9.5}, {0.99, 9.9},
-	} {
-		got := s.Quantile(tc.q)
-		// Bucket growth is ~26%, so the estimate must be within ~26%.
-		if got < tc.want*0.75 || got > tc.want*1.3 {
-			t.Fatalf("q%.2f = %v, want ~%v", tc.q, got, tc.want)
-		}
-	}
-	if m := s.Mean(); math.Abs(m-5.005) > 1e-9 {
-		t.Fatalf("mean = %v, want 5.005", m)
-	}
-}
-
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var empty HistSnapshot
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty snapshot quantile/mean not zero")
-	}
-	h := newHistogram([]float64{1, 2})
-	h.Observe(100) // +Inf bucket only
-	s := h.snapshot()
-	if got := s.Quantile(0.5); got != 2 {
-		t.Fatalf("overflow-only q50 = %v, want largest finite bound 2", got)
-	}
-	// Clamped q.
-	if s.Quantile(-1) != s.Quantile(0) || s.Quantile(2) != s.Quantile(1) {
-		t.Fatal("out-of-range q not clamped")
-	}
-}
-
 func TestHistogramSubDiff(t *testing.T) {
 	h := newHistogram([]float64{1, 10})
 	h.Observe(0.5)
@@ -114,47 +71,5 @@ func TestNilHistogramObserve(t *testing.T) {
 	h.Observe(1) // must not panic
 	if s := h.snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram snapshot not empty")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := newHistogram([]float64{1, 10})
-	a.Observe(0.5)
-	a.Observe(5)
-	b := newHistogram([]float64{1, 10})
-	b.Observe(5)
-	b.Observe(50)
-	m := a.snapshot().Merge(b.snapshot())
-	if m.Count != 4 || m.Sum != 60.5 {
-		t.Fatalf("merge count=%d sum=%v, want 4 and 60.5", m.Count, m.Sum)
-	}
-	if m.Counts[0] != 1 || m.Counts[1] != 2 || m.Counts[2] != 1 {
-		t.Fatalf("merge buckets = %v", m.Counts)
-	}
-	// Zero-value operands pass the other side through.
-	if got := a.snapshot().Merge(HistSnapshot{}); got.Count != 2 {
-		t.Fatal("merge with zero snapshot lost samples")
-	}
-	if got := (HistSnapshot{}).Merge(b.snapshot()); got.Count != 2 {
-		t.Fatal("zero snapshot merge lost samples")
-	}
-}
-
-func TestFamilyHist(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("op_seconds", "", []float64{1, 10}, L("op", "a")).Observe(0.5)
-	r.Histogram("op_seconds", "", []float64{1, 10}, L("op", "b")).Observe(5)
-	r.Histogram("other_seconds", "", []float64{1, 10}).Observe(5)
-	s := r.Snapshot()
-	h, ok := s.FamilyHist("op_seconds")
-	if !ok || h.Count != 2 {
-		t.Fatalf("FamilyHist(op_seconds) count=%d ok=%v, want 2 across ops", h.Count, ok)
-	}
-	// A family name that is a prefix of another must not absorb it.
-	if h, ok := s.FamilyHist("op"); ok || h.Count != 0 {
-		t.Fatal("prefix family name matched foreign series")
-	}
-	if _, ok := s.FamilyHist("missing"); ok {
-		t.Fatal("missing family reported ok")
 	}
 }

@@ -15,8 +15,8 @@ func seriesKey(name, sig string) string {
 // Snapshot is a point-in-time copy of every registered metric:
 // scalars (counters and gauges, func-backed ones sampled) and
 // histogram states. Snapshots are plain values — safe to keep, diff
-// and read concurrently — and are how the bench harness and the perf
-// ratchet turn the live registry into per-pass deltas.
+// and read concurrently — and are how a caller turns the live registry
+// into the delta of one piece of work.
 type Snapshot struct {
 	// Values maps series keys (see Value) to counter/gauge readings.
 	Values map[string]float64
@@ -67,21 +67,6 @@ func (s Snapshot) Value(name string, labels ...Label) float64 {
 func (s Snapshot) Hist(name string, labels ...Label) (HistSnapshot, bool) {
 	h, ok := s.Hists[seriesKey(name, signature(labels))]
 	return h, ok
-}
-
-// FamilyHist returns the merged distribution of every histogram series
-// in the named family — all ops of hgs_op_duration_seconds as one
-// distribution, say — and whether any series exists.
-func (s Snapshot) FamilyHist(name string) (HistSnapshot, bool) {
-	var out HistSnapshot
-	found := false
-	for k, h := range s.Hists {
-		if k == name || (len(k) > len(name) && k[:len(name)+1] == name+"{") {
-			out = out.Merge(h)
-			found = true
-		}
-	}
-	return out, found
 }
 
 // Keys returns every series key of the snapshot, sorted — scalars

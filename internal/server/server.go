@@ -21,8 +21,8 @@
 //
 // The store's observability endpoints (/metrics, /debug/pprof/*,
 // /traces) mount into the same mux, so one port serves queries and
-// telemetry alike. cmd/hgs-server is the binary; hgs-bench -run serve
-// drives a spawned instance closed-loop.
+// telemetry alike. cmd/hgs-server is the binary; the benchmark's
+// serve_http workload (benchmark/) drives a spawned instance under load.
 package server
 
 import (

@@ -3,13 +3,71 @@ package hgs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"hgs/internal/kvstore"
 	"hgs/internal/workload"
 )
+
+// pathAnswers holds one answer per query path, so a test can compare a
+// store under some fault or setting against a healthy baseline.
+type pathAnswers struct {
+	snap    *Graph
+	node    *NodeState
+	hist    *NodeHistory
+	khop    *Graph
+	changes []Time
+}
+
+// queryAllPaths runs every query path once: a snapshot and a 2-hop
+// neighbourhood at mid, node 5's state at hi, and its history and
+// change times over [lo, hi].
+func queryAllPaths(t *testing.T, s *Store, lo, mid, hi Time) pathAnswers {
+	t.Helper()
+	var a pathAnswers
+	var err error
+	if a.snap, err = s.Snapshot(mid); err != nil {
+		t.Fatal(err)
+	}
+	if a.node, err = s.Node(5, hi); err != nil {
+		t.Fatal(err)
+	}
+	if a.hist, err = s.NodeHistory(5, lo, hi+1); err != nil {
+		t.Fatal(err)
+	}
+	if a.khop, err = s.KHop(5, 2, mid); err != nil {
+		t.Fatal(err)
+	}
+	if a.changes, err = s.ChangeTimes(5, lo, hi+1); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// requireSameAnswers fails unless got equals want on every query path.
+func requireSameAnswers(t *testing.T, what string, got, want pathAnswers) {
+	t.Helper()
+	if !got.snap.Equal(want.snap) {
+		t.Fatalf("%s: snapshot diverged", what)
+	}
+	if (got.node == nil) != (want.node == nil) || (got.node != nil && !got.node.Equal(want.node)) {
+		t.Fatalf("%s: node state diverged", what)
+	}
+	if !reflect.DeepEqual(got.hist.Events, want.hist.Events) {
+		t.Fatalf("%s: history diverged", what)
+	}
+	if !got.khop.Equal(want.khop) {
+		t.Fatalf("%s: k-hop diverged", what)
+	}
+	if !reflect.DeepEqual(got.changes, want.changes) {
+		t.Fatalf("%s: change times diverged", what)
+	}
+}
 
 // TestDegradedReadsAllQueryPaths is the replication acceptance test:
 // with r=2, every query path must answer byte-identically to the
@@ -29,34 +87,7 @@ func TestDegradedReadsAllQueryPaths(t *testing.T) {
 	}
 	mid := (lo + hi) / 2
 
-	type answers struct {
-		snap    *Graph
-		node    *NodeState
-		hist    *NodeHistory
-		khop    *Graph
-		changes []Time
-	}
-	query := func() answers {
-		t.Helper()
-		var a answers
-		if a.snap, err = store.Snapshot(mid); err != nil {
-			t.Fatal(err)
-		}
-		if a.node, err = store.Node(5, hi); err != nil {
-			t.Fatal(err)
-		}
-		if a.hist, err = store.NodeHistory(5, lo, hi+1); err != nil {
-			t.Fatal(err)
-		}
-		if a.khop, err = store.KHop(5, 2, mid); err != nil {
-			t.Fatal(err)
-		}
-		if a.changes, err = store.ChangeTimes(5, lo, hi+1); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	healthy := query()
+	healthy := queryAllPaths(t, store, lo, mid, hi)
 	if !healthy.snap.Equal(mustGraph(events, mid)) {
 		t.Fatal("healthy snapshot mismatch")
 	}
@@ -66,22 +97,7 @@ func TestDegradedReadsAllQueryPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.Cluster().ResetMetrics()
-		got := query()
-		if !got.snap.Equal(healthy.snap) {
-			t.Fatalf("node %d down: snapshot diverged", down)
-		}
-		if (got.node == nil) != (healthy.node == nil) || (got.node != nil && !got.node.Equal(healthy.node)) {
-			t.Fatalf("node %d down: node state diverged", down)
-		}
-		if got.hist.StateAt(mid) == nil != (healthy.hist.StateAt(mid) == nil) {
-			t.Fatalf("node %d down: history diverged", down)
-		}
-		if !got.khop.Equal(healthy.khop) {
-			t.Fatalf("node %d down: k-hop diverged", down)
-		}
-		if !reflect.DeepEqual(got.changes, healthy.changes) {
-			t.Fatalf("node %d down: change times diverged", down)
-		}
+		requireSameAnswers(t, fmt.Sprintf("node %d down", down), queryAllPaths(t, store, lo, mid, hi), healthy)
 		// Batched reads route around the down replica at planning time
 		// (DegradedReads counts that), so Failovers — failed visits —
 		// need not move on these paths; DegradedReads is the signal.
@@ -102,9 +118,84 @@ func TestDegradedReadsAllQueryPaths(t *testing.T) {
 	}
 
 	store.Cluster().ResetMetrics()
-	query()
+	queryAllPaths(t, store, lo, mid, hi)
 	if m := store.Cluster().Metrics(); m.DegradedReads != 0 || m.Failovers != 0 {
 		t.Fatalf("counters kept growing after revive: %+v", m)
+	}
+}
+
+// TestQuorumReadsMatchSingleReplica is the consistency acceptance test
+// at the graph level: over the same history a ReadQuorum=2 store answers
+// every query path exactly as the R=1 store does while visiting more
+// replicas, a healthy store repairs nothing while serving and an
+// anti-entropy sweep over it streams nothing, and the answers survive a
+// replica going down.
+func TestQuorumReadsMatchSingleReplica(t *testing.T) {
+	opts := smallOptions()
+	opts.Machines = 3
+	opts.Replication = 3 // every partition on every node: R changes visits, not placement
+	opts.CacheBytes = -1 // force every query to the KV layer
+	r1, events := loadWiki(t, opts, 700)
+	defer r1.Close()
+	opts.ReadQuorum = 2
+	r2, _ := loadWiki(t, opts, 700)
+	defer r2.Close()
+	lo, hi, err := r1.TimeRange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := (lo + hi) / 2
+
+	// settled waits out the asynchronous read-repair queue, so repair
+	// traffic is charged to the queries that caused it.
+	settled := func(s *Store) kvstore.Metrics {
+		t.Helper()
+		for s.Cluster().PendingRepairs() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return s.Cluster().Metrics()
+	}
+
+	r1.Cluster().ResetMetrics()
+	base := queryAllPaths(t, r1, lo, mid, hi)
+	if !base.snap.Equal(mustGraph(events, mid)) {
+		t.Fatal("R=1 snapshot mismatch")
+	}
+	m1 := settled(r1)
+
+	r2.Cluster().ResetMetrics()
+	requireSameAnswers(t, "R=2", queryAllPaths(t, r2, lo, mid, hi), base)
+	m2 := settled(r2)
+	if m2.ReadRepairs != 0 {
+		t.Fatalf("healthy R=2 store repaired %d rows while serving — replicas diverged", m2.ReadRepairs)
+	}
+	if m2.RoundTrips <= m1.RoundTrips {
+		t.Fatalf("R=2 did not visit more replicas: %d round-trips vs %d at R=1", m2.RoundTrips, m1.RoundTrips)
+	}
+	// An anti-entropy sweep over the consistent store — run while it
+	// serves — streams nothing and disturbs no answer.
+	var stats RepairStats
+	swept := make(chan error, 1)
+	go func() {
+		var err error
+		stats, err = r2.RepairPartitions()
+		swept <- err
+	}()
+	requireSameAnswers(t, "R=2 during anti-entropy", queryAllPaths(t, r2, lo, mid, hi), base)
+	if err := <-swept; err != nil {
+		t.Fatal(err)
+	}
+	if stats != (RepairStats{}) {
+		t.Fatalf("anti-entropy sweep over a consistent store streamed %+v, want nothing", stats)
+	}
+
+	if err := r2.FailStorageNode(0); err != nil {
+		t.Fatal(err)
+	}
+	r2.Cluster().ResetMetrics()
+	requireSameAnswers(t, "R=2, node 0 down", queryAllPaths(t, r2, lo, mid, hi), base)
+	if m := settled(r2); m.DegradedReads == 0 || m.ReadRepairs != 0 {
+		t.Fatalf("R=2, node 0 down: want degraded reads and no repairs, got %+v", m)
 	}
 }
 
@@ -143,6 +234,7 @@ func TestAddNodePersistsTopology(t *testing.T) {
 	opts := smallOptions()
 	opts.DataDir = dir
 	opts.RebalanceRate = -1
+	opts.CacheBytes = -1 // every query below must reach the KV layer
 	events := workload.Wikipedia(workload.WikiConfig{Nodes: 500, EdgesPerNode: 3, Seed: 9})
 	store, err := Open(opts)
 	if err != nil {
@@ -160,11 +252,18 @@ func TestAddNodePersistsTopology(t *testing.T) {
 	if err := store.AddStorageNode(2); err != nil {
 		t.Fatal(err)
 	}
+	// No query may observe a missing partition while the handoff runs.
+	g, err := store.Snapshot(hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(want) {
+		t.Fatal("mid-rebalance snapshot diverged")
+	}
 	if err := store.WaitRebalance(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := store.Snapshot(hi)
-	if err != nil {
+	if g, err = store.Snapshot(hi); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(want) {
