@@ -42,9 +42,20 @@ test-full:
 
 # Total -short statement coverage with hard floors (total plus the
 # kvstore/ring/reclog per-package floors, scripts/coverfloor); prints the
-# per-function summary so CI logs show what regressed.
+# per-function summary so CI logs show what regressed. The full go test
+# output is kept in cover.log; on failure every FAIL / panic: line is
+# printed again prefixed with its package (go test prints each package's
+# output as one block ending in its ok/FAIL summary line; lines after
+# the last summary print as "(no summary)").
 cover:
-	$(GO) test -short -coverprofile=coverage.out ./...
+	@$(GO) test -short -coverprofile=coverage.out ./... > cover.log 2>&1; status=$$?; cat cover.log; \
+	if [ $$status -ne 0 ]; then \
+		echo "== go test failed (full output in cover.log); FAIL / panic: lines by package:"; \
+		awk -F'\t' '$$1 ~ /^(ok|FAIL|\?) *$$/ && NF > 1 { for (i = 0; i < n; i++) print $$2 ": " buf[i]; n = 0; if ($$1 == "FAIL") print $$0; next } \
+			/FAIL|panic:/ { buf[n++] = $$0 } \
+			END { for (i = 0; i < n; i++) print "(no summary): " buf[i] }' cover.log; \
+		exit $$status; \
+	fi
 	@$(GO) tool cover -func=coverage.out | tail -20
 	$(GO) run ./scripts/coverfloor -profile coverage.out -total $(COVER_FLOOR) \
 		-pkg hgs/internal/kvstore=$(KVSTORE_FLOOR) -pkg hgs/internal/ring=$(RING_FLOOR) \

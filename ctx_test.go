@@ -22,12 +22,13 @@ func goroutineSettled(base, slack int) bool {
 }
 
 // TestSnapshotCancellation cancels a retrieval mid-flight under a wide
-// materialize pool and the storage latency model: the call must return
-// the context error promptly and leak no goroutines.
+// materialize pool (one worker per GOMAXPROCS, held at 8 here) and the
+// storage latency model: the call must return the context error
+// promptly and leak no goroutines.
 func TestSnapshotCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	opts := smallOptions()
 	opts.SimulateLatency = true
-	opts.MaterializeWorkers = 8
 	opts.CacheBytes = -1 // every round hits the (slow) store
 	store, events := loadWiki(t, opts, 1200)
 	defer store.Close()

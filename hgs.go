@@ -166,9 +166,9 @@
 //   - Index-construction options (Options.TimespanEvents, Arity,
 //     Compress, ...) are properties of the stored index: persisted with
 //     a DataDir, adopted on reattach, conflicting values rejected.
-//   - Process-runtime options (Options.CacheBytes, MaterializeWorkers,
-//     TracePlans, DebugAddr, ...) are properties of the reading
-//     process: never persisted, kept across a reattach.
+//   - Process-runtime options (Options.CacheBytes, TracePlans,
+//     DebugAddr, ...) are properties of the reading process: never
+//     persisted, kept across a reattach.
 //   - Per-call options travel in FetchOptions — the one options struct
 //     of the query API (Context, Clients, Trace). Nil always means
 //     defaults.
@@ -417,15 +417,6 @@ type Options struct {
 	Compress bool
 	// FetchClients is the default parallel fetch factor c (default 4).
 	FetchClients int
-	// MaterializeWorkers bounds the worker pool that applies fetched
-	// micro-deltas and replays boundary eventlists when materializing
-	// snapshots and neighborhoods. Zero selects one worker per CPU
-	// (runtime.GOMAXPROCS); 1 restores fully sequential
-	// materialization. Unlike FetchClients this only changes local CPU
-	// parallelism — results and plan traces are identical for any
-	// value. A runtime knob of this process — not persisted with a
-	// DataDir store.
-	MaterializeWorkers int
 	// CacheBytes bounds the query manager's decoded-delta cache: hot
 	// root-path deltas are decoded once and shared across queries and
 	// analytics workers. Zero selects the 64 MiB default; a negative
@@ -474,7 +465,6 @@ func (o Options) coreConfig() core.Config {
 	if o.FetchClients > 0 {
 		cfg.FetchClients = o.FetchClients
 	}
-	cfg.MaterializeWorkers = o.MaterializeWorkers
 	cfg.CacheBytes = o.CacheBytes
 	cfg.TracePlans = o.TracePlans
 	return cfg
@@ -1160,9 +1150,6 @@ func (s *Store) Stats() (core.Stats, error) {
 // KV-read breakdown per table, and the round-trips and simulated wait
 // it was charged.
 func (s *Store) PlanTraces() []TraceRecord { return s.tgi.PlanTraces() }
-
-// TGI exposes the underlying index for advanced use.
-func (s *Store) TGI() *core.TGI { return s.tgi }
 
 // Cluster exposes the backing store (metrics, latency toggling).
 func (s *Store) Cluster() *kvstore.Cluster { return s.cluster }

@@ -79,11 +79,7 @@ func (t *TGI) GetSnapshot(tt temporal.Time, opts *FetchOptions) (*graph.Graph, e
 // getSnapshot is GetSnapshot with an explicit trace, so fan-out
 // retrievals (GetSnapshotsAt, k-hop via snapshot) thread their own.
 func (t *TGI) getSnapshot(tt temporal.Time, opts *FetchOptions, tr *fetch.Trace) (*graph.Graph, error) {
-	g, err := t.getSnapshotStream(tt, opts, tr, nil)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return t.getSnapshotStream(tt, opts, tr, nil)
 }
 
 // getSnapshotStream is the snapshot materialization pipeline. When emit
@@ -102,61 +98,35 @@ func (t *TGI) getSnapshotStream(tt temporal.Time, opts *FetchOptions, tr *fetch.
 		return nil, err
 	}
 	leaf := tm.leafFor(tt)
-	path := tm.LeafPaths[leaf]
 	ns := t.cfg.HorizontalPartitions
 	clients := t.cfg.clients(opts)
 
 	plan := fetch.NewPlan()
 	for sid := 0; sid < ns; sid++ {
-		for _, did := range path {
-			plan.DeltaGroup(tm.TSID, sid, did)
-		}
-		if leaf < tm.EventlistCount {
-			plan.EventGroup(tm.TSID, sid, leaf)
-		}
+		planSnapshot(plan, tm, sid, leaf)
 	}
 	res, err := t.fx.ExecCtx(ctx, plan, clients, tr)
 	if err != nil {
 		return nil, err
 	}
 
-	// Materialize: per horizontal partition, apply path deltas in
-	// root→leaf order (delta sum), then replay that partition's boundary
-	// micro-eventlists up to tt. Partitions own disjoint node sets and
-	// every event touching a node is replicated into the node's own
-	// partition's eventlists, so each sid materializes its nodes
+	// Materialize per horizontal partition. Partitions own disjoint node
+	// sets and every event touching a node is replicated into the node's
+	// own partition's eventlists, so each sid materializes its nodes
 	// completely and in isolation — the whole pipeline parallelizes
 	// across materialize workers with no shared graph state. Edge-event
 	// replay also creates implicit states for foreign endpoints inside a
 	// sid graph; the combine loop keeps only each partition's owned
 	// nodes, so the result is identical to a global sequential replay
-	// for any worker count. Cache-shared deltas clone their states in;
-	// private decodes move them (Result.Merge picks the fast path).
+	// for any worker count.
 	sidGraphs := make([]*graph.Graph, ns)
 	mergeTasks := make([]func() error, 0, ns)
 	for sid := 0; sid < ns; sid++ {
 		sid := sid
 		mergeTasks = append(mergeTasks, func() error {
-			sg := graph.New()
-			for _, did := range path {
-				for _, part := range res.Group(tm.TSID, sid, did) {
-					res.Merge(part.Delta, sg)
-				}
-			}
-			if leaf < tm.EventlistCount {
-				parts := res.EventGroup(tm.TSID, sid, leaf)
-				lists := make([][]graph.Event, 0, len(parts))
-				for _, p := range parts {
-					lists = append(lists, p.Events)
-				}
-				for _, e := range mergeSortEvents(lists) {
-					if e.Time > tt {
-						break
-					}
-					if err := sg.Apply(e); err != nil {
-						return err
-					}
-				}
+			sg, err := assembleSnapshot(res, tm, sid, leaf, tt)
+			if err != nil {
+				return err
 			}
 			if emit != nil {
 				// Stream this partition's owned states out instead of
@@ -208,39 +178,88 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 	return err
 }
 
+// materialize builds one graph the way every TGI answer is built
+// (Algorithm 1's per-partition body, Algorithm 4's micro-partition,
+// §5.2's SoN initial state, §4.5's 1-hop frontier): merge the path
+// micro-deltas in root→leaf order, then replay the boundary
+// micro-eventlists up to tt. A single micro-eventlist replays as stored —
+// build wrote it chronological and deduplicated per pid — while a whole
+// eventlist group is first merged into one chronological stream without
+// the edge events replicated across pids. Cache-shared deltas clone
+// their states in; private decodes move them (Result.Merge picks).
+func materialize(res *fetch.Result, path, boundary []fetch.Part, tt temporal.Time) (*graph.Graph, error) {
+	g := graph.New()
+	for _, p := range path {
+		res.Merge(p.Delta, g)
+	}
+	var events []graph.Event
+	if len(boundary) == 1 {
+		events = boundary[0].Events
+	} else if len(boundary) > 1 {
+		lists := make([][]graph.Event, len(boundary))
+		for i, p := range boundary {
+			lists[i] = p.Events
+		}
+		events = mergeSortEvents(lists)
+	}
+	for _, e := range events {
+		if e.Time > tt {
+			break
+		}
+		if err := g.Apply(e); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// planSnapshot adds horizontal partition sid's slice of Algorithm 1 to a
+// plan: every path delta group root→leaf and the boundary eventlist
+// group.
+func planSnapshot(plan *fetch.Plan, tm *TimespanMeta, sid, leaf int) {
+	for _, did := range tm.LeafPaths[leaf] {
+		plan.Group(TableDeltas, tm.TSID, sid, did)
+	}
+	if leaf < tm.EventlistCount {
+		plan.Group(TableEvents, tm.TSID, sid, leaf)
+	}
+}
+
+// assembleSnapshot materializes horizontal partition sid at tt from an
+// executed planSnapshot.
+func assembleSnapshot(res *fetch.Result, tm *TimespanMeta, sid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+	var path []fetch.Part
+	for _, did := range tm.LeafPaths[leaf] {
+		path = append(path, res.Group(TableDeltas, tm.TSID, sid, did)...)
+	}
+	return materialize(res, path, res.Group(TableEvents, tm.TSID, sid, leaf), tt)
+}
+
 // planMicroPartition adds one micro-partition's reconstruction chain —
 // the path micro-deltas and the boundary micro-eventlist — to a plan.
 func planMicroPartition(plan *fetch.Plan, tm *TimespanMeta, sid, pid, leaf int) {
 	for _, did := range tm.LeafPaths[leaf] {
-		plan.DeltaPart(tm.TSID, sid, did, pid)
+		plan.Part(TableDeltas, tm.TSID, sid, did, pid)
 	}
 	if leaf < tm.EventlistCount {
-		plan.EventPart(tm.TSID, sid, leaf, pid)
+		plan.Part(TableEvents, tm.TSID, sid, leaf, pid)
 	}
 }
 
-// assembleMicroPartition reconstructs the state at tt of one planned
-// micro-partition from an executed plan.
-func (t *TGI) assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int, tt temporal.Time) (*graph.Graph, error) {
-	g := graph.New()
+// assembleMicroPartition materializes one micro-partition at tt from an
+// executed planMicroPartition.
+func assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+	path := make([]fetch.Part, 0, len(tm.LeafPaths[leaf]))
 	for _, did := range tm.LeafPaths[leaf] {
-		if d := res.Part(tm.TSID, sid, did, pid); d != nil {
-			res.Merge(d, g)
+		if p, ok := res.Part(TableDeltas, tm.TSID, sid, did, pid); ok {
+			path = append(path, p)
 		}
 	}
-	if leaf < tm.EventlistCount {
-		if evs, ok := res.EventPart(tm.TSID, sid, leaf, pid); ok {
-			for _, e := range evs {
-				if e.Time > tt {
-					break
-				}
-				if err := g.Apply(e); err != nil {
-					return nil, err
-				}
-			}
-		}
+	var boundary []fetch.Part
+	if p, ok := res.Part(TableEvents, tm.TSID, sid, leaf, pid); ok {
+		boundary = []fetch.Part{p}
 	}
-	return g, nil
+	return materialize(res, path, boundary, tt)
 }
 
 // fetchMicroPartition reconstructs the state at time tt of one
@@ -255,7 +274,7 @@ func (t *TGI) fetchMicroPartition(ctx context.Context, tm *TimespanMeta, sid, pi
 	if err != nil {
 		return nil, err
 	}
-	return t.assembleMicroPartition(res, tm, sid, pid, leaf, tt)
+	return assembleMicroPartition(res, tm, sid, pid, leaf, tt)
 }
 
 // GetNodeAt retrieves the state of a single node at time tt, or nil if

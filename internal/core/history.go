@@ -90,16 +90,18 @@ func nodeStatesEqual(a, b *graph.NodeState) bool {
 	return a.Equal(b)
 }
 
-// overlappingSpans returns the metadata of every timespan intersecting
-// [ts, te).
-func (t *TGI) overlappingSpans(gm *GraphMeta, ts, te temporal.Time) ([]*TimespanMeta, error) {
+// overlappingSpans returns the metadata of every timespan that can hold
+// a time in [from, te). Histories answer (ts, te) and pass from = ts+1;
+// ChangeTimes answers [ts, te) and passes ts, so a span ending exactly
+// at ts counts there (tm.End < ts is the inclusive bound).
+func (t *TGI) overlappingSpans(gm *GraphMeta, from, te temporal.Time) ([]*TimespanMeta, error) {
 	var out []*TimespanMeta
 	for tsid := 0; tsid < gm.TimespanCount; tsid++ {
 		tm, err := t.loadTimespanMeta(tsid)
 		if err != nil {
 			return nil, err
 		}
-		if tm.End <= ts || tm.Start >= te {
+		if tm.End < from || tm.Start >= te {
 			continue
 		}
 		out = append(out, tm)
@@ -107,49 +109,89 @@ func (t *TGI) overlappingSpans(gm *GraphMeta, ts, te temporal.Time) ([]*Timespan
 	return out, nil
 }
 
-// versionChains fetches the version-chain rows of one node across the
-// given spans in a single batched read, returning the decoded entries
-// per span (nil where the node has no chain in that span).
-func (t *TGI) versionChains(ctx context.Context, spans []*TimespanMeta, sid int, id graph.NodeID, clients int, tr *fetch.Trace) ([][]vcEntry, error) {
+// versionChains fetches the version-chain rows of every member in every
+// span as one batched read and calls visit with each chain found, span
+// by span in member order.
+func (t *TGI) versionChains(ctx context.Context, spans []*TimespanMeta, members []graph.NodeID, clients int, tr *fetch.Trace, visit func(tm *TimespanMeta, sid int, id graph.NodeID, chain []vcEntry) error) error {
 	plan := fetch.NewPlan()
 	for _, tm := range spans {
-		plan.Get(TableVersions, placementKey(tm.TSID, sid), nodeCKey(id))
+		for _, id := range members {
+			plan.Get(TableVersions, placementKey(tm.TSID, t.sidOf(id)), nodeCKey(id))
+		}
 	}
 	res, err := t.fx.ExecCtx(ctx, plan, clients, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([][]vcEntry, len(spans))
-	for i, tm := range spans {
-		blob, ok := res.Get(TableVersions, placementKey(tm.TSID, sid), nodeCKey(id))
-		if !ok {
-			continue
+	for _, tm := range spans {
+		for _, id := range members {
+			sid := t.sidOf(id)
+			blob, ok := res.Get(TableVersions, placementKey(tm.TSID, sid), nodeCKey(id))
+			if !ok {
+				continue
+			}
+			chain, err := decodeVC(blob)
+			if err != nil {
+				return err
+			}
+			if err := visit(tm, sid, id, chain); err != nil {
+				return err
+			}
 		}
-		entries, err := decodeVC(blob)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = entries
 	}
-	return out, nil
+	return nil
 }
 
 // elRef names one micro-eventlist a history retrieval must read.
 type elRef struct {
-	tm  *TimespanMeta
-	el  int
-	pid int
+	tm           *TimespanMeta
+	sid, el, pid int
+}
+
+// changedEventlists reads the members' version chains and returns
+// exactly the micro-eventlists that record a change of some member
+// inside (ts, te), each once however many members share it.
+func (t *TGI) changedEventlists(ctx context.Context, spans []*TimespanMeta, members []graph.NodeID, ts, te temporal.Time, clients int, tr *fetch.Trace) ([]elRef, error) {
+	var refs []elRef
+	seen := make(map[elRef]bool)
+	err := t.versionChains(ctx, spans, members, clients, tr, func(tm *TimespanMeta, sid int, id graph.NodeID, chain []vcEntry) error {
+		pid := -1
+		for _, e := range chain {
+			changed := false
+			for _, tt := range e.times {
+				if tt > ts && tt < te {
+					changed = true
+					break
+				}
+			}
+			if !changed {
+				continue
+			}
+			if pid < 0 {
+				var err error
+				if pid, err = t.pidOf(tm, sid, id); err != nil {
+					return err
+				}
+			}
+			if ref := (elRef{tm: tm, sid: sid, el: e.el, pid: pid}); !seen[ref] {
+				seen[ref] = true
+				refs = append(refs, ref)
+			}
+		}
+		return nil
+	})
+	return refs, err
 }
 
 // fetchHistoryEvents fetches the referenced micro-eventlists as one
 // batched, cache-accounted read, filters them on the materialize-worker
-// pool, and returns the chronological, deduplicated events touching id
-// within (ts, te). Decoded event slices may be shared with the cache;
-// filtering copies the kept events into fresh slices.
-func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, sid int, id graph.NodeID, ts, te temporal.Time, clients int, tr *fetch.Trace) ([]graph.Event, error) {
+// pool, and returns the chronological, deduplicated events within
+// (ts, te) that keep accepts. Decoded event slices may be shared with
+// the cache; filtering copies the kept events into fresh slices.
+func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te temporal.Time, keep func(graph.Event) bool, clients int, tr *fetch.Trace) ([]graph.Event, error) {
 	plan := fetch.NewPlan()
 	for _, ref := range refs {
-		plan.EventPart(ref.tm.TSID, sid, ref.el, ref.pid)
+		plan.Part(TableEvents, ref.tm.TSID, ref.sid, ref.el, ref.pid)
 	}
 	res, err := t.fx.ExecCtx(ctx, plan, clients, tr)
 	if err != nil {
@@ -160,17 +202,14 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, sid int, id 
 	for i, ref := range refs {
 		i, ref := i, ref
 		tasks = append(tasks, func() error {
-			evs, found := res.EventPart(ref.tm.TSID, sid, ref.el, ref.pid)
-			if !found {
-				return nil
-			}
-			var mine []graph.Event
-			for _, e := range evs {
-				if e.Touches(id) && e.Time > ts && e.Time < te {
-					mine = append(mine, e)
+			part, _ := res.Part(TableEvents, ref.tm.TSID, ref.sid, ref.el, ref.pid)
+			var kept []graph.Event
+			for _, e := range part.Events {
+				if e.Time > ts && e.Time < te && keep(e) {
+					kept = append(kept, e)
 				}
 			}
-			lists[i] = mine
+			lists[i] = kept
 			return nil
 		})
 	}
@@ -185,59 +224,9 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, sid int, id 
 // micro-partition, then use the version chains to plan exactly the
 // micro-eventlists containing its changes, fetched as one batched read.
 func (t *TGI) GetNodeHistory(id graph.NodeID, ts, te temporal.Time, opts *FetchOptions) (*NodeHistory, error) {
-	tr, done := t.startTrace("node-history", opts)
-	defer done()
-	ctx := opts.ctx()
-	gm, err := t.loadGraphMeta()
-	if err != nil {
-		return nil, err
-	}
-	initial, err := t.getNodeAt(ctx, id, ts, tr)
-	if err != nil {
-		return nil, err
-	}
-	h := &NodeHistory{ID: id, Interval: temporal.Interval{Start: ts, End: te}, Initial: initial}
-	sid := t.sidOf(id)
-	clients := t.cfg.clients(opts)
-
-	spans, err := t.overlappingSpans(gm, ts, te)
-	if err != nil {
-		return nil, err
-	}
-	chains, err := t.versionChains(ctx, spans, sid, id, clients, tr)
-	if err != nil {
-		return nil, err
-	}
-
-	// Collect (timespan, eventlist) references whose chains record a
-	// change inside (ts, te).
-	var refs []elRef
-	for i, tm := range spans {
-		pid := -1
-		for _, e := range chains[i] {
-			hasInRange := false
-			for _, tt := range e.times {
-				if tt > ts && tt < te {
-					hasInRange = true
-					break
-				}
-			}
-			if !hasInRange {
-				continue
-			}
-			if pid < 0 {
-				if pid, err = t.pidOf(tm, sid, id); err != nil {
-					return nil, err
-				}
-			}
-			refs = append(refs, elRef{tm: tm, el: e.el, pid: pid})
-		}
-	}
-	h.Events, err = t.fetchHistoryEvents(ctx, refs, sid, id, ts, te, clients, tr)
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
+	return t.nodeHistory("node-history", id, ts, te, opts, func(ctx context.Context, spans []*TimespanMeta, clients int, tr *fetch.Trace) ([]elRef, error) {
+		return t.changedEventlists(ctx, spans, []graph.NodeID{id}, ts, te, clients, tr)
+	})
 }
 
 // GetNodeHistoryScan retrieves a node's history without consulting
@@ -245,7 +234,30 @@ func (t *TGI) GetNodeHistory(id graph.NodeID, ts, te temporal.Time, opts *FetchO
 // across the overlapping timespans and filters. This is the ablation
 // baseline quantifying what the Versions table buys (DESIGN.md §6).
 func (t *TGI) GetNodeHistoryScan(id graph.NodeID, ts, te temporal.Time, opts *FetchOptions) (*NodeHistory, error) {
-	tr, done := t.startTrace("node-history-scan", opts)
+	return t.nodeHistory("node-history-scan", id, ts, te, opts, func(_ context.Context, spans []*TimespanMeta, _ int, _ *fetch.Trace) ([]elRef, error) {
+		sid := t.sidOf(id)
+		var refs []elRef
+		for _, tm := range spans {
+			pid, err := t.pidOf(tm, sid, id)
+			if err != nil {
+				return nil, err
+			}
+			for el := 0; el < tm.EventlistCount; el++ {
+				if tm.eventlistOverlaps(el, ts, te) {
+					refs = append(refs, elRef{tm: tm, sid: sid, el: el, pid: pid})
+				}
+			}
+		}
+		return refs, nil
+	})
+}
+
+// nodeHistory is the body both node-history reads share: the state at
+// ts through the node's micro-partition, then the events touching the
+// node in the micro-eventlists pick chooses among the overlapping spans.
+func (t *TGI) nodeHistory(op string, id graph.NodeID, ts, te temporal.Time, opts *FetchOptions,
+	pick func(ctx context.Context, spans []*TimespanMeta, clients int, tr *fetch.Trace) ([]elRef, error)) (*NodeHistory, error) {
+	tr, done := t.startTrace(op, opts)
 	defer done()
 	ctx := opts.ctx()
 	gm, err := t.loadGraphMeta()
@@ -256,32 +268,20 @@ func (t *TGI) GetNodeHistoryScan(id graph.NodeID, ts, te temporal.Time, opts *Fe
 	if err != nil {
 		return nil, err
 	}
-	h := &NodeHistory{ID: id, Interval: temporal.Interval{Start: ts, End: te}, Initial: initial}
-	sid := t.sidOf(id)
+	spans, err := t.overlappingSpans(gm, ts+1, te)
+	if err != nil {
+		return nil, err
+	}
 	clients := t.cfg.clients(opts)
-
-	spans, err := t.overlappingSpans(gm, ts, te)
+	refs, err := pick(ctx, spans, clients, tr)
 	if err != nil {
 		return nil, err
 	}
-	var refs []elRef
-	for _, tm := range spans {
-		pid, err := t.pidOf(tm, sid, id)
-		if err != nil {
-			return nil, err
-		}
-		for el := 0; el < tm.EventlistCount; el++ {
-			if tm.LeafTimes[el+1] <= ts || tm.LeafTimes[el] >= te {
-				continue
-			}
-			refs = append(refs, elRef{tm: tm, el: el, pid: pid})
-		}
-	}
-	h.Events, err = t.fetchHistoryEvents(ctx, refs, sid, id, ts, te, clients, tr)
+	events, err := t.fetchHistoryEvents(ctx, refs, ts, te, func(e graph.Event) bool { return e.Touches(id) }, clients, tr)
 	if err != nil {
 		return nil, err
 	}
-	return h, nil
+	return &NodeHistory{ID: id, Interval: temporal.Interval{Start: ts, End: te}, Initial: initial, Events: events}, nil
 }
 
 // ChangeTimes returns the timepoints at which the node changed within
@@ -294,33 +294,23 @@ func (t *TGI) ChangeTimes(id graph.NodeID, ts, te temporal.Time, opts *FetchOpti
 	if err != nil {
 		return nil, err
 	}
-	sid := t.sidOf(id)
-	// Historical quirk kept intact: a span ending exactly at ts still
-	// counts as overlapping here (tm.End < ts, not <=).
-	var spans []*TimespanMeta
-	for tsid := 0; tsid < gm.TimespanCount; tsid++ {
-		tm, err := t.loadTimespanMeta(tsid)
-		if err != nil {
-			return nil, err
-		}
-		if tm.End < ts || tm.Start >= te {
-			continue
-		}
-		spans = append(spans, tm)
-	}
-	chains, err := t.versionChains(opts.ctx(), spans, sid, id, t.cfg.clients(opts), tr)
+	spans, err := t.overlappingSpans(gm, ts, te)
 	if err != nil {
 		return nil, err
 	}
 	var out []temporal.Time
-	for _, entries := range chains {
-		for _, e := range entries {
+	err = t.versionChains(opts.ctx(), spans, []graph.NodeID{id}, t.cfg.clients(opts), tr, func(_ *TimespanMeta, _ int, _ graph.NodeID, chain []vcEntry) error {
+		for _, e := range chain {
 			for _, tt := range e.times {
 				if tt >= ts && tt < te {
 					out = append(out, tt)
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil

@@ -56,7 +56,7 @@ type TimespanMeta struct {
 	Arity int
 }
 
-// pathForTime returns the leaf index whose checkpoint is the latest at or
+// leafFor returns the leaf index whose checkpoint is the latest at or
 // before t, clamped to the span's leaves.
 func (tm *TimespanMeta) leafFor(t temporal.Time) int {
 	// LeafTimes is ascending; find the last index with LeafTimes[i] <= t.
@@ -65,6 +65,12 @@ func (tm *TimespanMeta) leafFor(t temporal.Time) int {
 		return 0
 	}
 	return i - 1
+}
+
+// eventlistOverlaps reports whether eventlist el, which covers
+// (LeafTimes[el], LeafTimes[el+1]], can hold a time in (ts, te).
+func (tm *TimespanMeta) eventlistOverlaps(el int, ts, te temporal.Time) bool {
+	return tm.LeafTimes[el+1] > ts && tm.LeafTimes[el] < te
 }
 
 // Key helpers — the composite key schema lives in the fetch layer

@@ -73,7 +73,7 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 		for _, key := range keys {
 			key := key
 			tasks = append(tasks, func() error {
-				g, err := t.assembleMicroPartition(res, tm, key[0], key[1], leaf, tt)
+				g, err := assembleMicroPartition(res, tm, key[0], key[1], leaf, tt)
 				if err != nil {
 					return err
 				}
@@ -186,10 +186,10 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 	return full.Subgraph(ids), nil
 }
 
-// applyAux loads the auxiliary frontier micro-delta for the root's
-// micro-partition and replays its aux eventlist prefix, registering the
+// applyAux materializes the root micro-partition's auxiliary frontier
+// micro-delta and replays its aux eventlist prefix, registering the
 // frontier states at tt. Both aux rows travel in one batched read, and
-// the decoded aux delta shares the decoded-delta cache (hot roots skip
+// the decoded aux delta shares the decoded-part cache (hot roots skip
 // the store entirely).
 func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.NodeID]*graph.NodeState, id graph.NodeID, tt temporal.Time, tr *fetch.Trace) error {
 	sid := t.sidOf(id)
@@ -199,34 +199,34 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	}
 	leaf := tm.leafFor(tt)
 	plan := fetch.NewPlan()
-	plan.AuxPart(tm.TSID, sid, leaf, pid)
+	plan.Part(TableAux, tm.TSID, sid, leaf, pid)
 	if leaf < tm.EventlistCount {
-		plan.AuxEventPart(tm.TSID, sid, leaf, pid)
+		plan.Part(TableAuxEvents, tm.TSID, sid, leaf, pid)
 	}
 	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
 	if err != nil {
 		return err
 	}
-	d := res.AuxPart(tm.TSID, sid, leaf, pid)
-	if d == nil {
+	aux, ok := res.Part(TableAux, tm.TSID, sid, leaf, pid)
+	if !ok {
 		return nil
 	}
-	g := d.Materialize()
-	if leaf < tm.EventlistCount {
-		if evs, ok := res.AuxEventPart(tm.TSID, sid, leaf, pid); ok {
-			for _, e := range evs {
-				if e.Time > tt {
-					break
-				}
-				if err := g.Apply(e); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	// Register only nodes present in the aux delta itself (frontier
-	// members at the leaf) — their states are complete through tt.
-	for nid := range d.Nodes {
+	// members at the leaf) — their states are complete through tt. The
+	// ids are taken first: merging a private decode moves its states.
+	frontier := make([]graph.NodeID, 0, len(aux.Delta.Nodes))
+	for nid := range aux.Delta.Nodes {
+		frontier = append(frontier, nid)
+	}
+	var boundary []fetch.Part
+	if p, ok := res.Part(TableAuxEvents, tm.TSID, sid, leaf, pid); ok {
+		boundary = []fetch.Part{p}
+	}
+	g, err := materialize(res, []fetch.Part{aux}, boundary, tt)
+	if err != nil {
+		return err
+	}
+	for _, nid := range frontier {
 		if ns := g.Node(nid); ns != nil {
 			states[nid] = ns.Clone()
 		}
@@ -278,9 +278,10 @@ func (sh *SubgraphHistory) ChangePoints() []temporal.Time {
 // node over [ts, te): the neighborhood subgraph at ts, then every event
 // touching its members (Algorithm 5 generalized; the member set is fixed
 // at ts — the closed-world semantics used by the paper's
-// NodeComputeDelta evaluation). The member version chains and the
-// referenced micro-eventlists are each fetched as one batched read per
-// phase.
+// NodeComputeDelta evaluation; k = 1 is the paper's Algorithm 5). The
+// member version chains and the micro-eventlists they reference are each
+// fetched as one batched read — the same two phases as GetNodeHistory,
+// over the member set.
 func (t *TGI) GetKHopHistory(id graph.NodeID, k int, ts, te temporal.Time, opts *FetchOptions) (*SubgraphHistory, error) {
 	tr, done := t.startTrace("khop-history", opts)
 	defer done()
@@ -292,118 +293,34 @@ func (t *TGI) GetKHopHistory(id graph.NodeID, k int, ts, te temporal.Time, opts 
 	if len(members) == 0 {
 		members = []graph.NodeID{id}
 	}
-	sh := &SubgraphHistory{
-		Root:     id,
-		K:        k,
-		Interval: temporal.Interval{Start: ts, End: te},
-		Initial:  initial,
-		Members:  members,
-	}
-	memberSet := make(map[graph.NodeID]struct{}, len(members))
-	for _, m := range members {
-		memberSet[m] = struct{}{}
-	}
 	gm, err := t.loadGraphMeta()
 	if err != nil {
 		return nil, err
 	}
 	ctx := opts.ctx()
 	clients := t.cfg.clients(opts)
-	spans, err := t.overlappingSpans(gm, ts, te)
+	spans, err := t.overlappingSpans(gm, ts+1, te)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: every member's version chain in every overlapping span,
-	// one batched read, deduplicating the micro-eventlist references
-	// per (tsid, sid, el, pid).
-	plan := fetch.NewPlan()
-	for _, tm := range spans {
-		for _, m := range members {
-			plan.Get(TableVersions, placementKey(tm.TSID, t.sidOf(m)), nodeCKey(m))
-		}
-	}
-	res, err := t.fx.ExecCtx(ctx, plan, clients, tr)
+	refs, err := t.changedEventlists(ctx, spans, members, ts, te, clients, tr)
 	if err != nil {
 		return nil, err
 	}
-	type rowKey struct {
-		tsid, sid, el, pid int
+	memberSet := make(map[graph.NodeID]struct{}, len(members))
+	for _, m := range members {
+		memberSet[m] = struct{}{}
 	}
-	rows := make(map[rowKey]struct{})
-	for _, tm := range spans {
-		for _, m := range members {
-			sid := t.sidOf(m)
-			blob, ok := res.Get(TableVersions, placementKey(tm.TSID, sid), nodeCKey(m))
-			if !ok {
-				continue
-			}
-			entries, err := decodeVC(blob)
-			if err != nil {
-				return nil, err
-			}
-			pid, err := t.pidOf(tm, sid, m)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				for _, tt := range e.times {
-					if tt > ts && tt < te {
-						rows[rowKey{tm.TSID, sid, e.el, pid}] = struct{}{}
-						break
-					}
-				}
-			}
-		}
-	}
-
-	// Phase 2: fetch the deduplicated rows as one batched read and
-	// filter to member-touching events in parallel.
-	keys := make([]rowKey, 0, len(rows))
-	evPlan := fetch.NewPlan()
-	for key := range rows {
-		keys = append(keys, key)
-		evPlan.EventPart(key.tsid, key.sid, key.el, key.pid)
-	}
-	evRes, err := t.fx.ExecCtx(ctx, evPlan, clients, tr)
+	events, err := t.fetchHistoryEvents(ctx, refs, ts, te, func(e graph.Event) bool {
+		_, a := memberSet[e.Node]
+		_, b := memberSet[e.Other]
+		return a || (e.Kind.IsEdge() && b)
+	}, clients, tr)
 	if err != nil {
 		return nil, err
 	}
-	lists := make([][]graph.Event, len(keys))
-	tasks := make([]func() error, 0, len(keys))
-	for i, key := range keys {
-		i, key := i, key
-		tasks = append(tasks, func() error {
-			evs, ok := evRes.EventPart(key.tsid, key.sid, key.el, key.pid)
-			if !ok {
-				return nil
-			}
-			var keep []graph.Event
-			for _, e := range evs {
-				if e.Time <= ts || e.Time >= te {
-					continue
-				}
-				_, a := memberSet[e.Node]
-				_, b := memberSet[e.Other]
-				if a || (e.Kind.IsEdge() && b) {
-					keep = append(keep, e)
-				}
-			}
-			lists[i] = keep
-			return nil
-		})
-	}
-	if err := runParallel(ctx, t.cfg.materializeWorkers(), tasks); err != nil {
-		return nil, err
-	}
-	sh.Events = mergeSortEvents(lists)
-	return sh, nil
-}
-
-// Get1HopHistory is Algorithm 5: the 1-hop specialization of
-// GetKHopHistory.
-func (t *TGI) Get1HopHistory(id graph.NodeID, ts, te temporal.Time, opts *FetchOptions) (*SubgraphHistory, error) {
-	return t.GetKHopHistory(id, 1, ts, te, opts)
+	return &SubgraphHistory{Root: id, K: k, Interval: temporal.Interval{Start: ts, End: te},
+		Initial: initial, Members: members, Events: events}, nil
 }
 
 // GetKHopAt retrieves the k-hop neighborhood of a node at each of the

@@ -59,27 +59,16 @@ func (t *TGI) fetchSidHistories(ctx context.Context, gm *GraphMeta, sid int, iv 
 	// sid as one batched, cache-accounted eventlist-group read, then
 	// window, deduplicate and group per node. Cached event slices are
 	// shared read-only; windowing filters into fresh slices.
-	type elKey struct {
-		tsid int
-		el   int
+	spans, err := t.overlappingSpans(gm, iv.Start+1, iv.End)
+	if err != nil {
+		return nil, err
 	}
-	var refs []elKey
 	plan := fetch.NewPlan()
-	for tsid := 0; tsid < gm.TimespanCount; tsid++ {
-		tm, err := t.loadTimespanMeta(tsid)
-		if err != nil {
-			return nil, err
-		}
-		if tm.End <= iv.Start || tm.Start >= iv.End {
-			continue
-		}
+	for _, tm := range spans {
 		for el := 0; el < tm.EventlistCount; el++ {
-			// Eventlist el covers (LeafTimes[el], LeafTimes[el+1]].
-			if tm.LeafTimes[el+1] <= iv.Start || tm.LeafTimes[el] >= iv.End {
-				continue
+			if tm.eventlistOverlaps(el, iv.Start, iv.End) {
+				plan.Group(TableEvents, tm.TSID, sid, el)
 			}
-			refs = append(refs, elKey{tsid: tsid, el: el})
-			plan.EventGroup(tsid, sid, el)
 		}
 	}
 	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
@@ -87,15 +76,18 @@ func (t *TGI) fetchSidHistories(ctx context.Context, gm *GraphMeta, sid int, iv 
 		return nil, err
 	}
 	var lists [][]graph.Event
-	for _, ref := range refs {
-		for _, part := range res.EventGroup(ref.tsid, sid, ref.el) {
-			var win []graph.Event
-			for _, e := range part.Events {
-				if e.Time > iv.Start && e.Time < iv.End {
-					win = append(win, e)
+	for _, tm := range spans {
+		for el := 0; el < tm.EventlistCount; el++ {
+			// Out-of-window eventlists were not planned and hold no parts.
+			for _, part := range res.Group(TableEvents, tm.TSID, sid, el) {
+				var win []graph.Event
+				for _, e := range part.Events {
+					if e.Time > iv.Start && e.Time < iv.End {
+						win = append(win, e)
+					}
 				}
+				lists = append(lists, win)
 			}
-			lists = append(lists, win)
 		}
 	}
 	merged := mergeSortEvents(lists)
@@ -138,8 +130,8 @@ func (t *TGI) fetchSidHistories(ctx context.Context, gm *GraphMeta, sid int, iv 
 }
 
 // fetchSidSnapshot reconstructs one horizontal partition's state at tt
-// (the per-sid slice of Algorithm 1): one batched plan for the path
-// delta groups and the boundary eventlist, cache-served where hot.
+// (the per-sid slice of Algorithm 1) as its own batched plan,
+// cache-served where hot.
 func (t *TGI) fetchSidSnapshot(ctx context.Context, sid int, tt temporal.Time, tr *fetch.Trace) (*graph.Graph, error) {
 	tm, err := t.timespanFor(tt)
 	if err != nil {
@@ -147,36 +139,10 @@ func (t *TGI) fetchSidSnapshot(ctx context.Context, sid int, tt temporal.Time, t
 	}
 	leaf := tm.leafFor(tt)
 	plan := fetch.NewPlan()
-	for _, did := range tm.LeafPaths[leaf] {
-		plan.DeltaGroup(tm.TSID, sid, did)
-	}
-	if leaf < tm.EventlistCount {
-		plan.EventGroup(tm.TSID, sid, leaf)
-	}
+	planSnapshot(plan, tm, sid, leaf)
 	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
 	if err != nil {
 		return nil, err
 	}
-	g := graph.New()
-	for _, did := range tm.LeafPaths[leaf] {
-		for _, part := range res.Group(tm.TSID, sid, did) {
-			res.Merge(part.Delta, g)
-		}
-	}
-	if leaf < tm.EventlistCount {
-		parts := res.EventGroup(tm.TSID, sid, leaf)
-		lists := make([][]graph.Event, 0, len(parts))
-		for _, p := range parts {
-			lists = append(lists, p.Events)
-		}
-		for _, e := range mergeSortEvents(lists) {
-			if e.Time > tt {
-				break
-			}
-			if err := g.Apply(e); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
+	return assembleSnapshot(res, tm, sid, leaf, tt)
 }

@@ -123,16 +123,6 @@ func (d *Delta) Sum(o *Delta) *Delta {
 	return d
 }
 
-// SumAll folds Sum left to right over the operands:
-// ∆s = ∆1 + ∆2 + ... + ∆n (associative per the paper).
-func SumAll(deltas []*Delta) *Delta {
-	out := New()
-	for _, d := range deltas {
-		out.Sum(d)
-	}
-	return out
-}
-
 // Diff implements the paper's ∆ difference as set difference over
 // components: the result holds every component of d whose (id, state) pair
 // is absent from o. No tombstones are produced.

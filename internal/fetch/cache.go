@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"hgs/internal/delta"
-	"hgs/internal/graph"
 )
 
-// Byte-accounting overheads charged per cached entry, per micro-delta,
+// Byte-accounting overheads charged per cached entry, per decoded part,
 // and per negative (absence) marker on top of the encoded blob size,
 // approximating the decoded in-memory footprint (maps, state headers)
 // the blob length alone undercounts.
@@ -36,13 +33,14 @@ const (
 	adaptStep             = 0.05
 )
 
-// Cache is a bytes-bounded cache of decoded micro-deltas, keyed by
-// (tsid, sid, did) group. Hot root and interior deltas of the tree —
+// Cache is a bytes-bounded cache of decoded parts — micro-deltas and
+// micro-eventlists alike — keyed by (table, tsid, sid, did) group. Hot
+// root and interior deltas of the tree and the boundary eventlists —
 // shared by every snapshot and micro-partition retrieval of a timespan —
 // are decoded once and then served to all queries and TAF workers.
 //
-// An entry holds the decoded micro-deltas of one tree delta by pid. A
-// full prefix scan installs a complete entry (so group lookups and
+// An entry holds the decoded parts of one group by pid. A full prefix
+// scan installs a complete entry (so group lookups and
 // known-absent answers are served without touching the store); a point
 // read installs or extends an incomplete one, and a point read that
 // found nothing installs a negative marker so the next probe of the
@@ -57,9 +55,10 @@ const (
 // rejected at the door (CacheStats.Oversized, one case of the general
 // admission policy counted by CacheStats.AdmissionRejects).
 //
-// Cached deltas are shared read-only: readers merge them with
-// Delta.ApplyTo (which clones states) and must never call MoveTo.
-// A nil *Cache is valid and caches nothing.
+// Cached parts are shared read-only: readers merge deltas with
+// Delta.ApplyTo (which clones states) and must never call MoveTo, and
+// filter event slices into new ones. A nil *Cache is valid and caches
+// nothing.
 type Cache struct {
 	mu        sync.Mutex
 	max       int64
@@ -72,43 +71,27 @@ type Cache struct {
 	entries   map[GroupKey]*list.Element
 
 	hits, misses, negativeHits              int64
-	eventHits                               int64
+	eventHits                               int64 // subset of hits served with micro-eventlists
 	evictions, admissions, admissionRejects int64
 	oversized                               int64
 	winProb, winProt                        int64 // hits per segment in the current adaptation window
 }
 
-// cacheEntry is one (tsid, sid, did) group. Delta-table groups hold
-// decoded micro-deltas in parts; eventlist-table groups hold decoded
-// micro-eventlists in events (the key's Table decides the kind — the
-// two never mix within one entry).
+// cacheEntry is one group: the decoded parts of one tree delta or one
+// boundary eventlist (the key's table says which), by pid.
 type cacheEntry struct {
 	key   GroupKey
-	parts map[int]*delta.Delta
-	// events holds decoded micro-eventlists by pid (eventlist-table
-	// entries only). Shared read-only like parts.
-	events map[int][]graph.Event
+	parts map[int]Part
 	// absent marks pids known not to exist (negative markers); complete
 	// entries know absence implicitly and carry no markers.
 	absent map[int]struct{}
 	// sorted is the pid-ascending part list, materialized once when the
 	// entry completes so group hits — the hottest path — return it
 	// without re-sorting.
-	sorted []Part
-	// sortedEvents is the eventlist-table counterpart of sorted.
-	sortedEvents []EventPart
-	complete     bool
-	total        int64
-	protected    bool // which segment the entry lives in
-}
-
-// has reports whether pid is resident, whatever the entry kind.
-func (e *cacheEntry) has(pid int) bool {
-	if _, ok := e.parts[pid]; ok {
-		return true
-	}
-	_, ok := e.events[pid]
-	return ok
+	sorted    []Part
+	complete  bool
+	total     int64
+	protected bool // which segment the entry lives in
 }
 
 // NewCache returns a segmented-LRU cache bounded to maxBytes with
@@ -205,8 +188,8 @@ func (c *Cache) demoteLocked() {
 	}
 }
 
-// Group returns the complete micro-delta set of a group, pid-ascending,
-// or ok=false when the group is absent or only partially resident. An
+// Group returns the complete part set of a group, pid-ascending, or
+// ok=false when the group is absent or only partially resident. An
 // empty complete group is an authoritative absence answer and counts as
 // a negative hit.
 func (c *Cache) Group(k GroupKey) ([]Part, bool) {
@@ -224,116 +207,67 @@ func (c *Cache) Group(k GroupKey) ([]Part, bool) {
 	if len(e.sorted) == 0 {
 		c.negativeHits++
 	} else {
-		c.hits++
+		c.hitLocked(e.sorted[0])
 	}
 	c.touchLocked(el)
-	// The slice is shared read-only, like the deltas it holds.
+	// The slice is shared read-only, like the parts it holds.
 	return e.sorted, true
 }
 
-// Part returns one micro-delta. known reports whether the answer is
-// authoritative: a resident part hits positively; a complete entry or a
-// negative marker knows absence (d == nil, known — a negative hit); an
-// incomplete entry without a marker does not (known == false → read the
-// store).
-func (c *Cache) Part(k PartKey) (d *delta.Delta, known bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k.group()]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if d, ok := e.parts[k.PID]; ok {
-		c.hits++
-		c.touchLocked(el)
-		return d, true
-	}
-	if _, neg := e.absent[k.PID]; neg || e.complete { // the row provably does not exist
-		c.negativeHits++
-		c.touchLocked(el)
-		return nil, true
-	}
-	c.misses++
-	return nil, false
-}
-
-// EventGroup returns the complete micro-eventlist set of a boundary
-// eventlist, pid-ascending, or ok=false when absent or partial. Like
-// Group, an empty complete group is an authoritative absence answer.
-func (c *Cache) EventGroup(k GroupKey) ([]EventPart, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok || !el.Value.(*cacheEntry).complete {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if len(e.sortedEvents) == 0 {
-		c.negativeHits++
-	} else {
-		c.hits++
-		c.eventHits++
-	}
-	c.touchLocked(el)
-	// The slice and its event slices are shared read-only.
-	return e.sortedEvents, true
-}
-
-// EventPart returns one micro-eventlist. found reports whether the row
-// exists, known whether the answer is authoritative (mirroring Part: a
-// resident list hits, a complete entry or negative marker knows
-// absence, an incomplete entry without a marker sends the caller to
+// Part returns one part. found reports whether the row exists, known
+// whether the answer is authoritative: a resident part hits positively;
+// a complete entry or a negative marker knows absence (a negative hit);
+// an incomplete entry without a marker does not (known == false → read
 // the store).
-func (c *Cache) EventPart(k PartKey) (evs []graph.Event, found, known bool) {
+func (c *Cache) Part(k PartKey) (p Part, found, known bool) {
 	if c == nil {
-		return nil, false, false
+		return Part{}, false, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k.group()]
 	if !ok {
 		c.misses++
-		return nil, false, false
+		return Part{}, false, false
 	}
 	e := el.Value.(*cacheEntry)
-	if evs, ok := e.events[k.PID]; ok {
-		c.hits++
-		c.eventHits++
+	if p, ok := e.parts[k.PID]; ok {
+		c.hitLocked(p)
 		c.touchLocked(el)
-		return evs, true, true
+		return p, true, true
 	}
 	if _, neg := e.absent[k.PID]; neg || e.complete { // the row provably does not exist
 		c.negativeHits++
 		c.touchLocked(el)
-		return nil, false, true
+		return Part{}, false, true
 	}
 	c.misses++
-	return nil, false, false
+	return Part{}, false, false
 }
 
-// AddGroup installs the complete decoded micro-delta set of a group.
-// sizes[i] is the encoded size of parts[i] (the byte-budget charge).
-// An empty parts slice installs a complete absence marker for the whole
-// group at fixed cost. A group bigger than the whole budget is rejected
-// at admission — one giant snapshot scan must not wipe every hot entry
+// hitLocked counts a positive answer, and an eventlist hit when it was
+// served with decoded micro-eventlists.
+func (c *Cache) hitLocked(p Part) {
+	c.hits++
+	if p.Events != nil {
+		c.eventHits++
+	}
+}
+
+// AddGroup installs the complete decoded part set of a group. sizes[i]
+// is the encoded size of parts[i] (the byte-budget charge). An empty
+// parts slice installs a complete absence marker for the whole group at
+// fixed cost. A group bigger than the whole budget is rejected at
+// admission — one giant snapshot scan must not wipe every hot entry
 // only to be evicted itself on the next add (size-aware admission;
 // counted in CacheStats.Oversized and AdmissionRejects).
 func (c *Cache) AddGroup(k GroupKey, parts []Part, sizes []int64) {
 	if c == nil {
 		return
 	}
-	e := &cacheEntry{key: k, parts: make(map[int]*delta.Delta, len(parts)), complete: true, total: entryOverhead}
+	e := &cacheEntry{key: k, parts: make(map[int]Part, len(parts)), complete: true, total: entryOverhead}
 	for i, p := range parts {
-		e.parts[p.PID] = p.Delta
+		e.parts[p.PID] = p
 		e.total += sizes[i] + partOverhead
 	}
 	e.sorted = append([]Part(nil), parts...)
@@ -358,27 +292,20 @@ func (c *Cache) AddGroup(k GroupKey, parts []Part, sizes []int64) {
 	c.evictLocked()
 }
 
-// AddPart installs one decoded micro-delta into its group without
-// marking the group complete. A part that would push its group past the
-// whole budget is rejected like an oversized AddGroup (the group stays
-// incomplete).
-func (c *Cache) AddPart(k PartKey, d *delta.Delta, size int64) {
+// AddPart installs one decoded part as pid k.PID of its group without
+// marking the group complete. A part that would push its group
+// past the whole budget is rejected like an oversized AddGroup (the
+// group stays incomplete).
+func (c *Cache) AddPart(k PartKey, p Part, size int64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := size + partOverhead
-	el, ok := c.entries[k.group()]
+	el, ok := c.openLocked(k.group(), b)
 	if !ok {
-		if entryOverhead+b > c.max {
-			c.oversized++
-			c.admissionRejects++
-			return
-		}
-		e := &cacheEntry{key: k.group(), parts: make(map[int]*delta.Delta, 1), total: entryOverhead}
-		c.admissions++
-		el = c.insertLocked(e)
+		return
 	}
 	e := el.Value.(*cacheEntry)
 	if _, exists := e.parts[k.PID]; exists {
@@ -394,89 +321,15 @@ func (c *Cache) AddPart(k PartKey, d *delta.Delta, size int64) {
 		c.admissionRejects++
 		return
 	}
-	e.parts[k.PID] = d
+	p.PID = k.PID
+	e.parts[k.PID] = p
 	c.addBytesLocked(e, b)
 	c.refreshLocked(c.entries[k.group()])
 	c.evictLocked()
 }
 
-// AddEventGroup installs the complete decoded micro-eventlist set of a
-// boundary eventlist — the eventlist-table counterpart of AddGroup,
-// under the same admission policy.
-func (c *Cache) AddEventGroup(k GroupKey, parts []EventPart, sizes []int64) {
-	if c == nil {
-		return
-	}
-	e := &cacheEntry{key: k, events: make(map[int][]graph.Event, len(parts)), complete: true, total: entryOverhead}
-	for i, p := range parts {
-		e.events[p.PID] = p.Events
-		e.total += sizes[i] + partOverhead
-	}
-	e.sortedEvents = append([]EventPart(nil), parts...)
-	sort.Slice(e.sortedEvents, func(i, j int) bool { return e.sortedEvents[i].PID < e.sortedEvents[j].PID })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.total > c.max {
-		c.oversized++
-		c.admissionRejects++
-		return
-	}
-	if el, ok := c.entries[k]; ok {
-		old := el.Value.(*cacheEntry)
-		c.removeLocked(el)
-		e.protected = old.protected
-	}
-	c.admissions++
-	c.insertLocked(e)
-	c.evictLocked()
-}
-
-// AddEventPart installs one decoded micro-eventlist into its group
-// without marking the group complete — the eventlist-table counterpart
-// of AddPart.
-func (c *Cache) AddEventPart(k PartKey, evs []graph.Event, size int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := size + partOverhead
-	el, ok := c.entries[k.group()]
-	if !ok {
-		if entryOverhead+b > c.max {
-			c.oversized++
-			c.admissionRejects++
-			return
-		}
-		e := &cacheEntry{key: k.group(), events: make(map[int][]graph.Event, 1), total: entryOverhead}
-		c.admissions++
-		el = c.insertLocked(e)
-	}
-	e := el.Value.(*cacheEntry)
-	if _, exists := e.events[k.PID]; exists {
-		return
-	}
-	if _, neg := e.absent[k.PID]; neg {
-		// The row exists after all; drop the stale absence marker.
-		delete(e.absent, k.PID)
-		c.addBytesLocked(e, -negOverhead)
-	}
-	if e.total+b > c.max {
-		c.oversized++
-		c.admissionRejects++
-		return
-	}
-	if e.events == nil {
-		e.events = make(map[int][]graph.Event, 1)
-	}
-	e.events[k.PID] = evs
-	c.addBytesLocked(e, b)
-	c.refreshLocked(c.entries[k.group()])
-	c.evictLocked()
-}
-
-// AddNegative records that one micro-delta row does not exist (a point
-// read returned nothing), so the next probe of the same absent row is
+// AddNegative records that one row does not exist (a point read
+// returned nothing), so the next probe of the same absent row is
 // answered from the cache instead of paying a store round. Markers are
 // tiny fixed-cost residents of their group entry; like positive entries
 // they are dropped wholesale by Purge when Append rebuilds the trailing
@@ -487,22 +340,15 @@ func (c *Cache) AddNegative(k PartKey) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k.group()]
+	el, ok := c.openLocked(k.group(), negOverhead)
 	if !ok {
-		if entryOverhead+negOverhead > c.max {
-			c.oversized++
-			c.admissionRejects++
-			return
-		}
-		e := &cacheEntry{key: k.group(), parts: make(map[int]*delta.Delta), total: entryOverhead}
-		c.admissions++
-		el = c.insertLocked(e)
+		return
 	}
 	e := el.Value.(*cacheEntry)
 	if e.complete {
 		return // completeness already answers absence
 	}
-	if e.has(k.PID) {
+	if _, exists := e.parts[k.PID]; exists {
 		return
 	}
 	if _, exists := e.absent[k.PID]; exists {
@@ -518,6 +364,22 @@ func (c *Cache) AddNegative(k PartKey) {
 	e.absent[k.PID] = struct{}{}
 	c.addBytesLocked(e, negOverhead)
 	c.evictLocked()
+}
+
+// openLocked returns the entry of group k, admitting a new incomplete
+// one when absent unless it could not hold even b bytes (an oversized
+// rejection, ok=false).
+func (c *Cache) openLocked(k GroupKey, b int64) (el *list.Element, ok bool) {
+	if el, ok := c.entries[k]; ok {
+		return el, true
+	}
+	if entryOverhead+b > c.max {
+		c.oversized++
+		c.admissionRejects++
+		return nil, false
+	}
+	c.admissions++
+	return c.insertLocked(&cacheEntry{key: k, parts: make(map[int]Part, 1), total: entryOverhead}), true
 }
 
 // insertLocked places a (new) entry into its segment at MRU position
@@ -583,7 +445,7 @@ func (c *Cache) evictLocked() {
 
 // Purge drops every entry — positive and negative — and is called when
 // the index mutates: Append rebuilds the trailing timespan, so cached
-// deltas and absence markers for it would be stale.
+// parts and absence markers for it would be stale.
 func (c *Cache) Purge() {
 	if c == nil {
 		return
@@ -599,7 +461,7 @@ func (c *Cache) Purge() {
 
 // CacheStats is a snapshot of cache counters.
 //
-// Hits count positive answers (a resident delta or a non-empty group);
+// Hits count positive answers (a resident part or a non-empty group);
 // NegativeHits count authoritative absence answers (an empty complete
 // group, a complete group lacking the pid, or a negative marker) — each
 // one a store read that was not issued. Admissions counts entries

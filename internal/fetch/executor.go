@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"hgs/internal/codec"
-	"hgs/internal/delta"
-	"hgs/internal/graph"
 	"hgs/internal/kvstore"
 )
 
@@ -21,19 +19,6 @@ type partsByPID struct {
 func (p *partsByPID) Len() int           { return len(p.parts) }
 func (p *partsByPID) Less(i, j int) bool { return p.parts[i].PID < p.parts[j].PID }
 func (p *partsByPID) Swap(i, j int) {
-	p.parts[i], p.parts[j] = p.parts[j], p.parts[i]
-	p.sizes[i], p.sizes[j] = p.sizes[j], p.sizes[i]
-}
-
-// eventPartsByPID is partsByPID for decoded eventlist groups.
-type eventPartsByPID struct {
-	parts []EventPart
-	sizes []int64
-}
-
-func (p *eventPartsByPID) Len() int           { return len(p.parts) }
-func (p *eventPartsByPID) Less(i, j int) bool { return p.parts[i].PID < p.parts[j].PID }
-func (p *eventPartsByPID) Swap(i, j int) {
 	p.parts[i], p.parts[j] = p.parts[j], p.parts[i]
 	p.sizes[i], p.sizes[j] = p.sizes[j], p.sizes[i]
 }
@@ -72,13 +57,13 @@ type Store interface {
 	MultiScanStatsCtx(ctx context.Context, refs []kvstore.ScanRef) ([][]kvstore.Row, kvstore.CallStats)
 }
 
-// Executor runs read plans: delta requests are served from the decoded
-// cache when resident, everything else goes to the store as one batched
-// round (a batched scan and a batched get issued concurrently, each
-// charging one simulated round-trip per storage node touched). Freshly
-// decoded deltas are installed in the cache on the way out; point reads
-// that found nothing install negative markers so the next probe of the
-// same absent row skips the store.
+// Executor runs read plans: group and part requests are served from the
+// decoded cache when resident, everything else goes to the store as one
+// batched round (a batched scan and a batched get issued concurrently,
+// each charging one simulated round-trip per storage node touched).
+// Freshly decoded parts are installed in the cache on the way out; point
+// reads that found nothing install negative markers so the next probe of
+// the same absent row skips the store.
 type Executor struct {
 	store Store
 	cdc   codec.Codec
@@ -91,7 +76,7 @@ func NewExecutor(store Store, cdc codec.Codec, cache *Cache) *Executor {
 	return &Executor{store: store, cdc: cdc, cache: cache}
 }
 
-// Cache returns the executor's delta cache (nil when disabled).
+// Cache returns the executor's decoded-part cache (nil when disabled).
 func (e *Executor) Cache() *Cache { return e.cache }
 
 // ParallelCtx runs f(0..n-1) with up to clients concurrent workers (the
@@ -161,7 +146,7 @@ dispatch:
 
 // Exec runs the plan. clients bounds the decode parallelism (the paper's
 // query-processor count c); the store round is internally parallel per
-// node regardless. The returned deltas are shared with the cache — see
+// node regardless. The returned parts are shared with the cache — see
 // Result.
 func (e *Executor) Exec(p *Plan, clients int) (*Result, error) {
 	return e.ExecCtx(context.Background(), p, clients, nil)
@@ -188,29 +173,18 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 	}
 	tr.addPlanned(len(p.groups), len(p.parts), len(p.gets), len(p.scans))
 	res := &Result{
-		groups:      make(map[GroupKey][]Part, len(p.groups)),
-		parts:       make(map[PartKey]*delta.Delta, len(p.parts)),
-		eventGroups: make(map[GroupKey][]EventPart),
-		eventParts:  make(map[PartKey][]graph.Event),
-		gets:        make(map[kvstore.KeyRef][]byte, len(p.gets)),
-		scans:       make(map[kvstore.ScanRef][]kvstore.Row, len(p.scans)),
-		shared:      e.cache != nil,
+		groups: make(map[GroupKey][]Part, len(p.groups)),
+		parts:  make(map[PartKey]Part, len(p.parts)),
+		gets:   make(map[kvstore.KeyRef][]byte, len(p.gets)),
+		scans:  make(map[kvstore.ScanRef][]kvstore.Row, len(p.scans)),
+		shared: e.cache != nil,
 	}
 	scratch := getScratch()
 	defer scratchPool.Put(scratch)
 
-	// 1. Serve delta and eventlist requests out of the cache.
+	// 1. Serve group and part requests out of the cache.
 	missGroups := scratch.missGroups
 	for _, k := range p.groups {
-		if isEventTable(k.Table) {
-			if parts, ok := e.cache.EventGroup(k); ok {
-				res.eventGroups[k] = parts
-				tr.addHit(k.Table, len(parts) == 0)
-			} else {
-				missGroups = append(missGroups, k)
-			}
-			continue
-		}
 		if parts, ok := e.cache.Group(k); ok {
 			res.groups[k] = parts
 			tr.addHit(k.Table, len(parts) == 0)
@@ -220,31 +194,19 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 	}
 	missParts := scratch.missParts
 	for _, k := range p.parts {
-		if isEventTable(k.Table) {
-			if evs, found, known := e.cache.EventPart(k); known {
-				if found {
-					res.eventParts[k] = evs
-				}
-				tr.addHit(k.Table, !found)
-			} else {
-				missParts = append(missParts, k)
+		if part, found, known := e.cache.Part(k); known {
+			if found {
+				res.parts[k] = part
 			}
-			continue
-		}
-		if d, known := e.cache.Part(k); known {
-			if d != nil {
-				res.parts[k] = d
-			}
-			tr.addHit(k.Table, d == nil)
+			tr.addHit(k.Table, !found)
 		} else {
 			missParts = append(missParts, k)
 		}
 	}
 
 	// 2. One batched store round for everything that missed: the group
-	// prefixes ride the raw scans' batched scan, the single
-	// micro-deltas and micro-eventlists ride the raw gets' batched get,
-	// issued concurrently.
+	// prefixes ride the raw scans' batched scan, the single parts ride
+	// the raw gets' batched get, issued concurrently.
 	scanRefs := scratch.scanRefs
 	for _, k := range missGroups {
 		scanRefs = append(scanRefs, k.scanRef())
@@ -302,34 +264,12 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		return nil, err
 	}
 
-	// 3. Decode the missed deltas and eventlists in parallel, installing
-	// them in the cache as they complete.
+	// 3. Decode the missed groups and parts in parallel, installing them
+	// in the cache as they complete.
 	var mu sync.Mutex
 	if err := ParallelCtx(ctx, clients, len(missGroups), func(i int) error {
 		k := missGroups[i]
 		rows := scanRows[i]
-		if isEventTable(k.Table) {
-			parts := make([]EventPart, 0, len(rows))
-			sizes := make([]int64, 0, len(rows))
-			for _, row := range rows {
-				pid, err := ParsePID(row.CKey)
-				if err != nil {
-					return err
-				}
-				evs, err := e.cdc.DecodeEvents(row.Value)
-				if err != nil {
-					return fmt.Errorf("fetch: decode events %s/%s: %w", PlacementKey(k.TSID, k.SID), row.CKey, err)
-				}
-				parts = append(parts, EventPart{PID: pid, Events: evs})
-				sizes = append(sizes, int64(len(row.Value)))
-			}
-			sort.Sort(&eventPartsByPID{parts, sizes})
-			e.cache.AddEventGroup(k, parts, sizes)
-			mu.Lock()
-			res.eventGroups[k] = parts
-			mu.Unlock()
-			return nil
-		}
 		parts := make([]Part, 0, len(rows))
 		sizes := make([]int64, 0, len(rows))
 		for _, row := range rows {
@@ -337,11 +277,11 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 			if err != nil {
 				return err
 			}
-			d, err := e.cdc.DecodeDelta(row.Value)
+			part, err := e.decode(kvstore.KeyRef{Table: k.Table, PKey: scanRefs[i].PKey, CKey: row.CKey}, pid, row.Value)
 			if err != nil {
-				return fmt.Errorf("fetch: decode delta %s/%s: %w", PlacementKey(k.TSID, k.SID), row.CKey, err)
+				return err
 			}
-			parts = append(parts, Part{PID: pid, Delta: d})
+			parts = append(parts, part)
 			sizes = append(sizes, int64(len(row.Value)))
 		}
 		// Result.Group promises pid-ascending parts; the store's
@@ -364,33 +304,20 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 			e.cache.AddNegative(k)
 			return nil
 		}
-		if isEventTable(k.Table) {
-			evs, err := e.cdc.DecodeEvents(gv.Value)
-			if err != nil {
-				return fmt.Errorf("fetch: decode events %s/%s: %w",
-					PlacementKey(k.TSID, k.SID), EventCKey(k.DID, k.PID), err)
-			}
-			e.cache.AddEventPart(k, evs, int64(len(gv.Value)))
-			mu.Lock()
-			res.eventParts[k] = evs
-			mu.Unlock()
-			return nil
-		}
-		d, err := e.cdc.DecodeDelta(gv.Value)
+		part, err := e.decode(getRefs[i], k.PID, gv.Value)
 		if err != nil {
-			return fmt.Errorf("fetch: decode delta %s/%s: %w",
-				PlacementKey(k.TSID, k.SID), DeltaCKey(k.DID, k.PID), err)
+			return err
 		}
-		e.cache.AddPart(k, d, int64(len(gv.Value)))
+		e.cache.AddPart(k, part, int64(len(gv.Value)))
 		mu.Lock()
-		res.parts[k] = d
+		res.parts[k] = part
 		mu.Unlock()
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	// 4. Raw results, positionally after the delta requests.
+	// 4. Raw results, positionally after the group and part requests.
 	for i, ref := range p.scans {
 		res.scans[ref] = scanRows[len(missGroups)+i]
 	}
@@ -400,4 +327,21 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		}
 	}
 	return res, nil
+}
+
+// decode turns the stored row at ref into a Part: the row's table picks
+// the decoder (micro-eventlists for the eventlist tables, micro-deltas
+// otherwise).
+func (e *Executor) decode(ref kvstore.KeyRef, pid int, blob []byte) (Part, error) {
+	p := Part{PID: pid}
+	var err error
+	if isEventTable(ref.Table) {
+		p.Events, err = e.cdc.DecodeEvents(blob)
+	} else {
+		p.Delta, err = e.cdc.DecodeDelta(blob)
+	}
+	if err != nil {
+		return Part{}, fmt.Errorf("fetch: decode %s row %s/%s: %w", ref.Table, ref.PKey, ref.CKey, err)
+	}
+	return p, nil
 }

@@ -10,6 +10,7 @@ import (
 	"hgs/internal/delta"
 	"hgs/internal/graph"
 	"hgs/internal/kvstore"
+	"hgs/internal/temporal"
 )
 
 func mkDelta(id graph.NodeID) *delta.Delta {
@@ -20,7 +21,7 @@ func mkDelta(id graph.NodeID) *delta.Delta {
 	return d
 }
 
-func encDelta(t *testing.T, d *delta.Delta) []byte {
+func encDelta(t testing.TB, d *delta.Delta) []byte {
 	t.Helper()
 	blob, err := codec.Codec{}.EncodeDelta(d)
 	if err != nil {
@@ -29,18 +30,82 @@ func encDelta(t *testing.T, d *delta.Delta) []byte {
 	return blob
 }
 
+func mkEvents(pid, n int) []graph.Event {
+	evs := make([]graph.Event, n)
+	for i := range evs {
+		evs[i] = graph.Event{
+			Time: temporal.Time(100*pid + i),
+			Kind: graph.AddNode,
+			Node: graph.NodeID(pid*1000 + i),
+		}
+	}
+	return evs
+}
+
+// partTables are the four tables whose rows decode into parts: two of
+// micro-deltas, two of micro-eventlists.
+var partTables = []string{TableDeltas, TableAux, TableEvents, TableAuxEvents}
+
+// mkPart returns a decoded part of the kind table holds, distinct per
+// (pid, n): a one-node micro-delta, or an n-event micro-eventlist.
+func mkPart(table string, pid, n int) Part {
+	if isEventTable(table) {
+		return Part{PID: pid, Events: mkEvents(pid, n)}
+	}
+	return Part{PID: pid, Delta: mkDelta(graph.NodeID(pid*1000 + n))}
+}
+
+// encPart encodes a part's payload as its table stores it.
+func encPart(t testing.TB, p Part) []byte {
+	t.Helper()
+	if p.Delta != nil {
+		return encDelta(t, p.Delta)
+	}
+	blob, err := codec.Codec{}.EncodeEvents(p.Events)
+	if err != nil {
+		t.Fatalf("EncodeEvents: %v", err)
+	}
+	return blob
+}
+
+// samePart reports whether two parts carry the same pid and payload.
+func samePart(a, b Part) bool {
+	if a.PID != b.PID || (a.Delta == nil) != (b.Delta == nil) || len(a.Events) != len(b.Events) {
+		return false
+	}
+	if a.Delta != nil && !a.Delta.Equal(b.Delta) {
+		return false
+	}
+	for i := range a.Events {
+		if a.Events[i] != b.Events[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// wantEventHits is how many eventlist hits n positive hits on table
+// should count: all of them on the eventlist tables, none elsewhere.
+func wantEventHits(table string, n int64) int64 {
+	if isEventTable(table) {
+		return n
+	}
+	return 0
+}
+
 func TestPlanDedup(t *testing.T) {
 	p := NewPlan()
 	for i := 0; i < 3; i++ {
 		p.DeltaGroup(0, 1, 2)
 		p.DeltaGroup(0, 1, 3)
-		p.DeltaPart(0, 1, 2, 7)
+		p.Part(TableDeltas, 0, 1, 2, 7)
+		p.Group(TableEvents, 0, 1, 2)
 		p.Get(TableEvents, "pk", "ck")
 		p.Get(TableEvents, "pk", "ck2")
 		p.Scan(TableEvents, "pk", "e00001/")
 	}
 	groups, parts, gets, scans := p.Size()
-	if groups != 2 || parts != 1 || gets != 2 || scans != 1 {
+	if groups != 3 || parts != 1 || gets != 2 || scans != 1 {
 		t.Fatalf("dedup failed: groups=%d parts=%d gets=%d scans=%d", groups, parts, gets, scans)
 	}
 	if p.Empty() {
@@ -71,42 +136,71 @@ func TestParsePID(t *testing.T) {
 	}
 }
 
+// TestCacheGroupAndPartLookups pins the lookup contract of every part
+// table: an incomplete entry answers only its resident pids, a complete
+// one serves the whole group pid-ascending and knows absence, hits on
+// micro-eventlists count as eventlist hits, and no table's entry
+// answers for another table's key space.
 func TestCacheGroupAndPartLookups(t *testing.T) {
-	c := NewCache(1 << 20)
-	k := GroupKey{TableDeltas, 0, 1, 2}
+	for _, table := range partTables {
+		t.Run(table, func(t *testing.T) {
+			c := NewCache(1 << 20)
+			k := GroupKey{table, 0, 1, 2}
+			pk := func(pid int) PartKey { return PartKey{table, 0, 1, 2, pid} }
 
-	if _, ok := c.Group(k); ok {
-		t.Fatal("empty cache should miss")
-	}
-	// An incomplete entry (point-read population) must not answer group
-	// lookups, and must not claim absence for other pids.
-	c.AddPart(PartKey{TableDeltas, 0, 1, 2, 5}, mkDelta(5), 100)
-	if _, ok := c.Group(k); ok {
-		t.Fatal("incomplete entry must miss group lookups")
-	}
-	if d, known := c.Part(PartKey{TableDeltas, 0, 1, 2, 5}); !known || d == nil {
-		t.Fatal("cached part should hit")
-	}
-	if _, known := c.Part(PartKey{TableDeltas, 0, 1, 2, 6}); known {
-		t.Fatal("incomplete entry must not claim absence of pid 6")
-	}
+			if _, ok := c.Group(k); ok {
+				t.Fatal("empty cache should miss")
+			}
+			// An incomplete entry (point-read population) must not answer
+			// group lookups, and must not claim absence for other pids.
+			p5 := mkPart(table, 5, 5)
+			c.AddPart(pk(5), p5, 100)
+			if _, ok := c.Group(k); ok {
+				t.Fatal("incomplete entry must miss group lookups")
+			}
+			if p, found, known := c.Part(pk(5)); !found || !known || !samePart(p, p5) {
+				t.Fatalf("cached part = %+v found=%v known=%v", p, found, known)
+			}
+			if _, found, known := c.Part(pk(6)); found || known {
+				t.Fatal("incomplete entry must not claim absence of pid 6")
+			}
 
-	// A complete entry serves the group and knows absence.
-	c.AddGroup(k, []Part{{PID: 3, Delta: mkDelta(3)}, {PID: 1, Delta: mkDelta(1)}}, []int64{10, 10})
-	parts, ok := c.Group(k)
-	if !ok || len(parts) != 2 || parts[0].PID != 1 || parts[1].PID != 3 {
-		t.Fatalf("group lookup = %v, %v; want pids [1 3]", parts, ok)
-	}
-	if d, known := c.Part(PartKey{TableDeltas, 0, 1, 2, 3}); !known || d == nil {
-		t.Fatal("part of complete group should hit")
-	}
-	if d, known := c.Part(PartKey{TableDeltas, 0, 1, 2, 9}); !known || d != nil {
-		t.Fatal("complete group should authoritatively report pid 9 absent")
-	}
+			// A complete entry serves the group and knows absence. Install
+			// pid-descending; lookups must come back pid-ascending.
+			p1, p3 := mkPart(table, 1, 3), mkPart(table, 3, 4)
+			c.AddGroup(k, []Part{p3, p1}, []int64{10, 10})
+			parts, ok := c.Group(k)
+			if !ok || len(parts) != 2 || !samePart(parts[0], p1) || !samePart(parts[1], p3) {
+				t.Fatalf("group lookup = %+v, %v; want pids [1 3]", parts, ok)
+			}
+			if p, found, known := c.Part(pk(3)); !found || !known || !samePart(p, p3) {
+				t.Fatalf("part of complete group = %+v found=%v known=%v", p, found, known)
+			}
+			if _, found, known := c.Part(pk(9)); found || !known {
+				t.Fatal("complete group should authoritatively report pid 9 absent")
+			}
+			// The same coordinates under any other table are a different
+			// key space.
+			for _, other := range partTables {
+				if other == table {
+					continue
+				}
+				if _, ok := c.Group(GroupKey{other, 0, 1, 2}); ok {
+					t.Fatalf("%s entry answered for %s", table, other)
+				}
+			}
 
-	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 || st.Entries != 1 {
-		t.Fatalf("unexpected stats: %+v", st)
+			st := c.Stats()
+			if st.Hits != 3 || st.Misses == 0 || st.Entries != 1 {
+				t.Fatalf("unexpected stats: %+v", st)
+			}
+			if want := wantEventHits(table, st.Hits); st.EventlistHits != want {
+				t.Fatalf("EventlistHits = %d, want %d", st.EventlistHits, want)
+			}
+			if st.NegativeHits == 0 {
+				t.Fatal("complete-group absence answer did not count as a negative hit")
+			}
+		})
 	}
 }
 
@@ -166,10 +260,14 @@ func TestNilCacheIsDisabled(t *testing.T) {
 		t.Fatal("NewCache(0) should disable caching")
 	}
 	c.AddGroup(GroupKey{}, nil, nil)
-	c.AddPart(PartKey{}, nil, 0)
+	c.AddPart(PartKey{}, Part{}, 0)
+	c.AddNegative(PartKey{})
 	c.Purge()
 	if _, ok := c.Group(GroupKey{}); ok {
 		t.Fatal("nil cache must always miss")
+	}
+	if _, _, known := c.Part(PartKey{}); known {
+		t.Fatal("nil cache must never claim an answer")
 	}
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
@@ -229,7 +327,7 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 
 	plan := NewPlan()
 	plan.DeltaGroup(0, 0, 0)
-	plan.DeltaPart(0, 0, 1, 0)
+	plan.Part(TableDeltas, 0, 0, 1, 0)
 	plan.Get(TableEvents, PlacementKey(0, 0), EventCKey(0, 0))
 	plan.Scan(TableEvents, PlacementKey(0, 0), EventPrefix(0))
 
@@ -237,13 +335,13 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if parts := res.Group(0, 0, 0); len(parts) != 2 || parts[0].PID != 0 || parts[1].PID != 1 {
+	if parts := res.Group(TableDeltas, 0, 0, 0); len(parts) != 2 || parts[0].PID != 0 || parts[1].PID != 1 {
 		t.Fatalf("group result = %+v", parts)
 	}
-	if d := res.Part(0, 0, 1, 0); d == nil || !d.Equal(d1) {
-		t.Fatalf("part result = %v", d)
+	if p, ok := res.Part(TableDeltas, 0, 0, 1, 0); !ok || !p.Delta.Equal(d1) {
+		t.Fatalf("part result = %+v", p)
 	}
-	if d := res.Part(0, 0, 1, 9); d != nil {
+	if _, ok := res.Part(TableDeltas, 0, 0, 1, 9); ok {
 		t.Fatal("unplanned part should be absent")
 	}
 	if _, ok := res.Get(TableEvents, PlacementKey(0, 0), EventCKey(0, 0)); !ok {
@@ -259,7 +357,7 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 	// Warm rerun of the delta-only plan: no store traffic at all.
 	warm := NewPlan()
 	warm.DeltaGroup(0, 0, 0)
-	warm.DeltaPart(0, 0, 1, 0)
+	warm.Part(TableDeltas, 0, 0, 1, 0)
 	res2, err := ex.Exec(warm, 2)
 	if err != nil {
 		t.Fatalf("warm Exec: %v", err)
@@ -267,11 +365,11 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 	if st.gets != 1 || st.scans != 1 {
 		t.Fatalf("warm exec hit the store (gets=%d scans=%d)", st.gets, st.scans)
 	}
-	if parts := res2.Group(0, 0, 0); len(parts) != 2 {
+	if parts := res2.Group(TableDeltas, 0, 0, 0); len(parts) != 2 {
 		t.Fatalf("warm group result = %+v", parts)
 	}
-	if d := res2.Part(0, 0, 1, 0); d == nil || !d.Equal(d1) {
-		t.Fatalf("warm part result = %v", d)
+	if p, ok := res2.Part(TableDeltas, 0, 0, 1, 0); !ok || !p.Delta.Equal(d1) {
+		t.Fatalf("warm part result = %+v", p)
 	}
 	if hits := ex.Cache().Stats().Hits; hits < 2 {
 		t.Fatalf("cache hits = %d, want >= 2", hits)
@@ -289,7 +387,7 @@ func TestExecutorWithoutCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec: %v", err)
 		}
-		if parts := res.Group(0, 0, 0); len(parts) != 1 {
+		if parts := res.Group(TableDeltas, 0, 0, 0); len(parts) != 1 {
 			t.Fatalf("group result = %+v", parts)
 		}
 	}
@@ -298,28 +396,55 @@ func TestExecutorWithoutCache(t *testing.T) {
 	}
 }
 
+// TestExecutorKnownAbsentPart pins the executor's cache integration on
+// every part table: a planned group decodes once and comes back
+// pid-ascending, the warm rerun is served entirely from the cache (no
+// store traffic, eventlist hits counted on the eventlist tables), and a
+// point read of a pid the scanned group provably lacks never reaches
+// the store.
 func TestExecutorKnownAbsentPart(t *testing.T) {
-	st := newFakeStore()
-	st.put(TableDeltas, PlacementKey(0, 0), DeltaCKey(0, 0), encDelta(t, mkDelta(1)))
-	ex := NewExecutor(st, codec.Codec{}, NewCache(1<<20))
-	// Scan the group first: the cache learns the complete pid set.
-	p1 := NewPlan()
-	p1.DeltaGroup(0, 0, 0)
-	if _, err := ex.Exec(p1, 1); err != nil {
-		t.Fatal(err)
-	}
-	// A part the group provably lacks must not trigger a store read.
-	p2 := NewPlan()
-	p2.DeltaPart(0, 0, 0, 42)
-	res, err := ex.Exec(p2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := res.Part(0, 0, 0, 42); d != nil {
-		t.Fatal("absent part returned a delta")
-	}
-	if st.gets != 0 {
-		t.Fatalf("known-absent part read the store (%d gets)", st.gets)
+	for _, table := range partTables {
+		t.Run(table, func(t *testing.T) {
+			st := newFakeStore()
+			p0, p1 := mkPart(table, 0, 4), mkPart(table, 1, 6)
+			for _, p := range []Part{p1, p0} {
+				st.rows[PartKey{table, 0, 0, 2, p.PID}.keyRef()] = encPart(t, p)
+			}
+			ex := NewExecutor(st, codec.Codec{}, NewCache(1<<20))
+			// Scan the group twice: the cache learns the complete pid set
+			// and serves the rerun.
+			for pass := 0; pass < 2; pass++ {
+				plan := NewPlan()
+				plan.Group(table, 0, 0, 2)
+				res, err := ex.Exec(plan, 2)
+				if err != nil {
+					t.Fatalf("Exec: %v", err)
+				}
+				parts := res.Group(table, 0, 0, 2)
+				if len(parts) != 2 || !samePart(parts[0], p0) || !samePart(parts[1], p1) {
+					t.Fatalf("pass %d: group = %+v", pass, parts)
+				}
+			}
+			if st.scans != 1 {
+				t.Fatalf("group scanned %d times; the cache should serve the rerun", st.scans)
+			}
+			if cs := ex.Cache().Stats(); cs.EventlistHits != wantEventHits(table, cs.Hits) || cs.Hits == 0 {
+				t.Fatalf("warm rerun stats = %+v", cs)
+			}
+			// A part the group provably lacks must not trigger a store read.
+			p2 := NewPlan()
+			p2.Part(table, 0, 0, 2, 42)
+			res, err := ex.Exec(p2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := res.Part(table, 0, 0, 2, 42); ok {
+				t.Fatal("absent part returned a value")
+			}
+			if st.gets != 0 {
+				t.Fatalf("known-absent part read the store (%d gets)", st.gets)
+			}
+		})
 	}
 }
 
@@ -330,15 +455,15 @@ func TestExecutorCachesAuxParts(t *testing.T) {
 	ex := NewExecutor(st, codec.Codec{}, NewCache(1<<20))
 	for i := 0; i < 2; i++ {
 		plan := NewPlan()
-		plan.AuxPart(0, 1, 2, 3)
+		plan.Part(TableAux, 0, 1, 2, 3)
 		res, err := ex.Exec(plan, 1)
 		if err != nil {
 			t.Fatalf("Exec: %v", err)
 		}
-		if got := res.AuxPart(0, 1, 2, 3); got == nil || !got.Equal(d) {
-			t.Fatalf("aux part result = %v", got)
+		if got, ok := res.Part(TableAux, 0, 1, 2, 3); !ok || !got.Delta.Equal(d) {
+			t.Fatalf("aux part result = %+v", got)
 		}
-		if got := res.Part(0, 1, 2, 3); got != nil {
+		if _, ok := res.Part(TableDeltas, 0, 1, 2, 3); ok {
 			t.Fatal("aux row leaked into the deltas key space")
 		}
 	}
@@ -375,16 +500,16 @@ func TestCacheRejectsOversizedEntries(t *testing.T) {
 	}
 
 	// AddPart: a part that alone exceeds the budget is refused too.
-	c.AddPart(PartKey{TableDeltas, 0, 0, 98, 0}, mkDelta(98), 64*1024)
-	if _, known := c.Part(PartKey{TableDeltas, 0, 0, 98, 0}); known {
+	c.AddPart(PartKey{TableDeltas, 0, 0, 98, 0}, Part{Delta: mkDelta(98)}, 64*1024)
+	if _, _, known := c.Part(PartKey{TableDeltas, 0, 0, 98, 0}); known {
 		t.Fatal("oversized part admitted")
 	}
 	// And a part that would push an existing group past the budget is
 	// refused while the group's resident parts keep serving.
 	grow := PartKey{TableDeltas, 0, 0, 97, 0}
-	c.AddPart(grow, mkDelta(97), 512)
-	c.AddPart(PartKey{TableDeltas, 0, 0, 97, 1}, mkDelta(97), 64*1024)
-	if d, known := c.Part(grow); !known || d == nil {
+	c.AddPart(grow, Part{Delta: mkDelta(97)}, 512)
+	c.AddPart(PartKey{TableDeltas, 0, 0, 97, 1}, Part{Delta: mkDelta(97)}, 64*1024)
+	if _, found, known := c.Part(grow); !known || !found {
 		t.Fatal("rejecting an oversized sibling dropped the resident part")
 	}
 	if st := c.Stats(); st.Oversized != 3 {
@@ -395,39 +520,55 @@ func TestCacheRejectsOversizedEntries(t *testing.T) {
 	}
 }
 
+// TestCacheNegativeMarkers pins the point-read lifecycle on every part
+// table: negative markers record absence without claiming siblings or
+// completeness, a later install of the marked row drops the stale
+// marker and serves it, Purge drops markers, and an empty complete
+// group is a group-wide absence answer.
 func TestCacheNegativeMarkers(t *testing.T) {
-	c := NewCache(1 << 20)
-	k := PartKey{TableDeltas, 0, 1, 2, 5}
-	if _, known := c.Part(k); known {
-		t.Fatal("empty cache must not claim absence")
-	}
-	c.AddNegative(k)
-	d, known := c.Part(k)
-	if !known || d != nil {
-		t.Fatal("negative marker should answer absence authoritatively")
-	}
-	st := c.Stats()
-	if st.NegativeHits != 1 {
-		t.Fatalf("NegativeHits = %d, want 1", st.NegativeHits)
-	}
-	// A marker must not block siblings or claim completeness.
-	if _, known := c.Part(PartKey{TableDeltas, 0, 1, 2, 6}); known {
-		t.Fatal("marker for pid 5 must not claim absence of pid 6")
-	}
-	if _, ok := c.Group(GroupKey{TableDeltas, 0, 1, 2}); ok {
-		t.Fatal("an entry holding only markers must not answer group lookups")
-	}
-	// The row appearing later overrides the stale marker.
-	c.AddPart(k, mkDelta(5), 100)
-	if d, known := c.Part(k); !known || d == nil {
-		t.Fatal("resident part must override the stale marker")
-	}
-	// Purge drops markers like positive entries.
-	k9 := PartKey{TableDeltas, 0, 1, 2, 9}
-	c.AddNegative(k9)
-	c.Purge()
-	if _, known := c.Part(k9); known {
-		t.Fatal("purge must drop negative markers")
+	for _, table := range partTables {
+		t.Run(table, func(t *testing.T) {
+			c := NewCache(1 << 20)
+			k := PartKey{table, 0, 1, 2, 5}
+			if _, _, known := c.Part(k); known {
+				t.Fatal("empty cache must not claim absence")
+			}
+			c.AddNegative(k)
+			if _, found, known := c.Part(k); !known || found {
+				t.Fatal("negative marker should answer absence authoritatively")
+			}
+			st := c.Stats()
+			if st.NegativeHits != 1 {
+				t.Fatalf("NegativeHits = %d, want 1", st.NegativeHits)
+			}
+			// A marker must not block siblings or claim completeness.
+			if _, _, known := c.Part(PartKey{table, 0, 1, 2, 6}); known {
+				t.Fatal("marker for pid 5 must not claim absence of pid 6")
+			}
+			if _, ok := c.Group(GroupKey{table, 0, 1, 2}); ok {
+				t.Fatal("an entry holding only markers must not answer group lookups")
+			}
+			// The row appearing later (Append wrote it) overrides the stale
+			// marker and serves its value.
+			p5 := mkPart(table, 5, 2)
+			c.AddPart(k, p5, 100)
+			if p, found, known := c.Part(k); !known || !found || !samePart(p, p5) {
+				t.Fatalf("after marker clear: %+v found=%v known=%v", p, found, known)
+			}
+			// Purge drops markers like positive entries.
+			k9 := PartKey{table, 0, 1, 2, 9}
+			c.AddNegative(k9)
+			c.Purge()
+			if _, _, known := c.Part(k9); known {
+				t.Fatal("purge must drop negative markers")
+			}
+			// An empty complete group is a group-wide absence answer.
+			empty := GroupKey{table, 9, 9, 9}
+			c.AddGroup(empty, nil, nil)
+			if parts, ok := c.Group(empty); !ok || len(parts) != 0 {
+				t.Fatalf("empty complete group: parts=%v ok=%v", parts, ok)
+			}
+		})
 	}
 }
 
@@ -499,7 +640,7 @@ func TestExecutorNegativeCachesAbsentParts(t *testing.T) {
 	st := newFakeStore()
 	ex := NewExecutor(st, codec.Codec{}, NewCache(1<<20))
 	plan := NewPlan()
-	plan.DeltaPart(0, 0, 0, 7)
+	plan.Part(TableDeltas, 0, 0, 0, 7)
 
 	tr := &Trace{}
 	if _, err := ex.ExecCtx(context.Background(), plan, 1, tr); err != nil {
@@ -521,7 +662,7 @@ func TestExecutorNegativeCachesAbsentParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Part(0, 0, 0, 7); d != nil {
+	if _, ok := res.Part(TableDeltas, 0, 0, 0, 7); ok {
 		t.Fatal("absent part returned a delta")
 	}
 	if st.gets != 1 {
@@ -558,7 +699,7 @@ func TestCacheProtectedGrowthRebalances(t *testing.T) {
 		c.Group(keys[i]) // promote
 	}
 	for pid := 1; pid <= 6; pid++ {
-		c.AddPart(PartKey{TableDeltas, 0, 0, 1, pid}, mkDelta(1), 1024)
+		c.AddPart(PartKey{TableDeltas, 0, 0, 1, pid}, Part{Delta: mkDelta(1)}, 1024)
 	}
 	st := c.Stats()
 	if st.ProtectedBytes > protMax {
@@ -584,5 +725,43 @@ func TestCacheProtectedGrowthRebalances(t *testing.T) {
 	}
 	if _, ok := c2.Group(g2); !ok {
 		t.Fatal("demoted entry was lost instead of moved to probation")
+	}
+}
+
+// TestCacheAdaptiveProtectedShare pins the adaptation loop: a workload
+// whose hits land in probation (fresh entries proving reuse) shrinks
+// the protected share below its initial value; a workload hammering
+// one resident hot entry grows it toward the ceiling.
+func TestCacheAdaptiveProtectedShare(t *testing.T) {
+	// Shrink: every hit is a fresh probation entry's first (promoting)
+	// hit, so probation wins each adaptation window outright.
+	c := NewCache(1 << 20)
+	for i := 0; i < 3*adaptWindow; i++ {
+		k := PartKey{TableDeltas, 0, 0, i, 0}
+		c.AddPart(k, Part{Delta: mkDelta(graph.NodeID(i))}, 16)
+		if _, _, known := c.Part(k); !known {
+			t.Fatalf("fresh part %d missed", i)
+		}
+	}
+	if got := c.Stats().ProtectedShare; got >= initialProtectedShare {
+		t.Fatalf("probation-dominated workload: share = %.2f, want < %.2f", got, initialProtectedShare)
+	}
+
+	// Grow: after the first promoting hit, every hit lands in the
+	// protected segment, so protection wins each window.
+	c = NewCache(1 << 20)
+	k := PartKey{TableDeltas, 0, 0, 0, 0}
+	c.AddPart(k, Part{Delta: mkDelta(1)}, 16)
+	for i := 0; i < 3*adaptWindow; i++ {
+		if _, _, known := c.Part(k); !known {
+			t.Fatal("hot part missed")
+		}
+	}
+	st := c.Stats()
+	if st.ProtectedShare <= initialProtectedShare {
+		t.Fatalf("protected-dominated workload: share = %.2f, want > %.2f", st.ProtectedShare, initialProtectedShare)
+	}
+	if st.ProtectedShare > maxProtectedShare+1e-9 || st.ProtectedShare < minProtectedShare-1e-9 {
+		t.Fatalf("share %.2f escaped [%.2f, %.2f]", st.ProtectedShare, minProtectedShare, maxProtectedShare)
 	}
 }

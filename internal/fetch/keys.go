@@ -1,19 +1,25 @@
 // Package fetch is the unified retrieval layer of the Temporal Graph
 // Index: the query-manager half that turns a logical retrieval into a
 // deduplicated read plan, and the executor half that runs the plan with
-// batched key-value reads and a decoded-delta cache (paper Figure 3c).
+// batched key-value reads and a cache of decoded parts (paper Figure
+// 3c).
 //
 // A retrieval site builds a Plan naming what it needs in logical
-// coordinates — whole micro-delta groups (every micro-partition of one
-// tree delta), single micro-deltas, raw point reads and prefix scans —
-// with duplicates collapsed as they are added. The Executor then serves
-// delta requests out of a bytes-bounded LRU of decoded deltas and issues
-// the rest as kvstore batched gets and scans, paying one simulated
-// network round-trip per storage node instead of one per key. Hot
-// root-path deltas, which every snapshot and micro-partition fetch of a
-// timespan shares ("Efficient Snapshot Retrieval over Historical Graph
-// Data", Khurana & Deshpande), are therefore decoded once and shared
-// across queries and analytics workers.
+// coordinates — whole groups (every micro-partition of one tree delta or
+// one boundary eventlist), single parts, raw point reads and prefix
+// scans — with duplicates collapsed as they are added. Micro-deltas and
+// micro-eventlists are one kind of request and one kind of cached entry
+// (a Part: pid plus decoded value); only the row's table decides its key
+// shape and decoder, as deltas and eventlists are two edge kinds of one
+// hierarchy in DeltaGraph. The Executor serves those requests out of a
+// bytes-bounded segmented LRU of decoded parts and issues the rest as
+// kvstore batched gets and scans, paying one simulated network
+// round-trip per storage node instead of one per key. Hot root-path
+// deltas and boundary eventlists, which every snapshot and
+// micro-partition fetch of a timespan shares ("Efficient Snapshot
+// Retrieval over Historical Graph Data", Khurana & Deshpande), are
+// therefore decoded once and shared across queries and analytics
+// workers.
 package fetch
 
 import (
@@ -62,9 +68,6 @@ func EventPrefix(el int) string { return fmt.Sprintf("e%05d/", el) }
 // NodeCKey is the clustering key of per-node rows (version chains,
 // micro-partition maps).
 func NodeCKey(id graph.NodeID) string { return fmt.Sprintf("n%020d", uint64(id)) }
-
-// TimespanPKey is the partition key of a timespan's metadata row.
-func TimespanPKey(tsid int) string { return fmt.Sprintf("t%05d", tsid) }
 
 // ParsePID extracts the micro-partition id from a delta or eventlist
 // clustering key ("d00003/p00017" → 17).

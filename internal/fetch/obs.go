@@ -2,7 +2,7 @@ package fetch
 
 import "hgs/internal/obs"
 
-// RegisterObs registers the decoded-delta cache counters into r as
+// RegisterObs registers the decoded-part cache counters into r as
 // func-backed families sampled at exposition/snapshot time — the same
 // numbers CacheStats reports, under stable Prometheus names. A nil
 // cache (caching disabled) registers nothing; registering the same
@@ -16,10 +16,10 @@ func (c *Cache) RegisterObs(r *obs.Registry) {
 		return func() float64 { return float64(get(c.Stats())) }
 	}
 	r.CounterFunc("hgs_cache_hits_total",
-		"Positive decoded-delta cache answers (a resident delta or non-empty group).",
+		"Positive decoded-part cache answers (a resident part or non-empty group).",
 		stat(func(s CacheStats) int64 { return s.Hits }))
 	r.CounterFunc("hgs_cache_misses_total",
-		"Delta requests the cache could not answer.",
+		"Group and part requests the cache could not answer.",
 		stat(func(s CacheStats) int64 { return s.Misses }))
 	r.CounterFunc("hgs_cache_negative_hits_total",
 		"Authoritative absence answers — each one an absent-row KV read not issued.",

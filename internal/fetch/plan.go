@@ -6,20 +6,20 @@ import (
 	"hgs/internal/kvstore"
 )
 
-// GroupKey names one tree delta within a horizontal partition: every
-// micro-delta sharing the DeltaPrefix(DID) under PlacementKey(TSID, SID)
-// of one delta-bearing table (TableDeltas, or TableAux where DID is the
-// leaf index). This is the caching granularity — a snapshot wants all of
-// it, a micro-partition fetch wants one pid of it. For the eventlist
-// tables (TableEvents, TableAuxEvents) DID is the eventlist index and
-// the group is one boundary eventlist's micro-eventlists.
+// GroupKey names one group of parts within a horizontal partition:
+// for the delta tables (TableDeltas, or TableAux where DID is the leaf
+// index) every micro-delta of one tree delta, under DeltaPrefix(DID);
+// for the eventlist tables (TableEvents, TableAuxEvents, DID the
+// eventlist index) every micro-eventlist of one boundary eventlist,
+// under EventPrefix(DID). This is the caching granularity — a snapshot
+// wants all of it, a micro-partition fetch wants one pid of it.
 type GroupKey struct {
 	Table          string
 	TSID, SID, DID int
 }
 
-// PartKey names a single micro-delta (or micro-eventlist, for the
-// eventlist tables).
+// PartKey names a single micro-delta or micro-eventlist (the table says
+// which).
 type PartKey struct {
 	Table               string
 	TSID, SID, DID, PID int
@@ -27,8 +27,9 @@ type PartKey struct {
 
 func (p PartKey) group() GroupKey { return GroupKey{p.Table, p.TSID, p.SID, p.DID} }
 
-// isEventTable reports whether a table stores micro-eventlists (decoded
-// as event slices) rather than micro-deltas.
+// isEventTable reports whether a table stores micro-eventlists rather
+// than micro-deltas — the one fork of the read path, deciding key shape
+// and decoder.
 func isEventTable(table string) bool {
 	return table == TableEvents || table == TableAuxEvents
 }
@@ -75,10 +76,12 @@ func NewPlan() *Plan {
 	}
 }
 
-// DeltaGroup requests every micro-delta of tree delta did (one prefix
-// scan, or a cache hit when the whole group is resident).
-func (p *Plan) DeltaGroup(tsid, sid, did int) {
-	k := GroupKey{TableDeltas, tsid, sid, did}
+// Group requests every part of one group (one prefix scan, or a cache
+// hit when the whole group is resident): a tree delta's micro-deltas or
+// a boundary eventlist's micro-eventlists. table is one of the delta or
+// eventlist tables.
+func (p *Plan) Group(table string, tsid, sid, did int) {
+	k := GroupKey{table, tsid, sid, did}
 	if _, ok := p.groupSet[k]; ok {
 		return
 	}
@@ -86,50 +89,16 @@ func (p *Plan) DeltaGroup(tsid, sid, did int) {
 	p.groups = append(p.groups, k)
 }
 
-// DeltaPart requests one micro-delta. A part already covered by a
-// requested group is still planned independently — the group scan and
-// the point read deduplicate at the cache, not the plan (plans mixing
-// both for the same delta are not produced by the query sites).
-func (p *Plan) DeltaPart(tsid, sid, did, pid int) {
-	p.part(PartKey{TableDeltas, tsid, sid, did, pid})
-}
+// DeltaGroup requests every micro-delta of tree delta did.
+func (p *Plan) DeltaGroup(tsid, sid, did int) { p.Group(TableDeltas, tsid, sid, did) }
 
-// AuxPart requests one auxiliary frontier micro-delta (1-hop
-// replication): the TableAux row at DeltaCKey(leaf, pid). Aux deltas
-// share the decoded cache with tree deltas — hot frontier rows are
-// decoded once across queries.
-func (p *Plan) AuxPart(tsid, sid, leaf, pid int) {
-	p.part(PartKey{TableAux, tsid, sid, leaf, pid})
-}
-
-// EventGroup requests every micro-eventlist of boundary eventlist el
-// (one prefix scan, or a cache hit when the list is resident). Decoded
-// eventlists ride the same segmented-LRU cache as deltas, so warm
-// snapshot queries stop re-reading and re-decoding their boundary
-// replay rows.
-func (p *Plan) EventGroup(tsid, sid, el int) {
-	k := GroupKey{TableEvents, tsid, sid, el}
-	if _, ok := p.groupSet[k]; ok {
-		return
-	}
-	p.groupSet[k] = struct{}{}
-	p.groups = append(p.groups, k)
-}
-
-// EventPart requests one micro-eventlist: the TableEvents row at
-// EventCKey(el, pid). Absent rows install negative markers like absent
-// micro-deltas do.
-func (p *Plan) EventPart(tsid, sid, el, pid int) {
-	p.part(PartKey{TableEvents, tsid, sid, el, pid})
-}
-
-// AuxEventPart requests one auxiliary frontier micro-eventlist (1-hop
-// replication): the TableAuxEvents row at EventCKey(el, pid).
-func (p *Plan) AuxEventPart(tsid, sid, el, pid int) {
-	p.part(PartKey{TableAuxEvents, tsid, sid, el, pid})
-}
-
-func (p *Plan) part(k PartKey) {
+// Part requests one micro-delta or micro-eventlist. Absent rows install
+// negative markers. A part already covered by a requested group is still
+// planned independently — the group scan and the point read deduplicate
+// at the cache, not the plan (plans mixing both for the same group are
+// not produced by the query sites).
+func (p *Plan) Part(table string, tsid, sid, did, pid int) {
+	k := PartKey{table, tsid, sid, did, pid}
 	if _, ok := p.partSet[k]; ok {
 		return
 	}
@@ -137,8 +106,8 @@ func (p *Plan) part(k PartKey) {
 	p.parts = append(p.parts, k)
 }
 
-// Get requests one raw row (version chains, eventlists, aux rows —
-// anything that is not a cached delta).
+// Get requests one raw row (version chains, metadata — anything that
+// is not a cached part).
 func (p *Plan) Get(table, pkey, ckey string) {
 	k := kvstore.KeyRef{Table: table, PKey: pkey, CKey: ckey}
 	if _, ok := p.getSet[k]; ok {
@@ -169,36 +138,28 @@ func (p *Plan) Empty() bool {
 	return len(p.groups) == 0 && len(p.parts) == 0 && len(p.gets) == 0 && len(p.scans) == 0
 }
 
-// Part is one decoded micro-delta of a group, identified by pid.
+// Part is one decoded row of a group, identified by pid: a micro-delta
+// (Delta) for the delta tables, a micro-eventlist (Events, never nil)
+// for the eventlist tables.
 type Part struct {
-	PID   int
-	Delta *delta.Delta
-}
-
-// EventPart is one decoded micro-eventlist of a boundary eventlist,
-// identified by pid. Events are shared read-only when the cache is
-// enabled: filter them into new slices, never mutate or re-sort in
-// place.
-type EventPart struct {
 	PID    int
+	Delta  *delta.Delta
 	Events []graph.Event
 }
 
 // Result answers an executed plan. When the executor runs with a cache,
-// deltas returned through Group and Part are owned by the cache and
+// parts returned through Group and Part are owned by the cache and
 // shared across queries: callers must treat them as immutable — merge
-// them into graphs with Merge (or Delta.ApplyTo, which clones), never
-// Delta.MoveTo. With caching disabled every delta is a private decode
-// and Merge transfers ownership instead of cloning. Decoded event
-// slices (EventGroup/EventPart/AuxEventPart) are always read-only.
+// deltas into graphs with Merge (or Delta.ApplyTo, which clones), never
+// Delta.MoveTo, and filter event slices into new ones. With caching
+// disabled every delta is a private decode and Merge transfers ownership
+// instead of cloning.
 type Result struct {
-	groups      map[GroupKey][]Part
-	parts       map[PartKey]*delta.Delta
-	eventGroups map[GroupKey][]EventPart
-	eventParts  map[PartKey][]graph.Event
-	gets        map[kvstore.KeyRef][]byte
-	scans       map[kvstore.ScanRef][]kvstore.Row
-	// shared records that deltas are (or may be) cache-resident.
+	groups map[GroupKey][]Part
+	parts  map[PartKey]Part
+	gets   map[kvstore.KeyRef][]byte
+	scans  map[kvstore.ScanRef][]kvstore.Row
+	// shared records that parts are (or may be) cache-resident.
 	shared bool
 }
 
@@ -214,39 +175,16 @@ func (r *Result) Merge(d *delta.Delta, g *graph.Graph) {
 	}
 }
 
-// Group returns the micro-deltas of a requested group, pid-ascending.
-func (r *Result) Group(tsid, sid, did int) []Part {
-	return r.groups[GroupKey{TableDeltas, tsid, sid, did}]
+// Group returns the parts of a requested group, pid-ascending.
+func (r *Result) Group(table string, tsid, sid, did int) []Part {
+	return r.groups[GroupKey{table, tsid, sid, did}]
 }
 
-// Part returns a requested micro-delta, nil when the row does not exist.
-func (r *Result) Part(tsid, sid, did, pid int) *delta.Delta {
-	return r.parts[PartKey{TableDeltas, tsid, sid, did, pid}]
-}
-
-// AuxPart returns a requested auxiliary micro-delta, nil when absent.
-func (r *Result) AuxPart(tsid, sid, leaf, pid int) *delta.Delta {
-	return r.parts[PartKey{TableAux, tsid, sid, leaf, pid}]
-}
-
-// EventGroup returns the micro-eventlists of a requested boundary
-// eventlist, pid-ascending. The event slices are read-only.
-func (r *Result) EventGroup(tsid, sid, el int) []EventPart {
-	return r.eventGroups[GroupKey{TableEvents, tsid, sid, el}]
-}
-
-// EventPart returns a requested micro-eventlist; ok is false when the
-// row does not exist. The event slice is read-only.
-func (r *Result) EventPart(tsid, sid, el, pid int) ([]graph.Event, bool) {
-	evs, ok := r.eventParts[PartKey{TableEvents, tsid, sid, el, pid}]
-	return evs, ok
-}
-
-// AuxEventPart returns a requested auxiliary micro-eventlist; ok is
-// false when the row does not exist. The event slice is read-only.
-func (r *Result) AuxEventPart(tsid, sid, el, pid int) ([]graph.Event, bool) {
-	evs, ok := r.eventParts[PartKey{TableAuxEvents, tsid, sid, el, pid}]
-	return evs, ok
+// Part returns a requested part; ok is false when the row does not
+// exist.
+func (r *Result) Part(table string, tsid, sid, did, pid int) (Part, bool) {
+	p, ok := r.parts[PartKey{table, tsid, sid, did, pid}]
+	return p, ok
 }
 
 // Get returns a requested raw row.

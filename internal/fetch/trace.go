@@ -20,7 +20,7 @@ type TableTrace struct {
 }
 
 // TraceRecord is the immutable snapshot of one retrieval's plan trace:
-// what was planned, how much of it the decoded-delta cache absorbed,
+// what was planned, how much of it the decoded-part cache absorbed,
 // and what the store round actually cost. Execs counts the plan
 // executions the retrieval issued (a snapshot runs one; a k-hop
 // expansion runs one per hop). KVReads/RoundTrips/BytesRead/SimWait are
@@ -36,9 +36,9 @@ type TraceRecord struct {
 	// Groups, Parts, Gets and Scans are the planned request counts,
 	// after plan-level deduplication.
 	Groups, Parts, Gets, Scans int
-	// CacheHits and NegativeHits are the planned delta requests answered
-	// by the cache (positively / with known absence); KVReads is the
-	// logical reads issued to the store for the rest.
+	// CacheHits and NegativeHits are the planned group and part
+	// requests answered by the cache (positively / with known absence);
+	// KVReads is the logical reads issued to the store for the rest.
 	CacheHits    int64
 	NegativeHits int64
 	KVReads      int64
@@ -133,7 +133,7 @@ func (t *Trace) addPlanned(groups, parts, gets, scans int) {
 	t.rec.Scans += scans
 }
 
-// addHit records a cache answer for one planned delta request.
+// addHit records a cache answer for one planned group or part request.
 func (t *Trace) addHit(table string, negative bool) {
 	if t == nil {
 		return
