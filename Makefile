@@ -93,8 +93,9 @@ loc:
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
 # under internal/: codec encode/decode, fetch cache and Exec, core build
-# and append. CI runs each once (BENCHTIME=1x) so they keep compiling and
-# running; for numbers use the default or e.g. BENCHTIME=2s.
+# and append, graph Density, taf Evolution. CI runs each once
+# (BENCHTIME=1x) so they keep compiling and running; for numbers use the
+# default or e.g. BENCHTIME=2s.
 BENCHTIME ?= 1s
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/...

@@ -86,7 +86,10 @@ func CompareAt(s *SoN, f func(*NodeState) float64, t1, t2 Time) []CompareRow {
 }
 
 // Evolution samples a graph-level quantity over the SoN's span at n
-// evenly spaced timepoints (or the explicit points).
+// evenly spaced timepoints (or the explicit points), chronologically.
+// One graph is rolled forward across the sorted points and handed to
+// quantity at each, so quantity must only read it (every Graph metric
+// does) and must not keep it.
 func Evolution(s *SoN, quantity func(*Graph) float64, n int, points []Time) Series {
 	return taf.Evolution(s, quantity, n, points)
 }

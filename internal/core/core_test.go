@@ -237,6 +237,33 @@ func TestNodeHistoryVersions(t *testing.T) {
 	}
 }
 
+// TestNodeHistoryStateAtOwnsState checks that StateAt hands out a state
+// the caller may mutate: Initial and later StateAt calls are unaffected.
+func TestNodeHistoryStateAtOwnsState(t *testing.T) {
+	initial := &graph.NodeState{ID: 1, Attrs: graph.Attrs{"k": "a"},
+		Edges: map[graph.EdgeKey]*graph.EdgeState{{Other: 2, Out: true}: {Attrs: graph.Attrs{"w": "1"}}}}
+	h := &NodeHistory{ID: 1, Interval: temporal.NewInterval(0, 100), Initial: initial.Clone(),
+		Events: []graph.Event{
+			{Time: 10, Kind: graph.SetNodeAttr, Node: 1, Key: "j", Value: "b"},
+			{Time: 20, Kind: graph.AddEdge, Node: 3, Other: 1},
+		}}
+	for _, tt := range []temporal.Time{0, 50} {
+		ns := h.StateAt(tt)
+		want := ns.Clone()
+		ns.Attrs["k"] = "scribbled"
+		for _, es := range ns.Edges {
+			es.Attrs = graph.Attrs{"w": "scribbled"}
+		}
+		delete(ns.Edges, graph.EdgeKey{Other: 2, Out: true})
+		if !h.Initial.Equal(initial) {
+			t.Fatalf("t=%d: mutating the state changed Initial: %+v", tt, h.Initial)
+		}
+		if again := h.StateAt(tt); !again.Equal(want) {
+			t.Fatalf("t=%d: second StateAt %+v, want %+v", tt, again, want)
+		}
+	}
+}
+
 func TestChangeTimes(t *testing.T) {
 	events := genHistory(5, 300, 20)
 	tgi := buildSmall(t, smallConfig(), events)

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hgs/internal/fetch"
 	"hgs/internal/graph"
@@ -23,29 +23,6 @@ func runParallel(ctx context.Context, c int, tasks []func() error) error {
 	return fetch.ParallelCtx(ctx, c, len(tasks), func(i int) error { return tasks[i]() })
 }
 
-// eventLess is a deterministic total order over events: by time, then by
-// the remaining fields. Original events have unique times; only the
-// build-time expansion of RemoveNode produces same-time groups, and those
-// converge to the same state under any order.
-func eventLess(a, b graph.Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Other != b.Other {
-		return a.Other < b.Other
-	}
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.Value < b.Value
-}
-
 // mergeSortEvents merges per-partition event streams into one
 // chronological stream, dropping the duplicates that arise because edge
 // events are replicated into both endpoints' micro-eventlists.
@@ -54,7 +31,7 @@ func mergeSortEvents(lists [][]graph.Event) []graph.Event {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return eventLess(all[i], all[j]) })
+	slices.SortFunc(all, graph.CompareEvents)
 	out := all[:0]
 	for i, e := range all {
 		if i > 0 && e == all[i-1] {

@@ -28,6 +28,8 @@ func (h *NodeHistory) VersionCount() int { return len(h.Events) }
 
 // StateAt replays the history to the node's state at time tt (which must
 // lie in the history's interval); nil if the node does not exist at tt.
+// The state is the caller's: the replay runs on a private clone of
+// Initial, and the private graph is dropped on return.
 func (h *NodeHistory) StateAt(tt temporal.Time) *graph.NodeState {
 	g := graph.New()
 	if h.Initial != nil {
@@ -39,11 +41,7 @@ func (h *NodeHistory) StateAt(tt temporal.Time) *graph.NodeState {
 		}
 		g.Apply(e)
 	}
-	ns := g.Node(h.ID)
-	if ns == nil {
-		return nil
-	}
-	return ns.Clone()
+	return g.Node(h.ID)
 }
 
 // Versions materializes the distinct states of the node with their

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -87,6 +88,30 @@ func (e Event) Touches(id NodeID) bool {
 		return true
 	}
 	return e.Kind.IsEdge() && e.Other == id
+}
+
+// CompareEvents is the deterministic total order over events: by time,
+// then by the remaining fields. Original events have unique times; only
+// the build-time expansion of RemoveNode produces same-time groups, and
+// those converge to the same state under any order. It orders every
+// merged event stream of the read path and of the analytics replay.
+func CompareEvents(a, b Event) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Other, b.Other); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Value, b.Value)
 }
 
 // SortEvents orders events chronologically, stably preserving the input

@@ -21,11 +21,13 @@ func (g *Graph) Density() float64 {
 	return 2 * float64(e) / (float64(n) * float64(n-1))
 }
 
-// undirectedEdgeCount counts distinct unordered adjacent pairs.
+// undirectedEdgeCount counts distinct unordered adjacent pairs. A node
+// sees each neighbor through its out-edge key, or through its in-edge key
+// when no out-edge twin exists, so reciprocal edges count once per side
+// without a per-node set.
 func (g *Graph) undirectedEdgeCount() int {
 	e := 0
 	for id, ns := range g.nodes {
-		seen := make(map[NodeID]struct{}, len(ns.Edges))
 		for k := range ns.Edges {
 			if k.Other == id { // self loop: count once via Out side
 				if k.Out {
@@ -33,8 +35,9 @@ func (g *Graph) undirectedEdgeCount() int {
 				}
 				continue
 			}
-			if _, dup := seen[k.Other]; !dup {
-				seen[k.Other] = struct{}{}
+			if k.Out {
+				e++
+			} else if _, twin := ns.Edges[EdgeKey{Other: k.Other, Out: true}]; !twin {
 				e++
 			}
 		}

@@ -31,6 +31,37 @@ func TestDensity(t *testing.T) {
 	}
 }
 
+func TestUndirectedEdgeCount(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edges [][2]NodeID
+		want  int
+	}{
+		{"empty", nil, 0},
+		{"one-sided", [][2]NodeID{{1, 2}, {2, 3}}, 2},
+		{"reciprocal pair", [][2]NodeID{{1, 2}, {2, 1}}, 1},
+		{"self-loop", [][2]NodeID{{1, 1}}, 1},
+		{"self-loop beside a reciprocal pair", [][2]NodeID{{1, 1}, {1, 2}, {2, 1}, {2, 2}}, 3},
+		{"mixed", [][2]NodeID{{1, 2}, {2, 1}, {2, 3}, {3, 1}, {4, 4}, {4, 1}}, 5},
+	} {
+		g := New()
+		for _, e := range tc.edges {
+			g.AddEdge(e[0], e[1])
+		}
+		if got := g.undirectedEdgeCount(); got != tc.want {
+			t.Errorf("%s: undirectedEdgeCount = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// A one-sided in-edge (its out-edge twin lives on an absent node, as
+	// in a partially materialized graph) still names a neighbor.
+	g := New()
+	g.PutNode(&NodeState{ID: 1, Edges: map[EdgeKey]*EdgeState{{Other: 2, Out: false}: {}}})
+	g.PutNode(&NodeState{ID: 2, Edges: map[EdgeKey]*EdgeState{{Other: 1, Out: false}: {}}})
+	if got := g.undirectedEdgeCount(); got != 1 {
+		t.Fatalf("in-edges only: undirectedEdgeCount = %d, want 1", got)
+	}
+}
+
 func TestLocalClusteringCoefficient(t *testing.T) {
 	g := triangle()
 	if c := g.LocalClusteringCoefficient(1); math.Abs(c-1.0) > 1e-12 {
@@ -283,3 +314,20 @@ func TestSymmetrize(t *testing.T) {
 		t.Fatal("symmetrize must not create nodes")
 	}
 }
+
+// BenchmarkDensity measures Density on a 2,000-node random graph with
+// reciprocal pairs and self-loops; it allocates nothing.
+func BenchmarkDensity(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := New()
+	for i := 0; i < 10000; i++ {
+		g.AddEdge(NodeID(rng.Intn(2000)), NodeID(rng.Intn(2000)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		densitySink = g.Density()
+	}
+}
+
+var densitySink float64

@@ -1,6 +1,7 @@
 package taf
 
 import (
+	"slices"
 	"sort"
 
 	"hgs/internal/graph"
@@ -228,16 +229,14 @@ func CompareAt(s *SoN, f func(*graph.NodeState) float64, t1, t2 temporal.Time) [
 
 // Evolution samples a graph-level quantity over the SoN's span (paper
 // operator 8). With points == nil the quantity is sampled at n evenly
-// spaced timepoints.
+// spaced timepoints. The SoN is rolled forward once across the sorted
+// points (SoN.Graph is the one-point case), so quantity receives the one
+// running graph: it must only read it and must not keep it.
 func Evolution(s *SoN, quantity func(*graph.Graph) float64, n int, points []temporal.Time) Series {
 	if points == nil {
 		points = EvenTimepoints(s.span, n)
 	}
-	out := make(Series, 0, len(points))
-	for _, tt := range points {
-		out = append(out, Timed[float64]{Time: tt, Value: quantity(s.Graph(tt))})
-	}
-	return out.Sort()
+	return s.series(points, quantity)
 }
 
 // AliveCountSeries samples how many SoN members exist at each timepoint
@@ -246,16 +245,16 @@ func AliveCountSeries(s *SoN, points []temporal.Time) Series {
 	if points == nil {
 		points = EvenTimepoints(s.span, 10)
 	}
-	nts := s.rdd.Collect()
+	return s.series(points, func(g *graph.Graph) float64 { return float64(g.NumNodes()) })
+}
+
+// series samples f on the SoN rolled forward across the sorted points.
+func (s *SoN) series(points []temporal.Time, f func(*graph.Graph) float64) Series {
+	points = slices.Clone(points)
+	slices.Sort(points)
 	out := make(Series, 0, len(points))
-	for _, tt := range points {
-		n := 0
-		for _, nt := range nts {
-			if nt.StateAt(tt) != nil {
-				n++
-			}
-		}
-		out = append(out, Timed[float64]{Time: tt, Value: float64(n)})
-	}
-	return out.Sort()
+	s.roll(points, func(tt temporal.Time, g *graph.Graph) {
+		out = append(out, Timed[float64]{Time: tt, Value: f(g)})
+	})
+	return out
 }

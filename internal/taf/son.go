@@ -1,6 +1,7 @@
 package taf
 
 import (
+	"slices"
 	"sort"
 
 	"hgs/internal/graph"
@@ -147,18 +148,107 @@ func (s *SoN) Project(keys ...string) *SoN {
 
 // Graph materializes the in-memory graph over the SoN's nodes as of tt,
 // keeping only edges whose both endpoints are in the SoN (the paper's
-// Graph operator with the optional timepoint parameter).
+// Graph operator with the optional timepoint parameter). It is the
+// one-point case of the forward replay behind Evolution; the returned
+// graph is the caller's.
 func (s *SoN) Graph(tt temporal.Time) *graph.Graph {
-	states := s.rdd.Collect()
-	g := graph.New()
-	ids := make([]graph.NodeID, 0, len(states))
-	for _, nt := range states {
-		if ns := nt.StateAt(tt); ns != nil {
-			g.PutNode(ns)
-			ids = append(ids, ns.ID)
+	var out *graph.Graph
+	s.roll([]temporal.Time{tt}, func(_ temporal.Time, g *graph.Graph) { out = g })
+	return out
+}
+
+// roll replays the SoN forward across points, which must be ascending,
+// and calls visit with the member-induced graph as of each point — the
+// multipoint query of DeltaGraph: the graph at the span start is built
+// once from the members' initial states, and between consecutive points
+// only the events in between are applied. visit receives the one running
+// graph and must not modify it; after the last point it is the caller's.
+//
+// The running graph equals, at every point, the induced subgraph of the
+// members' own replays (NodeT.StateAt). The members' in-window events
+// are merged into one stream in graph.CompareEvents order, and each is
+// applied as visibility says.
+func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Graph)) {
+	if len(points) == 0 {
+		return
+	}
+	nts := s.rdd.Collect()
+	members := make(map[graph.NodeID]struct{}, len(nts))
+	for _, nt := range nts {
+		members[nt.ID()] = struct{}{}
+	}
+
+	// The induced graph at the span start: Subgraph copies the initial
+	// states it keeps, so the NodeTs' own stay untouched.
+	start := graph.NewWithCapacity(len(nts))
+	alive := make([]graph.NodeID, 0, len(nts))
+	for _, nt := range nts {
+		if init := nt.h.Initial; init != nil {
+			start.PutNode(init)
+			alive = append(alive, init.ID)
 		}
 	}
-	return g.Subgraph(ids)
+	g := start.Subgraph(alive)
+
+	// One stream of what the members' histories change in the induced
+	// graph, in the order of the original events.
+	var steps []step
+	for _, nt := range nts {
+		id := nt.ID()
+		for i := range nt.h.Events {
+			e := &nt.h.Events[i]
+			if visible, create := visibility(*e, id, members); visible {
+				steps = append(steps, step{e: e, create: create, node: id})
+			}
+		}
+	}
+	slices.SortFunc(steps, func(a, b step) int { return graph.CompareEvents(*a.e, *b.e) })
+
+	i := 0
+	for _, tt := range points {
+		for ; i < len(steps) && steps[i].e.Time <= tt; i++ {
+			if steps[i].create {
+				g.AddNode(steps[i].node)
+			} else {
+				g.Apply(*steps[i].e)
+			}
+		}
+		visit(tt, g)
+	}
+}
+
+// A step is one event of the replay stream: the event as it sorts, and
+// either the event itself to apply or, with create set, AddNode(node).
+type step struct {
+	e      *graph.Event
+	create bool
+	node   graph.NodeID
+}
+
+// visibility reports whether the induced replay applies event e of
+// member id's history, and whether it applies it as AddNode(id). An edge
+// event between two members is taken once, from the history of its Node
+// endpoint. An edge event whose other endpoint is not a member leaves no
+// edge in the induced graph, but adding the edge or setting one of its
+// attributes still creates the member, as the member's own replay does;
+// removing it or deleting an attribute is invisible.
+func visibility(e graph.Event, id graph.NodeID, members map[graph.NodeID]struct{}) (visible, create bool) {
+	if !e.Kind.IsEdge() {
+		return e.Node == id, false
+	}
+	other := e.Other
+	switch id {
+	case e.Node:
+	case e.Other:
+		other = e.Node
+	default:
+		return false, false
+	}
+	if _, ok := members[other]; ok {
+		return e.Node == id, false
+	}
+	create = e.Kind == graph.AddEdge || e.Kind == graph.SetEdgeAttr
+	return create, create
 }
 
 // ChangePoints returns the distinct change times across the whole SoN —

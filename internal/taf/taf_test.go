@@ -55,15 +55,21 @@ var testEvents = genHistory(100, 400, 30)
 
 func newHandler(t *testing.T, workers int) *Handler {
 	t.Helper()
+	return buildHandler(t, testEvents, workers)
+}
+
+// buildHandler indexes events in a small multi-span, multi-partition TGI.
+func buildHandler(tb testing.TB, events []graph.Event, workers int) *Handler {
+	tb.Helper()
 	store := kvstore.NewCluster(kvstore.Config{Machines: 2, Replication: 1})
 	cfg := core.DefaultConfig()
 	cfg.TimespanEvents = 150
 	cfg.EventlistSize = 30
 	cfg.HorizontalPartitions = 3
 	cfg.PartitionSize = 8
-	tgi, err := core.Build(store, cfg, testEvents)
+	tgi, err := core.Build(store, cfg, events)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		tb.Fatalf("Build: %v", err)
 	}
 	return NewHandler(tgi, sparklite.NewContext(workers))
 }
@@ -433,6 +439,21 @@ func TestEvenTimepoints(t *testing.T) {
 	}
 	if got := EvenTimepoints(temporal.NewInterval(5, 50), 1); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("single point = %v", got)
+	}
+	// Every point lies in [Start, max(Start, End-1)], also for the empty
+	// interval a non-overlapping Timeslice leaves.
+	for _, iv := range []temporal.Interval{
+		{Start: 100, End: 100}, {Start: 100, End: 101}, {Start: 100, End: 102},
+		{Start: 100, End: 107}, {Start: 0, End: 1000},
+	} {
+		hi := max(iv.Start, iv.End-1)
+		for n := 0; n <= 10; n++ {
+			for _, p := range EvenTimepoints(iv, n) {
+				if p < iv.Start || p > hi {
+					t.Fatalf("EvenTimepoints(%v, %d) = %v: %d outside [%d, %d]", iv, n, EvenTimepoints(iv, n), p, iv.Start, hi)
+				}
+			}
+		}
 	}
 }
 

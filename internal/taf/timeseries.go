@@ -115,7 +115,8 @@ func EvenTimepoints(iv temporal.Interval, n int) []temporal.Time {
 		return []temporal.Time{iv.Start}
 	}
 	out := make([]temporal.Time, n)
-	span := iv.End - 1 - iv.Start
+	// An empty interval (a non-overlapping Timeslice) samples its start.
+	span := max(iv.End-1-iv.Start, 0)
 	for i := 0; i < n; i++ {
 		out[i] = iv.Start + temporal.Time(int64(span)*int64(i)/int64(n-1))
 	}
