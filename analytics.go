@@ -33,9 +33,6 @@ type (
 // Timed is one sampled value at a timepoint.
 type Timed[V any] = taf.Timed[V]
 
-// Handler exposes the underlying TAF handler.
-func (a *Analytics) Handler() *taf.Handler { return a.h }
-
 // SON starts a set-of-temporal-nodes query.
 func (a *Analytics) SON() *taf.SONQuery { return taf.SON(a.h) }
 

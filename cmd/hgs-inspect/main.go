@@ -15,8 +15,8 @@
 //	hgs-inspect -data /tmp/hgs-wiki   # instant: reuses the index
 //
 // -engine selects the storage engine behind -data (disk, or tiered for
-// the hot/cold engine with background compaction; the engine is
-// persisted, reattaching adopts it), and -backup copies the quiesced
+// the disk engine with an in-memory copy of the newest rows; the engine
+// is persisted, reattaching adopts it), and -backup copies the quiesced
 // store into a fresh directory that opens like the original:
 //
 //	hgs-inspect -dataset wiki -data /tmp/hgs-wiki -engine tiered
@@ -24,8 +24,7 @@
 //	hgs-inspect -data /tmp/hgs-wiki.bak   # the backup is a store
 //
 // Reopening a tiered store warms its hot tier from the newest cold
-// segments by default (-warm off restores cold starts); -idle-after
-// tunes when background maintenance may run at full speed.
+// segments by default (-warm off restores cold starts).
 //
 // -trace records a plan trace for every probe query and prints each
 // retrieval's planned key set and its per-table cache-hit /
@@ -72,10 +71,8 @@ func main() {
 	compress := flag.Bool("compress", false, "gzip-compress stored blobs")
 	dataDir := flag.String("data", "", "durable data directory (disk backend); reattaches when it already holds an index")
 	engine := flag.String("engine", "", "storage engine for -data: disk | tiered (default: disk, or whatever the directory was created with)")
-	hotBytes := flag.Int64("hot-bytes", 0, "tiered engine: per-node hot-tier budget in bytes (default 32 MiB)")
-	compactRate := flag.Int64("compact-rate", 0, "tiered engine: background flush limit in bytes/sec (default 8 MiB/s; negative = unlimited)")
+	hotBytes := flag.Int64("hot-bytes", 0, "tiered engine: per-node memory copy budget in bytes (default 32 MiB)")
 	warm := flag.String("warm", "", "tiered engine: hot-tier warm-up on reopen: on | off (default on)")
-	idleAfter := flag.Duration("idle-after", 0, "tiered engine: quiet window before full-speed maintenance (default 1s; negative disables)")
 	backup := flag.String("backup", "", "after inspecting, copy the quiesced store into this fresh directory")
 	trace := flag.Bool("trace", false, "record per-query plan traces and print each probe's plan/cache/KV breakdown")
 	metrics := flag.Bool("metrics", false, "dump the store's metrics in Prometheus text format on stdout instead of the human report")
@@ -101,9 +98,7 @@ func main() {
 		DataDir:              *dataDir,
 		Engine:               hgs.StorageEngine(*engine),
 		HotBytes:             *hotBytes,
-		CompactRate:          *compactRate,
 		WarmOnOpen:           hgs.WarmMode(*warm),
-		IdleCompactAfter:     *idleAfter,
 		TracePlans:           *trace,
 	}
 	if *dataDir != "" {
@@ -114,12 +109,10 @@ func main() {
 			explicit := map[string]bool{}
 			flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 			probeOpts := hgs.Options{
-				DataDir:          *dataDir,
-				HotBytes:         *hotBytes,
-				CompactRate:      *compactRate,
-				WarmOnOpen:       hgs.WarmMode(*warm),
-				IdleCompactAfter: *idleAfter,
-				TracePlans:       *trace,
+				DataDir:    *dataDir,
+				HotBytes:   *hotBytes,
+				WarmOnOpen: hgs.WarmMode(*warm),
+				TracePlans: *trace,
 			}
 			if explicit["machines"] {
 				probeOpts.Machines = *machines
@@ -307,11 +300,11 @@ func inspect(store *hgs.Store, out io.Writer) {
 	fmt.Fprintf(out, "warm rerun: 3 snapshots in %d reads, %d round-trips; %s\n",
 		m.Reads, m.RoundTrips, st.Cache)
 
-	// Tiered stores also report the hot/cold split and background
-	// maintenance since open.
+	// Tiered stores also report the hot/cold split, the bytes written
+	// through to disk and the disk tier's compactions since open.
 	if tm := st.StoreMetrics; tm.TierHotReads > 0 || tm.TierColdReads > 0 {
-		fmt.Fprintf(out, "tiers     : %d hot reads, %d cold reads, %d KB hot resident, %d KB flushed, %d compactions (%d idle)\n",
-			tm.TierHotReads, tm.TierColdReads, tm.TierHotBytes/1024, tm.FlushedBytes/1024, tm.Compactions, tm.IdleCompactions)
+		fmt.Fprintf(out, "tiers     : %d hot reads, %d cold reads, %d KB hot resident, %d KB written through, %d compactions\n",
+			tm.TierHotReads, tm.TierColdReads, tm.TierHotBytes/1024, tm.FlushedBytes/1024, tm.Compactions)
 		if tm.WarmedRows > 0 {
 			fmt.Fprintf(out, "warm-up   : %d rows (%d KB) repopulated from cold segments on open\n",
 				tm.WarmedRows, tm.WarmedBytes/1024)

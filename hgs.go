@@ -48,39 +48,27 @@
 // # Tiered storage and backup
 //
 // With Engine set to EngineTiered (DataDir required), every storage
-// node runs the hot/cold engine: recent writes stay in memory (hot
-// tier, durable via a write-ahead log) and a background goroutine
-// flushes them into disk segments (cold tier) under the CompactRate
-// byte-rate limit, so queries over recent timespans are served without
-// disk reads while history stays durable and cheap:
+// node keeps a bounded copy of its most recently written rows in memory
+// over the disk engine, which holds every row: writes go through to
+// disk, queries over recent timespans are served without disk reads,
+// and history stays durable and cheap:
 //
 //	store, _ := hgs.Open(hgs.Options{
-//		DataDir:     "/var/lib/hgs",
-//		Engine:      hgs.EngineTiered,
-//		HotBytes:    256 << 20, // keep the newest ~256 MiB hot
-//		CompactRate: 16 << 20,  // flush at most 16 MiB/s
+//		DataDir:  "/var/lib/hgs",
+//		Engine:   hgs.EngineTiered,
+//		HotBytes: 256 << 20, // keep the newest ~256 MiB in memory
 //	})
 //	defer store.Close()
 //	st, _ := store.Stats()
 //	fmt.Println(st.StoreMetrics.TierHotReads,  // served from memory
-//		st.StoreMetrics.TierColdReads)     // fell through to disk
+//		st.StoreMetrics.TierColdReads)     // read from disk
 //
 // Restarts do not demote the hot working set: reopening a tiered
-// DataDir warms memory with the newest cold rows (up to HotBytes, in
-// the background) before the old cold-start behavior would have charged
-// every post-restart read a disk seek. Options.WarmOnOpen controls it —
-// on by default for tiered, WarmOff restores cold starts — and
-// Stats().StoreMetrics reports WarmedRows/WarmedBytes plus a
-// TierWarming gauge that reads zero once every node finished warming.
-//
-// Background maintenance is idle-aware: while queries are in flight,
-// flushing and compaction throttle to CompactRate and the cold log only
-// receives a cheap merge of its small newest segments; after the store
-// has been quiet for Options.IdleCompactAfter (default 1s) maintenance
-// runs at full speed, draining the hot tier into durable cold segments
-// — the drained rows stay memory-resident as warmed copies — and
-// running whole-log cold compaction while nobody is waiting on the
-// disk (IdleCompactions in Stats counts those passes).
+// DataDir warms memory with the newest rows on disk (up to HotBytes, in
+// the background). Options.WarmOnOpen controls it — on by default for
+// tiered, WarmOff restores cold starts — and Stats().StoreMetrics
+// reports WarmedRows/WarmedBytes plus a TierWarming gauge that reads
+// zero once every node finished warming.
 //
 // Store.Backup copies a quiesced durable store (any disk engine) into a
 // fresh directory that opens like the original:
@@ -91,12 +79,10 @@
 // The hgs-inspect command exposes the same with -engine tiered and
 // -backup DIR.
 //
-// Concurrency discipline per DataDir: any number of handles may read a
-// disk-engine store concurrently (they share one decoded-delta cache),
-// but at most one may write. A tiered store admits ONE live handle at
-// a time — its background flusher owns the files — enforced with an
-// exclusive directory lock, so a second Open fails fast instead of
-// corrupting the store. The lock dies with the process.
+// A DataDir admits ONE live Store at a time: every storage node locks
+// its directory exclusively, so a second Open fails fast instead of
+// two handles appending over each other's writes. The lock dies with
+// the process.
 //
 // # Caching and statistics
 //
@@ -287,9 +273,9 @@ const (
 	// EngineDisk is the durable WAL/segment engine (disklog); requires
 	// DataDir.
 	EngineDisk StorageEngine = "disk"
-	// EngineTiered composes a hot in-memory tier over a cold disklog
-	// tier with rate-limited background flushing; requires DataDir. See
-	// Options.HotBytes and Options.CompactRate.
+	// EngineTiered keeps a bounded in-memory copy of the most recently
+	// written rows over a disklog that holds every row; requires
+	// DataDir. See Options.HotBytes.
 	EngineTiered StorageEngine = "tiered"
 )
 
@@ -337,9 +323,9 @@ type Options struct {
 	// an explicitly conflicting value is rejected on reopen.
 	VirtualNodes int
 	// RebalanceRate caps the background data streaming of a topology
-	// change (AddStorageNode/RemoveStorageNode) in bytes per second, the
-	// CompactRate convention: zero picks the 8 MiB/s default, negative
-	// disables the limit. A runtime knob, not persisted.
+	// change (AddStorageNode/RemoveStorageNode) in bytes per second:
+	// zero picks the 8 MiB/s default, negative disables the limit. A
+	// runtime knob, not persisted.
 	RebalanceRate int64
 	// ReadQuorum is the number of replicas a storage read consults (R).
 	// The default 1 reads one replica (failing over past down nodes);
@@ -374,15 +360,11 @@ type Options struct {
 	// The engine is persisted with the DataDir; reattaching adopts it,
 	// and an explicitly conflicting Engine is rejected.
 	Engine StorageEngine
-	// HotBytes is the tiered engine's per-node hot-tier budget: once
-	// exceeded, background flushing drains the oldest rows to the cold
-	// tier (default 32 MiB). A runtime knob, not persisted.
-	HotBytes int64
-	// CompactRate caps the tiered engine's background flushing in bytes
-	// per second so compaction never starves foreground I/O (default
-	// 8 MiB/s; negative disables the limit). A runtime knob, not
+	// HotBytes is the tiered engine's per-node memory copy budget
+	// (default 32 MiB): once exceeded, the oldest written rows are
+	// evicted from memory; they stay on disk. A runtime knob, not
 	// persisted.
-	CompactRate int64
+	HotBytes int64
 	// WarmOnOpen controls the tiered engine's restart warm-up: whether
 	// reopening a DataDir repopulates the hot tier from the newest cold
 	// rows (up to HotBytes) so post-restart queries over recent
@@ -390,14 +372,6 @@ type Options struct {
 	// (WarmAuto); WarmOff restores the cold-start behavior. A runtime
 	// knob, not persisted.
 	WarmOnOpen WarmMode
-	// IdleCompactAfter is the foreground-quiet window after which the
-	// tiered engine's background maintenance stops throttling to
-	// CompactRate and runs at full speed — draining the hot tier to
-	// durable cold segments (rows stay memory-resident as warmed
-	// copies) and compacting the cold log while nobody is waiting on
-	// the disk (default 1s; negative disables idle-mode maintenance).
-	// A runtime knob, not persisted.
-	IdleCompactAfter time.Duration
 
 	// TimespanEvents, EventlistSize, Arity, HorizontalPartitions and
 	// PartitionSize are the TGI construction parameters (§4.4); zero
@@ -472,12 +446,11 @@ func (o Options) coreConfig() core.Config {
 
 // Store is a Historical Graph Store instance.
 type Store struct {
-	cluster  *kvstore.Cluster
-	tgi      *core.TGI
-	obs      *obs.Registry
-	durable  bool
-	engine   StorageEngine
-	cacheKey string // shared decoded-delta cache registration (DataDir stores)
+	cluster *kvstore.Cluster
+	tgi     *core.TGI
+	obs     *obs.Registry
+	durable bool
+	engine  StorageEngine
 
 	// ingestMu serializes Load and Append: an ingest checks the indexed
 	// history's end and then rebuilds the trailing timespan, so two of
@@ -671,56 +644,6 @@ func writeClusterMeta(dataDir string, nodes []int, replication, vnodes int, engi
 	return nil
 }
 
-// sharedCaches anchors one decoded-delta cache per open DataDir, so
-// every handle attached to the same stored index shares hot decoded
-// deltas instead of each paying its own cold misses. Entries are
-// refcounted by Open/Close; the budget of the first opener wins.
-var sharedCaches = struct {
-	sync.Mutex
-	m map[string]*sharedCacheEntry
-}{m: make(map[string]*sharedCacheEntry)}
-
-type sharedCacheEntry struct {
-	cache *fetch.Cache
-	refs  int
-}
-
-// acquireSharedCache joins (or creates) the cache shared by dataDir's
-// handles. Handles with caching disabled do not join.
-func acquireSharedCache(dataDir string, budget int64) (key string, c *fetch.Cache) {
-	if budget <= 0 {
-		return "", nil
-	}
-	abs, err := filepath.Abs(dataDir)
-	if err != nil {
-		abs = dataDir
-	}
-	key = filepath.Clean(abs)
-	sharedCaches.Lock()
-	defer sharedCaches.Unlock()
-	e := sharedCaches.m[key]
-	if e == nil {
-		e = &sharedCacheEntry{cache: fetch.NewCache(budget)}
-		sharedCaches.m[key] = e
-	}
-	e.refs++
-	return key, e.cache
-}
-
-func releaseSharedCache(key string) {
-	if key == "" {
-		return
-	}
-	sharedCaches.Lock()
-	defer sharedCaches.Unlock()
-	if e := sharedCaches.m[key]; e != nil {
-		e.refs--
-		if e.refs <= 0 {
-			delete(sharedCaches.m, key)
-		}
-	}
-}
-
 // Open creates a store per the options. With DataDir unset (or set but
 // empty of data) the store starts empty — call Load to index a history.
 // With DataDir pointing at an existing store's directory, Open
@@ -769,7 +692,6 @@ func Open(opts Options) (*Store, error) {
 		factory    backend.Factory
 		writeShape bool
 		engine     = EngineMemory
-		cacheKey   string
 		commit     func(nodes []int) error
 	)
 	nodes := make([]int, machines)
@@ -793,14 +715,10 @@ func Open(opts Options) (*Store, error) {
 			factory = disklog.Factory(opts.DataDir, disklog.Options{})
 		case EngineTiered:
 			factory = tiered.Factory(opts.DataDir, tiered.Options{
-				HotBytes:         opts.HotBytes,
-				CompactRate:      opts.CompactRate,
-				DisableWarm:      opts.WarmOnOpen == WarmOff,
-				IdleCompactAfter: opts.IdleCompactAfter,
+				HotBytes:    opts.HotBytes,
+				DisableWarm: opts.WarmOnOpen == WarmOff,
 			})
 		}
-		// Handles over the same DataDir share one decoded-delta cache.
-		cacheKey, cfg.Cache = acquireSharedCache(opts.DataDir, core.CacheBudget(opts.CacheBytes))
 	}
 	hintDir := ""
 	if opts.DataDir != "" {
@@ -820,30 +738,26 @@ func Open(opts Options) (*Store, error) {
 		OnTopologyCommit:    commit,
 	})
 	if err != nil {
-		releaseSharedCache(cacheKey)
 		return nil, err
 	}
 	cluster.RegisterObs(reg)
 	tgi, attached, err := core.Attach(cluster, cfg)
 	if err != nil {
 		cluster.Close()
-		releaseSharedCache(cacheKey)
 		return nil, err
 	}
 	if writeShape {
 		if err := writeClusterMeta(opts.DataDir, nodes, replication, vnodes, engine); err != nil {
 			cluster.Close()
-			releaseSharedCache(cacheKey)
 			return nil, err
 		}
 	}
 	s := &Store{
-		cluster:  cluster,
-		tgi:      tgi,
-		obs:      reg,
-		durable:  opts.DataDir != "",
-		engine:   engine,
-		cacheKey: cacheKey,
+		cluster: cluster,
+		tgi:     tgi,
+		obs:     reg,
+		durable: opts.DataDir != "",
+		engine:  engine,
 	}
 	s.loaded.Store(attached)
 	if opts.DebugAddr != "" {
@@ -934,8 +848,6 @@ func (s *Store) Close() error {
 	s.closeMu.Unlock()
 	s.active.Wait()
 	derr := s.stopDebug()
-	releaseSharedCache(s.cacheKey)
-	s.cacheKey = ""
 	if err := s.cluster.Close(); err != nil {
 		return err
 	}

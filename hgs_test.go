@@ -525,7 +525,7 @@ func TestCacheBytesSurvivesReattach(t *testing.T) {
 // TestTieredDurableRoundTrip is the acceptance test for the tiered
 // engine: queries over a tiered store match the in-memory oracle, hot
 // hits are visible in the per-tier counters, and a close/reopen cycle
-// (which drops the hot tier into the WAL) loses nothing.
+// (which drops the in-memory copy) loses nothing.
 func TestTieredDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	events := workload.Wikipedia(workload.WikiConfig{Nodes: 400, EdgesPerNode: 3, Seed: 13})
@@ -533,8 +533,7 @@ func TestTieredDurableRoundTrip(t *testing.T) {
 	opts := smallOptions()
 	opts.DataDir = dir
 	opts.Engine = EngineTiered
-	opts.HotBytes = 64 << 10 // small: most of the index migrates cold
-	opts.CompactRate = -1
+	opts.HotBytes = 64 << 10 // small: most of the index lives only on disk
 	store, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -669,7 +668,6 @@ func TestBackupRoundTrip(t *testing.T) {
 			opts.Engine = engine
 			if engine == EngineTiered {
 				opts.HotBytes = 32 << 10
-				opts.CompactRate = -1
 			}
 			store, err := Open(opts)
 			if err != nil {
@@ -735,81 +733,39 @@ func TestBackupRequiresDurableStore(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossHandles: two handles attached to the same
-// DataDir share one decoded-delta cache, so the second reader's cold
-// misses were already paid by the first.
-func TestSharedCacheAcrossHandles(t *testing.T) {
+// TestSecondOpenOfLiveDataDirRejected: two live handles over one disk
+// DataDir would append to the same segment files and lose each other's
+// acknowledged writes, so the second Open fails and the first handle
+// keeps serving its data; after Close the directory reopens.
+func TestSecondOpenOfLiveDataDirRejected(t *testing.T) {
 	dir := t.TempDir()
-	events := workload.Wikipedia(workload.WikiConfig{Nodes: 400, EdgesPerNode: 3, Seed: 21})
 	opts := smallOptions()
 	opts.DataDir = dir
-	builder, err := Open(opts)
+	store, events := loadWiki(t, opts, 300)
+	if _, err := Open(Options{DataDir: dir}); err == nil {
+		t.Fatal("second handle on a live disk DataDir must fail")
+	}
+	_, hi, err := store.TimeRange()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := builder.Load(events); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, err := builder.TimeRange()
+	g, err := store.Snapshot(hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := builder.Close(); err != nil {
+	if !g.Equal(mustGraph(events, hi)) {
+		t.Fatal("first handle's data changed after a refused second Open")
+	}
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	a, err := Open(Options{DataDir: dir})
+	reopened, err := Open(Options{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := Open(Options{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	probe := (lo + hi) / 2
-	a.Cluster().ResetMetrics()
-	if _, err := a.Snapshot(probe); err != nil {
-		t.Fatal(err)
-	}
-	coldReads := a.Cluster().Metrics().Reads
-
-	// B is a different handle over a different cluster object; only the
-	// shared cache can spare it A's delta reads.
-	b.Cluster().ResetMetrics()
-	if _, err := b.Snapshot(probe); err != nil {
-		t.Fatal(err)
-	}
-	warmReads := b.Cluster().Metrics().Reads
-	if warmReads >= coldReads {
-		t.Fatalf("second handle read %d >= first handle's %d: cache not shared", warmReads, coldReads)
-	}
-	st, err := b.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cache.Hits == 0 {
-		t.Fatal("second handle saw no cache hits")
-	}
-
-	// A cache-disabled handle does not join (and does not disturb the
-	// shared cache).
-	off, err := Open(Options{DataDir: dir, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if _, err := off.Snapshot(probe); err != nil {
-		t.Fatal(err)
-	}
-	stOff, err := off.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stOff.Cache.MaxBytes != 0 {
-		t.Fatal("cache-disabled handle reports an active cache")
+	defer reopened.Close()
+	if g, err := reopened.Snapshot(hi); err != nil || !g.Equal(mustGraph(events, hi)) {
+		t.Fatalf("reopened snapshot wrong (err %v)", err)
 	}
 }
 
@@ -824,7 +780,7 @@ func TestTieredDataDirSingleHandle(t *testing.T) {
 	}
 	defer store.Close()
 	if _, err := Open(Options{DataDir: dir}); err == nil {
-		t.Fatal("second handle on a live tiered DataDir must fail (its flusher owns the files)")
+		t.Fatal("second handle on a live tiered DataDir must fail")
 	}
 }
 
@@ -839,8 +795,7 @@ func TestWarmOnOpenOption(t *testing.T) {
 	opts := smallOptions()
 	opts.DataDir = dir
 	opts.Engine = EngineTiered
-	opts.HotBytes = 1 // force the whole index cold
-	opts.CompactRate = -1
+	opts.HotBytes = 1 // nothing fits in memory: the whole index is cold
 	opts.WarmOnOpen = WarmOff
 	store, err := Open(opts)
 	if err != nil {
@@ -853,22 +808,6 @@ func TestWarmOnOpenOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDrained := func(s *Store) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			st, err := s.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.StoreMetrics.TierHotBytes == 0 {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatal("tiered store never drained cold")
-	}
-	waitDrained(store)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -910,7 +849,6 @@ func TestWarmOnOpenOption(t *testing.T) {
 	reopen.HotBytes = 256 << 20
 	reopen.CacheBytes = -1 // measure the tiers, not the decoded-delta cache
 	reopen.WarmOnOpen = WarmOff
-	reopen.IdleCompactAfter = -1
 	coldReads, warmed := snapshotStats(reopen)
 	if coldReads == 0 {
 		t.Fatal("WarmOff reopen served the snapshot without cold reads; the index never went cold")

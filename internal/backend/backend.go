@@ -10,8 +10,8 @@
 //     durability; what the paper's evaluation simulates),
 //   - disklog: a durable append-only engine over a record log
 //     (internal/reclog), with log-replay recovery and compaction, and
-//   - tiered: a hot in-memory tier (memtable + write-ahead log) over a
-//     cold disklog tier, with rate-limited background flushing — recent
+//   - tiered: a bounded write-through copy of the most recently written
+//     rows in memory over a disklog that holds every row — recent
 //     timespans are served from memory, history stays on disk.
 //
 // Future adapters (a real Cassandra client, an object-storage cold
@@ -108,38 +108,30 @@ func MultiGet(be Backend, reqs []KeyRead) [][]byte { return be.MultiGet(reqs) }
 // TierCounters reports per-tier activity of an engine that places data
 // across a hot (memory) and a cold (disk) tier. HotHits and ColdReads
 // are cumulative row-lookup counters attributed to the tier that
-// SERVED the row: a hot-served lookup counts once in HotHits and pays
-// no cold penalty (even when a scan also read a stale, shadowed copy
-// of the row from the cold log); one served from the cold tier counts
-// in ColdReads. Flushed* and Compactions count background-maintenance
-// work; IdleCompactions counts units of full-speed work done inside
-// idle windows — an idle hot-tier drain, an idle segment merge and an
-// idle full compaction each count once, so one idle window can add
-// several (it is not a subset of passes or of Compactions).
-// WarmedRows/WarmedBytes count rows
-// repopulated into memory from the newest cold data (warm-up on open
-// and idle re-warming). HotBytes is a gauge: the live bytes currently
-// resident in memory (hot rows plus warmed cold copies); Warming is a
-// gauge that is 1 while the engine's open-time warm-up is still
-// running.
+// SERVED the row: a lookup answered from memory counts once in HotHits
+// and pays no cold penalty; one served from the cold tier counts in
+// ColdReads. FlushedBytes counts value bytes written to the cold tier;
+// Compactions counts the cold tier's compactions. WarmedRows/WarmedBytes
+// count rows repopulated into memory from the newest cold data on
+// open. HotBytes is a gauge: the live bytes currently resident in
+// memory; Warming is a gauge that is 1 while the engine's open-time
+// warm-up is still running.
 type TierCounters struct {
-	HotHits         int64
-	ColdReads       int64
-	FlushedRows     int64
-	FlushedBytes    int64
-	Compactions     int64
-	IdleCompactions int64
-	WarmedRows      int64
-	WarmedBytes     int64
-	HotBytes        int64
-	Warming         int64
+	HotHits      int64
+	ColdReads    int64
+	FlushedBytes int64
+	Compactions  int64
+	WarmedRows   int64
+	WarmedBytes  int64
+	HotBytes     int64
+	Warming      int64
 }
 
 // Tiered is the optional interface of engines that place data across a
 // hot and a cold tier. TierCounters feeds the cluster's Metrics; it must
 // be cheap and safe to call concurrently with operations (atomic
 // counters), and the cumulative counters may move from the engine's own
-// background work (flushing, warm-up, compaction) at any time — which is
+// background work (warm-up, compaction) at any time — which is
 // why the latency model does NOT charge from deltas of these gauges.
 // Per-operation attribution comes from the three reads: each reports,
 // per call, how many of the returned rows were served from the cold

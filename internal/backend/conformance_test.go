@@ -16,10 +16,11 @@ import (
 // TestEngineConformance drives every engine through the same random
 // operation stream and requires identical observable behavior: the
 // memtable is the executable spec; disklog and tiered must match it bit
-// for bit. The tiered engine runs with a tiny hot budget and its
-// background flusher live, so rows migrate between tiers mid-stream —
-// tier placement must be invisible to every read. Batched reads
-// (MultiGet) are compared against the same spec.
+// for bit. The tiered engine runs with a tiny memory budget, so rows
+// are evicted from memory mid-stream — whether a row is served from
+// memory or disk must be invisible to every read, and small cold
+// segments make its triggered compaction run under the stream. Batched
+// reads (MultiGet) are compared against the same spec.
 func TestEngineConformance(t *testing.T) {
 	mem := memtable.New()
 	disk, err := disklog.Open(t.TempDir(), disklog.Options{SegmentBytes: 4096})
@@ -28,10 +29,8 @@ func TestEngineConformance(t *testing.T) {
 	}
 	defer disk.Close()
 	tier, err := tiered.Open(t.TempDir(), tiered.Options{
-		HotBytes:        2 << 10, // constant migration during the stream
-		CompactRate:     -1,
-		FlushInterval:   time.Millisecond,
-		WALSegmentBytes: 4096,
+		HotBytes: 2 << 10, // constant eviction during the stream
+		Cold:     disklog.Options{SegmentBytes: 4096, CompactMinDead: 4096},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,20 +146,17 @@ func TestEngineConformance(t *testing.T) {
 }
 
 // TestTieredReopenWarmUpConformance drives the restart path of the
-// tiered engine against the memtable spec: a store whose rows were all
-// flushed cold is closed and reopened with warm-up on; once warmed it
-// must answer the recent-timespan probe bit-for-bit AND without a
-// single cold-tier read, and a Kill() landing in the middle of the
-// warm-up must leave a store that reopens to the same state.
+// tiered engine against the memtable spec: a store whose rows all live
+// only in the cold log is closed and reopened with warm-up on; once
+// warmed it must answer the recent-timespan probe bit-for-bit AND
+// without a single cold-tier read, and a Kill() landing in the middle
+// of the warm-up must leave a store that reopens to the same state.
 func TestTieredReopenWarmUpConformance(t *testing.T) {
 	mem := memtable.New()
 	dir := t.TempDir()
 	seedOpts := tiered.Options{
-		HotBytes:        1, // everything drains cold
-		CompactRate:     -1,
-		FlushInterval:   time.Millisecond,
-		WALSegmentBytes: 1 << 10,
-		DisableWarm:     true,
+		HotBytes:    1, // nothing is copied to memory
+		DisableWarm: true,
 	}
 	seed, err := tiered.Open(dir, seedOpts)
 	if err != nil {
@@ -178,12 +174,8 @@ func TestTieredReopenWarmUpConformance(t *testing.T) {
 		seed.Put("deltas", k.pkey, k.ckey, append([]byte(nil), v...))
 		keys = append(keys, k)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for seed.TierCounters().HotBytes > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if seed.TierCounters().HotBytes > 0 {
-		t.Fatal("seed store never drained cold")
+		t.Fatal("seed store holds rows in memory")
 	}
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
@@ -191,17 +183,18 @@ func TestTieredReopenWarmUpConformance(t *testing.T) {
 
 	// Kill in the middle of the warm-up: the half-warmed memory state
 	// dies with the process, the durable state must not care.
-	victim, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	victim, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim.Kill()
 
-	warm, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	warm, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer warm.Close()
+	deadline := time.Now().Add(5 * time.Second)
 	for warm.TierCounters().Warming != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

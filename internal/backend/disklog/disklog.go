@@ -11,19 +11,31 @@
 // rows into fresh segments and deletes the old files once the dead
 // volume passes a threshold.
 //
+// A store holds an exclusive lock on its directory for its lifetime:
+// two live handles would each append to the same segment files from
+// their own offsets and overwrite each other's acknowledged records, so
+// a second Open of a live directory fails fast. On platforms with
+// flock(2) the lock dies with the process, so a crash never leaves the
+// directory unopenable; elsewhere a PID-stamped LOCK file is used and a
+// stale one left by a crash must be removed by hand (the error says
+// which).
+//
 // The engine follows the same interface as the in-memory memtable, so a
 // kvstore cluster can run each node on disk and a store can be closed
 // and reopened by a new process without rebuilding the index.
 package disklog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hgs/internal/backend"
 	"hgs/internal/reclog"
@@ -38,9 +50,8 @@ type Options struct {
 	// bytes (default 4 MiB). Flush and Close always fsync.
 	SyncBytes int64
 	// CompactMinDead is the dead-byte floor below which triggered
-	// compaction never runs (default DefaultCompactMinDead). Compaction
-	// triggers after a write once dead bytes exceed both this floor and
-	// the live bytes.
+	// compaction never runs (default 1 MiB). Compaction triggers after
+	// a write once dead bytes exceed both this floor and the live bytes.
 	CompactMinDead int64
 	// DisableAutoCompact turns triggered compaction off; Compact can
 	// still be called explicitly.
@@ -55,14 +66,9 @@ func (o *Options) normalize() {
 		o.SyncBytes = 4 << 20
 	}
 	if o.CompactMinDead <= 0 {
-		o.CompactMinDead = DefaultCompactMinDead
+		o.CompactMinDead = 1 << 20
 	}
 }
-
-// DefaultCompactMinDead is the CompactMinDead applied when the option
-// is unset. Exported so engines composing a disklog (the tiered store
-// drives cold compaction itself) share the same trigger floor.
-const DefaultCompactMinDead = 1 << 20
 
 // idxRow locates one live row's value inside a segment.
 type idxRow struct {
@@ -100,33 +106,66 @@ type Store struct {
 
 	werr   error // sticky write error, surfaced by Flush/Close
 	closed bool
+	lock   *dirLock // exclusive LOCK on dir, held until Close or Kill
 	// backingUp defers compaction (which closes and deletes segment
 	// files) while Backup copies them outside the engine lock.
 	backingUp bool
 
 	enc []byte // scratch record-encode buffer
+
+	compactions atomic.Int64 // completed compactions, for tier counters
 }
 
 // Open opens (or creates) the engine rooted at dir, replaying the log
 // to rebuild the index. A torn record at the tail of the final segment
-// is truncated away; corruption anywhere else fails the open.
+// is truncated away; corruption anywhere else fails the open. The
+// directory is locked first, so Open fails fast when another live
+// handle holds it.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.normalize()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("disklog: %w", err)
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
 	log, err := reclog.Open(dir, "seg", opts.SegmentBytes)
 	if err != nil {
+		lock.release()
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	s := &Store{
 		dir:    dir,
 		opts:   opts,
 		log:    log,
+		lock:   lock,
 		tables: make(map[string]map[string]*partition),
 	}
 	if err := log.Scan(s.applyPayload); err != nil {
 		log.Close()
+		lock.release()
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	return s, nil
+}
+
+// dirLock is the exclusive per-directory lock handed out by lockDir
+// (see lock_flock.go and lock_fallback.go for the per-platform
+// implementations).
+type dirLock struct {
+	f *os.File
+	// path is set only by the portable fallback, which must unlink the
+	// LOCK file on release; the flock path leaves the file in place and
+	// lets the OS drop the lock when f closes.
+	path string
+}
+
+func (l *dirLock) release() {
+	l.f.Close()
+	if l.path != "" {
+		os.Remove(l.path)
+	}
 }
 
 // Factory builds disklog engines, one directory per cluster node,
@@ -310,24 +349,6 @@ func (s *Store) readValue(row idxRow) ([]byte, error) {
 	return out, nil
 }
 
-// Stat reports whether the row exists and its value length from the
-// in-memory index alone — no disk read. Tiered engines use it for byte
-// accounting of rows shadowed by a hotter tier.
-func (s *Store) Stat(table, pkey, ckey string) (vlen int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mustOpenLocked()
-	p := s.partitionFor(table, pkey, false)
-	if p == nil {
-		return 0, false
-	}
-	i, ok := p.find(ckey)
-	if !ok {
-		return 0, false
-	}
-	return p.rows[i].vlen, true
-}
-
 // MultiGet is the batch-read fast path: the whole batch resolves under
 // one lock acquisition. result[i] is nil exactly when reqs[i] is absent
 // (or its segment read failed; the error surfaces at the next Flush).
@@ -374,6 +395,30 @@ func (s *Store) ScanPrefix(table, pkey, prefix string) []backend.Row {
 			continue
 		}
 		out = append(out, backend.Row{CKey: p.rows[i].ckey, Value: v})
+	}
+	return out
+}
+
+// ScanKeys returns the clustering keys ScanPrefix would return, in the
+// same order, from the in-memory index alone — no disk read. Engines
+// that keep copies of some rows in memory use it to read from disk only
+// the rest.
+func (s *Store) ScanKeys(table, pkey, prefix string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mustOpenLocked()
+	p := s.partitionFor(table, pkey, false)
+	if p == nil {
+		return nil
+	}
+	lo := sort.Search(len(p.rows), func(i int) bool { return p.rows[i].ckey >= prefix })
+	hi := lo
+	for hi < len(p.rows) && strings.HasPrefix(p.rows[hi].ckey, prefix) {
+		hi++
+	}
+	out := make([]string, hi-lo)
+	for i := range out {
+		out[i] = p.rows[lo+i].ckey
 	}
 	return out
 }
@@ -488,17 +533,6 @@ func (s *Store) DropPartition(table, pkey string) {
 	s.maybeCompactLocked()
 }
 
-// HasPartition reports whether the table holds the partition object
-// (an emptied partition still counts until dropped) — an index-only
-// lookup, no disk access.
-func (s *Store) HasPartition(table, pkey string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mustOpenLocked()
-	_, ok := s.tables[table][pkey]
-	return ok
-}
-
 // PartitionKeys returns the sorted partition keys of a table.
 func (s *Store) PartitionKeys(table string) []string {
 	s.mu.Lock()
@@ -576,9 +610,28 @@ func (s *Store) Close() error {
 	}
 	err := s.flushLocked()
 	s.log.Close()
+	s.lock.release()
 	s.closed = true
 	return err
 }
+
+// Kill simulates a crash (testing aid): the files close without a final
+// fsync, the directory lock is released, and the store becomes
+// unusable. Open recovers from what is left on disk.
+func (s *Store) Kill() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.log.Close()
+	s.lock.release()
+	s.closed = true
+}
+
+// Compactions returns the number of compactions completed so far,
+// triggered or explicit (lock-free).
+func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
 // --- compaction ------------------------------------------------------
 
@@ -616,18 +669,68 @@ func (s *Store) compactLocked() error {
 		return errors.New("disklog: compaction deferred during backup")
 	}
 	old := s.log.Segments()
-	abort := func() { s.dropOutput(len(old)) }
-
-	// Write every live row, in deterministic order, into fresh segments.
-	if err := s.log.Rotate(); err != nil {
-		abort()
+	fail := func(err error) error {
+		s.dropOutput(len(old))
 		return fmt.Errorf("disklog: compact: %w", err)
+	}
+
+	// Copy every live record, in deterministic order, into fresh
+	// segments. A put record ends with its value, so the index locates
+	// the whole record and it moves verbatim, in batches of at most one
+	// segment (and 1 MiB): runs of records adjacent on disk are read with
+	// one ReadAt, and each batch is checksum-verified — a corrupt record
+	// aborts the compaction rather than being copied forward — and
+	// written with one append.
+	if err := s.log.Rotate(); err != nil {
+		return fail(err)
+	}
+	type placed struct {
+		p *partition
+		i int // np.rows[i].off holds the value's offset within buf until written
 	}
 	var (
 		newLive   int64
 		newStored int64
 		relocated = make(map[string]map[string]*partition)
+		buf       = s.enc[:0] // the scratch buffer, kept for the next compaction
+		pending   []placed
+		run       *reclog.Segment // the segment of the read run buf[runPos:] awaits
+		runStart  int64
+		runEnd    int64
+		runPos    int
 	)
+	readRun := func() error {
+		if run != nil && runEnd > runStart {
+			if _, err := run.ReadAt(buf[runPos:], runStart); err != nil {
+				return fmt.Errorf("read %s@%d: %w", run.Path(), runStart, err)
+			}
+		}
+		run = nil
+		return nil
+	}
+	flush := func() error {
+		if err := readRun(); err != nil || len(buf) == 0 {
+			return err
+		}
+		valid, err := reclog.Scan(bytes.NewReader(buf), int64(len(buf)), func(int64, []byte) error { return nil })
+		if err != nil {
+			return err
+		}
+		if valid != int64(len(buf)) {
+			return reclog.ErrCorrupt
+		}
+		seg, off := s.appendRecord(buf)
+		if s.werr != nil {
+			return s.werr
+		}
+		for _, pl := range pending {
+			pl.p.rows[pl.i].seg = seg
+			pl.p.rows[pl.i].off += off
+		}
+		buf, pending = buf[:0], pending[:0]
+		return nil
+	}
+	batchBytes := min(s.opts.SegmentBytes, 1<<20)
 	tables := make([]string, 0, len(s.tables))
 	for tbl := range s.tables {
 		tables = append(tables, tbl)
@@ -643,32 +746,39 @@ func (s *Store) compactLocked() error {
 		relocated[tbl] = nt
 		for _, pk := range pkeys {
 			oldPart := s.tables[tbl][pk]
-			np := &partition{rows: make([]idxRow, 0, len(oldPart.rows))}
+			np := &partition{rows: make([]idxRow, len(oldPart.rows))}
 			nt[pk] = np
-			for _, row := range oldPart.rows {
-				v, err := s.readValue(row)
-				if err != nil {
-					abort()
-					return fmt.Errorf("disklog: compact: %w", err)
+			for i, row := range oldPart.rows {
+				if len(buf) > 0 && int64(len(buf))+row.rec > batchBytes {
+					if err := flush(); err != nil {
+						return fail(err)
+					}
 				}
-				rec, valOff := s.encodeRecord(reclog.OpPut, tbl, pk, row.ckey, v)
-				seg, off := s.appendRecord(rec)
-				if s.werr != nil {
-					abort()
-					return s.werr
+				start := row.off + int64(row.vlen) - row.rec
+				if row.seg != run || start != runEnd {
+					if err := readRun(); err != nil {
+						return fail(err)
+					}
+					run, runStart, runEnd, runPos = row.seg, start, start, len(buf)
 				}
-				np.rows = append(np.rows, idxRow{
-					ckey: row.ckey, seg: seg, off: off + int64(valOff),
-					vlen: row.vlen, rec: int64(len(rec)),
-				})
-				newLive += int64(len(rec))
+				runEnd += row.rec
+				np.rows[i] = idxRow{
+					ckey: row.ckey, off: int64(len(buf)) + row.rec - int64(row.vlen),
+					vlen: row.vlen, rec: row.rec,
+				}
+				buf = append(buf, make([]byte, row.rec)...)
+				pending = append(pending, placed{np, i})
+				newLive += row.rec
 				newStored += int64(row.vlen + len(row.ckey))
 			}
 		}
 	}
+	if err := flush(); err != nil {
+		return fail(err)
+	}
+	s.enc = buf
 	if err := s.log.Sync(); err != nil {
-		abort()
-		return fmt.Errorf("disklog: compact: %w", err)
+		return fail(err)
 	}
 
 	// Point of no return: adopt the new index, then delete old files.
@@ -676,6 +786,7 @@ func (s *Store) compactLocked() error {
 	s.stored = newStored
 	s.live = newLive
 	s.dead = 0
+	s.compactions.Add(1)
 	return s.log.Remove(old)
 }
 
@@ -687,121 +798,11 @@ func (s *Store) dropOutput(n int) {
 	s.log.Remove(s.log.Segments()[n:])
 }
 
-// MergeSmall merges the maximal run of small segments at the tail of
-// the log — the "newest level", where rotation and trickle flushes
-// leave many small files — into fresh segments, dropping superseded
-// put records along the way. Tombstone records are carried over
-// verbatim (a delete in the tail may kill a row recorded in an older,
-// untouched segment; dropping it would resurrect that row on replay),
-// so the merge never has to read the large old segments: exactly the
-// leveled behavior that keeps steady-state compaction cost proportional
-// to the new data, not the whole log. Segments of at most maxBytes
-// (SegmentBytes/4 when <= 0) qualify; fewer than minSegs (floor 2)
-// qualifying segments is a no-op. Returns the number of segments
-// merged. Crash-safe like Compact: merged records land in higher-id
-// segments, so a crash between writing them and removing the originals
-// replays both and converges.
-func (s *Store) MergeSmall(maxBytes int64, minSegs int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errors.New("disklog: store closed")
-	}
-	if s.werr != nil || s.backingUp {
-		return 0, nil
-	}
-	if maxBytes <= 0 {
-		maxBytes = s.opts.SegmentBytes / 4
-	}
-	if minSegs < 2 {
-		minSegs = 2
-	}
-	segs := s.log.Segments()
-	from := len(segs)
-	for from > 0 && segs[from-1].Size() <= maxBytes {
-		from--
-	}
-	n := len(segs) - from
-	if n < minSegs {
-		return 0, nil
-	}
-	if err := s.mergeLocked(segs[from:]); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// mergeLocked rewrites old, the segments at the tail of the log, into
-// fresh higher-id segments: live put records and all tombstones are
-// copied verbatim (in order), dead puts are dropped. Every record is
-// checksum-verified before it is copied forward; a bad one aborts the
-// merge with reclog.ErrCorrupt, the originals and the index untouched.
-// The index is repointed only after the new segments are synced.
-func (s *Store) mergeLocked(old []*reclog.Segment) error {
-	type repoint struct {
-		table, pkey string
-		row         idxRow
-	}
-	var (
-		repoints  []repoint
-		deadFreed int64
-	)
-	before := s.log.Len()
-	abort := func() { s.dropOutput(before) }
-	err := s.log.Rotate()
-	for i := 0; err == nil && i < len(old); i++ {
-		seg := old[i]
-		err = seg.Scan(false, func(off int64, payload []byte) error {
-			m, valOff, err := reclog.DecodeMutation(payload)
-			if err != nil {
-				return err
-			}
-			recLen := int64(reclog.HeaderLen + len(payload))
-			live := false
-			if m.Op == reclog.OpPut {
-				if p := s.partitionFor(m.Table, m.PKey, false); p != nil {
-					if i, ok := p.find(m.CKey); ok {
-						live = p.rows[i].seg == seg && p.rows[i].off == off+int64(valOff)
-					}
-				}
-				if !live { // superseded put: reclaimed
-					deadFreed += recLen
-					return nil
-				}
-			}
-			// A live put moves; a tombstone is kept for its effect on
-			// older segments.
-			s.enc = reclog.Frame(s.enc[:0], payload)
-			newSeg, newOff := s.appendRecord(s.enc)
-			if live {
-				repoints = append(repoints, repoint{table: m.Table, pkey: m.PKey, row: idxRow{
-					ckey: m.CKey, seg: newSeg, off: newOff + int64(valOff), vlen: len(m.Value), rec: recLen,
-				}})
-			}
-			return s.werr
-		})
-	}
-	if err == nil {
-		err = s.log.Sync()
-	}
-	if err != nil {
-		abort()
-		return fmt.Errorf("disklog: merge: %w", err)
-	}
-
-	// Point of no return: adopt the relocations, then delete old files.
-	for _, rp := range repoints {
-		p := s.partitionFor(rp.table, rp.pkey, false)
-		if p == nil {
-			continue
-		}
-		if i, ok := p.find(rp.row.ckey); ok {
-			p.rows[i] = rp.row
-		}
-	}
-	s.dead -= deadFreed
-	return s.log.Remove(old)
-}
+// backupCopyHook, when set, runs after the backup has snapshotted the
+// log and released the engine lock, before any file is copied — a
+// testing seam proving that foreground operations proceed while a
+// large backup streams.
+var backupCopyHook func()
 
 // Backup writes a consistent copy of the engine's segment files into
 // dir (created if needed, must be empty of segments). The segment set
@@ -834,6 +835,9 @@ func (s *Store) Backup(dir string) error {
 		s.backingUp = false
 		s.mu.Unlock()
 	}()
+	if hook := backupCopyHook; hook != nil {
+		hook()
+	}
 	if err := snap.CopyTo(dir); err != nil {
 		return fmt.Errorf("disklog: backup: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hgs/internal/backend"
 	"hgs/internal/reclog"
@@ -294,6 +295,9 @@ func TestCompactionDropsOverwrites(t *testing.T) {
 	if s.DeadBytes() != 0 {
 		t.Fatalf("dead bytes after compact = %d", s.DeadBytes())
 	}
+	if s.Compactions() != 1 {
+		t.Fatalf("compactions = %d, want 1", s.Compactions())
+	}
 	if after := diskUsage(t, dir); after >= sizeBefore {
 		t.Fatalf("compaction did not shrink disk: %d -> %d", sizeBefore, after)
 	}
@@ -317,6 +321,49 @@ func TestCompactionDropsOverwrites(t *testing.T) {
 	}
 }
 
+func TestCompactVerifiesChecksums(t *testing.T) {
+	// Compaction copies records verbatim; a record whose checksum no
+	// longer matches aborts it, so the corruption stays detectable instead
+	// of being copied forward under a fresh checksum.
+	dir := t.TempDir()
+	s := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
+	defer s.Close()
+	for i := 0; i < 40; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("value-%03d", i)))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if len(before) < 6 {
+		t.Fatalf("precondition: want many small segments, got %d", len(before))
+	}
+	// header(8) op(1) "deltas"(1+6) "p0"(1+2) "c0NN"(1+4) len(1): the
+	// value of a segment's first record starts at byte 25.
+	f, err := os.OpenFile(before[2], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	f.ReadAt(b[:], 25)
+	b[0] ^= 0x01
+	f.WriteAt(b[:], 25)
+	f.Close()
+
+	if err := s.Compact(); !errors.Is(err, reclog.ErrCorrupt) {
+		t.Fatalf("compaction over a corrupt record = %v; want reclog.ErrCorrupt", err)
+	}
+	after, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if fmt.Sprint(after) != fmt.Sprint(before) || s.Segments() != len(before) || s.Compactions() != 0 {
+		t.Fatalf("aborted compaction changed the segment set:\n%v\n%v", before, after)
+	}
+	// The last original segment is active again and takes writes.
+	s.Put("deltas", "p0", "later", []byte("still writable"))
+	if v, ok := s.Get("deltas", "p0", "later"); !ok || string(v) != "still writable" {
+		t.Fatalf("write after aborted compaction: %q,%v", v, ok)
+	}
+}
+
 func TestAutoCompactionTriggers(t *testing.T) {
 	s := open(t, t.TempDir(), Options{CompactMinDead: 512})
 	defer s.Close()
@@ -331,6 +378,9 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 	if v, ok := s.Get("t", "p", "hot"); !ok || !bytes.Equal(v, payload) {
 		t.Fatal("row damaged by auto-compaction")
+	}
+	if s.Compactions() == 0 {
+		t.Fatal("triggered compactions not counted")
 	}
 }
 
@@ -419,151 +469,112 @@ func TestIterNewestOrderAndStop(t *testing.T) {
 	}
 }
 
-func TestMergeSmallCoalescesTailSegments(t *testing.T) {
+func TestSecondOpenOfLiveDirRejected(t *testing.T) {
+	// Two live handles would append to the same segment files from their
+	// own offsets, each overwriting the other's acknowledged records.
 	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
-	defer s.Close()
-	for i := 0; i < 40; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("value-%03d", i)))
+	s := open(t, dir, Options{})
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("second handle on a live disklog directory must be rejected")
 	}
-	// Overwrites strand dead records inside the small segments.
-	for i := 0; i < 10; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("fresh-%03d", i)))
-	}
-	before := s.Segments()
-	if before < 6 {
-		t.Fatalf("precondition: want many small segments, got %d", before)
-	}
-	deadBefore := s.DeadBytes()
-	n, err := s.MergeSmall(1<<20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < before-1 {
-		t.Fatalf("merged %d of %d segments", n, before)
-	}
-	if s.Segments() >= before {
-		t.Fatalf("segment count did not shrink: %d -> %d", before, s.Segments())
-	}
-	if s.DeadBytes() >= deadBefore {
-		t.Fatalf("merge reclaimed nothing: dead %d -> %d", deadBefore, s.DeadBytes())
-	}
-	for i := 0; i < 40; i++ {
-		want := fmt.Sprintf("value-%03d", i)
-		if i < 10 {
-			want = fmt.Sprintf("fresh-%03d", i)
-		}
-		if v, ok := s.Get("deltas", "p0", fmt.Sprintf("c%03d", i)); !ok || string(v) != want {
-			t.Fatalf("row %d wrong after merge: %q,%v", i, v, ok)
-		}
-	}
-	// The merged log must replay to the same state.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
-	defer r.Close()
-	for i := 0; i < 40; i++ {
-		want := fmt.Sprintf("value-%03d", i)
-		if i < 10 {
-			want = fmt.Sprintf("fresh-%03d", i)
-		}
-		if v, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i)); !ok || string(v) != want {
-			t.Fatalf("row %d wrong after merge+reopen: %q,%v", i, v, ok)
-		}
-	}
-}
-
-// TestMergeSmallVerifiesChecksums flips one key byte of a live put in a
-// small tail segment. Copying it forward on the strength of its length
-// prefix alone would judge the row superseded (its key no longer matches
-// the index), drop the record and delete the only file the index points
-// at. The merge must refuse instead, and change nothing.
-func TestMergeSmallVerifiesChecksums(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
-	defer s.Close()
-	for i := 0; i < 40; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("value-%03d", i)))
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(before) < 6 {
-		t.Fatalf("precondition: want many small segments, got %d", len(before))
-	}
-	// header(8) op(1) "deltas"(1+6) "p0"(1+2) len(1): the clustering key
-	// of a segment's first record starts at byte 20.
-	f, err := os.OpenFile(before[2], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	f.ReadAt(b[:], 22)
-	b[0] ^= 0x01
-	f.WriteAt(b[:], 22)
-	f.Close()
-
-	n, err := s.MergeSmall(1<<20, 2)
-	if !errors.Is(err, reclog.ErrCorrupt) || n != 0 {
-		t.Fatalf("merge over a corrupt record = %d, %v; want reclog.ErrCorrupt", n, err)
-	}
-	after, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if fmt.Sprint(after) != fmt.Sprint(before) || s.Segments() != len(before) {
-		t.Fatalf("aborted merge changed the segment set:\n%v\n%v", before, after)
-	}
-	for i := 0; i < 40; i++ {
-		want := fmt.Sprintf("value-%03d", i)
-		if v, ok := s.Get("deltas", "p0", fmt.Sprintf("c%03d", i)); !ok || string(v) != want {
-			t.Fatalf("row %d after aborted merge: %q,%v", i, v, ok)
-		}
-	}
-	// The last original segment is active again and takes writes.
-	s.Put("deltas", "p0", "later", []byte("still writable"))
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s.Get("deltas", "p0", "later"); !ok || string(v) != "still writable" {
-		t.Fatalf("write after aborted merge: %q,%v", v, ok)
-	}
-}
-
-func TestMergeSmallPreservesTombstones(t *testing.T) {
-	// A delete whose tombstone sits in a merged tail segment may kill a
-	// row recorded in an older, untouched segment. Dropping the
-	// tombstone during the merge would resurrect that row on replay.
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
-	// An oversized first segment stays out of the mergeable tail.
-	s.Put("deltas", "p0", "victim", bytes.Repeat([]byte("x"), 300))
-	s.Put("deltas", "dropme", "a", bytes.Repeat([]byte("y"), 300))
-	for i := 0; i < 30; i++ {
-		s.Put("deltas", "p1", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("filler-%03d", i)))
-	}
-	firstID := s.log.Segments()[0].ID()
-	s.Delete("deltas", "p0", "victim")
-	s.DropPartition("deltas", "dropme")
-	if _, err := s.MergeSmall(256, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.log.Segments()[0].ID(); got != firstID {
-		t.Fatalf("merge touched the old segment (first id %d -> %d)", firstID, got)
+	for i := 0; i < 100; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte{byte(i)})
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, dir, Options{SegmentBytes: 128, DisableAutoCompact: true})
+	// The lock dies with the handle: reopening after Close works, and
+	// after Kill too.
+	r := open(t, dir, Options{})
+	if rows := r.ScanPrefix("deltas", "p0", ""); len(rows) != 100 {
+		t.Fatalf("reopened store holds %d rows, want 100", len(rows))
+	}
+	r.Kill()
+	k := open(t, dir, Options{})
+	k.Close()
+}
+
+func TestKillLosesNothingFlushed(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{SegmentBytes: 512})
+	for i := 0; i < 50; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("v%03d", i)))
+	}
+	s.Delete("deltas", "p0", "c007")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	r := open(t, dir, Options{SegmentBytes: 512})
 	defer r.Close()
-	if _, ok := r.Get("deltas", "p0", "victim"); ok {
-		t.Fatal("merge dropped a tombstone: deleted row resurrected on replay")
-	}
-	if r.HasPartition("deltas", "dropme") {
-		t.Fatal("merge dropped a drop record: partition resurrected on replay")
-	}
-	for i := 0; i < 30; i++ {
-		if _, ok := r.Get("deltas", "p1", fmt.Sprintf("c%03d", i)); !ok {
-			t.Fatalf("filler row %d lost in merge", i)
+	for i := 0; i < 50; i++ {
+		v, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i))
+		if i == 7 {
+			if ok {
+				t.Fatal("deleted row resurrected after Kill")
+			}
+			continue
 		}
+		if !ok || string(v) != fmt.Sprintf("v%03d", i) {
+			t.Fatalf("flushed row %d lost to Kill", i)
+		}
+	}
+}
+
+func TestBackupDoesNotBlockReads(t *testing.T) {
+	s := open(t, t.TempDir(), Options{SegmentBytes: 4 << 10})
+	defer s.Close()
+	const n = 400
+	for i := 0; i < n; i++ {
+		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i), []byte(fmt.Sprintf("v%04d", i)))
+	}
+
+	// Park the backup after its snapshot, before the copy: the window in
+	// which holding the engine lock would stall every operation.
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	backupCopyHook = func() {
+		close(parked)
+		<-release
+	}
+	defer func() { backupCopyHook = nil }()
+
+	backupDir := filepath.Join(t.TempDir(), "backup")
+	errc := make(chan error, 1)
+	go func() { errc <- s.Backup(backupDir) }()
+	<-parked
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i)); !ok {
+				t.Errorf("row %d unreadable during backup", i)
+				return
+			}
+		}
+		s.Put("deltas", "p00", "during-backup", []byte("x"))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("operations blocked behind an in-flight backup")
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	// The backup is the consistent pre-snapshot state and opens cleanly.
+	b := open(t, backupDir, Options{SegmentBytes: 4 << 10})
+	defer b.Close()
+	for i := 0; i < n; i++ {
+		v, ok := b.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i))
+		if !ok || string(v) != fmt.Sprintf("v%04d", i) {
+			t.Fatalf("row %d missing from backup", i)
+		}
+	}
+	if _, ok := b.Get("deltas", "p00", "during-backup"); ok {
+		t.Fatal("write issued during the backup leaked into the copy")
 	}
 }

@@ -1,6 +1,6 @@
 //go:build !(darwin || dragonfly || freebsd || linux || netbsd || openbsd)
 
-package tiered
+package disklog
 
 import (
 	"fmt"
@@ -22,14 +22,14 @@ func lockDir(dir string) (*dirLock, error) {
 	if err != nil {
 		if os.IsExist(err) {
 			pid, _ := os.ReadFile(path)
-			return nil, fmt.Errorf("tiered: %s is already open (LOCK held by pid %s; its background flusher owns the files); one handle per directory — remove %s only if that process is gone", dir, strings.TrimSpace(string(pid)), path)
+			return nil, fmt.Errorf("disklog: %s is already open (LOCK held by pid %s); one handle per directory — remove %s only if that process is gone", dir, strings.TrimSpace(string(pid)), path)
 		}
-		return nil, fmt.Errorf("tiered: %w", err)
+		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	if _, err := f.WriteString(strconv.Itoa(os.Getpid())); err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, fmt.Errorf("tiered: %w", err)
+		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	return &dirLock{f: f, path: path}, nil
 }

@@ -1,6 +1,6 @@
 //go:build darwin || dragonfly || freebsd || linux || netbsd || openbsd
 
-package tiered
+package disklog
 
 import (
 	"fmt"
@@ -17,11 +17,11 @@ import (
 func lockDir(dir string) (*dirLock, error) {
 	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("tiered: %w", err)
+		return nil, fmt.Errorf("disklog: %w", err)
 	}
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("tiered: %s is already open (its background flusher owns the files); one handle per directory: %w", dir, err)
+		return nil, fmt.Errorf("disklog: %s is already open; one handle per directory: %w", dir, err)
 	}
 	return &dirLock{f: f}, nil
 }

@@ -3,23 +3,17 @@ package tiered
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"hgs/internal/backend"
+	"hgs/internal/backend/disklog"
+	"hgs/internal/backend/memtable"
+	"hgs/internal/reclog"
 )
-
-// fastOptions makes background flushing aggressive so tests exercise
-// tier migration within milliseconds.
-func fastOptions() Options {
-	return Options{
-		HotBytes:      4 << 10,
-		CompactRate:   -1, // unlimited: tests should not sleep
-		FlushInterval: time.Millisecond,
-	}
-}
 
 func open(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -45,10 +39,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func val(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
 
+// rowBytes is what one row of the tests below (5-byte clustering key,
+// val) charges against HotBytes.
+const rowBytes = 5 + 64
+
 func TestHotReadsServeWithoutColdReads(t *testing.T) {
-	// A hot tier large enough for the whole working set: every read is
-	// a hot hit and the cold tier is never consulted for a row.
-	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	// A memory budget large enough for the whole working set: every read
+	// is a hot hit and the cold log is never consulted for a row.
+	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30})
 	defer s.Close()
 	for i := 0; i < 50; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), val(i))
@@ -66,109 +64,46 @@ func TestHotReadsServeWithoutColdReads(t *testing.T) {
 	if tc.ColdReads != 0 {
 		t.Fatalf("cold reads = %d, want 0 (all-hot working set)", tc.ColdReads)
 	}
-	if tc.HotBytes == 0 {
-		t.Fatal("hot bytes gauge empty with resident rows")
+	if tc.HotBytes != 50*(4+64) {
+		t.Fatalf("hot bytes gauge = %d, want %d", tc.HotBytes, 50*(4+64))
+	}
+	if tc.FlushedBytes != 50*64 {
+		t.Fatalf("flushed bytes = %d, want every value written through (%d)", tc.FlushedBytes, 50*64)
 	}
 }
 
-func TestBackgroundFlushMigratesToCold(t *testing.T) {
-	s := open(t, t.TempDir(), fastOptions())
+func TestEvictionIsFirstInFirstOut(t *testing.T) {
+	// Budget for ten rows: the ten newest writes stay in memory, older
+	// ones are evicted and served from the cold log — the write order,
+	// not the key order, decides. Rewriting a row makes it the newest.
+	s := open(t, t.TempDir(), Options{HotBytes: 10 * rowBytes})
 	defer s.Close()
-	const n = 400
+	const n = 40
 	for i := 0; i < n; i++ {
-		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i), val(i))
+		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", n-1-i), val(i))
 	}
-	waitFor(t, "hot tier to drain to the low-water mark", func() bool {
-		return s.TierCounters().HotBytes <= 4<<10/2
-	})
-	tc := s.TierCounters()
-	if tc.FlushedRows == 0 || tc.FlushedBytes == 0 {
-		t.Fatalf("no flush activity: %+v", tc)
+	s.Put("deltas", "p00", fmt.Sprintf("c%04d", n-1), val(0)) // the first write, rewritten
+	if got := s.TierCounters().HotBytes; got != 10*rowBytes {
+		t.Fatalf("memory holds %d bytes, want the %d-byte budget", got, 10*rowBytes)
 	}
-	// Every row is still readable; old rows come from the cold tier.
 	for i := 0; i < n; i++ {
-		v, ok := s.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i))
+		base := s.TierCounters()
+		v, ok := s.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", n-1-i))
 		if !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("row %d lost after flush", i)
+			t.Fatalf("row %d wrong", i)
 		}
-	}
-	if s.TierCounters().ColdReads == 0 {
-		t.Fatal("expected cold reads for flushed rows")
-	}
-	// Scans merge the tiers in clustering order.
-	rows := s.ScanPrefix("deltas", "p00", "")
-	if len(rows) != n/4 {
-		t.Fatalf("scan returned %d rows, want %d", len(rows), n/4)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1].CKey >= rows[i].CKey {
-			t.Fatal("merged scan out of order")
+		hot := s.TierCounters().HotHits - base.HotHits
+		if want := i == 0 || i > n-10; (hot == 1) != want {
+			t.Fatalf("write %d served hot=%v, want hot=%v", i, hot == 1, want)
 		}
 	}
 }
 
-func TestWALSegmentsRetireAfterFlush(t *testing.T) {
-	opts := fastOptions()
-	opts.WALSegmentBytes = 1 << 10
-	dir := t.TempDir()
-	s := open(t, dir, opts)
-	defer s.Close()
-	for i := 0; i < 300; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
-	}
-	// ~27 segments are written; all but the handful pinned by still-hot
-	// rows (the low-water residue) plus the active segment must retire.
-	waitFor(t, "WAL retirement", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.wal.Len() <= 6
-	})
-}
-
-func TestRetireWALSyncsSupersedingRecords(t *testing.T) {
-	// A segment's pending count can reach zero because every record in
-	// it was superseded by records in a newer segment. If that newer
-	// segment's bytes are still only in the page cache when the old one
-	// is deleted, a power cut loses the row entirely — so retirement
-	// must fsync the WAL before dropping segments.
-	opts := Options{
-		HotBytes:        1 << 30,   // nothing migrates: retirement is purely by supersession
-		FlushInterval:   time.Hour, // retirement runs only when driven below
-		WALSegmentBytes: 512,
-		WALSyncBytes:    1 << 30, // the batch fsync never fires on its own
-	}
-	s := open(t, t.TempDir(), opts)
-	defer s.Close()
-	// Overwrite one row until the WAL rotates several times: every
-	// record outside the active segment is superseded by one inside it,
-	// and the active segment's tail records are unsynced.
-	for i := 0; i < 40; i++ {
-		s.Put("deltas", "p0", "c0", val(i))
-	}
-	s.mu.Lock()
-	segs, unsynced := s.wal.Len(), s.wal.Unsynced()
-	s.mu.Unlock()
-	if segs < 2 || unsynced == 0 {
-		t.Fatalf("precondition not reached: %d segments, %d unsynced bytes", segs, unsynced)
-	}
-	s.flushChunk(false) // empty batch: runs WAL retirement
-	s.mu.Lock()
-	segs, unsynced = s.wal.Len(), s.wal.Unsynced()
-	s.mu.Unlock()
-	if segs != 1 {
-		t.Fatalf("superseded segments did not retire: %d remain", segs)
-	}
-	if unsynced != 0 {
-		t.Fatalf("WAL segments retired with %d unsynced bytes outstanding", unsynced)
-	}
-}
-
-func TestFlushQueueBoundedUnderBudgetChurn(t *testing.T) {
-	// The flusher only trims the queue's stale prefix, and a long-lived
-	// row below the low-water mark pins the head forever. Overwrite
-	// churn behind it must still be compacted away, or the queue grows
-	// by one entry per Put for the life of the store.
-	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30, FlushInterval: time.Hour})
+func TestEvictionQueueBoundedUnderChurn(t *testing.T) {
+	// A long-lived row pins the queue's head; overwrite churn behind it
+	// must still be compacted away, or the queue grows by one entry per
+	// Put for the life of the store.
+	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30})
 	defer s.Close()
 	s.Put("deltas", "p0", "pinned", val(0))
 	for i := 0; i < 10000; i++ {
@@ -180,62 +115,66 @@ func TestFlushQueueBoundedUnderBudgetChurn(t *testing.T) {
 	// Compaction triggers once stale entries reach half of a 64+ entry
 	// queue, so steady state stays under ~64 for two live rows.
 	if qlen > 100 {
-		t.Fatalf("flush queue holds %d entries for 2 live rows", qlen)
+		t.Fatalf("eviction queue holds %d entries for 2 live rows", qlen)
 	}
 }
 
 func TestUnderBudgetWorkingSetStaysHot(t *testing.T) {
-	// Draining is latched by exceeding the budget, not by the low-water
-	// mark alone: a working set between HotBytes/2 and HotBytes must
-	// stay resident, or the effective hot tier is half the configured
-	// budget and reads pay cold-tier latency for no reason.
-	s := open(t, t.TempDir(), Options{HotBytes: 64 << 10, CompactRate: -1, FlushInterval: time.Millisecond})
+	// A working set just under the budget stays resident in full: every
+	// read of it is memory-served.
+	s := open(t, t.TempDir(), Options{HotBytes: 600 * rowBytes})
 	defer s.Close()
-	for i := 0; i < 600; i++ { // ~41 KB: above low water, under budget
+	for i := 0; i < 600; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
 	}
-	time.Sleep(50 * time.Millisecond) // dozens of flush ticks
-	if tc := s.TierCounters(); tc.FlushedRows != 0 {
-		t.Fatalf("flusher migrated %d rows of an under-budget working set", tc.FlushedRows)
+	for i := 0; i < 600; i++ {
+		if _, ok := s.Get("deltas", "p0", fmt.Sprintf("c%04d", i)); !ok {
+			t.Fatalf("row %d missing", i)
+		}
+	}
+	if tc := s.TierCounters(); tc.ColdReads != 0 {
+		t.Fatalf("%d cold reads on an under-budget working set", tc.ColdReads)
 	}
 }
 
 func TestScanCountsShadowedRowsAsHot(t *testing.T) {
-	// A row resident in both tiers (rewritten after its old version went
-	// cold) is served from the hot tier; a scan must bill it to HotHits
-	// only, or hit ratios sink and the cold-read latency surcharge is
-	// charged for memory-served rows.
-	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30, FlushInterval: time.Hour})
+	// Every row in memory also lives in the cold log, which decides
+	// which rows a scan returns; a row whose disk copy is shadowed by a
+	// memory copy is served from memory and billed hot, the rest cold.
+	s := open(t, t.TempDir(), Options{HotBytes: 2 * (2 + 64)})
 	defer s.Close()
-	s.cold.Put("deltas", "p0", "c1", val(1)) // stale cold copy
-	s.cold.Put("deltas", "p0", "c2", val(3)) // cold-only row
-	s.Put("deltas", "p0", "c0", val(0))      // hot-only row
-	s.Put("deltas", "p0", "c1", val(2))      // shadows the cold copy
+	s.Put("deltas", "p0", "c2", val(3)) // evicted by the next two writes
+	s.Put("deltas", "p0", "c0", val(0))
+	s.Put("deltas", "p0", "c1", val(2))
 	rows := s.ScanPrefix("deltas", "p0", "")
-	if len(rows) != 3 || !bytes.Equal(rows[1].Value, val(2)) {
-		t.Fatalf("merged scan wrong: %d rows", len(rows))
+	if len(rows) != 3 || rows[0].CKey != "c0" || !bytes.Equal(rows[1].Value, val(2)) || !bytes.Equal(rows[2].Value, val(3)) {
+		t.Fatalf("scan wrong: %v", rows)
 	}
 	tc := s.TierCounters()
 	if tc.HotHits != 2 || tc.ColdReads != 1 {
-		t.Fatalf("scan billed hot=%d cold=%d, want hot=2 cold=1 (shadowed row is hot-served)", tc.HotHits, tc.ColdReads)
+		t.Fatalf("scan billed hot=%d cold=%d, want hot=2 cold=1", tc.HotHits, tc.ColdReads)
+	}
+	rows[0].Value[0] ^= 0xff // the caller owns the returned values
+	if v, _ := s.Get("deltas", "p0", "c0"); !bytes.Equal(v, val(0)) {
+		t.Fatal("scan handed out the memory copy itself")
 	}
 }
 
 func TestReopenRecoversBothTiers(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, fastOptions())
+	opts := Options{HotBytes: 50 * rowBytes}
+	s := open(t, dir, opts)
 	const n = 200
 	for i := 0; i < n; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
 	}
 	s.Delete("deltas", "p0", "c0000")
-	waitFor(t, "some flushing", func() bool { return s.TierCounters().FlushedRows > 0 })
 	stored := s.StoredBytes()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := open(t, dir, fastOptions())
+	r := open(t, dir, opts)
 	defer r.Close()
 	if got := r.StoredBytes(); got != stored {
 		t.Fatalf("stored bytes after reopen: %d, want %d", got, stored)
@@ -251,17 +190,66 @@ func TestReopenRecoversBothTiers(t *testing.T) {
 	}
 }
 
-func TestKillMidFlushLosesNothing(t *testing.T) {
-	// Throttle flushing hard so the kill lands with the hot tier
-	// partially migrated: some rows only in the WAL, some mid-chunk,
-	// some already cold.
-	opts := Options{
-		HotBytes:      2 << 10,
-		CompactRate:   64 << 10,
-		FlushInterval: time.Millisecond,
-	}
+// flushLoop calls Flush until stop closes, as a concurrent caller making
+// writes durable would; errors after a Kill or Close are expected.
+func flushLoop(s *Store, stop <-chan struct{}) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Flush()
+			}
+		}
+	}()
+	return done
+}
+
+func TestDeleteDuringFlushDoesNotResurrect(t *testing.T) {
+	// Deletes interleave with writes, evictions and concurrent Flush
+	// calls; deleted rows must stay gone, also after a reopen.
 	dir := t.TempDir()
+	s := open(t, dir, Options{HotBytes: 4 << 10})
+	stop := make(chan struct{})
+	done := flushLoop(s, stop)
+	const n = 300
+	for i := 0; i < n; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
+		if i%3 == 0 && !s.Delete("deltas", "p0", fmt.Sprintf("c%04d", i)) {
+			t.Fatalf("delete of fresh row %d reported absent", i)
+		}
+	}
+	close(stop)
+	<-done
+	check := func(s *Store) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			_, ok := s.Get("deltas", "p0", fmt.Sprintf("c%04d", i))
+			if ok != (i%3 != 0) {
+				t.Fatalf("row %d present=%v", i, ok)
+			}
+		}
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, dir, Options{HotBytes: 4 << 10})
+	defer r.Close()
+	check(r)
+}
+
+func TestKillMidFlushLosesNothing(t *testing.T) {
+	// Kill lands while another goroutine is flushing: every write the
+	// store accepted before the kill survives the reopen.
+	dir := t.TempDir()
+	opts := Options{HotBytes: 2 << 10}
 	s := open(t, dir, opts)
+	stop := make(chan struct{})
+	done := flushLoop(s, stop)
 	const n = 500
 	for i := 0; i < n; i++ {
 		s.Put("deltas", fmt.Sprintf("p%02d", i%8), fmt.Sprintf("c%04d", i), val(i))
@@ -269,7 +257,9 @@ func TestKillMidFlushLosesNothing(t *testing.T) {
 			s.Delete("deltas", "p01", "c0001")
 		}
 	}
-	s.Kill() // crash: no final fsync, flusher abandoned where it was
+	s.Kill()
+	close(stop)
+	<-done
 
 	r := open(t, dir, opts)
 	defer r.Close()
@@ -288,21 +278,101 @@ func TestKillMidFlushLosesNothing(t *testing.T) {
 	}
 }
 
-func TestTornWALTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{HotBytes: 1 << 30, FlushInterval: time.Hour})
-	for i := 0; i < 20; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), val(i))
+// TestKillAfterFlushMatchesMemtableReplay: a seeded mix of puts,
+// deletes and partition drops under a budget that keeps most rows out
+// of memory, then Flush and Kill. The reopened store must equal a
+// memtable that replayed the same operations.
+func TestKillAfterFlushMatchesMemtableReplay(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		dir := t.TempDir()
+		// Small segments and a low compaction floor: the stream rotates
+		// and compacts the cold log many times.
+		cold := disklog.Options{SegmentBytes: 4 << 10, CompactMinDead: 2 << 10}
+		opts := Options{HotBytes: 2 << 10, Cold: cold}
+		s := open(t, dir, opts)
+		mem := memtable.New()
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 2000; op++ {
+			pkey := fmt.Sprintf("p%d", rng.Intn(6))
+			ckey := fmt.Sprintf("c%03d", rng.Intn(50))
+			switch r := rng.Intn(20); {
+			case r < 14:
+				v := make([]byte, rng.Intn(96))
+				rng.Read(v)
+				s.Put("deltas", pkey, ckey, append([]byte(nil), v...))
+				mem.Put("deltas", pkey, ckey, v)
+			case r < 19:
+				if got, want := s.Delete("deltas", pkey, ckey), mem.Delete("deltas", pkey, ckey); got != want {
+					t.Fatalf("seed %d op %d: Delete = %v, want %v", seed, op, got, want)
+				}
+			default:
+				s.DropPartition("deltas", pkey)
+				mem.DropPartition("deltas", pkey)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		s.Kill()
+
+		r := open(t, dir, Options{HotBytes: 2 << 10, DisableWarm: true, Cold: cold})
+		if got, want := dump(r), dump(mem); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: reopened store differs from the memtable replay:\n got:\n%s\nwant:\n%s", seed, got, want)
+		}
+		if got, want := r.StoredBytes(), mem.StoredBytes(); got != want {
+			t.Fatalf("seed %d: stored bytes %d, want %d", seed, got, want)
+		}
+		r.Close()
 	}
-	if err := s.Flush(); err != nil {
+}
+
+func dump(be backend.Backend) []byte {
+	var b bytes.Buffer
+	for _, tbl := range be.Tables() {
+		for _, pk := range be.PartitionKeys(tbl) {
+			for _, r := range be.ScanPrefix(tbl, pk, "") {
+				fmt.Fprintf(&b, "%q %q %q %x\n", tbl, pk, r.CKey, r.Value)
+			}
+		}
+	}
+	return b.Bytes()
+}
+
+// writeLegacyWAL writes mutation records into dir/wal the way earlier
+// versions of the engine logged them.
+func writeLegacyWAL(t *testing.T, dir string, muts []reclog.Mutation) string {
+	t.Helper()
+	walDir := filepath.Join(dir, "wal")
+	w, err := reclog.Open(walDir, "wal", 512)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Kill()
+	for _, m := range muts {
+		rec, _ := m.AppendRecord(nil)
+		if _, _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	return walDir
+}
 
-	// Simulate a crash mid-append: garbage at the WAL tail.
-	walDir := filepath.Join(dir, "wal")
+func TestTornWALTailTruncated(t *testing.T) {
+	// A directory written by the WAL-based engine, killed mid-append:
+	// Open carries the log into the cold tier, cutting the torn tail,
+	// and removes it.
+	dir := t.TempDir()
+	var muts []reclog.Mutation
+	for i := 0; i < 20; i++ {
+		muts = append(muts, reclog.Mutation{Op: reclog.OpPut, Table: "deltas", PKey: "p0", CKey: fmt.Sprintf("c%03d", i), Value: val(i)})
+	}
+	muts = append(muts, reclog.Mutation{Op: reclog.OpDel, Table: "deltas", PKey: "p0", CKey: "c003"})
+	walDir := writeLegacyWAL(t, dir, muts)
 	names, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
-	if err != nil || len(names) == 0 {
+	if err != nil || len(names) < 2 {
 		t.Fatalf("wal segments: %v %v", names, err)
 	}
 	last := names[len(names)-1] // Glob sorts; zero-padded ids sort numerically
@@ -315,77 +385,47 @@ func TestTornWALTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	r := open(t, dir, Options{HotBytes: 1 << 30})
+	r := open(t, dir, Options{HotBytes: 1 << 30, DisableWarm: true})
 	defer r.Close()
 	for i := 0; i < 20; i++ {
-		if _, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i)); !ok {
-			t.Fatalf("acknowledged row %d lost to torn-tail truncation", i)
+		_, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i))
+		if ok != (i != 3) {
+			t.Fatalf("row %d present=%v after migrating the legacy WAL", i, ok)
 		}
 	}
-}
-
-func TestDeleteDuringFlushDoesNotResurrect(t *testing.T) {
-	// Delete rows continuously while the flusher migrates under a tight
-	// budget; deleted rows must stay gone (the flush gate orders the
-	// cold write and the delete).
-	s := open(t, t.TempDir(), fastOptions())
-	defer s.Close()
-	const n = 300
-	for i := 0; i < n; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
-		if i%3 == 0 {
-			if !s.Delete("deltas", "p0", fmt.Sprintf("c%04d", i)) {
-				t.Fatalf("delete of fresh row %d reported absent", i)
-			}
-		}
-	}
-	// The hot rows themselves, not the HotBytes gauge: a drain that ends
-	// between the marks leaves the rest to the idle pass, which re-homes
-	// what it flushes as warm copies the gauge still counts.
-	waitFor(t, "hot drain", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.hot.StoredBytes() <= 2<<10
-	})
-	for i := 0; i < n; i++ {
-		_, ok := s.Get("deltas", "p0", fmt.Sprintf("c%04d", i))
-		if i%3 == 0 && ok {
-			t.Fatalf("deleted row %d resurrected", i)
-		}
-		if i%3 != 0 && !ok {
-			t.Fatalf("row %d lost", i)
-		}
+	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
+		t.Fatalf("legacy WAL not removed after migration: %v", err)
 	}
 }
 
 func TestDropPartitionSpansTiers(t *testing.T) {
-	s := open(t, t.TempDir(), fastOptions())
+	s := open(t, t.TempDir(), Options{HotBytes: 40 * rowBytes})
 	defer s.Close()
 	for i := 0; i < 100; i++ {
 		s.Put("deltas", "keep", fmt.Sprintf("c%03d", i), val(i))
 		s.Put("deltas", "drop", fmt.Sprintf("c%03d", i), val(i))
 	}
-	waitFor(t, "some flushing", func() bool { return s.TierCounters().FlushedRows > 0 })
 	s.DropPartition("deltas", "drop")
 	if rows := s.ScanPrefix("deltas", "drop", ""); len(rows) != 0 {
 		t.Fatalf("dropped partition still has %d rows", len(rows))
+	}
+	if _, ok := s.Get("deltas", "drop", "c099"); ok {
+		t.Fatal("memory copy of a dropped row still served")
 	}
 	pks := s.PartitionKeys("deltas")
 	if len(pks) != 1 || pks[0] != "keep" {
 		t.Fatalf("partition keys = %v, want [keep]", pks)
 	}
+	if got, want := s.TierCounters().HotBytes, int64(20*(4+64)); got != want {
+		t.Fatalf("memory holds %d bytes after the drop, want the %d of the kept partition", got, want)
+	}
 }
 
 func TestMultiGetSpansTiers(t *testing.T) {
-	s := open(t, t.TempDir(), fastOptions())
+	s := open(t, t.TempDir(), Options{HotBytes: 30 * rowBytes})
 	defer s.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
-		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
-	}
-	waitFor(t, "hot drain", func() bool { return s.TierCounters().HotBytes <= 2<<10 })
-	// Keep a few rows hot again.
-	for i := 0; i < 5; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
 	}
 	reqs := make([]backend.KeyRead, 0, n+1)
@@ -393,7 +433,7 @@ func TestMultiGetSpansTiers(t *testing.T) {
 		reqs = append(reqs, backend.KeyRead{Table: "deltas", PKey: "p0", CKey: fmt.Sprintf("c%04d", i)})
 	}
 	reqs = append(reqs, backend.KeyRead{Table: "deltas", PKey: "p0", CKey: "absent"})
-	out := s.MultiGet(reqs)
+	out, cold := s.MultiGetTier(reqs)
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(out[i], val(i)) {
 			t.Fatalf("batch row %d wrong", i)
@@ -402,25 +442,26 @@ func TestMultiGetSpansTiers(t *testing.T) {
 	if out[n] != nil {
 		t.Fatal("absent key must be nil in batch result")
 	}
+	if cold != n-30 {
+		t.Fatalf("batch read %d rows cold, want the %d evicted ones", cold, n-30)
+	}
 }
 
-func TestColdCompactionRunsInBackground(t *testing.T) {
-	opts := fastOptions()
+func TestColdCompactionCounted(t *testing.T) {
+	opts := Options{HotBytes: 4 << 10}
 	opts.Cold.CompactMinDead = 1 << 10
 	s := open(t, t.TempDir(), opts)
 	defer s.Close()
-	// Overwrite the same keys repeatedly: each overwrite strands the old
-	// cold record as dead bytes once flushed. Every round exceeds the
-	// 4 KiB budget so the drain latch engages.
+	// Overwriting the same keys strands the old cold records as dead
+	// bytes; the cold log's triggered compaction reclaims them.
 	for round := 0; round < 30; round++ {
 		for i := 0; i < 80; i++ {
 			s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), val(round))
 		}
-		waitFor(t, "flush round", func() bool { return s.TierCounters().HotBytes <= 2<<10 })
 	}
-	waitFor(t, "background cold compaction", func() bool {
-		return s.TierCounters().Compactions > 0
-	})
+	if s.TierCounters().Compactions == 0 {
+		t.Fatal("cold compactions not counted")
+	}
 	for i := 0; i < 80; i++ {
 		v, ok := s.Get("deltas", "p0", fmt.Sprintf("c%03d", i))
 		if !ok || !bytes.Equal(v, val(29)) {
@@ -431,12 +472,11 @@ func TestColdCompactionRunsInBackground(t *testing.T) {
 
 func TestBackupOpensAsTieredStore(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, fastOptions())
+	s := open(t, dir, Options{HotBytes: 4 << 10})
 	const n = 150
 	for i := 0; i < n; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%04d", i), val(i))
 	}
-	waitFor(t, "some flushing", func() bool { return s.TierCounters().FlushedRows > 0 })
 	backupDir := filepath.Join(t.TempDir(), "backup")
 	if err := s.Backup(backupDir); err != nil {
 		t.Fatal(err)
@@ -445,7 +485,7 @@ func TestBackupOpensAsTieredStore(t *testing.T) {
 	s.Put("deltas", "p0", "c9999", val(1))
 	defer s.Close()
 
-	b := open(t, backupDir, fastOptions())
+	b := open(t, backupDir, Options{HotBytes: 4 << 10})
 	defer b.Close()
 	for i := 0; i < n; i++ {
 		v, ok := b.Get("deltas", "p0", fmt.Sprintf("c%04d", i))
@@ -460,7 +500,7 @@ func TestBackupOpensAsTieredStore(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	root := t.TempDir()
-	f := Factory(root, fastOptions())
+	f := Factory(root, Options{})
 	for node := 0; node < 3; node++ {
 		be, err := f(node)
 		if err != nil {
@@ -470,23 +510,23 @@ func TestFactory(t *testing.T) {
 		if err := be.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(root, fmt.Sprintf("node-%03d", node), "wal")); err != nil {
-			t.Fatalf("node %d wal dir: %v", node, err)
+		if _, err := os.Stat(filepath.Join(root, fmt.Sprintf("node-%03d", node), "cold")); err != nil {
+			t.Fatalf("node %d cold dir: %v", node, err)
 		}
 	}
 }
 
 func TestSecondOpenOfLiveDirRejected(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, fastOptions())
-	if _, err := Open(dir, fastOptions()); err == nil {
+	s := open(t, dir, Options{})
+	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("second handle on a live tiered directory must be rejected")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The lock dies with the handle: reopening after Close works.
-	r := open(t, dir, fastOptions())
+	r := open(t, dir, Options{})
 	r.Close()
 }
 
@@ -496,26 +536,20 @@ func waitWarm(t *testing.T, s *Store) {
 	waitFor(t, "warm-up to finish", func() bool { return s.TierCounters().Warming == 0 })
 }
 
-// coldSeed builds a store whose rows all live in cold segments (tiny
-// hot budget keeps the drain latch engaged; small WAL segments retire
-// behind the flusher), closes it, and returns the directory and row
-// count. The reopened store starts with an empty hot tier — the
-// restart scenario warm-up exists for.
+// coldSeed builds a store whose rows all live only in the cold log (a
+// one-byte memory budget copies nothing), closes it, and returns the
+// directory. The reopened store starts with empty memory — the restart
+// scenario warm-up exists for.
 func coldSeed(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
-	opts := Options{
-		HotBytes:        1,
-		CompactRate:     -1,
-		FlushInterval:   time.Millisecond,
-		WALSegmentBytes: 1 << 10,
-		DisableWarm:     true,
-	}
-	s := open(t, dir, opts)
+	s := open(t, dir, Options{HotBytes: 1, DisableWarm: true})
 	for i := 0; i < n; i++ {
 		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i), val(i))
 	}
-	waitFor(t, "full drain to cold", func() bool { return s.TierCounters().HotBytes == 0 })
+	if got := s.TierCounters().HotBytes; got != 0 {
+		t.Fatalf("a one-byte budget holds %d bytes", got)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -525,18 +559,15 @@ func coldSeed(t *testing.T, n int) string {
 func TestWarmUpRepopulatesNewestRows(t *testing.T) {
 	const n = 300
 	dir := coldSeed(t, n)
-	s := open(t, dir, Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	s := open(t, dir, Options{HotBytes: 1 << 30})
 	defer s.Close()
 	waitWarm(t, s)
 	tc := s.TierCounters()
-	// The last few rows may come back via WAL replay (the active WAL
-	// segment never retires) and are hot-owned, not warmed; everything
-	// else must be warmed under an unbounded budget.
-	if tc.WarmedRows < n-20 {
-		t.Fatalf("warmed %d rows, want nearly all %d (budget is unbounded)", tc.WarmedRows, n)
+	if tc.WarmedRows != n {
+		t.Fatalf("warmed %d rows, want all %d (budget is unbounded)", tc.WarmedRows, n)
 	}
-	if tc.WarmedBytes == 0 || tc.HotBytes == 0 {
-		t.Fatalf("warm-up accounted nothing: %+v", tc)
+	if tc.WarmedBytes != n*(5+64) || tc.HotBytes != tc.WarmedBytes {
+		t.Fatalf("warm-up accounting wrong: %+v", tc)
 	}
 	// The recent-timespan probe: every row is answered from memory, zero
 	// cold-tier reads.
@@ -557,7 +588,7 @@ func TestWarmUpHonorsBudgetNewestFirst(t *testing.T) {
 	dir := coldSeed(t, n)
 	// Budget for roughly a quarter of the data: only the newest rows
 	// come back.
-	s := open(t, dir, Options{HotBytes: 8 << 10, CompactRate: -1, FlushInterval: time.Millisecond})
+	s := open(t, dir, Options{HotBytes: 8 << 10})
 	defer s.Close()
 	waitWarm(t, s)
 	tc := s.TierCounters()
@@ -581,6 +612,16 @@ func TestWarmUpHonorsBudgetNewestFirst(t *testing.T) {
 	if got := s.TierCounters().ColdReads - base; got != 1 {
 		t.Fatalf("oldest row should be a cold read, counters moved by %d", got)
 	}
+	// Warmed rows went in oldest-first: a new write evicts the oldest
+	// warmed row, not the newest.
+	s.Put("deltas", "new", "c0000", val(1))
+	base = s.TierCounters().ColdReads
+	if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", (n-1)%4), fmt.Sprintf("c%04d", n-1)); !ok {
+		t.Fatal("newest row missing")
+	}
+	if got := s.TierCounters().ColdReads - base; got != 0 {
+		t.Fatalf("a write evicted the newest warmed row (%d cold reads)", got)
+	}
 }
 
 func TestWarmUpDisabled(t *testing.T) {
@@ -603,10 +644,10 @@ func TestWarmUpDisabled(t *testing.T) {
 func TestKillMidWarmUpLeavesConsistentStore(t *testing.T) {
 	const n = 400
 	dir := coldSeed(t, n)
-	s := open(t, dir, Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	s := open(t, dir, Options{HotBytes: 1 << 30})
 	s.Kill() // no waiting: the kill races the background warm-up
 
-	r := open(t, dir, Options{HotBytes: 1 << 30, FlushInterval: time.Millisecond})
+	r := open(t, dir, Options{HotBytes: 1 << 30})
 	defer r.Close()
 	waitWarm(t, r)
 	for i := 0; i < n; i++ {
@@ -619,11 +660,10 @@ func TestKillMidWarmUpLeavesConsistentStore(t *testing.T) {
 
 func TestWarmedCopyInvalidatedByWriteAndDelete(t *testing.T) {
 	dir := coldSeed(t, 50)
-	s := open(t, dir, Options{HotBytes: 1 << 30, FlushInterval: time.Hour})
+	s := open(t, dir, Options{HotBytes: 1 << 30})
 	defer s.Close()
 	waitWarm(t, s)
-	// Overwrite a warmed row: the hot tier takes over; the stale warmed
-	// copy must not survive to shadow the cold tier later.
+	// Overwrite a warmed row: the stale copy must not survive.
 	s.Put("deltas", "p01", "c0001", []byte("fresh"))
 	if v, _ := s.Get("deltas", "p01", "c0001"); !bytes.Equal(v, []byte("fresh")) {
 		t.Fatalf("overwrite not visible: %q", v)
@@ -635,135 +675,24 @@ func TestWarmedCopyInvalidatedByWriteAndDelete(t *testing.T) {
 	if _, ok := s.Get("deltas", "p02", "c0002"); ok {
 		t.Fatal("deleted warmed row still readable")
 	}
-	// Deleting a warmed-only row takes no hot-tier branch; the memory
-	// gauge must still see the freed bytes (the flusher is parked, so
-	// nothing else refreshes it).
-	if got := s.TierCounters().HotBytes; got >= gaugeBefore {
-		t.Fatalf("HotBytes gauge stuck at %d after deleting a warmed row (was %d)", got, gaugeBefore)
+	if got := s.TierCounters().HotBytes; got != gaugeBefore-rowBytes {
+		t.Fatalf("HotBytes gauge %d after deleting a warmed row, want %d", got, gaugeBefore-rowBytes)
 	}
 	s.DropPartition("deltas", "p03")
 	if rows := s.ScanPrefix("deltas", "p03", ""); len(rows) != 0 {
 		t.Fatalf("dropped partition still has %d rows (warmed leftovers)", len(rows))
 	}
-}
-
-func TestIdleSchedulerDrainsAfterQuietWindow(t *testing.T) {
-	// Busy phase: sustained traffic below HotBytes must cause no flush
-	// activity at all. Quiet phase: after the idle window the hot tier
-	// drains fully (WAL retires), while every row stays memory-served.
-	opts := Options{
-		HotBytes:         256 << 10,
-		CompactRate:      -1,
-		FlushInterval:    time.Millisecond,
-		WALSegmentBytes:  1 << 10,
-		IdleCompactAfter: 50 * time.Millisecond,
-	}
-	s := open(t, t.TempDir(), opts)
-	defer s.Close()
-	const n = 500 // ~34 KB, far under budget
-	deadline := time.Now().Add(150 * time.Millisecond)
-	i := 0
-	for time.Now().Before(deadline) {
-		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i%n), val(i%n))
-		i++
-		if i%50 == 0 {
-			time.Sleep(time.Millisecond) // sustained, not bursty
-		}
-	}
-	if tc := s.TierCounters(); tc.FlushedRows != 0 {
-		t.Fatalf("flusher migrated %d rows during sustained under-budget traffic", tc.FlushedRows)
-	}
-	// Quiet: the idle window elapses, the drain runs at full speed.
-	waitFor(t, "idle full drain", func() bool {
-		tc := s.TierCounters()
-		return tc.FlushedRows > 0 && tc.IdleCompactions > 0
-	})
-	waitFor(t, "WAL retirement after idle drain", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.wal.Len() == 1 && s.hot.StoredBytes() == 0
-	})
-	// Drained rows stay memory-resident: the probe pays no cold reads.
-	base := s.TierCounters().ColdReads
-	for j := 0; j < n; j++ {
-		if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", j%4), fmt.Sprintf("c%04d", j)); !ok {
-			t.Fatalf("row %d lost in idle drain", j)
-		}
-	}
-	if got := s.TierCounters().ColdReads - base; got != 0 {
-		t.Fatalf("idle drain demoted %d rows to cold reads, want 0 (re-homed warm)", got)
-	}
-}
-
-func TestBackupDoesNotBlockReads(t *testing.T) {
-	s := open(t, t.TempDir(), fastOptions())
-	defer s.Close()
-	const n = 400
-	for i := 0; i < n; i++ {
-		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i), val(i))
-	}
-	waitFor(t, "some flushing", func() bool { return s.TierCounters().FlushedRows > 0 })
-
-	// Park the backup after its snapshot, before the copy — the window
-	// in which the old implementation held the store lock and every Get
-	// on the node stalled.
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	backupCopyHook = func() {
-		close(parked)
-		<-release
-	}
-	defer func() { backupCopyHook = nil }()
-
-	backupDir := filepath.Join(t.TempDir(), "backup")
-	errc := make(chan error, 1)
-	go func() { errc <- s.Backup(backupDir) }()
-	<-parked
-
-	// Reads (hot and cold) and puts complete while the backup is parked
-	// mid-flight.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i)); !ok {
-				t.Errorf("row %d unreadable during backup", i)
-				return
-			}
-		}
-		s.Put("deltas", "p00", "during-backup", val(1))
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reads blocked behind an in-flight backup")
-	}
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-
-	// The backup is a consistent pre-snapshot state and opens cleanly.
-	b := open(t, backupDir, fastOptions())
-	defer b.Close()
-	for i := 0; i < n; i++ {
-		v, ok := b.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i))
-		if !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("row %d missing from backup", i)
-		}
-	}
-	if _, ok := b.Get("deltas", "p00", "during-backup"); ok {
-		t.Fatal("write issued during the backup leaked into the copy")
+	if _, ok := s.Get("deltas", "p03", "c0003"); ok {
+		t.Fatal("warmed copy of a dropped row still served")
 	}
 }
 
 func TestBackupIntoDirtyTargetLeavesItUnchanged(t *testing.T) {
-	s := open(t, t.TempDir(), fastOptions())
+	s := open(t, t.TempDir(), Options{HotBytes: 4 << 10})
 	defer s.Close()
 	for i := 0; i < 50; i++ {
 		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), val(i))
 	}
-	waitFor(t, "some flushing", func() bool { return s.TierCounters().FlushedRows > 0 })
 
 	snapshot := func(root string) map[string]int64 {
 		out := map[string]int64{}
@@ -812,37 +741,4 @@ func TestBackupIntoDirtyTargetLeavesItUnchanged(t *testing.T) {
 		}
 		check(t, target)
 	})
-}
-
-func TestWarmEvictsBeforeHotFlushes(t *testing.T) {
-	// Memory pressure on a warmed store is relieved by dropping warmed
-	// copies (free), not by flushing hot rows (cold-tier I/O): as long
-	// as the hot rows alone fit the budget, FlushedRows stays zero and
-	// the newest warmth survives.
-	const n = 400
-	dir := coldSeed(t, n)
-	s := open(t, dir, Options{HotBytes: 16 << 10, CompactRate: -1, FlushInterval: time.Millisecond})
-	defer s.Close()
-	waitWarm(t, s)
-	warmedBytes := s.TierCounters().WarmedBytes
-	if warmedBytes == 0 {
-		t.Fatal("precondition: nothing warmed")
-	}
-	for i := 0; i < 100; i++ { // ~7 KB of new hot data: under budget on its own
-		s.Put("deltas", "new", fmt.Sprintf("c%04d", i), val(i))
-	}
-	waitFor(t, "memory to settle back to the budget", func() bool {
-		return s.TierCounters().HotBytes <= 16<<10
-	})
-	if tc := s.TierCounters(); tc.FlushedRows != 0 {
-		t.Fatalf("hot rows flushed (%d) while warm eviction could cover the pressure", tc.FlushedRows)
-	}
-	// The newest warmed row survived the partial eviction.
-	base := s.TierCounters().ColdReads
-	if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", (n-1)%4), fmt.Sprintf("c%04d", n-1)); !ok {
-		t.Fatal("newest row missing")
-	}
-	if got := s.TierCounters().ColdReads - base; got != 0 {
-		t.Fatalf("newest warmed row was evicted ahead of older ones (%d cold reads)", got)
-	}
 }

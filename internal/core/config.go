@@ -76,13 +76,6 @@ type Config struct {
 	// persisted, and a handle attached to an existing index keeps the
 	// value it was opened with.
 	CacheBytes int64 `json:"-"`
-	// Cache, when non-nil, is used as the decoded-delta cache instead of
-	// building a fresh one from CacheBytes — the hook that lets several
-	// handles of the same stored index share one cache, so a second
-	// reader does not re-pay the first one's cold misses. Like
-	// CacheBytes it is a property of the reading process: not persisted,
-	// and kept across an Attach adoption.
-	Cache *fetch.Cache `json:"-"`
 	// TracePlans keeps a plan trace for every retrieval this handle
 	// runs — the planned key set and its cache-hit / negative-hit /
 	// KV-read breakdown — in a bounded ring surfaced by TGI.PlanTraces
@@ -105,7 +98,7 @@ type Config struct {
 	// and every retrieval and ingest operation observes its wall time
 	// (and, for retrievals, the simulated storage wait attributed by
 	// the plan trace) into per-op latency histograms. A runtime knob
-	// of the reading process like Cache: not persisted, kept across an
+	// of the reading process like CacheBytes: not persisted, kept across an
 	// Attach adoption. hgs.Open wires each Store's registry through
 	// here.
 	Obs *obs.Registry `json:"-"`
@@ -115,22 +108,18 @@ type Config struct {
 // Config.CacheBytes is zero (64 MiB).
 const DefaultCacheBytes = 64 << 20
 
-// CacheBudget maps a CacheBytes knob to the cache constructor's
-// convention (<= 0 disables): negative disables, zero selects
-// DefaultCacheBytes. The one place the sentinel semantics live —
-// hgs.Open sizes the cache shared across DataDir handles with it.
-func CacheBudget(cacheBytes int64) int64 {
+// cacheBudget maps CacheBytes to the cache constructor's convention
+// (<= 0 disables): negative disables, zero selects DefaultCacheBytes.
+func (c Config) cacheBudget() int64 {
 	switch {
-	case cacheBytes < 0:
+	case c.CacheBytes < 0:
 		return 0
-	case cacheBytes == 0:
+	case c.CacheBytes == 0:
 		return DefaultCacheBytes
 	default:
-		return cacheBytes
+		return c.CacheBytes
 	}
 }
-
-func (c Config) cacheBudget() int64 { return CacheBudget(c.CacheBytes) }
 
 // DefaultConfig returns the defaults used throughout the evaluation
 // unless a figure varies a parameter (ps=500, random partitioning).

@@ -43,21 +43,12 @@ func New(store *kvstore.Cluster, cfg Config) *TGI {
 		store:  store,
 		cdc:    cdc,
 		meta:   newMetaStore(),
-		fx:     fetch.NewExecutor(store, cdc, cfg.queryCache()),
+		fx:     fetch.NewExecutor(store, cdc, fetch.NewCache(cfg.cacheBudget())),
 		traces: newTraceRing(),
 	}
 	t.fx.Cache().RegisterObs(cfg.Obs)
 	codec.RegisterObs(cfg.Obs)
 	return t
-}
-
-// queryCache resolves the handle's decoded-delta cache: an injected
-// shared cache wins, otherwise a private one is built from CacheBytes.
-func (c Config) queryCache() *fetch.Cache {
-	if c.Cache != nil {
-		return c.Cache
-	}
-	return fetch.NewCache(c.cacheBudget())
 }
 
 // Build constructs a fresh index over the complete event history.
@@ -88,19 +79,17 @@ func Attach(store *kvstore.Cluster, cfg Config) (*TGI, bool, error) {
 	if err := json.Unmarshal(blob, gm); err != nil {
 		return nil, false, fmt.Errorf("core: decode persisted graph metadata: %w", err)
 	}
-	// Construction parameters come from the store; CacheBytes, an
-	// injected shared Cache, TracePlans, MaterializeWorkers and the Obs
-	// registry are properties of the reading process and survive the
-	// adoption.
+	// Construction parameters come from the store; CacheBytes,
+	// TracePlans, MaterializeWorkers and the Obs registry are properties
+	// of the reading process and survive the adoption.
 	t.cfg = gm.Config
 	t.cfg.CacheBytes = cfg.CacheBytes
-	t.cfg.Cache = cfg.Cache
 	t.cfg.TracePlans = cfg.TracePlans
 	t.cfg.MaterializeWorkers = cfg.MaterializeWorkers
 	t.cfg.Obs = cfg.Obs
 	t.cfg.normalize()
 	t.cdc = codec.Codec{Compress: t.cfg.Compress}
-	t.fx = fetch.NewExecutor(store, t.cdc, t.cfg.queryCache())
+	t.fx = fetch.NewExecutor(store, t.cdc, fetch.NewCache(t.cfg.cacheBudget()))
 	t.fx.Cache().RegisterObs(t.cfg.Obs)
 	t.meta.mu.Lock()
 	t.meta.graph = gm

@@ -57,11 +57,6 @@ func (d *Delta) MarkDeleted(id graph.NodeID) {
 	delete(d.Nodes, id)
 }
 
-// Cardinality is the number of distinct components in the delta
-// (paper Definition 3: unique node/edge descriptions; nodes carry their
-// edges here, so we report node components).
-func (d *Delta) Cardinality() int { return len(d.Nodes) + len(d.Tombstones) }
-
 // Size is the total number of node and edge descriptions in the delta
 // (paper Definition 3).
 func (d *Delta) Size() int {
@@ -174,38 +169,6 @@ func IntersectAll(deltas []*Delta) *Delta {
 	return out
 }
 
-// Union implements the paper's ∆ union: all components from both operands.
-// On conflicting states the left operand wins (the paper leaves conflict
-// resolution unspecified; left-bias keeps ∆ ∪ φ = ∆ exact).
-func Union(a, b *Delta) *Delta {
-	out := a.Clone()
-	for id, ns := range b.Nodes {
-		if _, ok := out.Nodes[id]; !ok {
-			out.Nodes[id] = ns.Clone()
-		}
-	}
-	return out
-}
-
-// Transform returns the delta t such that from.Sum(t) equals to: changed
-// and new components as states, disappeared components as tombstones. This
-// is the "difference of two snapshots" used when only forward
-// reconstruction is available.
-func Transform(from, to *Delta) *Delta {
-	t := New()
-	for id, ns := range to.Nodes {
-		if fns, ok := from.Nodes[id]; !ok || !ns.Equal(fns) {
-			t.Nodes[id] = ns.Clone()
-		}
-	}
-	for id := range from.Nodes {
-		if _, ok := to.Nodes[id]; !ok {
-			t.MarkDeleted(id)
-		}
-	}
-	return t
-}
-
 // Restrict returns the sub-delta containing only components (and
 // tombstones) whose node id satisfies keep.
 func (d *Delta) Restrict(keep func(graph.NodeID) bool) *Delta {
@@ -221,14 +184,6 @@ func (d *Delta) Restrict(keep func(graph.NodeID) bool) *Delta {
 		}
 	}
 	return out
-}
-
-// RestrictToIDs returns the sub-delta for an explicit id set.
-func (d *Delta) RestrictToIDs(ids map[graph.NodeID]struct{}) *Delta {
-	return d.Restrict(func(id graph.NodeID) bool {
-		_, ok := ids[id]
-		return ok
-	})
 }
 
 // ApplyTo merges the delta's components into a mutable graph: states
@@ -267,18 +222,6 @@ func (d *Delta) Materialize() *graph.Graph {
 		g.PutNode(ns.Clone())
 	}
 	return g
-}
-
-// NodeIDsTouched returns the set of ids with state or tombstone entries.
-func (d *Delta) NodeIDsTouched() map[graph.NodeID]struct{} {
-	out := make(map[graph.NodeID]struct{}, len(d.Nodes)+len(d.Tombstones))
-	for id := range d.Nodes {
-		out[id] = struct{}{}
-	}
-	for id := range d.Tombstones {
-		out[id] = struct{}{}
-	}
-	return out
 }
 
 func (d *Delta) String() string {

@@ -63,13 +63,6 @@ func TestIntersectWithEmpty(t *testing.T) {
 	}
 }
 
-func TestUnionWithEmpty(t *testing.T) {
-	d := FromGraph(randGraph(4, 50))
-	if !Union(d, New()).Equal(d) || !Union(New(), d).Equal(d) {
-		t.Fatal("∆ ∪ φ != ∆")
-	}
-}
-
 func TestSumAssociative(t *testing.T) {
 	f := func(s1, s2, s3 int64) bool {
 		a := FromGraph(randGraph(s1, 40))
@@ -119,29 +112,15 @@ func TestHierarchicalReconstruction(t *testing.T) {
 	}
 }
 
-func TestTransformRewritesSnapshots(t *testing.T) {
-	f := func(s1, s2 int64) bool {
-		from := FromGraph(randGraph(s1, 60))
-		to := FromGraph(randGraph(s2, 60))
-		tr := Transform(from, to)
-		// The summed delta retains tombstones (so further sums compose),
-		// so compare the materialized states.
-		return from.Clone().Sum(tr).Materialize().Equal(to.Materialize())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	d := FromGraph(randGraph(7, 80))
 	even := d.Restrict(func(id graph.NodeID) bool { return id%2 == 0 })
 	odd := d.Restrict(func(id graph.NodeID) bool { return id%2 == 1 })
-	if even.Cardinality()+odd.Cardinality() != d.Cardinality() {
+	if len(even.Nodes)+len(odd.Nodes) != len(d.Nodes) {
 		t.Fatal("restriction does not partition the delta")
 	}
-	if !Union(even, odd).Equal(d) {
-		t.Fatal("union of restrictions != original")
+	if !even.Clone().Sum(odd).Equal(d) {
+		t.Fatal("sum of disjoint restrictions != original")
 	}
 }
 
@@ -163,14 +142,11 @@ func TestMarkDeletedAndSum(t *testing.T) {
 	}
 }
 
-func TestCardinalityAndSize(t *testing.T) {
+func TestSize(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(1, 2)
 	g.AddNode(3)
 	d := FromGraph(g)
-	if d.Cardinality() != 3 {
-		t.Fatalf("Cardinality = %d, want 3", d.Cardinality())
-	}
 	// sizes: node1 (1+1 edge) + node2 (1+1 mirror) + node3 (1) = 5
 	if d.Size() != 5 {
 		t.Fatalf("Size = %d, want 5", d.Size())
@@ -181,61 +157,6 @@ func TestMaterializeMatchesSource(t *testing.T) {
 	g := randGraph(11, 100)
 	if !FromGraph(g).Materialize().Equal(g) {
 		t.Fatal("FromGraph → Materialize is not identity")
-	}
-}
-
-func TestEventListFilters(t *testing.T) {
-	evs := []graph.Event{
-		{Time: 1, Kind: graph.AddNode, Node: 1},
-		{Time: 2, Kind: graph.AddEdge, Node: 1, Other: 2},
-		{Time: 3, Kind: graph.AddNode, Node: 3},
-		{Time: 3, Kind: graph.SetNodeAttr, Node: 1, Key: "k", Value: "v"},
-		{Time: 5, Kind: graph.RemoveEdge, Node: 1, Other: 2},
-	}
-	el := NewEventList(temporal.NewInterval(0, 10), evs)
-	if el.FilterByTime(temporal.NewInterval(2, 4)).Len() != 3 {
-		t.Fatal("FilterByTime wrong count")
-	}
-	if el.FilterByNode(2).Len() != 2 {
-		t.Fatal("FilterByNode(2) should see both edge events")
-	}
-	part := el.Restrict(func(id graph.NodeID) bool { return id == 3 })
-	if part.Len() != 1 || part.Events[0].Kind != graph.AddNode {
-		t.Fatalf("Restrict wrong: %v", part.Events)
-	}
-}
-
-func TestEventListApplyUpTo(t *testing.T) {
-	evs := []graph.Event{
-		{Time: 1, Kind: graph.AddNode, Node: 1},
-		{Time: 2, Kind: graph.AddNode, Node: 2},
-		{Time: 3, Kind: graph.AddNode, Node: 3},
-	}
-	el := NewEventList(temporal.NewInterval(0, 10), evs)
-	g := graph.New()
-	if err := el.ApplyUpTo(g, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 2 || g.Has(3) {
-		t.Fatal("ApplyUpTo applied wrong prefix")
-	}
-}
-
-func TestChangePoints(t *testing.T) {
-	evs := []graph.Event{
-		{Time: 1, Kind: graph.AddNode, Node: 1},
-		{Time: 1, Kind: graph.AddNode, Node: 2},
-		{Time: 4, Kind: graph.AddEdge, Node: 1, Other: 2},
-		{Time: 9, Kind: graph.RemoveNode, Node: 2},
-	}
-	el := NewEventList(temporal.NewInterval(0, 10), evs)
-	all := el.ChangePoints(-1)
-	if len(all) != 3 || all[0] != 1 || all[2] != 9 {
-		t.Fatalf("all change points wrong: %v", all)
-	}
-	n2 := el.ChangePoints(2)
-	if len(n2) != 3 {
-		t.Fatalf("node 2 change points wrong: %v", n2)
 	}
 }
 
@@ -284,31 +205,5 @@ func TestMoveToTransfersOwnership(t *testing.T) {
 	}
 	if len(d.Nodes) != 0 || len(d.Tombstones) != 0 {
 		t.Fatal("MoveTo must drain the delta")
-	}
-}
-
-func TestRestrictToIDs(t *testing.T) {
-	d := FromGraph(randGraph(32, 60))
-	ids := map[graph.NodeID]struct{}{1: {}, 2: {}, 3: {}}
-	r := d.RestrictToIDs(ids)
-	for id := range r.Nodes {
-		if _, ok := ids[id]; !ok {
-			t.Fatalf("leaked id %d", id)
-		}
-	}
-}
-
-func TestUnionLeftBias(t *testing.T) {
-	a := New()
-	sa := graph.NewNodeState(1)
-	sa.Attrs = graph.Attrs{"k": "left"}
-	a.Put(sa)
-	b := New()
-	sb := graph.NewNodeState(1)
-	sb.Attrs = graph.Attrs{"k": "right"}
-	b.Put(sb)
-	u := Union(a, b)
-	if u.Nodes[1].Attrs["k"] != "left" {
-		t.Fatal("Union must keep the left operand on conflict")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // EventList is a chronologically sorted set of events with a time scope
 // (paper Example 2). A partitioned eventlist (Example 3) is an EventList
-// whose events have been restricted to a node set; Restrict produces one.
+// whose events have been restricted to a node set.
 type EventList struct {
 	Scope  temporal.Interval
 	Events []graph.Event
@@ -19,64 +19,7 @@ func NewEventList(scope temporal.Interval, events []graph.Event) *EventList {
 	return &EventList{Scope: scope, Events: events}
 }
 
-// Len returns the number of events.
-func (el *EventList) Len() int { return len(el.Events) }
-
-// FilterByTime returns a new eventlist holding only events in iv,
-// with the narrowed scope.
-func (el *EventList) FilterByTime(iv temporal.Interval) *EventList {
-	scope, _ := el.Scope.Intersect(iv)
-	return &EventList{Scope: scope, Events: graph.FilterEventsByTime(el.Events, iv)}
-}
-
-// FilterByNode returns the partitioned eventlist for a single node.
-func (el *EventList) FilterByNode(id graph.NodeID) *EventList {
-	return &EventList{Scope: el.Scope, Events: graph.FilterEventsByNode(el.Events, id)}
-}
-
-// Restrict returns the partitioned eventlist containing events that touch
-// any node satisfying keep. Edge events are kept if either endpoint
-// qualifies (edges are replicated with both endpoints).
-func (el *EventList) Restrict(keep func(graph.NodeID) bool) *EventList {
-	var out []graph.Event
-	for _, e := range el.Events {
-		if keep(e.Node) || (e.Kind.IsEdge() && keep(e.Other)) {
-			out = append(out, e)
-		}
-	}
-	return &EventList{Scope: el.Scope, Events: out}
-}
-
 // ApplyTo replays the eventlist onto a mutable graph in order.
 func (el *EventList) ApplyTo(g *graph.Graph) error {
 	return g.ApplyAll(el.Events)
-}
-
-// ApplyUpTo replays only events with Time <= t (a snapshot at t includes
-// all events at t).
-func (el *EventList) ApplyUpTo(g *graph.Graph, t temporal.Time) error {
-	for _, e := range el.Events {
-		if e.Time > t {
-			break
-		}
-		if err := g.Apply(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ChangePoints returns the distinct event times touching node id within
-// the list, in order; with id < 0 it returns all distinct event times.
-func (el *EventList) ChangePoints(id graph.NodeID) []temporal.Time {
-	var out []temporal.Time
-	for _, e := range el.Events {
-		if id >= 0 && !e.Touches(id) {
-			continue
-		}
-		if n := len(out); n == 0 || out[n-1] != e.Time {
-			out = append(out, e.Time)
-		}
-	}
-	return out
 }

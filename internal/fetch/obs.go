@@ -6,8 +6,7 @@ import "hgs/internal/obs"
 // func-backed families sampled at exposition/snapshot time — the same
 // numbers CacheStats reports, under stable Prometheus names. A nil
 // cache (caching disabled) registers nothing; registering the same
-// cache again (a re-attached handle, or several handles sharing one
-// DataDir cache) replaces the samplers.
+// cache again (a re-attached handle) replaces the samplers.
 func (c *Cache) RegisterObs(r *obs.Registry) {
 	if c == nil || r == nil {
 		return

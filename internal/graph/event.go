@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hgs/internal/temporal"
 )
@@ -112,18 +111,6 @@ func CompareEvents(a, b Event) int {
 		return c
 	}
 	return cmp.Compare(a.Value, b.Value)
-}
-
-// SortEvents orders events chronologically, stably preserving the input
-// order of events at equal timepoints (the order of changes matters for
-// delta sums; paper Definition 4).
-func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
-}
-
-// EventsSorted reports whether the slice is in chronological order.
-func EventsSorted(events []Event) bool {
-	return sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Time < events[j].Time })
 }
 
 // FilterEventsByTime returns the events with Time in [start, end), in the

@@ -206,21 +206,6 @@ func TestEventFilters(t *testing.T) {
 	}
 }
 
-func TestSortEventsStable(t *testing.T) {
-	evs := []Event{
-		{Time: 5, Kind: AddNode, Node: 1},
-		{Time: 5, Kind: AddEdge, Node: 1, Other: 2},
-		{Time: 1, Kind: AddNode, Node: 9},
-	}
-	SortEvents(evs)
-	if !EventsSorted(evs) {
-		t.Fatal("not sorted")
-	}
-	if evs[1].Kind != AddNode || evs[2].Kind != AddEdge {
-		t.Fatal("equal timestamps must preserve original order (AddNode before AddEdge)")
-	}
-}
-
 // randomEvents builds a plausible chronological event stream for property
 // tests: structural and attribute events over a small id space.
 func randomEvents(rng *rand.Rand, n int) []Event {

@@ -117,8 +117,8 @@ type Config struct {
 	// were created with.
 	VirtualNodes int
 	// RebalanceRate caps topology-change data streaming in bytes per
-	// second, the CompactRate convention: zero picks the 8 MiB/s
-	// default, negative disables the limit.
+	// second: zero picks the 8 MiB/s default, negative disables the
+	// limit.
 	RebalanceRate int64
 	// Latency is the per-node service cost model.
 	Latency LatencyModel
@@ -213,10 +213,8 @@ func clampQuorum(q, def, max int) int {
 // implement backend.Tiered (the tiered hot/cold backend); they
 // stay zero on single-tier engines. TierHotReads row lookups were
 // served from memory without disk I/O, TierColdReads fell through to
-// the disk tier; Compactions and FlushedBytes count the background
-// maintenance that migrated data between tiers, IdleCompactions the
-// units of full-speed work done inside idle windows (drains, merges
-// and full compactions each count once). WarmedRows and
+// the disk tier; FlushedBytes counts the value bytes written through to
+// the disk tier and Compactions the disk tier's compactions. WarmedRows and
 // WarmedBytes count rows the engines repopulated into memory from
 // their newest cold data (restart warm-up). TierHotBytes is a gauge of
 // the bytes currently memory-resident (not affected by ResetMetrics);
@@ -251,15 +249,14 @@ type Metrics struct {
 	RebalancedBytes      int64
 	RebalanceActive      int64
 
-	TierHotReads    int64
-	TierColdReads   int64
-	FlushedBytes    int64
-	Compactions     int64
-	IdleCompactions int64
-	WarmedRows      int64
-	WarmedBytes     int64
-	TierHotBytes    int64
-	TierWarming     int64
+	TierHotReads  int64
+	TierColdReads int64
+	FlushedBytes  int64
+	Compactions   int64
+	WarmedRows    int64
+	WarmedBytes   int64
+	TierHotBytes  int64
+	TierWarming   int64
 }
 
 // Row is one clustered row inside a partition.
@@ -621,10 +618,6 @@ func hashKey(table, pkey string) uint64 {
 	h.Write([]byte(pkey))
 	return h.Sum64()
 }
-
-// KeyHash exposes the partition-key hash the placement ring consumes
-// (benchmarks compare placement schemes over the real key population).
-func KeyHash(table, pkey string) uint64 { return hashKey(table, pkey) }
 
 func partKey(table, pkey string) string { return table + "\x00" + pkey }
 
@@ -1401,10 +1394,8 @@ func (c *Cluster) tierTotals() backend.TierCounters {
 		tc := node.tiered.TierCounters()
 		t.HotHits += tc.HotHits
 		t.ColdReads += tc.ColdReads
-		t.FlushedRows += tc.FlushedRows
 		t.FlushedBytes += tc.FlushedBytes
 		t.Compactions += tc.Compactions
-		t.IdleCompactions += tc.IdleCompactions
 		t.WarmedRows += tc.WarmedRows
 		t.WarmedBytes += tc.WarmedBytes
 		t.HotBytes += tc.HotBytes
@@ -1447,15 +1438,14 @@ func (c *Cluster) Metrics() Metrics {
 		RebalancedBytes:      c.rebalancedBytes.Load(),
 		RebalanceActive:      active,
 
-		TierHotReads:    tiers.HotHits - base.HotHits,
-		TierColdReads:   tiers.ColdReads - base.ColdReads,
-		FlushedBytes:    tiers.FlushedBytes - base.FlushedBytes,
-		Compactions:     tiers.Compactions - base.Compactions,
-		IdleCompactions: tiers.IdleCompactions - base.IdleCompactions,
-		WarmedRows:      tiers.WarmedRows - base.WarmedRows,
-		WarmedBytes:     tiers.WarmedBytes - base.WarmedBytes,
-		TierHotBytes:    tiers.HotBytes,
-		TierWarming:     tiers.Warming,
+		TierHotReads:  tiers.HotHits - base.HotHits,
+		TierColdReads: tiers.ColdReads - base.ColdReads,
+		FlushedBytes:  tiers.FlushedBytes - base.FlushedBytes,
+		Compactions:   tiers.Compactions - base.Compactions,
+		WarmedRows:    tiers.WarmedRows - base.WarmedRows,
+		WarmedBytes:   tiers.WarmedBytes - base.WarmedBytes,
+		TierHotBytes:  tiers.HotBytes,
+		TierWarming:   tiers.Warming,
 	}
 }
 

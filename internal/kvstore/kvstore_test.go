@@ -396,8 +396,7 @@ func TestTierMetricsAggregation(t *testing.T) {
 	c, err := Open(Config{
 		Machines: 2,
 		Backend: tiered.Factory(t.TempDir(), tiered.Options{
-			HotBytes:      1 << 30, // everything stays hot
-			FlushInterval: time.Millisecond,
+			HotBytes: 1 << 30, // everything stays in memory
 		}),
 	})
 	if err != nil {
@@ -436,19 +435,15 @@ func TestTierMetricsAggregation(t *testing.T) {
 
 func TestColdReadLatencySurcharge(t *testing.T) {
 	dir := t.TempDir()
-	opts := tiered.Options{HotBytes: 1, CompactRate: -1, FlushInterval: time.Millisecond}
+	opts := tiered.Options{HotBytes: 1} // nothing fits in memory
 	c, err := Open(Config{Machines: 1, Backend: tiered.Factory(dir, opts)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.Put("deltas", "p0", "c0", []byte("cold row"))
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Metrics().TierHotBytes > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if c.Metrics().TierHotBytes > 0 {
-		t.Fatal("hot tier never drained")
+		t.Fatal("a one-byte budget holds the row in memory")
 	}
 	c.SetLatency(LatencyModel{Enabled: true, ColdRead: time.Millisecond})
 	c.ResetMetrics()
@@ -471,7 +466,7 @@ func TestClusterBackupAndRestore(t *testing.T) {
 	}{
 		{"disklog", func(root string) backend.Factory { return disklog.Factory(root, disklog.Options{}) }},
 		{"tiered", func(root string) backend.Factory {
-			return tiered.Factory(root, tiered.Options{HotBytes: 1 << 10, CompactRate: -1, FlushInterval: time.Millisecond})
+			return tiered.Factory(root, tiered.Options{HotBytes: 1 << 10})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -619,13 +614,7 @@ func TestColdSurchargeExactAttribution(t *testing.T) {
 
 func TestWarmUpMetricsAggregation(t *testing.T) {
 	root := t.TempDir()
-	seedOpts := tiered.Options{
-		HotBytes:        1,
-		CompactRate:     -1,
-		FlushInterval:   time.Millisecond,
-		WALSegmentBytes: 1 << 10,
-		DisableWarm:     true,
-	}
+	seedOpts := tiered.Options{HotBytes: 1, DisableWarm: true} // every row only on disk
 	seed, err := Open(Config{Machines: 2, Backend: tiered.Factory(root, seedOpts)})
 	if err != nil {
 		t.Fatal(err)
@@ -633,21 +622,16 @@ func TestWarmUpMetricsAggregation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		seed.Put("deltas", fmt.Sprintf("p%d", i%8), fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("v%03d", i)))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for seed.Metrics().TierHotBytes > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := Open(Config{Machines: 2, Backend: tiered.Factory(root, tiered.Options{
-		HotBytes: 1 << 30, FlushInterval: time.Millisecond,
-	})})
+	c, err := Open(Config{Machines: 2, Backend: tiered.Factory(root, tiered.Options{HotBytes: 1 << 30})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	deadline := time.Now().Add(5 * time.Second)
 	for c.Metrics().TierWarming > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -114,14 +114,11 @@ func (c *Cluster) RegisterObs(r *obs.Registry) {
 		"Row lookups that fell through to the disk tier of tiered engines.",
 		func() float64 { return float64(c.tierTotals().ColdReads) })
 	r.CounterFunc("hgs_tier_flushed_bytes_total",
-		"Bytes migrated from the hot to the cold tier by background flushing.",
+		"Value bytes written through to the cold tier of tiered engines.",
 		func() float64 { return float64(c.tierTotals().FlushedBytes) })
 	r.CounterFunc("hgs_tier_compactions_total",
-		"Background compaction passes of tiered engines.",
+		"Compactions of the cold tier of tiered engines.",
 		func() float64 { return float64(c.tierTotals().Compactions) })
-	r.CounterFunc("hgs_tier_idle_compactions_total",
-		"Full-speed maintenance units run inside idle windows.",
-		func() float64 { return float64(c.tierTotals().IdleCompactions) })
 	r.CounterFunc("hgs_tier_warmed_rows_total",
 		"Rows repopulated into memory from cold segments on open.",
 		func() float64 { return float64(c.tierTotals().WarmedRows) })

@@ -202,12 +202,6 @@ func (c *Cluster) replayHints(node *storageNode) {
 	}
 }
 
-// NodeDown reports whether the node is currently marked failed.
-func (c *Cluster) NodeDown(id int) bool {
-	node := c.nodeAt(id)
-	return node != nil && node.down.Load()
-}
-
 // AddNode creates a new storage node (engine from the configured
 // factory) and starts the background rebalance that streams the
 // partitions the ring now assigns to it. It returns once the migration

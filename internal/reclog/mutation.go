@@ -15,8 +15,8 @@ const (
 	OpDrop Op = 3
 )
 
-// Mutation is the record payload disklog segments and the tiered WAL
-// share:
+// Mutation is the record payload of disklog segments (and of the
+// legacy tiered WAL):
 //
 //	payload := op:byte str(table) str(pkey) [str(ckey)] [str(value)]
 //	str     := uvarint(len) bytes

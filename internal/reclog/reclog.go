@@ -1,6 +1,8 @@
 // Package reclog is the one on-disk record log under the durable
-// layers: disklog's segments, the tiered engine's write-ahead log and
-// the cluster's hint log are all files of the same records,
+// layers: disklog's segments and the cluster's hint log are files of
+// the same records (as is the write-ahead log that directories of the
+// earlier tiered engine carry, which the tiered engine migrates on
+// open),
 //
 //	record := len:u32le crc:u32le payload
 //
@@ -12,7 +14,7 @@
 // always fatal, never truncated — it is version skew or a writer bug,
 // and cutting it off would silently delete acknowledged data), the
 // numbered-segment file set (Log: <prefix>-%08d.log, ascending, the last
-// one active), and the put/delete/drop payload the two engines share
+// one active), and the put/delete/drop payload of disklog records
 // (Mutation). What a record means stays with the caller.
 //
 // Nothing here is synchronized: each consumer serializes access under
@@ -244,9 +246,9 @@ func listSegments(dir, prefix string) ([]int, error) {
 	return ids, nil
 }
 
-// HasSegments reports whether dir already holds segment files of
+// hasSegments reports whether dir already holds segment files of
 // prefix — what a backup target must not.
-func HasSegments(dir, prefix string) (bool, error) {
+func hasSegments(dir, prefix string) (bool, error) {
 	ids, err := listSegments(dir, prefix)
 	return len(ids) > 0, err
 }
@@ -348,26 +350,6 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// TruncateActive empties the active segment; the caller has proven that
-// none of its records is needed.
-func (l *Log) TruncateActive() error {
-	if l.Active().size == 0 {
-		return nil
-	}
-	l.unsynced = 0
-	return l.Active().Truncate(0)
-}
-
-// DropThrough closes and deletes every segment with id <= maxID except
-// the active one.
-func (l *Log) DropThrough(maxID int) error {
-	n := 0
-	for n < len(l.segs)-1 && l.segs[n].id <= maxID {
-		n++
-	}
-	return l.Remove(l.segs[:n])
-}
-
 // Remove closes and deletes the given segments of the log. At least one
 // segment must remain; the highest remaining one is active.
 func (l *Log) Remove(segs []*Segment) error {
@@ -423,7 +405,7 @@ func (l *Log) Snapshot() Snapshot {
 // must not hold segments already, and fsyncs the copy. It opens as a
 // normal log directory.
 func (sn Snapshot) CopyTo(dir string) error {
-	if dirty, err := HasSegments(dir, sn.prefix); err != nil {
+	if dirty, err := hasSegments(dir, sn.prefix); err != nil {
 		return err
 	} else if dirty {
 		return fmt.Errorf("reclog: backup target %s already holds %s segments", dir, sn.prefix)

@@ -217,10 +217,8 @@ func TestRotateDropRemoveTruncate(t *testing.T) {
 	if err := l.Sync(); err != nil || l.Unsynced() != 0 {
 		t.Fatalf("sync: %v, %d unsynced", err, l.Unsynced())
 	}
-	if err := l.DropThrough(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.DropThrough(99); err != nil { // never the active segment
+	// Dropping the oldest segments leaves the active one in place.
+	if err := l.Remove(l.Segments()[:4]); err != nil {
 		t.Fatal(err)
 	}
 	if l.Len() != 1 || l.Active().ID() != 5 {
@@ -243,7 +241,7 @@ func TestRotateDropRemoveTruncate(t *testing.T) {
 	if names, _ := filepath.Glob(filepath.Join(dir, "seg-*.log")); len(names) != 1 {
 		t.Fatalf("files left on disk: %v", names)
 	}
-	if err := l.TruncateActive(); err != nil || l.Active().Size() != 0 {
+	if err := l.Active().Truncate(0); err != nil || l.Active().Size() != 0 {
 		t.Fatalf("truncate active: %v, size %d", err, l.Active().Size())
 	}
 	l.Close()
@@ -263,11 +261,11 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	if len(got) != 1 || got[0] != "three" || ids[0] != 3 {
 		t.Fatalf("replayed %q from segments %v", got, ids)
 	}
-	if dirty, err := HasSegments(dir, "seg"); !dirty || err != nil {
-		t.Fatalf("HasSegments = %v, %v", dirty, err)
+	if dirty, err := hasSegments(dir, "seg"); !dirty || err != nil {
+		t.Fatalf("hasSegments = %v, %v", dirty, err)
 	}
-	if dirty, err := HasSegments(filepath.Join(dir, "missing"), "seg"); dirty || err != nil {
-		t.Fatalf("HasSegments of a missing dir = %v, %v", dirty, err)
+	if dirty, err := hasSegments(filepath.Join(dir, "missing"), "seg"); dirty || err != nil {
+		t.Fatalf("hasSegments of a missing dir = %v, %v", dirty, err)
 	}
 }
 
@@ -350,7 +348,7 @@ func TestIOErrorsSurface(t *testing.T) {
 	if err := l.Rotate(); err == nil {
 		t.Error("rotate off a closed segment succeeded")
 	}
-	if err := l.TruncateActive(); err == nil {
+	if err := l.Active().Truncate(0); err == nil {
 		t.Error("truncate of a closed segment succeeded")
 	}
 	if err := l.Scan(func(*Segment, int64, []byte) error { return nil }); err == nil {
@@ -372,7 +370,7 @@ func TestIOErrorsSurface(t *testing.T) {
 	if _, err := OpenSegment(filepath.Join(file, "x.hints")); err == nil {
 		t.Error("open of a segment under a regular file succeeded")
 	}
-	if _, err := HasSegments(file, "seg"); err == nil {
+	if _, err := hasSegments(file, "seg"); err == nil {
 		t.Error("listing a regular file as a directory succeeded")
 	}
 }

@@ -120,14 +120,8 @@ func dedupSorted(ns []int) []int {
 // Nodes returns the node set, sorted (a copy).
 func (r *Ring) Nodes() []int { return append([]int(nil), r.nodes...) }
 
-// NumNodes returns the number of nodes on the ring.
-func (r *Ring) NumNodes() int { return len(r.nodes) }
-
 // VirtualNodes returns the per-node point count.
 func (r *Ring) VirtualNodes() int { return r.vnodes }
-
-// Replicas returns the target replication factor.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // Has reports whether node is on the ring.
 func (r *Ring) Has(node int) bool {

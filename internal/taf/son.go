@@ -55,7 +55,7 @@ func (q *SONQuery) Fetch() (*SoN, error) {
 		}
 		span = temporal.Interval{Start: lo - 1, End: hi + 1}
 	}
-	perSid, err := q.h.tgi.FetchNodeHistories(span, q.idPred, q.h.fetchOpts())
+	perSid, err := q.h.tgi.FetchNodeHistories(span, q.idPred, nil)
 	if err != nil {
 		return nil, err
 	}

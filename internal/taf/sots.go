@@ -96,7 +96,7 @@ func (q *SOTSQuery) Fetch() (*SoTS, error) {
 	roots := q.roots
 	if roots == nil {
 		// Roots default to every node alive at the span start.
-		g, err := q.h.tgi.GetSnapshot(span.Start, q.h.fetchOpts())
+		g, err := q.h.tgi.GetSnapshot(span.Start, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -17,28 +17,10 @@ import (
 type Handler struct {
 	tgi *core.TGI
 	ctx *sparklite.Context
-	// fetchClients is the parallel fetch factor used for TGI retrieval.
-	fetchClients int
 }
 
 // NewHandler builds a handler over an index and a compute context.
+// Retrievals use the index's default parallel fetch factor.
 func NewHandler(tgi *core.TGI, ctx *sparklite.Context) *Handler {
-	return &Handler{tgi: tgi, ctx: ctx, fetchClients: tgi.Config().FetchClients}
-}
-
-// WithFetchClients overrides the parallel fetch factor.
-func (h *Handler) WithFetchClients(c int) *Handler {
-	out := *h
-	out.fetchClients = c
-	return &out
-}
-
-// TGI returns the underlying index.
-func (h *Handler) TGI() *core.TGI { return h.tgi }
-
-// Context returns the compute context.
-func (h *Handler) Context() *sparklite.Context { return h.ctx }
-
-func (h *Handler) fetchOpts() *core.FetchOptions {
-	return &core.FetchOptions{Clients: h.fetchClients}
+	return &Handler{tgi: tgi, ctx: ctx}
 }

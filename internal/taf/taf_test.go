@@ -1,7 +1,6 @@
 package taf
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -512,18 +511,6 @@ func TestWorkerScalingProducesSameResults(t *testing.T) {
 	}
 }
 
-func TestHandlerAccessors(t *testing.T) {
-	h := newHandler(t, 2)
-	if h.TGI() == nil || h.Context() == nil {
-		t.Fatal("accessors returned nil")
-	}
-	h2 := h.WithFetchClients(7)
-	if h2.fetchClients != 7 || h.fetchClients == 7 {
-		t.Fatal("WithFetchClients should copy")
-	}
-	_ = fmt.Sprintf("%v", h2)
-}
-
 func TestTimepointSelectorMinimal(t *testing.T) {
 	// Paper Figure 9a: evaluate at the start, middle and end of the span
 	// instead of every change point.
@@ -673,7 +660,7 @@ func TestTemporalVsDeltaAgreeOnEdgeQuantity(t *testing.T) {
 // fewer KV reads than the cold fetch and recording cache hits.
 func TestSONFetchSharesDeltaCache(t *testing.T) {
 	h := newHandler(t, 3)
-	cluster := h.TGI().Store()
+	cluster := h.tgi.Store()
 	iv := temporal.NewInterval(500, 3000)
 	fetchOnce := func() (*SoN, int64) {
 		cluster.ResetMetrics()
@@ -688,7 +675,7 @@ func TestSONFetchSharesDeltaCache(t *testing.T) {
 	if warmReads >= coldReads {
 		t.Fatalf("warm SoN fetch reads (%d) not below cold (%d)", warmReads, coldReads)
 	}
-	if hits := h.TGI().CacheStats().Hits; hits == 0 {
+	if hits := h.tgi.CacheStats().Hits; hits == 0 {
 		t.Fatal("SoN refetch recorded no delta-cache hits")
 	}
 	a, b := cold.Collect(), warm.Collect()
