@@ -12,9 +12,11 @@
 //	                          # durable disk backend (memory vs disk)
 //
 // Every figure run reports its store metrics (logical KV operations,
-// machine round-trips, simulated service time) and the decoded-delta
+// machine round-trips, modelled service time) and the decoded-delta
 // cache counters as notes, so its counters are checkable from the CLI
-// output alone. The figures run under the simulated latency model;
+// output alone. A retrieval figure plots wall time plus the modelled
+// storage time of the retrieval's store rounds (the latency model is a
+// clock; nothing sleeps), printed beside each point as "(storage …)";
 // real-cost performance is measured by `bash benchmark/run.sh`.
 package main
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hgs/internal/kvstore"
 )
 
 // goroutineSettled polls until the goroutine count returns to within
@@ -22,17 +24,22 @@ func goroutineSettled(base, slack int) bool {
 }
 
 // TestSnapshotCancellation cancels a retrieval mid-flight under a wide
-// materialize pool (one worker per GOMAXPROCS, held at 8 here) and the
-// storage latency model: the call must return the context error
-// promptly and leak no goroutines.
+// materialize pool (one worker per GOMAXPROCS, held at 8 here) and a
+// slow store (an injected ExtraLatency on every node): the call must
+// return the context error promptly and leak no goroutines.
 func TestSnapshotCancellation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	opts := smallOptions()
-	opts.SimulateLatency = true
 	opts.CacheBytes = -1 // every round hits the (slow) store
 	store, events := loadWiki(t, opts, 1200)
 	defer store.Close()
 	last := events[len(events)-1].Time
+	cluster := store.Cluster()
+	for _, id := range cluster.NodeIDs() {
+		if err := cluster.InjectFault(id, &kvstore.Fault{ExtraLatency: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -58,6 +65,11 @@ func TestSnapshotCancellation(t *testing.T) {
 	if !goroutineSettled(base, 2) {
 		t.Errorf("goroutines leaked: base %d, now %d", base, runtime.NumGoroutine())
 	}
+	for _, id := range cluster.NodeIDs() {
+		if err := cluster.InjectFault(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// The store stays fully usable after a cancelled call, and the
 	// aborted round must not have poisoned the cache with partial or
 	// phantom-absence entries.
@@ -75,7 +87,6 @@ func TestSnapshotCancellation(t *testing.T) {
 // TestDeadlineExceeded runs a cold read under an expired deadline.
 func TestDeadlineExceeded(t *testing.T) {
 	opts := smallOptions()
-	opts.SimulateLatency = true
 	opts.CacheBytes = -1
 	store, events := loadWiki(t, opts, 800)
 	defer store.Close()

@@ -346,8 +346,10 @@ type Options struct {
 	// Store.RepairPartitions triggers a sweep on demand. A runtime
 	// knob, not persisted.
 	AntiEntropyInterval time.Duration
-	// SimulateLatency enables the storage latency model (off for unit
-	// tests, on for benchmarks).
+	// SimulateLatency charges storage reads to kvstore.DefaultLatency
+	// instead of the zero model. The model is a clock, not a wait: it
+	// fills the modelled service time of metrics and plan traces
+	// (SimWait, ModelTime) and never slows a call.
 	SimulateLatency bool
 	// DataDir, when non-empty, stores every node's data on disk under
 	// this directory (one disk engine per node) instead of in
@@ -1063,7 +1065,7 @@ func (s *Store) Stats() (core.Stats, error) {
 // it was charged.
 func (s *Store) PlanTraces() []TraceRecord { return s.tgi.PlanTraces() }
 
-// Cluster exposes the backing store (metrics, latency toggling).
+// Cluster exposes the backing store (metrics, fault injection).
 func (s *Store) Cluster() *kvstore.Cluster { return s.cluster }
 
 // Topology types and fault injection, re-exported from the storage

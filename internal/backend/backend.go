@@ -23,9 +23,9 @@
 //     writes, partition and table enumeration (PartitionKeys, Tables),
 //     StoredBytes, Flush, Close. The cluster calls all of it
 //     unconditionally; nothing here is probed.
-//   - optional: Tiered (hot/cold engines: cumulative tier counters plus
-//     reads that report their own cold-row count), Digester (digest a
-//     partition without copying its rows), Backuper (durable engines).
+//   - optional: Tiered (hot/cold engines: cumulative tier counters),
+//     Digester (digest a partition without copying its rows), Backuper
+//     (durable engines).
 //     Each is probed by one type assertion in kvstore and has a stated
 //     behaviour for engines without it.
 package backend
@@ -108,9 +108,8 @@ func MultiGet(be Backend, reqs []KeyRead) [][]byte { return be.MultiGet(reqs) }
 // TierCounters reports per-tier activity of an engine that places data
 // across a hot (memory) and a cold (disk) tier. HotHits and ColdReads
 // are cumulative row-lookup counters attributed to the tier that
-// SERVED the row: a lookup answered from memory counts once in HotHits
-// and pays no cold penalty; one served from the cold tier counts in
-// ColdReads. FlushedBytes counts value bytes written to the cold tier;
+// SERVED the row: a lookup answered from memory counts once in HotHits;
+// one served from the cold tier counts in ColdReads. FlushedBytes counts value bytes written to the cold tier;
 // Compactions counts the cold tier's compactions. WarmedRows/WarmedBytes
 // count rows repopulated into memory from the newest cold data on
 // open. HotBytes is a gauge: the live bytes currently resident in
@@ -131,21 +130,10 @@ type TierCounters struct {
 // hot and a cold tier. TierCounters feeds the cluster's Metrics; it must
 // be cheap and safe to call concurrently with operations (atomic
 // counters), and the cumulative counters may move from the engine's own
-// background work (warm-up, compaction) at any time — which is
-// why the latency model does NOT charge from deltas of these gauges.
-// Per-operation attribution comes from the three reads: each reports,
-// per call, how many of the returned rows were served from the cold
-// (disk) tier, and the cluster charges the cold-read surcharge from
-// these exact counts, so concurrent operations and background
-// maintenance can never misbill each other the way diffing a shared
-// cumulative counter around a call would. The value/row semantics match
-// Get, MultiGet and ScanPrefix. Engines without it charge no surcharge
-// and report zero tier counters.
+// background work (warm-up, compaction) at any time. Engines without it
+// report zero tier counters.
 type Tiered interface {
 	TierCounters() TierCounters
-	GetTier(table, pkey, ckey string) (value []byte, ok bool, coldRows int)
-	MultiGetTier(reqs []KeyRead) (vals [][]byte, coldRows int)
-	ScanPrefixTier(table, pkey, prefix string) (rows []Row, coldRows int)
 }
 
 // DigestRows computes the canonical digest of a partition's rows for

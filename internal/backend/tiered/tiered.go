@@ -27,8 +27,7 @@
 // cold log and removes it (see migrateWAL).
 //
 // The engine implements backend.Backend, backend.Tiered (per-tier read
-// counters surfaced through kvstore.Metrics, per-call cold-row counts
-// for the latency model) and backend.Backuper.
+// counters surfaced through kvstore.Metrics) and backend.Backuper.
 package tiered
 
 import (
@@ -296,39 +295,24 @@ func (s *Store) Put(table, pkey, ckey string, value []byte) {
 
 // Get reads memory, then the cold log.
 func (s *Store) Get(table, pkey, ckey string) ([]byte, bool) {
-	v, ok, _ := s.GetTier(table, pkey, ckey)
-	return v, ok
-}
-
-// GetTier is Get plus the per-call cold-row count the cluster's latency
-// model charges (backend.Tiered).
-func (s *Store) GetTier(table, pkey, ckey string) ([]byte, bool, int) {
 	s.mu.Lock()
 	s.mustOpenLocked()
 	r, ok := s.rows[partKey(table, pkey)][ckey]
 	s.mu.Unlock()
 	if ok {
 		s.hotHits.Add(1)
-		return append([]byte{}, r.val...), true, 0
+		return append([]byte{}, r.val...), true
 	}
 	v, ok := s.cold.Get(table, pkey, ckey)
-	if !ok {
-		return nil, false, 0
+	if ok {
+		s.coldReads.Add(1)
 	}
-	s.coldReads.Add(1)
-	return v, true, 1
+	return v, ok
 }
 
 // MultiGet is the batch-read fast path: memory hits resolve under one
 // lock acquisition, the misses go to the cold log as one disklog batch.
 func (s *Store) MultiGet(reqs []backend.KeyRead) [][]byte {
-	out, _ := s.MultiGetTier(reqs)
-	return out
-}
-
-// MultiGetTier is MultiGet plus the per-call cold-row count
-// (backend.Tiered).
-func (s *Store) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
 	out := make([][]byte, len(reqs))
 	var missIdx []int
 	s.mu.Lock()
@@ -343,7 +327,7 @@ func (s *Store) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
 	s.mu.Unlock()
 	s.hotHits.Add(int64(len(reqs) - len(missIdx)))
 	if len(missIdx) == 0 {
-		return out, 0
+		return out
 	}
 	miss := make([]backend.KeyRead, len(missIdx))
 	for j, i := range missIdx {
@@ -357,7 +341,7 @@ func (s *Store) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
 		}
 	}
 	s.coldReads.Add(int64(cold))
-	return out, cold
+	return out
 }
 
 // ScanPrefix returns the rows the cold log's index lists, in its order:
@@ -365,16 +349,9 @@ func (s *Store) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
 // partition, but rows resident in memory are served from there and only
 // the rest are read from disk.
 func (s *Store) ScanPrefix(table, pkey, prefix string) []backend.Row {
-	rows, _ := s.ScanPrefixTier(table, pkey, prefix)
-	return rows
-}
-
-// ScanPrefixTier is ScanPrefix plus the per-call cold-row count
-// (backend.Tiered).
-func (s *Store) ScanPrefixTier(table, pkey, prefix string) ([]backend.Row, int) {
 	ckeys := s.cold.ScanKeys(table, pkey, prefix)
 	if len(ckeys) == 0 {
-		return nil, 0
+		return nil
 	}
 	rows := make([]backend.Row, len(ckeys))
 	var miss []backend.KeyRead
@@ -392,7 +369,7 @@ func (s *Store) ScanPrefixTier(table, pkey, prefix string) ([]backend.Row, int) 
 	s.mu.Unlock()
 	s.hotHits.Add(int64(len(ckeys) - len(miss)))
 	if len(miss) == 0 {
-		return rows, 0
+		return rows
 	}
 	vals := s.cold.MultiGet(miss)
 	out := rows[:0]
@@ -408,7 +385,7 @@ func (s *Store) ScanPrefixTier(table, pkey, prefix string) ([]backend.Row, int) 
 		out = append(out, r)
 	}
 	s.coldReads.Add(int64(cold))
-	return out, cold
+	return out
 }
 
 // Delete removes the row from the cold log, then from memory.

@@ -5,12 +5,18 @@
 // same series/rows the paper plots. The runners are shared by
 // cmd/hgs-bench and the root testing.B benchmarks.
 //
-// The figures run under the simulated storage LatencyModel, so their
-// wall clocks reproduce the paper's *shapes* (what c, m, r, ps and l do
-// to retrieval time), not this system's real cost. Performance is
-// measured in exactly one other place — the benchmark/ module
-// (BENCHMARK.json: latency model off, oracle-checked, the gate every PR
-// is judged by); no system experiment belongs here.
+// Every figure cluster charges kvstore.DefaultLatency to a modelled
+// clock, and each retrieval is plotted as its wall time — the real
+// planning, decode and materialization work, since the store never
+// waits — plus its modelled storage time (fetch.TraceRecord.ModelTime:
+// per store round, the busiest node's summed service cost). The
+// storage part is deterministic, so the figures reproduce the paper's
+// *shapes* (what c, m, r, ps and l do to retrieval time), not this
+// system's real cost; Figures 15c and 17 measure compute and plot
+// plain wall clock. Performance is measured in exactly one other place
+// — the benchmark/ module (BENCHMARK.json: latency model off,
+// oracle-checked, the gate every PR is judged by); no system
+// experiment belongs here.
 //
 // Scale note: the paper's datasets are 266M–1B events on an EC2 cluster;
 // these runners default to ~10^5-event datasets sized for a laptop and a
@@ -32,6 +38,7 @@ import (
 
 	"hgs/internal/backend/disklog"
 	"hgs/internal/core"
+	"hgs/internal/fetch"
 	"hgs/internal/graph"
 	"hgs/internal/kvstore"
 	"hgs/internal/temporal"
@@ -80,9 +87,11 @@ func DefaultScale() Scale {
 	}
 }
 
-// Point is one sample of a plotted series.
+// Point is one sample of a plotted series. Model is the modelled
+// storage time included in Y (zero for the compute figures).
 type Point struct {
-	X, Y float64
+	X, Y  float64
+	Model float64
 }
 
 // Series is one labeled line of a figure.
@@ -114,7 +123,11 @@ func (r *Result) Print(w io.Writer) {
 	for _, s := range r.Series {
 		fmt.Fprintf(w, "  series %s\n", s.Name)
 		for _, p := range s.Points {
-			fmt.Fprintf(w, "    %14.4f  %14.6f\n", p.X, p.Y)
+			fmt.Fprintf(w, "    %14.4f  %14.6f", p.X, p.Y)
+			if p.Model != 0 {
+				fmt.Fprintf(w, "  (storage %.6f)", p.Model)
+			}
+			fmt.Fprintln(w)
 		}
 	}
 	if len(r.TableRows) > 0 {
@@ -165,9 +178,10 @@ var dataDir atomic.Pointer[string]
 func SetDataDir(dir string) { dataDir.Store(&dir) }
 
 // newCluster builds a store cluster for the experiment identified by
-// key, on disk when SetDataDir is active.
+// key, charging the default latency model, on disk when SetDataDir is
+// active.
 func newCluster(key string, machines, replication int) *kvstore.Cluster {
-	cfg := kvstore.Config{Machines: machines, Replication: replication}
+	cfg := kvstore.Config{Machines: machines, Replication: replication, Latency: kvstore.DefaultLatency()}
 	if d := dataDir.Load(); d != nil && *d != "" {
 		sub := filepath.Join(*d, strings.NewReplacer("/", "_", " ", "_").Replace(key))
 		cfg.Backend = disklog.Factory(sub, disklog.Options{})
@@ -330,8 +344,7 @@ type builtIndex struct {
 }
 
 // buildIndex constructs (and caches) a TGI over the events with the
-// given store shape and config mutator. Latency is disabled during the
-// build and enabled for measurements by the callers.
+// given store shape and config mutator.
 func buildIndex(key string, events []graph.Event, machines, replication int, mutate func(*core.Config)) *builtIndex {
 	return cached("idx/"+key, func() *builtIndex {
 		cluster := newCluster("idx/"+key, machines, replication)
@@ -347,29 +360,21 @@ func buildIndex(key string, events []graph.Event, machines, replication int, mut
 	})
 }
 
-// withLatency runs f with the simulated latency model enabled. The query
-// manager's metadata caches are warmed first (one un-timed probe) so
-// single-fetch measurements are not dominated by cold metadata reads.
-func (b *builtIndex) withLatency(f func()) {
-	lo, _, err := b.TGI.TimeRange()
-	if err == nil {
+// metered runs f after warming the query manager's metadata caches
+// (one un-timed probe, so single-fetch measurements are not dominated
+// by cold metadata reads) and appends the store-metrics delta of the
+// run (logical KV ops, machine round-trips, bytes, modelled service
+// time summed over nodes) and the index's cache counters to the
+// result's Notes — how a figure's counters are checked from the CLI.
+func (b *builtIndex) metered(res *Result, label string, f func()) {
+	if lo, _, err := b.TGI.TimeRange(); err == nil {
 		b.TGI.GetSnapshot(lo, &core.FetchOptions{Clients: 4})
 	}
-	b.Cluster.SetLatency(kvstore.DefaultLatency())
-	defer b.Cluster.SetLatency(kvstore.LatencyModel{})
-	f()
-}
-
-// withLatencyMetered is withLatency plus measurement: it appends the
-// store-metrics delta of the run (logical KV ops, machine round-trips,
-// bytes, simulated service time) and the index's cache counters to the
-// result's Notes — how a figure's counters are checked from the CLI.
-func (b *builtIndex) withLatencyMetered(res *Result, label string, f func()) {
 	before := b.Cluster.Metrics()
-	b.withLatency(f)
+	f()
 	after := b.Cluster.Metrics()
 	res.Notes = append(res.Notes, fmt.Sprintf(
-		"%s: kv reads=%d round-trips=%d read=%dKB simulated-wait=%s; %s",
+		"%s: kv reads=%d round-trips=%d read=%dKB modelled-wait=%s; %s",
 		label, after.Reads-before.Reads, after.RoundTrips-before.RoundTrips,
 		(after.BytesRead-before.BytesRead)/1024,
 		(after.SimWait-before.SimWait).Round(time.Millisecond),
@@ -381,6 +386,30 @@ func timeIt(f func()) float64 {
 	start := time.Now()
 	f()
 	return time.Since(start).Seconds()
+}
+
+// timeFetch runs one retrieval with c clients under a fresh per-call
+// trace and returns its plotted time: Y is the wall time plus the
+// modelled storage time, Model the latter alone. X is the caller's.
+func timeFetch(c int, f func(*core.FetchOptions)) Point {
+	opts := &core.FetchOptions{Clients: c, Trace: &fetch.Trace{}}
+	wall := timeIt(func() { f(opts) })
+	model := opts.Trace.Record().ModelTime.Seconds()
+	return Point{Y: wall + model, Model: model}
+}
+
+// mean averages the timings of points (X is left zero).
+func mean(points []Point) Point {
+	var m Point
+	for _, p := range points {
+		m.Y += p.Y
+		m.Model += p.Model
+	}
+	if n := float64(len(points)); n > 0 {
+		m.Y /= n
+		m.Model /= n
+	}
+	return m
 }
 
 // probeTimes picks n timepoints spread over the history so snapshot

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -52,12 +53,63 @@ func checkResult(t *testing.T, r *Result, wantSeries int) {
 }
 
 // skipIfShort keeps `go test -short ./...` (the tier-1 gate) to
-// seconds: each smoke test builds multi-index TGIs and runs the full
-// latency model, ~30s combined at tiny scale.
+// seconds: each smoke test builds multi-index TGIs and times real
+// retrievals (~15s combined at tiny scale on a 2-core host, most of it
+// shared with TestFigureShapesModelled through the index cache).
 func skipIfShort(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("bench smoke test skipped in -short mode")
+	}
+}
+
+// modelled returns the modelled storage time of every point of r, by
+// series name.
+func modelled(r *Result) map[string][]float64 {
+	out := make(map[string][]float64, len(r.Series))
+	for _, s := range r.Series {
+		for _, p := range s.Points {
+			out[s.Name] = append(out[s.Name], p.Model)
+		}
+	}
+	return out
+}
+
+// last is the modelled storage time of a series' last point.
+func last(t *testing.T, m map[string][]float64, series string) float64 {
+	t.Helper()
+	ys := m[series]
+	if len(ys) == 0 || ys[len(ys)-1] <= 0 {
+		t.Fatalf("series %q has no modelled storage time: %v", series, ys)
+	}
+	return ys[len(ys)-1]
+}
+
+// TestFigureShapesModelled asserts three of the paper's figure shapes
+// on the modelled storage component alone, which is deterministic and
+// cheap (nothing sleeps), so it runs under -short: a second machine
+// shortens the busiest node's share of a snapshot (Fig 12), compressed
+// deltas move fewer bytes (Fig 13a), and locality partitioning reads
+// no more than random placement for a 1-hop neighbourhood (Fig 15a).
+// A second run must reproduce every modelled value exactly.
+func TestFigureShapesModelled(t *testing.T) {
+	sc := tinyScale()
+	run := func() []map[string][]float64 {
+		return []map[string][]float64{modelled(Fig12(sc)), modelled(Fig13a(sc)), modelled(Fig15a(sc))}
+	}
+	first := run()
+	fig12, fig13a, fig15a := first[0], first[1], first[2]
+	if m1, m2 := last(t, fig12, "m=1,r=1,c=1"), last(t, fig12, "m=2,r=1,c=1"); m2 >= m1 {
+		t.Errorf("Fig 12: m=2,r=1 models %.6fs, not below m=1,r=1 at %.6fs", m2, m1)
+	}
+	if c, u := last(t, fig13a, "compressed"), last(t, fig13a, "uncompressed"); c >= u {
+		t.Errorf("Fig 13a: compressed models %.6fs, not below uncompressed at %.6fs", c, u)
+	}
+	if l, r := last(t, fig15a, "maxflow"), last(t, fig15a, "random"); l > r {
+		t.Errorf("Fig 15a: locality models %.6fs, above random at %.6fs", l, r)
+	}
+	if again := run(); !reflect.DeepEqual(again, first) {
+		t.Errorf("modelled values differ between runs:\n%v\n%v", first, again)
 	}
 }
 

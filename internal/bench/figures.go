@@ -32,15 +32,14 @@ func Fig11(sc Scale) *Result {
 		ID: "fig11", Title: "Snapshot retrieval vs parallel fetch factor (m=4, r=1, ps=500)",
 		XLabel: "snapshot size (node count)", YLabel: "retrieval time (s)",
 	}
-	ix.withLatencyMetered(res, "c sweep", func() {
+	ix.metered(res, "c sweep", func() {
 		for _, c := range []int{1, 2, 4, 8, 16, 32} {
 			s := Series{Name: fmt.Sprintf("c=%d", c)}
 			for _, tt := range probes {
 				var g *graph.Graph
-				sec := timeIt(func() {
-					g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: c})
-				})
-				s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+				p := timeFetch(c, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+				p.X = float64(g.NumNodes())
+				s.Points = append(s.Points, p)
 			}
 			res.Series = append(res.Series, s)
 		}
@@ -69,15 +68,14 @@ func Fig12(sc Scale) *Result {
 	}
 	for _, sh := range shapes {
 		ix := buildIndex(fmt.Sprintf("fig12/m%dr%d", sh.m, sh.r), events, sh.m, sh.r, nil)
-		ix.withLatencyMetered(res, fmt.Sprintf("m=%d,r=%d", sh.m, sh.r), func() {
+		ix.metered(res, fmt.Sprintf("m=%d,r=%d", sh.m, sh.r), func() {
 			for _, c := range sh.cs {
 				s := Series{Name: fmt.Sprintf("m=%d,r=%d,c=%d", sh.m, sh.r, c)}
 				for _, tt := range probesAll {
 					var g *graph.Graph
-					sec := timeIt(func() {
-						g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: c})
-					})
-					s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+					p := timeFetch(c, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+					p.X = float64(g.NumNodes())
+					s.Points = append(s.Points, p)
 				}
 				res.Series = append(res.Series, s)
 			}
@@ -103,11 +101,12 @@ func Fig13a(sc Scale) *Result {
 		}
 		ix := buildIndex("fig13a/"+name, events, 2, 1, func(cfg *core.Config) { cfg.Compress = compress })
 		s := Series{Name: name}
-		ix.withLatencyMetered(res, name, func() {
+		ix.metered(res, name, func() {
 			for _, tt := range probes {
 				var g *graph.Graph
-				sec := timeIt(func() { g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: 8}) })
-				s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+				p := timeFetch(8, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+				p.X = float64(g.NumNodes())
+				s.Points = append(s.Points, p)
 			}
 		})
 		st, _ := ix.TGI.Stats()
@@ -130,11 +129,12 @@ func Fig13b(sc Scale) *Result {
 	for _, ps := range []int{1000, 2000, 4000} {
 		ix := buildIndex(fmt.Sprintf("fig13b/ps%d", ps), events, 4, 1, func(cfg *core.Config) { cfg.PartitionSize = ps })
 		s := Series{Name: fmt.Sprintf("ps=%d", ps)}
-		ix.withLatencyMetered(res, fmt.Sprintf("ps=%d", ps), func() {
+		ix.metered(res, fmt.Sprintf("ps=%d", ps), func() {
 			for _, tt := range probes {
 				var g *graph.Graph
-				sec := timeIt(func() { g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: 8}) })
-				s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+				p := timeFetch(8, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+				p.X = float64(g.NumNodes())
+				s.Points = append(s.Points, p)
 			}
 		})
 		res.Series = append(res.Series, s)
@@ -153,11 +153,12 @@ func Fig13c(sc Scale) *Result {
 		XLabel: "snapshot size (node count)", YLabel: "retrieval time (s)",
 	}
 	s := Series{Name: "Friendster"}
-	ix.withLatencyMetered(res, "friendster", func() {
+	ix.metered(res, "friendster", func() {
 		for _, tt := range probeTimes(events, 5) {
 			var g *graph.Graph
-			sec := timeIt(func() { g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: 1}) })
-			s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+			p := timeFetch(1, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+			p.X = float64(g.NumNodes())
+			s.Points = append(s.Points, p)
 		}
 	})
 	res.Series = append(res.Series, s)
@@ -208,10 +209,9 @@ func versionRetrievalSeries(ix *builtIndex, name string, clients int, nodes []gr
 	s := Series{Name: name}
 	for _, id := range nodes {
 		var h *core.NodeHistory
-		sec := timeIt(func() {
-			h, _ = ix.TGI.GetNodeHistory(id, lo, hi, &core.FetchOptions{Clients: clients})
-		})
-		s.Points = append(s.Points, Point{X: float64(h.VersionCount()), Y: sec})
+		p := timeFetch(clients, func(o *core.FetchOptions) { h, _ = ix.TGI.GetNodeHistory(id, lo, hi, o) })
+		p.X = float64(h.VersionCount())
+		s.Points = append(s.Points, p)
 	}
 	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
 	return s
@@ -231,7 +231,7 @@ func Fig14a(sc Scale) *Result {
 	base := benchTGIConfig(len(events)).EventlistSize
 	for _, l := range []int{4 * base, 2 * base, base} {
 		ix := buildIndex(fmt.Sprintf("fig14a/l%d", l), events, 4, 1, func(cfg *core.Config) { cfg.EventlistSize = l })
-		ix.withLatencyMetered(res, fmt.Sprintf("l=%d", l), func() {
+		ix.metered(res, fmt.Sprintf("l=%d", l), func() {
 			res.Series = append(res.Series, versionRetrievalSeries(ix, fmt.Sprintf("l=%d", l), 1, nodes))
 		})
 	}
@@ -249,7 +249,7 @@ func Fig14b(sc Scale) *Result {
 		ID: "fig14b", Title: "Node version retrieval vs parallel fetch factor",
 		XLabel: "version changes", YLabel: "retrieval time (s)",
 	}
-	ix.withLatencyMetered(res, "c sweep", func() {
+	ix.metered(res, "c sweep", func() {
 		for _, c := range []int{1, 2, 4} {
 			res.Series = append(res.Series, versionRetrievalSeries(ix, fmt.Sprintf("c=%d", c), c, nodes))
 		}
@@ -272,12 +272,14 @@ func Fig14c(sc Scale) *Result {
 		ix := buildIndex(fmt.Sprintf("fig14c/ps%d", ps), events, 4, 1, func(cfg *core.Config) { cfg.PartitionSize = ps })
 		lo := events[0].Time
 		hi := events[len(events)-1].Time + 1
-		ix.withLatencyMetered(res, fmt.Sprintf("ps=%d", ps), func() {
-			total := 0.0
+		ix.metered(res, fmt.Sprintf("ps=%d", ps), func() {
+			var runs []Point
 			for _, id := range nodes {
-				total += timeIt(func() { ix.TGI.GetNodeHistory(id, lo, hi, &core.FetchOptions{Clients: 1}) })
+				runs = append(runs, timeFetch(1, func(o *core.FetchOptions) { ix.TGI.GetNodeHistory(id, lo, hi, o) }))
 			}
-			s.Points = append(s.Points, Point{X: float64(ps), Y: total / float64(len(nodes))})
+			p := mean(runs)
+			p.X = float64(ps)
+			s.Points = append(s.Points, p)
 		})
 	}
 	res.Series = append(res.Series, s)
@@ -315,15 +317,15 @@ func Fig15a(sc Scale) *Result {
 	probe := events[len(events)-1].Time
 	for i, cf := range configs {
 		ix := buildIndex("fig15a/"+cf.name, events, 4, 1, cf.mutate)
-		var avg float64
-		ix.withLatencyMetered(res, cf.name, func() {
-			total := 0.0
+		var runs []Point
+		ix.metered(res, cf.name, func() {
 			for _, id := range sample {
-				total += timeIt(func() { ix.TGI.GetKHopNeighborhood(id, 1, probe, &core.FetchOptions{Clients: 4}) })
+				runs = append(runs, timeFetch(4, func(o *core.FetchOptions) { ix.TGI.GetKHopNeighborhood(id, 1, probe, o) }))
 			}
-			avg = total / float64(len(sample))
 		})
-		res.Series = append(res.Series, Series{Name: cf.name, Points: []Point{{X: float64(i), Y: avg}}})
+		avg := mean(runs)
+		avg.X = float64(i)
+		res.Series = append(res.Series, Series{Name: cf.name, Points: []Point{avg}})
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -348,11 +350,12 @@ func Fig15b(sc Scale) *Result {
 		events := ds[name]
 		ix := buildIndex("fig15b/"+name, events, 4, 1, nil)
 		s := Series{Name: fmt.Sprintf("%s (%d events)", name, len(events))}
-		ix.withLatencyMetered(res, name, func() {
+		ix.metered(res, name, func() {
 			for _, tt := range probes {
 				var g *graph.Graph
-				sec := timeIt(func() { g, _ = ix.TGI.GetSnapshot(tt, &core.FetchOptions{Clients: 8}) })
-				s.Points = append(s.Points, Point{X: float64(g.NumNodes()), Y: sec})
+				p := timeFetch(8, func(o *core.FetchOptions) { g, _ = ix.TGI.GetSnapshot(tt, o) })
+				p.X = float64(g.NumNodes())
+				s.Points = append(s.Points, p)
 			}
 		})
 		res.Series = append(res.Series, s)
@@ -371,7 +374,7 @@ func Fig15c(sc Scale) *Result {
 		ID: "fig15c", Title: "TAF: highest-LCC computation vs compute workers",
 		XLabel: "workers", YLabel: "compute time (s)",
 	}
-	// Three snapshot sizes (latency disabled: Fig 15c measures compute).
+	// Three snapshot sizes (plain wall clock: Fig 15c measures compute).
 	// Each point is the median of 3 runs with a GC between them — the
 	// per-node task (cut the 1-hop subgraph, compute the root's LCC) is
 	// allocation-heavy, and unmanaged GC debt would swamp the worker axis.
@@ -418,7 +421,7 @@ func Fig16(sc Scale) *Result {
 		ID: "fig16", Title: "Node version retrieval, Friendster (m=6, r=1, ps=500)",
 		XLabel: "version changes", YLabel: "retrieval time (s)",
 	}
-	ix.withLatencyMetered(res, "c sweep", func() {
+	ix.metered(res, "c sweep", func() {
 		for _, c := range []int{1, 2} {
 			res.Series = append(res.Series, versionRetrievalSeries(ix, fmt.Sprintf("c=%d", c), c, nodes))
 		}
@@ -611,13 +614,14 @@ func AblationArity(sc Scale) *Result {
 	s := Series{Name: "snapshot time (c=4)"}
 	for _, k := range []int{2, 4, 8} {
 		ix := buildIndex(fmt.Sprintf("abl-arity/%d", k), events, 4, 1, func(cfg *core.Config) { cfg.Arity = k })
-		var sec float64
-		ix.withLatencyMetered(res, fmt.Sprintf("arity=%d", k), func() {
-			sec = timeIt(func() { ix.TGI.GetSnapshot(probe, &core.FetchOptions{Clients: 4}) })
+		var p Point
+		ix.metered(res, fmt.Sprintf("arity=%d", k), func() {
+			p = timeFetch(4, func(o *core.FetchOptions) { ix.TGI.GetSnapshot(probe, o) })
 		})
 		st, _ := ix.TGI.Stats()
 		res.Notes = append(res.Notes, fmt.Sprintf("arity=%d stored bytes: %d", k, st.LogicalBytes))
-		s.Points = append(s.Points, Point{X: float64(k), Y: sec})
+		p.X = float64(k)
+		s.Points = append(s.Points, p)
 	}
 	res.Series = append(res.Series, s)
 	res.Elapsed = time.Since(start)
@@ -639,13 +643,15 @@ func AblationVersionChains(sc Scale) *Result {
 	}
 	withVC := Series{Name: "version chains"}
 	without := Series{Name: "full eventlist scan"}
-	ix.withLatencyMetered(res, "fig11 index", func() {
+	ix.metered(res, "fig11 index", func() {
 		for _, id := range nodes {
 			var h *core.NodeHistory
-			sec := timeIt(func() { h, _ = ix.TGI.GetNodeHistory(id, lo, hi, &core.FetchOptions{Clients: 1}) })
-			withVC.Points = append(withVC.Points, Point{X: float64(h.VersionCount()), Y: sec})
-			sec = timeIt(func() { h, _ = ix.TGI.GetNodeHistoryScan(id, lo, hi, &core.FetchOptions{Clients: 1}) })
-			without.Points = append(without.Points, Point{X: float64(h.VersionCount()), Y: sec})
+			p := timeFetch(1, func(o *core.FetchOptions) { h, _ = ix.TGI.GetNodeHistory(id, lo, hi, o) })
+			p.X = float64(h.VersionCount())
+			withVC.Points = append(withVC.Points, p)
+			p = timeFetch(1, func(o *core.FetchOptions) { h, _ = ix.TGI.GetNodeHistoryScan(id, lo, hi, o) })
+			p.X = float64(h.VersionCount())
+			without.Points = append(without.Points, p)
 		}
 	})
 	res.Series = append(res.Series, withVC, without)

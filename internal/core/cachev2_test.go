@@ -84,8 +84,12 @@ func TestNegativeEntriesInvalidatedOnAppend(t *testing.T) {
 // counters accumulated for it.
 func TestTraceAccountingMatchesMetrics(t *testing.T) {
 	events := genHistory(21, 400, 40)
-	tgi := buildSmall(t, smallConfig(), events)
-	store := tgi.Store()
+	store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1,
+		Latency: kvstore.LatencyModel{BaseOp: 2 * time.Microsecond, PerKB: 5 * time.Microsecond}})
+	tgi, err := Build(store, smallConfig(), events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := events[0].Time, events[len(events)-1].Time+1
 
 	// Warm the metadata and pid-map caches so the traced query reads
@@ -93,8 +97,6 @@ func TestTraceAccountingMatchesMetrics(t *testing.T) {
 	if _, err := tgi.GetNodeHistory(5, lo, hi, nil); err != nil {
 		t.Fatal(err)
 	}
-	store.SetLatency(kvstore.LatencyModel{Enabled: true, BaseOp: 2 * time.Microsecond, PerKB: 5 * time.Microsecond})
-	defer store.SetLatency(kvstore.LatencyModel{})
 
 	for _, id := range []graph.NodeID{11, 23} {
 		store.ResetMetrics()

@@ -117,8 +117,12 @@ func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 	events := genHistory(21, 400, 40)
 	cfg := smallConfig()
 	cfg.MaterializeWorkers = 8
-	tgi := buildSmall(t, cfg, events)
-	store := tgi.Store()
+	store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1,
+		Latency: kvstore.LatencyModel{BaseOp: 2 * time.Microsecond, PerKB: 5 * time.Microsecond}})
+	tgi, err := Build(store, cfg, events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := events[0].Time, events[len(events)-1].Time+1
 
 	// Warm the metadata and pid-map caches so traced queries read only
@@ -126,8 +130,6 @@ func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 	if _, err := tgi.GetSnapshot(hi, nil); err != nil {
 		t.Fatal(err)
 	}
-	store.SetLatency(kvstore.LatencyModel{Enabled: true, BaseOp: 2 * time.Microsecond, PerKB: 5 * time.Microsecond})
-	defer store.SetLatency(kvstore.LatencyModel{})
 
 	var totalReads int64
 	check := func(op string, tr *fetch.Trace) {
@@ -149,6 +151,11 @@ func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 		}
 		if rec.SimWait != m.SimWait {
 			t.Fatalf("%s: trace SimWait %v != metrics %v", op, rec.SimWait, m.SimWait)
+		}
+		// A round lasts as long as its busiest node: some of the charged
+		// wait, never more than all of it.
+		if rec.KVReads > 0 && (rec.ModelTime <= 0 || rec.ModelTime > rec.SimWait) {
+			t.Fatalf("%s: trace ModelTime %v outside (0, SimWait %v]", op, rec.ModelTime, rec.SimWait)
 		}
 	}
 	for _, tt := range []temporal.Time{lo + (hi-lo)/3, hi - 1} {

@@ -169,23 +169,6 @@ func IntersectAll(deltas []*Delta) *Delta {
 	return out
 }
 
-// Restrict returns the sub-delta containing only components (and
-// tombstones) whose node id satisfies keep.
-func (d *Delta) Restrict(keep func(graph.NodeID) bool) *Delta {
-	out := New()
-	for id, ns := range d.Nodes {
-		if keep(id) {
-			out.Nodes[id] = ns.Clone()
-		}
-	}
-	for id := range d.Tombstones {
-		if keep(id) {
-			out.MarkDeleted(id)
-		}
-	}
-	return out
-}
-
 // ApplyTo merges the delta's components into a mutable graph: states
 // overwrite, tombstones delete. States are deep-copied; use MoveTo when
 // the delta is a freshly decoded temporary.

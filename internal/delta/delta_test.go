@@ -112,18 +112,6 @@ func TestHierarchicalReconstruction(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	d := FromGraph(randGraph(7, 80))
-	even := d.Restrict(func(id graph.NodeID) bool { return id%2 == 0 })
-	odd := d.Restrict(func(id graph.NodeID) bool { return id%2 == 1 })
-	if len(even.Nodes)+len(odd.Nodes) != len(d.Nodes) {
-		t.Fatal("restriction does not partition the delta")
-	}
-	if !even.Clone().Sum(odd).Equal(d) {
-		t.Fatal("sum of disjoint restrictions != original")
-	}
-}
-
 func TestMarkDeletedAndSum(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(1, 2)

@@ -50,7 +50,7 @@ func getScratch() *execScratch {
 // *kvstore.Cluster implements it. Both calls answer positionally, stop
 // visiting storage nodes once ctx is cancelled (the results are then
 // incomplete), and return the exact logical reads, round-trips, bytes
-// and simulated wait the call charged, which fill per-query plan
+// and modelled wait the call charged, which fill per-query plan
 // traces.
 type Store interface {
 	MultiGetStatsCtx(ctx context.Context, refs []kvstore.KeyRef) ([]kvstore.GetResult, kvstore.CallStats)
@@ -60,7 +60,7 @@ type Store interface {
 // Executor runs read plans: group and part requests are served from the
 // decoded cache when resident, everything else goes to the store as one
 // batched round (a batched scan and a batched get issued concurrently,
-// each charging one simulated round-trip per storage node touched).
+// each charging one modelled round-trip per storage node touched).
 // Freshly decoded parts are installed in the cache on the way out; point
 // reads that found nothing install negative markers so the next probe of
 // the same absent row skips the store.
@@ -234,30 +234,31 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		}
 	}
 
-	var (
-		scanRows [][]kvstore.Row
-		getVals  []kvstore.GetResult
-		wg       sync.WaitGroup
-	)
+	// round holds what the two concurrent calls return (one value, so
+	// the goroutines share one heap object).
+	var round struct {
+		scanRows  [][]kvstore.Row
+		getVals   []kvstore.GetResult
+		scan, get kvstore.CallStats
+		wg        sync.WaitGroup
+	}
 	if len(scanRefs) > 0 {
-		wg.Add(1)
+		round.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			var cs kvstore.CallStats
-			scanRows, cs = e.store.MultiScanStatsCtx(ctx, scanRefs)
-			tr.addCall(cs)
+			defer round.wg.Done()
+			round.scanRows, round.scan = e.store.MultiScanStatsCtx(ctx, scanRefs)
 		}()
 	}
 	if len(getRefs) > 0 {
-		wg.Add(1)
+		round.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			var cs kvstore.CallStats
-			getVals, cs = e.store.MultiGetStatsCtx(ctx, getRefs)
-			tr.addCall(cs)
+			defer round.wg.Done()
+			round.getVals, round.get = e.store.MultiGetStatsCtx(ctx, getRefs)
 		}()
 	}
-	wg.Wait()
+	round.wg.Wait()
+	tr.addRound(round.scan, round.get)
+	scanRows, getVals := round.scanRows, round.getVals
 	// Cancelled mid-round: the result arrays may hold skipped (zero)
 	// entries. Bail before decoding or installing anything.
 	if err := ctx.Err(); err != nil {

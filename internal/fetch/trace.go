@@ -26,7 +26,8 @@ type TableTrace struct {
 // expansion runs one per hop). KVReads/RoundTrips/BytesRead/SimWait are
 // attributed per call by the store (kvstore.CallStats) and therefore
 // match the cluster's Metrics deltas exactly for retrievals whose
-// metadata is already cached.
+// metadata is already cached. ModelTime is the retrieval's modelled
+// storage time.
 type TraceRecord struct {
 	// Op names the retrieval that owns the trace ("snapshot",
 	// "node-history", ...).
@@ -43,10 +44,17 @@ type TraceRecord struct {
 	NegativeHits int64
 	KVReads      int64
 	// RoundTrips counts physical storage-node visits, BytesRead the
-	// bytes moved, SimWait the simulated service time charged.
+	// bytes moved, SimWait the modelled service time charged across
+	// all nodes.
 	RoundTrips int64
 	BytesRead  int64
 	SimWait    time.Duration
+	// ModelTime adds up the modelled duration of the retrieval's store
+	// rounds (kvstore.RoundTime): per round, the busiest node's share of
+	// SimWait. Rounds add up as if run one after another, which they
+	// are except in a multipoint retrieval that fans its snapshots out
+	// concurrently (core.GetSnapshotsAt).
+	ModelTime time.Duration
 	// Tables breaks hits and reads down by store table.
 	Tables map[string]TableTrace
 }
@@ -55,9 +63,10 @@ type TraceRecord struct {
 // breakdown, the format hgs-inspect -trace prints.
 func (r TraceRecord) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s execs=%d planned[groups=%d parts=%d gets=%d scans=%d] cache[hits=%d neg=%d] kv[reads=%d round-trips=%d bytes=%d wait=%s]",
+	fmt.Fprintf(&b, "%-18s execs=%d planned[groups=%d parts=%d gets=%d scans=%d] cache[hits=%d neg=%d] kv[reads=%d round-trips=%d bytes=%d wait=%s model=%s]",
 		r.Op, r.Execs, r.Groups, r.Parts, r.Gets, r.Scans,
-		r.CacheHits, r.NegativeHits, r.KVReads, r.RoundTrips, r.BytesRead, r.SimWait.Round(time.Microsecond))
+		r.CacheHits, r.NegativeHits, r.KVReads, r.RoundTrips, r.BytesRead,
+		r.SimWait.Round(time.Microsecond), r.ModelTime.Round(time.Microsecond))
 	tables := make([]string, 0, len(r.Tables))
 	for t := range r.Tables {
 		tables = append(tables, t)
@@ -164,16 +173,22 @@ func (t *Trace) addReads(table string, n int) {
 	t.rec.KVReads += int64(n)
 }
 
-// addCall folds one store call's exact attribution into the trace. The
-// logical read count is attributed per table by addReads; the call adds
-// only the physical round-trips, bytes and simulated wait.
-func (t *Trace) addCall(cs kvstore.CallStats) {
+// addRound folds one store round — the concurrent calls of one plan
+// execution — into the trace: each call's exact attribution, and the
+// round's modelled time. The logical read count is attributed per table
+// by addReads; the calls add only the physical round-trips, bytes and
+// modelled wait.
+func (t *Trace) addRound(calls ...kvstore.CallStats) {
 	if t == nil {
 		return
 	}
+	round := kvstore.RoundTime(calls...)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rec.RoundTrips += cs.RoundTrips
-	t.rec.BytesRead += cs.BytesRead
-	t.rec.SimWait += cs.SimWait
+	for _, cs := range calls {
+		t.rec.RoundTrips += cs.RoundTrips
+		t.rec.BytesRead += cs.BytesRead
+		t.rec.SimWait += cs.SimWait
+	}
+	t.rec.ModelTime += round
 }

@@ -113,18 +113,6 @@ func CompareEvents(a, b Event) int {
 	return cmp.Compare(a.Value, b.Value)
 }
 
-// FilterEventsByTime returns the events with Time in [start, end), in the
-// original order. It assumes nothing about input ordering.
-func FilterEventsByTime(events []Event, iv temporal.Interval) []Event {
-	var out []Event
-	for _, e := range events {
-		if iv.Contains(e.Time) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // FilterEventsByNode returns the events touching node id, in the original
 // order.
 func FilterEventsByNode(events []Event, id NodeID) []Event {

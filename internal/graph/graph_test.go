@@ -196,10 +196,6 @@ func TestEventFilters(t *testing.T) {
 		{Time: 5, Kind: AddEdge, Node: 1, Other: 2},
 		{Time: 9, Kind: RemoveNode, Node: 2},
 	}
-	byTime := FilterEventsByTime(evs, temporal.NewInterval(2, 9))
-	if len(byTime) != 1 || byTime[0].Kind != AddEdge {
-		t.Fatalf("FilterEventsByTime wrong: %v", byTime)
-	}
 	byNode := FilterEventsByNode(evs, 2)
 	if len(byNode) != 2 {
 		t.Fatalf("FilterEventsByNode(2) = %v, want AddEdge+RemoveNode", byNode)

@@ -10,9 +10,12 @@
 //     write-all with hinted handoff for replicas that are down,
 //   - rows sorted by clustering key within a partition, so that all
 //     micro-partitions of one delta scan contiguously (paper §4.4 item 5),
-//   - per-machine serialized service with a tunable cost model (base cost
-//     per operation plus per-KB transfer cost), which yields the parallel
-//     fetch speedups and saturation of Figures 11–12,
+//   - per-machine serialized service, and a cost model (base cost per
+//     operation plus per-KB transfer cost) charged to a modelled clock
+//     rather than waited out: each visit's cost is attributed to the
+//     node that served it, and a batched round lasts as long as its
+//     busiest node (RoundTime) — the quantity behind the parallel fetch
+//     speedups and saturation of Figures 11–12,
 //   - read/write/byte counters for the cost accounting of Table 1,
 //   - node lifecycle: AddNode/RemoveNode trigger a background rebalance
 //     that streams only the moved partitions between node engines under
@@ -43,37 +46,27 @@ import (
 	"hgs/internal/ring"
 )
 
-// LatencyModel charges simulated service time per storage operation.
-// With Enabled=false operations only update counters, which keeps unit
-// tests fast while benchmarks exercise the full model.
+// LatencyModel prices storage operations in modelled service time. The
+// cost is charged to counters (Metrics.SimWait, CallStats) and never
+// waited out; the zero model costs nothing.
 type LatencyModel struct {
-	Enabled bool
 	// BaseOp is charged once per request (seek + request overhead).
 	BaseOp time.Duration
 	// PerKB is charged per kilobyte moved.
 	PerKB time.Duration
-	// ColdRead is charged per row lookup that a tiered engine served
-	// from its cold (disk) tier — the seek the hot tier would have
-	// absorbed. Engines without tier counters charge nothing extra.
-	ColdRead time.Duration
 }
 
 // DefaultLatency approximates a commodity networked disk-backed store at
 // the scale of our benchmark datasets.
 func DefaultLatency() LatencyModel {
 	return LatencyModel{
-		Enabled:  true,
-		BaseOp:   60 * time.Microsecond,
-		PerKB:    250 * time.Microsecond,
-		ColdRead: 200 * time.Microsecond,
+		BaseOp: 60 * time.Microsecond,
+		PerKB:  250 * time.Microsecond,
 	}
 }
 
-// Cost returns the simulated service time for an operation moving n bytes.
+// Cost returns the modelled service time for an operation moving n bytes.
 func (lm LatencyModel) Cost(n int) time.Duration {
-	if !lm.Enabled {
-		return 0
-	}
 	return lm.BaseOp + time.Duration(n)*lm.PerKB/1024
 }
 
@@ -120,7 +113,8 @@ type Config struct {
 	// second: zero picks the 8 MiB/s default, negative disables the
 	// limit.
 	RebalanceRate int64
-	// Latency is the per-node service cost model.
+	// Latency is the per-node service cost model, fixed for the
+	// cluster's lifetime.
 	Latency LatencyModel
 	// Backend creates the storage engine of each node. Nil uses the
 	// in-memory memtable engine. AddNode calls it with fresh node ids at
@@ -140,7 +134,7 @@ type Config struct {
 // Config.RebalanceRate is zero.
 const defaultRebalanceRate = 8 << 20
 
-// Validate normalizes the configuration.
+// normalize fills defaults and clamps the configuration in place.
 func (c *Config) normalize() {
 	if len(c.Nodes) == 0 {
 		if c.Machines < 1 {
@@ -197,7 +191,7 @@ func clampQuorum(q, def, max int) int {
 // logical operations (one per key or prefix scan, even inside a batch);
 // RoundTrips counts physical node visits — a MultiGet touching two
 // machines is many Reads but two RoundTrips. SimWait is the total
-// simulated service time charged by the latency model.
+// modelled service time charged by the latency model.
 //
 // The replication-awareness counters: Failovers counts replica visits
 // that failed (node down or injected fault) during reads; DegradedReads
@@ -279,9 +273,9 @@ type hint struct {
 }
 
 // storageNode is one machine. A mutex serializes service, modelling a
-// single-disk server; the simulated service time is charged while the
-// lock is held so concurrent clients queue exactly as they would on a
-// busy node.
+// single-disk server: the latency model charges each visit to the node
+// that served it, so a node's modelled busy time is the sum of its
+// visits' costs.
 type storageNode struct {
 	id int
 
@@ -291,13 +285,6 @@ type storageNode struct {
 	// a straggler routed here before the ring swap fails over instead of
 	// touching a closed engine.
 	closed bool
-	// tiered is the engine's optional hot/cold surface, asserted once at
-	// open so the serve hot path avoids a type switch per operation: its
-	// cumulative counters aggregate into Metrics and its reads report
-	// their exact cold-row count for the latency surcharge. Nil on
-	// single-tier engines.
-	tiered backend.Tiered
-
 	// down simulates a failed machine: every visit errors until revive.
 	down atomic.Bool
 	// fault, when non-nil, injects probabilistic errors and/or a latency
@@ -313,39 +300,6 @@ type storageNode struct {
 	hintMu sync.Mutex
 	hints  []hint
 	hlog   *hintLog
-}
-
-func newStorageNode(id int, be backend.Backend) *storageNode {
-	n := &storageNode{id: id, be: be}
-	n.tiered, _ = be.(backend.Tiered)
-	return n
-}
-
-// get, scan and multiGet are the three engine reads the cluster serves.
-// Each returns what the engine stored plus the number of those rows a
-// tiered engine pulled from its cold tier (zero on a single-tier
-// engine) — the only places the read path cares which kind of engine
-// it is talking to. Callers hold n.mu (serveNode).
-func (n *storageNode) get(table, pkey, ckey string) (val []byte, found bool, cold int) {
-	if n.tiered != nil {
-		return n.tiered.GetTier(table, pkey, ckey)
-	}
-	val, found = n.be.Get(table, pkey, ckey)
-	return val, found, 0
-}
-
-func (n *storageNode) scan(table, pkey, prefix string) (rows []Row, cold int) {
-	if n.tiered != nil {
-		return n.tiered.ScanPrefixTier(table, pkey, prefix)
-	}
-	return n.be.ScanPrefix(table, pkey, prefix), 0
-}
-
-func (n *storageNode) multiGet(reqs []backend.KeyRead) (vals [][]byte, cold int) {
-	if n.tiered != nil {
-		return n.tiered.MultiGetTier(reqs)
-	}
-	return n.be.MultiGet(reqs), 0
 }
 
 // partitions lists every partition the node's engine holds rows for
@@ -410,8 +364,7 @@ func (n *storageNode) drainedHints() {
 
 // Cluster is the distributed store.
 type Cluster struct {
-	cfg     Config
-	latency atomic.Pointer[LatencyModel]
+	cfg Config
 
 	// topoMu guards the routing state: the node map, the active ring,
 	// and — during a rebalance — the pre-change ring plus the set of
@@ -524,7 +477,7 @@ func Open(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return fail(fmt.Errorf("kvstore: open node %d: %w", id, err))
 		}
-		node := newStorageNode(id, be)
+		node := &storageNode{id: id, be: be}
 		c.nodes[id] = node
 		if cfg.HintDir != "" {
 			if err := c.attachHintLog(node, true); err != nil {
@@ -532,8 +485,6 @@ func Open(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	lm := cfg.Latency
-	c.latency.Store(&lm)
 	c.bg.Add(1)
 	go c.repairWorker()
 	if cfg.AntiEntropyInterval > 0 {
@@ -559,15 +510,6 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	return c
 }
-
-// SetLatency swaps the latency model at runtime. Benchmarks build indexes
-// with the model disabled, then enable it for the measured fetch phase.
-func (c *Cluster) SetLatency(lm LatencyModel) {
-	c.latency.Store(&lm)
-}
-
-// Latency returns the current latency model.
-func (c *Cluster) Latency() LatencyModel { return *c.latency.Load() }
 
 // Config returns the cluster configuration with Nodes/Machines
 // reflecting the current membership (which AddNode/RemoveNode change at
@@ -699,25 +641,11 @@ func (c *Cluster) ReplicasOf(table, pkey string) []int {
 	return append([]int(nil), rt.ids...)
 }
 
-// simulateWork charges d of service time. Sub-scheduler-granularity
-// waits busy-spin for accuracy; anything longer sleeps so that many
-// simulated clients can wait concurrently without burning cores. A
-// sleep is cut short when ctx is cancelled, so a caller holding a
-// deadline is not stuck behind a long simulated disk wait. The service
-// time was already charged to the counters by then — cancellation
-// abandons the wait, it does not refund the work the node performed.
-func simulateWork(ctx context.Context, d time.Duration) {
+// faultWait holds a visit for an injected fault's ExtraLatency — the
+// only real wait in the cluster — and returns early once ctx is
+// cancelled, so a caller holding a deadline is not stuck behind it.
+func faultWait(ctx context.Context, d time.Duration) {
 	if d <= 0 {
-		return
-	}
-	if d < 20*time.Microsecond {
-		end := time.Now().Add(d)
-		for time.Now().Before(end) {
-		}
-		return
-	}
-	if ctx.Done() == nil {
-		time.Sleep(d)
 		return
 	}
 	t := time.NewTimer(d)
@@ -737,27 +665,20 @@ var (
 )
 
 // serveNode runs f on the node while holding its service lock and
-// charges the operation cost for the byte count f reports, plus the
-// cold-read surcharge for each row f reports as served from a disk
-// tier. The cold count comes from the engine's own per-call accounting
-// (backend.Tiered) — never from diffing the engine's cumulative
-// counters around the call, which would bill this operation for cold
-// rows concurrent operations or the engine's background maintenance
-// touched in the meantime. Charging inside the lock models a disk-bound
-// server: a node moving many bytes is busy for proportionally long, so
-// cluster size m and replication r bound the achievable parallel-fetch
-// speedup (paper Figures 11–12).
+// charges the latency model's cost for the byte count f reports to the
+// serving node, without waiting: a node moving many bytes is modelled
+// busy for proportionally long, so cluster size m and replication r
+// bound the achievable parallel-fetch speedup (paper Figures 11–12,
+// read through RoundTime).
 //
-// A down node refuses the visit without charge; an injected fault burns
-// a base-op of service time before erroring (the request did reach the
-// machine) and f does not run. The round-trip and the simulated service
-// time are charged to the cluster counters and to cs in the same
-// breath, failed visit or not, which is what makes a read's CallStats
-// equal what it added to Metrics. The in-process sleep modelling the
-// service time is abandoned once ctx is cancelled (the node lock
-// releases early — a real server would keep spinning its disk, but
-// nobody is left to wait for it).
-func (c *Cluster) serveNode(ctx context.Context, node *storageNode, cs *CallStats, f func(n *storageNode) (bytes, coldRows int)) error {
+// A down node refuses the visit without charge; an injected fault
+// charges a base-op before erroring (the request did reach the machine)
+// and f does not run, and its ExtraLatency is waited out for real
+// (faultWait). The round-trip and the modelled service time are charged
+// to the cluster counters and to cs in the same breath, failed visit or
+// not, which is what makes a read's CallStats equal what it added to
+// Metrics.
+func (c *Cluster) serveNode(ctx context.Context, node *storageNode, cs *CallStats, f func(n *storageNode) (bytes int)) error {
 	if node.down.Load() {
 		return errNodeDown
 	}
@@ -768,11 +689,10 @@ func (c *Cluster) serveNode(ctx context.Context, node *storageNode, cs *CallStat
 	if node.closed || node.down.Load() {
 		return errNodeDown
 	}
-	lm := c.Latency()
 	var (
-		err         error
-		extra       time.Duration
-		bytes, cold int
+		err   error
+		extra time.Duration
+		bytes int
 	)
 	if fl := node.fault.Load(); fl != nil {
 		extra = fl.ExtraLatency
@@ -781,17 +701,12 @@ func (c *Cluster) serveNode(ctx context.Context, node *storageNode, cs *CallStat
 		}
 	}
 	if err == nil {
-		bytes, cold = f(node)
+		bytes = f(node)
 	}
-	d := lm.Cost(bytes) + extra
-	if lm.Enabled && cold > 0 {
-		// Each row the operation pulled from the cold tier pays the
-		// disk-seek surcharge the hot tier would have absorbed.
-		d += time.Duration(cold) * lm.ColdRead
-	}
+	d := c.cfg.Latency.Cost(bytes)
 	c.simWait.Add(int64(d))
-	cs.SimWait += d
-	simulateWork(ctx, d)
+	cs.charge(node.id, d)
+	faultWait(ctx, extra)
 	return err
 }
 
@@ -816,8 +731,8 @@ func (c *Cluster) writeReplica(node *storageNode, h hint, visit func(be backend.
 		if node.down.Load() && node.queueHint(h) {
 			return true
 		}
-		err := c.serveNode(context.Background(), node, &unreported, func(n *storageNode) (int, int) {
-			return visit(n.be), 0
+		err := c.serveNode(context.Background(), node, &unreported, func(n *storageNode) int {
+			return visit(n.be)
 		})
 		if err == nil {
 			return false
@@ -1022,8 +937,24 @@ type CallStats struct {
 	RoundTrips int64
 	// BytesRead counts the value bytes moved.
 	BytesRead int64
-	// SimWait is the simulated service time charged to this call.
+	// SimWait is the modelled service time charged to this call.
 	SimWait time.Duration
+	// NodeWaits splits SimWait by the storage node that served it, one
+	// entry per node; nil while the latency model costs nothing.
+	NodeWaits []NodeWait
+}
+
+// NodeWait is the modelled service time one storage node spent on a
+// call.
+type NodeWait struct {
+	Node int
+	Wait time.Duration
+}
+
+// charge bills d of modelled service time on node to the call.
+func (cs *CallStats) charge(node int, d time.Duration) {
+	cs.SimWait += d
+	cs.NodeWaits = addNodeWait(cs.NodeWaits, node, d)
 }
 
 // add folds another accumulation (one batch's share) into cs.
@@ -1032,6 +963,42 @@ func (cs *CallStats) add(o CallStats) {
 	cs.RoundTrips += o.RoundTrips
 	cs.BytesRead += o.BytesRead
 	cs.SimWait += o.SimWait
+	for _, w := range o.NodeWaits {
+		cs.NodeWaits = addNodeWait(cs.NodeWaits, w.Node, w.Wait)
+	}
+}
+
+// addNodeWait adds d to node's entry of ws, appending one if needed.
+// A zero d records nothing, so the zero model allocates nothing.
+func addNodeWait(ws []NodeWait, node int, d time.Duration) []NodeWait {
+	if d == 0 {
+		return ws
+	}
+	for i := range ws {
+		if ws[i].Node == node {
+			ws[i].Wait += d
+			return ws
+		}
+	}
+	return append(ws, NodeWait{Node: node, Wait: d})
+}
+
+// RoundTime is the modelled duration of one batched store round made of
+// calls issued concurrently. A node serves its visits one after another
+// under its service lock, so it is busy for the sum of what every call
+// charged it; the round lasts as long as its busiest node.
+func RoundTime(calls ...CallStats) time.Duration {
+	var busy []NodeWait
+	for _, cs := range calls {
+		for _, w := range cs.NodeWaits {
+			busy = addNodeWait(busy, w.Node, w.Wait)
+		}
+	}
+	var longest time.Duration
+	for _, w := range busy {
+		longest = max(longest, w.Wait)
+	}
+	return longest
 }
 
 // countReads charges logical reads and the payload bytes they returned
@@ -1161,15 +1128,16 @@ func (c *Cluster) MultiGet(refs []KeyRef) []GetResult {
 // charge per machine round-trip instead of per key (the executor half of
 // the query-manager plan, paper Figure 3c). Results are positional:
 // out[i] answers refs[i]. The CallStats report the logical reads, node
-// round-trips, bytes and simulated wait this call (and only this call)
-// charged to the cluster counters.
+// round-trips, bytes and modelled wait this call (and only this call)
+// charged to the cluster counters, the wait also split by node
+// (RoundTime reads it).
 //
 // With ReadQuorum > 1 every key is served through its own quorum read
 // instead (R visits per key — divergence detection needs every
 // replica's answer per key), partitions running concurrently.
 //
 // Node visits not yet started when ctx is cancelled are skipped, and a
-// visit sleeping out its simulated service time wakes early. The caller
+// visit held by an injected fault's ExtraLatency returns early. The caller
 // must check ctx.Err() after the call — results are incomplete once it
 // is non-nil, and a Found=false under cancellation means "unknown", not
 // "absent".
@@ -1183,14 +1151,13 @@ func (c *Cluster) MultiGetStatsCtx(ctx context.Context, refs []KeyRef) ([]GetRes
 				reqs[j] = refs[i]
 			}
 			var vals [][]byte
-			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) (int, int) {
-				var cold int
-				vals, cold = n.multiGet(reqs)
+			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) int {
+				vals = n.be.MultiGet(reqs)
 				total := 0
 				for _, v := range vals {
 					total += len(v)
 				}
-				return total, cold
+				return total
 			})
 			if err == nil {
 				total := 0
@@ -1230,15 +1197,14 @@ func (c *Cluster) MultiScanStatsCtx(ctx context.Context, refs []ScanRef) ([][]Ro
 	at := func(i int) (string, string) { return refs[i].Table, refs[i].PKey }
 	cs := c.readBatches(ctx, len(refs), at, func(b *batch, r int) (bs CallStats) {
 		if b.node != nil {
-			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) (int, int) {
-				total, cold := 0, 0
+			err := c.serveNode(ctx, b.node, &bs, func(n *storageNode) int {
+				total := 0
 				for _, i := range b.idxs {
-					rows, scanCold := n.scan(refs[i].Table, refs[i].PKey, refs[i].Prefix)
+					rows := n.be.ScanPrefix(refs[i].Table, refs[i].PKey, refs[i].Prefix)
 					out[i] = rows
 					total += rowBytes(rows)
-					cold += scanCold
 				}
-				return total, cold
+				return total
 			})
 			if err == nil {
 				total := 0
@@ -1388,10 +1354,11 @@ func (c *Cluster) Close() error {
 func (c *Cluster) tierTotals() backend.TierCounters {
 	var t backend.TierCounters
 	for _, node := range c.nodeList() {
-		if node.tiered == nil {
+		tiered, ok := node.be.(backend.Tiered)
+		if !ok {
 			continue
 		}
-		tc := node.tiered.TierCounters()
+		tc := tiered.TierCounters()
 		t.HotHits += tc.HotHits
 		t.ColdReads += tc.ColdReads
 		t.FlushedBytes += tc.FlushedBytes

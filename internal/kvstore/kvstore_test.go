@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
-	"hgs/internal/backend/memtable"
 	"hgs/internal/backend/tiered"
 )
 
@@ -203,7 +201,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestLatencyCost(t *testing.T) {
-	lm := LatencyModel{Enabled: true, BaseOp: 100 * time.Microsecond, PerKB: 10 * time.Microsecond}
+	lm := LatencyModel{BaseOp: 100 * time.Microsecond, PerKB: 10 * time.Microsecond}
 	if lm.Cost(0) != 100*time.Microsecond {
 		t.Fatal("base cost wrong")
 	}
@@ -212,7 +210,7 @@ func TestLatencyCost(t *testing.T) {
 	}
 	off := LatencyModel{}
 	if off.Cost(1<<20) != 0 {
-		t.Fatal("disabled model must cost 0")
+		t.Fatal("zero model must cost 0")
 	}
 }
 
@@ -380,7 +378,7 @@ func TestMultiGetRoundTripAccounting(t *testing.T) {
 }
 
 func TestSimWaitAccumulates(t *testing.T) {
-	c := NewCluster(Config{Machines: 1, Replication: 1, Latency: LatencyModel{Enabled: true, BaseOp: time.Microsecond}})
+	c := NewCluster(Config{Machines: 1, Replication: 1, Latency: LatencyModel{BaseOp: time.Microsecond}})
 	c.Put("t", "p", "c", []byte("v"))
 	c.Get("t", "p", "c")
 	if m := c.Metrics(); m.SimWait <= 0 {
@@ -389,6 +387,65 @@ func TestSimWaitAccumulates(t *testing.T) {
 	c.ResetMetrics()
 	if m := c.Metrics(); m.SimWait != 0 || m.RoundTrips != 0 {
 		t.Fatalf("reset left %+v", m)
+	}
+}
+
+// TestRoundTimeModel pins the modelled clock of one batched store round:
+// a scan call and a get call issued together charge each node once per
+// call, a node's busy time is the sum over both calls, and the round
+// lasts as long as the busiest node. With the zero model the round
+// costs nothing and no per-node accounting is allocated.
+func TestRoundTimeModel(t *testing.T) {
+	lm := LatencyModel{BaseOp: 100 * time.Microsecond, PerKB: 1024 * time.Microsecond} // 1µs per byte
+	for _, tc := range []struct {
+		name  string
+		model LatencyModel
+	}{{"default-shaped", lm}, {"zero", LatencyModel{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(Config{Machines: 2, Replication: 1, Latency: tc.model})
+			defer c.Close()
+			// One partition on each node.
+			pkeys := map[int]string{}
+			for i := 0; len(pkeys) < 2; i++ {
+				pk := fmt.Sprintf("p%d", i)
+				if id := c.ReplicasOf("t", pk)[0]; pkeys[id] == "" {
+					pkeys[id] = pk
+				}
+			}
+			// Node 0 holds two 100-byte rows, node 1 one 300-byte row.
+			c.Put("t", pkeys[0], "a", make([]byte, 100))
+			c.Put("t", pkeys[0], "b", make([]byte, 100))
+			c.Put("t", pkeys[1], "a", make([]byte, 300))
+
+			_, scan := c.MultiScanStatsCtx(context.Background(), []ScanRef{
+				{Table: "t", PKey: pkeys[0]}, {Table: "t", PKey: pkeys[1]},
+			})
+			_, get := c.MultiGetStatsCtx(context.Background(), []KeyRef{
+				{Table: "t", PKey: pkeys[0], CKey: "a"}, {Table: "t", PKey: pkeys[0], CKey: "b"},
+			})
+			got := RoundTime(scan, get)
+			if tc.model == (LatencyModel{}) {
+				if got != 0 || scan.NodeWaits != nil || get.NodeWaits != nil || scan.SimWait != 0 {
+					t.Fatalf("zero model: round %v, node waits %v / %v", got, scan.NodeWaits, get.NodeWaits)
+				}
+				return
+			}
+			// Stored rows carry the write stamp; each call visits a node
+			// once: node 0 serves the scan of both rows and the get of both
+			// rows, node 1 only the scan of its row.
+			row := func(n int) time.Duration { return time.Duration(n+stampOverhead) * time.Microsecond }
+			node0 := 2 * (100*time.Microsecond + 2*row(100))
+			node1 := 100*time.Microsecond + row(300)
+			if want := max(node0, node1); got != want {
+				t.Fatalf("round time %v, want %v (node 0 %v, node 1 %v)", got, want, node0, node1)
+			}
+			if scan.SimWait+get.SimWait != node0+node1 {
+				t.Fatalf("SimWait %v, want the sum over nodes %v", scan.SimWait+get.SimWait, node0+node1)
+			}
+			if RoundTime(scan) != max(node0/2, node1) || RoundTime(get) != node0/2 {
+				t.Fatalf("single-call rounds %v / %v", RoundTime(scan), RoundTime(get))
+			}
+		})
 	}
 }
 
@@ -430,32 +487,6 @@ func TestTierMetricsAggregation(t *testing.T) {
 	}
 	if m.TierHotBytes == 0 {
 		t.Fatal("TierHotBytes gauge must survive ResetMetrics")
-	}
-}
-
-func TestColdReadLatencySurcharge(t *testing.T) {
-	dir := t.TempDir()
-	opts := tiered.Options{HotBytes: 1} // nothing fits in memory
-	c, err := Open(Config{Machines: 1, Backend: tiered.Factory(dir, opts)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Put("deltas", "p0", "c0", []byte("cold row"))
-	if c.Metrics().TierHotBytes > 0 {
-		t.Fatal("a one-byte budget holds the row in memory")
-	}
-	c.SetLatency(LatencyModel{Enabled: true, ColdRead: time.Millisecond})
-	c.ResetMetrics()
-	if _, ok := c.Get("deltas", "p0", "c0"); !ok {
-		t.Fatal("cold row missing")
-	}
-	m := c.Metrics()
-	if m.TierColdReads != 1 {
-		t.Fatalf("TierColdReads = %d, want 1", m.TierColdReads)
-	}
-	if m.SimWait < time.Millisecond {
-		t.Fatalf("SimWait = %v, want >= 1ms cold surcharge", m.SimWait)
 	}
 }
 
@@ -508,107 +539,6 @@ func TestBackupRequiresDurableEngines(t *testing.T) {
 	defer c.Close()
 	if err := c.Backup(t.TempDir()); err == nil {
 		t.Fatal("backup of in-memory cluster must fail")
-	}
-}
-
-// tierStub is a storage stub whose cumulative ColdReads gauge moves
-// from background maintenance concurrently with foreground reads —
-// the scenario in which diffing the shared gauge around a serve bills
-// one caller for rows somebody else touched. The backend.Tiered reads
-// report the true per-call count: exactly one cold row per found Get.
-type tierStub struct {
-	backend.Backend
-	cold int64 // cumulative, moved by reads AND background noise
-}
-
-func (s *tierStub) TierCounters() backend.TierCounters {
-	return backend.TierCounters{ColdReads: atomic.LoadInt64(&s.cold)}
-}
-
-func (s *tierStub) GetTier(table, pkey, ckey string) ([]byte, bool, int) {
-	v, ok := s.Backend.Get(table, pkey, ckey)
-	if !ok {
-		return v, ok, 0
-	}
-	atomic.AddInt64(&s.cold, 1)
-	return v, ok, 1
-}
-
-func (s *tierStub) MultiGetTier(reqs []backend.KeyRead) ([][]byte, int) {
-	out := s.Backend.MultiGet(reqs)
-	cold := 0
-	for _, v := range out {
-		if v != nil {
-			cold++
-		}
-	}
-	atomic.AddInt64(&s.cold, int64(cold))
-	return out, cold
-}
-
-func (s *tierStub) ScanPrefixTier(table, pkey, prefix string) ([]backend.Row, int) {
-	rows := s.Backend.ScanPrefix(table, pkey, prefix)
-	atomic.AddInt64(&s.cold, int64(len(rows)))
-	return rows, len(rows)
-}
-
-// TestColdSurchargeExactAttribution pins the billing contract: each
-// operation pays the ColdRead surcharge for exactly the rows IT pulled
-// from the cold tier, even with concurrent readers on the same node and
-// the engine's own background maintenance moving the cumulative gauge
-// the whole time. The pre-fix implementation diffed the shared gauge
-// around the serve and charged foreground callers for that noise.
-func TestColdSurchargeExactAttribution(t *testing.T) {
-	stub := &tierStub{Backend: memtable.New()}
-	c, err := Open(Config{Machines: 1, Backend: func(int) (backend.Backend, error) { return stub, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const rows = 24
-	for i := 0; i < rows; i++ {
-		c.Put("t", "p", fmt.Sprintf("c%02d", i), nil)
-	}
-	c.SetLatency(LatencyModel{Enabled: true, ColdRead: time.Millisecond})
-	c.ResetMetrics()
-
-	// Background maintenance (warm-up, compaction, ...) bumps the
-	// cumulative gauge continuously while the reads run.
-	stopNoise := make(chan struct{})
-	noiseDone := make(chan struct{})
-	go func() {
-		defer close(noiseDone)
-		for {
-			select {
-			case <-stopNoise:
-				return
-			default:
-				atomic.AddInt64(&stub.cold, 1)
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rows; i++ {
-				if _, ok := c.Get("t", "p", fmt.Sprintf("c%02d", i)); !ok {
-					t.Errorf("row %d missing", i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stopNoise)
-	<-noiseDone
-
-	// 4 workers x 24 found rows x exactly 1 cold row each; BaseOp and
-	// PerKB are zero, so SimWait is purely the surcharge.
-	want := time.Duration(4*rows) * time.Millisecond
-	if got := c.Metrics().SimWait; got != want {
-		t.Fatalf("SimWait = %v, want exactly %v (concurrent readers/background noise misbilled)", got, want)
 	}
 }
 
@@ -709,7 +639,7 @@ func TestCallStatsMatchMetrics(t *testing.T) {
 				t.Run(fmt.Sprintf("R=%d/%s/%s", r, h.name, kind), func(t *testing.T) {
 					c := NewCluster(Config{
 						Machines: 3, Replication: 2, ReadQuorum: r,
-						Latency: LatencyModel{Enabled: true, BaseOp: 2 * time.Microsecond, PerKB: 4 * time.Microsecond},
+						Latency: LatencyModel{BaseOp: 2 * time.Microsecond, PerKB: 4 * time.Microsecond},
 					})
 					defer c.Close()
 					refs := make([]KeyRef, 0, keys+1)

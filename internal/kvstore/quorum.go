@@ -114,11 +114,11 @@ func (c *Cluster) applyRepair(t repairTask) {
 // (this is where r>1 increases read capacity, Fig 12c) it visits the
 // route's replicas clockwise, skipping exclude, until want of them
 // answered or none is left. visit runs on an answering replica under
-// its service lock (serveNode) and reports the bytes and cold rows to
-// charge. Every refused visit counts a Failover; an answer that had to
-// come from a replica beyond the rotation's first want — always the
-// case once exclude has failed — counts one DegradedRead.
-func (c *Cluster) visitReplicas(ctx context.Context, rt *route, want int, exclude *storageNode, cs *CallStats, visit func(n *storageNode) (bytes, coldRows int)) {
+// its service lock (serveNode) and reports the bytes to charge. Every
+// refused visit counts a Failover; an answer that had to come from a
+// replica beyond the rotation's first want — always the case once
+// exclude has failed — counts one DegradedRead.
+func (c *Cluster) visitReplicas(ctx context.Context, rt *route, want int, exclude *storageNode, cs *CallStats, visit func(n *storageNode) (bytes int)) {
 	n := len(rt.nodes)
 	start := 0
 	if n > 1 {
@@ -157,10 +157,10 @@ func (c *Cluster) readKey(ctx context.Context, ref KeyRef, want int, exclude *st
 	c.readRoute(ref.Table, ref.PKey, &rt)
 	var buf [routeStack]replicaResp
 	got := buf[:0]
-	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) (int, int) {
-		stored, found, cold := n.get(ref.Table, ref.PKey, ref.CKey)
+	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) int {
+		stored, found := n.be.Get(ref.Table, ref.PKey, ref.CKey)
 		got = append(got, replicaResp{node: n, stored: stored, found: found})
-		return len(stored), cold
+		return len(stored)
 	})
 	var res GetResult
 	if stored, found := c.mergeGet(got, ref); found {
@@ -213,10 +213,10 @@ func (c *Cluster) readScan(ctx context.Context, ref ScanRef, want int, exclude *
 	c.readRoute(ref.Table, ref.PKey, &rt)
 	var buf [routeStack]scanResp
 	got := buf[:0]
-	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) (int, int) {
-		rows, cold := n.scan(ref.Table, ref.PKey, ref.Prefix)
+	c.visitReplicas(ctx, &rt, want, exclude, cs, func(n *storageNode) int {
+		rows := n.be.ScanPrefix(ref.Table, ref.PKey, ref.Prefix)
 		got = append(got, scanResp{node: n, rows: rows})
-		return rowBytes(rows), cold
+		return rowBytes(rows)
 	})
 	rows := c.mergeScan(got, ref)
 	c.countReads(cs, 1, unwrapRows(rows))

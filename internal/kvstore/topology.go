@@ -38,10 +38,10 @@ var (
 
 // Fault is a per-node fault injection profile (InjectFault): each node
 // visit errors with probability ErrRate (deterministically spread — a
-// rate of 0.25 fails exactly every 4th visit) and is slowed by
-// ExtraLatency whether or not it errors. Failed visits still charge a
-// base operation of simulated service time: the request reached the
-// machine.
+// rate of 0.25 fails exactly every 4th visit) and is held for
+// ExtraLatency of real time, under the node's service lock, whether or
+// not it errors. Failed visits still charge a base operation of
+// modelled service time: the request reached the machine.
 type Fault struct {
 	ErrRate      float64
 	ExtraLatency time.Duration
@@ -164,10 +164,23 @@ func (c *Cluster) deliverHint(origin *storageNode, h hint) {
 // erroring node (writeReplica), so the node does not keep serving reads
 // while silently missing mutations: unlike FailNode hints, these would
 // otherwise wait for a ReviveNode that never comes.
+//
+// The profile must have an ErrRate in [0, 1] and a non-negative
+// ExtraLatency. The node keeps a copy, so the caller may reuse f.
 func (c *Cluster) InjectFault(id int, f *Fault) error {
 	node := c.nodeAt(id)
 	if node == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
+	}
+	if f != nil {
+		if !(f.ErrRate >= 0 && f.ErrRate <= 1) { // also rejects NaN
+			return fmt.Errorf("kvstore: fault ErrRate %v outside [0, 1]", f.ErrRate)
+		}
+		if f.ExtraLatency < 0 {
+			return fmt.Errorf("kvstore: negative fault ExtraLatency %v", f.ExtraLatency)
+		}
+		cp := *f
+		f = &cp
 	}
 	node.fault.Store(f)
 	if f == nil || f.ErrRate <= 0 {
@@ -231,7 +244,7 @@ func (c *Cluster) AddNode(id int) error {
 		c.topoMu.Unlock()
 		return fmt.Errorf("kvstore: add node %d: %w", id, err)
 	}
-	node := newStorageNode(id, be)
+	node := &storageNode{id: id, be: be}
 	if c.cfg.HintDir != "" {
 		if err := c.attachHintLog(node, false); err != nil {
 			be.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -103,6 +104,51 @@ func TestAllReplicasDownReadsMiss(t *testing.T) {
 	}
 	if got := c.MultiGet([]KeyRef{{Table: "t", PKey: "p", CKey: "k"}}); got[0].Found {
 		t.Fatal("batched read should miss with every replica down")
+	}
+}
+
+// TestInjectFaultValidates pins InjectFault's profile checks and its
+// copy: a rate outside [0, 1] (NaN included) or a negative ExtraLatency
+// is refused, and a caller mutating its Fault after installing it does
+// not change what the node does.
+func TestInjectFaultValidates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault *Fault
+		ok    bool
+	}{
+		{"clear", nil, true},
+		{"zero", &Fault{}, true},
+		{"always", &Fault{ErrRate: 1}, true},
+		{"half and slow", &Fault{ErrRate: 0.5, ExtraLatency: time.Millisecond}, true},
+		{"negative rate", &Fault{ErrRate: -0.1}, false},
+		{"rate above one", &Fault{ErrRate: 1.5}, false},
+		{"NaN rate", &Fault{ErrRate: math.NaN()}, false},
+		{"negative latency", &Fault{ExtraLatency: -time.Hour}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(2, 2)
+			defer c.Close()
+			if err := c.InjectFault(0, tc.fault); (err == nil) != tc.ok {
+				t.Fatalf("InjectFault(%+v) = %v, want ok=%v", tc.fault, err, tc.ok)
+			}
+		})
+	}
+
+	c := NewCluster(Config{Machines: 1, Latency: LatencyModel{BaseOp: time.Microsecond}})
+	defer c.Close()
+	c.Put("t", "p", "k", []byte("v"))
+	f := &Fault{}
+	if err := c.InjectFault(0, f); err != nil {
+		t.Fatal(err)
+	}
+	f.ErrRate, f.ExtraLatency = 1, -time.Hour
+	c.ResetMetrics()
+	if _, ok := c.Get("t", "p", "k"); !ok {
+		t.Fatal("a Fault mutated after InjectFault changed the installed profile")
+	}
+	if m := c.Metrics(); m.Failovers != 0 || m.SimWait != time.Microsecond {
+		t.Fatalf("installed profile changed by the caller: %+v", m)
 	}
 }
 
