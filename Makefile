@@ -8,13 +8,15 @@ GO ?= go
 # Fail `make cover` when total -short statement coverage drops below
 # this floor (the tree sits around 74%; the floor leaves headroom for
 # incidental drift, not for untested subsystems). The replicated
-# kvstore, the placement ring and the record log carry their own floors
-# — their tests are the consistency and recovery acceptance surface, so
-# a regression there must not hide inside an unchanged total.
+# kvstore, the placement ring, the record log and the disk engine carry
+# their own floors — their tests are the consistency and recovery
+# acceptance surface, so a regression there must not hide inside an
+# unchanged total.
 COVER_FLOOR ?= 70.0
 KVSTORE_FLOOR ?= 78.0
 RING_FLOOR ?= 82.0
 RECLOG_FLOOR ?= 85.0
+DISKLOG_FLOOR ?= 84.1
 
 .PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check loc microbench bench profile
 
@@ -41,7 +43,7 @@ test-full:
 	$(GO) test ./...
 
 # Total -short statement coverage with hard floors (total plus the
-# kvstore/ring/reclog per-package floors, scripts/coverfloor); prints the
+# kvstore/ring/reclog/disklog per-package floors, scripts/coverfloor); prints the
 # per-function summary so CI logs show what regressed. The full go test
 # output is kept in cover.log; on failure every FAIL / panic: line is
 # printed again prefixed with its package (go test prints each package's
@@ -59,7 +61,7 @@ cover:
 	@$(GO) tool cover -func=coverage.out | tail -20
 	$(GO) run ./scripts/coverfloor -profile coverage.out -total $(COVER_FLOOR) \
 		-pkg hgs/internal/kvstore=$(KVSTORE_FLOOR) -pkg hgs/internal/ring=$(RING_FLOOR) \
-		-pkg hgs/internal/reclog=$(RECLOG_FLOOR)
+		-pkg hgs/internal/reclog=$(RECLOG_FLOOR) -pkg hgs/internal/backend/disklog=$(DISKLOG_FLOOR)
 
 # Brief native fuzzing of the decode and placement invariants (the same
 # targets `make test` replays against the committed corpora). CI runs

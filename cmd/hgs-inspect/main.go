@@ -15,16 +15,18 @@
 //	hgs-inspect -data /tmp/hgs-wiki   # instant: reuses the index
 //
 // -engine selects the storage engine behind -data (disk, or tiered for
-// the disk engine with an in-memory copy of the newest rows; the engine
-// is persisted, reattaching adopts it), and -backup copies the quiesced
-// store into a fresh directory that opens like the original:
+// the disk engine with a -hot-bytes memory budget for the values of the
+// newest rows; the engine is persisted, reattaching adopts it), and
+// -backup copies the quiesced store into a fresh directory that opens
+// like the original:
 //
 //	hgs-inspect -dataset wiki -data /tmp/hgs-wiki -engine tiered
 //	hgs-inspect -data /tmp/hgs-wiki -backup /tmp/hgs-wiki.bak
 //	hgs-inspect -data /tmp/hgs-wiki.bak   # the backup is a store
 //
-// Reopening a tiered store warms its hot tier from the newest cold
-// segments by default (-warm off restores cold starts).
+// Reattaching to a tiered store refills its memory budget from the log
+// replay that rebuilds the index, so the newest rows are served from
+// memory at once.
 //
 // -trace records a plan trace for every probe query and prints each
 // retrieval's planned key set and its per-table cache-hit /
@@ -72,7 +74,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable data directory (disk backend); reattaches when it already holds an index")
 	engine := flag.String("engine", "", "storage engine for -data: disk | tiered (default: disk, or whatever the directory was created with)")
 	hotBytes := flag.Int64("hot-bytes", 0, "tiered engine: per-node memory copy budget in bytes (default 32 MiB)")
-	warm := flag.String("warm", "", "tiered engine: hot-tier warm-up on reopen: on | off (default on)")
 	backup := flag.String("backup", "", "after inspecting, copy the quiesced store into this fresh directory")
 	trace := flag.Bool("trace", false, "record per-query plan traces and print each probe's plan/cache/KV breakdown")
 	metrics := flag.Bool("metrics", false, "dump the store's metrics in Prometheus text format on stdout instead of the human report")
@@ -98,7 +99,6 @@ func main() {
 		DataDir:              *dataDir,
 		Engine:               hgs.StorageEngine(*engine),
 		HotBytes:             *hotBytes,
-		WarmOnOpen:           hgs.WarmMode(*warm),
 		TracePlans:           *trace,
 	}
 	if *dataDir != "" {
@@ -111,7 +111,6 @@ func main() {
 			probeOpts := hgs.Options{
 				DataDir:    *dataDir,
 				HotBytes:   *hotBytes,
-				WarmOnOpen: hgs.WarmMode(*warm),
 				TracePlans: *trace,
 			}
 			if explicit["machines"] {
@@ -300,15 +299,11 @@ func inspect(store *hgs.Store, out io.Writer) {
 	fmt.Fprintf(out, "warm rerun: 3 snapshots in %d reads, %d round-trips; %s\n",
 		m.Reads, m.RoundTrips, st.Cache)
 
-	// Tiered stores also report the hot/cold split, the bytes written
-	// through to disk and the disk tier's compactions since open.
+	// Disk stores also report the memory/disk split of their reads, the
+	// bytes written to disk and the log compactions since open.
 	if tm := st.StoreMetrics; tm.TierHotReads > 0 || tm.TierColdReads > 0 {
 		fmt.Fprintf(out, "tiers     : %d hot reads, %d cold reads, %d KB hot resident, %d KB written through, %d compactions\n",
 			tm.TierHotReads, tm.TierColdReads, tm.TierHotBytes/1024, tm.FlushedBytes/1024, tm.Compactions)
-		if tm.WarmedRows > 0 {
-			fmt.Fprintf(out, "warm-up   : %d rows (%d KB) repopulated from cold segments on open\n",
-				tm.WarmedRows, tm.WarmedBytes/1024)
-		}
 	}
 
 	// With -trace, every probe query above left a plan trace: print the

@@ -25,7 +25,7 @@
 //
 // By default the store is in-memory and the index disappears with the
 // process. Setting Options.DataDir switches every storage node to the
-// disk-backed WAL/segment engine (internal/backend/disklog): the index
+// disk engine, an append-only record log (internal/backend/disklog): the index
 // is persisted under that directory, Close flushes it, and a later
 // Open with the same DataDir reattaches to the existing index — no
 // Load required, queries work immediately:
@@ -48,10 +48,11 @@
 // # Tiered storage and backup
 //
 // With Engine set to EngineTiered (DataDir required), every storage
-// node keeps a bounded copy of its most recently written rows in memory
-// over the disk engine, which holds every row: writes go through to
-// disk, queries over recent timespans are served without disk reads,
-// and history stays durable and cheap:
+// node runs the same disk engine with a memory budget: its index keeps
+// a copy of the most recently written rows' values, up to HotBytes,
+// while the log on disk holds every row. Writes go to disk, queries
+// over recent timespans are served without disk reads, and history
+// stays durable and cheap:
 //
 //	store, _ := hgs.Open(hgs.Options{
 //		DataDir:  "/var/lib/hgs",
@@ -63,12 +64,12 @@
 //	fmt.Println(st.StoreMetrics.TierHotReads,  // served from memory
 //		st.StoreMetrics.TierColdReads)     // read from disk
 //
-// Restarts do not demote the hot working set: reopening a tiered
-// DataDir warms memory with the newest rows on disk (up to HotBytes, in
-// the background). Options.WarmOnOpen controls it — on by default for
-// tiered, WarmOff restores cold starts — and Stats().StoreMetrics
-// reports WarmedRows/WarmedBytes plus a TierWarming gauge that reads
-// zero once every node finished warming.
+// Restarts do not demote the hot working set: reopening replays each
+// node's log to rebuild its index, and the replay keeps the values of
+// the log's final HotBytes, so the store serves recent timespans from
+// memory as soon as Open returns. The plain disk engine
+// (EngineDisk) has no budget and reads every row from disk; it reports
+// those reads as TierColdReads.
 //
 // Store.Backup copies a quiesced durable store (any disk engine) into a
 // fresh directory that opens like the original:
@@ -270,41 +271,18 @@ const (
 	// EngineMemory is the in-process memtable: no durability, the
 	// paper's simulated cluster.
 	EngineMemory StorageEngine = "memory"
-	// EngineDisk is the durable WAL/segment engine (disklog); requires
+	// EngineDisk is the durable record-log engine (disklog); requires
 	// DataDir.
 	EngineDisk StorageEngine = "disk"
-	// EngineTiered keeps a bounded in-memory copy of the most recently
-	// written rows over a disklog that holds every row; requires
-	// DataDir. See Options.HotBytes.
+	// EngineTiered is the disk engine with a memory budget: it keeps
+	// the values of the most recently written rows in memory, up to
+	// Options.HotBytes; requires DataDir.
 	EngineTiered StorageEngine = "tiered"
 )
 
 func (e StorageEngine) valid() bool {
 	switch e {
 	case EngineAuto, EngineMemory, EngineDisk, EngineTiered:
-		return true
-	}
-	return false
-}
-
-// WarmMode selects the tiered engine's hot-tier warm-up behavior on
-// open (Options.WarmOnOpen).
-type WarmMode string
-
-const (
-	// WarmAuto is the default: warm-up on for the tiered engine (other
-	// engines have no tiers to warm).
-	WarmAuto WarmMode = ""
-	// WarmOn enables restart warm-up explicitly.
-	WarmOn WarmMode = "on"
-	// WarmOff opens the tiered engine with an empty hot tier, the
-	// pre-warm-up behavior (every post-restart read starts cold).
-	WarmOff WarmMode = "off"
-)
-
-func (m WarmMode) valid() bool {
-	switch m {
-	case WarmAuto, WarmOn, WarmOff:
 		return true
 	}
 	return false
@@ -362,18 +340,11 @@ type Options struct {
 	// The engine is persisted with the DataDir; reattaching adopts it,
 	// and an explicitly conflicting Engine is rejected.
 	Engine StorageEngine
-	// HotBytes is the tiered engine's per-node memory copy budget
-	// (default 32 MiB): once exceeded, the oldest written rows are
-	// evicted from memory; they stay on disk. A runtime knob, not
-	// persisted.
+	// HotBytes is the tiered engine's per-node memory budget (default
+	// 32 MiB): the values of the most recently written rows, refilled
+	// from the log on reopen; once exceeded, the oldest written leave
+	// memory and stay on disk. A runtime knob, not persisted.
 	HotBytes int64
-	// WarmOnOpen controls the tiered engine's restart warm-up: whether
-	// reopening a DataDir repopulates the hot tier from the newest cold
-	// rows (up to HotBytes) so post-restart queries over recent
-	// timespans skip the cold-read penalty. Default on for tiered
-	// (WarmAuto); WarmOff restores the cold-start behavior. A runtime
-	// knob, not persisted.
-	WarmOnOpen WarmMode
 
 	// TimespanEvents, EventlistSize, Arity, HorizontalPartitions and
 	// PartitionSize are the TGI construction parameters (§4.4); zero
@@ -671,9 +642,6 @@ func Open(opts Options) (*Store, error) {
 	if !opts.Engine.valid() {
 		return nil, fmt.Errorf("hgs: unknown storage engine %q", opts.Engine)
 	}
-	if !opts.WarmOnOpen.valid() {
-		return nil, fmt.Errorf("hgs: unknown warm-up mode %q", opts.WarmOnOpen)
-	}
 	if opts.DataDir == "" && (opts.Engine == EngineDisk || opts.Engine == EngineTiered) {
 		return nil, fmt.Errorf("hgs: the %s engine requires DataDir", opts.Engine)
 	}
@@ -716,10 +684,7 @@ func Open(opts Options) (*Store, error) {
 		case EngineDisk:
 			factory = disklog.Factory(opts.DataDir, disklog.Options{})
 		case EngineTiered:
-			factory = tiered.Factory(opts.DataDir, tiered.Options{
-				HotBytes:    opts.HotBytes,
-				DisableWarm: opts.WarmOnOpen == WarmOff,
-			})
+			factory = tiered.Factory(opts.DataDir, tiered.Options{HotBytes: opts.HotBytes})
 		}
 	}
 	hintDir := ""

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hgs/internal/graph"
 	"hgs/internal/workload"
@@ -784,10 +783,11 @@ func TestTieredDataDirSingleHandle(t *testing.T) {
 	}
 }
 
-// TestWarmOnOpenOption exercises the warm-up options end to end: a
-// tiered store whose index went cold is reopened twice — WarmOff (the
-// old cold start) and the WarmAuto default — and only the warmed handle
-// serves the post-restart snapshot without cold-tier reads.
+// TestWarmOnOpenOption exercises the restart path end to end: a tiered
+// store whose index went cold is reopened twice — with a one-byte memory
+// budget, which keeps nothing in memory, and with a large one — and only
+// the budgeted handle serves the post-restart snapshot without cold
+// reads, because the log replay in Open refilled its memory.
 func TestWarmOnOpenOption(t *testing.T) {
 	dir := t.TempDir()
 	events := workload.Wikipedia(workload.WikiConfig{Nodes: 400, EdgesPerNode: 3, Seed: 17})
@@ -796,7 +796,6 @@ func TestWarmOnOpenOption(t *testing.T) {
 	opts.DataDir = dir
 	opts.Engine = EngineTiered
 	opts.HotBytes = 1 // nothing fits in memory: the whole index is cold
-	opts.WarmOnOpen = WarmOff
 	store, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -812,24 +811,17 @@ func TestWarmOnOpenOption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snapshotStats := func(opts Options) (cold int64, warmed int64) {
+	coldReads := func(hotBytes int64) int64 {
 		t.Helper()
-		s, err := Open(opts)
+		reopen := smallOptions()
+		reopen.DataDir = dir
+		reopen.HotBytes = hotBytes
+		reopen.CacheBytes = -1 // measure the tiers, not the decoded-delta cache
+		s, err := Open(reopen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			st, err := s.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.StoreMetrics.TierWarming == 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
 		before, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -841,33 +833,13 @@ func TestWarmOnOpenOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.StoreMetrics.TierColdReads - before.StoreMetrics.TierColdReads, after.StoreMetrics.WarmedRows
+		return after.StoreMetrics.TierColdReads - before.StoreMetrics.TierColdReads
 	}
-
-	reopen := smallOptions()
-	reopen.DataDir = dir
-	reopen.HotBytes = 256 << 20
-	reopen.CacheBytes = -1 // measure the tiers, not the decoded-delta cache
-	reopen.WarmOnOpen = WarmOff
-	coldReads, warmed := snapshotStats(reopen)
-	if coldReads == 0 {
-		t.Fatal("WarmOff reopen served the snapshot without cold reads; the index never went cold")
+	if coldReads(1) == 0 {
+		t.Fatal("a one-byte budget served the snapshot without cold reads; the index never went cold")
 	}
-	if warmed != 0 {
-		t.Fatalf("WarmOff reopen warmed %d rows", warmed)
-	}
-
-	reopen.WarmOnOpen = WarmAuto // the default: warm-up on for tiered
-	coldReads, warmed = snapshotStats(reopen)
-	if warmed == 0 {
-		t.Fatal("default reopen of a tiered DataDir did not warm the hot tier")
-	}
-	if coldReads != 0 {
-		t.Fatalf("warmed reopen still paid %d cold reads on the recent snapshot", coldReads)
-	}
-
-	if _, err := Open(Options{DataDir: dir, WarmOnOpen: "sideways"}); err == nil {
-		t.Fatal("invalid WarmOnOpen must be rejected")
+	if got := coldReads(256 << 20); got != 0 {
+		t.Fatalf("reopen with a memory budget still paid %d cold reads on the recent snapshot", got)
 	}
 }
 

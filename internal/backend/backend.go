@@ -9,10 +9,11 @@
 //   - memtable: the original in-process sorted-slice store (no
 //     durability; what the paper's evaluation simulates),
 //   - disklog: a durable append-only engine over a record log
-//     (internal/reclog), with log-replay recovery and compaction, and
-//   - tiered: a bounded write-through copy of the most recently written
-//     rows in memory over a disklog that holds every row — recent
-//     timespans are served from memory, history stays on disk.
+//     (internal/reclog), with log-replay recovery and compaction, whose
+//     index can keep the values of the most recently written rows in
+//     memory up to a byte budget, and
+//   - tiered: the directory layout of a disklog with such a budget —
+//     recent timespans are served from memory, history stays on disk.
 //
 // Future adapters (a real Cassandra client, an object-storage cold
 // tier, ...) plug in behind the same interface.
@@ -23,7 +24,8 @@
 //     writes, partition and table enumeration (PartitionKeys, Tables),
 //     StoredBytes, Flush, Close. The cluster calls all of it
 //     unconditionally; nothing here is probed.
-//   - optional: Tiered (hot/cold engines: cumulative tier counters),
+//   - optional: Tiered (engines that count reads served from memory
+//     and from disk),
 //     Digester (digest a partition without copying its rows), Backuper
 //     (durable engines).
 //     Each is probed by one type assertion in kvstore and has a stated
@@ -105,33 +107,26 @@ type KeyRead struct {
 // MultiGet serves a batch of point reads from be.
 func MultiGet(be Backend, reqs []KeyRead) [][]byte { return be.MultiGet(reqs) }
 
-// TierCounters reports per-tier activity of an engine that places data
-// across a hot (memory) and a cold (disk) tier. HotHits and ColdReads
-// are cumulative row-lookup counters attributed to the tier that
-// SERVED the row: a lookup answered from memory counts once in HotHits;
-// one served from the cold tier counts in ColdReads. FlushedBytes counts value bytes written to the cold tier;
-// Compactions counts the cold tier's compactions. WarmedRows/WarmedBytes
-// count rows repopulated into memory from the newest cold data on
-// open. HotBytes is a gauge: the live bytes currently resident in
-// memory; Warming is a gauge that is 1 while the engine's open-time
-// warm-up is still running.
+// TierCounters reports where an engine that keeps some rows in memory
+// over a disk log served its reads. HotHits and ColdReads are
+// cumulative row-lookup counters attributed to the tier that SERVED the
+// row: a lookup answered from memory counts once in HotHits; one read
+// from disk counts in ColdReads. FlushedBytes counts value bytes written
+// to disk; Compactions counts the disk log's compactions. HotBytes is a
+// gauge: the bytes currently resident in memory.
 type TierCounters struct {
 	HotHits      int64
 	ColdReads    int64
 	FlushedBytes int64
 	Compactions  int64
-	WarmedRows   int64
-	WarmedBytes  int64
 	HotBytes     int64
-	Warming      int64
 }
 
-// Tiered is the optional interface of engines that place data across a
-// hot and a cold tier. TierCounters feeds the cluster's Metrics; it must
-// be cheap and safe to call concurrently with operations (atomic
-// counters), and the cumulative counters may move from the engine's own
-// background work (warm-up, compaction) at any time. Engines without it
-// report zero tier counters.
+// Tiered is the optional interface of engines that count reads served
+// from memory and from disk (disklog, with or without a memory budget).
+// TierCounters feeds the cluster's Metrics; it must be cheap and safe to
+// call concurrently with operations (atomic counters). Engines without
+// it report zero tier counters.
 type Tiered interface {
 	TierCounters() TierCounters
 }

@@ -20,6 +20,16 @@
 // stale one left by a crash must be removed by hand (the error says
 // which).
 //
+// Options.HotBytes lets index rows carry a resident copy of their value,
+// so reads of recently written rows skip the disk. Put and the replay in
+// Open admit values (the replay copies those of the log's final HotBytes
+// out of the log it is reading anyway, so a reopened store holds its
+// newest rows when Open returns); overwrites, deletes and drops release
+// them, and once the resident bytes pass the budget the oldest admitted
+// copies are released first in, first out. With HotBytes zero (the
+// default) no value is held and every read goes to disk. TierCounters
+// reports the split.
+//
 // The engine follows the same interface as the in-memory memtable, so a
 // kvstore cluster can run each node on disk and a store can be closed
 // and reopened by a new process without rebuilding the index.
@@ -56,6 +66,10 @@ type Options struct {
 	// DisableAutoCompact turns triggered compaction off; Compact can
 	// still be called explicitly.
 	DisableAutoCompact bool
+	// HotBytes bounds the resident value copies (clustering key plus
+	// value bytes per row); zero keeps none. Rows larger than the whole
+	// budget are never admitted.
+	HotBytes int64
 }
 
 func (o *Options) normalize() {
@@ -75,8 +89,25 @@ type idxRow struct {
 	ckey string
 	seg  *reclog.Segment
 	off  int64 // offset of the value bytes within seg
-	vlen int
-	rec  int64 // full record length (header + payload), for dead-byte accounting
+	// vlen and rec (the full record length, header + payload, for
+	// dead-byte accounting) take 32 bits, which keeps a row at 48 bytes:
+	// a record past reclog's 1 GiB payload bound does not survive a
+	// replay anyway.
+	vlen, rec int32
+	hot       *resident // the value's copy in memory, nil when not resident
+}
+
+// resident is a row's in-memory copy of its value. Its address names
+// the admission in the eviction queue, and compaction carries it along
+// with the row, so the copy stays evictable.
+type resident struct{ val []byte }
+
+// hotRef is one eviction-queue entry, oldest admission at the front.
+// An entry whose row no longer holds its copy is stale: the copy was
+// released or replaced since.
+type hotRef struct {
+	table, pkey, ckey string
+	hot               *resident
 }
 
 // partition holds index rows sorted by clustering key.
@@ -113,14 +144,24 @@ type Store struct {
 
 	enc []byte // scratch record-encode buffer
 
-	compactions atomic.Int64 // completed compactions, for tier counters
+	// The resident copies: their bytes, the eviction queue and how many
+	// of its entries are stale.
+	hot   int64
+	queue []hotRef
+	stale int
+
+	hotHits      atomic.Int64
+	coldReads    atomic.Int64
+	flushedBytes atomic.Int64
+	hotGauge     atomic.Int64 // mirror of hot, for lock-free TierCounters
+	compactions  atomic.Int64 // completed compactions, for tier counters
 }
 
 // Open opens (or creates) the engine rooted at dir, replaying the log
-// to rebuild the index. A torn record at the tail of the final segment
-// is truncated away; corruption anywhere else fails the open. The
-// directory is locked first, so Open fails fast when another live
-// handle holds it.
+// to rebuild the index and admitting resident values as it goes. A torn
+// record at the tail of the final segment is truncated away; corruption
+// anywhere else fails the open. The directory is locked first, so Open
+// fails fast when another live handle holds it.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.normalize()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -142,7 +183,24 @@ func Open(dir string, opts Options) (*Store, error) {
 		lock:   lock,
 		tables: make(map[string]map[string]*partition),
 	}
-	if err := log.Scan(s.applyPayload); err != nil {
+	// Only records in the log's final HotBytes admit their values: older
+	// ones could at most fill what dead records in that tail leave free,
+	// and copying them would make every open copy the whole log.
+	var logBytes, segStart int64
+	for _, seg := range log.Segments() {
+		logBytes += seg.Size()
+	}
+	var cur *reclog.Segment
+	err = log.Scan(func(seg *reclog.Segment, off int64, payload []byte) error {
+		if seg != cur {
+			if cur != nil {
+				segStart += cur.Size()
+			}
+			cur = seg
+		}
+		return s.applyPayload(seg, off, payload, logBytes-segStart-off <= opts.HotBytes)
+	})
+	if err != nil {
 		log.Close()
 		lock.release()
 		return nil, fmt.Errorf("disklog: %w", err)
@@ -199,7 +257,7 @@ func (s *Store) appendRecord(rec []byte) (*reclog.Segment, int64) {
 }
 
 // applyPayload decodes one replayed record and applies it to the index.
-func (s *Store) applyPayload(seg *reclog.Segment, recOff int64, payload []byte) error {
+func (s *Store) applyPayload(seg *reclog.Segment, recOff int64, payload []byte, admit bool) error {
 	m, valOff, err := reclog.DecodeMutation(payload)
 	if err != nil {
 		return err
@@ -207,9 +265,11 @@ func (s *Store) applyPayload(seg *reclog.Segment, recOff int64, payload []byte) 
 	recLen := int64(reclog.HeaderLen + len(payload))
 	switch m.Op {
 	case reclog.OpPut:
-		s.applyPut(m.Table, m.PKey, idxRow{
-			ckey: m.CKey, seg: seg, off: recOff + int64(valOff), vlen: len(m.Value), rec: recLen,
-		})
+		row := idxRow{ckey: m.CKey, seg: seg, off: recOff + int64(valOff), vlen: int32(len(m.Value)), rec: int32(recLen)}
+		if admit && s.admits(m.CKey, m.Value) {
+			row.hot = &resident{append([]byte(nil), m.Value...)} // the payload buffer is reused
+		}
+		s.applyPut(m.Table, m.PKey, row)
 	case reclog.OpDel:
 		s.applyDelete(m.Table, m.PKey, m.CKey)
 		s.dead += recLen // the tombstone itself is reclaimable
@@ -240,22 +300,30 @@ func (s *Store) partitionFor(table, pkey string, create bool) *partition {
 	return p
 }
 
+// applyPut installs row, replacing any older version of it, and queues
+// its resident copy, if any, for eviction.
 func (s *Store) applyPut(table, pkey string, row idxRow) {
+	if row.hot != nil {
+		s.hot += int64(len(row.ckey) + len(row.hot.val))
+		s.queue = append(s.queue, hotRef{table: table, pkey: pkey, ckey: row.ckey, hot: row.hot})
+	}
 	p := s.partitionFor(table, pkey, true)
 	i, ok := p.find(row.ckey)
 	if ok {
-		old := p.rows[i]
+		old := &p.rows[i]
+		s.release(old)
 		s.stored += int64(row.vlen - old.vlen)
-		s.live += row.rec - old.rec
-		s.dead += old.rec
+		s.live += int64(row.rec - old.rec)
+		s.dead += int64(old.rec)
+		*old = row
+	} else {
+		p.rows = append(p.rows, idxRow{})
+		copy(p.rows[i+1:], p.rows[i:])
 		p.rows[i] = row
-		return
+		s.stored += int64(int(row.vlen) + len(row.ckey))
+		s.live += int64(row.rec)
 	}
-	p.rows = append(p.rows, idxRow{})
-	copy(p.rows[i+1:], p.rows[i:])
-	p.rows[i] = row
-	s.stored += int64(row.vlen + len(row.ckey))
-	s.live += row.rec
+	s.evict()
 }
 
 func (s *Store) applyDelete(table, pkey, ckey string) bool {
@@ -267,10 +335,12 @@ func (s *Store) applyDelete(table, pkey, ckey string) bool {
 	if !ok {
 		return false
 	}
-	s.stored -= int64(p.rows[i].vlen + len(ckey))
-	s.live -= p.rows[i].rec
-	s.dead += p.rows[i].rec
+	s.release(&p.rows[i])
+	s.stored -= int64(int(p.rows[i].vlen) + len(ckey))
+	s.live -= int64(p.rows[i].rec)
+	s.dead += int64(p.rows[i].rec)
 	p.rows = append(p.rows[:i], p.rows[i+1:]...)
+	s.evict() // publishes the gauge; compacts a mostly stale queue
 	return true
 }
 
@@ -283,13 +353,78 @@ func (s *Store) applyDrop(table, pkey string) bool {
 	if !ok {
 		return false
 	}
-	for _, r := range p.rows {
-		s.stored -= int64(r.vlen + len(r.ckey))
-		s.live -= r.rec
-		s.dead += r.rec
+	for i := range p.rows {
+		r := &p.rows[i]
+		s.release(r)
+		s.stored -= int64(int(r.vlen) + len(r.ckey))
+		s.live -= int64(r.rec)
+		s.dead += int64(r.rec)
 	}
 	delete(t, pkey)
+	s.evict()
 	return true
+}
+
+// --- resident values (callers hold mu) --------------------------------
+
+// admits reports whether a row fits the resident budget at all.
+func (s *Store) admits(ckey string, value []byte) bool {
+	return s.opts.HotBytes > 0 && int64(len(ckey)+len(value)) <= s.opts.HotBytes
+}
+
+// release drops r's resident copy, if any; its queue entry goes stale.
+func (s *Store) release(r *idxRow) {
+	if r.hot == nil {
+		return
+	}
+	s.hot -= int64(len(r.ckey) + len(r.hot.val))
+	r.hot = nil
+	s.stale++
+}
+
+// queued returns the row a queue entry refers to, or nil when the entry
+// is stale.
+func (s *Store) queued(ref hotRef) *idxRow {
+	p := s.partitionFor(ref.table, ref.pkey, false)
+	if p == nil {
+		return nil
+	}
+	i, ok := p.find(ref.ckey)
+	if !ok || p.rows[i].hot != ref.hot {
+		return nil
+	}
+	return &p.rows[i]
+}
+
+// evict releases the oldest admissions until the resident copies fit
+// the budget, then compacts the queue once stale entries make up half
+// of it (amortized O(1) per write: every stale entry was minted by one
+// write), so overwrite churn under the budget cannot grow it without
+// bound.
+func (s *Store) evict() {
+	if len(s.queue) == 0 {
+		return // nothing is resident, and the gauge already reads zero
+	}
+	for s.hot > s.opts.HotBytes && len(s.queue) > 0 {
+		if r := s.queued(s.queue[0]); r != nil {
+			s.release(r)
+		}
+		s.queue[0] = hotRef{}
+		s.queue = s.queue[1:]
+		s.stale--
+	}
+	if len(s.queue) >= 64 && s.stale*2 >= len(s.queue) {
+		live := s.queue[:0]
+		for _, ref := range s.queue {
+			if s.queued(ref) != nil {
+				live = append(live, ref)
+			}
+		}
+		clear(s.queue[len(live):])
+		s.queue = live
+		s.stale = 0
+	}
+	s.hotGauge.Store(s.hot)
 }
 
 // --- Backend interface ----------------------------------------------
@@ -303,21 +438,26 @@ func (s *Store) mustOpenLocked() {
 	}
 }
 
-// Put appends a put record and updates the index. Triggered compaction
-// may run before returning.
+// Put appends a put record and updates the index; the value (retained,
+// per the Backend contract) becomes the row's resident copy when it fits
+// the budget. Triggered compaction may run before returning.
 func (s *Store) Put(table, pkey, ckey string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mustOpenLocked()
 	rec, valOff := s.encodeRecord(reclog.OpPut, table, pkey, ckey, value)
 	seg, off := s.appendRecord(rec)
-	s.applyPut(table, pkey, idxRow{
-		ckey: ckey, seg: seg, off: off + int64(valOff), vlen: len(value), rec: int64(len(rec)),
-	})
+	row := idxRow{ckey: ckey, seg: seg, off: off + int64(valOff), vlen: int32(len(value)), rec: int32(len(rec))}
+	if s.admits(ckey, value) {
+		row.hot = &resident{value}
+	}
+	s.applyPut(table, pkey, row)
+	s.flushedBytes.Add(int64(len(value)))
 	s.maybeCompactLocked()
 }
 
-// Get reads the row's value back from its segment.
+// Get returns the row's value from its resident copy, or reads it back
+// from its segment.
 func (s *Store) Get(table, pkey, ckey string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -330,23 +470,42 @@ func (s *Store) Get(table, pkey, ckey string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	v, err := s.readValue(p.rows[i])
-	if err != nil {
-		s.werr = errors.Join(s.werr, err)
-		return nil, false
-	}
-	return v, true
+	var n reads
+	v, ok := s.value(&p.rows[i], &n)
+	s.count(n)
+	return v, ok
 }
 
-func (s *Store) readValue(row idxRow) ([]byte, error) {
+// reads counts row reads by where they were served from.
+type reads struct{ hot, cold int64 }
+
+// value returns a caller-owned copy of row's value, from its resident
+// copy when it has one, else from its segment, and counts the read in
+// n. A failed segment read poisons the engine (the error surfaces at
+// the next Flush) and reports the row absent.
+func (s *Store) value(row *idxRow, n *reads) ([]byte, bool) {
+	if row.hot != nil {
+		n.hot++
+		return append([]byte{}, row.hot.val...), true
+	}
 	out := make([]byte, row.vlen)
-	if row.vlen == 0 {
-		return out, nil
+	if row.vlen > 0 {
+		if _, err := row.seg.ReadAt(out, row.off); err != nil {
+			s.werr = errors.Join(s.werr, fmt.Errorf("disklog: read %s@%d: %w", row.seg.Path(), row.off, err))
+			return nil, false
+		}
 	}
-	if _, err := row.seg.ReadAt(out, row.off); err != nil {
-		return nil, fmt.Errorf("disklog: read %s@%d: %w", row.seg.Path(), row.off, err)
+	n.cold++
+	return out, true
+}
+
+func (s *Store) count(n reads) {
+	if n.hot > 0 {
+		s.hotHits.Add(n.hot)
 	}
-	return out, nil
+	if n.cold > 0 {
+		s.coldReads.Add(n.cold)
+	}
 }
 
 // MultiGet is the batch-read fast path: the whole batch resolves under
@@ -357,6 +516,7 @@ func (s *Store) MultiGet(reqs []backend.KeyRead) [][]byte {
 	defer s.mu.Unlock()
 	s.mustOpenLocked()
 	out := make([][]byte, len(reqs))
+	var n reads
 	for i, r := range reqs {
 		p := s.partitionFor(r.Table, r.PKey, false)
 		if p == nil {
@@ -366,13 +526,9 @@ func (s *Store) MultiGet(reqs []backend.KeyRead) [][]byte {
 		if !ok {
 			continue
 		}
-		v, err := s.readValue(p.rows[j])
-		if err != nil {
-			s.werr = errors.Join(s.werr, err)
-			continue
-		}
-		out[i] = v
+		out[i], _ = s.value(&p.rows[j], &n)
 	}
+	s.count(n)
 	return out
 }
 
@@ -386,114 +542,23 @@ func (s *Store) ScanPrefix(table, pkey, prefix string) []backend.Row {
 	if p == nil {
 		return nil
 	}
-	var out []backend.Row
-	i := sort.Search(len(p.rows), func(i int) bool { return p.rows[i].ckey >= prefix })
-	for ; i < len(p.rows) && strings.HasPrefix(p.rows[i].ckey, prefix); i++ {
-		v, err := s.readValue(p.rows[i])
-		if err != nil {
-			s.werr = errors.Join(s.werr, err)
-			continue
-		}
-		out = append(out, backend.Row{CKey: p.rows[i].ckey, Value: v})
-	}
-	return out
-}
-
-// ScanKeys returns the clustering keys ScanPrefix would return, in the
-// same order, from the in-memory index alone — no disk read. Engines
-// that keep copies of some rows in memory use it to read from disk only
-// the rest.
-func (s *Store) ScanKeys(table, pkey, prefix string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mustOpenLocked()
-	p := s.partitionFor(table, pkey, false)
-	if p == nil {
-		return nil
-	}
 	lo := sort.Search(len(p.rows), func(i int) bool { return p.rows[i].ckey >= prefix })
 	hi := lo
 	for hi < len(p.rows) && strings.HasPrefix(p.rows[hi].ckey, prefix) {
 		hi++
 	}
-	out := make([]string, hi-lo)
-	for i := range out {
-		out[i] = p.rows[lo+i].ckey
+	if hi == lo {
+		return nil
 	}
+	out := make([]backend.Row, 0, hi-lo)
+	var n reads
+	for i := lo; i < hi; i++ {
+		if v, ok := s.value(&p.rows[i], &n); ok {
+			out = append(out, backend.Row{CKey: p.rows[i].ckey, Value: v})
+		}
+	}
+	s.count(n)
 	return out
-}
-
-// IterNewest streams the live rows in reverse append order — the row
-// whose latest record was written last comes first — calling fn for
-// each until fn returns false. This is the warm-up path of engines
-// layered over a disklog cold tier: the newest rows are exactly the
-// recent timespans a restart should repopulate into memory, and the
-// reverse walk touches only as many segments (back to front) as the
-// caller's budget consumes. Tombstones need no special handling — the
-// index holds live rows only, so deleted rows never surface.
-//
-// The engine lock is released between calls: fn must not re-enter the
-// store, and rows are re-validated against the index per visit, so
-// concurrent deletes (skipped) and compactions (served from the row's
-// new location) are safe.
-func (s *Store) IterNewest(fn func(table, pkey, ckey string, value []byte) bool) error {
-	type ref struct {
-		table, pkey, ckey string
-		off               int64
-	}
-	// One pass over the in-memory index buckets the refs per segment —
-	// O(live rows) snapshot work per call (the strings share the index's
-	// backing, so the transient cost is slice/struct headers, a fraction
-	// of the resident index itself). The per-segment offset sort happens
-	// lazily as the back-to-front walk reaches each segment, so an
-	// early-stopping caller never pays for ordering the old segments it
-	// will not visit — nor their disk reads.
-	s.mu.Lock()
-	s.mustOpenLocked()
-	buckets := make(map[int][]ref)
-	for table, parts := range s.tables {
-		for pkey, p := range parts {
-			for _, row := range p.rows {
-				buckets[row.seg.ID()] = append(buckets[row.seg.ID()], ref{table: table, pkey: pkey, ckey: row.ckey, off: row.off})
-			}
-		}
-	}
-	s.mu.Unlock()
-	segIDs := make([]int, 0, len(buckets))
-	for id := range buckets {
-		segIDs = append(segIDs, id)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(segIDs)))
-	for _, id := range segIDs {
-		refs := buckets[id]
-		sort.Slice(refs, func(i, j int) bool { return refs[i].off > refs[j].off })
-		for _, r := range refs {
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return errors.New("disklog: iter on closed store")
-			}
-			p := s.partitionFor(r.table, r.pkey, false)
-			if p == nil {
-				s.mu.Unlock()
-				continue
-			}
-			i, ok := p.find(r.ckey)
-			if !ok {
-				s.mu.Unlock()
-				continue
-			}
-			v, err := s.readValue(p.rows[i])
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			if !fn(r.table, r.pkey, r.ckey, v) {
-				return nil
-			}
-		}
-	}
-	return nil
 }
 
 // Delete appends a tombstone record and removes the row from the index.
@@ -633,6 +698,19 @@ func (s *Store) Kill() {
 // triggered or explicit (lock-free).
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
+// TierCounters reports where reads were served from (lock-free): HotHits
+// from resident copies, ColdReads from segments. FlushedBytes counts the
+// value bytes Put wrote to the log, HotBytes the resident bytes now.
+func (s *Store) TierCounters() backend.TierCounters {
+	return backend.TierCounters{
+		HotHits:      s.hotHits.Load(),
+		ColdReads:    s.coldReads.Load(),
+		FlushedBytes: s.flushedBytes.Load(),
+		Compactions:  s.compactions.Load(),
+		HotBytes:     s.hotGauge.Load(),
+	}
+}
+
 // --- compaction ------------------------------------------------------
 
 // maybeCompactLocked runs a compaction when the reclaimable volume
@@ -749,27 +827,25 @@ func (s *Store) compactLocked() error {
 			np := &partition{rows: make([]idxRow, len(oldPart.rows))}
 			nt[pk] = np
 			for i, row := range oldPart.rows {
-				if len(buf) > 0 && int64(len(buf))+row.rec > batchBytes {
+				if len(buf) > 0 && int64(len(buf))+int64(row.rec) > batchBytes {
 					if err := flush(); err != nil {
 						return fail(err)
 					}
 				}
-				start := row.off + int64(row.vlen) - row.rec
+				start := row.off + int64(row.vlen) - int64(row.rec)
 				if row.seg != run || start != runEnd {
 					if err := readRun(); err != nil {
 						return fail(err)
 					}
 					run, runStart, runEnd, runPos = row.seg, start, start, len(buf)
 				}
-				runEnd += row.rec
-				np.rows[i] = idxRow{
-					ckey: row.ckey, off: int64(len(buf)) + row.rec - int64(row.vlen),
-					vlen: row.vlen, rec: row.rec,
-				}
+				runEnd += int64(row.rec)
+				np.rows[i] = row // keeps the resident copy
+				np.rows[i].off = int64(len(buf)) + int64(row.rec) - int64(row.vlen)
 				buf = append(buf, make([]byte, row.rec)...)
 				pending = append(pending, placed{np, i})
-				newLive += row.rec
-				newStored += int64(row.vlen + len(row.ckey))
+				newLive += int64(row.rec)
+				newStored += int64(int(row.vlen) + len(row.ckey))
 			}
 		}
 	}
@@ -848,9 +924,10 @@ func (s *Store) Backup(dir string) error {
 func (s *Store) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fmt.Sprintf("disklog(%s: %d segments, %dB live, %dB dead)",
-		s.dir, s.log.Len(), s.live, s.dead)
+	return fmt.Sprintf("disklog(%s: %d segments, %dB live, %dB dead, %dB resident)",
+		s.dir, s.log.Len(), s.live, s.dead, s.hot)
 }
 
 var _ backend.Backend = (*Store)(nil)
+var _ backend.Tiered = (*Store)(nil)
 var _ io.Closer = (*Store)(nil)

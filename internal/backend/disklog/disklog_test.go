@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"hgs/internal/backend"
+	"hgs/internal/backend/memtable"
 	"hgs/internal/reclog"
 )
 
@@ -426,46 +428,242 @@ func diskUsage(t *testing.T, dir string) int64 {
 	return total
 }
 
-func TestIterNewestOrderAndStop(t *testing.T) {
-	s := open(t, t.TempDir(), Options{SegmentBytes: 256})
-	defer s.Close()
-	for i := 0; i < 30; i++ {
-		s.Put("deltas", fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("v%03d", i)))
-	}
-	s.Put("deltas", "p0", "c003", []byte("rewritten")) // c003's latest record is now the newest
-	s.Delete("deltas", "p1", "c028")                   // tombstoned rows must never surface
-
-	var got []string
-	err := s.IterNewest(func(table, pkey, ckey string, value []byte) bool {
-		got = append(got, ckey+"="+string(value))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 29 {
-		t.Fatalf("iterated %d rows, want 29 (30 puts, 1 deleted)", len(got))
-	}
-	if got[0] != "c003=rewritten" {
-		t.Fatalf("newest row first, got %q", got[0])
-	}
-	if got[1] != "c029=v029" || got[2] != "c027=v027" {
-		t.Fatalf("reverse append order broken: %v", got[1:3])
-	}
-	for _, g := range got {
-		if g == "c028=v028" {
-			t.Fatal("deleted row surfaced in IterNewest")
+// residentBytes walks the index and sums what its resident copies cost
+// against HotBytes; the gauge must always agree with it.
+func residentBytes(s *Store) (n int64, rows map[string]bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rows = map[string]bool{}
+	for table, parts := range s.tables {
+		for pkey, p := range parts {
+			for _, r := range p.rows {
+				if r.hot != nil {
+					n += int64(len(r.ckey) + len(r.hot.val))
+					rows[table+"/"+pkey+"/"+r.ckey] = true
+				}
+			}
 		}
 	}
+	return n, rows
+}
 
-	// Early stop: the callback's budget bounds the walk.
-	var first []string
-	err = s.IterNewest(func(table, pkey, ckey string, value []byte) bool {
-		first = append(first, ckey)
-		return len(first) < 5
-	})
-	if err != nil || len(first) != 5 {
-		t.Fatalf("early stop walked %d rows (err %v), want 5", len(first), err)
+func TestDiskEngineHoldsNothingInMemory(t *testing.T) {
+	// The disk engine without a budget keeps no value in memory: every
+	// read is a disk read, also after a reopen.
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	for i := 0; i < 100; i++ {
+		s.Put("deltas", fmt.Sprintf("p%d", i%4), fmt.Sprintf("c%03d", i), []byte(fmt.Sprintf("v%03d", i)))
+	}
+	s.Put("deltas", "p0", "empty", nil)
+	check := func(s *Store) {
+		t.Helper()
+		if n, _ := residentBytes(s); n != 0 || s.TierCounters().HotBytes != 0 {
+			t.Fatalf("disk engine holds %d bytes in memory (gauge %d)", n, s.TierCounters().HotBytes)
+		}
+		base := s.TierCounters()
+		for i := 0; i < 100; i++ {
+			if _, ok := s.Get("deltas", fmt.Sprintf("p%d", i%4), fmt.Sprintf("c%03d", i)); !ok {
+				t.Fatalf("row %d missing", i)
+			}
+		}
+		if v, ok := s.Get("deltas", "p0", "empty"); !ok || v == nil || len(v) != 0 {
+			t.Fatalf("empty row = %q,%v; want present and empty", v, ok)
+		}
+		tc := s.TierCounters()
+		if tc.HotHits != base.HotHits || tc.ColdReads-base.ColdReads != 101 {
+			t.Fatalf("reads served hot=%d cold=%d, want every one from disk", tc.HotHits-base.HotHits, tc.ColdReads-base.ColdReads)
+		}
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, dir, Options{})
+	defer r.Close()
+	check(r)
+}
+
+func TestResidentValues(t *testing.T) {
+	// Twenty rows fit the budget: reads of resident rows are hot, the rest
+	// cold; a row larger than the budget is never admitted; deletes and
+	// drops release their copies; a reopen with a budget larger than the
+	// log holds every live row again.
+	const row = 4 + 32 // "cNNN" and a 32-byte value
+	dir := t.TempDir()
+	opts := Options{HotBytes: 20 * row}
+	s := open(t, dir, opts)
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 32) }
+	for i := 0; i < 60; i++ {
+		s.Put("deltas", fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%03d", i), value(i))
+	}
+	s.Put("deltas", "p0", "huge", make([]byte, 21*row))
+	if got, _ := residentBytes(s); got != 20*row || s.TierCounters().HotBytes != got {
+		t.Fatalf("resident bytes %d (gauge %d), want the %d-byte budget", got, s.TierCounters().HotBytes, 20*row)
+	}
+	if fb := s.TierCounters().FlushedBytes; fb != 60*32+21*row {
+		t.Fatalf("flushed bytes = %d, want every value written (%d)", fb, 60*32+21*row)
+	}
+
+	reqs := make([]backend.KeyRead, 0, 61)
+	for i := 0; i < 60; i++ {
+		reqs = append(reqs, backend.KeyRead{Table: "deltas", PKey: fmt.Sprintf("p%d", i%3), CKey: fmt.Sprintf("c%03d", i)})
+	}
+	reqs = append(reqs, backend.KeyRead{Table: "deltas", PKey: "p0", CKey: "huge"})
+	base := s.TierCounters()
+	out := s.MultiGet(reqs)
+	for i := 0; i < 60; i++ {
+		if !bytes.Equal(out[i], value(i)) {
+			t.Fatalf("batch row %d wrong", i)
+		}
+	}
+	tc := s.TierCounters()
+	if hot, cold := tc.HotHits-base.HotHits, tc.ColdReads-base.ColdReads; hot != 20 || cold != 41 {
+		t.Fatalf("batch served hot=%d cold=%d, want the 20 newest rows hot", hot, cold)
+	}
+	out[59][0] ^= 0xff // the caller owns the returned values
+	if v, _ := s.Get("deltas", "p2", "c059"); !bytes.Equal(v, value(59)) {
+		t.Fatal("MultiGet handed out the resident copy itself")
+	}
+
+	// p1 holds c001, c004, ..., c058: its seven newest rows are resident.
+	base = s.TierCounters()
+	if rows := s.ScanPrefix("deltas", "p1", "c0"); len(rows) != 20 {
+		t.Fatalf("scan returned %d rows, want 20", len(rows))
+	}
+	tc = s.TierCounters()
+	if hot, cold := tc.HotHits-base.HotHits, tc.ColdReads-base.ColdReads; hot != 7 || cold != 13 {
+		t.Fatalf("scan served hot=%d cold=%d, want hot=7 cold=13", hot, cold)
+	}
+
+	s.Delete("deltas", "p2", "c059")
+	s.DropPartition("deltas", "p0") // c042 ... c057 of it are resident
+	if got, _ := residentBytes(s); got != 13*row || s.TierCounters().HotBytes != got {
+		t.Fatalf("resident bytes %d (gauge %d) after delete and drop, want %d", got, s.TierCounters().HotBytes, 13*row)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := open(t, dir, Options{HotBytes: 1 << 20})
+	defer r.Close()
+	_, rows := residentBytes(r)
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("deltas/p%d/c%03d", i%3, i)
+		want := i%3 != 0 && i != 59
+		if rows[k] != want {
+			t.Fatalf("after reopen %s resident=%v, want %v", k, rows[k], want)
+		}
+		if v, ok := r.Get("deltas", fmt.Sprintf("p%d", i%3), fmt.Sprintf("c%03d", i)); want && !bytes.Equal(v, value(i)) {
+			t.Fatalf("after reopen %s reads %x (ok=%v)", k, v, ok)
+		}
+	}
+}
+
+func TestReplayAdmitsOnlyTheLogTail(t *testing.T) {
+	// A reopen copies values only out of the log's final HotBytes: each
+	// record here is 57 bytes for a 36-byte row, so a 20-row budget
+	// admits the newest 12 rows and leaves the rest of it free.
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	for i := 0; i < 100; i++ {
+		s.Put("deltas", "p0", fmt.Sprintf("c%03d", i), bytes.Repeat([]byte{byte(i)}, 32))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, dir, Options{HotBytes: 20 * 36})
+	defer r.Close()
+	n, rows := residentBytes(r)
+	if n != 12*36 || len(rows) != 12 || r.TierCounters().HotBytes != n {
+		t.Fatalf("reopen holds %d rows, %d bytes (gauge %d); want the newest 12, %d bytes", len(rows), n, r.TierCounters().HotBytes, 12*36)
+	}
+	for i := 88; i < 100; i++ {
+		if !rows[fmt.Sprintf("deltas/p0/c%03d", i)] {
+			t.Fatalf("row c%03d, in the log's tail, is not resident", i)
+		}
+	}
+}
+
+func TestCompactionKeepsResidentValues(t *testing.T) {
+	// Overwrite churn under a small budget compacts the log many times,
+	// and once explicitly: the resident copies must stay on their rows
+	// across every compaction and remain evictable, with the gauge within
+	// the budget and equal to what the index holds, and every answer
+	// equal to the memtable's.
+	const row, budget = 4 + 32, 40 * (4 + 32)
+	s := open(t, t.TempDir(), Options{HotBytes: budget, SegmentBytes: 4 << 10, CompactMinDead: 2 << 10})
+	defer s.Close()
+	mem := memtable.New()
+	check := func(op int) {
+		t.Helper()
+		n, _ := residentBytes(s)
+		if gauge := s.TierCounters().HotBytes; gauge > budget || gauge != n {
+			t.Fatalf("op %d: gauge %d, index holds %d resident bytes, budget %d", op, gauge, n, budget)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 3000; op++ {
+		ckey := fmt.Sprintf("c%03d", rng.Intn(100))
+		v := make([]byte, 32)
+		rng.Read(v)
+		s.Put("deltas", "p0", ckey, v)
+		mem.Put("deltas", "p0", ckey, append([]byte(nil), v...))
+		if op == 1500 {
+			_, before := residentBytes(s)
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if _, after := residentBytes(s); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("Compact changed the resident rows:\n%v\n%v", before, after)
+			}
+		}
+		check(op)
+	}
+	if s.Compactions() < 3 {
+		t.Fatalf("%d compactions; the churn should trigger several", s.Compactions())
+	}
+	want, got := mem.ScanPrefix("deltas", "p0", ""), s.ScanPrefix("deltas", "p0", "")
+	if len(got) != len(want) {
+		t.Fatalf("scan returned %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].CKey != want[i].CKey || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("row %s diverged from the memtable", want[i].CKey)
+		}
+	}
+	// Still evictable: a budget of fresh rows replaces every copy that
+	// went through the compactions.
+	_, compacted := residentBytes(s)
+	for i := 0; i < budget/row; i++ {
+		s.Put("deltas", "p1", fmt.Sprintf("n%03d", i), make([]byte, 32))
+	}
+	check(-1)
+	_, now := residentBytes(s)
+	for k := range compacted {
+		if now[k] {
+			t.Fatalf("%s kept its copy through compaction but can no longer be evicted", k)
+		}
+	}
+}
+
+func TestEvictionQueueBoundedUnderChurn(t *testing.T) {
+	// A long-lived row pins the queue's head; overwrite churn behind it
+	// must still be compacted away, or the queue grows by one entry per
+	// Put for the life of the store.
+	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30})
+	defer s.Close()
+	s.Put("deltas", "p0", "pinned", []byte("x"))
+	for i := 0; i < 10000; i++ {
+		s.Put("deltas", "p0", "churn", []byte{byte(i)})
+	}
+	s.mu.Lock()
+	qlen := len(s.queue)
+	s.mu.Unlock()
+	// Compaction triggers once stale entries reach half of a 64+ entry
+	// queue, so steady state stays under ~64 for two live rows.
+	if qlen > 100 {
+		t.Fatalf("eviction queue holds %d entries for 2 live rows", qlen)
 	}
 }
 

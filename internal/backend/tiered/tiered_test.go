@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
@@ -22,19 +21,6 @@ func open(t *testing.T, dir string, opts Options) *Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func val(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
@@ -96,26 +82,6 @@ func TestEvictionIsFirstInFirstOut(t *testing.T) {
 		if want := i == 0 || i > n-10; (hot == 1) != want {
 			t.Fatalf("write %d served hot=%v, want hot=%v", i, hot == 1, want)
 		}
-	}
-}
-
-func TestEvictionQueueBoundedUnderChurn(t *testing.T) {
-	// A long-lived row pins the queue's head; overwrite churn behind it
-	// must still be compacted away, or the queue grows by one entry per
-	// Put for the life of the store.
-	s := open(t, t.TempDir(), Options{HotBytes: 1 << 30})
-	defer s.Close()
-	s.Put("deltas", "p0", "pinned", val(0))
-	for i := 0; i < 10000; i++ {
-		s.Put("deltas", "p0", "churn", val(i%251))
-	}
-	s.mu.Lock()
-	qlen := len(s.queue)
-	s.mu.Unlock()
-	// Compaction triggers once stale entries reach half of a 64+ entry
-	// queue, so steady state stays under ~64 for two live rows.
-	if qlen > 100 {
-		t.Fatalf("eviction queue holds %d entries for 2 live rows", qlen)
 	}
 }
 
@@ -315,7 +281,7 @@ func TestKillAfterFlushMatchesMemtableReplay(t *testing.T) {
 		}
 		s.Kill()
 
-		r := open(t, dir, Options{HotBytes: 2 << 10, DisableWarm: true, Cold: cold})
+		r := open(t, dir, Options{HotBytes: 2 << 10, Cold: cold})
 		if got, want := dump(r), dump(mem); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: reopened store differs from the memtable replay:\n got:\n%s\nwant:\n%s", seed, got, want)
 		}
@@ -385,7 +351,7 @@ func TestTornWALTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	r := open(t, dir, Options{HotBytes: 1 << 30, DisableWarm: true})
+	r := open(t, dir, Options{HotBytes: 1 << 30})
 	defer r.Close()
 	for i := 0; i < 20; i++ {
 		_, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i))
@@ -532,20 +498,13 @@ func TestSecondOpenOfLiveDirRejected(t *testing.T) {
 	r.Close()
 }
 
-// waitWarm blocks until the store's open-time warm-up finished.
-func waitWarm(t *testing.T, s *Store) {
-	t.Helper()
-	waitFor(t, "warm-up to finish", func() bool { return s.TierCounters().Warming == 0 })
-}
-
 // coldSeed builds a store whose rows all live only in the cold log (a
 // one-byte memory budget copies nothing), closes it, and returns the
-// directory. The reopened store starts with empty memory — the restart
-// scenario warm-up exists for.
+// directory. The reopened store must refill memory from its replay.
 func coldSeed(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
-	s := open(t, dir, Options{HotBytes: 1, DisableWarm: true})
+	s := open(t, dir, Options{HotBytes: 1})
 	for i := 0; i < n; i++ {
 		s.Put("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i), val(i))
 	}
@@ -559,29 +518,23 @@ func coldSeed(t *testing.T, n int) string {
 }
 
 func TestWarmUpRepopulatesNewestRows(t *testing.T) {
+	// The replay in Open fills memory: with an unbounded budget every row
+	// is resident as soon as Open returns.
 	const n = 300
 	dir := coldSeed(t, n)
 	s := open(t, dir, Options{HotBytes: 1 << 30})
 	defer s.Close()
-	waitWarm(t, s)
-	tc := s.TierCounters()
-	if tc.WarmedRows != n {
-		t.Fatalf("warmed %d rows, want all %d (budget is unbounded)", tc.WarmedRows, n)
+	if got := s.TierCounters().HotBytes; got != n*rowBytes {
+		t.Fatalf("reopened store holds %d bytes in memory, want all %d", got, n*rowBytes)
 	}
-	if tc.WarmedBytes != n*(5+64) || tc.HotBytes != tc.WarmedBytes {
-		t.Fatalf("warm-up accounting wrong: %+v", tc)
-	}
-	// The recent-timespan probe: every row is answered from memory, zero
-	// cold-tier reads.
-	base := tc.ColdReads
 	for i := 0; i < n; i++ {
 		v, ok := s.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i))
 		if !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("row %d wrong after warm-up", i)
+			t.Fatalf("row %d wrong after reopen", i)
 		}
 	}
-	if got := s.TierCounters().ColdReads - base; got != 0 {
-		t.Fatalf("warmed store paid %d cold reads on the probe, want 0", got)
+	if got := s.TierCounters().ColdReads; got != 0 {
+		t.Fatalf("reopened store paid %d cold reads on the probe, want 0", got)
 	}
 }
 
@@ -589,24 +542,19 @@ func TestWarmUpHonorsBudgetNewestFirst(t *testing.T) {
 	const n = 400
 	dir := coldSeed(t, n)
 	// Budget for roughly a quarter of the data: only the newest rows
-	// come back.
+	// stay resident after the replay.
 	s := open(t, dir, Options{HotBytes: 8 << 10})
 	defer s.Close()
-	waitWarm(t, s)
-	tc := s.TierCounters()
-	if tc.WarmedRows == 0 || tc.WarmedRows >= n {
-		t.Fatalf("warmed %d rows, want a strict budget-bounded subset of %d", tc.WarmedRows, n)
+	if got := s.TierCounters().HotBytes; got == 0 || got > 8<<10 {
+		t.Fatalf("reopened store holds %d bytes in memory, want a share of the %d-byte budget", got, 8<<10)
 	}
-	if tc.WarmedBytes > 8<<10 {
-		t.Fatalf("warm-up overshot the budget: %d bytes", tc.WarmedBytes)
-	}
-	// The newest row is warm, the oldest is not.
+	// The newest row is resident, the oldest is not.
 	base := s.TierCounters().ColdReads
 	if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", (n-1)%4), fmt.Sprintf("c%04d", n-1)); !ok {
 		t.Fatal("newest row missing")
 	}
 	if got := s.TierCounters().ColdReads - base; got != 0 {
-		t.Fatalf("newest row not served warm (%d cold reads)", got)
+		t.Fatalf("newest row not served from memory (%d cold reads)", got)
 	}
 	if _, ok := s.Get("deltas", "p00", "c0000"); !ok {
 		t.Fatal("oldest row missing")
@@ -614,49 +562,15 @@ func TestWarmUpHonorsBudgetNewestFirst(t *testing.T) {
 	if got := s.TierCounters().ColdReads - base; got != 1 {
 		t.Fatalf("oldest row should be a cold read, counters moved by %d", got)
 	}
-	// Warmed rows went in oldest-first: a new write evicts the oldest
-	// warmed row, not the newest.
+	// The replay admitted rows oldest-first: a new write evicts the
+	// oldest resident row, not the newest.
 	s.Put("deltas", "new", "c0000", val(1))
 	base = s.TierCounters().ColdReads
 	if _, ok := s.Get("deltas", fmt.Sprintf("p%02d", (n-1)%4), fmt.Sprintf("c%04d", n-1)); !ok {
 		t.Fatal("newest row missing")
 	}
 	if got := s.TierCounters().ColdReads - base; got != 0 {
-		t.Fatalf("a write evicted the newest warmed row (%d cold reads)", got)
-	}
-}
-
-func TestWarmUpDisabled(t *testing.T) {
-	dir := coldSeed(t, 100)
-	s := open(t, dir, Options{HotBytes: 1 << 30, DisableWarm: true})
-	defer s.Close()
-	time.Sleep(20 * time.Millisecond)
-	tc := s.TierCounters()
-	if tc.WarmedRows != 0 || tc.Warming != 0 {
-		t.Fatalf("DisableWarm still warmed: %+v", tc)
-	}
-	if _, ok := s.Get("deltas", "p00", "c0000"); !ok {
-		t.Fatal("row missing")
-	}
-	if s.TierCounters().ColdReads == 0 {
-		t.Fatal("cold-start read should hit the cold tier")
-	}
-}
-
-func TestKillMidWarmUpLeavesConsistentStore(t *testing.T) {
-	const n = 400
-	dir := coldSeed(t, n)
-	s := open(t, dir, Options{HotBytes: 1 << 30})
-	s.Kill() // no waiting: the kill races the background warm-up
-
-	r := open(t, dir, Options{HotBytes: 1 << 30})
-	defer r.Close()
-	waitWarm(t, r)
-	for i := 0; i < n; i++ {
-		v, ok := r.Get("deltas", fmt.Sprintf("p%02d", i%4), fmt.Sprintf("c%04d", i))
-		if !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("row %d damaged by kill mid-warm-up", i)
-		}
+		t.Fatalf("a write evicted the newest resident row (%d cold reads)", got)
 	}
 }
 
@@ -664,28 +578,27 @@ func TestWarmedCopyInvalidatedByWriteAndDelete(t *testing.T) {
 	dir := coldSeed(t, 50)
 	s := open(t, dir, Options{HotBytes: 1 << 30})
 	defer s.Close()
-	waitWarm(t, s)
-	// Overwrite a warmed row: the stale copy must not survive.
+	// Overwrite a replayed row: the stale copy must not survive.
 	s.Put("deltas", "p01", "c0001", []byte("fresh"))
 	if v, _ := s.Get("deltas", "p01", "c0001"); !bytes.Equal(v, []byte("fresh")) {
 		t.Fatalf("overwrite not visible: %q", v)
 	}
 	gaugeBefore := s.TierCounters().HotBytes
 	if !s.Delete("deltas", "p02", "c0002") {
-		t.Fatal("delete of warmed row reported absent")
+		t.Fatal("delete of replayed row reported absent")
 	}
 	if _, ok := s.Get("deltas", "p02", "c0002"); ok {
-		t.Fatal("deleted warmed row still readable")
+		t.Fatal("deleted replayed row still readable")
 	}
 	if got := s.TierCounters().HotBytes; got != gaugeBefore-rowBytes {
-		t.Fatalf("HotBytes gauge %d after deleting a warmed row, want %d", got, gaugeBefore-rowBytes)
+		t.Fatalf("HotBytes gauge %d after deleting a replayed row, want %d", got, gaugeBefore-rowBytes)
 	}
 	s.DropPartition("deltas", "p03")
 	if rows := s.ScanPrefix("deltas", "p03", ""); len(rows) != 0 {
-		t.Fatalf("dropped partition still has %d rows (warmed leftovers)", len(rows))
+		t.Fatalf("dropped partition still has %d rows (replayed leftovers)", len(rows))
 	}
 	if _, ok := s.Get("deltas", "p03", "c0003"); ok {
-		t.Fatal("warmed copy of a dropped row still served")
+		t.Fatal("replayed copy of a dropped row still served")
 	}
 }
 

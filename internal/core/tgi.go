@@ -135,7 +135,7 @@ func (r *traceRing) snapshot() []fetch.TraceRecord {
 }
 
 // opHist is the per-op latency histogram pair: retrieval wall time
-// and the simulated storage wait the plan trace attributed.
+// and the modelled storage time the plan trace attributed.
 type opHist struct {
 	dur, simWait *obs.Histogram
 }
@@ -146,7 +146,7 @@ const (
 	opDurationFamily = "hgs_op_duration_seconds"
 	opDurationHelp   = "Wall time of TGI operations by op (retrievals, append, build)."
 	opSimWaitFamily  = "hgs_op_simwait_seconds"
-	opSimWaitHelp    = "Simulated storage service time attributed to retrievals by op."
+	opSimWaitHelp    = "Modelled storage service time attributed to retrievals by op (a clock; nothing waits)."
 )
 
 // opHistFor returns (creating once) the histogram pair of an op.

@@ -54,7 +54,7 @@ func TestTieredCrashRecoveryViaAttach(t *testing.T) {
 	if len(engines) != 3 {
 		t.Fatalf("expected 3 tiered engines, got %d", len(engines))
 	}
-	// Crash every node where it stands: no flush, the warm-up abandoned.
+	// Crash every node where it stands: no final fsync.
 	for _, e := range engines {
 		e.Kill()
 	}

@@ -204,16 +204,12 @@ func clampQuorum(q, def, max int) int {
 // rebalancer's partition streaming; RebalanceActive is a 0/1 gauge.
 //
 // The Tier* fields aggregate the per-tier counters of engines that
-// implement backend.Tiered (the tiered hot/cold backend); they
-// stay zero on single-tier engines. TierHotReads row lookups were
-// served from memory without disk I/O, TierColdReads fell through to
-// the disk tier; FlushedBytes counts the value bytes written through to
-// the disk tier and Compactions the disk tier's compactions. WarmedRows and
-// WarmedBytes count rows the engines repopulated into memory from
-// their newest cold data (restart warm-up). TierHotBytes is a gauge of
-// the bytes currently memory-resident (not affected by ResetMetrics);
-// TierWarming is a gauge counting nodes whose open-time warm-up is
-// still running — zero means every node finished warming.
+// implement backend.Tiered (disklog, bare or tiered); they stay zero
+// on the memtable. TierHotReads row lookups were served from memory
+// without disk I/O, TierColdReads were read from disk; FlushedBytes
+// counts the value bytes written to disk and Compactions the disk
+// logs' compactions. TierHotBytes is a gauge of the bytes currently
+// memory-resident (not affected by ResetMetrics).
 type Metrics struct {
 	Reads        int64
 	Writes       int64
@@ -247,10 +243,7 @@ type Metrics struct {
 	TierColdReads int64
 	FlushedBytes  int64
 	Compactions   int64
-	WarmedRows    int64
-	WarmedBytes   int64
 	TierHotBytes  int64
-	TierWarming   int64
 }
 
 // Row is one clustered row inside a partition.
@@ -1363,10 +1356,7 @@ func (c *Cluster) tierTotals() backend.TierCounters {
 		t.ColdReads += tc.ColdReads
 		t.FlushedBytes += tc.FlushedBytes
 		t.Compactions += tc.Compactions
-		t.WarmedRows += tc.WarmedRows
-		t.WarmedBytes += tc.WarmedBytes
 		t.HotBytes += tc.HotBytes
-		t.Warming += tc.Warming
 	}
 	return t
 }
@@ -1409,10 +1399,7 @@ func (c *Cluster) Metrics() Metrics {
 		TierColdReads: tiers.ColdReads - base.ColdReads,
 		FlushedBytes:  tiers.FlushedBytes - base.FlushedBytes,
 		Compactions:   tiers.Compactions - base.Compactions,
-		WarmedRows:    tiers.WarmedRows - base.WarmedRows,
-		WarmedBytes:   tiers.WarmedBytes - base.WarmedBytes,
 		TierHotBytes:  tiers.HotBytes,
-		TierWarming:   tiers.Warming,
 	}
 }
 

@@ -4,7 +4,7 @@ import "hgs/internal/obs"
 
 // RegisterObs registers the cluster's counters into r as func-backed
 // metric families, sampled at exposition/snapshot time: the logical
-// operation counters (reads, writes, bytes, round-trips, simulated
+// operation counters (reads, writes, bytes, round-trips, modelled
 // wait) and the per-tier counters aggregated from engines implementing
 // backend.Tiered. The tier families report the engines' raw
 // cumulative totals (monotone for Prometheus); the operation counters
@@ -32,7 +32,7 @@ func (c *Cluster) RegisterObs(r *obs.Registry) {
 		"Physical storage-node visits (one per machine per batched call).",
 		func() float64 { return float64(c.roundTrips.Load()) })
 	r.CounterFunc("hgs_kv_simwait_seconds_total",
-		"Simulated storage service time charged by the latency model.",
+		"Modelled storage service time charged by the latency model (a clock; nothing waits).",
 		func() float64 { return float64(c.simWait.Load()) / 1e9 })
 	r.GaugeFunc("hgs_kv_stored_bytes",
 		"Physical bytes currently stored across all replicas.",
@@ -108,27 +108,18 @@ func (c *Cluster) RegisterObs(r *obs.Registry) {
 		func() float64 { return float64(c.rebalancedBytes.Load()) })
 
 	r.CounterFunc("hgs_tier_hot_reads_total",
-		"Row lookups served from the memory tier of tiered engines.",
+		"Row lookups of disk engines served from values resident in memory.",
 		func() float64 { return float64(c.tierTotals().HotHits) })
 	r.CounterFunc("hgs_tier_cold_reads_total",
-		"Row lookups that fell through to the disk tier of tiered engines.",
+		"Row lookups of disk engines read from disk.",
 		func() float64 { return float64(c.tierTotals().ColdReads) })
 	r.CounterFunc("hgs_tier_flushed_bytes_total",
-		"Value bytes written through to the cold tier of tiered engines.",
+		"Value bytes written to disk by disk engines.",
 		func() float64 { return float64(c.tierTotals().FlushedBytes) })
 	r.CounterFunc("hgs_tier_compactions_total",
-		"Compactions of the cold tier of tiered engines.",
+		"Log compactions of disk engines.",
 		func() float64 { return float64(c.tierTotals().Compactions) })
-	r.CounterFunc("hgs_tier_warmed_rows_total",
-		"Rows repopulated into memory from cold segments on open.",
-		func() float64 { return float64(c.tierTotals().WarmedRows) })
-	r.CounterFunc("hgs_tier_warmed_bytes_total",
-		"Bytes repopulated into memory from cold segments on open.",
-		func() float64 { return float64(c.tierTotals().WarmedBytes) })
 	r.GaugeFunc("hgs_tier_hot_bytes",
-		"Bytes currently memory-resident in tiered engines.",
+		"Value bytes currently resident in memory in disk engines.",
 		func() float64 { return float64(c.tierTotals().HotBytes) })
-	r.GaugeFunc("hgs_tier_warming",
-		"Nodes whose open-time hot-tier warm-up is still running.",
-		func() float64 { return float64(c.tierTotals().Warming) })
 }

@@ -87,7 +87,7 @@ func TestCompatDisklogDir(t *testing.T) {
 func TestCompatTieredDir(t *testing.T) {
 	dir := copyFixture(t, "tiered")
 	for pass := 0; pass < 2; pass++ {
-		s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30, DisableWarm: true})
+		s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestCompatTieredDirMigrationCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30, DisableWarm: true})
+	s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
