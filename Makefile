@@ -82,8 +82,9 @@ fmt-check:
 fmt:
 	gofmt -w .
 
-# Docs gate: intra-repo markdown links must resolve and every package
-# must carry a package doc comment (scripts/checkdocs).
+# Docs gate: intra-repo markdown links must resolve, every Test… name
+# README.md and docs/*.md cite must be defined by a _test.go file, and
+# every package must carry a package doc comment (scripts/checkdocs).
 docs-check:
 	$(GO) vet ./scripts/...
 	$(GO) run ./scripts/checkdocs

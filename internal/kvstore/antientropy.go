@@ -8,10 +8,13 @@ package kvstore
 // digest identically regardless of engine type), and walks the trees
 // top-down: equal roots clear a whole owner pair in one comparison,
 // differing buckets narrow to the partitions actually divergent. Only
-// those partitions are then repaired — each one's live copies are
-// merged newest-row-wins by version stamp (stamp.go) and the losers
-// rewritten — under the write gate, with the streamed bytes paced by
-// the same rate limit the rebalancer uses.
+// those partitions are then repaired, under the write gate, by the
+// convergence step this file also holds and the rebalancer shares
+// (convergePartition): the live copies merge newest-row-wins by
+// version stamp (stamp.go), and each winner reaches the owners that
+// lack it through the stamp guard, checked at write time, so a hint
+// delivered mid-sweep is never rolled back. The written bytes are paced
+// by the same pacer and rate limit the rebalancer uses.
 //
 // Deletes are the known gap: the store keeps no tombstones, so a row
 // deleted on one replica while another held it is resurrected by the
@@ -21,8 +24,8 @@ package kvstore
 
 import (
 	"errors"
+	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"hgs/internal/backend"
@@ -33,9 +36,9 @@ import (
 var ErrRepairRunning = errors.New("kvstore: anti-entropy repair already running")
 
 // RepairStats summarizes one anti-entropy sweep: how many partitions
-// were found divergent and converged, and the rows/bytes streamed to
-// do it. Bounded by the diverged share, not the dataset — a healthy
-// cluster sweeps to {0, 0, 0}.
+// were found divergent and converged, and the rows/bytes written to
+// stale or missing copies to do it. Bounded by the diverged share, not
+// the dataset — a healthy cluster sweeps to {0, 0, 0}.
 type RepairStats struct {
 	Partitions int64 `json:"partitions"`
 	Rows       int64 `json:"rows"`
@@ -47,25 +50,23 @@ type RepairStats struct {
 // of the leaf comparisons instead of all of them.
 const aeBuckets = 16
 
-type aePartition struct{ table, pkey string }
-
 // aeGroup is one replica set and the partitions it owns.
 type aeGroup struct {
 	ids   []int
-	parts []aePartition
+	parts []partition
 }
 
 // ownerDigest is one owner's merkle tree over a group's partitions.
 type ownerDigest struct {
 	node    *storageNode
-	leaves  map[aePartition]uint64
+	leaves  map[partition]uint64
 	buckets [aeBuckets]uint64
 	root    uint64
 }
 
 // aeBucket places a partition in its merkle bucket by the top bits of
 // the placement hash.
-func aeBucket(p aePartition) int {
+func aeBucket(p partition) int {
 	return int((hashKey(p.table, p.pkey) >> 60) & (aeBuckets - 1))
 }
 
@@ -91,18 +92,16 @@ func (c *Cluster) RepairPartitions() (RepairStats, error) {
 	}
 	c.aeRuns.Add(1)
 	var stats RepairStats
-	var debt time.Duration
-	rate := c.cfg.RebalanceRate
+	pace := pacer{rate: c.cfg.RebalanceRate}
 	for _, g := range c.replicaGroups() {
 		for _, p := range c.divergedPartitions(g) {
-			n := c.repairPartition(p.table, p.pkey, &stats)
-			if rate > 0 && n > 0 {
-				debt += time.Duration(n) * time.Second / time.Duration(rate)
-				if debt > 2*time.Millisecond {
-					time.Sleep(debt)
-					debt = 0
-				}
+			rows, bytes := c.repairPartition(p)
+			if rows > 0 {
+				stats.Partitions++
+				stats.Rows += rows
+				stats.Bytes += bytes
 			}
+			pace.wait(bytes)
 		}
 	}
 	c.aeParts.Add(stats.Partitions)
@@ -128,44 +127,26 @@ func (c *Cluster) antiEntropyLoop(interval time.Duration) {
 	}
 }
 
-// replicaGroups enumerates every partition in the cluster and groups
-// them by owner set under the active ring, sorted for determinism.
+// replicaGroups groups every partition in the cluster by owner set
+// under the active ring, sorted for determinism.
 func (c *Cluster) replicaGroups() []aeGroup {
 	c.topoMu.RLock()
 	r := c.ring
-	nodes := make([]*storageNode, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
 	c.topoMu.RUnlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
-
-	seen := make(map[string]bool)
 	groups := make(map[string]*aeGroup)
 	var buf [routeStack]int
 	var keys []string
-	for _, node := range nodes {
-		for _, p := range node.partitions() {
-			k := partKey(p.table, p.pkey)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			ids := r.Lookup(hashKey(p.table, p.pkey), buf[:0])
-			owners := append([]int(nil), ids...)
-			sort.Ints(owners)
-			gk := ""
-			for _, id := range owners {
-				gk += strconv.Itoa(id) + ","
-			}
-			g := groups[gk]
-			if g == nil {
-				g = &aeGroup{ids: owners}
-				groups[gk] = g
-				keys = append(keys, gk)
-			}
-			g.parts = append(g.parts, p)
+	for _, p := range c.allPartitions() {
+		owners := append([]int(nil), r.Lookup(hashKey(p.table, p.pkey), buf[:0])...)
+		sort.Ints(owners)
+		gk := fmt.Sprint(owners)
+		g := groups[gk]
+		if g == nil {
+			g = &aeGroup{ids: owners}
+			groups[gk] = g
+			keys = append(keys, gk)
 		}
+		g.parts = append(g.parts, p)
 	}
 	sort.Strings(keys)
 	out := make([]aeGroup, 0, len(keys))
@@ -185,12 +166,12 @@ func (c *Cluster) replicaGroups() []aeGroup {
 // digestOwner builds one owner's merkle tree over the group's
 // partitions. Returns nil for a down or torn-down owner — it cannot be
 // compared (its missed writes sit in the hint queue for revive).
-func (c *Cluster) digestOwner(id int, parts []aePartition) *ownerDigest {
+func (c *Cluster) digestOwner(id int, parts []partition) *ownerDigest {
 	node := c.nodeAt(id)
 	if node == nil || node.down.Load() {
 		return nil
 	}
-	od := &ownerDigest{node: node, leaves: make(map[aePartition]uint64, len(parts))}
+	od := &ownerDigest{node: node, leaves: make(map[partition]uint64, len(parts))}
 	dg, _ := node.be.(backend.Digester)
 	for _, p := range parts {
 		var d uint64
@@ -217,7 +198,7 @@ func (c *Cluster) digestOwner(id int, parts []aePartition) *ownerDigest {
 // divergedPartitions compares the owners' merkle trees top-down and
 // returns the partitions whose copies differ on at least one pair of
 // live owners.
-func (c *Cluster) divergedPartitions(g aeGroup) []aePartition {
+func (c *Cluster) divergedPartitions(g aeGroup) []partition {
 	var ods []*ownerDigest
 	for _, id := range g.ids {
 		if od := c.digestOwner(id, g.parts); od != nil {
@@ -237,7 +218,7 @@ func (c *Cluster) divergedPartitions(g aeGroup) []aePartition {
 	if rootsEqual {
 		return nil
 	}
-	var out []aePartition
+	var out []partition
 	for _, p := range g.parts {
 		b := aeBucket(p)
 		bucketEqual := true
@@ -260,72 +241,83 @@ func (c *Cluster) divergedPartitions(g aeGroup) []aePartition {
 	return out
 }
 
-// repairPartition converges one partition's live copies: under the
-// write gate (no foreground write can interleave), every live owner's
-// rows are merged newest-per-clustering-key by stamp and owners missing
-// the winner (or holding an older version) are rewritten. Returns the
-// bytes streamed, for the rate limiter — the gate is released before
-// the limiter sleeps.
-func (c *Cluster) repairPartition(table, pkey string, stats *RepairStats) int64 {
+// repairPartition converges one diverged partition among its live
+// owners, under the write gate (no foreground write can interleave),
+// and returns the rows and bytes written. The gate is released before
+// the caller's pacer sleeps.
+func (c *Cluster) repairPartition(p partition) (rows, bytes int64) {
 	c.writeGate.Lock()
 	defer c.writeGate.Unlock()
 	var rt route
-	c.writeRoute(table, pkey, &rt)
-	type ownerCopy struct {
-		node *storageNode
-		rows map[string][]byte
-	}
-	var copies []ownerCopy
-	for _, node := range rt.nodes {
-		if node.down.Load() {
-			continue
+	c.writeRoute(p.table, p.pkey, &rt)
+	return c.convergePartition(p, rt.nodes, rt.nodes, false)
+}
+
+// convergePartition is the one replica-convergence step, behind both
+// the rebalancer's handoff (old owners → new owners) and anti-entropy
+// repair (live owners → live owners). It scans the live copies on from,
+// merges them newest-per-clustering-key (newestRows) and writes each
+// winner to every node of to through the stamp guard (putIfNewer),
+// checked against the row the target holds at write time: a hint
+// delivery or write that landed after the scan is never rolled back. A
+// down target gets the rows hinted when hintDown is set and is skipped
+// otherwise. Caller holds the write gate. Returns the rows and bytes
+// written or hinted.
+func (c *Cluster) convergePartition(p partition, from, to []*storageNode, hintDown bool) (rows, bytes int64) {
+	var copies []scanResp
+	for _, n := range from {
+		n.mu.Lock()
+		if !n.closed && !n.down.Load() {
+			copies = append(copies, scanResp{n, n.be.ScanPrefix(p.table, p.pkey, "")})
 		}
-		node.mu.Lock()
-		if node.closed {
-			node.mu.Unlock()
-			continue
-		}
-		rows := node.be.ScanPrefix(table, pkey, "")
-		node.mu.Unlock()
-		m := make(map[string][]byte, len(rows))
-		for _, r := range rows {
-			m[r.CKey] = r.Value
-		}
-		copies = append(copies, ownerCopy{node, m})
+		n.mu.Unlock()
 	}
-	if len(copies) < 2 {
-		return 0
-	}
-	win := make(map[string][]byte)
-	for _, cp := range copies {
-		for ck, v := range cp.rows {
-			if cur, ok := win[ck]; !ok || newerThan(v, cur) {
-				win[ck] = v
+	for _, r := range newestRows(copies) {
+		for _, n := range to {
+			if c.convergeRow(n, p, r, hintDown) {
+				rows++
+				bytes += int64(len(r.CKey) + len(r.Value))
 			}
 		}
 	}
-	var streamed int64
-	repaired := false
-	for _, cp := range copies {
-		for ck, v := range win {
-			cur, ok := cp.rows[ck]
-			if ok && !newerThan(v, cur) {
-				continue
-			}
-			cp.node.mu.Lock()
-			if !cp.node.closed && !cp.node.down.Load() {
-				cp.node.be.Put(table, pkey, ck, v)
-				repaired = true
-				stats.Rows++
-				nb := int64(len(ck) + len(v))
-				stats.Bytes += nb
-				streamed += nb
-			}
-			cp.node.mu.Unlock()
+	return rows, bytes
+}
+
+// convergeRow writes one merged row to a convergence target and reports
+// whether it was written or hinted. queueHint re-checks down under
+// hintMu, so a concurrent revive cannot strand the hint: a row it
+// refuses is applied to the now-live engine.
+func (c *Cluster) convergeRow(n *storageNode, p partition, r Row, hintDown bool) bool {
+	if n.down.Load() {
+		if !hintDown {
+			return false
+		}
+		if n.queueHint(hint{op: hintPut, table: p.table, pkey: p.pkey, ckey: r.CKey, value: r.Value}) {
+			c.hintedWrites.Add(1)
+			return true
 		}
 	}
-	if repaired {
-		stats.Partitions++
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return !n.closed && putIfNewer(n.be, p.table, p.pkey, r.CKey, r.Value)
+}
+
+// pacer holds background streaming (rebalance, anti-entropy) to
+// Config.RebalanceRate bytes per second, sleeping off the accrued debt
+// in installments of at least 2 ms; a non-positive rate never sleeps.
+type pacer struct {
+	rate int64
+	debt time.Duration
+}
+
+// wait charges n streamed bytes and sleeps once the debt is due.
+func (p *pacer) wait(n int64) {
+	if p.rate <= 0 || n <= 0 {
+		return
 	}
-	return streamed
+	p.debt += time.Duration(n) * time.Second / time.Duration(p.rate)
+	if p.debt > 2*time.Millisecond {
+		time.Sleep(p.debt)
+		p.debt = 0
+	}
 }

@@ -3,8 +3,8 @@ package kvstore
 // Seeded chaos harness for the replicated store. Each seed drives a
 // deterministic schedule of concurrent writers, readers, and a fault
 // controller (node failures, revivals, injected errors, topology
-// changes) against a quorum-configured cluster, then quiesces and
-// asserts the two convergence invariants:
+// changes, anti-entropy sweeps) against a quorum-configured cluster,
+// then quiesces and asserts the two convergence invariants:
 //
 //  1. every replica set is byte-identical after hints replay, pending
 //     read-repairs drain, and one anti-entropy sweep;
@@ -166,7 +166,7 @@ func runChaosSeed(t *testing.T, seed int64) {
 			time.Sleep(time.Duration(crng.Intn(2000)) * time.Microsecond)
 			ids := liveIDs()
 			id := ids[crng.Intn(len(ids))]
-			switch crng.Intn(6) {
+			switch crng.Intn(7) {
 			case 0:
 				if downID < 0 && c.FailNode(id) == nil {
 					downID = id
@@ -185,6 +185,10 @@ func runChaosSeed(t *testing.T, seed int64) {
 					added++
 					nextID++
 				}
+			case 5:
+				// Anti-entropy overlapping writers, revives and fault
+				// clears; refused mid-rebalance or mid-sweep.
+				c.RepairPartitions() //nolint:errcheck // ErrRebalancing / ErrRepairRunning
 			default:
 				if id != downID {
 					c.RemoveNode(id) //nolint:errcheck // refused below replication or mid-rebalance

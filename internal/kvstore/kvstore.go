@@ -24,6 +24,17 @@
 //   - per-node fault injection (FailNode/ReviveNode, InjectFault) so
 //     tests and benchmarks cover degraded reads.
 //
+// Background work moves rows between replicas in one way. A single
+// convergence step (convergePartition, antientropy.go) scans a
+// partition's live copies on a set of source nodes, keeps the newest
+// version of each clustering key by version stamp (stamp.go), and
+// writes each winner to the target nodes through one stamp guard
+// (putIfNewer) checked against the row present at write time. The
+// rebalancer's handoff runs it from old owners to new owners,
+// anti-entropy from the live owners to themselves. Hint replay,
+// quorum-write tails and read-repair write through the same guard, and
+// every hint queue drains through one loop (drainHints).
+//
 // Each node's actual row storage is a pluggable backend.Backend: the
 // default in-memory memtable keeps the store a pure simulation, while a
 // durable engine (backend/disklog) makes the cluster survive process
@@ -201,7 +212,9 @@ func clampQuorum(q, def, max int) int {
 // replication factor; HintedWrites counts the per-replica mutations
 // queued for a down node (replayed when it is revived). All four stay
 // zero while every node is healthy. Rebalanced* count the background
-// rebalancer's partition streaming; RebalanceActive is a 0/1 gauge.
+// rebalancer's work: partitions handed off, and the rows and bytes
+// written (or hinted) to new owners, where a row a new owner already
+// holds at least as new is not counted; RebalanceActive is a 0/1 gauge.
 //
 // The Tier* fields aggregate the per-tier counters of engines that
 // implement backend.Tiered (disklog, bare or tiered); they stay zero
@@ -295,25 +308,6 @@ type storageNode struct {
 	hlog   *hintLog
 }
 
-// partitions lists every partition the node's engine holds rows for
-// (none once the engine is torn down): the enumeration behind the
-// rebalancer's move plan, the anti-entropy sweep and the topology
-// report.
-func (n *storageNode) partitions() []aePartition {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil
-	}
-	var parts []aePartition
-	for _, table := range n.be.Tables() {
-		for _, pk := range n.be.PartitionKeys(table) {
-			parts = append(parts, aePartition{table, pk})
-		}
-	}
-	return parts
-}
-
 // queueHint queues one missed mutation for replay on revive, iff the
 // node is still down. The down check happens under hintMu — the same
 // lock ReviveNode holds for its final drain-and-flip — so a hint can
@@ -344,15 +338,6 @@ func (n *storageNode) forceHint(h hint) {
 		n.hlog.append(h)
 	}
 	n.hintMu.Unlock()
-}
-
-// drainedHints marks the hint queue fully replayed: the durable log's
-// records are all applied, so the log restarts empty. Caller holds
-// hintMu with len(hints) == 0.
-func (n *storageNode) drainedHints() {
-	if n.hlog != nil {
-		n.hlog.reset()
-	}
 }
 
 // Cluster is the distributed store.
@@ -487,11 +472,6 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Quorum returns the active read and write quorum.
-func (c *Cluster) Quorum() (read, write int) {
-	return c.cfg.ReadQuorum, c.cfg.WriteQuorum
-}
-
 // NewCluster builds a cluster per the configuration, panicking if a
 // node's storage engine cannot be created. Use Open for fallible
 // (durable) backends; with the default in-memory engine NewCluster
@@ -543,6 +523,33 @@ func (c *Cluster) nodeList() []*storageNode {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// partition names one partition of one table.
+type partition struct{ table, pkey string }
+
+// allPartitions lists every partition some node's engine holds rows
+// for, each once, in node-id order: the one enumeration behind the
+// rebalancer's move plan, the anti-entropy sweep and the topology
+// report.
+func (c *Cluster) allPartitions() []partition {
+	seen := make(map[partition]bool)
+	var out []partition
+	for _, n := range c.nodeList() {
+		n.mu.Lock()
+		if !n.closed {
+			for _, table := range n.be.Tables() {
+				for _, pk := range n.be.PartitionKeys(table) {
+					if p := (partition{table, pk}); !seen[p] {
+						seen[p] = true
+						out = append(out, p)
+					}
+				}
+			}
+		}
+		n.mu.Unlock()
+	}
 	return out
 }
 
@@ -832,15 +839,14 @@ func applyHint(be backend.Backend, h hint) {
 	}
 }
 
-// replayHint is applyHint guarded by the version stamp: a put whose
-// stamp is older than the row already present is skipped. Replayed
-// hints (revive, fault-clear, reopen) can interleave with writes the
-// node accepted live, so blind application could roll a row back.
+// replayHint is applyHint with puts going through the stamp guard
+// (putIfNewer). Replayed hints (revive, fault-clear, reopen) and
+// quorum-write tails can interleave with writes the node accepted live,
+// so blind application could roll a row back.
 func replayHint(be backend.Backend, h hint) {
 	if h.op == hintPut {
-		if cur, ok := be.Get(h.table, h.pkey, h.ckey); ok && stampOf(cur) > stampOf(h.value) {
-			return
-		}
+		putIfNewer(be, h.table, h.pkey, h.ckey, h.value)
+		return
 	}
 	applyHint(be, h)
 }
@@ -1268,19 +1274,11 @@ func (c *Cluster) DropPartition(table, pkey string) {
 // PartitionKeys returns all partition keys of a table (union over nodes),
 // sorted. Intended for inspection and maintenance, not the data path.
 func (c *Cluster) PartitionKeys(table string) []string {
-	seen := make(map[string]struct{})
-	for _, node := range c.nodeList() {
-		node.mu.Lock()
-		if !node.closed {
-			for _, pk := range node.be.PartitionKeys(table) {
-				seen[pk] = struct{}{}
-			}
+	var out []string
+	for _, p := range c.allPartitions() {
+		if p.table == table {
+			out = append(out, p.pkey)
 		}
-		node.mu.Unlock()
-	}
-	out := make([]string, 0, len(seen))
-	for pk := range seen {
-		out = append(out, pk)
 	}
 	sort.Strings(out)
 	return out

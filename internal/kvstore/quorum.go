@@ -15,9 +15,7 @@ package kvstore
 // or converged by anti-entropy.
 
 import (
-	"bytes"
 	"context"
-	"sort"
 	"sync/atomic"
 )
 
@@ -31,18 +29,6 @@ type repairTask struct {
 	table, pkey, ckey string
 	value             []byte
 	node              *storageNode
-}
-
-// newerThan orders two stored versions: the higher stamp wins, and a
-// stamp tie (only possible for pre-envelope rows, which all read as
-// stamp 0) breaks by byte order so equal-stamp divergence still
-// converges to one deterministic winner everywhere.
-func newerThan(a, b []byte) bool {
-	sa, sb := stampOf(a), stampOf(b)
-	if sa != sb {
-		return sa > sb
-	}
-	return bytes.Compare(a, b) > 0
 }
 
 // enqueueRepair hands a stale-replica observation to the repair worker,
@@ -97,14 +83,9 @@ func (c *Cluster) applyRepair(t repairTask) {
 	}
 	t.node.mu.Lock()
 	defer t.node.mu.Unlock()
-	if t.node.closed || t.node.down.Load() {
-		return
+	if !t.node.closed && !t.node.down.Load() && putIfNewer(t.node.be, t.table, t.pkey, t.ckey, t.value) {
+		c.readRepairs.Add(1)
 	}
-	if cur, ok := t.node.be.Get(t.table, t.pkey, t.ckey); ok && !newerThan(t.value, cur) {
-		return
-	}
-	t.node.be.Put(t.table, t.pkey, t.ckey, t.value)
-	c.readRepairs.Add(1)
 }
 
 // visitReplicas is the one replica-visit loop behind every read: a
@@ -223,43 +204,25 @@ func (c *Cluster) readScan(ctx context.Context, ref ScanRef, want int, exclude *
 	return rows
 }
 
-// mergeScan merges the replicas' scans per clustering key by stamp: for
-// every row, the newest version any consulted replica holds wins, and
-// replicas missing it (or holding an older one) get it queued for
-// repair. A row present on one replica and absent on another is treated
-// as present — the store keeps no tombstones, so a scan cannot
-// distinguish "deleted here" from "never arrived here". Returns stored
-// (stamped) rows in clustering order.
+// mergeScan merges the replicas' scans per clustering key (newestRows)
+// and queues read-repair for every replica missing a winning row or
+// holding an older version of it. Returns stored (stamped) rows in
+// clustering order.
 func (c *Cluster) mergeScan(got []scanResp, ref ScanRef) []Row {
-	if len(got) == 0 {
-		return nil
-	}
-	if len(got) == 1 {
-		return got[0].rows
-	}
-	win := make(map[string][]byte)
-	for _, g := range got {
-		for _, r := range g.rows {
-			if cur, ok := win[r.CKey]; !ok || newerThan(r.Value, cur) {
-				win[r.CKey] = r.Value
-			}
-		}
+	win := newestRows(got)
+	if len(got) < 2 {
+		return win
 	}
 	for _, g := range got {
 		have := make(map[string][]byte, len(g.rows))
 		for _, r := range g.rows {
 			have[r.CKey] = r.Value
 		}
-		for ck, v := range win {
-			if cur, ok := have[ck]; !ok || newerThan(v, cur) {
-				c.enqueueRepair(repairTask{table: ref.Table, pkey: ref.PKey, ckey: ck, value: v, node: g.node})
+		for _, w := range win {
+			if cur, ok := have[w.CKey]; !ok || newerThan(w.Value, cur) {
+				c.enqueueRepair(repairTask{table: ref.Table, pkey: ref.PKey, ckey: w.CKey, value: w.Value, node: g.node})
 			}
 		}
 	}
-	out := make([]Row, 0, len(win))
-	for ck, v := range win {
-		out = append(out, Row{CKey: ck, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CKey < out[j].CKey })
-	return out
+	return win
 }

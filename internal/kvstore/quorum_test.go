@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
+	"hgs/internal/backend/memtable"
 )
 
 // engineOf reaches into a node's engine directly — tests create
@@ -40,13 +42,13 @@ func drainRepairs(t *testing.T, c *Cluster) {
 func TestQuorumConfigClamping(t *testing.T) {
 	c := NewCluster(Config{Machines: 3, Replication: 3, ReadQuorum: 9, WriteQuorum: -5})
 	defer c.Close()
-	if r, w := c.Quorum(); r != 3 || w != 1 {
-		t.Fatalf("Quorum() = %d,%d, want clamped 3,1", r, w)
+	if cfg := c.Config(); cfg.ReadQuorum != 3 || cfg.WriteQuorum != 1 {
+		t.Fatalf("quorum = %d,%d, want clamped 3,1", cfg.ReadQuorum, cfg.WriteQuorum)
 	}
 	d := NewCluster(Config{Machines: 3, Replication: 3})
 	defer d.Close()
-	if r, w := d.Quorum(); r != 1 || w != 3 {
-		t.Fatalf("zero-valued quorum knobs: %d,%d, want defaults 1,3", r, w)
+	if cfg := d.Config(); cfg.ReadQuorum != 1 || cfg.WriteQuorum != 3 {
+		t.Fatalf("zero-valued quorum knobs: %d,%d, want defaults 1,3", cfg.ReadQuorum, cfg.WriteQuorum)
 	}
 }
 
@@ -319,6 +321,62 @@ func TestAntiEntropySkipsDownReplica(t *testing.T) {
 	}
 	if stats != (RepairStats{}) {
 		t.Fatalf("sweep with a down replica repaired %+v", stats)
+	}
+}
+
+// scanHookEngine wraps a node engine so a test can act inside a scan.
+// Embedding the interface hides backend.Digester, so the anti-entropy
+// digest pass scans too.
+type scanHookEngine struct {
+	backend.Backend
+	scans  int
+	onScan func(scan int)
+}
+
+func (e *scanHookEngine) ScanPrefix(table, pkey, prefix string) []Row {
+	e.scans++
+	if e.onScan != nil {
+		e.onScan(e.scans)
+	}
+	return e.Backend.ScanPrefix(table, pkey, prefix)
+}
+
+// A hint delivered between the sweep's scan of a replica and its write
+// to that replica must survive: the write is guarded against the row
+// present at write time, not the one scanned.
+func TestRepairKeepsRowLandedAfterScan(t *testing.T) {
+	engines := map[int]*scanHookEngine{}
+	c := NewCluster(Config{Machines: 2, Replication: 2, Backend: func(id int) (backend.Backend, error) {
+		engines[id] = &scanHookEngine{Backend: memtable.New()}
+		return engines[id], nil
+	}})
+	defer c.Close()
+	ids := c.ReplicasOf("t", "p")
+	other, src := engineOf(t, c, ids[0]), engineOf(t, c, ids[1])
+	other.be.Put("t", "p", "k", wrapStamp(3, []byte("stale")))
+	src.be.Put("t", "p", "k", wrapStamp(5, []byte("old")))
+	// The sweep scans ids[0] before ids[1]. On the source's second scan
+	// (the first is the digest pass) a newer row reaches the other
+	// replica, which the repair has already scanned.
+	engines[ids[1]].onScan = func(scan int) {
+		if scan != 2 {
+			return
+		}
+		other.mu.Lock()
+		replayHint(other.be, hint{op: hintPut, table: "t", pkey: "p", ckey: "k", value: wrapStamp(7, []byte("newest"))})
+		other.mu.Unlock()
+	}
+	if _, err := c.RepairPartitions(); err != nil {
+		t.Fatal(err)
+	}
+	if engines[ids[1]].scans < 2 {
+		t.Fatalf("source scanned %d times, want the digest and the repair scan", engines[ids[1]].scans)
+	}
+	other.mu.Lock()
+	v, _ := other.be.Get("t", "p", "k")
+	other.mu.Unlock()
+	if s := stampOf(v); s != 7 {
+		t.Fatalf("repair rolled the replica back to stamp %d, want 7", s)
 	}
 }
 

@@ -3,21 +3,24 @@ package kvstore
 // Node lifecycle, fault injection and the background rebalancer.
 //
 // AddNode/RemoveNode compute the ring diff and hand it to a background
-// goroutine that streams only the partitions whose owner set changed,
-// one partition at a time, under a byte-rate limit. While the migration
-// runs the cluster routes reads through the pre-change ring until each
-// partition's handoff commits and duplicates writes to the union of old
-// and new owners, so no query ever observes a missing partition. The
-// gate protocol against concurrent traffic is documented on the
-// Cluster fields (readGate/writeGate in kvstore.go).
+// goroutine that moves only the partitions whose owner set changed,
+// one partition at a time, paced to the byte-rate limit. Each move is
+// the shared convergence step (convergePartition) from the live old
+// owners onto the new ones, hinting a down new owner, followed by the
+// handoff commit. While the migration runs the cluster routes reads
+// through the pre-change ring until each partition's handoff commits
+// and duplicates writes to the union of old and new owners, so no query
+// ever observes a missing partition. The gate protocol against
+// concurrent traffic is documented on the Cluster fields
+// (readGate/writeGate in kvstore.go). Hints queued for a node drain
+// through one loop (drainHints) on revive, on a cleared fault profile
+// and before a retiring node closes.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"hgs/internal/backend"
 	"hgs/internal/backend/memtable"
 	"hgs/internal/ring"
 )
@@ -96,22 +99,33 @@ func (c *Cluster) ReviveNode(id int) error {
 	if closed {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	// Drain-deliver until empty: a writer that saw the node down may
-	// append one more hint while we deliver the previous batch. The final
-	// empty check and the down flip happen under hintMu together, and
-	// writers append through queueHint, which re-checks down under the
-	// same lock — so every hint either lands in a batch this loop
-	// delivers, or the writer observes down==false and applies directly.
+	c.drainHints(node, true)
+	return nil
+}
+
+// drainHints delivers node's queued hints (deliverHint) batch by batch
+// until the queue is empty — the one drain behind ReviveNode, a cleared
+// fault profile and a retiring node. A writer may queue one more hint
+// while a batch is delivered, so the final empty check runs under
+// hintMu, where revive flips the node up in the same critical section:
+// since queueHint re-checks down under that lock, every hint either
+// lands in a batch this loop delivers or its writer sees the node up and
+// applies directly. The durable log restarts empty once the queue is.
+func (c *Cluster) drainHints(node *storageNode, revive bool) {
 	for {
 		node.hintMu.Lock()
-		if len(node.hints) == 0 {
-			node.drainedHints()
-			node.down.Store(false)
-			node.hintMu.Unlock()
-			return nil
-		}
 		hs := node.hints
 		node.hints = nil
+		if len(hs) == 0 {
+			if node.hlog != nil {
+				node.hlog.reset()
+			}
+			if revive {
+				node.down.Store(false)
+			}
+			node.hintMu.Unlock()
+			return
+		}
 		node.hintMu.Unlock()
 		for _, h := range hs {
 			c.deliverHint(node, h)
@@ -183,36 +197,12 @@ func (c *Cluster) InjectFault(id int, f *Fault) error {
 		f = &cp
 	}
 	node.fault.Store(f)
-	if f == nil || f.ErrRate <= 0 {
-		c.replayHints(node)
+	// A down node keeps its hints for ReviveNode, which delivers them
+	// and flips the node up atomically.
+	if (f == nil || f.ErrRate <= 0) && !node.down.Load() {
+		c.drainHints(node, false)
 	}
 	return nil
-}
-
-// replayHints delivers a live node's queued hints through the current
-// ring (deliverHint). A down node keeps its hints for ReviveNode, which
-// delivers them and flips the node back up atomically.
-func (c *Cluster) replayHints(node *storageNode) {
-	node.mu.Lock()
-	closed := node.closed
-	node.mu.Unlock()
-	if closed || node.down.Load() {
-		return
-	}
-	for {
-		node.hintMu.Lock()
-		hs := node.hints
-		node.hints = nil
-		if len(hs) == 0 {
-			node.drainedHints()
-			node.hintMu.Unlock()
-			return
-		}
-		node.hintMu.Unlock()
-		for _, h := range hs {
-			c.deliverHint(node, h)
-		}
-	}
 }
 
 // AddNode creates a new storage node (engine from the configured
@@ -320,7 +310,8 @@ func (c *Cluster) WaitRebalance() error {
 
 // pendingMove is one partition whose owner set changes with the ring.
 type pendingMove struct {
-	table, pkey string
+	partition
+	olds        []int // owner ids under the pre-change ring
 	adds, drops []int // new-only and old-only owner ids
 }
 
@@ -342,17 +333,9 @@ func (c *Cluster) rebalance(retiring int) {
 	// Stream one partition at a time. The write gate is held only
 	// across a single partition's copy, so foreground writes stall at
 	// most one partition's worth of streaming.
-	var debt time.Duration
-	rate := c.cfg.RebalanceRate
+	pace := pacer{rate: c.cfg.RebalanceRate}
 	for i := range moves {
-		n := c.movePartition(&moves[i])
-		if rate > 0 && n > 0 {
-			debt += time.Duration(n) * time.Second / time.Duration(rate)
-			if debt > 2*time.Millisecond {
-				time.Sleep(debt)
-				debt = 0
-			}
-		}
+		pace.wait(c.movePartition(&moves[i]))
 	}
 
 	// Commit point: persist the post-change node set before any old
@@ -401,18 +384,7 @@ func (c *Cluster) rebalance(retiring int) {
 			// queue. Deliver them through the committed ring before the
 			// node closes — dropping the queue with the node would lose
 			// acknowledged-elsewhere-as-hinted writes for good.
-			for {
-				node.hintMu.Lock()
-				hs := node.hints
-				node.hints = nil
-				node.hintMu.Unlock()
-				if len(hs) == 0 {
-					break
-				}
-				for _, h := range hs {
-					c.deliverHint(node, h)
-				}
-			}
+			c.drainHints(node, false)
 			node.mu.Lock()
 			if !node.closed {
 				node.closed = true
@@ -436,57 +408,35 @@ func (c *Cluster) rebalance(retiring int) {
 	}
 }
 
-// planMoves enumerates every partition in the cluster, computes its
-// owner sets under the old and new rings, and returns the partitions
-// whose set changed.
-// Partitions whose owners are unchanged are committed as moved
-// immediately so reads route through the new ring without waiting
-// behind the streaming queue.
+// planMoves computes every partition's owner sets under the old and
+// new rings and returns the partitions whose set changed. Partitions
+// whose owners are unchanged are committed as moved immediately so
+// reads route through the new ring without waiting behind the
+// streaming queue.
 func (c *Cluster) planMoves() []pendingMove {
 	c.topoMu.RLock()
 	oldR, newR := c.oldRing, c.ring
-	nodes := make([]*storageNode, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
 	c.topoMu.RUnlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
-
-	seen := make(map[string]bool)
 	var moves []pendingMove
 	var settled []string
 	var oldBuf, newBuf [routeStack]int
-	for _, node := range nodes {
-		if !oldR.Has(node.id) {
+	for _, p := range c.allPartitions() {
+		h := hashKey(p.table, p.pkey)
+		oldIDs := oldR.Lookup(h, oldBuf[:0])
+		newIDs := newR.Lookup(h, newBuf[:0])
+		adds := diffIDs(newIDs, oldIDs)
+		drops := diffIDs(oldIDs, newIDs)
+		if len(adds) == 0 && len(drops) == 0 {
+			settled = append(settled, partKey(p.table, p.pkey))
 			continue
 		}
-		for _, p := range node.partitions() {
-			k := partKey(p.table, p.pkey)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			h := hashKey(p.table, p.pkey)
-			oldIDs := oldR.Lookup(h, oldBuf[:0])
-			newIDs := newR.Lookup(h, newBuf[:0])
-			adds := diffIDs(newIDs, oldIDs)
-			drops := diffIDs(oldIDs, newIDs)
-			if len(adds) == 0 && len(drops) == 0 {
-				settled = append(settled, k)
-				continue
-			}
-			moves = append(moves, pendingMove{table: p.table, pkey: p.pkey, adds: adds, drops: drops})
-		}
+		moves = append(moves, pendingMove{p, append([]int(nil), oldIDs...), adds, drops})
 	}
-	if len(settled) > 0 {
-		c.topoMu.Lock()
-		if c.moved != nil {
-			for _, k := range settled {
-				c.moved[k] = true
-			}
-		}
-		c.topoMu.Unlock()
+	c.topoMu.Lock()
+	for _, k := range settled {
+		c.moved[k] = true
 	}
+	c.topoMu.Unlock()
 	return moves
 }
 
@@ -508,96 +458,30 @@ func diffIDs(a, b []int) []int {
 	return out
 }
 
-// movePartition copies one partition to its new owners and commits its
+// movePartition converges one partition from its live old owners onto
+// its new owners (convergePartition, hinting down ones) and commits its
 // handoff, all under the write gate so no foreground write can
-// interleave with the copy (a write landing between "read rows" and
-// "put rows" on the destination would be overwritten by the stale
-// copy). Returns the byte volume streamed, for the rate limiter.
+// interleave. Merging every old owner matters mid-churn: replicas can
+// disagree (a straggler write applied or hinted on one copy only), and
+// streaming one possibly-stale copy while dropOldCopies discards the
+// rest would lose the newer row. With every old owner down (or removed
+// while failed) the rows are unrecoverable; the handoff still commits
+// so routing converges. Returns the bytes written, for the pacer.
 func (c *Cluster) movePartition(m *pendingMove) int64 {
 	c.writeGate.Lock()
 	defer c.writeGate.Unlock()
-
-	// Merge the partition across every live old owner, newest stamp per
-	// ckey: replicas can disagree mid-churn (a straggler write applied or
-	// hinted on one copy only), and streaming a single possibly-stale
-	// copy while dropOldCopies discards the rest would lose the newer
-	// row. With every old owner down (or removed while failed) the rows
-	// are unrecoverable; the handoff still commits so routing converges.
+	var from, to route
 	c.topoMu.RLock()
-	oldR := c.oldRing
+	from.resolve(c, m.olds)
+	to.resolve(c, m.adds)
 	c.topoMu.RUnlock()
-	if oldR == nil {
-		return 0 // cluster shutting down mid-plan
-	}
-	var srcBuf [routeStack]int
-	var rows []backend.Row
-	got := false
-	rowAt := make(map[string]int)
-	for _, id := range oldR.Lookup(hashKey(m.table, m.pkey), srcBuf[:0]) {
-		node := c.nodeAt(id)
-		if node == nil || node.down.Load() {
-			continue
-		}
-		node.mu.Lock()
-		if node.closed {
-			node.mu.Unlock()
-			continue
-		}
-		nrows := node.be.ScanPrefix(m.table, m.pkey, "")
-		node.mu.Unlock()
-		got = true
-		for _, r := range nrows {
-			if j, ok := rowAt[r.CKey]; ok {
-				if newerThan(r.Value, rows[j].Value) {
-					rows[j] = r
-				}
-				continue
-			}
-			rowAt[r.CKey] = len(rows)
-			rows = append(rows, r)
-		}
-	}
-
-	var bytes int64
-	if got && len(rows) > 0 {
-		for _, r := range rows {
-			bytes += int64(len(r.CKey) + len(r.Value))
-		}
-		for _, id := range m.adds {
-			node := c.nodeAt(id)
-			if node == nil {
-				continue
-			}
-			// A down new owner gets each row hinted so revive replays
-			// the handoff; queueHint re-checks down under hintMu, so a
-			// concurrent revive cannot strand a hint — rows it refuses
-			// are applied directly to the now-live engine. Application is
-			// stamp-guarded (replayHint): a hint delivery landing on the
-			// destination between our source read and this write must not
-			// be rolled back by the older streamed copy.
-			for _, r := range rows {
-				h := hint{op: hintPut, table: m.table, pkey: m.pkey, ckey: r.CKey, value: r.Value}
-				if node.down.Load() && node.queueHint(h) {
-					c.hintedWrites.Add(1)
-					continue
-				}
-				node.mu.Lock()
-				if !node.closed {
-					replayHint(node.be, h)
-				}
-				node.mu.Unlock()
-			}
-		}
-	}
+	rows, bytes := c.convergePartition(m.partition, from.nodes, to.nodes, true)
 
 	c.topoMu.Lock()
-	if c.moved != nil {
-		c.moved[partKey(m.table, m.pkey)] = true
-	}
+	c.moved[partKey(m.table, m.pkey)] = true
 	c.topoMu.Unlock()
-
 	c.rebalancedParts.Add(1)
-	c.rebalancedRows.Add(int64(len(rows)))
+	c.rebalancedRows.Add(rows)
 	c.rebalancedBytes.Add(bytes)
 	return bytes
 }
@@ -636,7 +520,8 @@ type NodeInfo struct {
 
 // TopologyInfo is a point-in-time description of cluster placement:
 // per-node ring weight and health plus the partitions currently
-// under-replicated (at least one replica down or hinted).
+// under-replicated (at least one owner under the active ring down or
+// missing from the cluster).
 type TopologyInfo struct {
 	Replication     int        `json:"replication"`
 	VirtualNodes    int        `json:"virtual_nodes"`
@@ -653,20 +538,14 @@ type TopologyInfo struct {
 func (c *Cluster) Topology() TopologyInfo {
 	c.topoMu.RLock()
 	r := c.ring
-	nodes := make([]*storageNode, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
 	c.topoMu.RUnlock()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
-
 	shares := r.Shares()
 	info := TopologyInfo{
 		Replication:  c.cfg.Replication,
 		VirtualNodes: r.VirtualNodes(),
 		Rebalancing:  c.Rebalancing(),
 	}
-	for _, node := range nodes {
+	for _, node := range c.nodeList() {
 		node.hintMu.Lock()
 		hints := len(node.hints)
 		node.hintMu.Unlock()
@@ -687,23 +566,15 @@ func (c *Cluster) Topology() TopologyInfo {
 	}
 
 	// Partition sweep: owners under the active ring, counted
-	// under-replicated when any owner is down.
-	seen := make(map[string]bool)
+	// under-replicated when any owner is down or gone.
 	var buf [routeStack]int
-	for _, node := range nodes {
-		for _, p := range node.partitions() {
-			k := partKey(p.table, p.pkey)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			info.Partitions++
-			for _, id := range r.Lookup(hashKey(p.table, p.pkey), buf[:0]) {
-				owner := c.nodeAt(id)
-				if owner == nil || owner.down.Load() {
-					info.UnderReplicated++
-					break
-				}
+	for _, p := range c.allPartitions() {
+		info.Partitions++
+		for _, id := range r.Lookup(hashKey(p.table, p.pkey), buf[:0]) {
+			owner := c.nodeAt(id)
+			if owner == nil || owner.down.Load() {
+				info.UnderReplicated++
+				break
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // Package sparklite is the in-process stand-in for Apache Spark that the
 // Temporal Graph Analysis Framework executes on (paper §5.2): a lazy,
 // partitioned, immutable collection (RDD) with narrow transformations
-// (map, filter, flatMap, mapPartitions) and actions (collect, count,
-// reduce, foreach), scheduled over a fixed pool of workers. The worker
-// count is the "Spark cluster size" axis of the paper's Figure 15c.
+// (map, filter) and actions (collect, count, foreach), scheduled over a
+// fixed pool of workers. The worker count is the "Spark cluster size"
+// axis of the paper's Figure 15c.
 package sparklite
 
 import (
@@ -113,30 +113,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	}
 }
 
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return &RDD[U]{
-		ctx:   r.ctx,
-		parts: r.parts,
-		compute: func(p int) []U {
-			var out []U
-			for _, v := range r.materialize(p) {
-				out = append(out, f(v)...)
-			}
-			return out
-		},
-	}
-}
-
-// MapPartitions applies f to whole partitions.
-func MapPartitions[T, U any](r *RDD[T], f func([]T) []U) *RDD[U] {
-	return &RDD[U]{
-		ctx:     r.ctx,
-		parts:   r.parts,
-		compute: func(p int) []U { return f(r.materialize(p)) },
-	}
-}
-
 // Filter keeps the elements satisfying pred.
 func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	return &RDD[T]{
@@ -213,29 +189,4 @@ func (r *RDD[T]) Foreach(f func(T)) {
 			f(v)
 		}
 	})
-}
-
-// Reduce folds the elements with the associative function f; ok is false
-// for an empty RDD.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, bool) {
-	var mu sync.Mutex
-	var acc T
-	have := false
-	runPartitions(r, func(_ int, data []T) {
-		if len(data) == 0 {
-			return
-		}
-		local := data[0]
-		for _, v := range data[1:] {
-			local = f(local, v)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !have {
-			acc, have = local, true
-		} else {
-			acc = f(acc, local)
-		}
-	})
-	return acc, have
 }

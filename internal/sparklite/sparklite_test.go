@@ -42,47 +42,6 @@ func TestMapFilterCount(t *testing.T) {
 	}
 }
 
-func TestFlatMap(t *testing.T) {
-	ctx := NewContext(2)
-	r := Parallelize(ctx, []int{1, 2, 3}, 2)
-	dup := FlatMap(r, func(x int) []int { return []int{x, x} })
-	if got := dup.Count(); got != 6 {
-		t.Fatalf("Count = %d, want 6", got)
-	}
-}
-
-func TestMapPartitions(t *testing.T) {
-	ctx := NewContext(2)
-	r := Parallelize(ctx, ints(10), 3)
-	sums := MapPartitions(r, func(xs []int) []int {
-		s := 0
-		for _, x := range xs {
-			s += x
-		}
-		return []int{s}
-	})
-	total := 0
-	for _, s := range sums.Collect() {
-		total += s
-	}
-	if total != 45 {
-		t.Fatalf("sum = %d, want 45", total)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	ctx := NewContext(4)
-	r := Parallelize(ctx, ints(101), 8)
-	sum, ok := Reduce(r, func(a, b int) int { return a + b })
-	if !ok || sum != 5050 {
-		t.Fatalf("Reduce = %d,%v want 5050,true", sum, ok)
-	}
-	empty := Parallelize[int](ctx, nil, 4)
-	if _, ok := Reduce(empty, func(a, b int) int { return a + b }); ok {
-		t.Fatal("empty reduce should report !ok")
-	}
-}
-
 func TestForeachVisitsAll(t *testing.T) {
 	ctx := NewContext(4)
 	r := Parallelize(ctx, ints(200), 9)

@@ -1,7 +1,9 @@
 // Command checkdocs is the docs gate of `make docs-check`: it fails
 // when an intra-repo markdown link points at a file that does not
-// exist, or when a Go package has no package doc comment. CI runs it on
-// every push so the README and architecture docs cannot silently rot.
+// exist, when README.md or docs/*.md cites a Test… name that no
+// _test.go file defines, or when a Go package has no package doc
+// comment. CI runs it on every push so the README and architecture docs
+// cannot silently rot.
 //
 // Usage (from the repository root):
 //
@@ -23,12 +25,35 @@ import (
 // linkRe matches inline markdown links and images: [text](target).
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 
+// testNameRe matches a Go test name cited in prose; testDefRe matches
+// a test function's declaration in a _test.go file.
+var (
+	testNameRe = regexp.MustCompile(`\bTest[A-Z]\w*`)
+	testDefRe  = regexp.MustCompile(`(?m)^func (Test[A-Z]\w*)\(`)
+)
+
 // skipDir reports directories that are never scanned: VCS state and
 // any dot-directory (editor/agent state, local tool caches) — those
 // hold untracked files, and linting them would make a local run
 // diverge from CI's clean checkout.
 func skipDir(name string) bool {
 	return strings.HasPrefix(name, ".") && name != "."
+}
+
+// walkFiles calls fn on every file whose name ends in suffix, walking
+// the tree from the repository root past skipDir directories.
+func walkFiles(suffix string, fn func(path string) error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && skipDir(d.Name()):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(d.Name(), suffix):
+			return nil
+		}
+		return fn(path)
+	})
 }
 
 func main() {
@@ -40,6 +65,9 @@ func main() {
 	if err := checkMarkdownLinks(fail); err != nil {
 		fail("%v", err)
 	}
+	if err := checkTestCitations(fail); err != nil {
+		fail("%v", err)
+	}
 	if err := checkPackageDocs(fail); err != nil {
 		fail("%v", err)
 	}
@@ -47,26 +75,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkdocs: %d problem(s)\n", fails)
 		os.Exit(1)
 	}
-	fmt.Println("checkdocs: markdown links and package docs OK")
+	fmt.Println("checkdocs: markdown links, test citations and package docs OK")
 }
 
 // checkMarkdownLinks verifies that every relative link in every .md
 // file resolves to an existing file or directory. External schemes
 // (http, https, mailto) and pure #anchors are ignored.
 func checkMarkdownLinks(fail func(string, ...any)) error {
-	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".md") {
-			return nil
-		}
+	return walkFiles(".md", func(path string) error {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -91,21 +107,49 @@ func checkMarkdownLinks(fail func(string, ...any)) error {
 	})
 }
 
+// checkTestCitations verifies that every Test… name README.md and
+// docs/*.md cite is defined by some _test.go file in the repository.
+// Only these current-state docs are scanned: the change log, the
+// roadmap and benchmark/ record history and cite tests since removed.
+func checkTestCitations(fail func(string, ...any)) error {
+	defined := map[string]bool{}
+	err := walkFiles("_test.go", func(path string) error {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDefRe.FindAllSubmatch(blob, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		return err
+	}
+	for _, path := range append([]string{"README.md"}, docs...) {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range testNameRe.FindAllString(string(blob), -1) {
+			if !defined[name] {
+				fail("%s: cites %s, which no _test.go defines", path, name)
+			}
+		}
+	}
+	return nil
+}
+
 // checkPackageDocs verifies that every directory holding Go source has
 // a package doc comment on at least one non-test file.
 func checkPackageDocs(fail func(string, ...any)) error {
 	pkgs := map[string]bool{} // dir -> has a doc comment
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".go") || strings.HasSuffix(d.Name(), "_test.go") {
+	err := walkFiles(".go", func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		dir := filepath.Dir(path)
