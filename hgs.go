@@ -202,8 +202,14 @@ type (
 	// EventKind enumerates change types.
 	EventKind = graph.EventKind
 	// Graph is an in-memory snapshot with the network metrics library.
+	// A Graph a query returns may share its node states with the store's
+	// cache and with other answers; its methods (Apply, AddEdge,
+	// RemoveNode, ...) copy a shared state on its first write, so
+	// changing an answer through them is safe.
 	Graph = graph.Graph
-	// NodeState is a node's state at one point in time.
+	// NodeState is a node's state at one point in time. States reached
+	// through a query answer are read-only: change them through Graph's
+	// methods, or Clone one and change the copy.
 	NodeState = graph.NodeState
 	// Attrs is a key-value attribute map.
 	Attrs = graph.Attrs

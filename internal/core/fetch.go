@@ -162,12 +162,14 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 // micro-eventlists up to tt. A single micro-eventlist replays as stored —
 // build wrote it chronological and deduplicated per pid — while a whole
 // eventlist group is first merged into one chronological stream without
-// the edge events replicated across pids. Cache-shared deltas clone
-// their states in; private decodes move them (Result.Merge picks).
-func materialize(res *fetch.Result, path, boundary []fetch.Part, tt temporal.Time) (*graph.Graph, error) {
+// the edge events replicated across pids. Path states are frozen,
+// shared: they are installed by pointer, and the replay's Graph methods
+// copy only the states it writes, so the answer shares every other state
+// with the cache.
+func materialize(path, boundary []fetch.Part, tt temporal.Time) (*graph.Graph, error) {
 	g := graph.New()
 	for _, p := range path {
-		res.Merge(p.Delta, g)
+		p.Delta.ApplyTo(g)
 	}
 	var events []graph.Event
 	if len(boundary) == 1 {
@@ -209,7 +211,7 @@ func assembleSnapshot(res *fetch.Result, tm *TimespanMeta, sid, leaf int, tt tem
 	for _, did := range tm.LeafPaths[leaf] {
 		path = append(path, res.Group(TableDeltas, tm.TSID, sid, did)...)
 	}
-	return materialize(res, path, res.Group(TableEvents, tm.TSID, sid, leaf), tt)
+	return materialize(path, res.Group(TableEvents, tm.TSID, sid, leaf), tt)
 }
 
 // planMicroPartition adds one micro-partition's reconstruction chain —
@@ -236,7 +238,7 @@ func assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf 
 	if p, ok := res.Part(TableEvents, tm.TSID, sid, leaf, pid); ok {
 		boundary = []fetch.Part{p}
 	}
-	return materialize(res, path, boundary, tt)
+	return materialize(path, boundary, tt)
 }
 
 // fetchMicroPartition reconstructs the state at time tt of one

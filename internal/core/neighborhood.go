@@ -211,22 +211,17 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	if !ok {
 		return nil
 	}
-	// Register only nodes present in the aux delta itself (frontier
-	// members at the leaf) — their states are complete through tt. The
-	// ids are taken first: merging a private decode moves its states.
-	frontier := make([]graph.NodeID, 0, len(aux.Delta.Nodes))
-	for nid := range aux.Delta.Nodes {
-		frontier = append(frontier, nid)
-	}
 	var boundary []fetch.Part
 	if p, ok := res.Part(TableAuxEvents, tm.TSID, sid, leaf, pid); ok {
 		boundary = []fetch.Part{p}
 	}
-	g, err := materialize(res, []fetch.Part{aux}, boundary, tt)
+	g, err := materialize([]fetch.Part{aux}, boundary, tt)
 	if err != nil {
 		return err
 	}
-	for _, nid := range frontier {
+	// Register only nodes present in the aux delta itself (frontier
+	// members at the leaf) — their states are complete through tt.
+	for nid := range aux.Delta.Nodes {
 		if ns := g.Node(nid); ns != nil {
 			states[nid] = ns.Clone()
 		}

@@ -170,31 +170,18 @@ func IntersectAll(deltas []*Delta) *Delta {
 }
 
 // ApplyTo merges the delta's components into a mutable graph: states
-// overwrite, tombstones delete. States are deep-copied; use MoveTo when
-// the delta is a freshly decoded temporary.
+// overwrite, tombstones delete. States are installed by pointer, not
+// copied (Graph.PutNode): the graph shares a frozen state — every state
+// the fetch layer decodes — and copies it on its first write, while an
+// unfrozen state becomes the graph's, so the delta must not feed a
+// second graph that is written.
 func (d *Delta) ApplyTo(g *graph.Graph) {
-	for _, ns := range d.Nodes {
-		g.PutNode(ns.Clone())
-	}
-	for id := range d.Tombstones {
-		g.RemoveNode(id)
-	}
-}
-
-// MoveTo merges the delta's components into a mutable graph by
-// transferring ownership of the states (no copying). The delta must not
-// be used afterwards. This is the fetch-path fast merge: decoded deltas
-// are temporaries, so cloning them again would double the reconstruction
-// CPU cost.
-func (d *Delta) MoveTo(g *graph.Graph) {
 	for _, ns := range d.Nodes {
 		g.PutNode(ns)
 	}
 	for id := range d.Tombstones {
 		g.RemoveNode(id)
 	}
-	d.Nodes = nil
-	d.Tombstones = nil
 }
 
 // Materialize converts the delta into an in-memory graph (valid for deltas

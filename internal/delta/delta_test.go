@@ -182,16 +182,30 @@ func TestEventlistEquivalentToStateDelta(t *testing.T) {
 	}
 }
 
-func TestMoveToTransfersOwnership(t *testing.T) {
+func TestApplyToSharesFrozenStates(t *testing.T) {
 	src := randGraph(31, 60)
 	d := FromGraph(src)
-	d.MarkDeleted(9999) // no-op tombstone must not break the move
-	g := graph.New()
-	d.MoveTo(g)
-	if !g.Equal(src.Clone().FilterNodes(func(*graph.NodeState) bool { return true })) && !g.Equal(src) {
-		t.Fatal("MoveTo did not reproduce the source graph")
+	for _, ns := range d.Nodes {
+		ns.Freeze()
 	}
-	if len(d.Nodes) != 0 || len(d.Tombstones) != 0 {
-		t.Fatal("MoveTo must drain the delta")
+	d.MarkDeleted(9999) // no-op tombstone must not break the merge
+	a, b := graph.New(), graph.New()
+	d.ApplyTo(a)
+	d.ApplyTo(b)
+	if !a.Equal(src) || !b.Equal(src) {
+		t.Fatal("ApplyTo did not reproduce the source graph")
+	}
+	for _, id := range a.NodeIDs() {
+		if a.Node(id) != d.Nodes[id] {
+			t.Fatalf("node %d was copied, not shared", id)
+		}
+	}
+	// Writing one graph leaves the shared states, and so the other
+	// graph, as they were.
+	for _, id := range a.NodeIDs() {
+		a.RemoveNode(id)
+	}
+	if a.NumNodes() != 0 || !b.Equal(src) {
+		t.Fatal("writing one graph changed a frozen state")
 	}
 }

@@ -55,10 +55,10 @@ const (
 // rejected at the door (CacheStats.Oversized, one case of the general
 // admission policy counted by CacheStats.AdmissionRejects).
 //
-// Cached parts are shared read-only: readers merge deltas with
-// Delta.ApplyTo (which clones states) and must never call MoveTo, and
-// filter event slices into new ones. A nil *Cache is valid and caches
-// nothing.
+// Cached parts are frozen, shared: their delta states are frozen at
+// decode, answers hold them by pointer, and Graph copies a state on its
+// first write; event slices are filtered into new ones. A nil *Cache is
+// valid and caches nothing.
 type Cache struct {
 	mu        sync.Mutex
 	max       int64

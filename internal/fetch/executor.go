@@ -177,7 +177,6 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		parts:  make(map[PartKey]Part, len(p.parts)),
 		gets:   make(map[kvstore.KeyRef][]byte, len(p.gets)),
 		scans:  make(map[kvstore.ScanRef][]kvstore.Row, len(p.scans)),
-		shared: e.cache != nil,
 	}
 	scratch := getScratch()
 	defer scratchPool.Put(scratch)
@@ -332,7 +331,8 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 
 // decode turns the stored row at ref into a Part: the row's table picks
 // the decoder (micro-eventlists for the eventlist tables, micro-deltas
-// otherwise).
+// otherwise). A micro-delta's states are frozen before the part reaches
+// the cache or a Result, so answers share them by pointer.
 func (e *Executor) decode(ref kvstore.KeyRef, pid int, blob []byte) (Part, error) {
 	p := Part{PID: pid}
 	var err error
@@ -343,6 +343,11 @@ func (e *Executor) decode(ref kvstore.KeyRef, pid int, blob []byte) (Part, error
 	}
 	if err != nil {
 		return Part{}, fmt.Errorf("fetch: decode %s row %s/%s: %w", ref.Table, ref.PKey, ref.CKey, err)
+	}
+	if p.Delta != nil {
+		for _, ns := range p.Delta.Nodes {
+			ns.Freeze()
+		}
 	}
 	return p, nil
 }

@@ -147,32 +147,17 @@ type Part struct {
 	Events []graph.Event
 }
 
-// Result answers an executed plan. When the executor runs with a cache,
-// parts returned through Group and Part are owned by the cache and
-// shared across queries: callers must treat them as immutable — merge
-// deltas into graphs with Merge (or Delta.ApplyTo, which clones), never
-// Delta.MoveTo, and filter event slices into new ones. With caching
-// disabled every delta is a private decode and Merge transfers ownership
-// instead of cloning.
+// Result answers an executed plan. Its parts may be shared with the
+// cache and with every other query: their delta states are frozen,
+// shared (graph.NodeState.Freeze), so merge them into a graph by pointer
+// (Delta.ApplyTo) and change them only through Graph's methods, which
+// copy a frozen state on its first write. Event slices are shared too:
+// filter them into new ones.
 type Result struct {
 	groups map[GroupKey][]Part
 	parts  map[PartKey]Part
 	gets   map[kvstore.KeyRef][]byte
 	scans  map[kvstore.ScanRef][]kvstore.Row
-	// shared records that parts are (or may be) cache-resident.
-	shared bool
-}
-
-// Merge merges a delta returned by this result into g, preserving the
-// fast path: cache-shared deltas clone their states in (ApplyTo),
-// private decodes move them (MoveTo, no copying). Each delta may be
-// merged at most once per result when the cache is disabled.
-func (r *Result) Merge(d *delta.Delta, g *graph.Graph) {
-	if r.shared {
-		d.ApplyTo(g)
-	} else {
-		d.MoveTo(g)
-	}
 }
 
 // Group returns the parts of a requested group, pid-ascending.

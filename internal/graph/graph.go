@@ -2,12 +2,16 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
 // Graph is an in-memory snapshot: a set of node states (the paper's
 // Example 4, "the state of a graph G at a time point"). It is mutable and
-// not safe for concurrent writers; concurrent readers are fine.
+// not safe for concurrent writers; concurrent readers are fine. It may
+// hold frozen states shared with other graphs (NodeState.Freeze): every
+// mutator copies a frozen state on its first write, so writing one graph
+// never changes another.
 type Graph struct {
 	nodes map[NodeID]*NodeState
 }
@@ -39,8 +43,9 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
-// Node returns the state of node id, or nil if absent. The returned state
-// is the live internal object: callers that mutate it must own the graph.
+// Node returns the state of node id, or nil if absent. The state is
+// read-only — it may be frozen and shared with other graphs: change it
+// through the graph's methods, or Clone it.
 func (g *Graph) Node(id NodeID) *NodeState { return g.nodes[id] }
 
 // Has reports whether node id exists.
@@ -69,10 +74,11 @@ func (g *Graph) Range(f func(*NodeState) bool) {
 	}
 }
 
-// AddNode creates node id if absent and returns its state.
+// AddNode creates node id if absent and returns its state, which the
+// caller may write: a frozen state is first replaced by its copy.
 func (g *Graph) AddNode(id NodeID) *NodeState {
 	if ns, ok := g.nodes[id]; ok {
-		return ns
+		return g.writable(ns)
 	}
 	ns := NewNodeState(id)
 	g.nodes[id] = ns
@@ -80,9 +86,41 @@ func (g *Graph) AddNode(id NodeID) *NodeState {
 }
 
 // PutNode installs a node state wholesale, replacing any existing state
-// for the same id. The graph takes ownership of ns.
+// for the same id. The graph takes ownership of ns unless it is frozen,
+// in which case the graph shares it and copies it on its first write.
 func (g *Graph) PutNode(ns *NodeState) {
 	g.nodes[ns.ID] = ns
+}
+
+// writable returns ns, a state of g, ready for writing. A frozen state is
+// replaced in g by a shallow copy: the node, its attributes and its edge
+// map are copied, while the edge states stay shared until writableEdge
+// copies them.
+func (g *Graph) writable(ns *NodeState) *NodeState {
+	if !ns.frozen {
+		return ns
+	}
+	c := &NodeState{ID: ns.ID, Attrs: ns.Attrs.Clone(), Edges: maps.Clone(ns.Edges), sharedEdges: len(ns.Edges) > 0}
+	g.nodes[ns.ID] = c
+	return c
+}
+
+// writableEdge returns the edge state under k of ns, a writable state,
+// ready for writing, or nil when ns has no such edge. Edge states still
+// shared with a frozen state are first replaced by copies, all of the
+// node's at once: a node's copy does not record which of its edge states
+// it already owns, and edge attribute writes are rare next to structural
+// ones.
+func writableEdge(ns *NodeState, k EdgeKey) *EdgeState {
+	es, ok := ns.Edges[k]
+	if ok && ns.sharedEdges {
+		for ek, shared := range ns.Edges {
+			ns.Edges[ek] = shared.Clone()
+		}
+		ns.sharedEdges = false
+		es = ns.Edges[k]
+	}
+	return es
 }
 
 // RemoveNode deletes node id and all incident edges (including the mirror
@@ -94,7 +132,10 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 	}
 	for k := range ns.Edges {
 		if other, ok := g.nodes[k.Other]; ok {
-			delete(other.Edges, EdgeKey{Other: id, Out: !k.Out})
+			mk := EdgeKey{Other: id, Out: !k.Out}
+			if _, ok := other.Edges[mk]; ok {
+				delete(g.writable(other).Edges, mk)
+			}
 		}
 	}
 	delete(g.nodes, id)
@@ -102,11 +143,12 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 }
 
 // AddEdge creates the directed edge u->v, creating the endpoints if
-// needed, and returns its state (the existing state if already present).
+// needed, and returns u's side of its state (the existing state if
+// already present, copied first if frozen), which the caller may write.
 func (g *Graph) AddEdge(u, v NodeID) *EdgeState {
 	un := g.AddNode(u)
 	vn := g.AddNode(v)
-	if es, ok := un.Edges[EdgeKey{Other: v, Out: true}]; ok {
+	if es := writableEdge(un, EdgeKey{Other: v, Out: true}); es != nil {
 		return es
 	}
 	es := &EdgeState{}
@@ -132,13 +174,13 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	existed := false
 	if un, ok := g.nodes[u]; ok {
 		if _, ok := un.Edges[EdgeKey{Other: v, Out: true}]; ok {
-			delete(un.Edges, EdgeKey{Other: v, Out: true})
+			delete(g.writable(un).Edges, EdgeKey{Other: v, Out: true})
 			existed = true
 		}
 	}
 	if vn, ok := g.nodes[v]; ok {
 		if _, ok := vn.Edges[EdgeKey{Other: u, Out: false}]; ok {
-			delete(vn.Edges, EdgeKey{Other: u, Out: false})
+			delete(g.writable(vn).Edges, EdgeKey{Other: u, Out: false})
 			existed = true
 		}
 	}
@@ -175,8 +217,10 @@ func (g *Graph) Apply(e Event) error {
 		}
 		ns.Attrs[e.Key] = e.Value
 	case DelNodeAttr:
-		if ns, ok := g.nodes[e.Node]; ok && ns.Attrs != nil {
-			delete(ns.Attrs, e.Key)
+		if ns, ok := g.nodes[e.Node]; ok {
+			if _, ok := ns.Attrs[e.Key]; ok {
+				delete(g.writable(ns).Attrs, e.Key)
+			}
 		}
 	case SetEdgeAttr:
 		// Update both endpoint copies explicitly: mirror EdgeStates are
@@ -191,7 +235,8 @@ func (g *Graph) Apply(e Event) error {
 			{e.Other, EdgeKey{Other: e.Node, Out: false}},
 		} {
 			if ns, ok := g.nodes[side.node]; ok {
-				if es, ok := ns.Edges[side.key]; ok {
+				if _, ok := ns.Edges[side.key]; ok {
+					es := writableEdge(g.writable(ns), side.key)
 					if es.Attrs == nil {
 						es.Attrs = make(Attrs)
 					}
@@ -208,8 +253,10 @@ func (g *Graph) Apply(e Event) error {
 			{e.Other, EdgeKey{Other: e.Node, Out: false}},
 		} {
 			if ns, ok := g.nodes[side.node]; ok {
-				if es, ok := ns.Edges[side.key]; ok && es.Attrs != nil {
-					delete(es.Attrs, e.Key)
+				if es, ok := ns.Edges[side.key]; ok {
+					if _, ok := es.Attrs[e.Key]; ok {
+						delete(writableEdge(g.writable(ns), side.key).Attrs, e.Key)
+					}
 				}
 			}
 		}
@@ -238,7 +285,7 @@ func FromEvents(events []Event) (*Graph, error) {
 	return g, nil
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph; no state of the copy is frozen.
 func (g *Graph) Clone() *Graph {
 	out := NewWithCapacity(len(g.nodes))
 	for id, ns := range g.nodes {
@@ -346,7 +393,9 @@ func (g *Graph) KHopSubgraph(root NodeID, k int) *Graph {
 
 // Symmetrize restores mirror consistency: for every edge entry on one
 // endpoint whose other endpoint is present, the counterpart entry is
-// created (sharing the EdgeState) if missing. Graphs assembled from
+// created (sharing the EdgeState) if missing, copying a frozen
+// counterpart node first; a counterpart that receives an edge state of a
+// frozen node treats its edge states as shared. Graphs assembled from
 // independently reconstructed node states (partition fetches plus
 // replicated frontier states with restricted edge lists) may know an
 // edge from one side only; symmetrizing completes them.
@@ -359,10 +408,12 @@ func (g *Graph) Symmetrize() {
 			}
 			mk := EdgeKey{Other: id, Out: !k.Out}
 			if _, ok := other.Edges[mk]; !ok {
+				other = g.writable(other)
 				if other.Edges == nil {
 					other.Edges = make(map[EdgeKey]*EdgeState)
 				}
 				other.Edges[mk] = es
+				other.sharedEdges = other.sharedEdges || ns.frozen || ns.sharedEdges
 			}
 		}
 	}

@@ -275,3 +275,158 @@ func TestPropertyCloneEqual(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// frozenFixture returns the frozen states of a small graph — a hub with
+// attributes and an attributed edge, a self-loop, and an edge known from
+// one side only — together with their pre-freeze deep copies.
+func frozenFixture() (frozen, want map[NodeID]*NodeState) {
+	g := New()
+	for _, e := range []Event{
+		{Kind: AddEdge, Node: 1, Other: 2},
+		{Kind: AddEdge, Node: 2, Other: 3},
+		{Kind: AddEdge, Node: 3, Other: 1},
+		{Kind: AddEdge, Node: 1, Other: 4},
+		{Kind: AddEdge, Node: 4, Other: 5},
+		{Kind: AddEdge, Node: 5, Other: 5},
+		{Kind: SetNodeAttr, Node: 1, Key: "k", Value: "a"},
+		{Kind: SetNodeAttr, Node: 2, Key: "k", Value: "b"},
+		{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "1"},
+	} {
+		if err := g.Apply(e); err != nil {
+			panic(err)
+		}
+	}
+	frozen, want = make(map[NodeID]*NodeState), make(map[NodeID]*NodeState)
+	for _, id := range g.NodeIDs() {
+		frozen[id] = g.Node(id).Clone() // separate mirror states, as decoded
+	}
+	frozen[6] = &NodeState{ID: 6, Edges: map[EdgeKey]*EdgeState{{Other: 1, Out: true}: {}}}
+	for id, ns := range frozen {
+		want[id] = ns.Clone()
+		ns.Freeze()
+	}
+	return frozen, want
+}
+
+func TestFrozenStatesSurviveMutators(t *testing.T) {
+	apply := func(e Event) func(*Graph) {
+		return func(g *Graph) {
+			if err := g.Apply(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := map[string]func(*Graph){
+		"AddNode":         func(g *Graph) { g.AddNode(1).Attrs["k"] = "z" },
+		"AddEdge":         func(g *Graph) { g.AddEdge(2, 5) },
+		"RemoveNode hub":  func(g *Graph) { g.RemoveNode(1) },
+		"RemoveEdge":      func(g *Graph) { g.RemoveEdge(1, 2) },
+		"RemoveEdge loop": func(g *Graph) { g.RemoveEdge(5, 5) },
+		"Symmetrize":      func(g *Graph) { g.Symmetrize() },
+		"Symmetrize then SetEdgeAttr": func(g *Graph) {
+			// Node 1 owns its edge states once an edge attribute changed;
+			// the mirror Symmetrize gives it is node 6's frozen one.
+			apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"})(g)
+			g.Symmetrize()
+			apply(Event{Kind: SetEdgeAttr, Node: 6, Other: 1, Key: "w", Value: "3"})(g)
+		},
+		"Apply AddNode":      apply(Event{Kind: AddNode, Node: 7}),
+		"Apply RemoveNode":   apply(Event{Kind: RemoveNode, Node: 2}),
+		"Apply AddEdge":      apply(Event{Kind: AddEdge, Node: 3, Other: 4}),
+		"Apply RemoveEdge":   apply(Event{Kind: RemoveEdge, Node: 2, Other: 3}),
+		"Apply SetNodeAttr":  apply(Event{Kind: SetNodeAttr, Node: 3, Key: "k", Value: "c"}),
+		"Apply DelNodeAttr":  apply(Event{Kind: DelNodeAttr, Node: 1, Key: "k"}),
+		"Apply SetEdgeAttr":  apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"}),
+		"Apply SetEdgeAttr+": apply(Event{Kind: SetEdgeAttr, Node: 4, Other: 5, Key: "w", Value: "3"}),
+		"Apply DelEdgeAttr":  apply(Event{Kind: DelEdgeAttr, Node: 1, Other: 2, Key: "w"}),
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			frozen, want := frozenFixture()
+			g, private := New(), New()
+			for id, ns := range frozen {
+				g.PutNode(ns)
+				private.PutNode(want[id].Clone())
+			}
+			mutate(g)
+			mutate(private)
+			for id, ns := range frozen {
+				if !ns.Equal(want[id]) {
+					t.Fatalf("frozen state %d changed: %v", id, ns)
+				}
+			}
+			if !g.Equal(private) {
+				t.Fatal("mutating shared frozen states differs from mutating private ones")
+			}
+			if g.Equal(graphOf(want)) {
+				t.Fatal("the graph's view did not change")
+			}
+		})
+	}
+}
+
+func graphOf(states map[NodeID]*NodeState) *Graph {
+	g := New()
+	for _, ns := range states {
+		g.PutNode(ns)
+	}
+	return g
+}
+
+func TestFrozenStateCopyIsShallow(t *testing.T) {
+	frozen, _ := frozenFixture()
+	g := graphOf(frozen)
+	g.Apply(Event{Kind: SetNodeAttr, Node: 1, Key: "k", Value: "z"})
+	copied, k := g.Node(1), EdgeKey{Other: 2, Out: true}
+	if copied == frozen[1] || copied.Edges[k] != frozen[1].Edges[k] {
+		t.Fatal("a node write must copy the node but keep sharing its edge states")
+	}
+	g.Apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"})
+	if g.Node(1) != copied || g.Node(1).Edges[k] == frozen[1].Edges[k] {
+		t.Fatal("an edge write must copy the edge state into the already-copied node")
+	}
+}
+
+func TestPropertyFrozenReplayMatchesPrivate(t *testing.T) {
+	// Replaying events onto a graph of frozen states equals replaying them
+	// onto private copies, and leaves the frozen states as they were.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		base, err := FromEvents(randomEvents(rng, 200))
+		if err != nil {
+			return false
+		}
+		// The frozen states share their mirror edge states (Clone
+		// restores the sharing), like states after Symmetrize.
+		var states []*NodeState
+		base.Clone().Range(func(ns *NodeState) bool {
+			ns.Freeze()
+			states = append(states, ns)
+			return true
+		})
+		shared, private := New(), base.Clone()
+		for _, ns := range states {
+			shared.PutNode(ns)
+		}
+		tail := randomEvents(rng, 100)
+		for i := range tail {
+			if tail[i].Kind == SetEdgeAttr && rng.Intn(2) == 0 {
+				tail[i].Kind = DelEdgeAttr
+			}
+		}
+		if shared.ApplyAll(tail) != nil || private.ApplyAll(tail) != nil {
+			return false
+		}
+		shared.Symmetrize()
+		private.Symmetrize()
+		for _, ns := range states {
+			if !ns.Equal(base.Node(ns.ID)) {
+				return false
+			}
+		}
+		return shared.Equal(private)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}

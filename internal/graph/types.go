@@ -73,7 +73,9 @@ func CompareEdgeKeys(x, y EdgeKey) int {
 }
 
 // EdgeState is the state of one edge: its attributes. The endpoints and
-// direction live in the EdgeKey.
+// direction live in the EdgeKey. The edge states of a frozen node state
+// (NodeState.Freeze) are never written again: Graph's mutators write
+// copies in their place.
 type EdgeState struct {
 	Attrs Attrs
 }
@@ -96,10 +98,20 @@ func (e *EdgeState) Equal(o *EdgeState) bool {
 
 // NodeState is the paper's "static node" (Definition 1): the state of a
 // vertex at one point in time — its id, attribute map, and edge list.
+//
+// States reached through a query answer are read-only: the fetch layer
+// freezes every state it decodes, and an answer shares those frozen
+// states with the decoded-part cache and with every other answer built
+// from them. Change an answer only through Graph's methods, which copy a
+// frozen state on its first write, or Clone a state and change the copy.
 type NodeState struct {
 	ID    NodeID
 	Attrs Attrs
 	Edges map[EdgeKey]*EdgeState
+	// frozen marks a state shared read-only (see Freeze); sharedEdges
+	// marks a graph's copy of a frozen state whose edge map may still
+	// hold frozen edge states.
+	frozen, sharedEdges bool
 }
 
 // NewNodeState returns an empty state for the given node.
@@ -107,7 +119,16 @@ func NewNodeState(id NodeID) *NodeState {
 	return &NodeState{ID: id}
 }
 
-// Clone returns a deep copy of the node state.
+// Freeze marks the state, with its attributes, edge map and edge
+// states, as shared read-only before it is shared: no Graph method
+// writes them again, and a mutator that changes the state writes a copy
+// in its place. The copy is shallow — the node, its attributes and its
+// edge map — and keeps pointing at the frozen edge states until the
+// first edge attribute of the node changes, which copies them too.
+// Equal ignores the mark.
+func (n *NodeState) Freeze() { n.frozen = true }
+
+// Clone returns a deep copy of the node state; the copy is not frozen.
 func (n *NodeState) Clone() *NodeState {
 	if n == nil {
 		return nil
