@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"hgs/internal/fetch"
 	"hgs/internal/graph"
@@ -21,25 +20,6 @@ func runParallel(ctx context.Context, c int, tasks []func() error) error {
 		c = 1
 	}
 	return fetch.ParallelCtx(ctx, c, len(tasks), func(i int) error { return tasks[i]() })
-}
-
-// mergeSortEvents merges per-partition event streams into one
-// chronological stream, dropping the duplicates that arise because edge
-// events are replicated into both endpoints' micro-eventlists.
-func mergeSortEvents(lists [][]graph.Event) []graph.Event {
-	var all []graph.Event
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	slices.SortFunc(all, graph.CompareEvents)
-	out := all[:0]
-	for i, e := range all {
-		if i > 0 && e == all[i-1] {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // GetSnapshot retrieves the state of the graph at time tt (Algorithm 1):
@@ -89,30 +69,27 @@ func (t *TGI) getSnapshotStream(tt temporal.Time, opts *FetchOptions, tr *fetch.
 
 	// Materialize per horizontal partition. Partitions own disjoint node
 	// sets and every event touching a node is replicated into the node's
-	// own partition's eventlists, so each sid materializes its nodes
-	// completely and in isolation — the whole pipeline parallelizes
-	// across materialize workers with no shared graph state. Edge-event
-	// replay also creates implicit states for foreign endpoints inside a
-	// sid graph; the combine loop keeps only each partition's owned
-	// nodes, so the result is identical to a global sequential replay
+	// own micro-eventlist, so each sid materializes exactly its own nodes,
+	// completely and in isolation (materialize applies an edge event only
+	// to the endpoints its part owns) — the whole pipeline parallelizes
+	// across materialize workers with no shared graph state, and the
+	// combine is a disjoint union, identical to a global sequential replay
 	// for any worker count.
 	sidGraphs := make([]*graph.Graph, ns)
 	mergeTasks := make([]func() error, 0, ns)
 	for sid := 0; sid < ns; sid++ {
 		sid := sid
 		mergeTasks = append(mergeTasks, func() error {
-			sg, err := assembleSnapshot(res, tm, sid, leaf, tt)
+			sg, err := t.assembleSnapshot(res, tm, sid, leaf, tt)
 			if err != nil {
 				return err
 			}
 			if emit != nil {
-				// Stream this partition's owned states out instead of
-				// keeping the graph for the combine step.
-				var states []*graph.NodeState
+				// Stream this partition's states out instead of keeping
+				// the graph for the combine step.
+				states := make([]*graph.NodeState, 0, sg.NumNodes())
 				sg.Range(func(nsn *graph.NodeState) bool {
-					if t.sidOf(nsn.ID) == sid {
-						states = append(states, nsn)
-					}
+					states = append(states, nsn)
 					return true
 				})
 				return emit(sid, states)
@@ -127,16 +104,7 @@ func (t *TGI) getSnapshotStream(tt temporal.Time, opts *FetchOptions, tr *fetch.
 	if emit != nil {
 		return nil, nil
 	}
-	g := graph.New()
-	for sid, sg := range sidGraphs {
-		sg.Range(func(nsn *graph.NodeState) bool {
-			if t.sidOf(nsn.ID) == sid {
-				g.PutNode(nsn)
-			}
-			return true
-		})
-	}
-	return g, nil
+	return graph.DisjointUnion(sidGraphs...), nil
 }
 
 // StreamSnapshot retrieves the snapshot at tt like GetSnapshot but
@@ -157,36 +125,52 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 
 // materialize builds one graph the way every TGI answer is built
 // (Algorithm 1's per-partition body, Algorithm 4's micro-partition,
-// §5.2's SoN initial state, §4.5's 1-hop frontier): merge the path
-// micro-deltas in root→leaf order, then replay the boundary
-// micro-eventlists up to tt. A single micro-eventlist replays as stored —
-// build wrote it chronological and deduplicated per pid — while a whole
-// eventlist group is first merged into one chronological stream without
-// the edge events replicated across pids. Path states are frozen,
-// shared: they are installed by pointer, and the replay's Graph methods
-// copy only the states it writes, so the answer shares every other state
-// with the cache.
-func materialize(path, boundary []fetch.Part, tt temporal.Time) (*graph.Graph, error) {
-	g := graph.New()
+// §5.2's SoN initial state, §4.5's 1-hop frontier): install the path
+// micro-deltas in root→leaf order, then replay each boundary
+// micro-eventlist as stored — build wrote it chronological — one after
+// another, up to tt, with no merge. Path states are frozen, shared: they
+// are installed by pointer, and the replay's Graph methods copy only the
+// states it writes, so the answer shares every other state with the
+// cache.
+//
+// The build copies an edge event into both endpoints' micro-eventlists
+// (§4.2), so a node's own list holds its whole boundary history in order.
+// The replay therefore applies an edge event only to the endpoints that
+// o says the list's part owns (Graph.ApplySide), and the graph holds only
+// owned nodes, each complete. Node events concern their own part's node
+// and go through Apply. A RemoveNode finds the node's edges already
+// gone: the build expanded it (graph.ExpandRemoveNode) into RemoveEdge
+// events that sit just before it in the same list, so it never reaches
+// into another part's node. A nil o applies both sides: applyAux's
+// frontier states belong to other partitions.
+func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner) (*graph.Graph, error) {
+	n := 0
+	for _, p := range path {
+		n += len(p.Delta.Nodes)
+	}
+	g := graph.NewWithCapacity(n)
 	for _, p := range path {
 		p.Delta.ApplyTo(g)
 	}
-	var events []graph.Event
-	if len(boundary) == 1 {
-		events = boundary[0].Events
-	} else if len(boundary) > 1 {
-		lists := make([][]graph.Event, len(boundary))
-		for i, p := range boundary {
-			lists[i] = p.Events
-		}
-		events = mergeSortEvents(lists)
-	}
-	for _, e := range events {
-		if e.Time > tt {
-			break
-		}
-		if err := g.Apply(e); err != nil {
-			return nil, err
+	for _, p := range boundary {
+		for _, e := range p.Events {
+			if e.Time > tt {
+				break
+			}
+			var err error
+			if o == nil || !e.Kind.IsEdge() || e.Node == e.Other {
+				err = g.Apply(e)
+			} else {
+				if o.owns(e.Node, p.PID) {
+					err = g.ApplySide(e, e.Node)
+				}
+				if err == nil && o.owns(e.Other, p.PID) {
+					err = g.ApplySide(e, e.Other)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 	return g, nil
@@ -206,12 +190,16 @@ func planSnapshot(plan *fetch.Plan, tm *TimespanMeta, sid, leaf int) {
 
 // assembleSnapshot materializes horizontal partition sid at tt from an
 // executed planSnapshot.
-func assembleSnapshot(res *fetch.Result, tm *TimespanMeta, sid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+func (t *TGI) assembleSnapshot(res *fetch.Result, tm *TimespanMeta, sid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+	o, err := t.ownerOf(tm, sid)
+	if err != nil {
+		return nil, err
+	}
 	var path []fetch.Part
 	for _, did := range tm.LeafPaths[leaf] {
 		path = append(path, res.Group(TableDeltas, tm.TSID, sid, did)...)
 	}
-	return materialize(path, res.Group(TableEvents, tm.TSID, sid, leaf), tt)
+	return materialize(path, res.Group(TableEvents, tm.TSID, sid, leaf), tt, &o)
 }
 
 // planMicroPartition adds one micro-partition's reconstruction chain —
@@ -226,8 +214,12 @@ func planMicroPartition(plan *fetch.Plan, tm *TimespanMeta, sid, pid, leaf int) 
 }
 
 // assembleMicroPartition materializes one micro-partition at tt from an
-// executed planMicroPartition.
-func assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+// executed planMicroPartition: the graph holds exactly its own nodes.
+func (t *TGI) assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int, tt temporal.Time) (*graph.Graph, error) {
+	o, err := t.ownerOf(tm, sid)
+	if err != nil {
+		return nil, err
+	}
 	path := make([]fetch.Part, 0, len(tm.LeafPaths[leaf]))
 	for _, did := range tm.LeafPaths[leaf] {
 		if p, ok := res.Part(TableDeltas, tm.TSID, sid, did, pid); ok {
@@ -238,7 +230,7 @@ func assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf 
 	if p, ok := res.Part(TableEvents, tm.TSID, sid, leaf, pid); ok {
 		boundary = []fetch.Part{p}
 	}
-	return materialize(path, boundary, tt)
+	return materialize(path, boundary, tt, &o)
 }
 
 // fetchMicroPartition reconstructs the state at time tt of one
@@ -253,7 +245,7 @@ func (t *TGI) fetchMicroPartition(ctx context.Context, tm *TimespanMeta, sid, pi
 	if err != nil {
 		return nil, err
 	}
-	return assembleMicroPartition(res, tm, sid, pid, leaf, tt)
+	return t.assembleMicroPartition(res, tm, sid, pid, leaf, tt)
 }
 
 // GetNodeAt retrieves the state of a single node at time tt, or nil if

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"hgs/internal/fetch"
@@ -215,6 +216,27 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te tempo
 		return nil, err
 	}
 	return mergeSortEvents(lists), nil
+}
+
+// mergeSortEvents merges per-partition event streams into one
+// chronological stream, dropping the duplicates that arise because edge
+// events are replicated into both endpoints' micro-eventlists. History
+// reads, the SoN fetch and Append's span recovery use it; snapshots
+// replay each micro-eventlist in place instead (materialize).
+func mergeSortEvents(lists [][]graph.Event) []graph.Event {
+	var all []graph.Event
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	slices.SortFunc(all, graph.CompareEvents)
+	out := all[:0]
+	for i, e := range all {
+		if i > 0 && e == all[i-1] {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // GetNodeHistory retrieves a node's history over [ts, te) following

@@ -91,7 +91,12 @@ func nodeCKey(id graph.NodeID) string { return fetch.NodeCKey(id) }
 // sidOf is the paper's fh: a random (hash) function of node id that fixes
 // the horizontal partition of a node for the whole history.
 func (t *TGI) sidOf(id graph.NodeID) int {
-	return partition.HashPID(id^0x5bd1e995, t.cfg.HorizontalPartitions)
+	return sidOf(id, t.cfg.HorizontalPartitions)
+}
+
+// sidOf is TGI.sidOf over ns horizontal partitions.
+func sidOf(id graph.NodeID, ns int) int {
+	return partition.HashPID(id^0x5bd1e995, ns)
 }
 
 // metaStore caches graph and timespan metadata in the query manager.
@@ -283,15 +288,30 @@ func decodeVC(blob []byte) ([]vcEntry, error) {
 // member count (§4.5: "maintaining and looking up that map as frequently
 // as the changes in the graph is highly inefficient").
 func (t *TGI) pidOf(tm *TimespanMeta, sid int, id graph.NodeID) (int, error) {
-	npids := 1
+	o, err := t.ownerOf(tm, sid)
+	if err != nil {
+		return 0, err
+	}
+	return o.pid(id), nil
+}
+
+// owner is the node → micro-partition map of horizontal partition sid
+// within one timespan, resolved once (ownerOf) so that callers resolving
+// many nodes, such as the replay testing each edge endpoint, take the
+// metadata lock once.
+type owner struct {
+	sid, sids, npids int
+	assign           map[graph.NodeID]int // locality partitioning only
+}
+
+// ownerOf resolves the owner of (tm, sid).
+func (t *TGI) ownerOf(tm *TimespanMeta, sid int) (owner, error) {
+	o := owner{sid: sid, sids: t.cfg.HorizontalPartitions, npids: 1}
 	if sid < len(tm.NPids) {
-		npids = tm.NPids[sid]
+		o.npids = tm.NPids[sid]
 	}
-	if npids <= 1 {
-		return 0, nil
-	}
-	if tm.Partitioning != partition.Locality.String() {
-		return partition.HashPID(id, npids), nil
+	if o.npids <= 1 || tm.Partitioning != partition.Locality.String() {
+		return o, nil
 	}
 	key := placementKey(tm.TSID, sid)
 	t.meta.mu.RLock()
@@ -299,17 +319,30 @@ func (t *TGI) pidOf(tm *TimespanMeta, sid int, id graph.NodeID) (int, error) {
 	t.meta.mu.RUnlock()
 	if !ok {
 		var err error
-		cached, err = t.loadPidMap(key)
-		if err != nil {
-			return 0, err
+		if cached, err = t.loadPidMap(key); err != nil {
+			return owner{}, err
 		}
 	}
-	if pid, hit := cached[id]; hit {
-		return pid, nil
+	o.assign = cached
+	return o, nil
+}
+
+// pid returns the micro-partition of node id, a node of sid. A node
+// unknown to a locality map (created after the span) falls back to the
+// hash, which keeps lookups total.
+func (o *owner) pid(id graph.NodeID) int {
+	if o.npids <= 1 {
+		return 0
 	}
-	// Node unknown to this span (created later); hash fallback keeps
-	// lookups total.
-	return partition.HashPID(id, npids), nil
+	if pid, ok := o.assign[id]; ok {
+		return pid
+	}
+	return partition.HashPID(id, o.npids)
+}
+
+// owns reports whether micro-partition pid of sid owns node id.
+func (o *owner) owns(id graph.NodeID, pid int) bool {
+	return sidOf(id, o.sids) == o.sid && o.pid(id) == pid
 }
 
 // loadPidMap scans one (tsid, sid) partition of the Micropartitions

@@ -44,7 +44,8 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 		return nil, err
 	}
 	leaf := tm.leafFor(tt)
-	// states holds completely reconstructed node states.
+	// states holds completely reconstructed node states, read-only: they
+	// may be frozen cache states, and the answer is built from clones.
 	states := make(map[graph.NodeID]*graph.NodeState)
 	fetched := make(map[[2]int]bool) // (sid,pid) micro-partitions already read
 	var mu sync.Mutex
@@ -73,20 +74,14 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 		for _, key := range keys {
 			key := key
 			tasks = append(tasks, func() error {
-				g, err := assembleMicroPartition(res, tm, key[0], key[1], leaf, tt)
+				g, err := t.assembleMicroPartition(res, tm, key[0], key[1], leaf, tt)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
 				defer mu.Unlock()
 				g.Range(func(ns *graph.NodeState) bool {
-					// Only nodes that belong to this micro-partition are
-					// complete; others are implicit edge endpoints.
-					if t.sidOf(ns.ID) == key[0] {
-						if pid, err := t.pidOf(tm, key[0], ns.ID); err == nil && pid == key[1] {
-							states[ns.ID] = ns.Clone()
-						}
-					}
+					states[ns.ID] = ns
 					return true
 				})
 				return nil
@@ -215,7 +210,7 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	if p, ok := res.Part(TableAuxEvents, tm.TSID, sid, leaf, pid); ok {
 		boundary = []fetch.Part{p}
 	}
-	g, err := materialize([]fetch.Part{aux}, boundary, tt)
+	g, err := materialize([]fetch.Part{aux}, boundary, tt, nil)
 	if err != nil {
 		return err
 	}
@@ -223,7 +218,7 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	// members at the leaf) — their states are complete through tt.
 	for nid := range aux.Delta.Nodes {
 		if ns := g.Node(nid); ns != nil {
-			states[nid] = ns.Clone()
+			states[nid] = ns
 		}
 	}
 	return nil

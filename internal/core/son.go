@@ -144,5 +144,5 @@ func (t *TGI) fetchSidSnapshot(ctx context.Context, sid int, tt temporal.Time, t
 	if err != nil {
 		return nil, err
 	}
-	return assembleSnapshot(res, tm, sid, leaf, tt)
+	return t.assembleSnapshot(res, tm, sid, leaf, tt)
 }

@@ -35,7 +35,9 @@ func warmSnapshot(tb testing.TB) (*TGI, temporal.Time, int) {
 // TestWarmSnapshotAllocsPerNode bounds the allocations of a warm
 // snapshot: the path states come out of the cache by pointer, so an
 // answer allocates for its node map and for the states the boundary
-// replay writes, not for every state of the answer.
+// replay writes, not for every state of the answer. The replay writes
+// only the sides its partitions own, so it makes no states for foreign
+// endpoints, and the partitions join in one presized union.
 func TestWarmSnapshotAllocsPerNode(t *testing.T) {
 	tgi, tt, nodes := warmSnapshot(t)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -45,8 +47,8 @@ func TestWarmSnapshotAllocsPerNode(t *testing.T) {
 	})
 	perNode := allocs / float64(nodes)
 	t.Logf("warm snapshot: %.0f allocs for %d nodes (%.2f per node)", allocs, nodes, perNode)
-	if perNode > 3 {
-		t.Fatalf("warm snapshot allocates %.2f times per answer node, want <= 3", perNode)
+	if perNode > 0.7 {
+		t.Fatalf("warm snapshot allocates %.2f times per answer node, want <= 0.7", perNode)
 	}
 }
 

@@ -222,48 +222,110 @@ func (g *Graph) Apply(e Event) error {
 				delete(g.writable(ns).Attrs, e.Key)
 			}
 		}
-	case SetEdgeAttr:
+	case SetEdgeAttr, DelEdgeAttr:
+		if e.Kind == SetEdgeAttr {
+			g.AddEdge(e.Node, e.Other)
+		}
 		// Update both endpoint copies explicitly: mirror EdgeStates are
 		// shared within graphs built via AddEdge but may be distinct
 		// objects in graphs reconstructed from per-partition deltas.
-		g.AddEdge(e.Node, e.Other)
-		for _, side := range [2]struct {
-			node NodeID
-			key  EdgeKey
-		}{
-			{e.Node, EdgeKey{Other: e.Other, Out: true}},
-			{e.Other, EdgeKey{Other: e.Node, Out: false}},
-		} {
-			if ns, ok := g.nodes[side.node]; ok {
-				if _, ok := ns.Edges[side.key]; ok {
-					es := writableEdge(g.writable(ns), side.key)
-					if es.Attrs == nil {
-						es.Attrs = make(Attrs)
-					}
-					es.Attrs[e.Key] = e.Value
-				}
-			}
-		}
-	case DelEdgeAttr:
-		for _, side := range [2]struct {
-			node NodeID
-			key  EdgeKey
-		}{
-			{e.Node, EdgeKey{Other: e.Other, Out: true}},
-			{e.Other, EdgeKey{Other: e.Node, Out: false}},
-		} {
-			if ns, ok := g.nodes[side.node]; ok {
-				if es, ok := ns.Edges[side.key]; ok {
-					if _, ok := es.Attrs[e.Key]; ok {
-						delete(writableEdge(g.writable(ns), side.key).Attrs, e.Key)
-					}
-				}
-			}
-		}
+		g.applySide(e, e.Node, EdgeKey{Other: e.Other, Out: true})
+		g.applySide(e, e.Other, EdgeKey{Other: e.Node, Out: false})
 	default:
 		return fmt.Errorf("graph: unknown event kind %v", e.Kind)
 	}
 	return nil
+}
+
+// ApplySide applies e to node id's state alone, for replaying a
+// micro-eventlist whose partition owns id but maybe not e's other
+// endpoint: the index copies every edge event into both endpoints'
+// micro-eventlists (paper §4.2), so each side replays its own copy. An
+// edge event with distinct endpoints writes only id's side, into an
+// EdgeState of its own, and never creates the other endpoint; node
+// events and self-loops behave exactly as Apply. Like every mutator it
+// copies a frozen state before its first write. id must be an endpoint
+// of e.
+func (g *Graph) ApplySide(e Event, id NodeID) error {
+	if !e.Kind.IsEdge() || e.Node == e.Other {
+		return g.Apply(e)
+	}
+	switch id {
+	case e.Node:
+		g.applySide(e, id, EdgeKey{Other: e.Other, Out: true})
+	case e.Other:
+		g.applySide(e, id, EdgeKey{Other: e.Node, Out: false})
+	default:
+		return fmt.Errorf("graph: node %d is not an endpoint of %v", id, e)
+	}
+	return nil
+}
+
+// applySide applies edge event e to the edge entry k of node id alone.
+func (g *Graph) applySide(e Event, id NodeID, k EdgeKey) {
+	var es *EdgeState
+	ns := g.nodes[id]
+	if ns != nil {
+		es = ns.Edges[k]
+	}
+	switch e.Kind {
+	case AddEdge:
+		if es == nil {
+			g.addSide(id, k)
+		}
+	case RemoveEdge:
+		if es != nil {
+			delete(g.writable(ns).Edges, k)
+		}
+	case SetEdgeAttr:
+		if es == nil {
+			es = g.addSide(id, k)
+		} else {
+			es = writableEdge(g.writable(ns), k)
+		}
+		if es.Attrs == nil {
+			es.Attrs = make(Attrs)
+		}
+		es.Attrs[e.Key] = e.Value
+	case DelEdgeAttr:
+		if es == nil {
+			break
+		}
+		if _, ok := es.Attrs[e.Key]; ok {
+			delete(writableEdge(g.writable(ns), k).Attrs, e.Key)
+		}
+	}
+}
+
+// addSide creates edge entry k on node id, creating the node if needed,
+// and returns its new EdgeState; the entry must not exist.
+func (g *Graph) addSide(id NodeID, k EdgeKey) *EdgeState {
+	ns := g.AddNode(id)
+	if ns.Edges == nil {
+		ns.Edges = make(map[EdgeKey]*EdgeState)
+	}
+	es := &EdgeState{}
+	ns.Edges[k] = es
+	return es
+}
+
+// DisjointUnion returns a graph holding the node states of every graph
+// in gs, which must hold pairwise disjoint node sets. States move by
+// pointer and the node map is sized once; the graphs in gs must not be
+// written afterwards, and a single graph is returned as is.
+func DisjointUnion(gs ...*Graph) *Graph {
+	if len(gs) == 1 {
+		return gs[0]
+	}
+	n := 0
+	for _, g := range gs {
+		n += len(g.nodes)
+	}
+	out := NewWithCapacity(n)
+	for _, g := range gs {
+		maps.Copy(out.nodes, g.nodes)
+	}
+	return out
 }
 
 // ApplyAll applies events in slice order, stopping at the first error.

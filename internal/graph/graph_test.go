@@ -316,6 +316,13 @@ func TestFrozenStatesSurviveMutators(t *testing.T) {
 			}
 		}
 	}
+	applySide := func(e Event, id NodeID) func(*Graph) {
+		return func(g *Graph) {
+			if err := g.ApplySide(e, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cases := map[string]func(*Graph){
 		"AddNode":         func(g *Graph) { g.AddNode(1).Attrs["k"] = "z" },
 		"AddEdge":         func(g *Graph) { g.AddEdge(2, 5) },
@@ -330,15 +337,21 @@ func TestFrozenStatesSurviveMutators(t *testing.T) {
 			g.Symmetrize()
 			apply(Event{Kind: SetEdgeAttr, Node: 6, Other: 1, Key: "w", Value: "3"})(g)
 		},
-		"Apply AddNode":      apply(Event{Kind: AddNode, Node: 7}),
-		"Apply RemoveNode":   apply(Event{Kind: RemoveNode, Node: 2}),
-		"Apply AddEdge":      apply(Event{Kind: AddEdge, Node: 3, Other: 4}),
-		"Apply RemoveEdge":   apply(Event{Kind: RemoveEdge, Node: 2, Other: 3}),
-		"Apply SetNodeAttr":  apply(Event{Kind: SetNodeAttr, Node: 3, Key: "k", Value: "c"}),
-		"Apply DelNodeAttr":  apply(Event{Kind: DelNodeAttr, Node: 1, Key: "k"}),
-		"Apply SetEdgeAttr":  apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"}),
-		"Apply SetEdgeAttr+": apply(Event{Kind: SetEdgeAttr, Node: 4, Other: 5, Key: "w", Value: "3"}),
-		"Apply DelEdgeAttr":  apply(Event{Kind: DelEdgeAttr, Node: 1, Other: 2, Key: "w"}),
+		"Apply AddNode":                 apply(Event{Kind: AddNode, Node: 7}),
+		"Apply RemoveNode":              apply(Event{Kind: RemoveNode, Node: 2}),
+		"Apply AddEdge":                 apply(Event{Kind: AddEdge, Node: 3, Other: 4}),
+		"Apply RemoveEdge":              apply(Event{Kind: RemoveEdge, Node: 2, Other: 3}),
+		"Apply SetNodeAttr":             apply(Event{Kind: SetNodeAttr, Node: 3, Key: "k", Value: "c"}),
+		"Apply DelNodeAttr":             apply(Event{Kind: DelNodeAttr, Node: 1, Key: "k"}),
+		"Apply SetEdgeAttr":             apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"}),
+		"Apply SetEdgeAttr+":            apply(Event{Kind: SetEdgeAttr, Node: 4, Other: 5, Key: "w", Value: "3"}),
+		"Apply DelEdgeAttr":             apply(Event{Kind: DelEdgeAttr, Node: 1, Other: 2, Key: "w"}),
+		"ApplySide AddEdge":             applySide(Event{Kind: AddEdge, Node: 2, Other: 5}, 2),
+		"ApplySide RemoveEdge in-side":  applySide(Event{Kind: RemoveEdge, Node: 1, Other: 2}, 2),
+		"ApplySide SetEdgeAttr":         applySide(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "2"}, 1),
+		"ApplySide SetEdgeAttr+":        applySide(Event{Kind: SetEdgeAttr, Node: 4, Other: 5, Key: "w", Value: "3"}, 5),
+		"ApplySide DelEdgeAttr in-side": applySide(Event{Kind: DelEdgeAttr, Node: 1, Other: 2, Key: "w"}, 2),
+		"ApplySide self-loop":           applySide(Event{Kind: SetEdgeAttr, Node: 5, Other: 5, Key: "w", Value: "4"}, 5),
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -428,5 +441,129 @@ func TestPropertyFrozenReplayMatchesPrivate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// applyBothSides replays e the way a partition owning both of its
+// endpoints does: ApplySide once per endpoint, once for a node event or
+// a self-loop.
+func applyBothSides(g *Graph, e Event) error {
+	if err := g.ApplySide(e, e.Node); err != nil || !e.Kind.IsEdge() || e.Other == e.Node {
+		return err
+	}
+	return g.ApplySide(e, e.Other)
+}
+
+func TestPropertyApplySideMatchesApply(t *testing.T) {
+	// ApplySide on both endpoints builds the graph Apply builds (the two
+	// sides of an edge get their own edge states, which Equal does not
+	// see), from empty and over frozen states, which stay as they were.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		evs := randomEvents(rng, 300)
+		for i := range evs {
+			if evs[i].Kind == SetEdgeAttr && rng.Intn(2) == 0 {
+				evs[i].Kind = DelEdgeAttr
+			}
+		}
+		want, err := FromEvents(evs)
+		if err != nil {
+			return false
+		}
+		fresh := New()
+		for _, e := range evs {
+			if applyBothSides(fresh, e) != nil {
+				return false
+			}
+		}
+		base, err := FromEvents(evs[:150])
+		if err != nil {
+			return false
+		}
+		shared := New()
+		var frozen, pre []*NodeState
+		base.Range(func(ns *NodeState) bool {
+			pre = append(pre, ns.Clone())
+			ns.Freeze()
+			frozen = append(frozen, ns)
+			shared.PutNode(ns)
+			return true
+		})
+		for _, e := range evs[150:] {
+			if applyBothSides(shared, e) != nil {
+				return false
+			}
+		}
+		for i, ns := range frozen {
+			if !ns.Equal(pre[i]) {
+				return false
+			}
+		}
+		return fresh.Equal(want) && shared.Equal(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestApplySideWritesOneSide(t *testing.T) {
+	g := New()
+	for _, e := range []Event{
+		{Kind: AddEdge, Node: 1, Other: 2},
+		{Kind: SetEdgeAttr, Node: 1, Other: 3, Key: "w", Value: "1"},
+		{Kind: SetEdgeAttr, Node: 4, Other: 1, Key: "w", Value: "2"},
+	} {
+		if err := g.ApplySide(e, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.NumNodes() != 1 {
+		t.Fatalf("one-sided replay created other endpoints: %v", g.NodeIDs())
+	}
+	n1 := g.Node(1)
+	if n1.Edge(EdgeKey{Other: 2, Out: true}) == nil || n1.Edge(EdgeKey{Other: 3, Out: true}).Attrs["w"] != "1" ||
+		n1.Edge(EdgeKey{Other: 4, Out: false}).Attrs["w"] != "2" {
+		t.Fatalf("node 1's side is wrong: %v", n1.Edges)
+	}
+
+	// Both sides in one graph: each side keeps its own edge state, and
+	// removing one side leaves the other.
+	if err := g.ApplySide(Event{Kind: AddEdge, Node: 1, Other: 2}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if g.Node(2).Edge(EdgeKey{Other: 1, Out: false}) == n1.Edge(EdgeKey{Other: 2, Out: true}) {
+		t.Fatal("the two sides of an edge share one edge state")
+	}
+	if err := g.ApplySide(Event{Kind: RemoveEdge, Node: 1, Other: 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g.HasEdge(1, 2) || g.Node(2).Edge(EdgeKey{Other: 1, Out: false}) == nil {
+		t.Fatal("RemoveEdge on node 1's side must leave node 2's side")
+	}
+	if err := g.ApplySide(Event{Kind: AddEdge, Node: 1, Other: 2}, 3); err == nil {
+		t.Fatal("ApplySide for a node that is not an endpoint must fail")
+	}
+}
+
+func TestDisjointUnion(t *testing.T) {
+	a, err := FromEvents([]Event{{Kind: AddEdge, Node: 1, Other: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FromEvents([]Event{{Kind: AddNode, Node: 3}, {Kind: SetNodeAttr, Node: 4, Key: "k", Value: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Clone()
+	b.Range(func(ns *NodeState) bool {
+		want.PutNode(ns.Clone())
+		return true
+	})
+	u := DisjointUnion(a, New(), b)
+	if !u.Equal(want) || u.Node(3) != b.Node(3) {
+		t.Fatal("DisjointUnion must hold every state of its graphs, by pointer")
+	}
+	if DisjointUnion(a) != a {
+		t.Fatal("DisjointUnion of one graph must return it")
 	}
 }

@@ -8,7 +8,6 @@
 package partition
 
 import (
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -36,19 +35,26 @@ func (k Kind) String() string {
 	return "random"
 }
 
+// FNV-1a 64-bit parameters (the hash of hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // HashPID returns the random-strategy partition id for a node: a stateless
-// hash, so no Micropartitions bookkeeping is needed.
+// hash, so no Micropartitions bookkeeping is needed. The hash is FNV-1a
+// over the id's 8 little-endian bytes, inlined because the read path
+// resolves ownership once per edge endpoint it replays.
 func HashPID(id graph.NodeID, k int) int {
 	if k <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(id) >> (8 * i))
+	h := uint64(fnvOffset64)
+	for x, i := uint64(id), 0; i < 8; x, i = x>>8, i+1 {
+		h ^= x & 0xff
+		h *= fnvPrime64
 	}
-	h.Write(b[:])
-	return int(h.Sum64() % uint64(k))
+	return int(h % uint64(k))
 }
 
 // RandomAssign materializes the hash assignment for an explicit node set.

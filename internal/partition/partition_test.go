@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,6 +47,43 @@ func TestHashPIDStableAndInRange(t *testing.T) {
 	}
 	if HashPID(42, 1) != 0 || HashPID(42, 0) != 0 {
 		t.Fatal("k<=1 must map to 0")
+	}
+}
+
+// TestHashPIDMatchesFNV pins HashPID to FNV-1a (hash/fnv's New64a) over
+// the id's 8 little-endian bytes: every stored index places its rows by
+// these values, so the inlined hash must stay bit-identical.
+func TestHashPIDMatchesFNV(t *testing.T) {
+	ref := func(id graph.NodeID, k int) int {
+		h := fnv.New64a()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(id))
+		h.Write(b[:])
+		return int(h.Sum64() % uint64(k))
+	}
+	ids := []graph.NodeID{math.MinInt64, math.MinInt64 + 1, -1 << 40, -123456789, -256, -255, -1,
+		0, 1, 2, 7, 255, 256, 65535, 1 << 20, 123456789, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		ids = append(ids, graph.NodeID(rng.Uint64()))
+	}
+	for _, k := range []int{2, 3, 4, 7, 500, 1 << 16, math.MaxInt32} {
+		for _, id := range ids {
+			if got, want := HashPID(id, k), ref(id, k); got != want {
+				t.Fatalf("HashPID(%d, %d) = %d, fnv.New64a gives %d", id, k, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkHashPID times one partition lookup of the random strategy.
+func BenchmarkHashPID(b *testing.B) {
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += HashPID(graph.NodeID(i), 500)
+	}
+	if sum < 0 {
+		b.Fatal(sum)
 	}
 }
 
