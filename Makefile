@@ -69,7 +69,8 @@ cover:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec/ -fuzz FuzzUnframe -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/codec/ -fuzz FuzzDecodeDelta -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/codec/ -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/codec/ -fuzz '^FuzzDecodeDeltaState$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/ring/ -fuzz FuzzRingLookup -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/reclog/ -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"hgs/internal/graph"
 	"hgs/internal/workload"
 )
 
@@ -101,7 +102,8 @@ func mutateAnswer(g *Graph) error {
 // answers through every Graph mutator and requires the answers asked for
 // afterwards to still equal a replay of the event log: answers share
 // frozen cache states, and writing one answer must reach neither the
-// cache nor any other answer.
+// cache nor any other answer. Node and NodeHistory answers, first cold
+// then warm, are the caller's: their states are written directly.
 func TestAnswerMutationIsolation(t *testing.T) {
 	events := attributedHistory(600)
 	store, err := Open(smallOptions())
@@ -138,6 +140,24 @@ func TestAnswerMutationIsolation(t *testing.T) {
 	// cache-resident states that earlier answers were mutated over.
 	for round := 0; round < 3; round++ {
 		for i, tt := range times {
+			for id := NodeID(0); id < 12; id++ {
+				ns, err := store.Node(id, tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := want[i].Node(id); (ns == nil) != (w == nil) || (ns != nil && !ns.Equal(w)) {
+					t.Fatalf("node %d@%d = %v, the replay of the log has %v", id, tt, ns, w)
+				}
+				scribble(ns)
+				h, err := store.NodeHistory(id, tt, hi+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, w := h.StateAt(hi), want[len(times)-1].Node(id); (got == nil) != (w == nil) || (got != nil && !got.Equal(w)) {
+					t.Fatalf("history of node %d from %d ends at %v, the replay of the log has %v", id, tt, got, w)
+				}
+				scribble(h.Initial)
+			}
 			g, err := store.Snapshot(tt)
 			check("snapshot", i, g, err)
 			if err := mutateAnswer(g); err != nil {
@@ -160,6 +180,27 @@ func TestAnswerMutationIsolation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scribble writes a caller-owned node state directly: its attributes,
+// every edge's attributes, and its edge set.
+func scribble(ns *NodeState) {
+	if ns == nil {
+		return
+	}
+	if ns.Attrs == nil {
+		ns.Attrs = Attrs{}
+	}
+	ns.Attrs["scribbled"] = "yes"
+	for k, es := range ns.Edges {
+		es.Attrs = Attrs{"scribbled": "yes"}
+		delete(ns.Edges, k)
+		break
+	}
+	if ns.Edges == nil {
+		ns.Edges = map[graph.EdgeKey]*graph.EdgeState{}
+	}
+	ns.Edges[graph.EdgeKey{Other: -1, Out: true}] = &graph.EdgeState{}
 }
 
 // TestAnswerMutationIsolationConcurrent has goroutines mutate their own

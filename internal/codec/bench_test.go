@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hgs/internal/delta"
+	"hgs/internal/graph"
 )
 
 // Layer microbenchmarks of the delta wire format:
@@ -41,6 +42,22 @@ func BenchmarkDecodeDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (Codec{}).DecodeDelta(blob); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeDeltaState decodes one node's state out of the same
+// micro-delta through the row's id index (a cold point read's decode).
+func BenchmarkDecodeDeltaState(b *testing.B) {
+	d, blob := benchDelta(b)
+	var id graph.NodeID
+	for id = range d.Nodes {
+		break
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, err := (Codec{}).DecodeDeltaState(blob, id); err != nil || !found {
+			b.Fatal(found, err)
 		}
 	}
 }

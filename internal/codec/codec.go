@@ -4,7 +4,9 @@
 // byte sizes — which drive the simulated I/O cost model — are realistic).
 // Every blob starts with a one-byte header that records whether the
 // payload is gzip-compressed, so compressed and uncompressed indexes can
-// coexist (paper Figure 13a compares both).
+// coexist (paper Figure 13a compares both), and whether a micro-delta
+// row carries the id index that lets a point read decode one state
+// (row.go).
 package codec
 
 import (
@@ -15,15 +17,18 @@ import (
 	"io"
 	"slices"
 
-	"hgs/internal/delta"
 	"hgs/internal/graph"
 	"hgs/internal/temporal"
 )
 
-// Header flags.
+// Header flags. The low bit says how the payload is framed; flagIndexed
+// marks a micro-delta row written with its id index (EncodeDelta), and
+// a row without it is the older layout, whose states each lead with
+// their own id.
 const (
-	flagPlain byte = 0x00
-	flagGzip  byte = 0x01
+	flagPlain   byte = 0x00
+	flagGzip    byte = 0x01
+	flagIndexed byte = 0x02
 )
 
 var (
@@ -46,6 +51,7 @@ type buffer struct {
 	ids   []graph.NodeID
 	edges []graph.EdgeKey
 	keys  []string
+	lens  []int
 }
 
 func (b *buffer) uvarint(v uint64) {
@@ -227,66 +233,6 @@ func decodeNodeState(r *reader) (*graph.NodeState, error) {
 	return ns, nil
 }
 
-// EncodeDelta serializes a delta (component states + tombstones).
-func (c Codec) EncodeDelta(d *delta.Delta) ([]byte, error) {
-	b := getEncBuffer()
-	defer putEncBuffer(b)
-	ids := b.ids[:0]
-	for id := range d.Nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	b.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		encodeNodeState(b, d.Nodes[id])
-	}
-	ids = ids[:0]
-	for id := range d.Tombstones {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	b.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		b.varint(int64(id))
-	}
-	b.ids = ids
-	return c.frame(b.buf.Bytes())
-}
-
-// DecodeDelta parses a blob produced by EncodeDelta.
-func (c Codec) DecodeDelta(blob []byte) (*delta.Delta, error) {
-	data, release, err := unframe(blob)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	r := &reader{data: data}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	d := delta.New()
-	for i := 0; i < n; i++ {
-		ns, err := decodeNodeState(r)
-		if err != nil {
-			return nil, err
-		}
-		d.Nodes[ns.ID] = ns
-	}
-	tn, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < tn; i++ {
-		id, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		d.MarkDeleted(graph.NodeID(id))
-	}
-	return d, nil
-}
-
 // EncodeEvents serializes an event slice; times are delta-encoded against
 // the previous event, which makes dense eventlists very compact.
 func (c Codec) EncodeEvents(events []graph.Event) ([]byte, error) {
@@ -303,7 +249,7 @@ func (c Codec) EncodeEvents(events []graph.Event) ([]byte, error) {
 		b.str(e.Key)
 		b.str(e.Value)
 	}
-	return c.frame(b.buf.Bytes())
+	return c.frame(flagPlain, b.buf.Bytes())
 }
 
 // DecodeEvents parses a blob produced by EncodeEvents.
@@ -361,7 +307,7 @@ func (c Codec) EncodeNodeState(ns *graph.NodeState) ([]byte, error) {
 	b := getEncBuffer()
 	defer putEncBuffer(b)
 	encodeNodeState(b, ns)
-	return c.frame(b.buf.Bytes())
+	return c.frame(flagPlain, b.buf.Bytes())
 }
 
 // DecodeNodeState parses a blob produced by EncodeNodeState.
@@ -374,21 +320,32 @@ func (c Codec) DecodeNodeState(blob []byte) (*graph.NodeState, error) {
 	return decodeNodeState(&reader{data: data})
 }
 
-// frame prepends the header byte and compresses when enabled. The
-// returned slice is always freshly allocated (callers hand it to the
-// store); only the compression machinery is pooled.
-func (c Codec) frame(payload []byte) ([]byte, error) {
+// frame prepends the header byte — format (flagPlain or flagIndexed)
+// plus the compression bit when enabled — to the payload, which is the
+// concatenation of parts, and compresses it when enabled. The returned
+// slice is always freshly allocated (callers hand it to the store); only
+// the compression machinery is pooled.
+func (c Codec) frame(format byte, parts ...[]byte) ([]byte, error) {
 	if !c.Compress {
-		out := make([]byte, 0, len(payload)+1)
-		out = append(out, flagPlain)
-		return append(out, payload...), nil
+		n := 1
+		for _, p := range parts {
+			n += len(p)
+		}
+		out := make([]byte, 0, n)
+		out = append(out, format|flagPlain)
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out, nil
 	}
 	var zbuf bytes.Buffer
-	zbuf.WriteByte(flagGzip)
+	zbuf.WriteByte(format | flagGzip)
 	zw := getGzipWriter(&zbuf)
 	defer putGzipWriter(zw)
-	if _, err := zw.Write(payload); err != nil {
-		return nil, fmt.Errorf("codec: gzip write: %w", err)
+	for _, p := range parts {
+		if _, err := zw.Write(p); err != nil {
+			return nil, fmt.Errorf("codec: gzip write: %w", err)
+		}
 	}
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("codec: gzip close: %w", err)
@@ -401,28 +358,40 @@ func (c Codec) frame(payload []byte) ([]byte, error) {
 // live in a pooled decompression arena: the caller must invoke release
 // once nothing references it — decode paths satisfy that by copying
 // every byte they keep (strings, parsed numbers) out of the scratch
-// before their deferred release runs.
+// before their deferred release runs. Only micro-delta rows may carry
+// flagIndexed (unframeRow).
 func unframe(blob []byte) (data []byte, release func(), err error) {
-	if len(blob) == 0 {
-		return nil, nil, ErrCorrupt
+	if len(blob) > 0 && blob[0]&flagIndexed != 0 {
+		return nil, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
 	}
-	switch blob[0] {
+	data, _, release, err = unframeRow(blob)
+	return data, release, err
+}
+
+// unframeRow is unframe for micro-delta rows: it also accepts
+// flagIndexed and reports whether the header carried it.
+func unframeRow(blob []byte) (data []byte, indexed bool, release func(), err error) {
+	if len(blob) == 0 {
+		return nil, false, nil, ErrCorrupt
+	}
+	indexed = blob[0]&flagIndexed != 0
+	switch blob[0] &^ flagIndexed {
 	case flagPlain:
-		return blob[1:], releaseNone, nil
+		return blob[1:], indexed, releaseNone, nil
 	case flagGzip:
 		zr, err := getGzipReader(blob[1:])
 		if err != nil {
-			return nil, nil, fmt.Errorf("codec: gzip open: %w", err)
+			return nil, false, nil, fmt.Errorf("codec: gzip open: %w", err)
 		}
 		arena := getDecompBuffer()
 		if _, err := io.Copy(arena, zr); err != nil {
 			putGzipReader(zr)
 			putDecompBuffer(arena)
-			return nil, nil, fmt.Errorf("codec: gzip read: %w", err)
+			return nil, false, nil, fmt.Errorf("codec: gzip read: %w", err)
 		}
 		putGzipReader(zr)
-		return arena.Bytes(), func() { putDecompBuffer(arena) }, nil
+		return arena.Bytes(), indexed, func() { putDecompBuffer(arena) }, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
+		return nil, false, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
 	}
 }

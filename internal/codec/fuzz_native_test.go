@@ -26,7 +26,7 @@ func FuzzUnframe(f *testing.F) {
 	f.Add(append([]byte{flagPlain}, []byte("hello world")...))
 	f.Add([]byte{flagGzip, 0x1f, 0x8b, 0x00}) // torn gzip header
 	f.Add([]byte{0x7F, 0x01, 0x02})           // unknown frame flag
-	if gz, err := (Codec{Compress: true}).frame([]byte("seed payload")); err == nil {
+	if gz, err := (Codec{Compress: true}).frame(flagPlain, []byte("seed payload")); err == nil {
 		f.Add(gz)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
@@ -41,7 +41,7 @@ func FuzzUnframe(f *testing.F) {
 		release()
 		// Churn the pool: a gzip round-trip grabs and returns the same
 		// arena class the first decode may have leaked a reference into.
-		if gz, ferr := (Codec{Compress: true}).frame(bytes.Repeat([]byte{0xAB}, 64)); ferr == nil {
+		if gz, ferr := (Codec{Compress: true}).frame(flagPlain, bytes.Repeat([]byte{0xAB}, 64)); ferr == nil {
 			if d2, r2, e2 := unframe(gz); e2 == nil {
 				_ = d2
 				r2()

@@ -41,8 +41,8 @@ func goldenConfigs() map[string]Config {
 
 // goldenDigests are the SHA-256 digests of the golden index per config.
 var goldenDigests = map[string]string{
-	"random":     "3dfeee6ac8977ba0ff51d8cbff605382f0978ffbd0ca0cc9c84e11dc798cd037",
-	"replicated": "9426a460430dd27ae98c6f6ab2cd555a933b033c292fa4640c2f0d86a89e137e",
+	"random":     "1f46c1b387fd0857ee6eef965cdece4ab2cdfaf788cd57cacb9d84da1af9bc54",
+	"replicated": "48f3bd78b73cda97cc5a4e4d9a855697cee71aa265d6353660310ed9eee87c67",
 }
 
 // buildGolden loads the golden stream's prefix and appends its batches.

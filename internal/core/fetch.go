@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hgs/internal/fetch"
 	"hgs/internal/graph"
@@ -143,14 +144,26 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 // events that sit just before it in the same list, so it never reaches
 // into another part's node. A nil o applies both sides: applyAux's
 // frontier states belong to other partitions.
-func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner) (*graph.Graph, error) {
-	n := 0
-	for _, p := range path {
-		n += len(p.Delta.Nodes)
+//
+// want, ascending, asks for some nodes only (a point read's node, a
+// k-hop frontier's members of one micro-partition): then only their
+// path states are decoded and installed, and only the boundary events
+// that touch them are replayed, each on the wanted side. Since a node's
+// state is its path states plus its own side of its own list's events,
+// each wanted node comes out exactly as in the whole graph. nil wants
+// every owned node; want needs an owner.
+func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner, want []graph.NodeID) (*graph.Graph, error) {
+	n := len(want)
+	if want == nil {
+		for _, p := range path {
+			n += p.NumStates()
+		}
 	}
 	g := graph.NewWithCapacity(n)
 	for _, p := range path {
-		p.Delta.ApplyTo(g)
+		if err := p.ApplyTo(g, want); err != nil {
+			return nil, err
+		}
 	}
 	for _, p := range boundary {
 		for _, e := range p.Events {
@@ -158,13 +171,18 @@ func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner) (*grap
 				break
 			}
 			var err error
-			if o == nil || !e.Kind.IsEdge() || e.Node == e.Other {
+			switch {
+			case o == nil:
 				err = g.Apply(e)
-			} else {
-				if o.owns(e.Node, p.PID) {
+			case !e.Kind.IsEdge() || e.Node == e.Other:
+				if wanted(want, e.Node) {
+					err = g.Apply(e)
+				}
+			default:
+				if wanted(want, e.Node) && o.owns(e.Node, p.PID) {
 					err = g.ApplySide(e, e.Node)
 				}
-				if err == nil && o.owns(e.Other, p.PID) {
+				if err == nil && wanted(want, e.Other) && o.owns(e.Other, p.PID) {
 					err = g.ApplySide(e, e.Other)
 				}
 			}
@@ -174,6 +192,16 @@ func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner) (*grap
 		}
 	}
 	return g, nil
+}
+
+// wanted reports whether materialize's want (ascending, nil for all)
+// holds id.
+func wanted(want []graph.NodeID, id graph.NodeID) bool {
+	if want == nil {
+		return true
+	}
+	_, ok := slices.BinarySearch(want, id)
+	return ok
 }
 
 // planSnapshot adds horizontal partition sid's slice of Algorithm 1 to a
@@ -199,7 +227,7 @@ func (t *TGI) assembleSnapshot(res *fetch.Result, tm *TimespanMeta, sid, leaf in
 	for _, did := range tm.LeafPaths[leaf] {
 		path = append(path, res.Group(TableDeltas, tm.TSID, sid, did)...)
 	}
-	return materialize(path, res.Group(TableEvents, tm.TSID, sid, leaf), tt, &o)
+	return materialize(path, res.Group(TableEvents, tm.TSID, sid, leaf), tt, &o, nil)
 }
 
 // planMicroPartition adds one micro-partition's reconstruction chain —
@@ -213,44 +241,44 @@ func planMicroPartition(plan *fetch.Plan, tm *TimespanMeta, sid, pid, leaf int) 
 	}
 }
 
-// assembleMicroPartition materializes one micro-partition at tt from an
-// executed planMicroPartition: the graph holds exactly its own nodes.
-func (t *TGI) assembleMicroPartition(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int, tt temporal.Time) (*graph.Graph, error) {
-	o, err := t.ownerOf(tm, sid)
-	if err != nil {
-		return nil, err
-	}
-	path := make([]fetch.Part, 0, len(tm.LeafPaths[leaf]))
-	for _, did := range tm.LeafPaths[leaf] {
-		if p, ok := res.Part(TableDeltas, tm.TSID, sid, did, pid); ok {
-			path = append(path, p)
-		}
-	}
-	var boundary []fetch.Part
-	if p, ok := res.Part(TableEvents, tm.TSID, sid, leaf, pid); ok {
-		boundary = []fetch.Part{p}
-	}
-	return materialize(path, boundary, tt, &o)
+// microPartition is one micro-partition's reconstruction chain at a
+// leaf, out of an executed planMicroPartition: its path micro-deltas
+// root→leaf and its boundary micro-eventlist (absent rows left out).
+type microPartition struct {
+	sid, pid       int
+	path, boundary []fetch.Part
 }
 
-// fetchMicroPartition reconstructs the state at time tt of one
-// micro-partition (tsid, sid, pid): the path micro-deltas plus the
-// boundary micro-eventlist prefix, fetched as a single batched plan.
-// This is the unit of work for node and neighborhood queries.
-func (t *TGI) fetchMicroPartition(ctx context.Context, tm *TimespanMeta, sid, pid int, tt temporal.Time, tr *fetch.Trace) (*graph.Graph, error) {
-	leaf := tm.leafFor(tt)
-	plan := fetch.NewPlan()
-	planMicroPartition(plan, tm, sid, pid, leaf)
-	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
+// microPartitionOf collects micro-partition (sid, pid)'s chain at leaf
+// from res.
+func microPartitionOf(res *fetch.Result, tm *TimespanMeta, sid, pid, leaf int) microPartition {
+	mp := microPartition{sid: sid, pid: pid, path: make([]fetch.Part, 0, len(tm.LeafPaths[leaf]))}
+	for _, did := range tm.LeafPaths[leaf] {
+		if p, ok := res.Part(TableDeltas, tm.TSID, sid, did, pid); ok {
+			mp.path = append(mp.path, p)
+		}
+	}
+	if p, ok := res.Part(TableEvents, tm.TSID, sid, leaf, pid); ok {
+		mp.boundary = []fetch.Part{p}
+	}
+	return mp
+}
+
+// assemble materializes the wanted nodes (ascending) of the
+// micro-partition at tt: the graph holds those that exist then.
+func (t *TGI) assemble(mp microPartition, tm *TimespanMeta, tt temporal.Time, want []graph.NodeID) (*graph.Graph, error) {
+	o, err := t.ownerOf(tm, mp.sid)
 	if err != nil {
 		return nil, err
 	}
-	return t.assembleMicroPartition(res, tm, sid, pid, leaf, tt)
+	return materialize(mp.path, mp.boundary, tt, &o, want)
 }
 
 // GetNodeAt retrieves the state of a single node at time tt, or nil if
 // the node does not exist then. Only the node's own micro-partition chain
-// is read (the entity-centric access path of Table 1's TGI row).
+// is read (the entity-centric access path of Table 1's TGI row), and of
+// it only the node's own states are decoded and its own events replayed.
+// The state is the caller's.
 func (t *TGI) GetNodeAt(id graph.NodeID, tt temporal.Time, opts *FetchOptions) (*graph.NodeState, error) {
 	tr, done := t.startTrace("node-at", opts)
 	defer done()
@@ -269,7 +297,14 @@ func (t *TGI) getNodeAt(ctx context.Context, id graph.NodeID, tt temporal.Time, 
 	if err != nil {
 		return nil, err
 	}
-	g, err := t.fetchMicroPartition(ctx, tm, sid, pid, tt, tr)
+	leaf := tm.leafFor(tt)
+	plan := fetch.NewPlan()
+	planMicroPartition(plan, tm, sid, pid, leaf)
+	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
+	if err != nil {
+		return nil, err
+	}
+	g, err := t.assemble(microPartitionOf(res, tm, sid, pid, leaf), tm, tt, []graph.NodeID{id})
 	if err != nil {
 		return nil, err
 	}

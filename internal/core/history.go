@@ -17,7 +17,8 @@ type NodeHistory struct {
 	ID       graph.NodeID
 	Interval temporal.Interval
 	// Initial is the node state at Interval.Start, nil if the node did
-	// not exist then.
+	// not exist then. GetNodeHistory's is the caller's; the SoN fetch's
+	// (FetchNodeHistories) is frozen, shared read-only.
 	Initial *graph.NodeState
 	// Events are the changes touching the node with Start < Time < End,
 	// chronological.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,68 +48,72 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 	// states holds completely reconstructed node states, read-only: they
 	// may be frozen cache states, and the answer is built from clones.
 	states := make(map[graph.NodeID]*graph.NodeState)
-	fetched := make(map[[2]int]bool) // (sid,pid) micro-partitions already read
+	fetched := make(map[graph.NodeID]bool) // nodes already materialized, present at tt or not
+	// chains keeps every micro-partition chain read so far, so a later
+	// hop that wants more of its nodes reads no row twice.
+	chains := make(map[[2]int]microPartition)
 	var mu sync.Mutex
 
-	// fetchGroup pulls a set of micro-partitions in one batched plan and
-	// registers every state they contain.
-	fetchGroup := func(groups map[[2]int][]graph.NodeID) error {
+	// fetchNodes materializes the given nodes at tt: one batched plan for
+	// the micro-partitions holding them that no earlier hop read, then
+	// per micro-partition only the wanted nodes' states and events.
+	fetchNodes := func(ids []graph.NodeID) error {
+		groups := make(map[[2]int][]graph.NodeID)
 		plan := fetch.NewPlan()
-		keys := make([][2]int, 0, len(groups))
-		for key := range groups {
-			if fetched[key] {
+		for _, nid := range ids {
+			if fetched[nid] {
 				continue
 			}
-			fetched[key] = true
-			keys = append(keys, key)
-			planMicroPartition(plan, tm, key[0], key[1], leaf)
+			fetched[nid] = true
+			sid := t.sidOf(nid)
+			pid, err := t.pidOf(tm, sid, nid)
+			if err != nil {
+				return err
+			}
+			key := [2]int{sid, pid}
+			if _, ok := chains[key]; !ok {
+				planMicroPartition(plan, tm, sid, pid, leaf)
+			}
+			groups[key] = append(groups[key], nid)
 		}
-		if len(keys) == 0 {
+		if len(groups) == 0 {
 			return nil
 		}
-		res, err := t.fx.ExecCtx(ctx, plan, t.cfg.clients(opts), tr)
-		if err != nil {
-			return err
+		if !plan.Empty() {
+			res, err := t.fx.ExecCtx(ctx, plan, t.cfg.clients(opts), tr)
+			if err != nil {
+				return err
+			}
+			for key := range groups {
+				if _, ok := chains[key]; !ok {
+					chains[key] = microPartitionOf(res, tm, key[0], key[1], leaf)
+				}
+			}
 		}
-		tasks := make([]func() error, 0, len(keys))
-		for _, key := range keys {
-			key := key
+		tasks := make([]func() error, 0, len(groups))
+		for key, want := range groups {
+			mp, want := chains[key], want
+			slices.Sort(want)
 			tasks = append(tasks, func() error {
-				g, err := t.assembleMicroPartition(res, tm, key[0], key[1], leaf, tt)
+				g, err := t.assemble(mp, tm, tt, want)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
 				defer mu.Unlock()
-				g.Range(func(ns *graph.NodeState) bool {
-					states[ns.ID] = ns
-					return true
-				})
+				for _, nid := range want {
+					if ns := g.Node(nid); ns != nil {
+						states[nid] = ns
+					}
+				}
 				return nil
 			})
 		}
 		return runParallel(ctx, t.cfg.materializeWorkers(), tasks)
 	}
 
-	groupOf := func(ids []graph.NodeID) (map[[2]int][]graph.NodeID, error) {
-		groups := make(map[[2]int][]graph.NodeID)
-		for _, nid := range ids {
-			sid := t.sidOf(nid)
-			pid, err := t.pidOf(tm, sid, nid)
-			if err != nil {
-				return nil, err
-			}
-			groups[[2]int{sid, pid}] = append(groups[[2]int{sid, pid}], nid)
-		}
-		return groups, nil
-	}
-
-	// Hop 0: the root's own micro-partition.
-	rootGroups, err := groupOf([]graph.NodeID{id})
-	if err != nil {
-		return nil, err
-	}
-	if err := fetchGroup(rootGroups); err != nil {
+	// Hop 0: the root, out of its own micro-partition.
+	if err := fetchNodes([]graph.NodeID{id}); err != nil {
 		return nil, err
 	}
 	if states[id] == nil {
@@ -152,14 +157,8 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 			}
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		if len(missing) > 0 {
-			groups, err := groupOf(missing)
-			if err != nil {
-				return nil, err
-			}
-			if err := fetchGroup(groups); err != nil {
-				return nil, err
-			}
+		if err := fetchNodes(missing); err != nil {
+			return nil, err
 		}
 		frontier = next
 	}
@@ -210,13 +209,13 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	if p, ok := res.Part(TableAuxEvents, tm.TSID, sid, leaf, pid); ok {
 		boundary = []fetch.Part{p}
 	}
-	g, err := materialize([]fetch.Part{aux}, boundary, tt, nil)
+	g, err := materialize([]fetch.Part{aux}, boundary, tt, nil, nil)
 	if err != nil {
 		return err
 	}
 	// Register only nodes present in the aux delta itself (frontier
 	// members at the leaf) — their states are complete through tt.
-	for nid := range aux.Delta.Nodes {
+	for _, nid := range aux.IDs() {
 		if ns := g.Node(nid); ns != nil {
 			states[nid] = ns
 		}

@@ -14,7 +14,9 @@ import (
 // by keep (nil = all), its state at iv.Start plus its events over
 // (iv.Start, iv.End), returned grouped by horizontal partition so each
 // TGI query processor's stream lands directly in one analytics-engine
-// partition without funnelling through a coordinator.
+// partition without funnelling through a coordinator. The histories'
+// initial states are frozen and may be shared with the fetch cache:
+// read them, or Clone one to change it.
 func (t *TGI) FetchNodeHistories(iv temporal.Interval, keep func(graph.NodeID) bool, opts *FetchOptions) ([][]*NodeHistory, error) {
 	tr, done := t.startTrace("son-fetch", opts)
 	defer done()
@@ -122,7 +124,10 @@ func (t *TGI) fetchSidHistories(ctx context.Context, gm *GraphMeta, sid int, iv 
 	for _, id := range ordered {
 		h := &NodeHistory{ID: id, Interval: iv, Events: perNode[id]}
 		if nsn := init.Node(id); nsn != nil {
-			h.Initial = nsn.Clone()
+			// Shared, not copied: the state is frozen cache state or the
+			// replay's own copy in init, which is dropped on return.
+			nsn.Freeze()
+			h.Initial = nsn
 		}
 		histories = append(histories, h)
 	}

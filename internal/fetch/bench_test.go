@@ -32,7 +32,7 @@ func benchStore(b *testing.B) *fakeStore {
 				for i := 0; i < benchNodes; i++ {
 					d.Put(graph.NewNodeState(graph.NodeID(pid*benchNodes + i)))
 				}
-				st.rows[PartKey{TableDeltas, 0, sid, did, pid}.keyRef()] = encPart(b, Part{Delta: d})
+				st.rows[PartKey{TableDeltas, 0, sid, did, pid}.keyRef()] = encDelta(b, d)
 			}
 			st.rows[PartKey{TableEvents, 0, sid, 0, pid}.keyRef()] = encPart(b, Part{Events: mkEvents(pid, benchEvs)})
 		}

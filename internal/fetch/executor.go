@@ -331,23 +331,21 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 
 // decode turns the stored row at ref into a Part: the row's table picks
 // the decoder (micro-eventlists for the eventlist tables, micro-deltas
-// otherwise). A micro-delta's states are frozen before the part reaches
-// the cache or a Result, so answers share them by pointer.
+// otherwise). A micro-delta is parsed only as far as its id index; its
+// states decode, frozen, when a reader first asks for them (Part.ApplyTo).
 func (e *Executor) decode(ref kvstore.KeyRef, pid int, blob []byte) (Part, error) {
 	p := Part{PID: pid}
 	var err error
 	if isEventTable(ref.Table) {
 		p.Events, err = e.cdc.DecodeEvents(blob)
 	} else {
-		p.Delta, err = e.cdc.DecodeDelta(blob)
+		var row *codec.DeltaRow
+		if row, err = e.cdc.ParseDelta(blob); err == nil {
+			p = deltaPart(pid, row)
+		}
 	}
 	if err != nil {
 		return Part{}, fmt.Errorf("fetch: decode %s row %s/%s: %w", ref.Table, ref.PKey, ref.CKey, err)
-	}
-	if p.Delta != nil {
-		for _, ns := range p.Delta.Nodes {
-			ns.Freeze()
-		}
 	}
 	return p, nil
 }

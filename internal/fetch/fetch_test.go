@@ -2,7 +2,9 @@ package fetch
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,14 +54,44 @@ func mkPart(table string, pid, n int) Part {
 	if isEventTable(table) {
 		return Part{PID: pid, Events: mkEvents(pid, n)}
 	}
-	return Part{PID: pid, Delta: mkDelta(graph.NodeID(pid*1000 + n))}
+	return mkDeltaPart(pid, mkDelta(graph.NodeID(pid*1000+n)))
+}
+
+// mkDeltaPart returns the part a stored micro-delta row of d decodes to.
+func mkDeltaPart(pid int, d *delta.Delta) Part {
+	blob, err := codec.Codec{}.EncodeDelta(d)
+	if err != nil {
+		panic(err)
+	}
+	row, err := codec.Codec{}.ParseDelta(blob)
+	if err != nil {
+		panic(err)
+	}
+	return deltaPart(pid, row)
+}
+
+// partDelta decodes every state of a micro-delta part into a delta (nil
+// for a micro-eventlist).
+func partDelta(p Part) *delta.Delta {
+	if p.row == nil {
+		return nil
+	}
+	g := graph.New()
+	if err := p.ApplyTo(g, nil); err != nil {
+		panic(err)
+	}
+	d := delta.FromGraph(g)
+	for _, id := range p.row.Tombstones() {
+		d.MarkDeleted(id)
+	}
+	return d
 }
 
 // encPart encodes a part's payload as its table stores it.
 func encPart(t testing.TB, p Part) []byte {
 	t.Helper()
-	if p.Delta != nil {
-		return encDelta(t, p.Delta)
+	if d := partDelta(p); d != nil {
+		return encDelta(t, d)
 	}
 	blob, err := codec.Codec{}.EncodeEvents(p.Events)
 	if err != nil {
@@ -70,10 +102,11 @@ func encPart(t testing.TB, p Part) []byte {
 
 // samePart reports whether two parts carry the same pid and payload.
 func samePart(a, b Part) bool {
-	if a.PID != b.PID || (a.Delta == nil) != (b.Delta == nil) || len(a.Events) != len(b.Events) {
+	da, db := partDelta(a), partDelta(b)
+	if a.PID != b.PID || (da == nil) != (db == nil) || len(a.Events) != len(b.Events) {
 		return false
 	}
-	if a.Delta != nil && !a.Delta.Equal(b.Delta) {
+	if da != nil && !da.Equal(db) {
 		return false
 	}
 	for i := range a.Events {
@@ -210,7 +243,7 @@ func TestCacheBoundsAndEviction(t *testing.T) {
 	// Insert many groups, each charged ~1KB: the budget holds only a few.
 	for i := 0; i < 50; i++ {
 		c.AddGroup(GroupKey{TableDeltas, 0, 0, i},
-			[]Part{{PID: 0, Delta: mkDelta(graph.NodeID(i))}}, []int64{1024})
+			[]Part{mkDeltaPart(0, mkDelta(graph.NodeID(i)))}, []int64{1024})
 	}
 	st := c.Stats()
 	if st.Bytes > budget {
@@ -242,10 +275,10 @@ func TestCacheLRUOrder(t *testing.T) {
 	c := NewCache(3 * 1024)
 	a := GroupKey{TableDeltas, 0, 0, 1}
 	b := GroupKey{TableDeltas, 0, 0, 2}
-	c.AddGroup(a, []Part{{PID: 0, Delta: mkDelta(1)}}, []int64{1024})
-	c.AddGroup(b, []Part{{PID: 0, Delta: mkDelta(2)}}, []int64{1024})
+	c.AddGroup(a, []Part{mkDeltaPart(0, mkDelta(1))}, []int64{1024})
+	c.AddGroup(b, []Part{mkDeltaPart(0, mkDelta(2))}, []int64{1024})
 	c.Group(a) // touch a so b is the LRU victim
-	c.AddGroup(GroupKey{TableDeltas, 0, 0, 3}, []Part{{PID: 0, Delta: mkDelta(3)}}, []int64{1024})
+	c.AddGroup(GroupKey{TableDeltas, 0, 0, 3}, []Part{mkDeltaPart(0, mkDelta(3))}, []int64{1024})
 	if _, ok := c.Group(a); !ok {
 		t.Fatal("recently used entry evicted")
 	}
@@ -338,7 +371,7 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 	if parts := res.Group(TableDeltas, 0, 0, 0); len(parts) != 2 || parts[0].PID != 0 || parts[1].PID != 1 {
 		t.Fatalf("group result = %+v", parts)
 	}
-	if p, ok := res.Part(TableDeltas, 0, 0, 1, 0); !ok || !p.Delta.Equal(d1) {
+	if p, ok := res.Part(TableDeltas, 0, 0, 1, 0); !ok || !partDelta(p).Equal(d1) {
 		t.Fatalf("part result = %+v", p)
 	}
 	if _, ok := res.Part(TableDeltas, 0, 0, 1, 9); ok {
@@ -368,7 +401,7 @@ func TestExecutorServesPlanAndWarmsCache(t *testing.T) {
 	if parts := res2.Group(TableDeltas, 0, 0, 0); len(parts) != 2 {
 		t.Fatalf("warm group result = %+v", parts)
 	}
-	if p, ok := res2.Part(TableDeltas, 0, 0, 1, 0); !ok || !p.Delta.Equal(d1) {
+	if p, ok := res2.Part(TableDeltas, 0, 0, 1, 0); !ok || !partDelta(p).Equal(d1) {
 		t.Fatalf("warm part result = %+v", p)
 	}
 	if hits := ex.Cache().Stats().Hits; hits < 2 {
@@ -460,7 +493,7 @@ func TestExecutorCachesAuxParts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exec: %v", err)
 		}
-		if got, ok := res.Part(TableAux, 0, 1, 2, 3); !ok || !got.Delta.Equal(d) {
+		if got, ok := res.Part(TableAux, 0, 1, 2, 3); !ok || !partDelta(got).Equal(d) {
 			t.Fatalf("aux part result = %+v", got)
 		}
 		if _, ok := res.Part(TableDeltas, 0, 1, 2, 3); ok {
@@ -481,10 +514,10 @@ func TestCacheRejectsOversizedEntries(t *testing.T) {
 	const budget = 4 * 1024
 	c := NewCache(budget)
 	resident := GroupKey{TableDeltas, 0, 0, 1}
-	c.AddGroup(resident, []Part{{PID: 0, Delta: mkDelta(1)}}, []int64{1024})
+	c.AddGroup(resident, []Part{mkDeltaPart(0, mkDelta(1))}, []int64{1024})
 
 	giant := GroupKey{TableDeltas, 0, 0, 99}
-	c.AddGroup(giant, []Part{{PID: 0, Delta: mkDelta(99)}}, []int64{64 * 1024})
+	c.AddGroup(giant, []Part{mkDeltaPart(0, mkDelta(99))}, []int64{64 * 1024})
 	if _, ok := c.Group(giant); ok {
 		t.Fatal("oversized group admitted")
 	}
@@ -500,15 +533,15 @@ func TestCacheRejectsOversizedEntries(t *testing.T) {
 	}
 
 	// AddPart: a part that alone exceeds the budget is refused too.
-	c.AddPart(PartKey{TableDeltas, 0, 0, 98, 0}, Part{Delta: mkDelta(98)}, 64*1024)
+	c.AddPart(PartKey{TableDeltas, 0, 0, 98, 0}, mkDeltaPart(0, mkDelta(98)), 64*1024)
 	if _, _, known := c.Part(PartKey{TableDeltas, 0, 0, 98, 0}); known {
 		t.Fatal("oversized part admitted")
 	}
 	// And a part that would push an existing group past the budget is
 	// refused while the group's resident parts keep serving.
 	grow := PartKey{TableDeltas, 0, 0, 97, 0}
-	c.AddPart(grow, Part{Delta: mkDelta(97)}, 512)
-	c.AddPart(PartKey{TableDeltas, 0, 0, 97, 1}, Part{Delta: mkDelta(97)}, 64*1024)
+	c.AddPart(grow, mkDeltaPart(0, mkDelta(97)), 512)
+	c.AddPart(PartKey{TableDeltas, 0, 0, 97, 1}, mkDeltaPart(0, mkDelta(97)), 64*1024)
 	if _, found, known := c.Part(grow); !known || !found {
 		t.Fatal("rejecting an oversized sibling dropped the resident part")
 	}
@@ -581,7 +614,7 @@ func TestCacheScanResistance(t *testing.T) {
 		hot := make([]GroupKey, 8)
 		for i := range hot {
 			hot[i] = GroupKey{TableDeltas, 0, 0, i}
-			c.AddGroup(hot[i], []Part{{PID: 0, Delta: mkDelta(graph.NodeID(i))}}, []int64{2048})
+			c.AddGroup(hot[i], []Part{mkDeltaPart(0, mkDelta(graph.NodeID(i)))}, []int64{2048})
 		}
 		for _, k := range hot { // a second access proves reuse → protected
 			if _, ok := c.Group(k); !ok {
@@ -590,7 +623,7 @@ func TestCacheScanResistance(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ { // one-shot scan, ~4x the whole budget
 			c.AddGroup(GroupKey{TableDeltas, 9, 9, i},
-				[]Part{{PID: 0, Delta: mkDelta(graph.NodeID(1000 + i))}}, []int64{2048})
+				[]Part{mkDeltaPart(0, mkDelta(graph.NodeID(1000+i)))}, []int64{2048})
 		}
 		for _, k := range hot {
 			if _, ok := c.Group(k); ok {
@@ -613,7 +646,7 @@ func TestCacheSegmentBounds(t *testing.T) {
 	keys := make([]GroupKey, 3)
 	for i := range keys {
 		keys[i] = GroupKey{TableDeltas, 0, 0, i}
-		c.AddGroup(keys[i], []Part{{PID: 0, Delta: mkDelta(graph.NodeID(i))}}, []int64{2048})
+		c.AddGroup(keys[i], []Part{mkDeltaPart(0, mkDelta(graph.NodeID(i)))}, []int64{2048})
 	}
 	for _, k := range keys { // promote all three: overflows the 80% share
 		c.Group(k)
@@ -695,11 +728,11 @@ func TestCacheProtectedGrowthRebalances(t *testing.T) {
 	keys := make([]GroupKey, 3)
 	for i := range keys {
 		keys[i] = GroupKey{TableDeltas, 0, 0, i}
-		c.AddGroup(keys[i], []Part{{PID: 0, Delta: mkDelta(graph.NodeID(i))}}, []int64{2048})
+		c.AddGroup(keys[i], []Part{mkDeltaPart(0, mkDelta(graph.NodeID(i)))}, []int64{2048})
 		c.Group(keys[i]) // promote
 	}
 	for pid := 1; pid <= 6; pid++ {
-		c.AddPart(PartKey{TableDeltas, 0, 0, 1, pid}, Part{Delta: mkDelta(1)}, 1024)
+		c.AddPart(PartKey{TableDeltas, 0, 0, 1, pid}, mkDeltaPart(0, mkDelta(1)), 1024)
 	}
 	st := c.Stats()
 	if st.ProtectedBytes > protMax {
@@ -714,11 +747,11 @@ func TestCacheProtectedGrowthRebalances(t *testing.T) {
 	c2 := NewCache(budget)
 	g1 := GroupKey{TableDeltas, 0, 0, 1}
 	g2 := GroupKey{TableDeltas, 0, 0, 2}
-	c2.AddGroup(g1, []Part{{PID: 0, Delta: mkDelta(1)}}, []int64{512})
-	c2.AddGroup(g2, []Part{{PID: 0, Delta: mkDelta(2)}}, []int64{512})
+	c2.AddGroup(g1, []Part{mkDeltaPart(0, mkDelta(1))}, []int64{512})
+	c2.AddGroup(g2, []Part{mkDeltaPart(0, mkDelta(2))}, []int64{512})
 	c2.Group(g1)
 	c2.Group(g2) // both protected
-	c2.AddGroup(g1, []Part{{PID: 0, Delta: mkDelta(1)}}, []int64{10 * 1024})
+	c2.AddGroup(g1, []Part{mkDeltaPart(0, mkDelta(1))}, []int64{10 * 1024})
 	st2 := c2.Stats()
 	if st2.ProtectedBytes > protMax {
 		t.Fatalf("inherited protection left the segment over its share: %d > %d", st2.ProtectedBytes, protMax)
@@ -738,7 +771,7 @@ func TestCacheAdaptiveProtectedShare(t *testing.T) {
 	c := NewCache(1 << 20)
 	for i := 0; i < 3*adaptWindow; i++ {
 		k := PartKey{TableDeltas, 0, 0, i, 0}
-		c.AddPart(k, Part{Delta: mkDelta(graph.NodeID(i))}, 16)
+		c.AddPart(k, mkDeltaPart(0, mkDelta(graph.NodeID(i))), 16)
 		if _, _, known := c.Part(k); !known {
 			t.Fatalf("fresh part %d missed", i)
 		}
@@ -751,7 +784,7 @@ func TestCacheAdaptiveProtectedShare(t *testing.T) {
 	// protected segment, so protection wins each window.
 	c = NewCache(1 << 20)
 	k := PartKey{TableDeltas, 0, 0, 0, 0}
-	c.AddPart(k, Part{Delta: mkDelta(1)}, 16)
+	c.AddPart(k, mkDeltaPart(0, mkDelta(1)), 16)
 	for i := 0; i < 3*adaptWindow; i++ {
 		if _, _, known := c.Part(k); !known {
 			t.Fatal("hot part missed")
@@ -763,5 +796,89 @@ func TestCacheAdaptiveProtectedShare(t *testing.T) {
 	}
 	if st.ProtectedShare > maxProtectedShare+1e-9 || st.ProtectedShare < minProtectedShare-1e-9 {
 		t.Fatalf("share %.2f escaped [%.2f, %.2f]", st.ProtectedShare, minProtectedShare, maxProtectedShare)
+	}
+}
+
+// TestPartDecodesStatesOnDemand checks the lazy micro-delta part: a read
+// decodes no state, a wanted-id merge decodes only the wanted states,
+// every reader after the first gets the same frozen state, concurrent
+// readers agree, and a corrupt body fails only the merges that need it.
+func TestPartDecodesStatesOnDemand(t *testing.T) {
+	d := delta.New()
+	for _, id := range []graph.NodeID{3, 8, 20} {
+		ns := graph.NewNodeState(id)
+		if id != 20 {
+			ns.Attrs = graph.Attrs{"k": "v"}
+			ns.Edges = map[graph.EdgeKey]*graph.EdgeState{{Other: 20, Out: true}: {}}
+		}
+		d.Put(ns)
+	}
+	d.MarkDeleted(5)
+	good := encDelta(t, d)
+	// Node 20's body is the last two bytes (no attributes, no edges):
+	// make its edge count an unterminated varint.
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] = 0x80
+	st := newFakeStore()
+	st.rows[PartKey{TableDeltas, 0, 0, 0, 0}.keyRef()] = good
+	st.rows[PartKey{TableDeltas, 0, 0, 0, 1}.keyRef()] = bad
+	plan := NewPlan()
+	plan.Part(TableDeltas, 0, 0, 0, 0)
+	plan.Part(TableDeltas, 0, 0, 0, 1)
+	res, err := NewExecutor(st, codec.Codec{}, NewCache(1<<20)).Exec(plan, 1)
+	if err != nil {
+		t.Fatalf("a corrupt state body failed the read itself: %v", err)
+	}
+	p, _ := res.Part(TableDeltas, 0, 0, 0, 0)
+	decoded := func() (n int) {
+		for i := range p.row.states {
+			if p.row.states[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if p.NumStates() != 3 || !slices.Equal(p.IDs(), []graph.NodeID{3, 8, 20}) || decoded() != 0 {
+		t.Fatalf("fresh part: %d states %v, %d decoded", p.NumStates(), p.IDs(), decoded())
+	}
+	one := graph.New()
+	one.PutNode(graph.NewNodeState(5)) // tombstoned by the part
+	if err := p.ApplyTo(one, []graph.NodeID{5, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if one.NumNodes() != 1 || !one.Node(8).Equal(d.Nodes[8]) || decoded() != 1 {
+		t.Fatalf("wanted-id merge: %v, %d decoded", one, decoded())
+	}
+	var wg sync.WaitGroup
+	graphs := make([]*graph.Graph, 4)
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			graphs[i] = graph.New()
+			if err := p.ApplyTo(graphs[i], nil); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range graphs {
+		if g.NumNodes() != 3 || g.Node(8) != one.Node(8) || g.Node(3) != graphs[0].Node(3) {
+			t.Fatal("readers of one part got different states")
+		}
+		g.Apply(graph.Event{Kind: graph.SetNodeAttr, Node: 8, Key: "k", Value: "written"})
+	}
+	if v, _ := one.Node(8).Attr("k"); v != "v" || decoded() != 3 {
+		t.Fatalf("a write through one graph reached the shared state (%q), %d decoded", v, decoded())
+	}
+
+	q, _ := res.Part(TableDeltas, 0, 0, 0, 1)
+	if err := q.ApplyTo(graph.New(), []graph.NodeID{3, 8}); err != nil {
+		t.Fatalf("merge of intact states: %v", err)
+	}
+	for _, want := range [][]graph.NodeID{{20}, nil} {
+		if err := q.ApplyTo(graph.New(), want); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("merge of %v with a corrupt state: %v", want, err)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package fetch
 
 import (
-	"hgs/internal/delta"
+	"fmt"
+	"sync/atomic"
+
+	"hgs/internal/codec"
 	"hgs/internal/graph"
 	"hgs/internal/kvstore"
 )
@@ -139,18 +142,109 @@ func (p *Plan) Empty() bool {
 }
 
 // Part is one decoded row of a group, identified by pid: a micro-delta
-// (Delta) for the delta tables, a micro-eventlist (Events, never nil)
-// for the eventlist tables.
+// for the delta tables, a micro-eventlist (Events, never nil) for the
+// eventlist tables. A micro-delta part decodes lazily: it holds the row
+// with its parsed id index and tombstones, and decodes a state the first
+// time a reader asks for it (ApplyTo), freezing it and keeping it for
+// every later reader, so a point read decodes only the states it
+// answers for and a warm part decodes each state at most once.
 type Part struct {
 	PID    int
-	Delta  *delta.Delta
 	Events []graph.Event
+	row    *deltaRow
+}
+
+// deltaRow is a micro-delta part's row and, per slot, the state decoded
+// from it once some reader asked for it.
+type deltaRow struct {
+	*codec.DeltaRow
+	states []atomic.Pointer[graph.NodeState]
+}
+
+// deltaPart returns the micro-delta part of a parsed row.
+func deltaPart(pid int, row *codec.DeltaRow) Part {
+	return Part{PID: pid, row: &deltaRow{DeltaRow: row, states: make([]atomic.Pointer[graph.NodeState], row.Len())}}
+}
+
+// state returns the frozen state in slot i, decoding it on first use.
+// Readers racing on one slot may both decode it; the first to publish
+// wins and both get its state.
+func (r *deltaRow) state(i int) (*graph.NodeState, error) {
+	if ns := r.states[i].Load(); ns != nil {
+		return ns, nil
+	}
+	ns, err := r.State(i)
+	if err != nil {
+		return nil, fmt.Errorf("fetch: decode state of node %d: %w", r.IDs()[i], err)
+	}
+	ns.Freeze()
+	if !r.states[i].CompareAndSwap(nil, ns) {
+		return r.states[i].Load(), nil
+	}
+	return ns, nil
+}
+
+// NumStates returns the number of node states a micro-delta part holds
+// (0 for a micro-eventlist).
+func (p Part) NumStates() int {
+	if p.row == nil {
+		return 0
+	}
+	return p.row.Len()
+}
+
+// IDs returns the ids of a micro-delta part's states, ascending (nil for
+// a micro-eventlist). The slice is shared: do not modify it.
+func (p Part) IDs() []graph.NodeID {
+	if p.row == nil {
+		return nil
+	}
+	return p.row.IDs()
+}
+
+// ApplyTo merges a micro-delta part into g the way delta.ApplyTo merges a
+// delta: its states overwrite, by pointer (they are frozen, and g copies
+// one on its first write), then its tombstones delete. want, ascending,
+// restricts the merge to those ids and decodes only their states; nil
+// merges every state. A state that fails to decode fails the merge.
+func (p Part) ApplyTo(g *graph.Graph, want []graph.NodeID) error {
+	if p.row == nil {
+		return nil
+	}
+	if want == nil {
+		for i := range p.row.states {
+			ns, err := p.row.state(i)
+			if err != nil {
+				return err
+			}
+			g.PutNode(ns)
+		}
+		for _, id := range p.row.Tombstones() {
+			g.RemoveNode(id)
+		}
+		return nil
+	}
+	for _, id := range want {
+		if i, ok := p.row.Find(id); ok {
+			ns, err := p.row.state(i)
+			if err != nil {
+				return err
+			}
+			g.PutNode(ns)
+		}
+	}
+	for _, id := range want {
+		if p.row.Tombstoned(id) {
+			g.RemoveNode(id)
+		}
+	}
+	return nil
 }
 
 // Result answers an executed plan. Its parts may be shared with the
 // cache and with every other query: their delta states are frozen,
 // shared (graph.NodeState.Freeze), so merge them into a graph by pointer
-// (Delta.ApplyTo) and change them only through Graph's methods, which
+// (Part.ApplyTo) and change them only through Graph's methods, which
 // copy a frozen state on its first write. Event slices are shared too:
 // filter them into new ones.
 type Result struct {

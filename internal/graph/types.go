@@ -125,8 +125,13 @@ func NewNodeState(id NodeID) *NodeState {
 // in its place. The copy is shallow — the node, its attributes and its
 // edge map — and keeps pointing at the frozen edge states until the
 // first edge attribute of the node changes, which copies them too.
-// Equal ignores the mark.
-func (n *NodeState) Freeze() { n.frozen = true }
+// Equal ignores the mark. Freezing a frozen state writes nothing, so
+// readers of a shared state may freeze it again without a data race.
+func (n *NodeState) Freeze() {
+	if !n.frozen {
+		n.frozen = true
+	}
+}
 
 // Clone returns a deep copy of the node state; the copy is not frozen.
 func (n *NodeState) Clone() *NodeState {

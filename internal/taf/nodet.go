@@ -9,7 +9,9 @@ import (
 // NodeT is a temporal node (paper Definition 6): the sequence of all and
 // only the states of one node over a time range, stored as the initial
 // state plus chronologically sorted events — exactly the physical layout
-// §5.2 argues for (chronological access is the common pattern).
+// §5.2 argues for (chronological access is the common pattern). The
+// initial state is frozen (graph.NodeState.Freeze): the SoN fetch shares
+// it with the fetch cache, and the SoN replay shares it with its graph.
 type NodeT struct {
 	h *core.NodeHistory
 }
@@ -70,7 +72,7 @@ func (nt *NodeT) Timeslice(iv temporal.Interval) *NodeT {
 	if !ok {
 		sub = temporal.Interval{Start: iv.Start, End: iv.Start}
 	}
-	h := &core.NodeHistory{ID: nt.h.ID, Interval: sub, Initial: nt.h.StateAt(sub.Start)}
+	h := &core.NodeHistory{ID: nt.h.ID, Interval: sub, Initial: frozen(nt.h.StateAt(sub.Start))}
 	for _, e := range nt.h.Events {
 		if e.Time > sub.Start && e.Time < sub.End {
 			h.Events = append(h.Events, e)
@@ -96,7 +98,7 @@ func (nt *NodeT) Project(keys ...string) *NodeT {
 				delete(c.Attrs, k)
 			}
 		}
-		return c
+		return frozen(c)
 	}
 	h := &core.NodeHistory{ID: nt.h.ID, Interval: nt.h.Interval, Initial: trim(nt.h.Initial)}
 	for _, e := range nt.h.Events {
@@ -106,6 +108,14 @@ func (nt *NodeT) Project(keys ...string) *NodeT {
 		h.Events = append(h.Events, e)
 	}
 	return &NodeT{h: h}
+}
+
+// frozen freezes a fresh initial state, which may be nil.
+func frozen(ns *graph.NodeState) *graph.NodeState {
+	if ns != nil {
+		ns.Freeze()
+	}
+	return ns
 }
 
 // Iterator walks the node's states in chronological order (paper:

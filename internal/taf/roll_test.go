@@ -183,6 +183,52 @@ func TestSoNGraphIsCallersAndLeavesSoNIntact(t *testing.T) {
 	}
 }
 
+// TestSoNRollLeavesNodeTsIntact rolls SoNs whose temporal nodes persist
+// across rolls (a cached RDD of the fetched, timesliced and projected
+// kinds) and requires the members' own states and a second roll to be
+// unchanged: the roll shares the members' initial states and must copy
+// one before its first write.
+func TestSoNRollLeavesNodeTsIntact(t *testing.T) {
+	events := genHistory(5, 300, 30)
+	h := buildHandler(t, events, 2)
+	full, err := SON(h).Fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := full.Span()
+	mid := iv.Start + (iv.End-iv.Start)/3
+	for name, s := range map[string]*SoN{
+		"fetched":   full,
+		"timeslice": full.Timeslice(temporal.NewInterval(mid, iv.End)),
+		"project":   full.Project("label"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s = &SoN{h: s.h, span: s.span, rdd: s.rdd.Cache()}
+			pts := EvenTimepoints(s.Span(), 6)
+			before := make(map[graph.NodeID][]*graph.NodeState)
+			for _, nt := range s.Collect() {
+				for _, tt := range pts {
+					before[nt.ID()] = append(before[nt.ID()], nt.StateAt(tt))
+				}
+			}
+			var first []*graph.Graph
+			Evolution(s, func(g *graph.Graph) float64 { first = append(first, g.Clone()); return 0 }, 0, pts)
+			for i, tt := range pts {
+				if again := s.Graph(tt); !again.Equal(first[i]) {
+					t.Fatalf("t=%d: second roll %v, first %v", tt, again, first[i])
+				}
+			}
+			for _, nt := range s.Collect() {
+				for i, tt := range pts {
+					if got, want := nt.StateAt(tt), before[nt.ID()][i]; (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
+						t.Fatalf("node %d at %d is %v after the rolls, was %v", nt.ID(), tt, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvolution measures Evolution of density at 8 points over a
 // generated SoN (fetched once, outside the timer).
 func BenchmarkEvolution(b *testing.B) {

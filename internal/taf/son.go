@@ -150,10 +150,10 @@ func (s *SoN) Project(keys ...string) *SoN {
 // keeping only edges whose both endpoints are in the SoN (the paper's
 // Graph operator with the optional timepoint parameter). It is the
 // one-point case of the forward replay behind Evolution; the returned
-// graph is the caller's.
+// graph is a deep copy, the caller's.
 func (s *SoN) Graph(tt temporal.Time) *graph.Graph {
 	var out *graph.Graph
-	s.roll([]temporal.Time{tt}, func(_ temporal.Time, g *graph.Graph) { out = g })
+	s.roll([]temporal.Time{tt}, func(_ temporal.Time, g *graph.Graph) { out = g.Clone() })
 	return out
 }
 
@@ -162,7 +162,8 @@ func (s *SoN) Graph(tt temporal.Time) *graph.Graph {
 // multipoint query of DeltaGraph: the graph at the span start is built
 // once from the members' initial states, and between consecutive points
 // only the events in between are applied. visit receives the one running
-// graph and must not modify it; after the last point it is the caller's.
+// graph, which shares the members' frozen initial states, and must not
+// modify it.
 //
 // The running graph equals, at every point, the induced subgraph of the
 // members' own replays (NodeT.StateAt). The members' in-window events
@@ -178,17 +179,15 @@ func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Grap
 		members[nt.ID()] = struct{}{}
 	}
 
-	// The induced graph at the span start: Subgraph copies the initial
-	// states it keeps, so the NodeTs' own stay untouched.
-	start := graph.NewWithCapacity(len(nts))
-	alive := make([]graph.NodeID, 0, len(nts))
+	// The induced graph at the span start, by pointer: the members'
+	// initial states are frozen (NodeT), so the graph copies one only
+	// when the replay first writes it.
+	g := graph.NewWithCapacity(len(nts))
 	for _, nt := range nts {
 		if init := nt.h.Initial; init != nil {
-			start.PutNode(init)
-			alive = append(alive, init.ID)
+			g.PutNode(induced(init, members))
 		}
 	}
-	g := start.Subgraph(alive)
 
 	// One stream of what the members' histories change in the induced
 	// graph, in the order of the original events.
@@ -215,6 +214,33 @@ func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Grap
 		}
 		visit(tt, g)
 	}
+}
+
+// induced returns frozen state ns restricted to the edges whose other
+// endpoint is a member: ns itself when no edge leaves the members, else
+// a frozen copy without the outside edges that shares ns's attributes
+// and edge states.
+func induced(ns *graph.NodeState, members map[graph.NodeID]struct{}) *graph.NodeState {
+	inside := 0
+	for k := range ns.Edges {
+		if _, ok := members[k.Other]; ok {
+			inside++
+		}
+	}
+	if inside == len(ns.Edges) {
+		return ns
+	}
+	c := &graph.NodeState{ID: ns.ID, Attrs: ns.Attrs}
+	if inside > 0 {
+		c.Edges = make(map[graph.EdgeKey]*graph.EdgeState, inside)
+		for k, es := range ns.Edges {
+			if _, ok := members[k.Other]; ok {
+				c.Edges[k] = es
+			}
+		}
+	}
+	c.Freeze()
+	return c
 }
 
 // A step is one event of the replay stream: the event as it sorts, and
