@@ -991,7 +991,9 @@ func (s *Store) KHopHistoryWith(id NodeID, k int, ts, te Time, opts *FetchOption
 	return s.tgi.GetKHopHistory(id, k, ts, te, opts)
 }
 
-// Snapshots retrieves multiple snapshots concurrently.
+// Snapshots retrieves the snapshots at several times as one query: the
+// rows the points share are read once. Answers come in the order of
+// times, and a repeated time gets its own graph.
 func (s *Store) Snapshots(times []Time) ([]*Graph, error) {
 	return s.SnapshotsWith(times, nil)
 }

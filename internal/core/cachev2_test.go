@@ -132,9 +132,9 @@ func TestTraceAccountingMatchesMetrics(t *testing.T) {
 }
 
 // TestTracePlansRing pins the store-side trace collection: with
-// TracePlans on, every retrieval leaves one record (fan-out queries
-// leave one, not one per inner fetch), surfaced by PlanTraces and
-// Stats, and the ring stays bounded.
+// TracePlans on, every retrieval leaves one record (a multipoint
+// snapshot is one retrieval with one plan execution), surfaced by
+// PlanTraces and Stats, and the ring stays bounded.
 func TestTracePlansRing(t *testing.T) {
 	events := genHistory(22, 300, 30)
 	cfg := smallConfig()
@@ -155,8 +155,8 @@ func TestTracePlansRing(t *testing.T) {
 	if trs[0].Op != "snapshots" || trs[1].Op != "node-at" {
 		t.Fatalf("trace ops = %q, %q", trs[0].Op, trs[1].Op)
 	}
-	if trs[0].Execs != len(probes) {
-		t.Fatalf("fan-out trace aggregated %d execs, want %d", trs[0].Execs, len(probes))
+	if trs[0].Execs != 1 {
+		t.Fatalf("multipoint trace aggregated %d execs, want 1", trs[0].Execs)
 	}
 	st, err := tgi.Stats()
 	if err != nil {

@@ -237,8 +237,10 @@ func TestNodeHistoryVersions(t *testing.T) {
 	}
 }
 
-// TestNodeHistoryStateAtOwnsState checks that StateAt hands out a state
-// the caller may mutate: Initial and later StateAt calls are unaffected.
+// TestNodeHistoryStateAtOwnsState checks that StateAt and StatesAt hand
+// out states the caller may mutate: Initial, later calls and the states
+// of the other points (a repeated point's twin among them) are
+// unaffected.
 func TestNodeHistoryStateAtOwnsState(t *testing.T) {
 	initial := &graph.NodeState{ID: 1, Attrs: graph.Attrs{"k": "a"},
 		Edges: map[graph.EdgeKey]*graph.EdgeState{{Other: 2, Out: true}: {Attrs: graph.Attrs{"w": "1"}}}}
@@ -247,19 +249,39 @@ func TestNodeHistoryStateAtOwnsState(t *testing.T) {
 			{Time: 10, Kind: graph.SetNodeAttr, Node: 1, Key: "j", Value: "b"},
 			{Time: 20, Kind: graph.AddEdge, Node: 3, Other: 1},
 		}}
-	for _, tt := range []temporal.Time{0, 50} {
-		ns := h.StateAt(tt)
-		want := ns.Clone()
+	scribble := func(ns *graph.NodeState) {
 		ns.Attrs["k"] = "scribbled"
 		for _, es := range ns.Edges {
 			es.Attrs = graph.Attrs{"w": "scribbled"}
 		}
 		delete(ns.Edges, graph.EdgeKey{Other: 2, Out: true})
+	}
+	for _, tt := range []temporal.Time{0, 50} {
+		ns := h.StateAt(tt)
+		want := ns.Clone()
+		scribble(ns)
 		if !h.Initial.Equal(initial) {
 			t.Fatalf("t=%d: mutating the state changed Initial: %+v", tt, h.Initial)
 		}
 		if again := h.StateAt(tt); !again.Equal(want) {
 			t.Fatalf("t=%d: second StateAt %+v, want %+v", tt, again, want)
+		}
+	}
+	points := []temporal.Time{50, 0, 50, 15, 0}
+	states := h.StatesAt(points)
+	wants := make([]*graph.NodeState, len(states))
+	for i, ns := range states {
+		wants[i] = ns.Clone()
+	}
+	for i, ns := range states {
+		scribble(ns)
+		for j := i + 1; j < len(states); j++ {
+			if !states[j].Equal(wants[j]) {
+				t.Fatalf("scribbling the state at %d changed the state at %d: %+v", points[i], points[j], states[j])
+			}
+		}
+		if !h.Initial.Equal(initial) {
+			t.Fatalf("scribbling the state at %d changed Initial: %+v", points[i], h.Initial)
 		}
 	}
 }
@@ -778,22 +800,6 @@ func TestReplicatedStoreServesTGI(t *testing.T) {
 		}
 		if !got.Equal(oracle(events, tt)) {
 			t.Fatalf("replicated snapshot at %d wrong", tt)
-		}
-	}
-}
-
-func TestGetKHopAtMultipleTimes(t *testing.T) {
-	events := genHistory(19, 300, 25)
-	tgi := buildSmall(t, smallConfig(), events)
-	times := []temporal.Time{600, 1500, 2700}
-	gs, err := tgi.GetKHopAt(3, 1, times, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tt := range times {
-		want := oracle(events, tt).KHopSubgraph(3, 1)
-		if !gs[i].Equal(want) {
-			t.Fatalf("k-hop at %d mismatch", tt)
 		}
 	}
 }

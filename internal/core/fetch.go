@@ -10,19 +10,6 @@ import (
 	"hgs/internal/temporal"
 )
 
-// runParallel executes tasks with c concurrent query-processor workers
-// (the paper's QPs, Figure 3c): the query manager plans the key set, the
-// fetch executor moves the bytes in per-node batches, and the QPs decode
-// and merge in parallel. The worker pool itself lives in the fetch layer
-// (fetch.ParallelCtx) so the two halves share one implementation;
-// cancellation is checked at task (partition) boundaries.
-func runParallel(ctx context.Context, c int, tasks []func() error) error {
-	if c < 1 {
-		c = 1
-	}
-	return fetch.ParallelCtx(ctx, c, len(tasks), func(i int) error { return tasks[i]() })
-}
-
 // GetSnapshot retrieves the state of the graph at time tt (Algorithm 1):
 // plan the micro-deltas along the root-to-leaf path nearest below tt in
 // every horizontal partition plus the boundary eventlists, execute the
@@ -34,78 +21,101 @@ func (t *TGI) GetSnapshot(tt temporal.Time, opts *FetchOptions) (*graph.Graph, e
 	return t.getSnapshot(tt, opts, tr)
 }
 
-// getSnapshot is GetSnapshot with an explicit trace, so fan-out
-// retrievals (GetSnapshotsAt, k-hop via snapshot) thread their own.
+// getSnapshot is GetSnapshot with an explicit trace: the one-point case
+// of getSnapshotStream.
 func (t *TGI) getSnapshot(tt temporal.Time, opts *FetchOptions, tr *fetch.Trace) (*graph.Graph, error) {
-	return t.getSnapshotStream(tt, opts, tr, nil)
+	gs, err := t.getSnapshotStream([]temporal.Time{tt}, opts, tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return gs[0], nil
 }
 
-// getSnapshotStream is the snapshot materialization pipeline. When emit
-// is nil, the per-partition graphs are combined into one Graph and
-// returned. When emit is non-nil, each horizontal partition's owned
-// node states are handed to emit as soon as that partition finishes
-// materializing (concurrently from the worker pool — emit must be safe
-// for concurrent use), nothing is combined, and the returned graph is
-// nil: the streaming path never holds the full snapshot in memory.
-// Emitted states are the partition graphs' own (not cloned); emit must
-// not retain or mutate them past its return unless it copies.
-func (t *TGI) getSnapshotStream(tt temporal.Time, opts *FetchOptions, tr *fetch.Trace, emit func(sid int, states []*graph.NodeState) error) (*graph.Graph, error) {
+// GetSnapshotsAt retrieves the snapshots at several times (the
+// multipoint snapshot primitive of Figure 1, one query in §4.6): the
+// union of the points' reads runs as one plan, so a delta on several
+// points' paths is read once. Answers come in the order of times; a
+// repeated time gets its own graph.
+func (t *TGI) GetSnapshotsAt(times []temporal.Time, opts *FetchOptions) ([]*graph.Graph, error) {
+	tr, done := t.startTrace("snapshots", opts)
+	defer done()
+	return t.getSnapshotStream(times, opts, tr, nil)
+}
+
+// getSnapshotStream is the snapshot pipeline, for one point or many.
+// Every (point, horizontal partition) pair adds its planSnapshot to one
+// plan, which deduplicates the rows the points share, and the plan runs
+// as one execution. Then each pair materializes on the materialize
+// workers.
+//
+// Partitions own disjoint node sets and every event touching a node is
+// replicated into the node's own micro-eventlist, so each sid
+// materializes exactly its own nodes, completely and in isolation
+// (materialize applies an edge event only to the endpoints its part
+// owns): the pairs share no graph state, and a point's combine is a
+// disjoint union, identical to a global sequential replay for any worker
+// count.
+//
+// When emit is nil, the per-partition graphs of each point are combined
+// into one Graph per point, returned in the order of times. When emit is
+// non-nil, each partition's owned node states are handed to emit as soon
+// as that partition finishes materializing (concurrently from the worker
+// pool — emit must be safe for concurrent use), nothing is combined, and
+// the result is nil: the streaming path never holds a full snapshot in
+// memory. Emitted states are the partition graphs' own (not cloned);
+// emit must not retain or mutate them past its return unless it copies.
+func (t *TGI) getSnapshotStream(times []temporal.Time, opts *FetchOptions, tr *fetch.Trace, emit func(sid int, states []*graph.NodeState) error) ([]*graph.Graph, error) {
 	ctx := opts.ctx()
-	tm, err := t.timespanFor(tt)
-	if err != nil {
-		return nil, err
-	}
-	leaf := tm.leafFor(tt)
 	ns := t.cfg.HorizontalPartitions
-	clients := t.cfg.clients(opts)
-
-	plan := fetch.NewPlan()
-	for sid := 0; sid < ns; sid++ {
-		planSnapshot(plan, tm, sid, leaf)
+	type point struct {
+		tm   *TimespanMeta
+		leaf int
 	}
-	res, err := t.fx.ExecCtx(ctx, plan, clients, tr)
+	pts := make([]point, len(times))
+	plan := fetch.NewPlan()
+	for i, tt := range times {
+		tm, err := t.timespanFor(tt)
+		if err != nil {
+			return nil, err
+		}
+		pts[i] = point{tm, tm.leafFor(tt)}
+		for sid := 0; sid < ns; sid++ {
+			planSnapshot(plan, tm, sid, pts[i].leaf)
+		}
+	}
+	res, err := t.fx.ExecCtx(ctx, plan, t.cfg.clients(opts), tr)
 	if err != nil {
 		return nil, err
 	}
 
-	// Materialize per horizontal partition. Partitions own disjoint node
-	// sets and every event touching a node is replicated into the node's
-	// own micro-eventlist, so each sid materializes exactly its own nodes,
-	// completely and in isolation (materialize applies an edge event only
-	// to the endpoints its part owns) — the whole pipeline parallelizes
-	// across materialize workers with no shared graph state, and the
-	// combine is a disjoint union, identical to a global sequential replay
-	// for any worker count.
-	sidGraphs := make([]*graph.Graph, ns)
-	mergeTasks := make([]func() error, 0, ns)
-	for sid := 0; sid < ns; sid++ {
-		sid := sid
-		mergeTasks = append(mergeTasks, func() error {
-			sg, err := t.assembleSnapshot(res, tm, sid, leaf, tt)
-			if err != nil {
-				return err
-			}
-			if emit != nil {
-				// Stream this partition's states out instead of keeping
-				// the graph for the combine step.
-				states := make([]*graph.NodeState, 0, sg.NumNodes())
-				sg.Range(func(nsn *graph.NodeState) bool {
-					states = append(states, nsn)
-					return true
-				})
-				return emit(sid, states)
-			}
-			sidGraphs[sid] = sg
+	parts := make([]*graph.Graph, len(times)*ns)
+	err = fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(parts), func(i int) error {
+		p, sid := pts[i/ns], i%ns
+		sg, err := t.assembleSnapshot(res, p.tm, sid, p.leaf, times[i/ns])
+		if err != nil {
+			return err
+		}
+		if emit == nil {
+			parts[i] = sg
 			return nil
+		}
+		// Stream this partition's states out instead of keeping the
+		// graph for the combine step.
+		states := make([]*graph.NodeState, 0, sg.NumNodes())
+		sg.Range(func(nsn *graph.NodeState) bool {
+			states = append(states, nsn)
+			return true
 		})
-	}
-	if err := runParallel(ctx, t.cfg.materializeWorkers(), mergeTasks); err != nil {
+		return emit(sid, states)
+	})
+	if err != nil || emit != nil {
 		return nil, err
 	}
-	if emit != nil {
-		return nil, nil
+	out := make([]*graph.Graph, len(times))
+	for i := range out {
+		out[i] = graph.DisjointUnion(parts[i*ns : (i+1)*ns]...)
 	}
-	return graph.DisjointUnion(sidGraphs...), nil
+	return out, nil
 }
 
 // StreamSnapshot retrieves the snapshot at tt like GetSnapshot but
@@ -120,7 +130,7 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 	if emit == nil {
 		return fmt.Errorf("core: StreamSnapshot requires an emit callback")
 	}
-	_, err := t.getSnapshotStream(tt, opts, tr, emit)
+	_, err := t.getSnapshotStream([]temporal.Time{tt}, opts, tr, emit)
 	return err
 }
 

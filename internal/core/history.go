@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -30,57 +31,77 @@ func (h *NodeHistory) VersionCount() int { return len(h.Events) }
 
 // StateAt replays the history to the node's state at time tt (which must
 // lie in the history's interval); nil if the node does not exist at tt.
-// The state is the caller's: the replay runs on a private clone of
-// Initial, and the private graph is dropped on return.
+// It is the one-point case of StatesAt, and the state is the caller's.
 func (h *NodeHistory) StateAt(tt temporal.Time) *graph.NodeState {
+	return h.StatesAt([]temporal.Time{tt})[0]
+}
+
+// StatesAt returns the node's state at each of the points (in any order,
+// repeats allowed, each in the history's interval), nil where the node
+// does not exist, from one forward replay of the events. Every state is
+// the caller's: the replay runs on a private clone of Initial, and each
+// point gets its own copy.
+func (h *NodeHistory) StatesAt(points []temporal.Time) []*graph.NodeState {
 	g := graph.New()
 	if h.Initial != nil {
 		g.PutNode(h.Initial.Clone())
 	}
-	for _, e := range h.Events {
-		if e.Time > tt {
-			break
-		}
-		g.Apply(e)
-	}
-	return g.Node(h.ID)
+	out := make([]*graph.NodeState, len(points))
+	roll(g, h.Events, points, func(i int) { out[i] = g.Node(h.ID).Clone() })
+	return out
 }
 
 // Versions materializes the distinct states of the node with their
-// validity intervals (paper Definition 6's decomposition).
+// validity intervals (paper Definition 6's decomposition): the states at
+// the change times, from one replay, with runs of equal states merged.
 func (h *NodeHistory) Versions() []graph.Version {
+	times := ChangeTimes(h.Events)
+	states := h.StatesAt(times)
 	var out []graph.Version
-	g := graph.New()
-	if h.Initial != nil {
-		g.PutNode(h.Initial.Clone())
-	}
-	cur := h.Interval.Start
-	snapshot := func() *graph.NodeState {
-		if ns := g.Node(h.ID); ns != nil {
-			return ns.Clone()
-		}
-		return nil
-	}
-	prev := snapshot()
-	for i := 0; i < len(h.Events); {
-		tt := h.Events[i].Time
-		for i < len(h.Events) && h.Events[i].Time == tt {
-			g.Apply(h.Events[i])
-			i++
-		}
-		next := snapshot()
-		if !nodeStatesEqual(prev, next) {
+	prev, cur := h.Initial.Clone(), h.Interval.Start
+	for i, tt := range times {
+		if !nodeStatesEqual(prev, states[i]) {
 			if prev != nil {
 				out = append(out, graph.Version{State: prev, Valid: temporal.Interval{Start: cur, End: tt}})
 			}
-			prev = next
-			cur = tt
+			prev, cur = states[i], tt
 		}
 	}
 	if prev != nil {
 		out = append(out, graph.Version{State: prev, Valid: temporal.Interval{Start: cur, End: h.Interval.End}})
 	}
 	return out
+}
+
+// ChangeTimes returns the distinct times of a chronological event
+// stream, ascending: a history's change points.
+func ChangeTimes(events []graph.Event) []temporal.Time {
+	var out []temporal.Time
+	for _, e := range events {
+		if n := len(out); n == 0 || out[n-1] != e.Time {
+			out = append(out, e.Time)
+		}
+	}
+	return out
+}
+
+// roll applies the chronological events to g once, forward across the
+// points, which may come in any order and repeat: visit(i) runs as soon
+// as g holds every event at or before points[i], in ascending point
+// order (equal points in index order). visit must not write g.
+func roll(g *graph.Graph, events []graph.Event, points []temporal.Time, visit func(i int)) {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(points[a], points[b]) })
+	next := 0
+	for _, i := range order {
+		for ; next < len(events) && events[next].Time <= points[i]; next++ {
+			g.Apply(events[next])
+		}
+		visit(i)
+	}
 }
 
 func nodeStatesEqual(a, b *graph.NodeState) bool {
@@ -198,22 +219,16 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te tempo
 		return nil, err
 	}
 	lists := make([][]graph.Event, len(refs))
-	tasks := make([]func() error, 0, len(refs))
-	for i, ref := range refs {
-		i, ref := i, ref
-		tasks = append(tasks, func() error {
-			part, _ := res.Part(TableEvents, ref.tm.TSID, ref.sid, ref.el, ref.pid)
-			var kept []graph.Event
-			for _, e := range part.Events {
-				if e.Time > ts && e.Time < te && keep(e) {
-					kept = append(kept, e)
-				}
+	if err := fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(refs), func(i int) error {
+		ref := refs[i]
+		part, _ := res.Part(TableEvents, ref.tm.TSID, ref.sid, ref.el, ref.pid)
+		for _, e := range part.Events {
+			if e.Time > ts && e.Time < te && keep(e) {
+				lists[i] = append(lists[i], e)
 			}
-			lists[i] = kept
-			return nil
-		})
-	}
-	if err := runParallel(ctx, t.cfg.materializeWorkers(), tasks); err != nil {
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return mergeSortEvents(lists), nil

@@ -37,7 +37,7 @@ func (t *TGI) GetKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 }
 
 // getKHopNeighborhood is GetKHopNeighborhood with an explicit trace
-// (threaded by the multipoint and history variants).
+// (threaded by GetKHopHistory).
 func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts *FetchOptions, tr *fetch.Trace) (*graph.Graph, error) {
 	ctx := opts.ctx()
 	tm, err := t.timespanFor(tt)
@@ -90,26 +90,29 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 				}
 			}
 		}
-		tasks := make([]func() error, 0, len(groups))
-		for key, want := range groups {
-			mp, want := chains[key], want
-			slices.Sort(want)
-			tasks = append(tasks, func() error {
-				g, err := t.assemble(mp, tm, tt, want)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				for _, nid := range want {
-					if ns := g.Node(nid); ns != nil {
-						states[nid] = ns
-					}
-				}
-				return nil
-			})
+		type task struct {
+			mp   microPartition
+			want []graph.NodeID
 		}
-		return runParallel(ctx, t.cfg.materializeWorkers(), tasks)
+		tasks := make([]task, 0, len(groups))
+		for key, want := range groups {
+			slices.Sort(want)
+			tasks = append(tasks, task{chains[key], want})
+		}
+		return fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(tasks), func(i int) error {
+			g, err := t.assemble(tasks[i].mp, tm, tt, tasks[i].want)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, nid := range tasks[i].want {
+				if ns := g.Node(nid); ns != nil {
+					states[nid] = ns
+				}
+			}
+			return nil
+		})
 	}
 
 	// Hop 0: the root, out of its own micro-partition.
@@ -240,28 +243,23 @@ type SubgraphHistory struct {
 }
 
 // StateAt replays the history to the subgraph state at time tt, inducing
-// on the tracked member set.
+// on the tracked member set: the one-point case of StatesAt.
 func (sh *SubgraphHistory) StateAt(tt temporal.Time) *graph.Graph {
+	return sh.StatesAt([]temporal.Time{tt})[0]
+}
+
+// StatesAt returns the subgraph induced on the tracked members at each of
+// the points (in any order, repeats allowed), from one forward replay of
+// the events. Every graph is the caller's.
+func (sh *SubgraphHistory) StatesAt(points []temporal.Time) []*graph.Graph {
 	g := sh.Initial.Clone()
-	for _, e := range sh.Events {
-		if e.Time > tt {
-			break
-		}
-		g.Apply(e)
-	}
-	return g.Subgraph(sh.Members)
+	out := make([]*graph.Graph, len(points))
+	roll(g, sh.Events, points, func(i int) { out[i] = g.Subgraph(sh.Members) })
+	return out
 }
 
 // ChangePoints returns the distinct event times in the history.
-func (sh *SubgraphHistory) ChangePoints() []temporal.Time {
-	var out []temporal.Time
-	for _, e := range sh.Events {
-		if n := len(out); n == 0 || out[n-1] != e.Time {
-			out = append(out, e.Time)
-		}
-	}
-	return out
-}
+func (sh *SubgraphHistory) ChangePoints() []temporal.Time { return ChangeTimes(sh.Events) }
 
 // GetKHopHistory retrieves the evolution of the k-hop neighborhood of a
 // node over [ts, te): the neighborhood subgraph at ts, then every event
@@ -310,57 +308,4 @@ func (t *TGI) GetKHopHistory(id graph.NodeID, k int, ts, te temporal.Time, opts 
 	}
 	return &SubgraphHistory{Root: id, K: k, Interval: temporal.Interval{Start: ts, End: te},
 		Initial: initial, Members: members, Events: events}, nil
-}
-
-// GetKHopAt retrieves the k-hop neighborhood of a node at each of the
-// given timepoints — the paper's second form of neighborhood evolution
-// query ("requesting the state of the neighborhood at multiple specific
-// time points", §4.6), executed as concurrent single-neighborhood
-// fetches.
-func (t *TGI) GetKHopAt(id graph.NodeID, k int, times []temporal.Time, opts *FetchOptions) ([]*graph.Graph, error) {
-	tr, done := t.startTrace("khop-at", opts)
-	defer done()
-	ctx := opts.ctx()
-	out := make([]*graph.Graph, len(times))
-	tasks := make([]func() error, 0, len(times))
-	for i, tt := range times {
-		i, tt := i, tt
-		tasks = append(tasks, func() error {
-			g, err := t.getKHopNeighborhood(id, k, tt, &FetchOptions{Clients: 1, Context: ctx}, tr)
-			if err != nil {
-				return err
-			}
-			out[i] = g
-			return nil
-		})
-	}
-	if err := runParallel(ctx, t.cfg.clients(opts), tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetSnapshotsAt retrieves multiple snapshots (the multipoint snapshot
-// primitive of Figure 1), fetching them concurrently.
-func (t *TGI) GetSnapshotsAt(times []temporal.Time, opts *FetchOptions) ([]*graph.Graph, error) {
-	tr, done := t.startTrace("snapshots", opts)
-	defer done()
-	ctx := opts.ctx()
-	out := make([]*graph.Graph, len(times))
-	tasks := make([]func() error, 0, len(times))
-	for i, tt := range times {
-		i, tt := i, tt
-		tasks = append(tasks, func() error {
-			g, err := t.getSnapshot(tt, &FetchOptions{Clients: 1, Context: ctx}, tr)
-			if err != nil {
-				return err
-			}
-			out[i] = g
-			return nil
-		})
-	}
-	if err := runParallel(ctx, t.cfg.clients(opts), tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -27,19 +27,11 @@ func (t *TGI) FetchNodeHistories(iv temporal.Interval, keep func(graph.NodeID) b
 	ctx := opts.ctx()
 	ns := t.cfg.HorizontalPartitions
 	out := make([][]*NodeHistory, ns)
-	tasks := make([]func() error, 0, ns)
-	for sid := 0; sid < ns; sid++ {
-		sid := sid
-		tasks = append(tasks, func() error {
-			histories, err := t.fetchSidHistories(ctx, gm, sid, iv, keep, tr)
-			if err != nil {
-				return err
-			}
-			out[sid] = histories
-			return nil
-		})
-	}
-	if err := runParallel(ctx, t.cfg.clients(opts), tasks); err != nil {
+	if err := fetch.ParallelCtx(ctx, t.cfg.clients(opts), ns, func(sid int) error {
+		histories, err := t.fetchSidHistories(ctx, gm, sid, iv, keep, tr)
+		out[sid] = histories
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil

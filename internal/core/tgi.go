@@ -169,9 +169,7 @@ func (t *TGI) opHistFor(op string) *opHist {
 // accounting, else nil (every fetch.Trace method is nil-safe, so
 // retrieval code threads the result unconditionally). The finisher
 // records an owned trace into the ring — caller-supplied traces belong
-// to the caller and are never double-recorded, which also keeps a
-// fan-out retrieval (multiple snapshots sharing one outer trace) one
-// ring entry — and observes the operation's wall time and trace-
+// to the caller and are never double-recorded — and observes the operation's wall time and trace-
 // attributed simulated wait into the per-op latency histograms. For a
 // reused caller trace the simulated wait is the delta accumulated
 // during this call, so each retrieval observes only its own cost.

@@ -273,7 +273,7 @@ func (e *Executor) ExecCtx(ctx context.Context, p *Plan, clients int, tr *Trace)
 		parts := make([]Part, 0, len(rows))
 		sizes := make([]int64, 0, len(rows))
 		for _, row := range rows {
-			pid, err := ParsePID(row.CKey)
+			pid, err := parsePID(row.CKey)
 			if err != nil {
 				return err
 			}

@@ -159,12 +159,12 @@ func TestParsePID(t *testing.T) {
 		{EventCKey(0, 999), 999, true},
 		{"garbage", 0, false},
 	} {
-		pid, err := ParsePID(tc.ckey)
+		pid, err := parsePID(tc.ckey)
 		if tc.ok != (err == nil) {
-			t.Fatalf("ParsePID(%q) err=%v, want ok=%v", tc.ckey, err, tc.ok)
+			t.Fatalf("parsePID(%q) err=%v, want ok=%v", tc.ckey, err, tc.ok)
 		}
 		if tc.ok && pid != tc.pid {
-			t.Fatalf("ParsePID(%q) = %d, want %d", tc.ckey, pid, tc.pid)
+			t.Fatalf("parsePID(%q) = %d, want %d", tc.ckey, pid, tc.pid)
 		}
 	}
 }

@@ -69,9 +69,9 @@ func EventPrefix(el int) string { return fmt.Sprintf("e%05d/", el) }
 // micro-partition maps).
 func NodeCKey(id graph.NodeID) string { return fmt.Sprintf("n%020d", uint64(id)) }
 
-// ParsePID extracts the micro-partition id from a delta or eventlist
+// parsePID extracts the micro-partition id from a delta or eventlist
 // clustering key ("d00003/p00017" → 17).
-func ParsePID(ckey string) (int, error) {
+func parsePID(ckey string) (int, error) {
 	i := len(ckey) - 1
 	for i >= 0 && ckey[i] != 'p' {
 		i--

@@ -52,8 +52,8 @@ type TraceRecord struct {
 	// ModelTime adds up the modelled duration of the retrieval's store
 	// rounds (kvstore.RoundTime): per round, the busiest node's share of
 	// SimWait. Rounds add up as if run one after another, which they
-	// are except in a multipoint retrieval that fans its snapshots out
-	// concurrently (core.GetSnapshotsAt).
+	// are except in the SoN fetch, whose per-partition query processors
+	// execute their plans concurrently (core.FetchNodeHistories).
 	ModelTime time.Duration
 	// Tables breaks hits and reads down by store table.
 	Tables map[string]TableTrace
@@ -91,8 +91,7 @@ type Trace struct {
 }
 
 // SetOp names the retrieval owning the trace; the first non-empty name
-// wins, so an outer multi-snapshot query is not relabeled by the
-// snapshots it fans out into.
+// wins, so a caller trace reused across retrievals keeps its first name.
 func (t *Trace) SetOp(op string) {
 	if t == nil {
 		return

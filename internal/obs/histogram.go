@@ -10,11 +10,11 @@ import (
 // factor of 2 (27 bounds plus the implicit +Inf bucket). Wide enough
 // for both sub-millisecond cache-served retrievals and multi-second
 // simulated cluster scans, cheap enough to expose per operation.
-var DefLatencyBuckets = ExpBuckets(1e-6, 2, 27)
+var DefLatencyBuckets = expBuckets(1e-6, 2, 27)
 
-// ExpBuckets returns n log-spaced bucket upper bounds starting at
+// expBuckets returns n log-spaced bucket upper bounds starting at
 // start and growing by factor (> 1) per bucket.
-func ExpBuckets(start, factor float64, n int) []float64 {
+func expBuckets(start, factor float64, n int) []float64 {
 	if n < 1 || start <= 0 || factor <= 1 {
 		return nil
 	}

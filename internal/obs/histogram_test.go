@@ -5,7 +5,7 @@ import (
 )
 
 func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1, 2, 4)
+	b := expBuckets(1, 2, 4)
 	want := []float64{1, 2, 4, 8}
 	if len(b) != len(want) {
 		t.Fatalf("bounds = %v", b)
@@ -15,7 +15,7 @@ func TestExpBuckets(t *testing.T) {
 			t.Fatalf("bounds = %v, want %v", b, want)
 		}
 	}
-	if ExpBuckets(0, 2, 4) != nil || ExpBuckets(1, 1, 4) != nil || ExpBuckets(1, 2, 0) != nil {
+	if expBuckets(0, 2, 4) != nil || expBuckets(1, 1, 4) != nil || expBuckets(1, 2, 0) != nil {
 		t.Fatal("invalid parameters did not return nil")
 	}
 }

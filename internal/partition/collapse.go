@@ -106,13 +106,13 @@ func Collapse(initial *graph.Graph, events []graph.Event, iv temporal.Interval, 
 	durations := make(map[EdgePair]float64)
 
 	openEdge := func(u, v graph.NodeID, t temporal.Time) {
-		p := MakePair(u, v)
+		p := makePair(u, v)
 		if _, ok := open[p]; !ok {
 			open[p] = edgeOpen{since: t}
 		}
 	}
 	closeEdge := func(u, v graph.NodeID, t temporal.Time) {
-		p := MakePair(u, v)
+		p := makePair(u, v)
 		if o, ok := open[p]; ok {
 			durations[p] += float64(t - o.since)
 			delete(open, p)

@@ -78,8 +78,8 @@ type EdgePair struct {
 	U, V graph.NodeID
 }
 
-// MakePair normalizes an unordered pair.
-func MakePair(a, b graph.NodeID) EdgePair {
+// makePair normalizes an unordered pair.
+func makePair(a, b graph.NodeID) EdgePair {
 	if a > b {
 		a, b = b, a
 	}
@@ -106,7 +106,7 @@ func (wg *WeightedGraph) AddEdge(u, v graph.NodeID, w float64) {
 	if u == v {
 		return
 	}
-	p := MakePair(u, v)
+	p := makePair(u, v)
 	if old, ok := wg.EdgeW[p]; !ok || w > old {
 		wg.EdgeW[p] = w
 	}

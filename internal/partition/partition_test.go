@@ -173,7 +173,7 @@ func TestCollapseUnionMax(t *testing.T) {
 	if len(wg.EdgeW) != 2 {
 		t.Fatalf("union-max edges = %d, want 2", len(wg.EdgeW))
 	}
-	if wg.EdgeW[MakePair(1, 2)] != 1 || wg.EdgeW[MakePair(2, 3)] != 1 {
+	if wg.EdgeW[makePair(1, 2)] != 1 || wg.EdgeW[makePair(2, 3)] != 1 {
 		t.Fatalf("union-max weights wrong: %v", wg.EdgeW)
 	}
 	if _, ok := wg.NodeW[9]; !ok {
@@ -184,10 +184,10 @@ func TestCollapseUnionMax(t *testing.T) {
 func TestCollapseUnionMean(t *testing.T) {
 	g, evs, iv := historyForCollapse()
 	wg := Collapse(g, evs, iv, OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[MakePair(1, 2)]; w < 0.49 || w > 0.51 {
+	if w := wg.EdgeW[makePair(1, 2)]; w < 0.49 || w > 0.51 {
 		t.Fatalf("(1,2) mean weight = %v, want 0.5", w)
 	}
-	if w := wg.EdgeW[MakePair(2, 3)]; w < 0.74 || w > 0.76 {
+	if w := wg.EdgeW[makePair(2, 3)]; w < 0.74 || w > 0.76 {
 		t.Fatalf("(2,3) mean weight = %v, want 0.75", w)
 	}
 }
@@ -197,7 +197,7 @@ func TestCollapseMedian(t *testing.T) {
 	wg := Collapse(g, evs, iv, OmegaMedian, NodeWeightUniform)
 	// At t=50 the RemoveEdge(1,2) fires; the median snapshot is taken just
 	// before events at t>=50 apply, so (1,2) and (2,3) both exist.
-	if _, ok := wg.EdgeW[MakePair(2, 3)]; !ok {
+	if _, ok := wg.EdgeW[makePair(2, 3)]; !ok {
 		t.Fatalf("median must include (2,3): %v", wg.EdgeW)
 	}
 }
@@ -229,7 +229,7 @@ func TestCollapseReAddedEdgeAccumulates(t *testing.T) {
 		{Time: 90, Kind: graph.AddEdge, Node: 1, Other: 2},
 	}
 	wg := Collapse(g, evs, temporal.NewInterval(0, 100), OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[MakePair(1, 2)]; w < 0.19 || w > 0.21 {
+	if w := wg.EdgeW[makePair(1, 2)]; w < 0.19 || w > 0.21 {
 		t.Fatalf("re-added edge weight = %v, want 0.2", w)
 	}
 }
@@ -239,7 +239,7 @@ func TestCollapseRemoveNodeClosesEdges(t *testing.T) {
 	g.AddEdge(1, 2)
 	evs := []graph.Event{{Time: 30, Kind: graph.RemoveNode, Node: 1}}
 	wg := Collapse(g, evs, temporal.NewInterval(0, 100), OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[MakePair(1, 2)]; w < 0.29 || w > 0.31 {
+	if w := wg.EdgeW[makePair(1, 2)]; w < 0.29 || w > 0.31 {
 		t.Fatalf("edge weight after RemoveNode = %v, want 0.3", w)
 	}
 }

@@ -211,31 +211,3 @@ func (r *Ring) PointsOf(node int) int {
 	}
 	return 0
 }
-
-// Moved counts how many of the sampled key hashes have a different
-// owner SET on to than on from (ownership order changes alone are not
-// movement — no data is copied for them).
-func Moved(from, to *Ring, hashes []uint64) int {
-	moved := 0
-	var fb, tb [16]int
-	for _, h := range hashes {
-		f := from.Lookup(h, fb[:0])
-		t := to.Lookup(h, tb[:0])
-		if !sameSet(f, t) {
-			moved++
-		}
-	}
-	return moved
-}
-
-func sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !contains(b, x) {
-			return false
-		}
-	}
-	return true
-}

@@ -52,15 +52,7 @@ func (nt *NodeT) NeighborIDsAt(tt temporal.Time) []graph.NodeID {
 // ChangePoints returns the distinct times at which the node changed
 // within its span (the default evaluation points of the temporal map
 // operators).
-func (nt *NodeT) ChangePoints() []temporal.Time {
-	var out []temporal.Time
-	for _, e := range nt.h.Events {
-		if n := len(out); n == 0 || out[n-1] != e.Time {
-			out = append(out, e.Time)
-		}
-	}
-	return out
-}
+func (nt *NodeT) ChangePoints() []temporal.Time { return core.ChangeTimes(nt.h.Events) }
 
 // Events returns the raw change stream.
 func (nt *NodeT) Events() []graph.Event { return nt.h.Events }

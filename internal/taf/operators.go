@@ -58,7 +58,8 @@ func SubgraphComputeKV[V any](s *SoTS, f func(*SubgraphT) V) map[graph.NodeID]V 
 type TimepointsFunc func(*NodeT) []temporal.Time
 
 // NodeComputeTemporal evaluates f on every state (version) of every node
-// (paper operator 5): fresh evaluation at each selected timepoint.
+// (paper operator 5): fresh evaluation at each selected timepoint, on the
+// states of one forward replay per node. f owns the state it receives.
 func NodeComputeTemporal[V any](s *SoN, f func(*graph.NodeState) V, at TimepointsFunc) map[graph.NodeID][]Timed[V] {
 	type row struct {
 		id  graph.NodeID
@@ -69,9 +70,10 @@ func NodeComputeTemporal[V any](s *SoN, f func(*graph.NodeState) V, at Timepoint
 		if at != nil {
 			times = at(nt)
 		}
-		out := make([]Timed[V], 0, len(times))
-		for _, tt := range times {
-			out = append(out, Timed[V]{Time: tt, Value: f(nt.StateAt(tt))})
+		states := nt.h.StatesAt(times)
+		out := make([]Timed[V], len(times))
+		for i, tt := range times {
+			out[i] = Timed[V]{Time: tt, Value: f(states[i])}
 		}
 		return row{nt.ID(), out}
 	}).Collect()
@@ -88,7 +90,8 @@ type SubgraphTimepointsFunc func(*SubgraphT) []temporal.Time
 
 // SubgraphComputeTemporal evaluates f afresh on every selected version of
 // every subgraph — the O(N·T) baseline that NodeComputeDelta improves on
-// (paper §5.2, Figure 8a).
+// (paper §5.2, Figure 8a). The versions come from one forward replay per
+// subgraph; f owns the graph it receives.
 func SubgraphComputeTemporal[V any](s *SoTS, f func(*graph.Graph) V, at SubgraphTimepointsFunc) map[graph.NodeID][]Timed[V] {
 	type row struct {
 		id  graph.NodeID
@@ -99,9 +102,10 @@ func SubgraphComputeTemporal[V any](s *SoTS, f func(*graph.Graph) V, at Subgraph
 		if at != nil {
 			times = at(st)
 		}
-		out := make([]Timed[V], 0, len(times))
-		for _, tt := range times {
-			out = append(out, Timed[V]{Time: tt, Value: f(st.StateAt(tt))})
+		states := st.sh.StatesAt(times)
+		out := make([]Timed[V], len(times))
+		for i, tt := range times {
+			out[i] = Timed[V]{Time: tt, Value: f(states[i])}
 		}
 		return row{st.Root(), out}
 	}).Collect()
@@ -210,14 +214,13 @@ func CompareAt(s *SoN, f func(*graph.NodeState) float64, t1, t2 temporal.Time) [
 		a, b float64
 	}
 	rows := sparklite.Map(s.rdd, func(nt *NodeT) pair {
-		var a, b float64
-		if ns := nt.StateAt(t1); ns != nil {
-			a = f(ns)
+		var v [2]float64
+		for i, ns := range nt.h.StatesAt([]temporal.Time{t1, t2}) {
+			if ns != nil {
+				v[i] = f(ns)
+			}
 		}
-		if ns := nt.StateAt(t2); ns != nil {
-			b = f(ns)
-		}
-		return pair{nt.ID(), a, b}
+		return pair{nt.ID(), v[0], v[1]}
 	}).Collect()
 	out := make([]CompareRow, 0, len(rows))
 	for _, r := range rows {

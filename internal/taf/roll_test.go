@@ -244,3 +244,31 @@ func BenchmarkEvolution(b *testing.B) {
 }
 
 var evolutionSink Series
+
+// BenchmarkNodeComputeTemporal evaluates a function at every change
+// point of one temporal node with a few hundred of them: one forward
+// replay of the node's history, a state copy per point.
+//
+//	go test ./internal/taf -run '^$' -bench NodeComputeTemporal -benchmem
+func BenchmarkNodeComputeTemporal(b *testing.B) {
+	son, err := SON(buildHandler(b, genHistory(7, 3000, 10), 1)).Select(func(id graph.NodeID) bool { return id == 3 }).Fetch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(son.Collect()[0].ChangePoints()); n < 200 {
+		b.Fatalf("node 3 has %d change points, want >= 200", n)
+	}
+	degree := func(ns *graph.NodeState) int {
+		if ns == nil {
+			return -1
+		}
+		return ns.Degree()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		computeSink = NodeComputeTemporal(son, degree, nil)
+	}
+}
+
+var computeSink map[graph.NodeID][]Timed[int]
