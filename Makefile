@@ -97,11 +97,12 @@ loc:
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
 # under internal/: codec encode/decode, fetch cache and Exec, core build
-# and append, graph Density, taf Evolution, and the disklog and tiered
-# engines (Put, Get from memory and from disk, MultiGet, ScanPrefix over
-# a few thousand rows). CI runs each once
-# (BENCHTIME=1x) so they keep compiling and running; for numbers use the
-# default or e.g. BENCHTIME=2s.
+# and append, graph Density (the first, O(N+E) pair count) and
+# DensityAfterEdit (one edge edit, then the count the edit kept), taf
+# Evolution, and the disklog and tiered engines (Put, Get from memory and
+# from disk, MultiGet, ScanPrefix over a few thousand rows). CI runs each
+# once (BENCHTIME=1x) so they keep compiling and running; for numbers use
+# the default or e.g. BENCHTIME=2s.
 BENCHTIME ?= 1s
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/...

@@ -56,8 +56,8 @@ func TestMicroEventlistsHoldOwnedHistory(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						got := graph.FilterEventsByNode(stored, x)
-						want := graph.FilterEventsByNode(expanded, x)
+						got := filterEventsByNode(stored, x)
+						want := filterEventsByNode(expanded, x)
 						if !slices.Equal(got, want) {
 							t.Fatalf("span %d eventlist %d node %d (sid %d pid %d): own micro-eventlist holds\n%v\nwant\n%v",
 								tsid, el, x, sid, pid, got, want)
@@ -67,6 +67,18 @@ func TestMicroEventlistsHoldOwnedHistory(t *testing.T) {
 			}
 		})
 	}
+}
+
+// filterEventsByNode returns the events touching node id, in the original
+// order.
+func filterEventsByNode(events []graph.Event, id graph.NodeID) []graph.Event {
+	var out []graph.Event
+	for _, e := range events {
+		if e.Touches(id) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // ownedSideRoles picks, over node ids [0, n) of one span, two nodes a

@@ -113,18 +113,6 @@ func CompareEvents(a, b Event) int {
 	return cmp.Compare(a.Value, b.Value)
 }
 
-// FilterEventsByNode returns the events touching node id, in the original
-// order.
-func FilterEventsByNode(events []Event, id NodeID) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Touches(id) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ExpandRemoveNode rewrites one event into the sequence indexes actually
 // store: RemoveNode(v) becomes explicit RemoveEdge events for every edge
 // incident on v in the current state w (deterministic order), followed by

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an in-memory snapshot: a set of node states (the paper's
@@ -11,9 +12,15 @@ import (
 // not safe for concurrent writers; concurrent readers are fine. It may
 // hold frozen states shared with other graphs (NodeState.Freeze): every
 // mutator copies a frozen state on its first write, so writing one graph
-// never changes another.
+// never changes another. The edges of its states change only through its
+// methods, which keep the pair count behind Density up to date.
 type Graph struct {
 	nodes map[NodeID]*NodeState
+	// sides is one more than the sum of nodeSides over the nodes, or zero
+	// while unknown: the first Density counts it, and from then on every
+	// mutator that adds or deletes an edge key adjusts it. It is atomic so
+	// that concurrent readers may each store the count they computed.
+	sides atomic.Int64
 }
 
 // New returns an empty graph.
@@ -74,8 +81,9 @@ func (g *Graph) Range(f func(*NodeState) bool) {
 	}
 }
 
-// AddNode creates node id if absent and returns its state, which the
-// caller may write: a frozen state is first replaced by its copy.
+// AddNode creates node id if absent and returns its state, whose Attrs
+// the caller may write: a frozen state is first replaced by its copy. Its
+// edges change only through the graph's methods.
 func (g *Graph) AddNode(id NodeID) *NodeState {
 	if ns, ok := g.nodes[id]; ok {
 		return g.writable(ns)
@@ -89,7 +97,39 @@ func (g *Graph) AddNode(id NodeID) *NodeState {
 // for the same id. The graph takes ownership of ns unless it is frozen,
 // in which case the graph shares it and copies it on its first write.
 func (g *Graph) PutNode(ns *NodeState) {
+	if s := g.sides.Load(); s != 0 {
+		s += int64(nodeSides(ns))
+		if old, ok := g.nodes[ns.ID]; ok {
+			s -= int64(nodeSides(old))
+		}
+		g.sides.Store(s)
+	}
 	g.nodes[ns.ID] = ns
+}
+
+// setEdge stores es under k in ns, a writable state of g, keeping a
+// known pair count up to date.
+func (g *Graph) setEdge(ns *NodeState, k EdgeKey, es *EdgeState) {
+	if s := g.sides.Load(); s != 0 {
+		if _, ok := ns.Edges[k]; !ok {
+			g.sides.Store(s + int64(keySides(ns, k)))
+		}
+	}
+	if ns.Edges == nil {
+		ns.Edges = make(map[EdgeKey]*EdgeState)
+	}
+	ns.Edges[k] = es
+}
+
+// deleteEdge deletes the edge entry k, which ns holds, from ns, a state
+// of g, copying ns first if it is frozen, and keeps a known pair count up
+// to date.
+func (g *Graph) deleteEdge(ns *NodeState, k EdgeKey) {
+	ns = g.writable(ns)
+	delete(ns.Edges, k)
+	if s := g.sides.Load(); s != 0 {
+		g.sides.Store(s - int64(keySides(ns, k)))
+	}
 }
 
 // writable returns ns, a state of g, ready for writing. A frozen state is
@@ -130,11 +170,17 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 	if !ok {
 		return false
 	}
+	if s := g.sides.Load(); s != 0 {
+		g.sides.Store(s - int64(nodeSides(ns)))
+	}
 	for k := range ns.Edges {
+		if k.Other == id {
+			continue // a self-loop goes with the node
+		}
 		if other, ok := g.nodes[k.Other]; ok {
 			mk := EdgeKey{Other: id, Out: !k.Out}
 			if _, ok := other.Edges[mk]; ok {
-				delete(g.writable(other).Edges, mk)
+				g.deleteEdge(other, mk)
 			}
 		}
 	}
@@ -152,16 +198,10 @@ func (g *Graph) AddEdge(u, v NodeID) *EdgeState {
 		return es
 	}
 	es := &EdgeState{}
-	if un.Edges == nil {
-		un.Edges = make(map[EdgeKey]*EdgeState)
-	}
-	if vn.Edges == nil {
-		vn.Edges = make(map[EdgeKey]*EdgeState)
-	}
-	un.Edges[EdgeKey{Other: v, Out: true}] = es
+	g.setEdge(un, EdgeKey{Other: v, Out: true}, es)
 	// The mirror entry shares the EdgeState so attribute updates via either
 	// endpoint stay consistent within one in-memory graph.
-	vn.Edges[EdgeKey{Other: u, Out: false}] = es
+	g.setEdge(vn, EdgeKey{Other: u, Out: false}, es)
 	return es
 }
 
@@ -174,13 +214,13 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	existed := false
 	if un, ok := g.nodes[u]; ok {
 		if _, ok := un.Edges[EdgeKey{Other: v, Out: true}]; ok {
-			delete(g.writable(un).Edges, EdgeKey{Other: v, Out: true})
+			g.deleteEdge(un, EdgeKey{Other: v, Out: true})
 			existed = true
 		}
 	}
 	if vn, ok := g.nodes[v]; ok {
 		if _, ok := vn.Edges[EdgeKey{Other: u, Out: false}]; ok {
-			delete(g.writable(vn).Edges, EdgeKey{Other: u, Out: false})
+			g.deleteEdge(vn, EdgeKey{Other: u, Out: false})
 			existed = true
 		}
 	}
@@ -275,7 +315,7 @@ func (g *Graph) applySide(e Event, id NodeID, k EdgeKey) {
 		}
 	case RemoveEdge:
 		if es != nil {
-			delete(g.writable(ns).Edges, k)
+			g.deleteEdge(ns, k)
 		}
 	case SetEdgeAttr:
 		if es == nil {
@@ -300,12 +340,8 @@ func (g *Graph) applySide(e Event, id NodeID, k EdgeKey) {
 // addSide creates edge entry k on node id, creating the node if needed,
 // and returns its new EdgeState; the entry must not exist.
 func (g *Graph) addSide(id NodeID, k EdgeKey) *EdgeState {
-	ns := g.AddNode(id)
-	if ns.Edges == nil {
-		ns.Edges = make(map[EdgeKey]*EdgeState)
-	}
 	es := &EdgeState{}
-	ns.Edges[k] = es
+	g.setEdge(g.AddNode(id), k, es)
 	return es
 }
 
@@ -347,23 +383,29 @@ func FromEvents(events []Event) (*Graph, error) {
 	return g, nil
 }
 
-// Clone returns a deep copy of the graph; no state of the copy is frozen.
+// Clone returns a deep copy of the graph, with its pair count if known;
+// no state of the copy is frozen.
 func (g *Graph) Clone() *Graph {
 	out := NewWithCapacity(len(g.nodes))
 	for id, ns := range g.nodes {
 		out.nodes[id] = ns.Clone()
 	}
-	// Restore mirror sharing of EdgeStates within the clone.
+	// Restore mirror sharing of EdgeStates within the clone; an edge known
+	// from one side only stays so.
 	for _, ns := range out.nodes {
 		for k, es := range ns.Edges {
 			if !k.Out {
 				continue
 			}
 			if other, ok := out.nodes[k.Other]; ok {
-				other.Edges[EdgeKey{Other: ns.ID, Out: false}] = es
+				mk := EdgeKey{Other: ns.ID, Out: false}
+				if _, ok := other.Edges[mk]; ok {
+					other.Edges[mk] = es
+				}
 			}
 		}
 	}
+	out.sides.Store(g.sides.Load())
 	return out
 }
 
@@ -471,10 +513,7 @@ func (g *Graph) Symmetrize() {
 			mk := EdgeKey{Other: id, Out: !k.Out}
 			if _, ok := other.Edges[mk]; !ok {
 				other = g.writable(other)
-				if other.Edges == nil {
-					other.Edges = make(map[EdgeKey]*EdgeState)
-				}
-				other.Edges[mk] = es
+				g.setEdge(other, mk, es)
 				other.sharedEdges = other.sharedEdges || ns.frozen || ns.sharedEdges
 			}
 		}

@@ -11,7 +11,9 @@ import (
 // components, triangle counting and degree statistics.
 
 // Density returns the undirected graph density 2E / (N(N-1)), where E is
-// the number of distinct unordered neighbor pairs.
+// the number of distinct unordered neighbor pairs. The first call counts
+// the pairs in O(N+E); the graph's mutators keep the count up to date
+// from then on, so later calls cost O(1).
 func (g *Graph) Density() float64 {
 	n := g.NumNodes()
 	if n < 2 {
@@ -21,28 +23,47 @@ func (g *Graph) Density() float64 {
 	return 2 * float64(e) / (float64(n) * float64(n-1))
 }
 
-// undirectedEdgeCount counts distinct unordered adjacent pairs. A node
-// sees each neighbor through its out-edge key, or through its in-edge key
-// when no out-edge twin exists, so reciprocal edges count once per side
-// without a per-node set.
+// undirectedEdgeCount returns the number of distinct unordered adjacent
+// pairs: half the sum of nodeSides, counted on the first call and kept by
+// the mutators after it.
 func (g *Graph) undirectedEdgeCount() int {
-	e := 0
-	for id, ns := range g.nodes {
-		for k := range ns.Edges {
-			if k.Other == id { // self loop: count once via Out side
-				if k.Out {
-					e += 2 // will be halved below
-				}
-				continue
-			}
-			if k.Out {
-				e++
-			} else if _, twin := ns.Edges[EdgeKey{Other: k.Other, Out: true}]; !twin {
-				e++
-			}
+	s := g.sides.Load()
+	if s == 0 {
+		for _, ns := range g.nodes {
+			s += int64(nodeSides(ns))
 		}
+		s++
+		g.sides.Store(s)
 	}
-	return e / 2
+	return int(s-1) / 2
+}
+
+// nodeSides is ns's share of twice its graph's pair count: one per
+// distinct neighbor, and two for a self-loop, whose pair has ns at both
+// ends.
+func nodeSides(ns *NodeState) int {
+	n := ns.Degree()
+	if _, loop := ns.Edges[EdgeKey{Other: ns.ID, Out: true}]; loop {
+		n += 2
+	}
+	return n
+}
+
+// keySides is edge key k's share of nodeSides(ns), given the other keys of
+// ns: what adding k to ns adds, or deleting it takes away. A node sees each
+// neighbor through its out-edge key, or through its in-edge key when no
+// out-edge twin exists; a self-loop counts on its out-edge key alone.
+func keySides(ns *NodeState, k EdgeKey) int {
+	if k.Other == ns.ID {
+		if k.Out {
+			return 2
+		}
+		return 0
+	}
+	if _, twin := ns.Edges[EdgeKey{Other: k.Other, Out: !k.Out}]; twin {
+		return 0
+	}
+	return 1
 }
 
 // AvgDegree returns the mean undirected degree.

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -315,19 +318,226 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-// BenchmarkDensity measures Density on a 2,000-node random graph with
-// reciprocal pairs and self-loops; it allocates nothing.
+// recountPairs is the from-scratch reference for the pair count Density
+// keeps: per node, a set of the distinct neighbors other than itself, plus
+// two for a self-loop's out-edge key; half the sum.
+func recountPairs(g *Graph) int {
+	sides := 0
+	g.Range(func(ns *NodeState) bool {
+		seen := map[NodeID]bool{}
+		for k := range ns.Edges {
+			if k.Other != ns.ID {
+				seen[k.Other] = true
+			} else if k.Out {
+				sides += 2
+			}
+		}
+		sides += len(seen)
+		return true
+	})
+	return sides / 2
+}
+
+// randomState returns a state of id with random edge keys over ids
+// [0, space): self-loops, reciprocal pairs and keys whose mirror the
+// graph may lack.
+func randomState(rng *rand.Rand, id NodeID, space int) *NodeState {
+	ns := NewNodeState(id)
+	for i := rng.Intn(6); i > 0; i-- {
+		if ns.Edges == nil {
+			ns.Edges = map[EdgeKey]*EdgeState{}
+		}
+		ns.Edges[EdgeKey{Other: NodeID(rng.Intn(space)), Out: rng.Intn(2) == 0}] = &EdgeState{}
+	}
+	return ns
+}
+
+// TestPairCountMatchesRecount drives seeded random sequences of every
+// mutator over a small id space, asks Density at random steps, and checks
+// the maintained pair count against recountPairs after every step at which
+// it is known.
+func TestPairCountMatchesRecount(t *testing.T) {
+	const space = 12
+	kinds := []EventKind{AddNode, RemoveNode, AddEdge, RemoveEdge, SetNodeAttr, DelNodeAttr, SetEdgeAttr, DelEdgeAttr}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		id := func() NodeID { return NodeID(rng.Intn(space)) }
+		for step := 0; step < 600; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 8:
+				e := Event{Kind: kinds[rng.Intn(len(kinds))], Node: id(), Other: id(), Key: "k", Value: "v"}
+				op = "Apply " + e.String()
+				if err := g.Apply(e); err != nil {
+					t.Fatal(err)
+				}
+			case r < 12:
+				e := Event{Kind: kinds[2+rng.Intn(6)], Node: id(), Other: id(), Key: "k", Value: "v"}
+				if !e.Kind.IsEdge() {
+					e.Kind = AddEdge
+				}
+				side := e.Node
+				if rng.Intn(2) == 0 {
+					side = e.Other
+				}
+				op = fmt.Sprintf("ApplySide %v on %d", e, side)
+				if err := g.ApplySide(e, side); err != nil {
+					t.Fatal(err)
+				}
+			case r < 14:
+				n := id()
+				op = fmt.Sprintf("RemoveNode %d", n)
+				g.RemoveNode(n)
+			case r < 16:
+				ns := randomState(rng, id(), space)
+				if rng.Intn(2) == 0 {
+					ns.Freeze()
+				}
+				op = fmt.Sprintf("PutNode %v frozen=%v", ns, ns.frozen)
+				g.PutNode(ns)
+			case r < 17:
+				op = "Symmetrize"
+				g.Symmetrize()
+			case r < 18:
+				op = "Clone"
+				g = g.Clone()
+			case r < 19:
+				op = "DisjointUnion"
+				h := New()
+				for n := NodeID(0); n < space; n++ {
+					if !g.Has(n) && rng.Intn(3) == 0 {
+						h.PutNode(randomState(rng, n, space))
+					}
+				}
+				if rng.Intn(2) == 0 {
+					h.Density()
+				}
+				g = DisjointUnion(g, h)
+			default:
+				op = "Density"
+				want := recountPairs(g)
+				n := float64(g.NumNodes())
+				wantD := 0.0
+				if n >= 2 {
+					wantD = 2 * float64(want) / (n * (n - 1))
+				}
+				if d := g.Density(); d != wantD {
+					t.Fatalf("seed %d step %d: Density = %v, want %v (%d pairs)", seed, step, d, wantD, want)
+				}
+			}
+			if s := g.sides.Load(); s != 0 {
+				if got, want := int(s-1)/2, recountPairs(g); got != want {
+					t.Fatalf("seed %d step %d, after %s: kept count %d pairs, recount %d", seed, step, op, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDensityConcurrentReaders has readers ask Density of one graph at
+// once, before and after its count is known; under -race it proves that
+// the first count's store races no reader.
+func TestDensityConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := New()
+	for i := 0; i < 2000; i++ {
+		g.AddEdge(NodeID(rng.Intn(300)), NodeID(rng.Intn(300)))
+	}
+	n := float64(g.NumNodes())
+	want := 2 * float64(recountPairs(g)) / (n * (n - 1))
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		got := make([]float64, 4)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = g.Density()
+			}()
+		}
+		wg.Wait()
+		for i, d := range got {
+			if d != want {
+				t.Fatalf("round %d reader %d: Density = %v, want %v", round, i, d, want)
+			}
+		}
+	}
+}
+
+// TestDegreeMatchesSetReference checks Degree and Neighbors against a
+// set of the distinct other endpoints, on random states with self-loops,
+// reciprocal pairs and one-sided keys.
+func TestDegreeMatchesSetReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		ns := randomState(rng, NodeID(rng.Intn(8)), 8)
+		seen := map[NodeID]bool{}
+		for k := range ns.Edges {
+			if k.Other != ns.ID {
+				seen[k.Other] = true
+			}
+		}
+		want := make([]NodeID, 0, len(seen))
+		for id := range seen {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		if d := ns.Degree(); d != len(want) {
+			t.Fatalf("%v with keys %v: Degree = %d, want %d", ns, ns.Edges, d, len(want))
+		}
+		if nb := ns.Neighbors(); !slices.Equal(nb, want) {
+			t.Fatalf("%v with keys %v: Neighbors = %v, want %v", ns, ns.Edges, nb, want)
+		}
+	}
+}
+
+// BenchmarkDensity measures the first Density of a 2,000-node random
+// graph with reciprocal pairs and self-loops — the O(N+E) count, made
+// again each iteration by forgetting the kept one; it allocates nothing.
 func BenchmarkDensity(b *testing.B) {
+	g := benchGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.sides.Store(0)
+		densitySink = g.Density()
+	}
+}
+
+// BenchmarkDensityAfterEdit measures Evolution's pattern on the same
+// graph: one AddEdge or RemoveEdge, then Density, which reads the count
+// the edit kept up to date.
+func BenchmarkDensityAfterEdit(b *testing.B) {
+	g := benchGraph()
+	rng := rand.New(rand.NewSource(2))
+	pairs := make([][2]NodeID, 1024)
+	for i := range pairs {
+		pairs[i] = [2]NodeID{NodeID(rng.Intn(2000)), NodeID(rng.Intn(2000))}
+	}
+	densitySink = g.Density()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if g.HasEdge(p[0], p[1]) {
+			g.RemoveEdge(p[0], p[1])
+		} else {
+			g.AddEdge(p[0], p[1])
+		}
+		densitySink = g.Density()
+	}
+}
+
+// benchGraph returns the graph of the Density benchmarks: 10,000 random
+// edges over 2,000 ids.
+func benchGraph() *Graph {
 	rng := rand.New(rand.NewSource(1))
 	g := New()
 	for i := 0; i < 10000; i++ {
 		g.AddEdge(NodeID(rng.Intn(2000)), NodeID(rng.Intn(2000)))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		densitySink = g.Density()
-	}
+	return g
 }
 
 var densitySink float64

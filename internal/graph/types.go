@@ -104,6 +104,9 @@ func (e *EdgeState) Equal(o *EdgeState) bool {
 // states with the decoded-part cache and with every other answer built
 // from them. Change an answer only through Graph's methods, which copy a
 // frozen state on its first write, or Clone a state and change the copy.
+// The edges of a state in a graph change only through the graph's
+// methods, which keep the graph's pair count (Density) up to date; the
+// state AddNode returns may have its Attrs written.
 type NodeState struct {
 	ID    NodeID
 	Attrs Attrs
@@ -180,16 +183,27 @@ func (n *NodeState) Attr(key string) (string, bool) {
 // Degree returns the number of distinct neighbors (undirected view;
 // self-loops do not make a node its own neighbor).
 func (n *NodeState) Degree() int {
-	if len(n.Edges) == 0 {
-		return 0
-	}
-	seen := make(map[NodeID]struct{}, len(n.Edges))
+	d := 0
 	for k := range n.Edges {
-		if k.Other != n.ID {
-			seen[k.Other] = struct{}{}
+		if n.namesNeighbor(k) {
+			d++
 		}
 	}
-	return len(seen)
+	return d
+}
+
+// namesNeighbor reports whether edge key k of n is the one key through
+// which n sees neighbor k.Other: its out-edge key, or its in-edge key when
+// no out-edge twin exists. A self-loop names no neighbor.
+func (n *NodeState) namesNeighbor(k EdgeKey) bool {
+	if k.Other == n.ID {
+		return false
+	}
+	if k.Out {
+		return true
+	}
+	_, twin := n.Edges[EdgeKey{Other: k.Other, Out: true}]
+	return !twin
 }
 
 // OutDegree returns the number of outgoing edges.
@@ -212,15 +226,11 @@ func (n *NodeState) Neighbors() []NodeID {
 	if len(n.Edges) == 0 {
 		return nil
 	}
-	seen := make(map[NodeID]struct{}, len(n.Edges))
+	out := make([]NodeID, 0, len(n.Edges))
 	for k := range n.Edges {
-		if k.Other != n.ID {
-			seen[k.Other] = struct{}{}
+		if n.namesNeighbor(k) {
+			out = append(out, k.Other)
 		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

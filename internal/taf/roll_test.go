@@ -2,6 +2,7 @@ package taf
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -226,6 +227,62 @@ func TestSoNRollLeavesNodeTsIntact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// genEdgeAttrHistory is genHistory with edge attribute events among the
+// structural ones: SetEdgeAttr creates its edge, so an edge comes and
+// goes through attribute events as well as through AddEdge, RemoveEdge
+// and RemoveNode.
+func genEdgeAttrHistory(seed int64, n, idSpace int) []graph.Event {
+	rng := rand.New(rand.NewSource(seed))
+	evs := make([]graph.Event, 0, n)
+	for i := 0; i < n; i++ {
+		e := graph.Event{Time: temporal.Time(10 * (i + 1)), Node: graph.NodeID(rng.Intn(idSpace)), Other: graph.NodeID(rng.Intn(idSpace))}
+		switch r := rng.Intn(20); {
+		case r < 4:
+			e.Kind, e.Other = graph.AddNode, 0
+		case r < 9:
+			e.Kind = graph.AddEdge
+		case r < 11:
+			e.Kind = graph.RemoveEdge
+		case r < 13:
+			e.Kind, e.Other = graph.RemoveNode, 0
+		case r < 16:
+			e.Kind, e.Key, e.Value = graph.SetEdgeAttr, "w", []string{"1", "2"}[rng.Intn(2)]
+		case r < 18:
+			e.Kind, e.Key = graph.DelEdgeAttr, "w"
+		default:
+			e.Kind, e.Other, e.Key, e.Value = graph.SetNodeAttr, 0, "label", "x"
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+// TestEvolutionDensityMatchesFreshGraph checks the pair count the rolled
+// graph keeps between points: at every point, the density Evolution
+// reports equals the density of Graph's copy, counted afresh, and of the
+// induced oracle, on histories with node removals and edge attribute
+// events.
+func TestEvolutionDensityMatchesFreshGraph(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		events := genEdgeAttrHistory(seed, 300, 20)
+		h := buildHandler(t, events, 2)
+		for kind, son := range rollSoNs(t, h) {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, kind), func(t *testing.T) {
+				for _, pts := range [][]temporal.Time{nil, rollPoints(son)} {
+					for _, p := range Evolution(son, (*graph.Graph).Density, 8, pts) {
+						if d := son.Graph(p.Time).Density(); p.Value != d {
+							t.Fatalf("t=%d: Evolution density %v, Graph's %v", p.Time, p.Value, d)
+						}
+						if d := inducedOracle(events, son, p.Time).Density(); p.Value != d {
+							t.Fatalf("t=%d: Evolution density %v, oracle's %v", p.Time, p.Value, d)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
