@@ -99,8 +99,9 @@ loc:
 # under internal/: codec encode/decode, fetch cache and Exec, core build
 # and append, graph Density (the first, O(N+E) pair count) and
 # DensityAfterEdit (one edge edit, then the count the edit kept), taf
-# Evolution, and the disklog and tiered engines (Put, Get from memory and
-# from disk, MultiGet, ScanPrefix over a few thousand rows). CI runs each
+# Evolution and SoNFetch (a warm-cache SoN fetch), and the disklog and
+# tiered engines (Put, Get from memory and from disk, MultiGet,
+# ScanPrefix over a few thousand rows). CI runs each
 # once (BENCHTIME=1x) so they keep compiling and running; for numbers use
 # the default or e.g. BENCHTIME=2s.
 BENCHTIME ?= 1s

@@ -614,6 +614,131 @@ func TestFetchNodeHistoriesMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestFetchNodeHistoriesAcrossConfigs checks the SoN fetch on every
+// configuration under test, over windows inside one span, across spans
+// and starting on a span boundary: each partition delivers exactly its
+// nodes alive at the start or touched in the window, and every history
+// replays to the log's state at each of its change points and between
+// them; a selection keeps exactly the selected histories.
+func TestFetchNodeHistoriesAcrossConfigs(t *testing.T) {
+	events := genHistory(13, 400, 30)
+	windows := []temporal.Interval{
+		temporal.NewInterval(300, 1100),
+		temporal.NewInterval(600, 3200),
+		temporal.NewInterval(1200, 2405),
+	}
+	for name, cfg := range configsUnderTest() {
+		t.Run(name, func(t *testing.T) {
+			tgi := buildSmall(t, cfg, events)
+			for _, iv := range windows {
+				perSid, err := tgi.FetchNodeHistories(iv, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracle(events, iv.Start)
+				ids := map[graph.NodeID]bool{}
+				for _, id := range want.NodeIDs() {
+					ids[id] = true
+				}
+				for _, e := range events {
+					if e.Time > iv.Start && e.Time < iv.End {
+						ids[e.Node] = true
+						if e.Kind.IsEdge() {
+							ids[e.Other] = true
+						}
+					}
+				}
+				got := map[graph.NodeID]*NodeHistory{}
+				for sid, hs := range perSid {
+					for _, h := range hs {
+						if tgi.sidOf(h.ID) != sid || got[h.ID] != nil {
+							t.Fatalf("%v: node %d delivered by partition %d, or twice", iv, h.ID, sid)
+						}
+						got[h.ID] = h
+					}
+				}
+				if len(got) != len(ids) {
+					t.Fatalf("%v: %d histories, want %d", iv, len(got), len(ids))
+				}
+				for id, h := range got {
+					if !ids[id] {
+						t.Fatalf("%v: history of node %d, neither alive at the start nor touched", iv, id)
+					}
+					if w := want.Node(id); (h.Initial == nil) != (w == nil) || (w != nil && !h.Initial.Equal(w)) {
+						t.Fatalf("%v: node %d: initial state %v, want %v", iv, id, h.Initial, w)
+					}
+					var pts []temporal.Time
+					for _, tt := range ChangeTimes(h.Events) {
+						pts = append(pts, tt-1, tt)
+					}
+					pts = append(pts, iv.End-1)
+					for i, st := range h.StatesAt(pts) {
+						w := oracle(events, pts[i]).Node(id)
+						if (st == nil) != (w == nil) || (w != nil && !st.Equal(w)) {
+							t.Fatalf("%v: node %d at %d: %v, the replay of the log has %v", iv, id, pts[i], st, w)
+						}
+					}
+				}
+				even := func(id graph.NodeID) bool { return id%2 == 0 }
+				perSid, err = tgi.FetchNodeHistories(iv, even, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, hs := range perSid {
+					for _, h := range hs {
+						if full := got[h.ID]; !even(h.ID) || full == nil || len(h.Events) != len(full.Events) {
+							t.Fatalf("%v: selected history of node %d differs", iv, h.ID)
+						}
+						n++
+					}
+				}
+				for id := range got {
+					if even(id) {
+						n--
+					}
+				}
+				if n != 0 {
+					t.Fatalf("%v: the selection delivered %d histories too many", iv, n)
+				}
+			}
+		})
+	}
+}
+
+// TestNodeHistoryKeepsEdgeAttrs replays node 2's history, which starts
+// with 2's side of 1->2 only: the redundant AddEdge at 30 and the
+// SetEdgeAttr at 40 must keep the attribute set at 20.
+func TestNodeHistoryKeepsEdgeAttrs(t *testing.T) {
+	events := []graph.Event{
+		{Time: 10, Kind: graph.AddEdge, Node: 1, Other: 2},
+		{Time: 20, Kind: graph.SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "x"},
+		{Time: 30, Kind: graph.AddEdge, Node: 1, Other: 2},
+		{Time: 40, Kind: graph.SetEdgeAttr, Node: 1, Other: 2, Key: "z", Value: "y"},
+	}
+	tgi := buildSmall(t, smallConfig(), events)
+	for _, id := range []graph.NodeID{1, 2} {
+		h, err := tgi.GetNodeHistory(id, 25, 100, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tt := range []temporal.Time{35, 45} {
+			if got, want := h.StateAt(tt), oracle(events, tt).Node(id); !got.Equal(want) {
+				t.Fatalf("node %d at %d: edge attrs %v, the replay of the log has %v", id, tt, edgeAttrs(got), edgeAttrs(want))
+			}
+		}
+	}
+}
+
+// edgeAttrs lists a state's edge attributes by edge key.
+func edgeAttrs(ns *graph.NodeState) map[graph.EdgeKey]graph.Attrs {
+	out := make(map[graph.EdgeKey]graph.Attrs, len(ns.Edges))
+	for k, es := range ns.Edges {
+		out[k] = es.Attrs
+	}
+	return out
+}
+
 func TestNodeHistoryScanEquivalence(t *testing.T) {
 	// The ablation path (no version chains) must return exactly the same
 	// history as the VC path.

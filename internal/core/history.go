@@ -22,7 +22,8 @@ type NodeHistory struct {
 	// (FetchNodeHistories) is frozen, shared read-only.
 	Initial *graph.NodeState
 	// Events are the changes touching the node with Start < Time < End,
-	// chronological.
+	// chronological. Within one time the SoN fetch's keep stored order,
+	// which puts a RemoveNode's edge removals before it.
 	Events []graph.Event
 }
 
@@ -237,8 +238,9 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te tempo
 // mergeSortEvents merges per-partition event streams into one
 // chronological stream, dropping the duplicates that arise because edge
 // events are replicated into both endpoints' micro-eventlists. History
-// reads, the SoN fetch and Append's span recovery use it; snapshots
-// replay each micro-eventlist in place instead (materialize).
+// reads and Append's span recovery use it; snapshots and the SoN fetch
+// take each micro-eventlist in stored order instead, each event on the
+// sides its part owns (materialize, FetchNodeHistories).
 func mergeSortEvents(lists [][]graph.Event) []graph.Event {
 	var all []graph.Event
 	for _, l := range lists {

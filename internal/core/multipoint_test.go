@@ -118,6 +118,64 @@ func TestSnapshotsAtReadsEachKeyOnce(t *testing.T) {
 	}
 }
 
+// TestSoNFetchRunsOnePlan checks that a SoN fetch is one query: with the
+// cache off, one plan execution reads each planned group once, and the
+// events groups read are exactly the distinct eventlists of the
+// partitions' snapshots at the window start and of the window, so the
+// boundary eventlist the two share is read once.
+func TestSoNFetchRunsOnePlan(t *testing.T) {
+	tgi, _ := multipointIndex(t, -1)
+	for _, iv := range []temporal.Interval{
+		temporal.NewInterval(5050, 6200),
+		temporal.NewInterval(9650, 10400),
+	} {
+		before := len(tgi.PlanTraces())
+		if _, err := tgi.FetchNodeHistories(iv, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		trs := tgi.PlanTraces()[before:]
+		if len(trs) != 1 || trs[0].Op != "son-fetch" {
+			t.Fatalf("%v: the call left %d trace records, want one son-fetch record", iv, len(trs))
+		}
+		tr := trs[0]
+		t.Logf("%v: %d execs, %d groups, %d KV reads, %d round trips", iv, tr.Execs, tr.Groups, tr.KVReads, tr.RoundTrips)
+		if tr.Execs != 1 {
+			t.Fatalf("%v: the call ran %d plan executions, want 1", iv, tr.Execs)
+		}
+		if tr.KVReads != int64(tr.Groups) {
+			t.Fatalf("%v: %d KV reads for %d planned groups", iv, tr.KVReads, tr.Groups)
+		}
+		type eventlist struct{ tsid, el int }
+		els := map[eventlist]bool{}
+		tm, err := tgi.timespanFor(iv.Start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaf := tm.leafFor(iv.Start); leaf < tm.EventlistCount {
+			els[eventlist{tm.TSID, leaf}] = true
+		}
+		gm, err := tgi.loadGraphMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans, err := tgi.overlappingSpans(gm, iv.Start+1, iv.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range spans {
+			for el := 0; el < sp.EventlistCount; el++ {
+				if sp.eventlistOverlaps(el, iv.Start, iv.End) {
+					els[eventlist{sp.TSID, el}] = true
+				}
+			}
+		}
+		want := int64(len(els) * tgi.cfg.HorizontalPartitions)
+		if got := tr.Tables[TableEvents].KVReads; got != want {
+			t.Fatalf("%v: %d events group reads, want %d distinct", iv, got, want)
+		}
+	}
+}
+
 // statesAtPoints are unsorted, repeat a point, and reach before the
 // first and after the last event of any history over (ts, te).
 func statesAtPoints(ts, te temporal.Time) []temporal.Time {

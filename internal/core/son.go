@@ -1,8 +1,7 @@
 package core
 
 import (
-	"context"
-	"sort"
+	"slices"
 
 	"hgs/internal/fetch"
 	"hgs/internal/graph"
@@ -17,6 +16,18 @@ import (
 // partition without funnelling through a coordinator. The histories'
 // initial states are frozen and may be shared with the fetch cache:
 // read them, or Clone one to change it.
+//
+// The whole fetch is one plan, executed once: every partition's
+// snapshot at iv.Start (planSnapshot) and every micro-eventlist group
+// overlapping the window, so the boundary eventlist the two share is
+// read once. Then each partition, on the materialize workers, assembles
+// its initial states and splits its micro-eventlists into per-node
+// histories. The build copies an edge event into both endpoints'
+// micro-eventlists (§4.2), so a node's own list holds its whole history
+// in stored order: each event goes to the endpoints the list's part
+// owns, and no list is merged or sorted. Stored order keeps a
+// RemoveNode's expansion (graph.ExpandRemoveNode) in front of it, which
+// a per-side replay needs.
 func (t *TGI) FetchNodeHistories(iv temporal.Interval, keep func(graph.NodeID) bool, opts *FetchOptions) ([][]*NodeHistory, error) {
 	tr, done := t.startTrace("son-fetch", opts)
 	defer done()
@@ -24,122 +35,99 @@ func (t *TGI) FetchNodeHistories(iv temporal.Interval, keep func(graph.NodeID) b
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.ctx()
-	ns := t.cfg.HorizontalPartitions
-	out := make([][]*NodeHistory, ns)
-	if err := fetch.ParallelCtx(ctx, t.cfg.clients(opts), ns, func(sid int) error {
-		histories, err := t.fetchSidHistories(ctx, gm, sid, iv, keep, tr)
-		out[sid] = histories
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fetchSidHistories runs one query processor's share of a SoN fetch.
-func (t *TGI) fetchSidHistories(ctx context.Context, gm *GraphMeta, sid int, iv temporal.Interval, keep func(graph.NodeID) bool, tr *fetch.Trace) ([]*NodeHistory, error) {
-	owned := func(id graph.NodeID) bool {
-		return t.sidOf(id) == sid && (keep == nil || keep(id))
-	}
-
-	// 1. Initial states: the sid's partitioned snapshot at iv.Start.
-	init, err := t.fetchSidSnapshot(ctx, sid, iv.Start, tr)
+	tm, err := t.timespanFor(iv.Start)
 	if err != nil {
 		return nil, err
 	}
-
-	// 2. Events over the window: plan every in-window eventlist of the
-	// sid as one batched, cache-accounted eventlist-group read, then
-	// window, deduplicate and group per node. Cached event slices are
-	// shared read-only; windowing filters into fresh slices.
+	leaf := tm.leafFor(iv.Start)
 	spans, err := t.overlappingSpans(gm, iv.Start+1, iv.End)
 	if err != nil {
 		return nil, err
 	}
+	ns := t.cfg.HorizontalPartitions
 	plan := fetch.NewPlan()
-	for _, tm := range spans {
-		for el := 0; el < tm.EventlistCount; el++ {
-			if tm.eventlistOverlaps(el, iv.Start, iv.End) {
-				plan.Group(TableEvents, tm.TSID, sid, el)
+	for sid := 0; sid < ns; sid++ {
+		planSnapshot(plan, tm, sid, leaf)
+		for _, sp := range spans {
+			for el := 0; el < sp.EventlistCount; el++ {
+				if sp.eventlistOverlaps(el, iv.Start, iv.End) {
+					plan.Group(TableEvents, sp.TSID, sid, el)
+				}
 			}
 		}
 	}
-	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
+	ctx := opts.ctx()
+	res, err := t.fx.ExecCtx(ctx, plan, t.cfg.clients(opts), tr)
 	if err != nil {
 		return nil, err
 	}
-	var lists [][]graph.Event
-	for _, tm := range spans {
-		for el := 0; el < tm.EventlistCount; el++ {
-			// Out-of-window eventlists were not planned and hold no parts.
-			for _, part := range res.Group(TableEvents, tm.TSID, sid, el) {
-				var win []graph.Event
-				for _, e := range part.Events {
-					if e.Time > iv.Start && e.Time < iv.End {
-						win = append(win, e)
+	kept := func(id graph.NodeID) bool { return keep == nil || keep(id) }
+	out := make([][]*NodeHistory, ns)
+	err = fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), ns, func(sid int) error {
+		init, err := t.assembleSnapshot(res, tm, sid, leaf, iv.Start)
+		if err != nil {
+			return err
+		}
+		perNode := make(map[graph.NodeID][]graph.Event)
+		for _, sp := range spans {
+			o, err := t.ownerOf(sp, sid)
+			if err != nil {
+				return err
+			}
+			for el := 0; el < sp.EventlistCount; el++ {
+				// Out-of-window eventlists were not planned and hold no
+				// parts. Cached event slices are shared read-only; the
+				// histories get fresh slices.
+				for _, part := range res.Group(TableEvents, sp.TSID, sid, el) {
+					for _, e := range part.Events {
+						if e.Time <= iv.Start {
+							continue
+						}
+						if e.Time >= iv.End {
+							break
+						}
+						if o.owns(e.Node, part.PID) && kept(e.Node) {
+							perNode[e.Node] = append(perNode[e.Node], e)
+						}
+						if e.Kind.IsEdge() && e.Other != e.Node && o.owns(e.Other, part.PID) && kept(e.Other) {
+							perNode[e.Other] = append(perNode[e.Other], e)
+						}
 					}
 				}
-				lists = append(lists, win)
 			}
 		}
-	}
-	merged := mergeSortEvents(lists)
-	perNode := make(map[graph.NodeID][]graph.Event)
-	for _, e := range merged {
-		if owned(e.Node) {
-			perNode[e.Node] = append(perNode[e.Node], e)
-		}
-		if e.Kind.IsEdge() && e.Other != e.Node && owned(e.Other) {
-			perNode[e.Other] = append(perNode[e.Other], e)
-		}
-	}
 
-	// 3. Assemble temporal nodes: anything alive at the start or touched
-	// during the window.
-	ids := make(map[graph.NodeID]struct{})
-	init.Range(func(nsn *graph.NodeState) bool {
-		if owned(nsn.ID) {
-			ids[nsn.ID] = struct{}{}
+		// Anything alive at the start or touched during the window.
+		ids := make([]graph.NodeID, 0, init.NumNodes()+len(perNode))
+		init.Range(func(nsn *graph.NodeState) bool {
+			if kept(nsn.ID) {
+				ids = append(ids, nsn.ID)
+			}
+			return true
+		})
+		for id := range perNode {
+			if !init.Has(id) {
+				ids = append(ids, id)
+			}
 		}
-		return true
+		slices.Sort(ids)
+		histories := make([]*NodeHistory, len(ids))
+		for i, id := range ids {
+			h := &NodeHistory{ID: id, Interval: iv, Events: perNode[id]}
+			if nsn := init.Node(id); nsn != nil {
+				// Shared, not copied: the state is frozen cache state or
+				// the replay's own copy in init, which is dropped on
+				// return.
+				nsn.Freeze()
+				h.Initial = nsn
+			}
+			histories[i] = h
+		}
+		out[sid] = histories
+		return nil
 	})
-	for id := range perNode {
-		ids[id] = struct{}{}
-	}
-	ordered := make([]graph.NodeID, 0, len(ids))
-	for id := range ids {
-		ordered = append(ordered, id)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	histories := make([]*NodeHistory, 0, len(ordered))
-	for _, id := range ordered {
-		h := &NodeHistory{ID: id, Interval: iv, Events: perNode[id]}
-		if nsn := init.Node(id); nsn != nil {
-			// Shared, not copied: the state is frozen cache state or the
-			// replay's own copy in init, which is dropped on return.
-			nsn.Freeze()
-			h.Initial = nsn
-		}
-		histories = append(histories, h)
-	}
-	return histories, nil
-}
-
-// fetchSidSnapshot reconstructs one horizontal partition's state at tt
-// (the per-sid slice of Algorithm 1) as its own batched plan,
-// cache-served where hot.
-func (t *TGI) fetchSidSnapshot(ctx context.Context, sid int, tt temporal.Time, tr *fetch.Trace) (*graph.Graph, error) {
-	tm, err := t.timespanFor(tt)
 	if err != nil {
 		return nil, err
 	}
-	leaf := tm.leafFor(tt)
-	plan := fetch.NewPlan()
-	planSnapshot(plan, tm, sid, leaf)
-	res, err := t.fx.ExecCtx(ctx, plan, 1, tr)
-	if err != nil {
-		return nil, err
-	}
-	return t.assembleSnapshot(res, tm, sid, leaf, tt)
+	return out, nil
 }

@@ -52,8 +52,7 @@ type TraceRecord struct {
 	// ModelTime adds up the modelled duration of the retrieval's store
 	// rounds (kvstore.RoundTime): per round, the busiest node's share of
 	// SimWait. Rounds add up as if run one after another, which they
-	// are except in the SoN fetch, whose per-partition query processors
-	// execute their plans concurrently (core.FetchNodeHistories).
+	// are.
 	ModelTime time.Duration
 	// Tables breaks hits and reads down by store table.
 	Tables map[string]TableTrace

@@ -92,8 +92,12 @@ func (e Event) Touches(id NodeID) bool {
 // CompareEvents is the deterministic total order over events: by time,
 // then by the remaining fields. Original events have unique times; only
 // the build-time expansion of RemoveNode produces same-time groups, and
-// those converge to the same state under any order. It orders every
-// merged event stream of the read path and of the analytics replay.
+// those converge to the same state under any order when applied with
+// Apply to a graph holding both endpoints of every edge. It puts a
+// RemoveNode (kind 2) before the RemoveEdges (kind 4) of its expansion,
+// so a replay that writes one side at a time (Graph.ApplySide) must keep
+// stored order instead. It orders the merged event streams of history
+// reads and of Append's span recovery.
 func CompareEvents(a, b Event) int {
 	if c := cmp.Compare(a.Time, b.Time); c != 0 {
 		return c
@@ -118,8 +122,9 @@ func CompareEvents(a, b Event) int {
 // incident on v in the current state w (deterministic order), followed by
 // the RemoveNode itself, so that neighbors' change logs record the loss
 // of their edges. All other events pass through unchanged. The
-// synthesized events share the original timestamp; applying the group in
-// any order converges to the same state.
+// synthesized events share the original timestamp; applying the group
+// with Apply in any order converges to the same state, while a replay
+// of one side (Graph.ApplySide) relies on the removals coming first.
 func ExpandRemoveNode(w *Graph, e Event) []Event {
 	if e.Kind != RemoveNode {
 		return []Event{e}

@@ -191,17 +191,23 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 // AddEdge creates the directed edge u->v, creating the endpoints if
 // needed, and returns u's side of its state (the existing state if
 // already present, copied first if frozen), which the caller may write.
+// When only v's side exists, as in a replay of v's own history, u's new
+// side shares v's state, attributes and all.
 func (g *Graph) AddEdge(u, v NodeID) *EdgeState {
 	un := g.AddNode(u)
 	vn := g.AddNode(v)
 	if es := writableEdge(un, EdgeKey{Other: v, Out: true}); es != nil {
 		return es
 	}
-	es := &EdgeState{}
-	g.setEdge(un, EdgeKey{Other: v, Out: true}, es)
 	// The mirror entry shares the EdgeState so attribute updates via either
 	// endpoint stay consistent within one in-memory graph.
-	g.setEdge(vn, EdgeKey{Other: u, Out: false}, es)
+	mk := EdgeKey{Other: u, Out: false}
+	es := writableEdge(vn, mk)
+	if es == nil {
+		es = &EdgeState{}
+		g.setEdge(vn, mk, es)
+	}
+	g.setEdge(un, EdgeKey{Other: v, Out: true}, es)
 	return es
 }
 

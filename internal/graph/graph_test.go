@@ -532,6 +532,39 @@ func TestPropertyApplySideMatchesApply(t *testing.T) {
 	}
 }
 
+// TestAddEdgeKeepsMirrorAttrs replays onto a graph that holds only v's
+// side of u->v, as a replay of v's own history does: a redundant AddEdge,
+// and the AddEdge inside Apply(SetEdgeAttr), must keep v's edge
+// attributes, also when v's state is frozen.
+func TestAddEdgeKeepsMirrorAttrs(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		g := New()
+		if err := g.ApplySide(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "w", Value: "x"}, 2); err != nil {
+			t.Fatal(err)
+		}
+		if frozen {
+			g.Node(2).Freeze()
+		}
+		shared := g.Node(2)
+		if err := g.Apply(Event{Kind: AddEdge, Node: 1, Other: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Apply(Event{Kind: SetEdgeAttr, Node: 1, Other: 2, Key: "z", Value: "y"}); err != nil {
+			t.Fatal(err)
+		}
+		want := Attrs{"w": "x", "z": "y"}
+		if got := g.Node(2).Edge(EdgeKey{Other: 1, Out: false}).Attrs; !got.Equal(want) {
+			t.Fatalf("frozen=%v: v's side has %v, want %v", frozen, got, want)
+		}
+		if got := g.Node(1).Edge(EdgeKey{Other: 2, Out: true}).Attrs; !got.Equal(want) {
+			t.Fatalf("frozen=%v: u's side has %v, want %v", frozen, got, want)
+		}
+		if frozen && !shared.Edge(EdgeKey{Other: 1, Out: false}).Attrs.Equal(Attrs{"w": "x"}) {
+			t.Fatal("the replay wrote a frozen edge state")
+		}
+	}
+}
+
 func TestApplySideWritesOneSide(t *testing.T) {
 	g := New()
 	for _, e := range []Event{

@@ -119,7 +119,10 @@ func SubgraphComputeTemporal[V any](s *SoTS, f func(*graph.Graph) V, at Subgraph
 // DeltaFunc updates a computed quantity for one event (paper operator 6):
 // it receives the subgraph state BEFORE the event, the auxiliary
 // structure, the current value, and the event, and returns the updated
-// value and auxiliary structure.
+// value and auxiliary structure. The event is as the member-induced
+// subgraph sees it (inducedEvent): an added edge, or an edge attribute
+// set, to a non-member arrives as AddNode of the member, and the removal
+// of such an edge, or of one of its attributes, does not arrive.
 type DeltaFunc[V any] func(before *graph.Graph, aux any, val V, e graph.Event) (V, any)
 
 // SubgraphComputeDelta evaluates a quantity incrementally over every
@@ -136,32 +139,21 @@ func SubgraphComputeDelta[V any](s *SoTS, f func(*graph.Graph) (V, any), fd Delt
 	rows := sparklite.Map(s.rdd, func(st *SubgraphT) row {
 		running := st.StateAt(st.Span().Start) // initial members-induced state
 		val, aux := f(running)
-		// Only changes visible in the member-induced subgraph update the
-		// running state: edges must have both endpoints inside, node
-		// changes must hit members. This keeps `running` identical to
-		// StateAt(t) at every step, so fd's before-state is exact.
+		// Each event updates the running state as inducedEvent says, so
+		// `running` equals StateAt(t) at every step and fd's before-state
+		// is exact; fd receives the event as applied.
 		members := make(map[graph.NodeID]struct{}, len(st.Members()))
 		for _, m := range st.Members() {
 			members[m] = struct{}{}
-		}
-		visible := func(e graph.Event) bool {
-			if _, ok := members[e.Node]; !ok {
-				return false
-			}
-			if e.Kind.IsEdge() {
-				_, ok := members[e.Other]
-				return ok
-			}
-			return true
 		}
 		events := st.Events()
 		var out []Timed[V]
 		for i := 0; i < len(events); {
 			tt := events[i].Time
 			for i < len(events) && events[i].Time == tt {
-				if visible(events[i]) {
-					val, aux = fd(running, aux, val, events[i])
-					running.Apply(events[i])
+				if e, ok := inducedEvent(events[i], members); ok {
+					val, aux = fd(running, aux, val, e)
+					running.Apply(e)
 				}
 				i++
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hgs/internal/graph"
+	"hgs/internal/partition"
 	"hgs/internal/temporal"
 )
 
@@ -231,9 +232,9 @@ func TestSoNRollLeavesNodeTsIntact(t *testing.T) {
 }
 
 // genEdgeAttrHistory is genHistory with edge attribute events among the
-// structural ones: SetEdgeAttr creates its edge, so an edge comes and
-// goes through attribute events as well as through AddEdge, RemoveEdge
-// and RemoveNode.
+// structural ones, and node attribute deletions: SetEdgeAttr creates its
+// edge, so an edge comes and goes through attribute events as well as
+// through AddEdge, RemoveEdge and RemoveNode.
 func genEdgeAttrHistory(seed int64, n, idSpace int) []graph.Event {
 	rng := rand.New(rand.NewSource(seed))
 	evs := make([]graph.Event, 0, n)
@@ -252,12 +253,46 @@ func genEdgeAttrHistory(seed int64, n, idSpace int) []graph.Event {
 			e.Kind, e.Key, e.Value = graph.SetEdgeAttr, "w", []string{"1", "2"}[rng.Intn(2)]
 		case r < 18:
 			e.Kind, e.Key = graph.DelEdgeAttr, "w"
-		default:
+		case r < 19:
 			e.Kind, e.Other, e.Key, e.Value = graph.SetNodeAttr, 0, "label", "x"
+		default:
+			e.Kind, e.Other, e.Key = graph.DelNodeAttr, 0, "label"
 		}
 		evs = append(evs, e)
 	}
 	return evs
+}
+
+// TestSoNRollMatchesPerPointOnAttrHistories checks the forward replay
+// as TestSoNRollMatchesPerPoint does — the rolled graph equals the
+// per-point construction and the induced oracle at every point — on
+// histories with edge attribute events and node attribute deletions,
+// indexed with random and with locality micro-partitioning.
+func TestSoNRollMatchesPerPointOnAttrHistories(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		events := genEdgeAttrHistory(seed, 300, 20)
+		for _, p := range []partition.Kind{partition.Random, partition.Locality} {
+			h := buildPartitionedHandler(t, events, 2, p)
+			for kind, son := range rollSoNs(t, h) {
+				t.Run(fmt.Sprintf("seed%d/%v/%s", seed, p, kind), func(t *testing.T) {
+					pts := rollPoints(son)
+					var seen []*graph.Graph
+					series := Evolution(son, func(g *graph.Graph) float64 {
+						seen = append(seen, g.Clone())
+						return 0
+					}, 0, pts)
+					for i, pt := range series {
+						if want := perPointGraph(son, pt.Time); !seen[i].Equal(want) {
+							t.Fatalf("t=%d: rolled %v, per-point %v", pt.Time, seen[i], want)
+						}
+						if want := inducedOracle(events, son, pt.Time); !seen[i].Equal(want) {
+							t.Fatalf("t=%d: rolled %v, oracle %v", pt.Time, seen[i], want)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestEvolutionDensityMatchesFreshGraph checks the pair count the rolled
@@ -301,6 +336,30 @@ func BenchmarkEvolution(b *testing.B) {
 }
 
 var evolutionSink Series
+
+// BenchmarkSoNFetch measures the SoN fetch of BenchmarkEvolution's
+// history with a warm cache: one plan served by the decoded-part cache,
+// the partitions' initial states assembled and their micro-eventlists
+// split into per-node histories.
+//
+//	go test ./internal/taf -run '^$' -bench SoNFetch -benchmem
+func BenchmarkSoNFetch(b *testing.B) {
+	q := SON(buildHandler(b, genHistory(7, 6000, 1500), 2))
+	if _, err := q.Fetch(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		son, err := q.Fetch()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sonSink = son
+	}
+}
+
+var sonSink *SoN
 
 // BenchmarkNodeComputeTemporal evaluates a function at every change
 // point of one temporal node with a few hundred of them: one forward

@@ -1,7 +1,6 @@
 package taf
 
 import (
-	"slices"
 	"sort"
 
 	"hgs/internal/graph"
@@ -166,9 +165,13 @@ func (s *SoN) Graph(tt temporal.Time) *graph.Graph {
 // modify it.
 //
 // The running graph equals, at every point, the induced subgraph of the
-// members' own replays (NodeT.StateAt). The members' in-window events
-// are merged into one stream in graph.CompareEvents order, and each is
-// applied as visibility says.
+// members' own replays (NodeT.StateAt). Each member keeps a cursor into
+// its own history and, at each point, replays its events up to it as
+// inducedEvent says, on its own side: the SoN fetch gives an edge event
+// to both endpoints' histories, so an edge between two members is
+// written once from each, with no merge of the histories and no sort.
+// Stored order puts a RemoveNode's edge removals before it, so a
+// member's removal finds its edges already gone from its side.
 func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Graph)) {
 	if len(points) == 0 {
 		return
@@ -189,27 +192,14 @@ func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Grap
 		}
 	}
 
-	// One stream of what the members' histories change in the induced
-	// graph, in the order of the original events.
-	var steps []step
-	for _, nt := range nts {
-		id := nt.ID()
-		for i := range nt.h.Events {
-			e := &nt.h.Events[i]
-			if visible, create := visibility(*e, id, members); visible {
-				steps = append(steps, step{e: e, create: create, node: id})
-			}
-		}
-	}
-	slices.SortFunc(steps, func(a, b step) int { return graph.CompareEvents(*a.e, *b.e) })
-
-	i := 0
+	next := make([]int, len(nts))
 	for _, tt := range points {
-		for ; i < len(steps) && steps[i].e.Time <= tt; i++ {
-			if steps[i].create {
-				g.AddNode(steps[i].node)
-			} else {
-				g.Apply(*steps[i].e)
+		for m, nt := range nts {
+			evs := nt.h.Events
+			for ; next[m] < len(evs) && evs[next[m]].Time <= tt; next[m]++ {
+				if e, ok := inducedEvent(evs[next[m]], members); ok {
+					g.ApplySide(e, nt.ID())
+				}
 			}
 		}
 		visit(tt, g)
@@ -243,38 +233,31 @@ func induced(ns *graph.NodeState, members map[graph.NodeID]struct{}) *graph.Node
 	return c
 }
 
-// A step is one event of the replay stream: the event as it sorts, and
-// either the event itself to apply or, with create set, AddNode(node).
-type step struct {
-	e      *graph.Event
-	create bool
-	node   graph.NodeID
-}
-
-// visibility reports whether the induced replay applies event e of
-// member id's history, and whether it applies it as AddNode(id). An edge
-// event between two members is taken once, from the history of its Node
-// endpoint. An edge event whose other endpoint is not a member leaves no
-// edge in the induced graph, but adding the edge or setting one of its
-// attributes still creates the member, as the member's own replay does;
-// removing it or deleting an attribute is invisible.
-func visibility(e graph.Event, id graph.NodeID, members map[graph.NodeID]struct{}) (visible, create bool) {
+// inducedEvent is the one rule for what event e does to the graph
+// induced on the members: node events of a member and edge events
+// between two members apply as they are (ok true), events touching no
+// member do nothing (ok false). An edge event with one member endpoint
+// leaves no edge in the induced graph, but adding the edge or setting
+// one of its attributes still creates the member, as the member's own
+// replay does, so it becomes AddNode of the member; removing the edge or
+// deleting an attribute does nothing.
+func inducedEvent(e graph.Event, members map[graph.NodeID]struct{}) (graph.Event, bool) {
+	_, node := members[e.Node]
 	if !e.Kind.IsEdge() {
-		return e.Node == id, false
+		return e, node
 	}
-	other := e.Other
-	switch id {
-	case e.Node:
-	case e.Other:
-		other = e.Node
-	default:
-		return false, false
+	_, other := members[e.Other]
+	if node == other {
+		return e, node
 	}
-	if _, ok := members[other]; ok {
-		return e.Node == id, false
+	if e.Kind != graph.AddEdge && e.Kind != graph.SetEdgeAttr {
+		return graph.Event{}, false
 	}
-	create = e.Kind == graph.AddEdge || e.Kind == graph.SetEdgeAttr
-	return create, create
+	id := e.Node
+	if other {
+		id = e.Other
+	}
+	return graph.Event{Time: e.Time, Kind: graph.AddNode, Node: id}, true
 }
 
 // ChangePoints returns the distinct change times across the whole SoN —

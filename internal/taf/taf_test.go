@@ -1,13 +1,16 @@
 package taf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hgs/internal/core"
 	"hgs/internal/graph"
 	"hgs/internal/kvstore"
+	"hgs/internal/partition"
 	"hgs/internal/sparklite"
 	"hgs/internal/temporal"
 )
@@ -60,12 +63,20 @@ func newHandler(t *testing.T, workers int) *Handler {
 // buildHandler indexes events in a small multi-span, multi-partition TGI.
 func buildHandler(tb testing.TB, events []graph.Event, workers int) *Handler {
 	tb.Helper()
+	return buildPartitionedHandler(tb, events, workers, partition.Random)
+}
+
+// buildPartitionedHandler is buildHandler with the given
+// micro-partitioning.
+func buildPartitionedHandler(tb testing.TB, events []graph.Event, workers int, p partition.Kind) *Handler {
+	tb.Helper()
 	store := kvstore.NewCluster(kvstore.Config{Machines: 2, Replication: 1})
 	cfg := core.DefaultConfig()
 	cfg.TimespanEvents = 150
 	cfg.EventlistSize = 30
 	cfg.HorizontalPartitions = 3
 	cfg.PartitionSize = 8
+	cfg.Partitioning = p
 	tgi, err := core.Build(store, cfg, events)
 	if err != nil {
 		tb.Fatalf("Build: %v", err)
@@ -692,5 +703,83 @@ func TestSONFetchSharesDeltaCache(t *testing.T) {
 				t.Fatalf("node %d at %d: warm fetch state differs", a[i].ID(), tt)
 			}
 		}
+	}
+}
+
+// graphSummary renders a graph's nodes, attributes, edges and edge
+// attributes as one comparable string.
+func graphSummary(g *graph.Graph) string {
+	var b strings.Builder
+	for _, id := range g.NodeIDs() {
+		ns := g.Node(id)
+		edges := make(map[graph.EdgeKey]graph.Attrs, len(ns.Edges))
+		for k, es := range ns.Edges {
+			edges[k] = es.Attrs
+		}
+		fmt.Fprint(&b, id, ns.Attrs, edges, ";")
+	}
+	return b.String()
+}
+
+// TestSubgraphComputeDeltaMatchesTemporal folds every event into the
+// value by applying it to a copy of the before-state and summarizing the
+// result afresh, so the incremental series equals the temporal one only
+// if the running state SubgraphComputeDelta keeps equals StateAt at
+// every change point. The first history re-creates a removed member
+// through an edge to a non-member.
+func TestSubgraphComputeDeltaMatchesTemporal(t *testing.T) {
+	type setup struct {
+		events []graph.Event
+		roots  []graph.NodeID
+		iv     temporal.Interval
+	}
+	setups := map[string]setup{"recreate": {
+		events: []graph.Event{
+			{Time: 10, Kind: graph.AddNode, Node: 1},
+			{Time: 20, Kind: graph.AddNode, Node: 2},
+			{Time: 30, Kind: graph.AddEdge, Node: 1, Other: 2},
+			{Time: 40, Kind: graph.RemoveNode, Node: 1},
+			{Time: 50, Kind: graph.AddEdge, Node: 1, Other: 3},
+		},
+		roots: []graph.NodeID{2},
+		iv:    temporal.NewInterval(35, 100),
+	}}
+	for seed := int64(1); seed <= 30; seed++ {
+		setups[fmt.Sprintf("seed%d", seed)] = setup{
+			events: genEdgeAttrHistory(seed, 300, 20),
+			roots:  []graph.NodeID{1, 4, 8, 13, 17},
+			iv:     temporal.NewInterval(600, 2700),
+		}
+	}
+	recount := func(before *graph.Graph, aux any, _ string, e graph.Event) (string, any) {
+		after := before.Clone()
+		if err := after.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		return graphSummary(after), aux
+	}
+	for name, su := range setups {
+		t.Run(name, func(t *testing.T) {
+			sots, err := SOTS(buildHandler(t, su.events, 2), 1).Roots(su.roots...).Timeslice(su.iv).Fetch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := SubgraphComputeTemporal(sots, graphSummary, nil)
+			incr := SubgraphComputeDelta(sots, func(g *graph.Graph) (string, any) { return graphSummary(g), nil }, recount)
+			if len(fresh) != len(su.roots) {
+				t.Fatalf("%d series for %d roots", len(fresh), len(su.roots))
+			}
+			for id, fs := range fresh {
+				is := incr[id]
+				if len(fs) != len(is) {
+					t.Fatalf("root %d: %d fresh samples vs %d incremental", id, len(fs), len(is))
+				}
+				for i := range fs {
+					if fs[i] != is[i] {
+						t.Fatalf("root %d at %d: fresh %q, incremental %q", id, fs[i].Time, fs[i].Value, is[i].Value)
+					}
+				}
+			}
+		})
 	}
 }
