@@ -96,12 +96,14 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
-# under internal/: codec encode/decode, fetch cache and Exec, core build
-# and append, graph Density (the first, O(N+E) pair count) and
-# DensityAfterEdit (one edge edit, then the count the edit kept), taf
-# Evolution and SoNFetch (a warm-cache SoN fetch), and the disklog and
-# tiered engines (Put, Get from memory and from disk, MultiGet,
-# ScanPrefix over a few thousand rows). CI runs each
+# under internal/: codec encode/decode, fetch cache and Exec, core build,
+# append and warm snapshots (GetSnapshotWarm at one time;
+# GetSnapshotWarmSweep cycles through times over every leaf, where end
+# states stand in for most of the boundary replay), graph Density (the
+# first, O(N+E) pair count) and DensityAfterEdit (one edge edit, then the
+# count the edit kept), taf Evolution and SoNFetch (a warm-cache SoN
+# fetch), and the disklog and tiered engines (Put, Get from memory and
+# from disk, MultiGet, ScanPrefix over a few thousand rows). CI runs each
 # once (BENCHTIME=1x) so they keep compiling and running; for numbers use
 # the default or e.g. BENCHTIME=2s.
 BENCHTIME ?= 1s

@@ -187,6 +187,76 @@ func TestAnswerMutationIsolation(t *testing.T) {
 			}
 		}
 	}
+
+	// After a warm sweep of a leaf, every answer there holds the end
+	// state of each node done by its time (no event later in the leaf's
+	// eventlist) by pointer. Writes through Graph methods on one answer's
+	// done nodes must reach no later answer, at that time or another.
+	opts := smallOptions()
+	for _, j := range []int{len(events) / 3, len(events) * 2 / 3, len(events) - 40} {
+		base := j / opts.TimespanEvents * opts.TimespanEvents
+		base += (j - base) / opts.EventlistSize * opts.EventlistSize
+		end := min(base+opts.EventlistSize, len(events))
+		if j == end-1 {
+			j-- // the time of a list's last event reads the next leaf
+		}
+		tt := events[j].Time
+		for k := base; k <= j; k += 10 {
+			if _, err := store.Snapshot(events[k].Time); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := store.Snapshot(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.Snapshot(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done []NodeID
+		for id := range touchedIn(events[base : j+1]) {
+			if !touchedIn(events[j+1 : end])[id] && a.Has(id) {
+				if a.Node(id) != b.Node(id) {
+					t.Fatalf("node %d is done by %d, but two answers there hold different states", id, tt)
+				}
+				done = append(done, id)
+			}
+		}
+		if len(done) < 4 {
+			t.Fatalf("only %d nodes are done by %d in its eventlist", len(done), tt)
+		}
+		slices.Sort(done)
+		fresh := a.NodeIDs()[a.NumNodes()-1] + 1
+		for i, id := range done[:len(done)-1] {
+			a.AddEdge(id, fresh)
+			if err := a.Apply(Event{Kind: SetEdgeAttr, Node: id, Other: done[i+1], Key: "w", Value: "mut"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.RemoveNode(done[len(done)-1])
+		for _, at := range []Time{tt, events[base].Time, lo, hi} {
+			g, err := store.Snapshot(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !g.Equal(mustGraph(events, at)) {
+				t.Fatalf("snapshot@%d differs from the replay of the log after writes on the done nodes of an answer at %d", at, tt)
+			}
+		}
+	}
+}
+
+// touchedIn returns the nodes the events touch.
+func touchedIn(events []Event) map[NodeID]bool {
+	ids := map[NodeID]bool{}
+	for _, e := range events {
+		ids[e.Node] = true
+		if e.Kind.IsEdge() {
+			ids[e.Other] = true
+		}
+	}
+	return ids
 }
 
 // scribble writes a caller-owned node state directly: its attributes,

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hgs"
@@ -55,11 +56,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Contacts of currently infected nodes.
-		for id, t0 := range infectedAt {
-			if t0 > t {
-				continue
-			}
+		// Contacts of the nodes infected before this check, in id order:
+		// the draws from rng, and so the run, are the same every time.
+		infected := make([]hgs.NodeID, 0, len(infectedAt))
+		for id := range infectedAt {
+			infected = append(infected, id)
+		}
+		slices.Sort(infected)
+		for _, id := range infected {
 			for _, nb := range g.Neighbors(id) {
 				if _, done := infectedAt[nb]; done {
 					continue

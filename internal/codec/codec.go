@@ -310,6 +310,35 @@ func (c Codec) EncodeNodeState(ns *graph.NodeState) ([]byte, error) {
 	return c.frame(flagPlain, b.buf.Bytes())
 }
 
+// StateSize returns the length of node state ns's encoding, unframed and
+// uncompressed — what EncodeNodeState frames — without encoding it.
+func StateSize(ns *graph.NodeState) int {
+	n := varintLen(int64(ns.ID)) + attrsSize(ns.Attrs) + uvarintLen(uint64(len(ns.Edges)))
+	for k, es := range ns.Edges {
+		n += varintLen(int64(k.Other)) + 1 + attrsSize(es.Attrs)
+	}
+	return n
+}
+
+// attrsSize returns the length of encodeAttrs(a).
+func attrsSize(a graph.Attrs) int {
+	n := uvarintLen(uint64(len(a)))
+	for k, v := range a {
+		n += uvarintLen(uint64(len(k))) + len(k) + uvarintLen(uint64(len(v))) + len(v)
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(tmp[:], v)
+}
+
+func varintLen(v int64) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutVarint(tmp[:], v)
+}
+
 // DecodeNodeState parses a blob produced by EncodeNodeState.
 func (c Codec) DecodeNodeState(blob []byte) (*graph.NodeState, error) {
 	data, release, err := unframe(blob)

@@ -130,6 +130,27 @@ func TestNodeStateRoundtrip(t *testing.T) {
 	}
 }
 
+// TestStateSizeMatchesEncoding checks StateSize against the length of
+// the encoding it sizes, over attributed states with negative ids and
+// self-loops.
+func TestStateSizeMatchesEncoding(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		d := randDelta(seed, 200)
+		for _, ns := range d.Nodes {
+			ns = ns.Clone()
+			if seed%2 == 1 {
+				ns.ID = -ns.ID - 300
+			}
+			b := getEncBuffer()
+			encodeNodeState(b, ns)
+			if got, want := StateSize(ns), b.buf.Len(); got != want {
+				t.Fatalf("seed %d: StateSize(node %d) = %d, encoding is %d bytes", seed, ns.ID, got, want)
+			}
+			putEncBuffer(b)
+		}
+	}
+}
+
 func TestCompressionShrinksRepetitiveData(t *testing.T) {
 	// A large delta with repetitive attributes should compress well.
 	g := graph.New()

@@ -155,6 +155,19 @@ func (t *TGI) StreamSnapshot(tt temporal.Time, opts *FetchOptions, emit func(sid
 // into another part's node. A nil o applies both sides: applyAux's
 // frontier states belong to other partitions.
 //
+// Since each owned node's replay touches that node alone, a whole
+// partition's replay (want nil, o set) goes node by node through a
+// cached list's end index (fetch.Ends): a node whose last event in the
+// list is at or before tt has its end-of-list state at tt. If a replay
+// published that state already, the node's first event installs it by
+// pointer (or drops the node, absent at the end) and its events are
+// skipped; if not, the node replays and, after the list's loop, its
+// state is frozen and published for later replays. A node with events
+// after tt replays as before. An end state holds only on the path it was
+// replayed from, so path must be the base LeafPaths[leaf] of the
+// boundary's leaf, as it is for every whole-partition caller (snapshots,
+// the SoN's initial states, Append's carry).
+//
 // want, ascending, asks for some nodes only (a point read's node, a
 // k-hop frontier's members of one micro-partition): then only their
 // path states are decoded and installed, and only the boundary events
@@ -175,8 +188,12 @@ func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner, want [
 			return nil, err
 		}
 	}
+	var ends endReplay
 	for _, p := range boundary {
-		for _, e := range p.Events {
+		if want == nil && o != nil {
+			ends.reset(p.Ends(), tt)
+		}
+		for i, e := range p.Events {
 			if e.Time > tt {
 				break
 			}
@@ -185,14 +202,14 @@ func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner, want [
 			case o == nil:
 				err = g.Apply(e)
 			case !e.Kind.IsEdge() || e.Node == e.Other:
-				if wanted(want, e.Node) {
+				if wanted(want, e.Node) && ends.replays(g, i, 0) {
 					err = g.Apply(e)
 				}
 			default:
-				if wanted(want, e.Node) && o.owns(e.Node, p.PID) {
+				if wanted(want, e.Node) && o.owns(e.Node, p.PID) && ends.replays(g, i, 0) {
 					err = g.ApplySide(e, e.Node)
 				}
-				if err == nil && wanted(want, e.Other) && o.owns(e.Other, p.PID) {
+				if err == nil && wanted(want, e.Other) && o.owns(e.Other, p.PID) && ends.replays(g, i, 1) {
 					err = g.ApplySide(e, e.Other)
 				}
 			}
@@ -200,8 +217,79 @@ func materialize(path, boundary []fetch.Part, tt temporal.Time, o *owner, want [
 				return nil, err
 			}
 		}
+		ends.publish(g)
 	}
 	return g, nil
+}
+
+// endReplay is materialize's node-by-node use of one micro-eventlist's
+// end index. Its zero value, or one reset to a nil index, replays every
+// node.
+type endReplay struct {
+	ends *fetch.Ends
+	tt   temporal.Time
+	// how is, per slot, what the replay does with the node: decided at
+	// its first event.
+	how []uint8
+	// done lists the howPublish slots, published after the loop.
+	done []int32
+}
+
+// The values of endReplay.how.
+const (
+	howUndecided = iota
+	howReplay
+	howPublish // replay, then publish the end state
+	howInstalled
+)
+
+// reset points r at a part's end index (nil: replay every node).
+func (r *endReplay) reset(ends *fetch.Ends, tt temporal.Time) {
+	r.ends, r.tt, r.done = ends, tt, r.done[:0]
+	if ends != nil {
+		r.how = slices.Grow(r.how[:0], ends.Len())[:ends.Len()]
+		clear(r.how)
+	}
+}
+
+// replays reports whether event i's side (0 Node, 1 Other) replays.
+// At a node's first event it decides for all of the node's events: an
+// installed node's later events are skipped.
+func (r *endReplay) replays(g *graph.Graph, i, side int) bool {
+	if r.ends == nil {
+		return true
+	}
+	s := r.ends.Slot(i, side)
+	switch r.how[s] {
+	case howReplay, howPublish:
+		return true
+	case howInstalled:
+		return false
+	}
+	if r.ends.Last(s) > r.tt {
+		r.how[s] = howReplay
+		return true
+	}
+	if ns, ok := r.ends.End(s); ok {
+		if ns == nil {
+			g.DropNode(r.ends.ID(s))
+		} else {
+			g.PutNode(ns)
+		}
+		r.how[s] = howInstalled
+		return false
+	}
+	r.how[s] = howPublish
+	r.done = append(r.done, s)
+	return true
+}
+
+// publish publishes the end states of the nodes the part's loop replayed
+// to the end of the list.
+func (r *endReplay) publish(g *graph.Graph) {
+	for _, s := range r.done {
+		r.ends.Publish(s, g.Node(r.ends.ID(s)))
+	}
 }
 
 // wanted reports whether materialize's want (ascending, nil for all)

@@ -57,8 +57,13 @@ const (
 //
 // Cached parts are frozen, shared: their delta states are frozen at
 // decode, answers hold them by pointer, and Graph copies a state on its
-// first write; event slices are filtered into new ones. A nil *Cache is
-// valid and caches nothing.
+// first write; event slices are filtered into new ones. A micro-eventlist
+// of a complete group also carries an end index (Part.Ends) whose end
+// states replays publish: the index and each published state are
+// charged to the entry holding the part when they appear — a state its
+// encoded size plus a fixed overhead, like a decoded part — and leave
+// with it on eviction or Purge. A nil *Cache is valid and caches
+// nothing.
 type Cache struct {
 	mu        sync.Mutex
 	max       int64
@@ -255,7 +260,9 @@ func (c *Cache) hitLocked(p Part) {
 }
 
 // AddGroup installs the complete decoded part set of a group. sizes[i]
-// is the encoded size of parts[i] (the byte-budget charge). An empty
+// is the encoded size of parts[i] (the byte-budget charge). The
+// micro-eventlists of an admitted group, in parts as well as in the
+// cache, get an end index charged to its entry (Part.Ends). An empty
 // parts slice installs a complete absence marker for the whole group at
 // fixed cost. A group bigger than the whole budget is rejected at
 // admission — one giant snapshot scan must not wipe every hot entry
@@ -266,9 +273,14 @@ func (c *Cache) AddGroup(k GroupKey, parts []Part, sizes []int64) {
 		return
 	}
 	e := &cacheEntry{key: k, parts: make(map[int]Part, len(parts)), complete: true, total: entryOverhead}
-	for i, p := range parts {
-		e.parts[p.PID] = p
+	for i := range parts {
 		e.total += sizes[i] + partOverhead
+	}
+	for i := range parts {
+		if parts[i].Events != nil && e.total <= c.max { // admitted below
+			parts[i].ev = &eventRow{cache: c, entry: e}
+		}
+		e.parts[parts[i].PID] = parts[i]
 	}
 	e.sorted = append([]Part(nil), parts...)
 	sort.Slice(e.sorted, func(i, j int) bool { return e.sorted[i].PID < e.sorted[j].PID })
@@ -424,6 +436,20 @@ func (c *Cache) addBytesLocked(e *cacheEntry, b int64) {
 			c.demoteLocked()
 		}
 	}
+}
+
+// charge adds b bytes to entry e for the end index of one of its parts
+// or an end state published on it, unless e is no longer resident: an
+// evicted or purged entry's parts keep serving the queries that hold
+// them, uncharged.
+func (c *Cache) charge(e *cacheEntry, b int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[e.key]; !ok || el.Value.(*cacheEntry) != e {
+		return
+	}
+	c.addBytesLocked(e, b)
+	c.evictLocked()
 }
 
 // evictLocked drops entries until within budget: probation (one-shot

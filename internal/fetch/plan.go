@@ -147,11 +147,13 @@ func (p *Plan) Empty() bool {
 // with its parsed id index and tombstones, and decodes a state the first
 // time a reader asks for it (ApplyTo), freezing it and keeping it for
 // every later reader, so a point read decodes only the states it
-// answers for and a warm part decodes each state at most once.
+// answers for and a warm part decodes each state at most once. A
+// micro-eventlist part of a cached group carries an end index (Ends).
 type Part struct {
 	PID    int
 	Events []graph.Event
 	row    *deltaRow
+	ev     *eventRow
 }
 
 // deltaRow is a micro-delta part's row and, per slot, the state decoded

@@ -188,6 +188,22 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 	return true
 }
 
+// DropNode deletes node id's state alone and reports whether the node
+// existed: unlike RemoveNode it leaves the mirror entries its neighbors
+// hold. It is PutNode's counterpart for a replay that sets each node's
+// state on its own, where every neighbor's own replay removes its side.
+func (g *Graph) DropNode(id NodeID) bool {
+	ns, ok := g.nodes[id]
+	if !ok {
+		return false
+	}
+	if s := g.sides.Load(); s != 0 {
+		g.sides.Store(s - int64(nodeSides(ns)))
+	}
+	delete(g.nodes, id)
+	return true
+}
+
 // AddEdge creates the directed edge u->v, creating the endpoints if
 // needed, and returns u's side of its state (the existing state if
 // already present, copied first if frozen), which the caller may write.

@@ -64,6 +64,18 @@ func TestRemoveNodeCleansIncidentEdges(t *testing.T) {
 	}
 }
 
+func TestDropNodeLeavesNeighbors(t *testing.T) {
+	g := New()
+	g.AddEdge(1, 2)
+	g.AddEdge(3, 1)
+	if !g.DropNode(1) || g.Has(1) || g.DropNode(1) {
+		t.Fatal("DropNode did not delete the node once")
+	}
+	if !g.Node(2).HasEdgeTo(1) || !g.Node(3).HasEdgeTo(1) {
+		t.Fatal("DropNode removed the neighbors' mirror entries")
+	}
+}
+
 func TestApplyEventsRoundtrip(t *testing.T) {
 	events := []Event{
 		{Time: 1, Kind: AddNode, Node: 1},

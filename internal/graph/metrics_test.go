@@ -385,10 +385,14 @@ func TestPairCountMatchesRecount(t *testing.T) {
 				if err := g.ApplySide(e, side); err != nil {
 					t.Fatal(err)
 				}
-			case r < 14:
+			case r < 13:
 				n := id()
 				op = fmt.Sprintf("RemoveNode %d", n)
 				g.RemoveNode(n)
+			case r < 14:
+				n := id()
+				op = fmt.Sprintf("DropNode %d", n)
+				g.DropNode(n)
 			case r < 16:
 				ns := randomState(rng, id(), space)
 				if rng.Intn(2) == 0 {
