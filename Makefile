@@ -63,9 +63,10 @@ cover:
 		-pkg hgs/internal/kvstore=$(KVSTORE_FLOOR) -pkg hgs/internal/ring=$(RING_FLOOR) \
 		-pkg hgs/internal/reclog=$(RECLOG_FLOOR) -pkg hgs/internal/backend/disklog=$(DISKLOG_FLOOR)
 
-# Brief native fuzzing of the decode and placement invariants (the same
-# targets `make test` replays against the committed corpora). CI runs
-# this on every push; the nightly chaos job fuzzes longer.
+# Brief native fuzzing of the decode and placement invariants and of the
+# server's row encoder against encoding/json (the same targets `make
+# test` replays against the committed corpora and seeds). CI runs this
+# on every push; the nightly chaos job fuzzes longer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/codec/ -fuzz FuzzUnframe -fuzztime $(FUZZTIME) -run '^$$'
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/codec/ -fuzz '^FuzzDecodeDeltaState$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/ring/ -fuzz FuzzRingLookup -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/reclog/ -fuzz FuzzScan -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/server/ -fuzz '^FuzzAppendNode$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 fmt-check:
 	@files="$$(gofmt -l .)"; \
@@ -103,7 +105,9 @@ loc:
 # first, O(N+E) pair count) and DensityAfterEdit (one edge edit, then the
 # count the edit kept), taf Evolution and SoNFetch (a warm-cache SoN
 # fetch), and the disklog and tiered engines (Put, Get from memory and
-# from disk, MultiGet, ScanPrefix over a few thousand rows). CI runs each
+# from disk, MultiGet, ScanPrefix over a few thousand rows), and the
+# server's SnapshotNDJSON (a warm /v1/snapshot of a ~3,000-node store
+# through Server.Handler, row encoding included). CI runs each
 # once (BENCHTIME=1x) so they keep compiling and running; for numbers use
 # the default or e.g. BENCHTIME=2s.
 BENCHTIME ?= 1s

@@ -58,6 +58,9 @@ type EdgeKey struct {
 
 // CompareEdgeKeys orders edge keys by Other, the in-edge before the
 // out-edge: the deterministic edge order of encodings and expansions.
+// The server's JSON rows (server.EdgeJSON) put the out-edge first on
+// purpose, to keep the bytes they always had; neither order is to be
+// aligned with the other.
 func CompareEdgeKeys(x, y EdgeKey) int {
 	if c := cmp.Compare(x.Other, y.Other); c != 0 {
 		return c

@@ -19,6 +19,15 @@
 //	context.DeadlineExceeded 504 Gateway Timeout
 //	context.Canceled         499 (client closed request)
 //
+// Node-shaped bodies (snapshot rows, /v1/node, the /v1/khop array, the
+// initial states of both history endpoints) come from one append
+// encoder, appendNode, with no reflection: it writes the bytes
+// encoding/json would write for NodeJSON, in the row order NodeJSON
+// documents. A snapshot encodes its partitions one at a time into one
+// buffer per request, written out whenever it passes snapshotWriteBytes
+// and at each partition's end, so the server never holds a whole
+// snapshot.
+//
 // The store's observability endpoints (/metrics, /debug/pprof/*,
 // /traces) mount into the same mux, so one port serves queries and
 // telemetry alike. cmd/hgs-server is the binary; the benchmark's
@@ -26,12 +35,14 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -324,6 +335,13 @@ func writeJSON(w http.ResponseWriter, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
+// writeJSONBytes is writeJSON for a body the append encoder built.
+func writeJSONBytes(w http.ResponseWriter, body []byte) error {
+	w.Header().Set("Content-Type", "application/json")
+	_, err := w.Write(append(body, '\n'))
+	return err
+}
+
 // --- parameter parsing --------------------------------------------------
 
 func intParam(r *http.Request, name string) (int64, error) {
@@ -367,6 +385,11 @@ func (s *Server) checkRange(times ...hgs.Time) error {
 
 // EdgeJSON is one incident edge of a node row. Out reports direction
 // (true: the row's node is the source).
+//
+// A row lists its edges by Other, the out-edge before the in-edge. That
+// is the reverse of graph.CompareEdgeKeys (in-edge first) on purpose,
+// so that rows keep the bytes clients have always been sent; do not
+// align one order with the other.
 type EdgeJSON struct {
 	Other hgs.NodeID `json:"other"`
 	Out   bool       `json:"out"`
@@ -374,7 +397,10 @@ type EdgeJSON struct {
 }
 
 // NodeJSON is one node state: an NDJSON row of snapshot responses and
-// the body of /v1/node.
+// the body of /v1/node. It is the wire schema clients decode; the
+// server writes it with appendNode, which owns the order of a row:
+// attrs by key, edges by Other with the out-edge before the in-edge
+// (see EdgeJSON).
 type NodeJSON struct {
 	ID    hgs.NodeID `json:"id"`
 	Attrs hgs.Attrs  `json:"attrs,omitempty"`
@@ -407,25 +433,106 @@ var kindValues = func() map[string]hgs.EventKind {
 	return m
 }()
 
-func nodeJSON(ns *hgs.NodeState) NodeJSON {
-	row := NodeJSON{ID: ns.ID, Attrs: ns.Attrs}
-	if len(ns.Edges) > 0 {
-		row.Edges = make([]EdgeJSON, 0, len(ns.Edges))
-		for k, es := range ns.Edges {
-			var attrs hgs.Attrs
-			if es != nil {
-				attrs = es.Attrs
-			}
-			row.Edges = append(row.Edges, EdgeJSON{Other: k.Other, Out: k.Out, Attrs: attrs})
-		}
-		sort.Slice(row.Edges, func(i, j int) bool {
-			if row.Edges[i].Other != row.Edges[j].Other {
-				return row.Edges[i].Other < row.Edges[j].Other
-			}
-			return row.Edges[i].Out && !row.Edges[j].Out
-		})
+// encodeScratch is the sort scratch appendNode reuses from row to row.
+type encodeScratch struct {
+	edges []EdgeJSON
+	keys  []string
+}
+
+// appendNode appends the NodeJSON row of ns to dst: the bytes
+// encoding/json writes for it, without a trailing newline.
+func appendNode(dst []byte, ns *hgs.NodeState, sc *encodeScratch) []byte {
+	dst = slices.Grow(dst, 32+32*len(ns.Edges)) // an edge takes ~30 bytes
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(ns.ID), 10)
+	if len(ns.Attrs) > 0 {
+		dst = append(dst, `,"attrs":`...)
+		dst = appendAttrs(dst, ns.Attrs, sc)
 	}
-	return row
+	if len(ns.Edges) == 0 {
+		return append(dst, '}')
+	}
+	sc.edges = slices.Grow(sc.edges[:0], len(ns.Edges))
+	for k, es := range ns.Edges {
+		var attrs hgs.Attrs
+		if es != nil {
+			attrs = es.Attrs
+		}
+		sc.edges = append(sc.edges, EdgeJSON{Other: k.Other, Out: k.Out, Attrs: attrs})
+	}
+	slices.SortFunc(sc.edges, func(x, y EdgeJSON) int {
+		if x.Other != y.Other || x.Out == y.Out {
+			return cmp.Compare(x.Other, y.Other)
+		}
+		if x.Out {
+			return -1
+		}
+		return 1
+	})
+	dst = append(dst, `,"edges":[`...)
+	for i, e := range sc.edges {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"other":`...)
+		dst = strconv.AppendInt(dst, int64(e.Other), 10)
+		dst = append(dst, `,"out":`...)
+		dst = strconv.AppendBool(dst, e.Out)
+		if len(e.Attrs) > 0 {
+			dst = append(dst, `,"attrs":`...)
+			dst = appendAttrs(dst, e.Attrs, sc)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// appendAttrs appends a as a JSON object with its keys in sorted order,
+// as encoding/json writes a map.
+func appendAttrs(dst []byte, a hgs.Attrs, sc *encodeScratch) []byte {
+	sc.keys = sc.keys[:0]
+	for k := range a {
+		sc.keys = append(sc.keys, k)
+	}
+	slices.Sort(sc.keys)
+	dst = append(dst, '{')
+	for i, k := range sc.keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(dst, k)
+		dst = append(dst, ':')
+		dst = appendString(dst, a[k])
+	}
+	return append(dst, '}')
+}
+
+// appendString appends s as a JSON string. Printable ASCII that
+// encoding/json would not escape is copied as is; any other string goes
+// through json.Marshal, which keeps its HTML escaping, its U+FFFD for
+// invalid UTF-8 and its U+2028/U+2029 escapes.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendGraph appends g's node rows as one JSON array, in id order.
+func appendGraph(dst []byte, g *hgs.Graph, sc *encodeScratch) []byte {
+	dst = append(dst, '[')
+	for i, id := range g.NodeIDs() {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendNode(dst, g.Node(id), sc)
+	}
+	return append(dst, ']')
 }
 
 func eventJSON(e hgs.Event) EventJSON {
@@ -440,14 +547,6 @@ func (e EventJSON) event() (hgs.Event, error) {
 	}
 	return hgs.Event{Time: e.Time, Kind: k, Node: e.Node, Other: e.Other,
 		Key: e.Key, Value: e.Value}, nil
-}
-
-func graphJSON(g *hgs.Graph) []NodeJSON {
-	rows := make([]NodeJSON, 0, g.NumNodes())
-	for _, id := range g.NodeIDs() {
-		rows = append(rows, nodeJSON(g.Node(id)))
-	}
-	return rows
 }
 
 // --- endpoints ----------------------------------------------------------
@@ -468,10 +567,17 @@ func (s *Server) handleTimeRange(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, map[string]hgs.Time{"first": first, "last": last})
 }
 
+// snapshotWriteBytes is the buffered row bytes past which a snapshot
+// stream writes to the client before its partition is done.
+const snapshotWriteBytes = 32 << 10
+
 // handleSnapshot streams the snapshot at ?t= as NDJSON, one node row
 // per line, rows written (and flushed) as each horizontal partition
 // finishes materializing — the response starts before the last
 // partition is done and total memory stays bounded by partition size.
+// Partitions encode one at a time under mu into one buffer the request
+// reuses, written out whenever it passes snapshotWriteBytes and at
+// each partition's end.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	tt, err := intParam(r, "t")
 	if err != nil {
@@ -480,11 +586,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	if err := s.checkRange(hgs.Time(tt)); err != nil {
 		return err
 	}
-	var mu sync.Mutex
-	var started bool
-	enc := json.NewEncoder(w)
+	var (
+		mu      sync.Mutex
+		started bool
+		buf     []byte
+		sc      encodeScratch
+	)
 	fl, _ := w.(http.Flusher)
-	err = s.store.StreamSnapshot(hgs.Time(tt), &hgs.FetchOptions{Context: r.Context()},
+	return s.store.StreamSnapshot(hgs.Time(tt), &hgs.FetchOptions{Context: r.Context()},
 		func(sid int, states []*hgs.NodeState) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -492,9 +601,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				started = true
 			}
-			for _, ns := range states {
-				if err := enc.Encode(nodeJSON(ns)); err != nil {
-					return err
+			for i, ns := range states {
+				buf = append(appendNode(buf, ns, &sc), '\n')
+				if len(buf) >= snapshotWriteBytes || i == len(states)-1 {
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
 				}
 			}
 			if fl != nil {
@@ -502,7 +615,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 			}
 			return nil
 		})
-	return err
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) error {
@@ -524,7 +636,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) error {
 	if ns == nil {
 		return fmt.Errorf("node %d at t=%d: %w", id, tt, hgs.ErrNodeNotFound)
 	}
-	return writeJSON(w, nodeJSON(ns))
+	return writeJSONBytes(w, appendNode(nil, ns, &encodeScratch{}))
 }
 
 // handleNodeHistory streams a node's history over [ts, te) as NDJSON:
@@ -552,9 +664,9 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) error
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	var initial any
+	initial := json.RawMessage("null")
 	if h.Initial != nil {
-		initial = nodeJSON(h.Initial)
+		initial = appendNode(nil, h.Initial, &encodeScratch{})
 	}
 	if err := enc.Encode(map[string]any{"initial": initial, "events": len(h.Events)}); err != nil {
 		return err
@@ -617,7 +729,7 @@ func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) error {
 	if !g.Has(hgs.NodeID(id)) {
 		return fmt.Errorf("node %d at t=%d: %w", id, tt, hgs.ErrNodeNotFound)
 	}
-	return writeJSON(w, graphJSON(g))
+	return writeJSONBytes(w, appendGraph(nil, g, &encodeScratch{}))
 }
 
 func (s *Server) handleKHopHistory(w http.ResponseWriter, r *http.Request) error {
@@ -650,7 +762,7 @@ func (s *Server) handleKHopHistory(w http.ResponseWriter, r *http.Request) error
 		"k":        sh.K,
 		"interval": sh.Interval,
 		"members":  sh.Members,
-		"initial":  graphJSON(sh.Initial),
+		"initial":  json.RawMessage(appendGraph(nil, sh.Initial, &encodeScratch{})),
 		"events":   evs,
 	})
 }

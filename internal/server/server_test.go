@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"hgs"
+	"hgs/internal/graph"
 	"hgs/internal/workload"
 )
 
@@ -104,10 +107,12 @@ func TestClosedStoreMapsTo503(t *testing.T) {
 }
 
 // TestSnapshotStreamsAllRows checks the NDJSON snapshot against the
-// in-process retrieval: same node count, one valid JSON row per line.
+// in-process retrieval: same node count, one valid JSON row per line,
+// and each row's attrs and edges those of the node in the snapshot.
 func TestSnapshotStreamsAllRows(t *testing.T) {
 	_, store, addr := testServer(t, Config{})
-	_, last, _ := store.TimeRange()
+	_, loaded, _ := store.TimeRange()
+	last := appendOddNodes(t, addr, loaded)
 	g, err := store.Snapshot(last)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -136,10 +141,163 @@ func TestSnapshotStreamsAllRows(t *testing.T) {
 			t.Fatalf("node %d emitted twice", row.ID)
 		}
 		seen[row.ID] = true
-		if !g.Has(row.ID) {
+		ns := g.Node(row.ID)
+		if ns == nil {
 			t.Fatalf("streamed node %d not in snapshot", row.ID)
 		}
+		if !sameAttrs(row.Attrs, ns.Attrs) {
+			t.Fatalf("node %d attrs: streamed %v, snapshot %v", row.ID, row.Attrs, ns.Attrs)
+		}
+		if len(row.Edges) != len(ns.Edges) {
+			t.Fatalf("node %d: streamed %d edges, snapshot %d", row.ID, len(row.Edges), len(ns.Edges))
+		}
+		for _, e := range row.Edges {
+			es, ok := ns.Edges[graph.EdgeKey{Other: e.Other, Out: e.Out}]
+			if !ok {
+				t.Fatalf("node %d: streamed edge %+v not in snapshot", row.ID, e)
+			}
+			var want hgs.Attrs
+			if es != nil {
+				want = es.Attrs
+			}
+			if !sameAttrs(e.Attrs, want) {
+				t.Fatalf("node %d edge %+v: snapshot attrs %v", row.ID, e, want)
+			}
+		}
 	}
+}
+
+// sameAttrs compares attrs as the wire carries them: nil and empty are
+// both an omitted field.
+func sameAttrs(a, b hgs.Attrs) bool {
+	return len(a) == len(b) && (len(a) == 0 || maps.Equal(a, b))
+}
+
+// oddAttrs are attr values and keys JSON escapes or writes as non-ASCII.
+var oddAttrs = []string{"<b>&amp;</b>", `quote " and \ slash`, "ctl \u0001\t", "line\u2028sep\u2029", "café ključ", "😀"}
+
+// appendOddNodes appends, through /v1/append after last, nodes 90001
+// and -90002 with oddAttrs in their attr keys and values, edges between
+// them both ways, a self-loop and an edge into the loaded graph, two of
+// the edges with attrs. It returns the time of the last event.
+func appendOddNodes(t *testing.T, addr string, last hgs.Time) hgs.Time {
+	t.Helper()
+	str := func(v string) string { return string(mustMarshal(t, v)) }
+	var evs []string
+	tt := last
+	add := func(format string, args ...any) {
+		tt++
+		evs = append(evs, fmt.Sprintf(`{"time":%d,`, tt)+fmt.Sprintf(format, args...))
+	}
+	add(`"kind":"add-node","node":90001}`)
+	add(`"kind":"add-node","node":-90002}`)
+	for i, v := range oddAttrs {
+		add(`"kind":"set-node-attr","node":90001,"key":"k<%d>","value":%s}`, i, str(v))
+		add(`"kind":"set-node-attr","node":-90002,"key":%s,"value":"v&%d"}`, str(v), i)
+	}
+	add(`"kind":"add-edge","node":90001,"other":-90002}`)
+	add(`"kind":"add-edge","node":-90002,"other":90001}`)
+	add(`"kind":"add-edge","node":90001,"other":90001}`)
+	add(`"kind":"add-edge","node":90001,"other":0}`)
+	add(`"kind":"set-edge-attr","node":90001,"other":-90002,"key":"w>","value":%s}`, str(oddAttrs[0]))
+	add(`"kind":"set-edge-attr","node":90001,"other":90001,"key":%s,"value":"self"}`, str(oddAttrs[3]))
+	resp, err := http.Post(fmt.Sprintf("http://%s/v1/append", addr), "application/json",
+		strings.NewReader(`{"events":[`+strings.Join(evs, ",")+`]}`))
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: status %d", resp.StatusCode)
+	}
+	return tt
+}
+
+// TestNodeShapedBodiesMatchEncodingJSON checks that every body holding
+// node rows is, byte for byte, what encoding/json renders for the
+// reflection-path shapes — on nodes whose attrs, appended through
+// /v1/append, hold characters JSON escapes.
+func TestNodeShapedBodiesMatchEncodingJSON(t *testing.T) {
+	_, store, addr := testServer(t, Config{})
+	_, last, _ := store.TimeRange()
+	tt := appendOddNodes(t, addr, last)
+
+	encode := func(v any) string {
+		var sb strings.Builder
+		if err := json.NewEncoder(&sb).Encode(v); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return sb.String()
+	}
+	body := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return string(b)
+	}
+	check := func(path, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", path, got, want)
+		}
+	}
+	for _, id := range []hgs.NodeID{90001, -90002} {
+		ns, err := store.Node(id, tt)
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		if len(ns.Attrs) != len(oddAttrs) {
+			t.Fatalf("node %d: %d attrs, want %d", id, len(ns.Attrs), len(oddAttrs))
+		}
+		path := fmt.Sprintf("/v1/node?id=%d&t=%d", id, tt)
+		check(path, body(path), encode(refNodeJSON(ns)))
+
+		g, err := store.KHop(id, 1, tt)
+		if err != nil {
+			t.Fatalf("khop %d: %v", id, err)
+		}
+		path = fmt.Sprintf("/v1/khop?id=%d&k=1&t=%d", id, tt)
+		check(path, body(path), encode(refGraphJSON(g)))
+
+		// History from just after the last event: the header carries
+		// the whole state as its initial.
+		h, err := store.NodeHistory(id, tt+1, tt+5)
+		if err != nil || h.Initial == nil {
+			t.Fatalf("history %d: %v, initial %v", id, err, h)
+		}
+		path = fmt.Sprintf("/v1/node/history?id=%d&ts=%d&te=%d", id, tt+1, tt+5)
+		head, _, _ := strings.Cut(body(path), "\n")
+		check(path, head+"\n", encode(map[string]any{"initial": refNodeJSON(h.Initial), "events": len(h.Events)}))
+
+		sh, err := store.KHopHistory(id, 1, last, tt+1)
+		if err != nil {
+			t.Fatalf("khop history %d: %v", id, err)
+		}
+		evs := make([]EventJSON, 0, len(sh.Events))
+		for _, e := range sh.Events {
+			evs = append(evs, eventJSON(e))
+		}
+		path = fmt.Sprintf("/v1/khop/history?id=%d&k=1&ts=%d&te=%d", id, last, tt+1)
+		check(path, body(path), encode(map[string]any{
+			"root": sh.Root, "k": sh.K, "interval": sh.Interval, "members": sh.Members,
+			"initial": refGraphJSON(sh.Initial), "events": evs,
+		}))
+	}
+	// The header of a history whose node has no initial state.
+	h, err := store.NodeHistory(90001, last, tt+1)
+	if err != nil || h.Initial != nil {
+		t.Fatalf("history from before the node: %v, initial %v", err, h)
+	}
+	path := fmt.Sprintf("/v1/node/history?id=90001&ts=%d&te=%d", last, tt+1)
+	head, _, _ := strings.Cut(body(path), "\n")
+	check(path, head+"\n", encode(map[string]any{"initial": nil, "events": len(h.Events)}))
 }
 
 // TestShedding fills every in-flight slot directly and checks the next
