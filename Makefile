@@ -99,7 +99,9 @@ loc:
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
 # under internal/: codec encode/decode, fetch cache and Exec, core build,
-# append and warm snapshots (GetSnapshotWarm at one time;
+# append (AppendPartialSpan; AppendOpenSpan, 100 events into an open span
+# filled 1/8 or 7/8, whose cost the fill no longer sets) and warm
+# snapshots (GetSnapshotWarm at one time;
 # GetSnapshotWarmSweep cycles through times over every leaf, where end
 # states stand in for most of the boundary replay), graph Density (the
 # first, O(N+E) pair count) and DensityAfterEdit (one edge edit, then the

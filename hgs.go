@@ -432,7 +432,7 @@ type Store struct {
 	engine  StorageEngine
 
 	// ingestMu serializes Load and Append: an ingest checks the indexed
-	// history's end and then rebuilds the trailing timespan, so two of
+	// history's end and then rewrites the trailing timespan, so two of
 	// them interleaved would both pass the check and corrupt the index.
 	// loaded is written under it and read lock-free by Loaded.
 	ingestMu sync.Mutex

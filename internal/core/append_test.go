@@ -1,0 +1,330 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"hgs/internal/delta"
+	"hgs/internal/graph"
+	"hgs/internal/kvstore"
+	"hgs/internal/partition"
+	"hgs/internal/temporal"
+)
+
+// appendConfigs are the configurations the write-path tests run: every
+// configsUnderTest config plus random placement with Replicate1Hop, the
+// one resumable layout that rewrites aux rows in place.
+func appendConfigs() map[string]Config {
+	cfgs := configsUnderTest()
+	random1Hop := smallConfig()
+	random1Hop.Replicate1Hop = true
+	cfgs["random1hop"] = random1Hop
+	return cfgs
+}
+
+// buildThenAppend builds over events[:prefix] and appends the rest in
+// batches of size batch.
+func buildThenAppend(tb testing.TB, cfg Config, events []graph.Event, prefix, batch int) *TGI {
+	tb.Helper()
+	store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1})
+	tgi, err := Build(store, cfg, events[:prefix])
+	if err != nil {
+		tb.Fatalf("Build: %v", err)
+	}
+	for off := prefix; off < len(events); off += batch {
+		if err := tgi.Append(events[off:min(off+batch, len(events))]); err != nil {
+			tb.Fatalf("Append at %d: %v", off, err)
+		}
+	}
+	return tgi
+}
+
+// TestAppendRowsEqualBuild pins the write path: a Build over a prefix
+// followed by Appends stores exactly the rows one Build over all the
+// events stores, whether a batch extends the trailing span in place or
+// re-places it. The prefix ends mid-eventlist, and the batches cross
+// eventlist and timespan boundaries.
+func TestAppendRowsEqualBuild(t *testing.T) {
+	events := genHistory(21, 500, 40)
+	for name, cfg := range appendConfigs() {
+		t.Run(name, func(t *testing.T) { appendRowsEqualBuild(t, cfg, events) })
+	}
+	// Over a growing id space the span's micro-partition counts change
+	// on many appends, each of which re-places the span.
+	t.Run("random/growing", func(t *testing.T) {
+		cfg := smallConfig()
+		events := genHistory(22, 400, 400)
+		appendRowsEqualBuild(t, cfg, events)
+		tgi := buildSmall(t, cfg, events[:130])
+		replaced := 0
+		for off := 130; off < 240; off += 7 {
+			before, _ := tgi.loadTimespanMeta(1)
+			npids := before.NPids
+			if err := tgi.Append(events[off:min(off+7, 240)]); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := tgi.loadTimespanMeta(1); !slices.Equal(after.NPids, npids) {
+				replaced++
+			}
+		}
+		if replaced == 0 {
+			t.Fatal("no append changed the span's micro-partition counts")
+		}
+	})
+}
+
+// appendRowsEqualBuild checks TestAppendRowsEqualBuild's claim for one
+// configuration and history, over a 130-event prefix.
+func appendRowsEqualBuild(t *testing.T, cfg Config, events []graph.Event) {
+	want := storeDigest(buildSmall(t, cfg, events).Store())
+	for _, batch := range []int{1, 7, 500} {
+		tgi := buildThenAppend(t, cfg, events, 130, batch)
+		if got := storeDigest(tgi.Store()); got != want {
+			t.Fatalf("batches of %d: stored rows digest %s, one Build stores %s", batch, got, want)
+		}
+	}
+}
+
+// TestAppendWritesOnlyWhatChanged counts the rows an Append that keeps
+// the trailing span's placement writes (kvstore Metrics.Writes, deletes
+// included): at most the dirty tree deltas — those covering the open or
+// new leaves — and their children, once per micro-partition; the open
+// and new eventlists' micro-eventlists; one version chain per node the
+// batch touches; and the timespan and graph metadata rows.
+func TestAppendWritesOnlyWhatChanged(t *testing.T) {
+	events := genHistory(21, 900, 40)
+	cfg := smallConfig()
+	const prefix, batch, spanEnd = 130, 20, 240 // the batches stay in span 1
+	tgi := buildSmall(t, cfg, events[:prefix])
+	checked := 0
+	for off := prefix; off < spanEnd; off += batch {
+		b := events[off:min(off+batch, spanEnd)]
+		before, err := tgi.loadTimespanMeta(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The nodes the batch touches, its RemoveNodes expanded.
+		g := oracle(events, events[off-1].Time)
+		touched := make(map[graph.NodeID]bool)
+		for _, raw := range b {
+			for _, e := range graph.ExpandRemoveNode(g, raw) {
+				touched[e.Node] = true
+				if e.Kind.IsEdge() {
+					touched[e.Other] = true
+				}
+				g.Apply(e)
+			}
+		}
+		writes := tgi.Store().Metrics().Writes
+		if err := tgi.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		writes = tgi.Store().Metrics().Writes - writes
+		after, err := tgi.loadTimespanMeta(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Layout != layoutResumable || !slices.Equal(after.NPids, before.NPids) {
+			continue // re-placed: the whole span is written again
+		}
+		npids := 0
+		for _, n := range after.NPids {
+			npids += n
+		}
+		first := before.EventlistCount + 1 // the first leaf the append cuts
+		if before.EventCount < before.EventlistCount*cfg.EventlistSize {
+			first-- // the open leaf is cut again
+		}
+		rewritten := 0 // dirty tree deltas and their children
+		var count func(n *treeNode)
+		count = func(n *treeNode) {
+			if n.hi <= first {
+				return
+			}
+			rewritten += len(n.children)
+			for _, c := range n.children {
+				count(c)
+			}
+		}
+		root := shapeTree(after.EventlistCount+1, cfg.Arity, tgi.spanStride())
+		count(root)
+		rewritten++ // the root
+		eventlists := after.EventlistCount - (first - 1)
+		bound := int64(rewritten*npids + eventlists*npids + len(touched) + 2)
+		if writes > bound {
+			t.Fatalf("append at %d wrote %d rows, bound %d (%d tree deltas, %d eventlists, %d pids, %d nodes)",
+				off, writes, bound, rewritten, eventlists, npids, len(touched))
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no append kept the span's placement")
+	}
+	end := events[spanEnd-1].Time
+	got, err := tgi.GetSnapshot(end, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(oracle(events, end)) {
+		t.Fatal("snapshot after the appends differs from the oracle")
+	}
+}
+
+// downgradeSpan rewrites span tsid of a random-placement index without
+// Replicate1Hop into the layout spans had before the resumable writer:
+// micro-deltas and micro-eventlists placed by partition.HashPID, and a
+// TimespanMeta without Layout and Nodes.
+func downgradeSpan(t *testing.T, tgi *TGI, tsid int) {
+	t.Helper()
+	tm, err := tgi.loadTimespanMeta(tsid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, cdc := tgi.Store(), tgi.cdc
+	for sid := 0; sid < tgi.cfg.HorizontalPartitions; sid++ {
+		pkey := placementKey(tsid, sid)
+		pid := func(id graph.NodeID) int { return partition.HashPID(id, tm.NPids[sid]) }
+		deltas := make(map[int]*delta.Delta)
+		for _, row := range store.ScanPartition(TableDeltas, pkey) {
+			var did, p int
+			if _, err := fmt.Sscanf(row.CKey, "d%d/p%d", &did, &p); err != nil {
+				t.Fatal(err)
+			}
+			d, err := cdc.DecodeDelta(row.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deltas[did] == nil {
+				deltas[did] = delta.New()
+			}
+			deltas[did].Sum(d)
+		}
+		lists := make(map[int][][]graph.Event)
+		for _, row := range store.ScanPartition(TableEvents, pkey) {
+			var el, p int
+			if _, err := fmt.Sscanf(row.CKey, "e%d/p%d", &el, &p); err != nil {
+				t.Fatal(err)
+			}
+			evs, err := cdc.DecodeEvents(row.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lists[el] = append(lists[el], evs)
+		}
+		store.DropPartition(TableDeltas, pkey)
+		store.DropPartition(TableEvents, pkey)
+		for did, d := range deltas {
+			parts := make(map[int]*delta.Delta)
+			for id, ns := range d.Nodes {
+				if parts[pid(id)] == nil {
+					parts[pid(id)] = delta.New()
+				}
+				parts[pid(id)].Nodes[id] = ns
+			}
+			for p, part := range parts {
+				blob, err := cdc.EncodeDelta(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.Put(TableDeltas, pkey, deltaCKey(did, p), blob)
+			}
+		}
+		for el, ls := range lists {
+			parts := make(map[int][]graph.Event)
+			for _, e := range mergeSortEvents(ls) {
+				ends := []graph.NodeID{e.Node}
+				if e.Kind.IsEdge() && e.Other != e.Node {
+					ends = append(ends, e.Other)
+				}
+				var routed []int
+				for _, x := range ends {
+					if tgi.sidOf(x) == sid && !slices.Contains(routed, pid(x)) {
+						routed = append(routed, pid(x))
+						parts[pid(x)] = append(parts[pid(x)], e)
+					}
+				}
+			}
+			for p, evs := range parts {
+				blob, err := cdc.EncodeEvents(evs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store.Put(TableEvents, pkey, eventCKey(el, p), blob)
+			}
+		}
+	}
+	old := *tm
+	old.Layout, old.Nodes = 0, nil
+	if err := tgi.storeTimespanMeta(&old); err != nil {
+		t.Fatal(err)
+	}
+	tgi.fx.Cache().Purge()
+}
+
+// TestAppendReplacesOldLayoutSpan: a trailing span written before the
+// resumable layout reads through HashPID, and its first Append re-places
+// it, after which the index stores exactly what one Build stores.
+func TestAppendReplacesOldLayoutSpan(t *testing.T) {
+	events := genHistory(21, 900, 40)
+	cfg := smallConfig()
+	const prefix = 190 // span 1 holds 70 events
+	tgi := buildSmall(t, cfg, events[:prefix])
+	tm, err := tgi.loadTimespanMeta(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for id := graph.NodeID(0); id < 40; id++ {
+		n := tm.NPids[tgi.sidOf(id)]
+		moved = moved || partition.HashPID(id, n) != partition.MixPID(id, n)
+	}
+	if !moved {
+		t.Fatal("the two pid hashes agree on every node: the downgrade proves nothing")
+	}
+	downgradeSpan(t, tgi, 1)
+	end := events[prefix-1].Time
+	for _, tt := range []temporal.Time{events[130].Time, end} {
+		got, err := tgi.GetSnapshot(tt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(oracle(events, tt)) {
+			t.Fatalf("old-layout span: snapshot at %d differs from the oracle", tt)
+		}
+	}
+	for id := graph.NodeID(0); id < 40; id += 3 {
+		got, err := tgi.GetNodeAt(id, end, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle(events, end).Node(id); !nodeStatesEqual(got, want) {
+			t.Fatalf("old-layout span: node %d at %d differs from the oracle", id, end)
+		}
+	}
+
+	if err := tgi.Append(events[prefix : prefix+7]); err != nil {
+		t.Fatal(err)
+	}
+	if tm, err = tgi.loadTimespanMeta(1); err != nil {
+		t.Fatal(err)
+	}
+	if tm.Layout != layoutResumable || tm.Nodes == nil {
+		t.Fatalf("the first append left span 1 in layout %d", tm.Layout)
+	}
+	if err := tgi.Append(events[prefix+7:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []temporal.Time{end, events[prefix+7].Time, events[len(events)-1].Time} {
+		got, err := tgi.GetSnapshot(tt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(oracle(events, tt)) {
+			t.Fatalf("after the appends: snapshot at %d differs from the oracle", tt)
+		}
+	}
+	if got, want := storeDigest(tgi.Store()), storeDigest(buildSmall(t, cfg, events).Store()); got != want {
+		t.Fatalf("stored rows digest %s after re-placing, one Build stores %s", got, want)
+	}
+}

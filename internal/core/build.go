@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"sort"
 	"time"
 
 	"hgs/internal/delta"
@@ -34,8 +33,7 @@ func (t *TGI) BuildAll(events []graph.Event) error {
 	for off := 0; off < len(events); off += t.cfg.TimespanEvents {
 		end := min(off+t.cfg.TimespanEvents, len(events))
 		var err error
-		carry, err = t.buildTimespan(tsid, carry, events[off:end])
-		if err != nil {
+		if carry, err = t.writeSpan(tsid, carry, events[off:end]); err != nil {
 			return err
 		}
 		tsid++
@@ -50,36 +48,65 @@ func (t *TGI) BuildAll(events []graph.Event) error {
 	})
 }
 
-// spanPartitioning computes, per horizontal partition, the number of
-// micro-partitions and (for locality mode) the node→pid assignment over
-// the collapsed span graph (paper §4.5).
+// spanPartitioning is a span's placement (paper §4.5): per horizontal
+// partition, its node count, its number of micro-partitions and (for
+// locality mode) the node→pid assignment over the collapsed span graph.
 type spanPartitioning struct {
+	nodes  []int
 	npids  []int
 	assign []partition.Assignment // nil for random mode
 }
 
-func (sp *spanPartitioning) pidOf(t *TGI, sid int, id graph.NodeID) int {
+func (sp *spanPartitioning) pidOf(sid int, id graph.NodeID) int {
 	if sp.assign != nil {
 		if pid, ok := sp.assign[sid][id]; ok {
 			return pid
 		}
 	}
-	return partition.HashPID(id, sp.npids[sid])
+	return partition.MixPID(id, sp.npids[sid])
 }
 
-func (t *TGI) computeSpanPartitioning(start *graph.Graph, events []graph.Event, iv temporal.Interval) *spanPartitioning {
-	ns := t.cfg.HorizontalPartitions
-	// Size each horizontal partition by the nodes it holds over the span.
-	perSidNodes := make([]int, ns)
-	partition.SpanNodes(start, events, func(id graph.NodeID) { perSidNodes[t.sidOf(id)]++ })
-	sp := &spanPartitioning{npids: make([]int, ns)}
-	for sid := 0; sid < ns; sid++ {
-		sp.npids[sid] = max(1, (perSidNodes[sid]+t.cfg.PartitionSize-1)/t.cfg.PartitionSize)
+// npidsFor sizes each horizontal partition by the nodes it holds over
+// the span: max(1, ceil(nodes/PartitionSize)) micro-partitions.
+func (t *TGI) npidsFor(nodes []int) []int {
+	npids := make([]int, len(nodes))
+	for sid, n := range nodes {
+		npids[sid] = max(1, (n+t.cfg.PartitionSize-1)/t.cfg.PartitionSize)
 	}
+	return npids
+}
+
+// computeSpanPartitioning places a span given its start state and raw
+// events. A sid's nodes are its nodes at the start plus every id the
+// events touch (an event's Node, and its Other for an edge event): the
+// ids the span's version chains cover, which a RemoveNode's expansion
+// does not grow, since a removed node's neighbors exist at its removal.
+func (t *TGI) computeSpanPartitioning(start *graph.Graph, events []graph.Event) *spanPartitioning {
+	ns := t.cfg.HorizontalPartitions
+	sp := &spanPartitioning{nodes: make([]int, ns)}
+	start.Range(func(n *graph.NodeState) bool {
+		sp.nodes[t.sidOf(n.ID)]++
+		return true
+	})
+	added := make(map[graph.NodeID]struct{})
+	see := func(id graph.NodeID) {
+		if _, ok := added[id]; !ok && !start.Has(id) {
+			added[id] = struct{}{}
+			sp.nodes[t.sidOf(id)]++
+		}
+	}
+	for _, e := range events {
+		see(e.Node)
+		if e.Kind.IsEdge() {
+			see(e.Other)
+		}
+	}
+	sp.npids = t.npidsFor(sp.nodes)
 	if t.cfg.Partitioning != partition.Locality {
 		return sp
 	}
 	// Locality: partition each sid's projection of the collapsed graph.
+	iv := temporal.NewInterval(events[0].Time, events[len(events)-1].Time+1)
 	collapsed := partition.Collapse(start, events, iv, t.cfg.Omega, t.cfg.NodeWeighting)
 	sub := make([]*partition.WeightedGraph, ns)
 	for sid := range sub {
@@ -102,208 +129,282 @@ func (t *TGI) computeSpanPartitioning(start *graph.Graph, events []graph.Event, 
 	return sp
 }
 
-// buildTimespan indexes one timespan given the graph state at its start
-// and returns the state at its end (the carry for the next span). It takes
-// ownership of start: the span is replayed once, in place, and every
-// horizontal partition reads its eventlists, version chains, leaves and
-// (optionally) 1-hop frontiers off that one working graph.
-func (t *TGI) buildTimespan(tsid int, w *graph.Graph, events []graph.Event) (*graph.Graph, error) {
-	l := t.cfg.EventlistSize
-	ne := (len(events) + l - 1) / l
-	spanStart := events[0].Time
-	spanEnd := events[len(events)-1].Time
-	iv := temporal.NewInterval(spanStart, spanEnd+1)
-	sp := t.computeSpanPartitioning(w, events, iv)
+// spanStride bounds the leaf count of any span of the index: the tree id
+// stride (treeDID).
+func (t *TGI) spanStride() int { return t.cfg.TimespanEvents/t.cfg.EventlistSize + 2 }
+
+// spanWriter indexes raw events into one timespan, one at a time, over a
+// working graph that holds the state after the last of them. writeSpan
+// opens it fresh over a span's start state; Append resumes it over the
+// stored trailing span (resumeSpan), from the state at the span's end,
+// and then it rewrites only the rows the new events reach: the
+// eventlists they land in, the leaves they cut, the tree deltas covering
+// those leaves and their children, and their nodes' version chains.
+type spanWriter struct {
+	t  *TGI
+	tm *TimespanMeta // the span's metadata, kept up to date as events land
+	w  *graph.Graph
+	sp *spanPartitioning
+
+	// el is the eventlist being written, filled its raw events so far.
+	// Its micro-eventlists hold, per sid and pid, the events routed there
+	// by this writer, after the stored ones when el is the resumed open
+	// eventlist (stored).
+	el, filled      int
+	lists, auxLists []map[int][]graph.Event
+	// frontiers[sid] is sid's frontier membership at el's start leaf, for
+	// aux eventlist replication (Replicate1Hop only).
+	frontiers []map[graph.NodeID]map[int]struct{}
+	// changed lists the nodes touched since the last leaf cut.
+	changed []graph.NodeID
+	// vcs holds the version chains of the nodes this writer touched,
+	// stored entries first.
+	vcs map[graph.NodeID][]vcEntry
+	// leaves[sid] holds the leaves this writer cut, from leaf first on;
+	// the first is taken whole from w, each later one is the one before
+	// with the changed nodes replaced. Leaves share w's states, frozen.
+	first  int
+	leaves [][]*delta.Delta
+	// stored is the stored span a resumed writer extends (nil fresh).
+	stored *storedSpan
+}
+
+// writeSpan indexes one timespan of raw events given the graph state at
+// its start and returns the state at its end (the carry for the next
+// span). It takes ownership of w.
+func (t *TGI) writeSpan(tsid int, w *graph.Graph, events []graph.Event) (*graph.Graph, error) {
+	sp := t.computeSpanPartitioning(w, events)
 	ns := t.cfg.HorizontalPartitions
-	pkeyOf := func(sid int) string { return placementKey(tsid, sid) }
-
-	// Leaf checkpoint times: leaf 0 is the state just before the span's
-	// first event; leaf i>0 is the state after eventlist i-1.
-	leafTimes := make([]temporal.Time, 0, ne+1)
-	leafTimes = append(leafTimes, spanStart-1)
-	for el := 0; el < ne; el++ {
-		endIdx := min((el+1)*l, len(events)) - 1
-		leafTimes = append(leafTimes, events[endIdx].Time)
-	}
-
+	sw := &spanWriter{t: t, w: w, sp: sp, vcs: make(map[graph.NodeID][]vcEntry), leaves: make([][]*delta.Delta, ns),
+		tm: &TimespanMeta{TSID: tsid, Start: events[0].Time, LeafTimes: []temporal.Time{events[0].Time - 1},
+			Partitioning: t.cfg.Partitioning.String(), Arity: t.cfg.Arity, Layout: layoutResumable}}
 	// Persist the locality pid maps (Micropartitions table).
 	if sp.assign != nil {
 		var tmp [binary.MaxVarintLen64]byte
 		for sid := 0; sid < ns; sid++ {
 			for id, pid := range sp.assign[sid] {
 				n := binary.PutVarint(tmp[:], int64(pid))
-				t.store.Put(TableMicroPart, pkeyOf(sid), nodeCKey(id), tmp[:n])
+				t.store.Put(TableMicroPart, placementKey(tsid, sid), nodeCKey(id), tmp[:n])
 			}
 		}
 	}
+	// Leaf 0 is the state just before the span's first event.
+	sw.cutLeaf()
+	return sw.write(events)
+}
 
-	// Leaves per horizontal partition. Leaf 0 copies the start state once;
-	// leaf i+1 is leaf i with only the nodes eventlist i touched re-copied
-	// from the working graph (or dropped when deleted) — every other state
-	// is shared by pointer, so the tree's intersections and differences
-	// mostly compare identical pointers. Leaves are never mutated once cut.
-	leaves := make([][]*delta.Delta, ns)
-	for sid := range leaves {
-		leaves[sid] = append(make([]*delta.Delta, 0, ne+1), delta.New())
-	}
-	w.Range(func(n *graph.NodeState) bool {
-		leaves[t.sidOf(n.ID)][0].Nodes[n.ID] = n.Clone()
-		return true
-	})
-	// frontiers[sid] is sid's frontier membership at the current leaf,
-	// for aux eventlist replication.
-	var frontiers []map[graph.NodeID]map[int]struct{}
-	if t.cfg.Replicate1Hop {
-		frontiers = make([]map[graph.NodeID]map[int]struct{}, ns)
-		for sid := range frontiers {
-			frontiers[sid] = t.storeAuxLeaf(tsid, sid, 0, w, sp)
+// write indexes the events and finishes the span: the partial last
+// eventlist, the tree, the version chains and the metadata. It returns
+// the state at the span's end.
+func (sw *spanWriter) write(events []graph.Event) (*graph.Graph, error) {
+	for _, e := range events {
+		if err := sw.add(e); err != nil {
+			return nil, err
 		}
 	}
+	if sw.filled > 0 {
+		if err := sw.closeEventlist(); err != nil {
+			return nil, err
+		}
+	}
+	if err := sw.writeTree(); err != nil {
+		return nil, err
+	}
+	t, tm := sw.t, sw.tm
+	for id, entries := range sw.vcs {
+		t.store.Put(TableVersions, placementKey(tm.TSID, t.sidOf(id)), nodeCKey(id), encodeVC(entries))
+	}
+	tm.NPids, tm.Nodes = sw.sp.npids, sw.sp.nodes
+	if err := t.storeTimespanMeta(tm); err != nil {
+		return nil, err
+	}
+	return sw.w, nil
+}
 
-	vcs := make(map[graph.NodeID][]vcEntry)
-	for el := 0; el < ne; el++ {
-		chunk := events[el*l : min((el+1)*l, len(events))]
-		perPid := make([]map[int][]graph.Event, ns)
-		perPidAux := make([]map[int][]graph.Event, ns)
-		route := func(lists []map[int][]graph.Event, sid, pid int, e graph.Event) {
-			if lists[sid] == nil {
-				lists[sid] = make(map[int][]graph.Event)
-			}
-			lists[sid][pid] = append(lists[sid][pid], e)
+// add indexes one raw event into the current eventlist.
+func (sw *spanWriter) add(orig graph.Event) error {
+	t := sw.t
+	// RemoveNode implicitly rewrites every neighbor's state (incident
+	// edges vanish); expand it into explicit RemoveEdge events so
+	// neighbors' eventlists and version chains record the change — which
+	// also makes the touched set complete.
+	for _, e := range graph.ExpandRemoveNode(sw.w, orig) {
+		touched := [2]graph.NodeID{e.Node, e.Other}
+		nt := 1
+		if e.Kind.IsEdge() && e.Other != e.Node {
+			nt = 2
 		}
-		var changed []graph.NodeID // nodes eventlist el touched, first touch order
-		appendVC := func(id graph.NodeID, tt temporal.Time) {
-			entries := vcs[id]
-			if len(entries) == 0 || entries[len(entries)-1].el != el {
-				entries = append(entries, vcEntry{el: el})
-				changed = append(changed, id)
+		var sids, pids [2]int
+		for i, id := range touched[:nt] {
+			sids[i] = t.sidOf(id)
+			pids[i] = sw.sp.pidOf(sids[i], id)
+			if i == 0 || sids[1] != sids[0] || pids[1] != pids[0] {
+				sw.route(TableEvents, sw.lists, sids[i], pids[i], e)
 			}
-			last := &entries[len(entries)-1]
-			if n := len(last.times); n == 0 || last.times[n-1] != tt {
-				last.times = append(last.times, tt)
-			}
-			vcs[id] = entries
+			sw.touch(id, e.Time)
 		}
-		for _, orig := range chunk {
-			// RemoveNode implicitly rewrites every neighbor's state
-			// (incident edges vanish); expand it into explicit RemoveEdge
-			// events so neighbors' eventlists and version chains record
-			// the change — which also makes the touched set complete.
-			for _, e := range expandEvent(w, orig) {
-				touched := [2]graph.NodeID{e.Node, e.Other}
-				nt := 1
-				if e.Kind.IsEdge() && e.Other != e.Node {
-					nt = 2
-				}
-				var sids, pids [2]int
-				for i, id := range touched[:nt] {
-					sids[i] = t.sidOf(id)
-					pids[i] = sp.pidOf(t, sids[i], id)
-					if i == 0 || sids[1] != sids[0] || pids[1] != pids[0] {
-						route(perPid, sids[i], pids[i], e)
-					}
-					appendVC(id, e.Time)
-				}
-				// Replicate into the aux eventlist of every micro-partition
-				// fronted by a touched node — even when the event also lands
-				// in that partition's main eventlist, because the two replay
-				// onto different graphs (partition vs frontier states).
-				for sid, fm := range frontiers {
-					first := fm[touched[0]]
-					for pid := range first {
-						route(perPidAux, sid, pid, e)
-					}
-					if nt == 2 {
-						for pid := range fm[touched[1]] {
-							if _, dup := first[pid]; !dup {
-								route(perPidAux, sid, pid, e)
-							}
-						}
+		// Replicate into the aux eventlist of every micro-partition
+		// fronted by a touched node — even when the event also lands in
+		// that partition's main eventlist, because the two replay onto
+		// different graphs (partition vs frontier states).
+		for sid, fm := range sw.frontiers {
+			first := fm[touched[0]]
+			for pid := range first {
+				sw.route(TableAuxEvents, sw.auxLists, sid, pid, e)
+			}
+			if nt == 2 {
+				for pid := range fm[touched[1]] {
+					if _, dup := first[pid]; !dup {
+						sw.route(TableAuxEvents, sw.auxLists, sid, pid, e)
 					}
 				}
-				if err := w.Apply(e); err != nil {
-					return nil, fmt.Errorf("core: build timespan %d: %w", tsid, err)
-				}
 			}
 		}
-		for sid := 0; sid < ns; sid++ {
-			if err := t.storeEventlists(TableEvents, pkeyOf(sid), el, perPid[sid]); err != nil {
-				return nil, err
-			}
-			if err := t.storeEventlists(TableAuxEvents, pkeyOf(sid), el, perPidAux[sid]); err != nil {
-				return nil, err
-			}
+		if err := sw.w.Apply(e); err != nil {
+			return fmt.Errorf("core: index timespan %d: %w", sw.tm.TSID, err)
 		}
+	}
+	sw.tm.EventCount++
+	sw.tm.End = orig.Time
+	if sw.filled++; sw.filled == t.cfg.EventlistSize {
+		return sw.closeEventlist()
+	}
+	return nil
+}
 
-		// Cut leaf el+1 incrementally.
+// route appends e to micro-eventlist (sid, pid) of the current
+// eventlist, behind its stored events when the eventlist is the resumed
+// open one.
+func (sw *spanWriter) route(table string, lists []map[int][]graph.Event, sid, pid int, e graph.Event) {
+	if lists[sid] == nil {
+		lists[sid] = make(map[int][]graph.Event)
+	}
+	l, ok := lists[sid][pid]
+	if !ok && sw.stored != nil && sw.el == sw.stored.openEl {
+		l = sw.stored.events(table, sid, pid)
+	}
+	lists[sid][pid] = append(l, e)
+}
+
+// touch records a change of node id at time tt in its version chain.
+func (sw *spanWriter) touch(id graph.NodeID, tt temporal.Time) {
+	entries, ok := sw.vcs[id]
+	if !ok && sw.stored != nil {
+		entries = sw.stored.chains[id]
+	}
+	if len(entries) == 0 || entries[len(entries)-1].el != sw.el {
+		entries = append(entries, vcEntry{el: sw.el})
+		// A node the resumed open eventlist touched before is left out
+		// of changed, which the whole first cut does not read.
+		sw.changed = append(sw.changed, id)
+	}
+	last := &entries[len(entries)-1]
+	if n := len(last.times); n == 0 || last.times[n-1] != tt {
+		last.times = append(last.times, tt)
+	}
+	sw.vcs[id] = entries
+}
+
+// closeEventlist persists the current eventlist's micro-eventlists, cuts
+// the leaf at its end and opens the next eventlist.
+func (sw *spanWriter) closeEventlist() error {
+	t, tm := sw.t, sw.tm
+	for sid := range sw.lists {
+		pkey := placementKey(tm.TSID, sid)
+		if err := t.storeEventlists(TableEvents, pkey, sw.el, sw.lists[sid]); err != nil {
+			return err
+		}
+		if err := t.storeEventlists(TableAuxEvents, pkey, sw.el, sw.auxLists[sid]); err != nil {
+			return err
+		}
+	}
+	tm.LeafTimes = append(tm.LeafTimes, tm.End)
+	sw.el++
+	tm.EventlistCount = sw.el
+	sw.filled = 0
+	sw.cutLeaf()
+	return nil
+}
+
+// cutLeaf cuts leaf el (the state after eventlist el-1, or the span's
+// start for leaf 0) per horizontal partition, and with Replicate1Hop
+// persists its aux rows and takes the frontiers for eventlist el.
+func (sw *spanWriter) cutLeaf() {
+	t := sw.t
+	ns := t.cfg.HorizontalPartitions
+	if len(sw.leaves[0]) == 0 {
+		sw.first = sw.el
+		for sid := range sw.leaves {
+			sw.leaves[sid] = []*delta.Delta{delta.New()}
+		}
+		sw.w.Range(func(n *graph.NodeState) bool {
+			n.Freeze()
+			sw.leaves[t.sidOf(n.ID)][0].Nodes[n.ID] = n
+			return true
+		})
+	} else {
 		next := make([]*delta.Delta, ns)
-		for _, id := range changed {
+		for _, id := range sw.changed {
 			sid := t.sidOf(id)
 			d := next[sid]
 			if d == nil {
-				prev := leaves[sid][el]
+				prev := sw.leaves[sid][len(sw.leaves[sid])-1]
 				d = &delta.Delta{Nodes: maps.Clone(prev.Nodes)}
 				next[sid] = d
 			}
-			if n := w.Node(id); n != nil {
-				d.Nodes[id] = n.Clone()
+			if n := sw.w.Node(id); n != nil {
+				n.Freeze()
+				d.Nodes[id] = n
 			} else {
 				delete(d.Nodes, id)
 			}
 		}
-		for sid := range leaves {
-			if next[sid] == nil {
-				next[sid] = leaves[sid][el] // untouched: the same leaf again
+		for sid, d := range next {
+			if d == nil {
+				d = sw.leaves[sid][len(sw.leaves[sid])-1] // untouched: the same leaf again
 			}
-			leaves[sid] = append(leaves[sid], next[sid])
-		}
-		if frontiers != nil {
-			for sid := range frontiers {
-				frontiers[sid] = t.storeAuxLeaf(tsid, sid, el+1, w, sp)
-			}
+			sw.leaves[sid] = append(sw.leaves[sid], d)
 		}
 	}
-
-	// Hierarchical temporal compression: build and persist each
-	// horizontal partition's tree (all trees share one shape).
-	var leafPaths [][]int
-	deltaCount := 0
-	for sid := 0; sid < ns; sid++ {
-		stored, paths := buildDeltaTree(leaves[sid], t.cfg.Arity)
-		leafPaths, deltaCount = paths, len(stored)
-		for _, sd := range stored {
-			if err := t.storeMicroDeltas(TableDeltas, pkeyOf(sid), sd.did, sd.data, sid, sp); err != nil {
-				return nil, err
+	sw.changed = sw.changed[:0]
+	sw.lists, sw.auxLists = make([]map[int][]graph.Event, ns), make([]map[int][]graph.Event, ns)
+	if t.cfg.Replicate1Hop {
+		sw.frontiers = make([]map[graph.NodeID]map[int]struct{}, ns)
+		for sid := range sw.frontiers {
+			var written map[int]bool
+			sw.frontiers[sid], written = t.storeAuxLeaf(sw.tm.TSID, sid, sw.el, sw.w, sw.sp)
+			if sw.stored != nil {
+				sw.stored.deleteStale(TableAux, sid, sw.el, written)
 			}
 		}
 	}
-
-	// Version chains.
-	for id, entries := range vcs {
-		t.store.Put(TableVersions, pkeyOf(t.sidOf(id)), nodeCKey(id), encodeVC(entries))
-	}
-
-	if err := t.storeTimespanMeta(&TimespanMeta{
-		TSID:           tsid,
-		Start:          spanStart,
-		End:            spanEnd,
-		LeafTimes:      leafTimes,
-		EventlistCount: ne,
-		EventCount:     len(events),
-		LeafPaths:      leafPaths,
-		DeltaCount:     deltaCount,
-		NPids:          sp.npids,
-		Partitioning:   t.cfg.Partitioning.String(),
-		Arity:          t.cfg.Arity,
-	}); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
-// expandEvent is graph.ExpandRemoveNode; see there for the contract.
-func expandEvent(w *graph.Graph, e graph.Event) []graph.Event {
-	return graph.ExpandRemoveNode(w, e)
+// writeTree persists the tree deltas covering the leaves this writer cut
+// and their children, per horizontal partition (all trees share one
+// shape), deleting any stored row of theirs a rewrite leaves empty.
+func (sw *spanWriter) writeTree() error {
+	t, tm := sw.t, sw.tm
+	root := shapeTree(tm.EventlistCount+1, tm.Arity, t.spanStride())
+	for sid, leaves := range sw.leaves {
+		rows, err := treeDeltas(root, sw.first,
+			func(i int) *delta.Delta { return leaves[i-sw.first] },
+			func(n *treeNode) (*delta.Delta, error) { return sw.stored.content(sid, n.did) })
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			written, err := t.storeMicroDeltas(TableDeltas, placementKey(tm.TSID, sid), r.did, r.data, sid, sw.sp)
+			if err != nil {
+				return err
+			}
+			if sw.stored != nil {
+				sw.stored.deleteStale(TableDeltas, sid, r.did, written)
+			}
+		}
+	}
+	tm.LeafPaths = leafPaths(root)
+	return nil
 }
 
 // storeEventlists persists eventlist el's micro-eventlists, one per pid.
@@ -318,12 +419,12 @@ func (t *TGI) storeEventlists(table, pkey string, el int, lists map[int][]graph.
 	return nil
 }
 
-// storeMicroDeltas splits a tree delta by micro-partition and persists
-// each non-empty piece under the composite delta key.
-func (t *TGI) storeMicroDeltas(table, pkey string, did int, d *delta.Delta, sid int, sp *spanPartitioning) error {
+// storeMicroDeltas splits a tree delta by micro-partition, persists each
+// non-empty piece under the composite delta key and returns their pids.
+func (t *TGI) storeMicroDeltas(table, pkey string, did int, d *delta.Delta, sid int, sp *spanPartitioning) (map[int]bool, error) {
 	parts := make(map[int]*delta.Delta)
 	for id, ns := range d.Nodes {
-		pid := sp.pidOf(t, sid, id)
+		pid := sp.pidOf(sid, id)
 		p, ok := parts[pid]
 		if !ok {
 			p = delta.New()
@@ -332,7 +433,7 @@ func (t *TGI) storeMicroDeltas(table, pkey string, did int, d *delta.Delta, sid 
 		p.Nodes[id] = ns
 	}
 	for id := range d.Tombstones {
-		pid := sp.pidOf(t, sid, id)
+		pid := sp.pidOf(sid, id)
 		p, ok := parts[pid]
 		if !ok {
 			p = delta.New()
@@ -340,19 +441,16 @@ func (t *TGI) storeMicroDeltas(table, pkey string, did int, d *delta.Delta, sid 
 		}
 		p.MarkDeleted(id)
 	}
-	pids := make([]int, 0, len(parts))
-	for pid := range parts {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		blob, err := t.cdc.EncodeDelta(parts[pid])
+	written := make(map[int]bool, len(parts))
+	for pid, p := range parts {
+		blob, err := t.cdc.EncodeDelta(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.store.Put(table, pkey, deltaCKey(did, pid), blob)
+		written[pid] = true
 	}
-	return nil
+	return written, nil
 }
 
 // frontierMembership maps every node to the set of micro-partitions of
@@ -364,10 +462,10 @@ func (t *TGI) frontierMembership(w *graph.Graph, sid int, sp *spanPartitioning) 
 		if t.sidOf(ns.ID) != sid {
 			return true
 		}
-		pid := sp.pidOf(t, sid, ns.ID)
+		pid := sp.pidOf(sid, ns.ID)
 		for k := range ns.Edges {
 			nb := k.Other
-			if t.sidOf(nb) == sid && sp.pidOf(t, sid, nb) == pid {
+			if t.sidOf(nb) == sid && sp.pidOf(sid, nb) == pid {
 				continue // same micro-partition
 			}
 			set, ok := out[nb]
@@ -389,10 +487,10 @@ func (t *TGI) frontierMembership(w *graph.Graph, sid int, sp *spanPartitioning) 
 // query rooted in the partition only needs edges among {root}∪N(root) ⊆
 // members∪frontier, and the restriction keeps replication from copying
 // high-degree frontier nodes' entire adjacency into every aux row. It
-// returns the frontier membership it computed; the rows alias w's
-// attribute and edge states, which is safe because they are encoded
-// before w changes.
-func (t *TGI) storeAuxLeaf(tsid, sid, leafIdx int, w *graph.Graph, sp *spanPartitioning) map[graph.NodeID]map[int]struct{} {
+// returns the frontier membership it computed and the pids it wrote; the
+// rows alias w's attribute and edge states, which is safe because they
+// are encoded before w changes.
+func (t *TGI) storeAuxLeaf(tsid, sid, leafIdx int, w *graph.Graph, sp *spanPartitioning) (map[graph.NodeID]map[int]struct{}, map[int]bool) {
 	fm := t.frontierMembership(w, sid, sp)
 	// closures[pid] = member set ∪ frontier set of that micro-partition.
 	closures := make(map[int]map[graph.NodeID]struct{})
@@ -406,7 +504,7 @@ func (t *TGI) storeAuxLeaf(tsid, sid, leafIdx int, w *graph.Graph, sp *spanParti
 	}
 	w.Range(func(ns *graph.NodeState) bool {
 		if t.sidOf(ns.ID) == sid {
-			closure(sp.pidOf(t, sid, ns.ID))[ns.ID] = struct{}{}
+			closure(sp.pidOf(sid, ns.ID))[ns.ID] = struct{}{}
 		}
 		return true
 	})
@@ -441,12 +539,14 @@ func (t *TGI) storeAuxLeaf(tsid, sid, leafIdx int, w *graph.Graph, sp *spanParti
 			p.Nodes[nb] = restricted
 		}
 	}
+	written := make(map[int]bool, len(parts))
 	for pid, d := range parts {
 		blob, err := t.cdc.EncodeDelta(d)
 		if err != nil {
 			continue // encoding cannot fail for in-memory states
 		}
 		t.store.Put(TableAux, placementKey(tsid, sid), deltaCKey(leafIdx, pid), blob)
+		written[pid] = true
 	}
-	return fm
+	return fm, written
 }

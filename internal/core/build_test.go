@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"hgs/internal/graph"
@@ -41,8 +42,8 @@ func goldenConfigs() map[string]Config {
 
 // goldenDigests are the SHA-256 digests of the golden index per config.
 var goldenDigests = map[string]string{
-	"random":     "1f46c1b387fd0857ee6eef965cdece4ab2cdfaf788cd57cacb9d84da1af9bc54",
-	"replicated": "48f3bd78b73cda97cc5a4e4d9a855697cee71aa265d6353660310ed9eee87c67",
+	"random":     "a5e98d1ff607316c57ff4b66ca5e8fc3e1f95583c935fd8e13472e8b1529137a",
+	"replicated": "2711cea53a42873a1962d48829057afe297d781a6a7e627668dbd11cc5a7dca0",
 }
 
 // buildGolden loads the golden stream's prefix and appends its batches.
@@ -127,8 +128,9 @@ func BenchmarkBuildAll(b *testing.B) {
 }
 
 // BenchmarkAppendPartialSpan appends the golden batches into the partial
-// trailing span (each Append rebuilds that span); the initial load is
-// not timed.
+// trailing span (each Append extends that span in place, or re-places
+// it when a batch changes its micro-partition counts); the initial load
+// is not timed.
 func BenchmarkAppendPartialSpan(b *testing.B) {
 	cfg := goldenConfigs()["random"]
 	events := goldenStream()
@@ -147,5 +149,60 @@ func BenchmarkAppendPartialSpan(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestPIDsSpreadWithinSid: within every horizontal partition, the
+// random-placement pid hash fills every micro-partition — each (sid,
+// pid) cell of 20,000 consecutive ids gets at least half its even share.
+// FNV-1a alone, the sid hash, correlates the two residues and leaves
+// cells empty for an even pid count.
+func TestPIDsSpreadWithinSid(t *testing.T) {
+	const ids = 20000
+	for ns := 1; ns <= 8; ns++ {
+		for npids := 1; npids <= 16; npids++ {
+			cells := make([]int, ns*npids)
+			for id := graph.NodeID(0); id < ids; id++ {
+				cells[sidOf(id, ns)*npids+partition.MixPID(id, npids)]++
+			}
+			for c, n := range cells {
+				if share := ids / (ns * npids); 2*n < share {
+					t.Fatalf("ns=%d npids=%d: sid %d pid %d holds %d ids, even share %d", ns, npids, c/npids, c%npids, n, share)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAppendOpenSpan appends 100 events into an open trailing span
+// that already holds 1/8 or 7/8 of TimespanEvents, rebuilt untimed
+// before every append: an Append that extends the span in place costs
+// the same at either fill.
+//
+//	go test ./internal/core -run '^$' -bench AppendOpenSpan -benchmem
+func BenchmarkAppendOpenSpan(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.TimespanEvents = 4000
+	cfg.EventlistSize = 500
+	cfg.PartitionSize = 50
+	const batch = 100
+	events := genHistory(11, 2*cfg.TimespanEvents+batch, 2000)
+	for _, eighths := range []int{1, 7} {
+		b.Run(fmt.Sprintf("fill=%dof8", eighths), func(b *testing.B) {
+			prefix := cfg.TimespanEvents + eighths*cfg.TimespanEvents/8
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1})
+				tgi, err := Build(store, cfg, events[:prefix])
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := tgi.Append(events[prefix : prefix+batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -299,7 +299,7 @@ func TestChangeTimes(t *testing.T) {
 		want := map[temporal.Time]bool{}
 		g := graph.New()
 		for _, e := range events {
-			for _, x := range expandEvent(g, e) {
+			for _, x := range graph.ExpandRemoveNode(g, e) {
 				if x.Touches(id) {
 					want[x.Time] = true
 				}
@@ -376,7 +376,7 @@ func TestAppendEquivalentToFullBuild(t *testing.T) {
 	full := buildSmall(t, cfg, events)
 
 	// Build on a prefix, then append the rest in two batches — the second
-	// lands mid-timespan to exercise the partial-span rebuild.
+	// lands mid-timespan to exercise extending the partial span in place.
 	store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1})
 	inc, err := Build(store, cfg, events[:150])
 	if err != nil {
@@ -525,7 +525,12 @@ func TestDeltaTreeShapes(t *testing.T) {
 				gs = append(gs, g.Clone())
 				leaves[i] = delta.FromGraph(g)
 			}
-			stored, paths := buildDeltaTree(leaves, arity)
+			root := shapeTree(nLeaves, arity, nLeaves)
+			stored, err := treeDeltas(root, 0, func(i int) *delta.Delta { return leaves[i] }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := leafPaths(root)
 			if len(paths) != nLeaves {
 				t.Fatalf("leaves=%d arity=%d: %d paths", nLeaves, arity, len(paths))
 			}

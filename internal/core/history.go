@@ -22,8 +22,8 @@ type NodeHistory struct {
 	// (FetchNodeHistories) is frozen, shared read-only.
 	Initial *graph.NodeState
 	// Events are the changes touching the node with Start < Time < End,
-	// chronological. Within one time the SoN fetch's keep stored order,
-	// which puts a RemoveNode's edge removals before it.
+	// chronological. Within one time they keep stored order, which puts
+	// a RemoveNode's edge removals before it.
 	Events []graph.Event
 }
 
@@ -237,10 +237,13 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te tempo
 
 // mergeSortEvents merges per-partition event streams into one
 // chronological stream, dropping the duplicates that arise because edge
-// events are replicated into both endpoints' micro-eventlists. History
-// reads and Append's span recovery use it; snapshots and the SoN fetch
-// take each micro-eventlist in stored order instead, each event on the
-// sides its part owns (materialize, FetchNodeHistories).
+// events are replicated into both endpoints' micro-eventlists. Raw times
+// strictly increase, so a time holds several events only where a
+// RemoveNode was expanded; that group keeps its stored order
+// (storedOrder). History reads and Append's span recovery use it;
+// snapshots and the SoN fetch take each micro-eventlist in stored order
+// instead, each event on the sides its part owns (materialize,
+// FetchNodeHistories).
 func mergeSortEvents(lists [][]graph.Event) []graph.Event {
 	var all []graph.Event
 	for _, l := range lists {
@@ -254,7 +257,48 @@ func mergeSortEvents(lists [][]graph.Event) []graph.Event {
 		}
 		out = append(out, e)
 	}
+	for i := 0; i < len(out); {
+		j := i + 1
+		for j < len(out) && out[j].Time == out[i].Time {
+			j++
+		}
+		if j-i > 1 {
+			storedOrder(out[i:j])
+		}
+		i = j
+	}
 	return out
+}
+
+// storedOrder puts one RemoveNode's expansion (any part of it) in the
+// order graph.ExpandRemoveNode stores it: the edge removals by
+// graph.CompareEdgeKeys from the removed node's side, then the
+// RemoveNode.
+func storedOrder(group []graph.Event) {
+	v := group[0].Node // the removed node: the RemoveNode's, else the common endpoint
+	if k := slices.IndexFunc(group, func(e graph.Event) bool { return e.Kind == graph.RemoveNode }); k >= 0 {
+		v = group[k].Node
+	} else if b := group[1]; v != b.Node && v != b.Other {
+		v = group[0].Other
+	}
+	side := func(e graph.Event) graph.EdgeKey {
+		if e.Node == v {
+			return graph.EdgeKey{Other: e.Other, Out: true}
+		}
+		return graph.EdgeKey{Other: e.Node}
+	}
+	removal := func(e graph.Event) int {
+		if e.Kind == graph.RemoveNode {
+			return 1
+		}
+		return 0
+	}
+	slices.SortFunc(group, func(a, b graph.Event) int {
+		if c := cmp.Compare(removal(a), removal(b)); c != 0 {
+			return c
+		}
+		return graph.CompareEdgeKeys(side(a), side(b))
+	})
 }
 
 // GetNodeHistory retrieves a node's history over [ts, te) following

@@ -27,7 +27,9 @@ type GraphMeta struct {
 
 // TimespanMeta is the per-timespan metadata (the paper's Timespans table:
 // start, end, checkpoints, arity) plus the tree shape needed to plan
-// retrieval without touching delta rows.
+// retrieval without touching delta rows, and what an Append needs to
+// extend the span in place: its raw event count, its per-sid node
+// counts and its layout.
 type TimespanMeta struct {
 	TSID  int
 	Start temporal.Time // time of the first event in the span
@@ -39,22 +41,36 @@ type TimespanMeta struct {
 	// EventlistCount is the number of eventlists (LeafTimes has
 	// EventlistCount+1 entries).
 	EventlistCount int
-	// EventCount is the number of events indexed into this span (used to
-	// detect a trailing partial span during Append).
+	// EventCount is the number of raw events (before a RemoveNode's
+	// expansion) indexed into this span; eventlist el holds raw events
+	// [el·EventlistSize, (el+1)·EventlistSize) of the span, so the count
+	// says how far the last eventlist is filled.
 	EventCount int
 	// LeafPaths[i] lists the delta ids (dids) from the tree root to leaf
 	// i; summing the corresponding deltas in order reconstructs the leaf.
+	// In the resumable layout a did names the leaves the delta covers
+	// (treeDID).
 	LeafPaths [][]int
-	// DeltaCount is the number of stored tree deltas per sid.
-	DeltaCount int
 	// NPids[sid] is the number of micro-partitions in horizontal
-	// partition sid during this span.
+	// partition sid during this span: max(1, ceil(Nodes[sid]/PartitionSize)).
 	NPids []int
+	// Nodes[sid] counts sid's nodes over the span: those at its start
+	// plus every id its events touch (resumable layout only).
+	Nodes []int
+	// Layout is layoutResumable for spans an Append can extend in place;
+	// zero marks a span written before it (BFS tree ids, HashPID pids,
+	// no Nodes), which its first Append re-places.
+	Layout int
 	// Partitioning records the strategy used ("random" or "locality").
 	Partitioning string
 	// Arity is the tree fan-in used for this span.
 	Arity int
 }
+
+// layoutResumable marks a TimespanMeta written by the resumable span
+// writer: micro-partitions by partition.MixPID, delta ids by treeDID,
+// eventlists filled by raw event count, and Nodes kept.
+const layoutResumable = 1
 
 // leafFor returns the leaf index whose checkpoint is the latest at or
 // before t, clamped to the span's leaves.
@@ -301,12 +317,13 @@ func (t *TGI) pidOf(tm *TimespanMeta, sid int, id graph.NodeID) (int, error) {
 // metadata lock once.
 type owner struct {
 	sid, sids, npids int
+	mixed            bool                 // pids by partition.MixPID, not HashPID
 	assign           map[graph.NodeID]int // locality partitioning only
 }
 
 // ownerOf resolves the owner of (tm, sid).
 func (t *TGI) ownerOf(tm *TimespanMeta, sid int) (owner, error) {
-	o := owner{sid: sid, sids: t.cfg.HorizontalPartitions, npids: 1}
+	o := owner{sid: sid, sids: t.cfg.HorizontalPartitions, npids: 1, mixed: tm.Layout >= layoutResumable}
 	if sid < len(tm.NPids) {
 		o.npids = tm.NPids[sid]
 	}
@@ -336,6 +353,9 @@ func (o *owner) pid(id graph.NodeID) int {
 	}
 	if pid, ok := o.assign[id]; ok {
 		return pid
+	}
+	if o.mixed {
+		return partition.MixPID(id, o.npids)
 	}
 	return partition.HashPID(id, o.npids)
 }

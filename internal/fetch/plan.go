@@ -204,6 +204,22 @@ func (p Part) IDs() []graph.NodeID {
 	return p.row.IDs()
 }
 
+// States returns a micro-delta part's states in id order, each decoded
+// once and frozen (nil for a micro-eventlist). Tombstones are left out.
+func (p Part) States() ([]*graph.NodeState, error) {
+	if p.row == nil {
+		return nil, nil
+	}
+	out := make([]*graph.NodeState, len(p.row.states))
+	for i := range out {
+		var err error
+		if out[i], err = p.row.state(i); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // ApplyTo merges a micro-delta part into g the way delta.ApplyTo merges a
 // delta: its states overwrite, by pointer (they are frozen, and g copies
 // one on its first write), then its tombstones delete. want, ascending,

@@ -41,19 +41,47 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// HashPID returns the random-strategy partition id for a node: a stateless
-// hash, so no Micropartitions bookkeeping is needed. The hash is FNV-1a
-// over the id's 8 little-endian bytes, inlined because the read path
-// resolves ownership once per edge endpoint it replays.
+// HashPID returns a stateless hash partition id for a node, so no
+// Micropartitions bookkeeping is needed: FNV-1a over the id's 8
+// little-endian bytes, modulo k. It places the horizontal partitions of
+// every span and the random-strategy micro-partitions of spans written
+// before MixPID. It and MixPID inline, because the read path resolves
+// ownership once per edge endpoint it replays.
 func HashPID(id graph.NodeID, k int) int {
 	if k <= 1 {
 		return 0
 	}
+	return int(fnv64(id) % uint64(k))
+}
+
+// fnv64 is FNV-1a over the id's 8 little-endian bytes.
+func fnv64(id graph.NodeID) uint64 {
 	h := uint64(fnvOffset64)
 	for x, i := uint64(id), 0; i < 8; x, i = x>>8, i+1 {
 		h ^= x & 0xff
 		h *= fnvPrime64
 	}
+	return h
+}
+
+// MixPID is HashPID finished with a 64-bit avalanche mix (MurmurHash3's
+// fmix64), the random-strategy partition id of spans written with
+// mixed pids. FNV-1a's low output bits depend only on the low bits of
+// its input bytes, so HashPID's residues modulo small k are correlated
+// with the residues of any other FNV hash of the id — the horizontal
+// partition's, for one — and an even k leaves micro-partitions empty in
+// every horizontal partition; the mix makes every output bit depend on
+// every input bit.
+func MixPID(id graph.NodeID, k int) int {
+	if k <= 1 {
+		return 0
+	}
+	h := fnv64(id)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec86
+	h ^= h >> 33
 	return int(h % uint64(k))
 }
 
