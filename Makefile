@@ -104,8 +104,9 @@ loc:
 # snapshots (GetSnapshotWarm at one time;
 # GetSnapshotWarmSweep cycles through times over every leaf, where end
 # states stand in for most of the boundary replay), graph Density (the
-# first, O(N+E) pair count) and DensityAfterEdit (one edge edit, then the
-# count the edit kept), taf Evolution and SoNFetch (a warm-cache SoN
+# first, O(N+E) pair count), DensityAfterEdit (one edge edit, then the
+# count the edit kept) and DisjointUnion (a snapshot's combine of four
+# 3,750-node sid graphs, which takes over their node maps), taf Evolution and SoNFetch (a warm-cache SoN
 # fetch), and the disklog and tiered engines (Put, Get from memory and
 # from disk, MultiGet, ScanPrefix over a few thousand rows), and the
 # server's SnapshotNDJSON (a warm /v1/snapshot of a ~3,000-node store

@@ -188,6 +188,33 @@ func TestAnswerMutationIsolation(t *testing.T) {
 		}
 	}
 
+	// Two answers at one time: one loses its highest-degree hub, whose
+	// neighbors lie in every sid, and gains an unseen id, each write
+	// routed to the shard of the id it names; the other must still equal
+	// the replay of the log.
+	for i, tt := range times {
+		a, err := store.Snapshot(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.Snapshot(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := mustGraph(events, tt)
+		ids := w.NodeIDs()
+		hub := slices.MaxFunc(ids, func(x, y NodeID) int { return w.Node(x).Degree() - w.Node(y).Degree() })
+		fresh := ids[len(ids)-1] + 1
+		for _, g := range []*Graph{a, w} {
+			g.RemoveNode(hub)
+			g.AddNode(fresh)
+		}
+		if !a.Equal(w) {
+			t.Fatalf("snapshot@%d after RemoveNode(%d) and AddNode(%d) differs from the replay's", tt, hub, fresh)
+		}
+		check("snapshot", i, b, nil)
+	}
+
 	// After a warm sweep of a leaf, every answer there holds the end
 	// state of each node done by its time (no event later in the leaf's
 	// eventlist) by pointer. Writes through Graph methods on one answer's

@@ -107,6 +107,71 @@ func configsUnderTest() map[string]Config {
 	}
 }
 
+// TestSnapshotShardsFollowSidOf requires every state that a GetSnapshot
+// or GetSnapshotsAt answer ranges over to be found by Node and Has. The
+// answer's combine takes over each sid graph's node map as the shard of
+// the ids sidOf routes there, so this holds only if each sid graph holds
+// exactly sidOf's nodes. Writes then route alike: a RemoveNode of a hub
+// with neighbors in other sids clears their mirror entries, an unseen id
+// is added, and a second answer at the same time is untouched.
+func TestSnapshotShardsFollowSidOf(t *testing.T) {
+	events := genHistory(3, 400, 40)
+	times := []temporal.Time{250, 1205, 2405, 4000}
+	for name, cfg := range configsUnderTest() {
+		t.Run(name, func(t *testing.T) {
+			tgi := buildSmall(t, cfg, events)
+			gs, err := tgi.GetSnapshotsAt(times, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := tgi.GetSnapshot(times[2], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range append(gs, one) {
+				g.Range(func(ns *graph.NodeState) bool {
+					if g.Node(ns.ID) != ns || !g.Has(ns.ID) {
+						t.Fatalf("answer %d: node %d (sid %d) is ranged over but not found", i, ns.ID, tgi.sidOf(ns.ID))
+					}
+					return true
+				})
+			}
+
+			want := oracle(events, times[2])
+			hub, most := graph.NodeID(-1), -1
+			for _, id := range want.NodeIDs() {
+				n := 0
+				for _, nb := range want.Neighbors(id) {
+					if tgi.sidOf(nb) != tgi.sidOf(id) {
+						n++
+					}
+				}
+				if n > most {
+					hub, most = id, n
+				}
+			}
+			if most == 0 && cfg.HorizontalPartitions > 1 {
+				t.Fatal("no node has a neighbor in another sid")
+			}
+			fresh := graph.NodeID(1000)
+			for _, g := range []*graph.Graph{one, want} {
+				g.RemoveNode(hub)
+				g.AddNode(fresh)
+			}
+			if !one.Equal(want) || !one.Has(fresh) {
+				t.Fatalf("RemoveNode(%d) with %d neighbors in other sids and AddNode(%d) differ from the oracle's", hub, most, fresh)
+			}
+			again, err := tgi.GetSnapshot(times[2], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.Equal(oracle(events, times[2])) {
+				t.Fatal("writes on one answer reached a second answer at the same time")
+			}
+		})
+	}
+}
+
 func TestSnapshotMatchesOracle(t *testing.T) {
 	events := genHistory(1, 400, 40)
 	for name, cfg := range configsUnderTest() {
@@ -317,6 +382,17 @@ func TestChangeTimes(t *testing.T) {
 	}
 }
 
+// kHopViaSnapshot retrieves the k-hop neighborhood of a node at time tt
+// by fetching the whole snapshot and filtering (Algorithm 3): the
+// reference for GetKHopNeighborhood's expansion.
+func kHopViaSnapshot(tgi *TGI, id graph.NodeID, k int, tt temporal.Time) (*graph.Graph, error) {
+	g, err := tgi.GetSnapshot(tt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return g.KHopSubgraph(id, k), nil
+}
+
 func TestKHopBothAlgorithmsAgree(t *testing.T) {
 	events := genHistory(6, 400, 30)
 	for name, cfg := range configsUnderTest() {
@@ -325,7 +401,7 @@ func TestKHopBothAlgorithmsAgree(t *testing.T) {
 			for _, tt := range []temporal.Time{800, 2000, 4000} {
 				for id := graph.NodeID(0); id < 30; id += 6 {
 					for k := 1; k <= 2; k++ {
-						viaSnap, err := tgi.GetKHopViaSnapshot(id, k, tt, nil)
+						viaSnap, err := kHopViaSnapshot(tgi, id, k, tt)
 						if err != nil {
 							t.Fatal(err)
 						}

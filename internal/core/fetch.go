@@ -57,7 +57,9 @@ func (t *TGI) GetSnapshotsAt(times []temporal.Time, opts *FetchOptions) ([]*grap
 // count.
 //
 // When emit is nil, the per-partition graphs of each point are combined
-// into one Graph per point, returned in the order of times. When emit is
+// into one Graph per point, returned in the order of times: the union
+// takes over each sid graph's node map as its shard for sidOf's ids, so
+// the combine copies no state and costs O(partitions). When emit is
 // non-nil, each partition's owned node states are handed to emit as soon
 // as that partition finishes materializing (concurrently from the worker
 // pool — emit must be safe for concurrent use), nothing is combined, and
@@ -113,7 +115,7 @@ func (t *TGI) getSnapshotStream(times []temporal.Time, opts *FetchOptions, tr *f
 	}
 	out := make([]*graph.Graph, len(times))
 	for i := range out {
-		out[i] = graph.DisjointUnion(parts[i*ns : (i+1)*ns]...)
+		out[i] = graph.DisjointUnion(t.sidOf, parts[i*ns:(i+1)*ns]...)
 	}
 	return out, nil
 }

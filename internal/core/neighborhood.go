@@ -11,19 +11,6 @@ import (
 	"hgs/internal/temporal"
 )
 
-// GetKHopViaSnapshot retrieves the k-hop neighborhood of a node at time
-// tt by fetching the whole snapshot and filtering (Algorithm 3) — the
-// right plan for large k.
-func (t *TGI) GetKHopViaSnapshot(id graph.NodeID, k int, tt temporal.Time, opts *FetchOptions) (*graph.Graph, error) {
-	tr, done := t.startTrace("khop-snapshot", opts)
-	defer done()
-	g, err := t.getSnapshot(tt, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	return g.KHopSubgraph(id, k), nil
-}
-
 // GetKHopNeighborhood retrieves the k-hop neighborhood at time tt by
 // expanding outward from the node: each hop plans the micro-partitions
 // containing frontier nodes as one deduplicated read set and executes it

@@ -181,7 +181,7 @@ func (t *TGI) resumeSpan(tm *TimespanMeta, batch []graph.Event) (*spanWriter, er
 	}); err != nil {
 		return nil, err
 	}
-	w := graph.DisjointUnion(parts...)
+	w := graph.DisjointUnion(t.sidOf, parts...)
 
 	// The nodes the batch can touch: the ids it names, and the neighbors
 	// of the nodes it removes (a neighbor linked during the batch is named

@@ -14,8 +14,19 @@ import (
 // mutator copies a frozen state on its first write, so writing one graph
 // never changes another. The edges of its states change only through its
 // methods, which keep the pair count behind Density up to date.
+//
+// A graph made by New or NewWithCapacity holds its states in one node
+// map. A graph made by DisjointUnion holds them in one map per part, its
+// shards, and keeps the function that routes an id to its shard: every
+// method, lookups and writes of a new id alike, reaches node id through
+// shard of(id).
 type Graph struct {
+	// nodes holds every node state when of is nil; it is nil otherwise.
 	nodes map[NodeID]*NodeState
+	// shards holds the node states when of is set: node id's in
+	// shards[of(id)].
+	shards []map[NodeID]*NodeState
+	of     func(NodeID) int
 	// sides is one more than the sum of nodeSides over the nodes, or zero
 	// while unknown: the first Density counts it, and from then on every
 	// mutator that adds or deletes an edge key adjusts it. It is atomic so
@@ -33,14 +44,45 @@ func NewWithCapacity(n int) *Graph {
 	return &Graph{nodes: make(map[NodeID]*NodeState, n)}
 }
 
+// shard returns the node map that holds node id, or would hold it.
+func (g *Graph) shard(id NodeID) map[NodeID]*NodeState {
+	if g.of == nil {
+		return g.nodes
+	}
+	return g.shards[g.of(id)]
+}
+
+// all yields every node state, shard by shard; it ranges over the graph
+// like a single node map.
+func (g *Graph) all(yield func(NodeID, *NodeState) bool) {
+	for id, ns := range g.nodes {
+		if !yield(id, ns) {
+			return
+		}
+	}
+	for _, m := range g.shards {
+		for id, ns := range m {
+			if !yield(id, ns) {
+				return
+			}
+		}
+	}
+}
+
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
+func (g *Graph) NumNodes() int {
+	n := len(g.nodes)
+	for _, m := range g.shards {
+		n += len(m)
+	}
+	return n
+}
 
 // NumEdges returns the number of directed edges (each u->v counted once,
 // even though it is stored on both endpoints).
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		for k := range ns.Edges {
 			if k.Out {
 				n++
@@ -53,18 +95,18 @@ func (g *Graph) NumEdges() int {
 // Node returns the state of node id, or nil if absent. The state is
 // read-only — it may be frozen and shared with other graphs: change it
 // through the graph's methods, or Clone it.
-func (g *Graph) Node(id NodeID) *NodeState { return g.nodes[id] }
+func (g *Graph) Node(id NodeID) *NodeState { return g.shard(id)[id] }
 
 // Has reports whether node id exists.
 func (g *Graph) Has(id NodeID) bool {
-	_, ok := g.nodes[id]
+	_, ok := g.shard(id)[id]
 	return ok
 }
 
 // NodeIDs returns all node ids in ascending order.
 func (g *Graph) NodeIDs() []NodeID {
-	out := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
+	out := make([]NodeID, 0, g.NumNodes())
+	for id := range g.all {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -74,7 +116,7 @@ func (g *Graph) NodeIDs() []NodeID {
 // Range calls f for every node state until f returns false. Iteration
 // order is unspecified.
 func (g *Graph) Range(f func(*NodeState) bool) {
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		if !f(ns) {
 			return
 		}
@@ -85,11 +127,12 @@ func (g *Graph) Range(f func(*NodeState) bool) {
 // the caller may write: a frozen state is first replaced by its copy. Its
 // edges change only through the graph's methods.
 func (g *Graph) AddNode(id NodeID) *NodeState {
-	if ns, ok := g.nodes[id]; ok {
+	m := g.shard(id)
+	if ns, ok := m[id]; ok {
 		return g.writable(ns)
 	}
 	ns := NewNodeState(id)
-	g.nodes[id] = ns
+	m[id] = ns
 	return ns
 }
 
@@ -97,14 +140,15 @@ func (g *Graph) AddNode(id NodeID) *NodeState {
 // for the same id. The graph takes ownership of ns unless it is frozen,
 // in which case the graph shares it and copies it on its first write.
 func (g *Graph) PutNode(ns *NodeState) {
+	m := g.shard(ns.ID)
 	if s := g.sides.Load(); s != 0 {
 		s += int64(nodeSides(ns))
-		if old, ok := g.nodes[ns.ID]; ok {
+		if old, ok := m[ns.ID]; ok {
 			s -= int64(nodeSides(old))
 		}
 		g.sides.Store(s)
 	}
-	g.nodes[ns.ID] = ns
+	m[ns.ID] = ns
 }
 
 // setEdge stores es under k in ns, a writable state of g, keeping a
@@ -141,7 +185,7 @@ func (g *Graph) writable(ns *NodeState) *NodeState {
 		return ns
 	}
 	c := &NodeState{ID: ns.ID, Attrs: ns.Attrs.Clone(), Edges: maps.Clone(ns.Edges), sharedEdges: len(ns.Edges) > 0}
-	g.nodes[ns.ID] = c
+	g.shard(ns.ID)[ns.ID] = c
 	return c
 }
 
@@ -166,7 +210,8 @@ func writableEdge(ns *NodeState, k EdgeKey) *EdgeState {
 // RemoveNode deletes node id and all incident edges (including the mirror
 // entries on neighbors). It reports whether the node existed.
 func (g *Graph) RemoveNode(id NodeID) bool {
-	ns, ok := g.nodes[id]
+	m := g.shard(id)
+	ns, ok := m[id]
 	if !ok {
 		return false
 	}
@@ -177,14 +222,14 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 		if k.Other == id {
 			continue // a self-loop goes with the node
 		}
-		if other, ok := g.nodes[k.Other]; ok {
+		if other := g.Node(k.Other); other != nil {
 			mk := EdgeKey{Other: id, Out: !k.Out}
 			if _, ok := other.Edges[mk]; ok {
 				g.deleteEdge(other, mk)
 			}
 		}
 	}
-	delete(g.nodes, id)
+	delete(m, id)
 	return true
 }
 
@@ -193,14 +238,15 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 // hold. It is PutNode's counterpart for a replay that sets each node's
 // state on its own, where every neighbor's own replay removes its side.
 func (g *Graph) DropNode(id NodeID) bool {
-	ns, ok := g.nodes[id]
+	m := g.shard(id)
+	ns, ok := m[id]
 	if !ok {
 		return false
 	}
 	if s := g.sides.Load(); s != 0 {
 		g.sides.Store(s - int64(nodeSides(ns)))
 	}
-	delete(g.nodes, id)
+	delete(m, id)
 	return true
 }
 
@@ -234,13 +280,13 @@ func (g *Graph) AddEdge(u, v NodeID) *EdgeState {
 // the mirror entry of the endpoint that is present.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	existed := false
-	if un, ok := g.nodes[u]; ok {
+	if un := g.Node(u); un != nil {
 		if _, ok := un.Edges[EdgeKey{Other: v, Out: true}]; ok {
 			g.deleteEdge(un, EdgeKey{Other: v, Out: true})
 			existed = true
 		}
 	}
-	if vn, ok := g.nodes[v]; ok {
+	if vn := g.Node(v); vn != nil {
 		if _, ok := vn.Edges[EdgeKey{Other: u, Out: false}]; ok {
 			g.deleteEdge(vn, EdgeKey{Other: u, Out: false})
 			existed = true
@@ -251,11 +297,11 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 
 // HasEdge reports whether the directed edge u->v exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	un, ok := g.nodes[u]
-	if !ok {
+	un := g.Node(u)
+	if un == nil {
 		return false
 	}
-	_, ok = un.Edges[EdgeKey{Other: v, Out: true}]
+	_, ok := un.Edges[EdgeKey{Other: v, Out: true}]
 	return ok
 }
 
@@ -279,7 +325,7 @@ func (g *Graph) Apply(e Event) error {
 		}
 		ns.Attrs[e.Key] = e.Value
 	case DelNodeAttr:
-		if ns, ok := g.nodes[e.Node]; ok {
+		if ns := g.Node(e.Node); ns != nil {
 			if _, ok := ns.Attrs[e.Key]; ok {
 				delete(g.writable(ns).Attrs, e.Key)
 			}
@@ -326,7 +372,7 @@ func (g *Graph) ApplySide(e Event, id NodeID) error {
 // applySide applies edge event e to the edge entry k of node id alone.
 func (g *Graph) applySide(e Event, id NodeID, k EdgeKey) {
 	var es *EdgeState
-	ns := g.nodes[id]
+	ns := g.Node(id)
 	if ns != nil {
 		es = ns.Edges[k]
 	}
@@ -367,22 +413,31 @@ func (g *Graph) addSide(id NodeID, k EdgeKey) *EdgeState {
 	return es
 }
 
-// DisjointUnion returns a graph holding the node states of every graph
-// in gs, which must hold pairwise disjoint node sets. States move by
-// pointer and the node map is sized once; the graphs in gs must not be
-// written afterwards, and a single graph is returned as is.
-func DisjointUnion(gs ...*Graph) *Graph {
-	if len(gs) == 1 {
-		return gs[0]
+// DisjointUnion returns the graph of the node states of parts, graphs
+// made by New or NewWithCapacity, where parts[i] holds exactly the nodes
+// id with of(id) == i and of maps every id into [0, len(parts)). It takes
+// over the parts' node maps as its shards, in O(len(parts)) and with no
+// per-node work, so a part must not be used afterwards; a node the union
+// gains later goes to shard of(id). Its pair count is the sum of the
+// parts' when every part knows its own. A single part is returned as is.
+func DisjointUnion(of func(NodeID) int, parts ...*Graph) *Graph {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	n := 0
-	for _, g := range gs {
-		n += len(g.nodes)
+	out := &Graph{shards: make([]map[NodeID]*NodeState, len(parts)), of: of}
+	sides := int64(1)
+	for i, p := range parts {
+		if p.of != nil {
+			panic("graph: DisjointUnion of a graph that is a union")
+		}
+		out.shards[i] = p.nodes
+		if s := p.sides.Load(); s == 0 || sides == 0 {
+			sides = 0
+		} else {
+			sides += s - 1
+		}
 	}
-	out := NewWithCapacity(n)
-	for _, g := range gs {
-		maps.Copy(out.nodes, g.nodes)
-	}
+	out.sides.Store(sides)
 	return out
 }
 
@@ -405,21 +460,21 @@ func FromEvents(events []Event) (*Graph, error) {
 	return g, nil
 }
 
-// Clone returns a deep copy of the graph, with its pair count if known;
-// no state of the copy is frozen.
+// Clone returns a deep copy of the graph, with its shards and its pair
+// count if known; no state of the copy is frozen.
 func (g *Graph) Clone() *Graph {
-	out := NewWithCapacity(len(g.nodes))
-	for id, ns := range g.nodes {
-		out.nodes[id] = ns.Clone()
+	out := &Graph{nodes: cloneStates(g.nodes), of: g.of}
+	for _, m := range g.shards {
+		out.shards = append(out.shards, cloneStates(m))
 	}
 	// Restore mirror sharing of EdgeStates within the clone; an edge known
 	// from one side only stays so.
-	for _, ns := range out.nodes {
+	for _, ns := range out.all {
 		for k, es := range ns.Edges {
 			if !k.Out {
 				continue
 			}
-			if other, ok := out.nodes[k.Other]; ok {
+			if other := out.Node(k.Other); other != nil {
 				mk := EdgeKey{Other: ns.ID, Out: false}
 				if _, ok := other.Edges[mk]; ok {
 					other.Edges[mk] = es
@@ -431,14 +486,27 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
+// cloneStates returns a map of deep copies of m's states, or nil for a
+// nil m.
+func cloneStates(m map[NodeID]*NodeState) map[NodeID]*NodeState {
+	if m == nil {
+		return nil
+	}
+	out := make(map[NodeID]*NodeState, len(m))
+	for id, ns := range m {
+		out[id] = ns.Clone()
+	}
+	return out
+}
+
 // Equal reports whether two graphs hold exactly the same node states.
 func (g *Graph) Equal(o *Graph) bool {
-	if len(g.nodes) != len(o.nodes) {
+	if g.NumNodes() != o.NumNodes() {
 		return false
 	}
-	for id, ns := range g.nodes {
-		ons, ok := o.nodes[id]
-		if !ok || !ns.Equal(ons) {
+	for id, ns := range g.all {
+		ons := o.Node(id)
+		if ons == nil || !ns.Equal(ons) {
 			return false
 		}
 	}
@@ -454,8 +522,8 @@ func (g *Graph) Subgraph(ids []NodeID) *Graph {
 	}
 	out := NewWithCapacity(len(ids))
 	for id := range keep {
-		ns, ok := g.nodes[id]
-		if !ok {
+		ns := g.Node(id)
+		if ns == nil {
 			continue
 		}
 		c := &NodeState{ID: id, Attrs: ns.Attrs.Clone()}
@@ -475,8 +543,8 @@ func (g *Graph) Subgraph(ids []NodeID) *Graph {
 // Neighbors returns the distinct neighbors of id (undirected view), or nil
 // if the node is absent.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	ns, ok := g.nodes[id]
-	if !ok {
+	ns := g.Node(id)
+	if ns == nil {
 		return nil
 	}
 	return ns.Neighbors()
@@ -526,10 +594,10 @@ func (g *Graph) KHopSubgraph(root NodeID, k int) *Graph {
 // replicated frontier states with restricted edge lists) may know an
 // edge from one side only; symmetrizing completes them.
 func (g *Graph) Symmetrize() {
-	for id, ns := range g.nodes {
+	for id, ns := range g.all {
 		for k, es := range ns.Edges {
-			other, ok := g.nodes[k.Other]
-			if !ok {
+			other := g.Node(k.Other)
+			if other == nil {
 				continue
 			}
 			mk := EdgeKey{Other: id, Out: !k.Out}
@@ -545,7 +613,7 @@ func (g *Graph) Symmetrize() {
 // FilterNodes returns the induced subgraph on nodes satisfying pred.
 func (g *Graph) FilterNodes(pred func(*NodeState) bool) *Graph {
 	var ids []NodeID
-	for id, ns := range g.nodes {
+	for id, ns := range g.all {
 		if pred(ns) {
 			ids = append(ids, id)
 		}

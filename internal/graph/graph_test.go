@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -616,6 +618,9 @@ func TestApplySideWritesOneSide(t *testing.T) {
 	}
 }
 
+// TestDisjointUnion unions graphs of ids {1, 2}, none and {3, 4}: the
+// union holds their states by pointer, a new id goes to its own shard,
+// and a single graph comes back as is.
 func TestDisjointUnion(t *testing.T) {
 	a, err := FromEvents([]Event{{Kind: AddEdge, Node: 1, Other: 2}})
 	if err != nil {
@@ -625,16 +630,221 @@ func TestDisjointUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	of := func(id NodeID) int {
+		switch {
+		case id == 1 || id == 2:
+			return 0
+		case id == 3 || id == 4:
+			return 2
+		}
+		return 1
+	}
 	want := a.Clone()
 	b.Range(func(ns *NodeState) bool {
 		want.PutNode(ns.Clone())
 		return true
 	})
-	u := DisjointUnion(a, New(), b)
+	empty := New()
+	u := DisjointUnion(of, a, empty, b)
 	if !u.Equal(want) || u.Node(3) != b.Node(3) {
 		t.Fatal("DisjointUnion must hold every state of its graphs, by pointer")
 	}
-	if DisjointUnion(a) != a {
+	u.AddEdge(5, 1)
+	if !empty.Has(5) || !u.HasEdge(5, 1) || u.NumNodes() != 5 {
+		t.Fatal("a node new to the union must go to the shard of its id")
+	}
+	if DisjointUnion(of, a) != a {
 		t.Fatal("DisjointUnion of one graph must return it")
 	}
 }
+
+// splitGraph returns g's states, cloned, in parts by of.
+func splitGraph(g *Graph, of func(NodeID) int, parts int) []*Graph {
+	out := make([]*Graph, parts)
+	for i := range out {
+		out[i] = New()
+	}
+	g.Range(func(ns *NodeState) bool {
+		out[of(ns.ID)].PutNode(ns.Clone())
+		return true
+	})
+	return out
+}
+
+// TestShardedGraphMatchesSingleMap runs seeded random op sequences on a
+// single-map graph and on the same states split by of and re-unioned,
+// and requires the two to agree after every op: every method must reach
+// a node through the shard of its id, and RemoveNode's mirror deletions
+// must reach neighbors in other shards.
+func TestShardedGraphMatchesSingleMap(t *testing.T) {
+	const space, shards = 24, 3
+	of := func(id NodeID) int { return int(id) % shards }
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := New()
+		for n := NodeID(0); n < space; n++ {
+			if rng.Intn(4) != 0 {
+				a.PutNode(randomState(rng, n, space))
+			}
+		}
+		b := DisjointUnion(of, splitGraph(a, of, shards)...)
+		id := func() NodeID { return NodeID(rng.Intn(space)) }
+		for step := 0; step < 300; step++ {
+			var op string
+			switch r := rng.Intn(12); r {
+			case 0:
+				n := id()
+				op = fmt.Sprintf("AddNode %d", n)
+				a.AddNode(n)
+				b.AddNode(n)
+			case 1:
+				ns := randomState(rng, id(), space)
+				op = fmt.Sprintf("PutNode %v", ns)
+				if rng.Intn(2) == 0 {
+					ns.Freeze()
+					op += " frozen"
+					a.PutNode(ns)
+					b.PutNode(ns)
+				} else {
+					a.PutNode(ns)
+					b.PutNode(ns.Clone())
+				}
+			case 2:
+				n := id()
+				op = fmt.Sprintf("DropNode %d", n)
+				a.DropNode(n)
+				b.DropNode(n)
+			case 3:
+				u, v := id(), id()
+				op = fmt.Sprintf("AddEdge %d %d", u, v)
+				a.AddEdge(u, v)
+				b.AddEdge(u, v)
+			case 4:
+				u, v := id(), id()
+				op = fmt.Sprintf("RemoveEdge %d %d", u, v)
+				a.RemoveEdge(u, v)
+				b.RemoveEdge(u, v)
+			case 5:
+				e := Event{Kind: []EventKind{AddEdge, RemoveEdge, SetEdgeAttr, DelEdgeAttr}[rng.Intn(4)], Node: id(), Other: id(), Key: "k", Value: "v"}
+				side := e.Node
+				if rng.Intn(2) == 0 {
+					side = e.Other
+				}
+				op = fmt.Sprintf("ApplySide %v on %d", e, side)
+				if err := a.ApplySide(e, side); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.ApplySide(e, side); err != nil {
+					t.Fatal(err)
+				}
+			case 6:
+				e := Event{Kind: SetNodeAttr, Node: id(), Key: "k", Value: fmt.Sprint(step)}
+				if rng.Intn(2) == 0 {
+					e = Event{Kind: SetEdgeAttr, Node: id(), Other: id(), Key: "k", Value: fmt.Sprint(step)}
+				}
+				op = "Apply " + e.String()
+				if err := a.Apply(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Apply(e); err != nil {
+					t.Fatal(err)
+				}
+			case 7:
+				op = "Clone"
+				a, b = a.Clone(), b.Clone()
+				if b.of == nil || len(b.shards) != shards {
+					t.Fatalf("seed %d step %d: Clone dropped the shards", seed, step)
+				}
+			case 8:
+				var ids []NodeID
+				for n := NodeID(0); n < space; n++ {
+					if rng.Intn(2) == 0 {
+						ids = append(ids, n)
+					}
+				}
+				op = fmt.Sprintf("Subgraph %v", ids)
+				if !a.Subgraph(ids).Equal(b.Subgraph(ids)) {
+					t.Fatalf("seed %d step %d: %s differs", seed, step, op)
+				}
+			case 9:
+				op = "Symmetrize"
+				a.Symmetrize()
+				b.Symmetrize()
+			default:
+				// The node with the most neighbors in other shards.
+				hub, most := id(), -1
+				a.Range(func(ns *NodeState) bool {
+					n := 0
+					for _, nb := range ns.Neighbors() {
+						if of(nb) != of(ns.ID) && a.Has(nb) {
+							n++
+						}
+					}
+					if n > most || (n == most && ns.ID < hub) {
+						hub, most = ns.ID, n
+					}
+					return true
+				})
+				op = fmt.Sprintf("RemoveNode %d (%d neighbors in other shards)", hub, most)
+				a.RemoveNode(hub)
+				b.RemoveNode(hub)
+			}
+			if !a.Equal(b) || !b.Equal(a) {
+				t.Fatalf("seed %d step %d, after %s: the sharded graph differs", seed, step, op)
+			}
+			if !slices.Equal(a.NodeIDs(), b.NodeIDs()) || a.NumEdges() != b.NumEdges() || a.Density() != b.Density() {
+				t.Fatalf("seed %d step %d, after %s: NodeIDs, NumEdges or Density differ", seed, step, op)
+			}
+			for n := NodeID(0); n < space; n++ {
+				if !slices.Equal(a.Neighbors(n), b.Neighbors(n)) {
+					t.Fatalf("seed %d step %d, after %s: neighbors of %d differ", seed, step, op, n)
+				}
+			}
+		}
+	}
+}
+
+// unionParts returns parts graphs of n nodes each, node id in part
+// id%parts, with edges to nodes of other parts.
+func unionParts(parts, n int) []*Graph {
+	g := New()
+	for id := NodeID(0); id < NodeID(parts*n); id++ {
+		g.AddEdge(id, (id*7+1)%NodeID(parts*n))
+	}
+	return splitGraph(g, func(id NodeID) int { return int(id) % parts }, parts)
+}
+
+// TestDisjointUnionAdopts pins the combine at O(parts): a union of four
+// 5,000-node parts allocates a small constant and copies no state.
+func TestDisjointUnionAdopts(t *testing.T) {
+	parts := unionParts(4, 5000)
+	of := func(id NodeID) int { return int(id) % len(parts) }
+	var u *Graph
+	if allocs := testing.AllocsPerRun(20, func() { u = DisjointUnion(of, parts...) }); allocs > 3 {
+		t.Fatalf("DisjointUnion of 4 x 5,000 nodes: %.0f allocs, want at most 3", allocs)
+	}
+	if u.NumNodes() != 20000 {
+		t.Fatalf("union holds %d nodes, want 20000", u.NumNodes())
+	}
+	for i, p := range parts {
+		p.Range(func(ns *NodeState) bool {
+			if u.Node(ns.ID) != ns {
+				t.Fatalf("node %d of part %d was copied", ns.ID, i)
+			}
+			return true
+		})
+	}
+}
+
+// BenchmarkDisjointUnion measures a snapshot's combine at the benchmark's
+// snapshot size: four parts of 3,750 nodes.
+func BenchmarkDisjointUnion(b *testing.B) {
+	parts := unionParts(4, 3750)
+	of := func(id NodeID) int { return int(id) % len(parts) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		unionSink = DisjointUnion(of, parts...)
+	}
+}
+
+var unionSink *Graph

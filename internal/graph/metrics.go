@@ -29,7 +29,7 @@ func (g *Graph) Density() float64 {
 func (g *Graph) undirectedEdgeCount() int {
 	s := g.sides.Load()
 	if s == 0 {
-		for _, ns := range g.nodes {
+		for _, ns := range g.all {
 			s += int64(nodeSides(ns))
 		}
 		s++
@@ -72,7 +72,7 @@ func (g *Graph) AvgDegree() float64 {
 		return 0
 	}
 	total := 0
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		total += ns.Degree()
 	}
 	return float64(total) / float64(g.NumNodes())
@@ -90,7 +90,7 @@ func (g *Graph) LocalClusteringCoefficient(id NodeID) float64 {
 	}
 	links := 0
 	for i, u := range nbs {
-		un := g.nodes[u]
+		un := g.Node(u)
 		if un == nil {
 			continue
 		}
@@ -109,7 +109,7 @@ func (g *Graph) AverageClusteringCoefficient() float64 {
 		return 0
 	}
 	sum := 0.0
-	for id := range g.nodes {
+	for id := range g.all {
 		sum += g.LocalClusteringCoefficient(id)
 	}
 	return sum / float64(g.NumNodes())
@@ -118,8 +118,8 @@ func (g *Graph) AverageClusteringCoefficient() float64 {
 // TriangleCount returns the number of undirected triangles.
 func (g *Graph) TriangleCount() int {
 	// Neighbor sets on the undirected view, counting each triangle 3 times.
-	adj := make(map[NodeID]map[NodeID]struct{}, len(g.nodes))
-	for id, ns := range g.nodes {
+	adj := make(map[NodeID]map[NodeID]struct{}, g.NumNodes())
+	for id, ns := range g.all {
 		set := make(map[NodeID]struct{}, len(ns.Edges))
 		for k := range ns.Edges {
 			if k.Other != id {
@@ -157,23 +157,23 @@ func (g *Graph) PageRank(damping float64, iters int) map[NodeID]float64 {
 	}
 	rank := make(map[NodeID]float64, n)
 	outDeg := make(map[NodeID]int, n)
-	for id, ns := range g.nodes {
+	for id, ns := range g.all {
 		rank[id] = 1.0 / float64(n)
 		outDeg[id] = ns.OutDegree()
 	}
 	for it := 0; it < iters; it++ {
 		next := make(map[NodeID]float64, n)
 		dangling := 0.0
-		for id := range g.nodes {
+		for id := range g.all {
 			if outDeg[id] == 0 {
 				dangling += rank[id]
 			}
 		}
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		for id := range g.nodes {
+		for id := range g.all {
 			next[id] = base
 		}
-		for id, ns := range g.nodes {
+		for id, ns := range g.all {
 			if outDeg[id] == 0 {
 				continue
 			}
@@ -232,9 +232,9 @@ func (g *Graph) ShortestPathLength(from, to NodeID) (int, bool) {
 // ConnectedComponents returns the undirected components as sorted id
 // slices, largest first.
 func (g *Graph) ConnectedComponents() [][]NodeID {
-	visited := make(map[NodeID]bool, len(g.nodes))
+	visited := make(map[NodeID]bool, g.NumNodes())
 	var comps [][]NodeID
-	for id := range g.nodes {
+	for id := range g.all {
 		if visited[id] {
 			continue
 		}
@@ -293,7 +293,7 @@ func farthest(g *Graph, root NodeID) (NodeID, int) {
 // DegreeHistogram returns counts of undirected degrees.
 func (g *Graph) DegreeHistogram() map[int]int {
 	h := make(map[int]int)
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		h[ns.Degree()]++
 	}
 	return h
@@ -306,8 +306,8 @@ func (g *Graph) DegreeCentralityTop(k int) []NodeID {
 		id NodeID
 		d  int
 	}
-	all := make([]nd, 0, len(g.nodes))
-	for id, ns := range g.nodes {
+	all := make([]nd, 0, g.NumNodes())
+	for id, ns := range g.all {
 		all = append(all, nd{id, ns.Degree()})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -333,7 +333,7 @@ func (g *Graph) AttrFraction(key, value string) float64 {
 		return 0
 	}
 	n := 0
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		if v, ok := ns.Attrs[key]; ok && v == value {
 			n++
 		}
@@ -344,7 +344,7 @@ func (g *Graph) AttrFraction(key, value string) float64 {
 // AttrCount returns the number of nodes whose attribute key equals value.
 func (g *Graph) AttrCount(key, value string) int {
 	n := 0
-	for _, ns := range g.nodes {
+	for _, ns := range g.all {
 		if v, ok := ns.Attrs[key]; ok && v == value {
 			n++
 		}
@@ -365,7 +365,7 @@ func (g *Graph) Conductance(s []NodeID) float64 {
 		return 0
 	}
 	cut, volS, volRest := 0, 0, 0
-	for id, ns := range g.nodes {
+	for id, ns := range g.all {
 		_, inS := in[id]
 		deg := 0
 		for k := range ns.Edges {

@@ -408,16 +408,24 @@ func TestPairCountMatchesRecount(t *testing.T) {
 				g = g.Clone()
 			case r < 19:
 				op = "DisjointUnion"
-				h := New()
-				for n := NodeID(0); n < space; n++ {
-					if !g.Has(n) && rng.Intn(3) == 0 {
-						h.PutNode(randomState(rng, n, space))
+				parts := []*Graph{New(), New(), New()}
+				of := func(id NodeID) int { return int(id) % len(parts) }
+				g.Range(func(ns *NodeState) bool {
+					parts[of(ns.ID)].PutNode(ns)
+					return true
+				})
+				counted := true
+				for _, p := range parts {
+					if rng.Intn(4) != 0 {
+						p.undirectedEdgeCount()
+					} else {
+						counted = false
 					}
 				}
-				if rng.Intn(2) == 0 {
-					h.Density()
+				g = DisjointUnion(of, parts...)
+				if counted && g.sides.Load() == 0 {
+					t.Fatalf("seed %d step %d: a union of counted parts lost their pair count", seed, step)
 				}
-				g = DisjointUnion(g, h)
 			default:
 				op = "Density"
 				want := recountPairs(g)
