@@ -1,6 +1,7 @@
 # Tier-1 CI gate for the Historical Graph Store. `make ci` is the
 # documented pre-merge check (ROADMAP.md): vet, build, fast tests (with
-# and without the race detector), and formatting. `make test-full`
+# and without the race detector), formatting, and the docs gate (the
+# test names and links the docs cite must exist). `make test-full`
 # additionally runs the paper-figure smoke tests that -short skips.
 
 GO ?= go
@@ -20,7 +21,7 @@ DISKLOG_FLOOR ?= 84.1
 
 .PHONY: ci vet build test test-race test-benchmark test-full cover fuzz fmt-check fmt docs-check loc microbench bench profile
 
-ci: vet build test test-race test-benchmark fmt-check
+ci: vet build test test-race test-benchmark fmt-check docs-check
 
 vet:
 	$(GO) vet ./...
@@ -98,8 +99,9 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
-# under internal/: codec encode/decode, fetch cache and Exec, core build,
-# append (AppendPartialSpan; AppendOpenSpan, 100 events into an open span
+# under internal/: codec encode/decode, fetch cache and Exec, core build
+# (BuildAll: an Append into the empty index, which is how an index is
+# built), append (AppendPartialSpan; AppendOpenSpan, 100 events into an open span
 # filled 1/8 or 7/8, whose cost the fill no longer sets) and warm
 # snapshots (GetSnapshotWarm at one time;
 # GetSnapshotWarmSweep cycles through times over every leaf, where end

@@ -743,22 +743,10 @@ func Open(opts Options) (*Store, error) {
 }
 
 // Load builds the index over a complete history. Events must be
-// chronological with strictly increasing timestamps.
+// chronological with strictly increasing timestamps. It fails on an
+// empty history and on a store that is already loaded.
 func (s *Store) Load(events []Event) error {
-	if err := s.beginOp(); err != nil {
-		return err
-	}
-	defer s.endOp()
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if s.loaded.Load() {
-		return fmt.Errorf("hgs: store already loaded; use Append for updates")
-	}
-	if err := s.tgi.BuildAll(events); err != nil {
-		return err
-	}
-	s.loaded.Store(true)
-	return s.cluster.Flush()
+	return s.ingest(context.Background(), events, true)
 }
 
 // Append ingests a batch of new events after the indexed history.
@@ -772,7 +760,15 @@ func (s *Store) Append(events []Event) error {
 // admission, not the write itself. Concurrent ingests are serialized:
 // of several batches racing for the same trailing range one is indexed
 // and the rest fail the "not after indexed history end" ordering check.
+// A batch into a store that is not loaded yet loads it.
 func (s *Store) AppendCtx(ctx context.Context, events []Event) error {
+	return s.ingest(ctx, events, false)
+}
+
+// ingest is the one body behind Load and AppendCtx: core.Append builds
+// the index when the store is empty and extends it otherwise, then the
+// cluster is flushed. load refuses a store that is already loaded.
+func (s *Store) ingest(ctx context.Context, events []Event, load bool) error {
 	if err := s.beginOp(); err != nil {
 		return err
 	}
@@ -782,16 +778,13 @@ func (s *Store) AppendCtx(ctx context.Context, events []Event) error {
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if !s.loaded.Load() {
-		if err := s.tgi.BuildAll(events); err != nil {
-			return err
-		}
-		s.loaded.Store(true)
-		return s.cluster.Flush()
+	if load && s.loaded.Load() {
+		return fmt.Errorf("hgs: store already loaded; use Append for updates")
 	}
 	if err := s.tgi.Append(events); err != nil {
 		return err
 	}
+	s.loaded.Store(true)
 	return s.cluster.Flush()
 }
 

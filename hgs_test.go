@@ -121,6 +121,56 @@ func TestStoreAppend(t *testing.T) {
 	}
 }
 
+// TestIngestRules pins the rules Load and Append keep through their one
+// ingest body: an empty history and an empty batch into an unloaded
+// store fail, a failed ingest leaves the store unloaded, an Append into
+// an unloaded store loads it, Load refuses a loaded store, and an empty
+// batch into a loaded store is a no-op.
+func TestIngestRules(t *testing.T) {
+	events := workload.Wikipedia(workload.WikiConfig{Nodes: 200, EdgesPerNode: 3, Seed: 7})
+	cut := len(events) / 2
+	store, err := Open(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.Load(nil); err == nil {
+		t.Fatal("Load of an empty history must fail")
+	}
+	if err := store.Append(nil); err == nil {
+		t.Fatal("an empty batch into an unloaded store must fail")
+	}
+	if err := store.Load([]Event{events[1], events[0]}); err == nil {
+		t.Fatal("Load of an unordered history must fail")
+	}
+	if store.Loaded() {
+		t.Fatal("a failed ingest loaded the store")
+	}
+	if err := store.Append(events[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Loaded() {
+		t.Fatal("an Append into an unloaded store must load it")
+	}
+	if err := store.Load(events[cut:]); err == nil {
+		t.Fatal("Load on a loaded store must fail")
+	}
+	writes := store.Cluster().Metrics().Writes
+	if err := store.Append(nil); err != nil {
+		t.Fatalf("an empty batch into a loaded store: %v", err)
+	}
+	if got := store.Cluster().Metrics().Writes; got != writes {
+		t.Fatalf("an empty batch wrote %d rows", got-writes)
+	}
+	if err := store.Append(events[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	hi := events[len(events)-1].Time
+	if g, err := store.Snapshot(hi); err != nil || !g.Equal(mustGraph(events, hi)) {
+		t.Fatalf("snapshot after the ingests differs from the oracle (err %v)", err)
+	}
+}
+
 // TestConcurrentAppendSerialized: ingests are serialized, so of several
 // goroutines appending the same trailing batch exactly one is indexed
 // and the rest fail the ordering check — unserialized, all of them pass

@@ -4,49 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"time"
 
 	"hgs/internal/delta"
 	"hgs/internal/graph"
 	"hgs/internal/partition"
 	"hgs/internal/temporal"
 )
-
-// BuildAll constructs the index from the full history (paper §4.4,
-// Construction): events are cut into timespans; each timespan is analyzed
-// (partitioning), split into horizontal partitions, and indexed one
-// horizontal partition at a time.
-func (t *TGI) BuildAll(events []graph.Event) error {
-	defer t.observeDur("build", time.Now())
-	if err := t.cfg.Validate(); err != nil {
-		return err
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("core: cannot build an index over zero events")
-	}
-	if err := validateEvents(events); err != nil {
-		return err
-	}
-	t.fx.Cache().Purge() // a rebuild invalidates any cached deltas
-	carry := graph.New()
-	tsid := 0
-	for off := 0; off < len(events); off += t.cfg.TimespanEvents {
-		end := min(off+t.cfg.TimespanEvents, len(events))
-		var err error
-		if carry, err = t.writeSpan(tsid, carry, events[off:end]); err != nil {
-			return err
-		}
-		tsid++
-	}
-	return t.storeGraphMeta(&GraphMeta{
-		Name:          "tgi",
-		Start:         events[0].Time,
-		End:           events[len(events)-1].Time,
-		Events:        len(events),
-		TimespanCount: tsid,
-		Config:        t.cfg,
-	})
-}
 
 // spanPartitioning is a span's placement (paper §4.5): per horizontal
 // partition, its node count, its number of micro-partitions and (for
@@ -107,7 +70,7 @@ func (t *TGI) computeSpanPartitioning(start *graph.Graph, events []graph.Event) 
 	}
 	// Locality: partition each sid's projection of the collapsed graph.
 	iv := temporal.NewInterval(events[0].Time, events[len(events)-1].Time+1)
-	collapsed := partition.Collapse(start, events, iv, t.cfg.Omega, t.cfg.NodeWeighting)
+	collapsed := partition.Collapse(start, events, iv)
 	sub := make([]*partition.WeightedGraph, ns)
 	for sid := range sub {
 		sub[sid] = partition.NewWeightedGraph()

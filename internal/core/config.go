@@ -17,7 +17,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"hgs/internal/fetch"
 	"hgs/internal/obs"
@@ -40,7 +39,10 @@ const (
 
 // Config holds the TGI construction parameters (paper §4.4: timespan
 // length ts, horizontal partitions ns, eventlist size l, micro-delta
-// partition size psize, plus the partitioning strategy knobs of §4.5).
+// partition size psize, plus the partitioning strategy of §4.5), which
+// the graph metadata persists, and the runtime knobs of the reading
+// process, tagged json:"-": not persisted, and kept across an Attach.
+// Materialization runs on GOMAXPROCS workers.
 type Config struct {
 	// TimespanEvents is the number of events per timespan (uniform
 	// time-span length in number of events — the paper's practical choice).
@@ -55,12 +57,10 @@ type Config struct {
 	HorizontalPartitions int
 	// PartitionSize is psize: target node count per micro-delta.
 	PartitionSize int
-	// Partitioning selects random or locality micro-partitioning.
+	// Partitioning selects random or locality micro-partitioning; a
+	// locality span collapses its graph with union-max and unit node
+	// weights (partition.Collapse).
 	Partitioning partition.Kind
-	// Omega is the temporal-collapse function for locality partitioning.
-	Omega partition.Omega
-	// NodeWeighting is the node-weight option for locality partitioning.
-	NodeWeighting partition.NodeWeighting
 	// Replicate1Hop stores auxiliary frontier micro-deltas to accelerate
 	// 1-hop neighborhood retrieval.
 	Replicate1Hop bool
@@ -83,16 +83,6 @@ type Config struct {
 	// CacheBytes: not persisted, kept across an Attach adoption.
 	// Per-call tracing via FetchOptions.Trace works regardless.
 	TracePlans bool `json:"-"`
-	// MaterializeWorkers bounds the worker pool used to apply fetched
-	// micro-deltas and replay boundary eventlists when materializing
-	// snapshots and neighborhoods. Zero (the default) selects
-	// runtime.GOMAXPROCS(0); 1 restores fully sequential
-	// materialization. Unlike FetchClients — which shapes the I/O plan
-	// and therefore round-trips — this only changes local CPU
-	// parallelism, so results and plan traces are identical for any
-	// value. A runtime knob of the reading process like CacheBytes: not
-	// persisted, kept across an Attach adoption.
-	MaterializeWorkers int `json:"-"`
 	// Obs, when non-nil, is the metrics registry this handle records
 	// into: the decoded-delta cache counters register on construction,
 	// and every retrieval and ingest operation observes its wall time
@@ -131,8 +121,6 @@ func DefaultConfig() Config {
 		HorizontalPartitions: 4,
 		PartitionSize:        500,
 		Partitioning:         partition.Random,
-		Omega:                partition.OmegaUnionMax,
-		NodeWeighting:        partition.NodeWeightUniform,
 		Replicate1Hop:        false,
 		Compress:             false,
 		FetchClients:         4,
@@ -222,13 +210,4 @@ func (c Config) clients(opts *FetchOptions) int {
 		return c.FetchClients
 	}
 	return 1
-}
-
-// materializeWorkers resolves the MaterializeWorkers knob: <= 0 means
-// one worker per available CPU.
-func (c Config) materializeWorkers() int {
-	if c.MaterializeWorkers > 0 {
-		return c.MaterializeWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }

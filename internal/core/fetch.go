@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"hgs/internal/fetch"
@@ -91,7 +92,7 @@ func (t *TGI) getSnapshotStream(times []temporal.Time, opts *FetchOptions, tr *f
 	}
 
 	parts := make([]*graph.Graph, len(times)*ns)
-	err = fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(parts), func(i int) error {
+	err = fetch.ParallelCtx(ctx, runtime.GOMAXPROCS(0), len(parts), func(i int) error {
 		p, sid := pts[i/ns], i%ns
 		sg, err := t.assembleSnapshot(res, p.tm, sid, p.leaf, times[i/ns])
 		if err != nil {

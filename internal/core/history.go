@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -220,7 +221,7 @@ func (t *TGI) fetchHistoryEvents(ctx context.Context, refs []elRef, ts, te tempo
 		return nil, err
 	}
 	lists := make([][]graph.Event, len(refs))
-	if err := fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(refs), func(i int) error {
+	if err := fetch.ParallelCtx(ctx, runtime.GOMAXPROCS(0), len(refs), func(i int) error {
 		ref := refs[i]
 		part, _ := res.Part(TableEvents, ref.tm.TSID, ref.sid, ref.el, ref.pid)
 		for _, e := range part.Events {

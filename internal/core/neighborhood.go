@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -86,7 +87,7 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 			slices.Sort(want)
 			tasks = append(tasks, task{chains[key], want})
 		}
-		return fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), len(tasks), func(i int) error {
+		return fetch.ParallelCtx(ctx, runtime.GOMAXPROCS(0), len(tasks), func(i int) error {
 			g, err := t.assemble(tasks[i].mp, tm, tt, tasks[i].want)
 			if err != nil {
 				return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,11 +33,11 @@ func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
 }
 
 // TestParallelWorkersDeterministic pins the materialization contract:
-// MaterializeWorkers changes only local CPU parallelism, so a
-// sequential handle (workers=1) and a maximally sharded one (workers=8)
-// over the same stored index must produce byte-identical snapshots —
-// on every storage engine, and both matching the sequential oracle
-// replay of the raw history.
+// the worker pool (one worker per GOMAXPROCS) changes only local CPU
+// parallelism, so snapshots taken at GOMAXPROCS 1 (sequential) and 8
+// over the same stored index must be byte-identical — on every storage
+// engine, and both matching the sequential oracle replay of the raw
+// history.
 func TestParallelWorkersDeterministic(t *testing.T) {
 	events := genHistory(7, 700, 60)
 	cfg := smallConfig()
@@ -70,15 +71,11 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 	for name, open := range engines {
 		t.Run(name, func(t *testing.T) {
 			cluster := open(t)
-			seqCfg := cfg
-			seqCfg.MaterializeWorkers = 1
-			seq, err := Build(cluster, seqCfg, events)
+			seq, err := Build(cluster, cfg, events)
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			parCfg := cfg
-			parCfg.MaterializeWorkers = 8
-			par, attached, err := Attach(cluster, parCfg)
+			par, attached, err := Attach(cluster, cfg)
 			if err != nil {
 				t.Fatalf("Attach: %v", err)
 			}
@@ -86,11 +83,14 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 				t.Fatal("Attach found no persisted index")
 			}
 			end := events[len(events)-1].Time
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, tt := range []temporal.Time{1, end / 4, end / 2, 3 * end / 4, end, end + 5} {
+				runtime.GOMAXPROCS(1)
 				g1, err := seq.GetSnapshot(tt, nil)
 				if err != nil {
 					t.Fatalf("sequential GetSnapshot(%d): %v", tt, err)
 				}
+				runtime.GOMAXPROCS(8)
 				g8, err := par.GetSnapshot(tt, nil)
 				if err != nil {
 					t.Fatalf("parallel GetSnapshot(%d): %v", tt, err)
@@ -108,15 +108,15 @@ func TestParallelWorkersDeterministic(t *testing.T) {
 }
 
 // TestParallelTraceAccountingMatchesMetrics pins per-call attribution
-// under parallel materialization: with MaterializeWorkers=8 the fetch
-// work races across the worker pool, but a traced retrieval must still
+// under parallel materialization: at GOMAXPROCS 8 the fetch work races
+// across the worker pool, but a traced retrieval must still
 // report exactly the KV reads, round-trips, bytes and simulated wait
 // the cluster counters accumulated for it. Run under `go test -race`
 // by make ci, this also exercises the trace counters for data races.
 func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 	events := genHistory(21, 400, 40)
 	cfg := smallConfig()
-	cfg.MaterializeWorkers = 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	store := kvstore.NewCluster(kvstore.Config{Machines: 3, Replication: 1,
 		Latency: kvstore.LatencyModel{BaseOp: 2 * time.Microsecond, PerKB: 5 * time.Microsecond}})
 	tgi, err := Build(store, cfg, events)

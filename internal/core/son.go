@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 
 	"hgs/internal/fetch"
@@ -63,7 +64,7 @@ func (t *TGI) FetchNodeHistories(iv temporal.Interval, keep func(graph.NodeID) b
 	}
 	kept := func(id graph.NodeID) bool { return keep == nil || keep(id) }
 	out := make([][]*NodeHistory, ns)
-	err = fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), ns, func(sid int) error {
+	err = fetch.ParallelCtx(ctx, runtime.GOMAXPROCS(0), ns, func(sid int) error {
 		init, err := t.assembleSnapshot(res, tm, sid, leaf, iv.Start)
 		if err != nil {
 			return err

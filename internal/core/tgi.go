@@ -51,12 +51,13 @@ func New(store *kvstore.Cluster, cfg Config) *TGI {
 	return t
 }
 
-// Build constructs a fresh index over the complete event history.
+// Build constructs a fresh index over the complete event history: an
+// Append into the empty index, which rejects an empty history.
 // Events must be chronologically sorted with strictly increasing
 // timestamps (a total order over changes; see DESIGN.md).
 func Build(store *kvstore.Cluster, cfg Config, events []graph.Event) (*TGI, error) {
 	t := New(store, cfg)
-	if err := t.BuildAll(events); err != nil {
+	if err := t.Append(events); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -79,13 +80,12 @@ func Attach(store *kvstore.Cluster, cfg Config) (*TGI, bool, error) {
 	if err := json.Unmarshal(blob, gm); err != nil {
 		return nil, false, fmt.Errorf("core: decode persisted graph metadata: %w", err)
 	}
-	// Construction parameters come from the store; CacheBytes,
-	// TracePlans, MaterializeWorkers and the Obs registry are properties
-	// of the reading process and survive the adoption.
+	// Construction parameters come from the store; the json:"-" fields
+	// (CacheBytes, TracePlans and the Obs registry) are properties of the
+	// reading process and survive the adoption.
 	t.cfg = gm.Config
 	t.cfg.CacheBytes = cfg.CacheBytes
 	t.cfg.TracePlans = cfg.TracePlans
-	t.cfg.MaterializeWorkers = cfg.MaterializeWorkers
 	t.cfg.Obs = cfg.Obs
 	t.cfg.normalize()
 	t.cdc = codec.Codec{Compress: t.cfg.Compress}

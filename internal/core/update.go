@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -14,48 +16,61 @@ import (
 	"hgs/internal/partition"
 )
 
-// Append ingests a new batch of events at the end of the history (paper
+// Append ingests a batch of events at the end of the history (paper
 // §4.4, Update: the new events are indexed and merged into the TGI).
-// Full timespans are immutable. A trailing partial timespan is extended
-// in place by the span writer resumed from its stored rows (resumeSpan),
-// which rewrites only the rows the batch reaches — unless the batch
-// changes the span's placement (its micro-partition counts, or any
-// batch under locality partitioning) or the span was written before the
-// resumable layout: then the span is re-placed, written again from its
-// start by a fresh writer over its recovered raw events and the batch.
-// Events past the trailing span fill new spans. Rows are written first,
-// then each span's metadata, then the graph metadata; the decoded-delta
-// cache is purged last.
+// Into an empty index it is the index's construction (§4.4, timed as
+// the "build" op), which rejects an empty batch; into a loaded index an
+// empty batch is a no-op. Events are cut into timespans of
+// TimespanEvents raw events, each written by a fresh span writer
+// (writeSpan). Full timespans are immutable. A trailing partial
+// timespan is extended in place by the span writer resumed from its
+// stored rows (resumeSpan), which rewrites only the rows the batch
+// reaches — unless the batch changes the span's placement (its
+// micro-partition counts, or any batch under locality partitioning) or
+// the span was written before the resumable layout: then the span is
+// re-placed, written again from its start by a fresh writer over its
+// recovered raw events and the batch. Rows are written first, then each
+// span's metadata, then the graph metadata; the decoded-delta cache is
+// purged last.
 func (t *TGI) Append(events []graph.Event) error {
-	defer t.observeDur("append", time.Now())
-	if len(events) == 0 {
+	start := time.Now()
+	gm, err := t.loadGraphMeta()
+	op := "append"
+	if errors.Is(err, ErrNotLoaded) {
+		op, err = "build", nil
+	}
+	defer t.observeDur(op, start)
+	switch {
+	case err != nil:
+		return err
+	case gm == nil && len(events) == 0:
+		return fmt.Errorf("core: cannot build an index over zero events")
+	case len(events) == 0:
 		return nil
 	}
 	if err := validateEvents(events); err != nil {
 		return err
 	}
-	gm, err := t.loadGraphMeta()
-	if err != nil {
-		return err
+	w, rest, tsid := graph.New(), events, 0
+	next := GraphMeta{Name: "tgi", Start: events[0].Time, Config: t.cfg}
+	if gm != nil {
+		if events[0].Time <= gm.End {
+			return fmt.Errorf("core: append batch starts at %d, not after indexed history end %d", events[0].Time, gm.End)
+		}
+		last, err := t.loadTimespanMeta(gm.TimespanCount - 1)
+		if err != nil {
+			return err
+		}
+		if last.EventCount < t.cfg.TimespanEvents {
+			w, rest, err = t.appendToSpan(last, events)
+		} else {
+			w, err = t.GetSnapshot(gm.End, nil)
+		}
+		if err != nil {
+			return err
+		}
+		next, tsid = *gm, last.TSID+1
 	}
-	if events[0].Time <= gm.End {
-		return fmt.Errorf("core: append batch starts at %d, not after indexed history end %d", events[0].Time, gm.End)
-	}
-	last, err := t.loadTimespanMeta(gm.TimespanCount - 1)
-	if err != nil {
-		return err
-	}
-	var w *graph.Graph
-	rest := events
-	if last.EventCount < t.cfg.TimespanEvents {
-		w, rest, err = t.appendToSpan(last, events)
-	} else {
-		w, err = t.GetSnapshot(gm.End, nil)
-	}
-	if err != nil {
-		return err
-	}
-	tsid := last.TSID + 1
 	for off := 0; off < len(rest); off += t.cfg.TimespanEvents {
 		end := min(off+t.cfg.TimespanEvents, len(rest))
 		if w, err = t.writeSpan(tsid, w, rest[off:end]); err != nil {
@@ -63,12 +78,14 @@ func (t *TGI) Append(events []graph.Event) error {
 		}
 		tsid++
 	}
-
-	next := *gm
 	next.Events += len(events)
 	next.End = events[len(events)-1].Time
 	next.TimespanCount = tsid
-	t.meta.invalidate()
+	if gm != nil {
+		// The trailing span may have been re-placed: drop the span metas
+		// and pid maps cached for it. A build cached only what it wrote.
+		t.meta.invalidate()
+	}
 	if err := t.storeGraphMeta(&next); err != nil {
 		return err
 	}
@@ -174,7 +191,7 @@ func (t *TGI) resumeSpan(tm *TimespanMeta, batch []graph.Event) (*spanWriter, er
 	}
 	// The carry: the state at the span's end, its last leaf.
 	parts := make([]*graph.Graph, ns)
-	if err := fetch.ParallelCtx(ctx, t.cfg.materializeWorkers(), ns, func(sid int) error {
+	if err := fetch.ParallelCtx(ctx, runtime.GOMAXPROCS(0), ns, func(sid int) error {
 		var err error
 		parts[sid], err = t.assembleSnapshot(s.res, tm, sid, n-1, tm.End)
 		return err

@@ -722,17 +722,19 @@ const writeFaultAttempts = 4
 // fault is retried rather than hinted, because hints on a node that
 // never goes through ReviveNode would sit unreplayed while the node
 // keeps serving reads; a node that errors persistently gets the hint
-// force-queued for replay when its fault profile clears. visit runs the
-// mutation on the engine and reports the byte volume to charge.
-// Returns whether the mutation ended up hinted instead of applied.
-func (c *Cluster) writeReplica(node *storageNode, h hint, visit func(be backend.Backend) int) bool {
+// force-queued for replay when its fault profile clears. apply runs the
+// mutation on the engine (applyHint, or the stamp-guarded replayHint);
+// the visit is charged the mutation's value bytes. Returns whether the
+// mutation ended up hinted instead of applied.
+func (c *Cluster) writeReplica(node *storageNode, h hint, apply func(backend.Backend, hint)) bool {
 	var unreported CallStats // writes return no per-call stats
 	for attempt := 0; attempt < writeFaultAttempts; attempt++ {
 		if node.down.Load() && node.queueHint(h) {
 			return true
 		}
 		err := c.serveNode(context.Background(), node, &unreported, func(n *storageNode) int {
-			return visit(n.be)
+			apply(n.be, h)
+			return len(h.value)
 		})
 		if err == nil {
 			return false
@@ -745,18 +747,27 @@ func (c *Cluster) writeReplica(node *storageNode, h hint, visit func(be backend.
 	return true
 }
 
-// applyWrite runs one mutation on every replica of the route: live
-// replicas serve it (retrying transient injected faults), down ones get
-// it queued as a hint (replayed on revive) and the write is counted
-// under-replicated.
-func (c *Cluster) applyWrite(rt *route, bytes int, mk func() hint) {
+// write is the one foreground write path behind Put, Delete and
+// DropPartition: it routes the mutation to every replica of its
+// partition (writeRoute: old and new owners during a handoff) and
+// applies it there in turn. Live replicas serve it (retrying transient
+// injected faults), down ones get it queued as a hint (replayed on
+// revive) and the write is counted under-replicated. A put under
+// WriteQuorum w < replicas instead fans out to every replica at once
+// and returns after w live acknowledgements (writeQuorum).
+func (c *Cluster) write(h hint) {
+	c.writeGate.RLock()
+	var rt route
+	c.writeRoute(h.table, h.pkey, &rt)
+	c.writes.Add(1)
+	if w := c.cfg.WriteQuorum; h.op == hintPut && w < len(rt.nodes) {
+		c.writeQuorum(&rt, h, w) // releases writeGate when the tail finishes
+		return
+	}
+	defer c.writeGate.RUnlock()
 	short := false
 	for _, node := range rt.nodes {
-		h := mk()
-		if c.writeReplica(node, h, func(be backend.Backend) int {
-			applyHint(be, h)
-			return bytes
-		}) {
+		if c.writeReplica(node, h, applyHint) {
 			c.hintedWrites.Add(1)
 			short = true
 		}
@@ -766,8 +777,8 @@ func (c *Cluster) applyWrite(rt *route, bytes int, mk func() hint) {
 	}
 }
 
-// applyWriteQuorum fans one mutation out to every replica in parallel
-// and returns once w live replicas acknowledged (or every replica
+// writeQuorum fans one mutation out to every replica in parallel and
+// returns once w live replicas acknowledged (or every replica
 // responded). The stragglers keep running in the background; a
 // completion goroutine releases the write gate's read side only after
 // the last replica finished, so the rebalancer's and Close's barriers
@@ -783,15 +794,8 @@ func (c *Cluster) applyWrite(rt *route, bytes int, mk func() hint) {
 // blind, the stale tail could win on every replica and the newer,
 // acknowledged write was lost for good — the chaos harness caught it
 // on W=1 seeds.)
-func (c *Cluster) applyWriteQuorum(rt *route, bytes int, mk func() hint, w int) {
+func (c *Cluster) writeQuorum(rt *route, h hint, w int) {
 	n := len(rt.nodes)
-	if n == 0 {
-		c.writeGate.RUnlock()
-		return
-	}
-	if w > n {
-		w = n
-	}
 	res := make(chan bool, n)
 	var pending sync.WaitGroup
 	var short atomic.Bool
@@ -799,11 +803,7 @@ func (c *Cluster) applyWriteQuorum(rt *route, bytes int, mk func() hint, w int) 
 	for _, node := range rt.nodes {
 		go func(node *storageNode) {
 			defer pending.Done()
-			h := mk()
-			hinted := c.writeReplica(node, h, func(be backend.Backend) int {
-				replayHint(be, h) // stamp-guarded: see above
-				return bytes
-			})
+			hinted := c.writeReplica(node, h, replayHint) // stamp-guarded: see above
 			if hinted {
 				c.hintedWrites.Add(1)
 				short.Store(true)
@@ -857,20 +857,7 @@ func replayHint(be backend.Backend, h hint) {
 // WriteQuorum w < r it returns after w live acknowledgements and the
 // remaining replicas complete in the background.
 func (c *Cluster) Put(table, pkey, ckey string, value []byte) {
-	v := wrapStamp(c.stamp.Add(1), value)
-	c.writeGate.RLock()
-	var rt route
-	c.writeRoute(table, pkey, &rt)
-	mk := func() hint {
-		return hint{op: hintPut, table: table, pkey: pkey, ckey: ckey, value: v}
-	}
-	if w := c.cfg.WriteQuorum; w < len(rt.nodes) {
-		c.applyWriteQuorum(&rt, len(v), mk, w) // releases writeGate when the tail finishes
-	} else {
-		c.applyWrite(&rt, len(v), mk)
-		c.writeGate.RUnlock()
-	}
-	c.writes.Add(1)
+	c.write(hint{op: hintPut, table: table, pkey: pkey, ckey: ckey, value: wrapStamp(c.stamp.Add(1), value)})
 	c.bytesWritten.Add(int64(len(value)))
 }
 
@@ -1226,49 +1213,14 @@ func (c *Cluster) MultiScanStatsCtx(ctx context.Context, refs []ScanRef) ([][]Ro
 	return out, cs
 }
 
-// Delete removes a row from all replicas; it reports whether the row
-// existed on any replica that applied the delete. Any-of (rather than
-// first-of) matters during a rebalance dual-write window: writeRoute
-// lists the new-ring owners first, and a new owner whose handoff has
-// not landed yet legitimately lacks the row while the old owner still
-// holds it.
-func (c *Cluster) Delete(table, pkey, ckey string) bool {
-	c.writeGate.RLock()
-	defer c.writeGate.RUnlock()
-	var rt route
-	c.writeRoute(table, pkey, &rt)
-	existed := false
-	short := false
-	for _, node := range rt.nodes {
-		var ex bool
-		if c.writeReplica(node, hint{op: hintDelete, table: table, pkey: pkey, ckey: ckey},
-			func(be backend.Backend) int {
-				ex = be.Delete(table, pkey, ckey)
-				return 0
-			}) {
-			c.hintedWrites.Add(1)
-			short = true
-			continue
-		}
-		existed = existed || ex
-	}
-	if short {
-		c.underRepWrites.Add(1)
-	}
-	c.writes.Add(1)
-	return existed
+// Delete removes a row from all replicas.
+func (c *Cluster) Delete(table, pkey, ckey string) {
+	c.write(hint{op: hintDelete, table: table, pkey: pkey, ckey: ckey})
 }
 
 // DropPartition removes an entire partition from all replicas.
 func (c *Cluster) DropPartition(table, pkey string) {
-	c.writeGate.RLock()
-	defer c.writeGate.RUnlock()
-	var rt route
-	c.writeRoute(table, pkey, &rt)
-	c.applyWrite(&rt, 0, func() hint {
-		return hint{op: hintDrop, table: table, pkey: pkey}
-	})
-	c.writes.Add(1)
+	c.write(hint{op: hintDrop, table: table, pkey: pkey})
 }
 
 // PartitionKeys returns all partition keys of a table (union over nodes),

@@ -108,14 +108,17 @@ func TestReplicasDistinctAndStable(t *testing.T) {
 func TestDelete(t *testing.T) {
 	c := newTestCluster(2, 2)
 	c.Put("t", "p", "k", []byte("v"))
-	if !c.Delete("t", "p", "k") {
-		t.Fatal("delete should report existing row")
-	}
+	c.Put("t", "p", "k2", []byte("v2"))
+	c.Delete("t", "p", "k")
 	if _, ok := c.Get("t", "p", "k"); ok {
 		t.Fatal("row still present after delete")
 	}
-	if c.Delete("t", "p", "k") {
-		t.Fatal("second delete should report false")
+	c.Delete("t", "p", "k") // deleting a missing row is a no-op
+	if v, ok := c.Get("t", "p", "k2"); !ok || string(v) != "v2" {
+		t.Fatalf("delete touched a sibling row: ok=%v v=%q", ok, v)
+	}
+	if m := c.Metrics(); m.Writes != 4 {
+		t.Fatalf("Writes = %d, want 4 (two puts, two deletes)", m.Writes)
 	}
 }
 

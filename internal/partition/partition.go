@@ -2,9 +2,10 @@
 // paper (§4.5): random node-id hashing, locality-aware partitioning (the
 // paper's min-cut/"Maxflow" style; we substitute a Linear Deterministic
 // Greedy streaming placement with boundary refinement — see DESIGN.md §3.2),
-// and the temporal-collapse functions Ω (Median, Union-Max, Union-Mean)
-// with the three node-weighting options that project a time-evolving graph
-// onto a single weighted static graph before partitioning.
+// and the temporal collapse Ω that projects a time-evolving graph onto a
+// single static graph before partitioning: union-max with unit node
+// weights, the paper's defaults for TGI (the Median and Union-Mean
+// functions and the degree weightings of §4.5 are not implemented).
 package partition
 
 import (

@@ -169,7 +169,7 @@ func historyForCollapse() (*graph.Graph, []graph.Event, temporal.Interval) {
 
 func TestCollapseUnionMax(t *testing.T) {
 	g, evs, iv := historyForCollapse()
-	wg := Collapse(g, evs, iv, OmegaUnionMax, NodeWeightUniform)
+	wg := Collapse(g, evs, iv)
 	if len(wg.EdgeW) != 2 {
 		t.Fatalf("union-max edges = %d, want 2", len(wg.EdgeW))
 	}
@@ -181,76 +181,63 @@ func TestCollapseUnionMax(t *testing.T) {
 	}
 }
 
-func TestCollapseUnionMean(t *testing.T) {
-	g, evs, iv := historyForCollapse()
-	wg := Collapse(g, evs, iv, OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[makePair(1, 2)]; w < 0.49 || w > 0.51 {
-		t.Fatalf("(1,2) mean weight = %v, want 0.5", w)
-	}
-	if w := wg.EdgeW[makePair(2, 3)]; w < 0.74 || w > 0.76 {
-		t.Fatalf("(2,3) mean weight = %v, want 0.75", w)
-	}
-}
-
-func TestCollapseMedian(t *testing.T) {
-	g, evs, iv := historyForCollapse()
-	wg := Collapse(g, evs, iv, OmegaMedian, NodeWeightUniform)
-	// At t=50 the RemoveEdge(1,2) fires; the median snapshot is taken just
-	// before events at t>=50 apply, so (1,2) and (2,3) both exist.
-	if _, ok := wg.EdgeW[makePair(2, 3)]; !ok {
-		t.Fatalf("median must include (2,3): %v", wg.EdgeW)
-	}
-}
-
 func TestCollapseNodeWeights(t *testing.T) {
 	g, evs, iv := historyForCollapse()
-	uni := Collapse(g, evs, iv, OmegaUnionMax, NodeWeightUniform)
-	for id, w := range uni.NodeW {
+	wg := Collapse(g, evs, iv)
+	if len(wg.NodeW) != 4 {
+		t.Fatalf("nodes = %v, want 1, 2, 3 and 9", wg.NodeW)
+	}
+	for id, w := range wg.NodeW {
 		if w != 1 {
-			t.Fatalf("uniform weight of %d = %v", id, w)
+			t.Fatalf("weight of node %d = %v, want 1", id, w)
 		}
-	}
-	deg := Collapse(g, evs, iv, OmegaUnionMax, NodeWeightDegree)
-	if deg.NodeW[2] != 2 {
-		t.Fatalf("degree weight of node 2 = %v, want 2", deg.NodeW[2])
-	}
-	avg := Collapse(g, evs, iv, OmegaUnionMax, NodeWeightAvgDegree)
-	// Node 2: (1,2) for 50% + (2,3) for 75% = 1.25 average degree.
-	if w := avg.NodeW[2]; w < 1.24 || w > 1.26 {
-		t.Fatalf("avg-degree weight of node 2 = %v, want 1.25", w)
 	}
 }
 
+// TestCollapseReAddedEdgeAccumulates: an edge removed and added again
+// is one edge of weight 1, and so is one added at the span's last event.
 func TestCollapseReAddedEdgeAccumulates(t *testing.T) {
 	g := graph.New()
 	evs := []graph.Event{
 		{Time: 0, Kind: graph.AddEdge, Node: 1, Other: 2},
 		{Time: 10, Kind: graph.RemoveEdge, Node: 1, Other: 2},
 		{Time: 90, Kind: graph.AddEdge, Node: 1, Other: 2},
+		{Time: 99, Kind: graph.AddEdge, Node: 3, Other: 4},
 	}
-	wg := Collapse(g, evs, temporal.NewInterval(0, 100), OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[makePair(1, 2)]; w < 0.19 || w > 0.21 {
-		t.Fatalf("re-added edge weight = %v, want 0.2", w)
+	wg := Collapse(g, evs, temporal.NewInterval(0, 100))
+	if len(wg.EdgeW) != 2 || wg.EdgeW[makePair(1, 2)] != 1 || wg.EdgeW[makePair(3, 4)] != 1 {
+		t.Fatalf("edges = %v, want (1,2) and (3,4) at weight 1", wg.EdgeW)
 	}
 }
 
+// TestCollapseRemoveNodeClosesEdges: an edge counts only if it existed
+// for a positive time, so a start-state edge that the span's first event
+// removes — directly or through a RemoveNode — stays out, and one
+// removed later stays in.
 func TestCollapseRemoveNodeClosesEdges(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(1, 2)
-	evs := []graph.Event{{Time: 30, Kind: graph.RemoveNode, Node: 1}}
-	wg := Collapse(g, evs, temporal.NewInterval(0, 100), OmegaUnionMean, NodeWeightUniform)
-	if w := wg.EdgeW[makePair(1, 2)]; w < 0.29 || w > 0.31 {
-		t.Fatalf("edge weight after RemoveNode = %v, want 0.3", w)
+	g.AddEdge(3, 4)
+	g.AddEdge(5, 6)
+	evs := []graph.Event{
+		{Time: 10, Kind: graph.RemoveNode, Node: 1},
+		{Time: 20, Kind: graph.RemoveNode, Node: 3},
+		{Time: 30, Kind: graph.AddEdge, Node: 3, Other: 7},
+	}
+	wg := Collapse(g, evs, temporal.NewInterval(10, 31))
+	if len(wg.EdgeW) != 3 || wg.EdgeW[makePair(3, 4)] != 1 || wg.EdgeW[makePair(5, 6)] != 1 || wg.EdgeW[makePair(3, 7)] != 1 {
+		t.Fatalf("edges = %v, want (3,4), (5,6) and (3,7)", wg.EdgeW)
+	}
+	first := []graph.Event{{Time: 10, Kind: graph.RemoveEdge, Node: 5, Other: 6}}
+	if wg := Collapse(g, first, temporal.NewInterval(10, 11)); len(wg.EdgeW) != 2 {
+		t.Fatalf("edges = %v, want (1,2) and (3,4): (5,6) existed for no time", wg.EdgeW)
+	}
+	if _, ok := wg.NodeW[1]; !ok {
+		t.Fatal("a node removed during the span must still appear")
 	}
 }
 
-func TestOmegaAndWeightingStrings(t *testing.T) {
-	if OmegaUnionMax.String() != "union-max" || OmegaUnionMean.String() != "union-mean" || OmegaMedian.String() != "median" {
-		t.Fatal("Omega names wrong")
-	}
-	if NodeWeightUniform.String() != "uniform" || NodeWeightDegree.String() != "degree" || NodeWeightAvgDegree.String() != "avg-degree" {
-		t.Fatal("weighting names wrong")
-	}
+func TestKindStrings(t *testing.T) {
 	if Random.String() != "random" || Locality.String() != "locality" {
 		t.Fatal("kind names wrong")
 	}
