@@ -108,7 +108,12 @@ loc:
 # states stand in for most of the boundary replay), graph Density (the
 # first, O(N+E) pair count), DensityAfterEdit (one edge edit, then the
 # count the edit kept) and DisjointUnion (a snapshot's combine of four
-# 3,750-node sid graphs, which takes over their node maps), taf Evolution and SoNFetch (a warm-cache SoN
+# 3,750-node sid graphs, which takes over their node maps), taf Evolution
+# (a whole-history SoN, whose initial graphs are empty: it guards the
+# per-point recount of an unknown pair count), EvolutionTimeslice
+# (workers1, workers2: the third quarter of a longer history, non-empty
+# initial states, the replay one task per partition on one or two
+# sparklite workers) and SoNFetch (a warm-cache SoN
 # fetch), and the disklog and tiered engines (Put, Get from memory and
 # from disk, MultiGet, ScanPrefix over a few thousand rows), and the
 # server's SnapshotNDJSON (a warm /v1/snapshot of a ~3,000-node store

@@ -84,9 +84,10 @@ func CompareAt(s *SoN, f func(*NodeState) float64, t1, t2 Time) []CompareRow {
 
 // Evolution samples a graph-level quantity over the SoN's span at n
 // evenly spaced timepoints (or the explicit points), chronologically.
-// One graph is rolled forward across the sorted points and handed to
-// quantity at each, so quantity must only read it (every Graph metric
-// does) and must not keep it.
+// The SoN is rolled forward across the sorted points on the session's
+// workers, one replay task per partition of the SoN; quantity runs once
+// per point on a view of the partitions' graphs, so it must only read it
+// (every Graph metric does) and must not keep it.
 func Evolution(s *SoN, quantity func(*Graph) float64, n int, points []Time) Series {
 	return taf.Evolution(s, quantity, n, points)
 }

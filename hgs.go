@@ -1170,7 +1170,11 @@ func (s *Store) WaitRebalance() error {
 }
 
 // Analytics opens a TAF session with the given number of compute
-// workers (the paper's Spark cluster size).
+// workers (the paper's Spark cluster size). The workers run the
+// operators' per-partition tasks: the maps over a SoN or SoTS, and
+// Evolution's forward replay, one task per partition of the SoN at each
+// timepoint; Evolution's quantity still runs once per point, on the
+// caller's goroutine.
 func (s *Store) Analytics(workers int) *Analytics {
 	return &Analytics{h: taf.NewHandler(s.tgi, sparklite.NewContext(workers))}
 }

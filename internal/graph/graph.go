@@ -417,9 +417,15 @@ func (g *Graph) addSide(id NodeID, k EdgeKey) *EdgeState {
 // made by New or NewWithCapacity, where parts[i] holds exactly the nodes
 // id with of(id) == i and of maps every id into [0, len(parts)). It takes
 // over the parts' node maps as its shards, in O(len(parts)) and with no
-// per-node work, so a part must not be used afterwards; a node the union
-// gains later goes to shard of(id). Its pair count is the sum of the
-// parts' when every part knows its own. A single part is returned as is.
+// per-node work; a node the union gains later goes to shard of(id). The
+// union and its parts share those maps, so they take turns: once the
+// union is written, the parts must not be used again, and a part may be
+// written again once nobody reads the union, after which a new union of
+// the parts answers for them as they are then. The union's pair count
+// is the parts' at union time: their sum when every part knows its own
+// (a part's first Density counts it, and its mutators keep it), else
+// unknown until the union's first Density counts it over every shard. A
+// single part is returned as is.
 func DisjointUnion(of func(NodeID) int, parts ...*Graph) *Graph {
 	if len(parts) == 1 {
 		return parts[0]

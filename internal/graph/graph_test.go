@@ -836,6 +836,88 @@ func TestDisjointUnionAdopts(t *testing.T) {
 	}
 }
 
+// TestDisjointUnionOfPartsWrittenAgain pins the rule a replay per
+// partition relies on: once nobody reads a union, its parts may be
+// written again, and a new union of them answers like one graph of the
+// parts as they are then (Equal, NumNodes, Density). It also requires a
+// union of counted parts to know its pair count before any Density on
+// it, whether the parts were counted empty or full: the parts' mutators
+// keep their counts, and the union sums them.
+func TestDisjointUnionOfPartsWrittenAgain(t *testing.T) {
+	const space, nparts = 40, 4
+	of := func(id NodeID) int { return int(id) % nparts }
+	// single copies the parts' states into one single-map graph.
+	single := func(parts []*Graph) *Graph {
+		g := New()
+		for _, p := range parts {
+			p.Range(func(ns *NodeState) bool {
+				g.PutNode(ns.Clone())
+				return true
+			})
+		}
+		return g
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		countEmpty := seed%2 == 1
+		parts := make([]*Graph, nparts)
+		for i := range parts {
+			parts[i] = New()
+			if countEmpty {
+				parts[i].Density()
+			}
+		}
+		for round := 0; round < 6; round++ {
+			// Each part is written at its own ids only, as a replay task
+			// per partition writes it.
+			for i, p := range parts {
+				own := func() NodeID { return NodeID(rng.Intn(space/nparts)*nparts + i) }
+				for step := 0; step < 25; step++ {
+					id, other := own(), NodeID(rng.Intn(space))
+					switch rng.Intn(6) {
+					case 0:
+						ns := randomState(rng, id, space)
+						if rng.Intn(2) == 0 {
+							ns.Freeze()
+						}
+						p.PutNode(ns)
+					case 1:
+						e := Event{Kind: []EventKind{AddEdge, RemoveEdge, SetEdgeAttr, DelEdgeAttr}[rng.Intn(4)], Node: id, Other: other, Key: "k", Value: fmt.Sprint(step)}
+						if rng.Intn(2) == 0 {
+							e.Node, e.Other = other, id
+						}
+						if err := p.ApplySide(e, id); err != nil {
+							t.Fatal(err)
+						}
+					case 2:
+						p.AddEdge(id, own())
+					case 3:
+						p.Apply(Event{Kind: SetNodeAttr, Node: id, Key: "k", Value: fmt.Sprint(step)})
+					case 4:
+						p.RemoveNode(id)
+					default:
+						p.DropNode(id)
+					}
+				}
+				if !countEmpty && round == 0 {
+					p.Density()
+				}
+			}
+			u := DisjointUnion(of, parts...)
+			if u.sides.Load() == 0 {
+				t.Fatalf("seed %d round %d: a union of counted parts does not know its pair count", seed, round)
+			}
+			one := single(parts)
+			if !u.Equal(one) || !one.Equal(u) || u.NumNodes() != one.NumNodes() {
+				t.Fatalf("seed %d round %d: union %v, parts as one graph %v", seed, round, u, one)
+			}
+			if u.Density() != one.Density() {
+				t.Fatalf("seed %d round %d: union density %v, parts as one graph %v", seed, round, u.Density(), one.Density())
+			}
+		}
+	}
+}
+
 // BenchmarkDisjointUnion measures a snapshot's combine at the benchmark's
 // snapshot size: four parts of 3,750 nodes.
 func BenchmarkDisjointUnion(b *testing.B) {

@@ -12,14 +12,15 @@ import (
 
 // Density returns the undirected graph density 2E / (N(N-1)), where E is
 // the number of distinct unordered neighbor pairs. The first call counts
-// the pairs in O(N+E); the graph's mutators keep the count up to date
-// from then on, so later calls cost O(1).
+// the pairs in O(N+E), on a graph of fewer than two nodes too; the
+// graph's mutators keep the count up to date from then on, so later calls
+// cost O(1), however many nodes the graph has gained.
 func (g *Graph) Density() float64 {
+	e := g.undirectedEdgeCount()
 	n := g.NumNodes()
 	if n < 2 {
 		return 0
 	}
-	e := g.undirectedEdgeCount()
 	return 2 * float64(e) / (float64(n) * float64(n-1))
 }
 

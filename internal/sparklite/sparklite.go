@@ -1,9 +1,13 @@
 // Package sparklite is the in-process stand-in for Apache Spark that the
 // Temporal Graph Analysis Framework executes on (paper §5.2): a lazy,
 // partitioned, immutable collection (RDD) with narrow transformations
-// (map, filter) and actions (collect, count, foreach), scheduled over a
-// fixed pool of workers. The worker count is the "Spark cluster size"
-// axis of the paper's Figure 15c.
+// (map, filter) and actions (collect, partitions, count, foreach),
+// scheduled over a fixed pool of workers. The worker count is the "Spark
+// cluster size" axis of the paper's Figure 15c. Context.Run is the
+// scheduler itself, one task per index on the workers and a barrier at
+// the end: every action runs on it, and so do stateful stages that keep
+// per-partition state between tasks, such as the TAF's forward replay,
+// which advances one graph per partition at each timepoint.
 package sparklite
 
 import (
@@ -130,13 +134,15 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	}
 }
 
-// runPartitions evaluates every partition on the worker pool and hands
-// each result to sink (called concurrently).
-func runPartitions[T any](r *RDD[T], sink func(p int, data []T)) {
-	w := min(r.ctx.workers, r.parts)
+// Run calls task(i) for every i in [0, n) on the context's workers and
+// returns once every call has returned. Calls run concurrently, each
+// index on one worker, unless there is one worker or one task: then
+// they run in order on the calling goroutine.
+func (c *Context) Run(n int, task func(i int)) {
+	w := min(c.workers, n)
 	if w <= 1 {
-		for p := 0; p < r.parts; p++ {
-			sink(p, r.materialize(p))
+		for i := 0; i < n; i++ {
+			task(i)
 		}
 		return
 	}
@@ -146,24 +152,36 @@ func runPartitions[T any](r *RDD[T], sink func(p int, data []T)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for p := range work {
-				sink(p, r.materialize(p))
+			for i := range work {
+				task(i)
 			}
 		}()
 	}
-	for p := 0; p < r.parts; p++ {
-		work <- p
+	for i := 0; i < n; i++ {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
 }
 
-// Collect evaluates the RDD and returns all elements in partition order.
-func (r *RDD[T]) Collect() []T {
+// runPartitions evaluates every partition on the worker pool and hands
+// each result to sink (called concurrently).
+func runPartitions[T any](r *RDD[T], sink func(p int, data []T)) {
+	r.ctx.Run(r.parts, func(p int) { sink(p, r.materialize(p)) })
+}
+
+// Partitions evaluates the RDD and returns its elements partition by
+// partition (Spark's glom().collect()).
+func (r *RDD[T]) Partitions() [][]T {
 	parts := make([][]T, r.parts)
 	runPartitions(r, func(p int, data []T) { parts[p] = data })
+	return parts
+}
+
+// Collect evaluates the RDD and returns all elements in partition order.
+func (r *RDD[T]) Collect() []T {
 	var out []T
-	for _, d := range parts {
+	for _, d := range r.Partitions() {
 		out = append(out, d...)
 	}
 	return out
@@ -171,13 +189,10 @@ func (r *RDD[T]) Collect() []T {
 
 // Count returns the number of elements.
 func (r *RDD[T]) Count() int {
-	var mu sync.Mutex
 	total := 0
-	runPartitions(r, func(_ int, data []T) {
-		mu.Lock()
-		total += len(data)
-		mu.Unlock()
-	})
+	for _, d := range r.Partitions() {
+		total += len(d)
+	}
 	return total
 }
 

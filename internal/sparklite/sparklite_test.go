@@ -108,3 +108,28 @@ func TestChainedLaziness(t *testing.T) {
 		t.Fatal("transformation should be lazy")
 	}
 }
+
+// TestRunCallsEveryIndexOnce runs tasks on pools smaller than, equal to
+// and larger than the task count, and requires every index to run exactly
+// once before Run returns.
+func TestRunCallsEveryIndexOnce(t *testing.T) {
+	for _, w := range []int{1, 3, 8} {
+		for _, n := range []int{0, 1, 3, 10} {
+			calls := make([]atomic.Int64, n)
+			NewContext(w).Run(n, func(i int) { calls[i].Add(1) })
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("workers %d, %d tasks: task %d ran %d times", w, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+func TestPartitionsKeepBoundaries(t *testing.T) {
+	r := Map(FromPartitions(NewContext(2), [][]int{{1, 2}, nil, {3}}), func(x int) int { return 10 * x })
+	got := r.Partitions()
+	if len(got) != 3 || len(got[0]) != 2 || len(got[1]) != 0 || len(got[2]) != 1 || got[0][1] != 20 || got[2][0] != 30 {
+		t.Fatalf("partitions = %v", got)
+	}
+}

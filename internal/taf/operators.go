@@ -142,9 +142,9 @@ func SubgraphComputeDelta[V any](s *SoTS, f func(*graph.Graph) (V, any), fd Delt
 		// Each event updates the running state as inducedEvent says, so
 		// `running` equals StateAt(t) at every step and fd's before-state
 		// is exact; fd receives the event as applied.
-		members := make(map[graph.NodeID]struct{}, len(st.Members()))
+		members := make(map[graph.NodeID]int, len(st.Members()))
 		for _, m := range st.Members() {
-			members[m] = struct{}{}
+			members[m] = 0 // one part: the subgraph replays on one graph
 		}
 		events := st.Events()
 		var out []Timed[V]
@@ -225,8 +225,10 @@ func CompareAt(s *SoN, f func(*graph.NodeState) float64, t1, t2 temporal.Time) [
 // Evolution samples a graph-level quantity over the SoN's span (paper
 // operator 8). With points == nil the quantity is sampled at n evenly
 // spaced timepoints. The SoN is rolled forward once across the sorted
-// points (SoN.Graph is the one-point case), so quantity receives the one
-// running graph: it must only read it and must not keep it.
+// points (SoN.Graph is the one-point case), one replay task per RDD
+// partition on the handler's workers, and quantity runs once per point,
+// on the caller's goroutine, on a view of the partitions' graphs: it must
+// only read it and must not keep it.
 func Evolution(s *SoN, quantity func(*graph.Graph) float64, n int, points []temporal.Time) Series {
 	if points == nil {
 		points = EvenTimepoints(s.span, n)

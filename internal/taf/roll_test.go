@@ -8,6 +8,7 @@ import (
 
 	"hgs/internal/graph"
 	"hgs/internal/partition"
+	"hgs/internal/sparklite"
 	"hgs/internal/temporal"
 )
 
@@ -321,8 +322,218 @@ func TestEvolutionDensityMatchesFreshGraph(t *testing.T) {
 	}
 }
 
+// hubHistory is a scripted history around hub node 0: it gains an edge
+// to and from every other node, a self-loop and edge attributes, some of
+// them deleted again; it is removed with all its edges, re-created with
+// them, and removed once more, while its neighbours link among
+// themselves.
+func hubHistory(nodes int) []graph.Event {
+	const hub = graph.NodeID(0)
+	var evs []graph.Event
+	tt := temporal.Time(0)
+	add := func(e graph.Event) {
+		tt += 10
+		e.Time = tt
+		evs = append(evs, e)
+	}
+	link := func(label string) {
+		add(graph.Event{Kind: graph.AddEdge, Node: hub, Other: hub})
+		add(graph.Event{Kind: graph.SetNodeAttr, Node: hub, Key: "label", Value: label})
+		for id := graph.NodeID(1); id < graph.NodeID(nodes); id++ {
+			add(graph.Event{Kind: graph.AddEdge, Node: hub, Other: id})
+			if id%3 == 0 {
+				add(graph.Event{Kind: graph.AddEdge, Node: id, Other: hub})
+			}
+			if id%4 == 0 {
+				add(graph.Event{Kind: graph.SetEdgeAttr, Node: hub, Other: id, Key: "w", Value: label})
+			}
+		}
+		add(graph.Event{Kind: graph.SetEdgeAttr, Node: hub, Other: hub, Key: "w", Value: label})
+		for id := graph.NodeID(4); id < graph.NodeID(nodes); id += 8 {
+			add(graph.Event{Kind: graph.DelEdgeAttr, Node: hub, Other: id, Key: "w"})
+		}
+	}
+	for id := graph.NodeID(1); id < graph.NodeID(nodes); id++ {
+		add(graph.Event{Kind: graph.AddNode, Node: id})
+		if id%2 == 1 {
+			add(graph.Event{Kind: graph.SetNodeAttr, Node: id, Key: "label", Value: "x"})
+		}
+	}
+	link("x")
+	for id := graph.NodeID(1); id+1 < graph.NodeID(nodes); id += 2 {
+		add(graph.Event{Kind: graph.AddEdge, Node: id, Other: id + 1})
+		add(graph.Event{Kind: graph.AddEdge, Node: id, Other: id})
+	}
+	add(graph.Event{Kind: graph.RemoveNode, Node: hub})
+	add(graph.Event{Kind: graph.DelEdgeAttr, Node: 2, Other: 3, Key: "w"})
+	link("y")
+	for id := graph.NodeID(2); id+1 < graph.NodeID(nodes); id += 3 {
+		add(graph.Event{Kind: graph.SetEdgeAttr, Node: id + 1, Other: id, Key: "w", Value: "z"})
+		add(graph.Event{Kind: graph.RemoveEdge, Node: id, Other: id})
+	}
+	add(graph.Event{Kind: graph.RemoveNode, Node: hub})
+	add(graph.Event{Kind: graph.AddNode, Node: hub})
+	return evs
+}
+
+// neighborDegrees is a quantity that reads across partitions: for every
+// node, the degree of each neighbour, looked up by id; a neighbour
+// missing from the graph counts -1.
+func neighborDegrees(g *graph.Graph) float64 {
+	sum := 0
+	for _, id := range g.NodeIDs() {
+		for _, nb := range g.Neighbors(id) {
+			if ns := g.Node(nb); ns != nil {
+				sum += ns.Degree()
+			} else {
+				sum--
+			}
+		}
+	}
+	return float64(sum)
+}
+
+// TestRollSameAtEveryWorkerCount rolls the same SoNs on 1, 2, 3 and 8
+// sparklite workers, one replay task per RDD partition, and requires
+// every series Evolution and AliveCountSeries report, and every graph
+// Graph returns, to be the same at every worker count and equal to the
+// induced oracle. Under -race it checks that the partitions' tasks share
+// nothing they write: in the hub history a hub with neighbours in every
+// partition is removed and re-created, and the removal must not reach
+// into another partition's graph.
+func TestRollSameAtEveryWorkerCount(t *testing.T) {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 3
+	}
+	histories := map[string][]graph.Event{"hub": hubHistory(30)}
+	for seed := int64(1); seed <= seeds; seed++ {
+		histories[fmt.Sprintf("seed%d", seed)] = genEdgeAttrHistory(seed, 300, 20)
+	}
+	quantities := map[string]func(*graph.Graph) float64{
+		"density":         (*graph.Graph).Density,
+		"avgdegree":       (*graph.Graph).AvgDegree,
+		"neighbordegrees": neighborDegrees,
+	}
+	for name, events := range histories {
+		for _, p := range []partition.Kind{partition.Random, partition.Locality} {
+			tgi := buildPartitionedHandler(t, events, 1, p).tgi
+			if name == "hub" {
+				requireHubInEveryPartition(t, NewHandler(tgi, sparklite.NewContext(1)))
+			}
+			// sons[w] holds the SoNs of the handler with w workers.
+			sons := map[int]map[string]*SoN{}
+			for _, w := range []int{1, 2, 3, 8} {
+				h := NewHandler(tgi, sparklite.NewContext(w))
+				full, err := SON(h).Fetch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				iv := full.Span()
+				mid := iv.Start + (iv.End-iv.Start)/2
+				sons[w] = map[string]*SoN{
+					"whole":     full,
+					"timeslice": full.Timeslice(temporal.NewInterval(iv.Start+(iv.End-iv.Start)/3, iv.End)),
+					"select":    full.Select(func(nt *NodeT) bool { return nt.ID()%3 != 1 }),
+					"attr":      full.SelectAttrAt("label", "x", mid),
+				}
+			}
+			for kind, son := range sons[1] {
+				t.Run(fmt.Sprintf("%s/%v/%s", name, p, kind), func(t *testing.T) {
+					pts := rollPoints(son)
+					want := map[string]Series{}
+					for q, f := range quantities {
+						want[q] = Evolution(son, f, 0, pts)
+					}
+					want["alive"] = AliveCountSeries(son, pts)
+					for _, pt := range want["alive"] {
+						o := inducedOracle(events, son, pt.Time)
+						for q, f := range quantities {
+							if v := valueAt(want[q], pt.Time); v != f(o) {
+								t.Fatalf("1 worker: %s at %d is %v, oracle's %v", q, pt.Time, v, f(o))
+							}
+						}
+						if pt.Value != float64(o.NumNodes()) {
+							t.Fatalf("1 worker: alive at %d is %v, oracle has %d nodes", pt.Time, pt.Value, o.NumNodes())
+						}
+						if g := son.Graph(pt.Time); !g.Equal(o) {
+							t.Fatalf("1 worker: Graph(%d) %v, oracle %v", pt.Time, g, o)
+						}
+					}
+					for _, w := range []int{2, 3, 8} {
+						other := sons[w][kind]
+						for q, f := range quantities {
+							if got := Evolution(other, f, 0, pts); !slices.Equal(got, want[q]) {
+								t.Fatalf("%d workers: %s %v, 1 worker %v", w, q, got, want[q])
+							}
+						}
+						if got := AliveCountSeries(other, pts); !slices.Equal(got, want["alive"]) {
+							t.Fatalf("%d workers: alive %v, 1 worker %v", w, got, want["alive"])
+						}
+						for _, tt := range pts {
+							if g, one := other.Graph(tt), son.Graph(tt); !g.Equal(one) {
+								t.Fatalf("%d workers: Graph(%d) %v, 1 worker %v", w, tt, g, one)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// valueAt returns the value s holds at tt.
+func valueAt(s Series, tt temporal.Time) float64 {
+	for _, p := range s {
+		if p.Time == tt {
+			return p.Value
+		}
+	}
+	return -1
+}
+
+// requireHubInEveryPartition fails unless hub node 0 has a neighbour in
+// every partition of the whole-span SoN, at some time before its first
+// removal, so that the hub history tests what it claims.
+func requireHubInEveryPartition(t *testing.T, h *Handler) {
+	t.Helper()
+	son, err := SON(h).Fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPart := son.RDD().Partitions()
+	partOf := map[graph.NodeID]int{}
+	for p, nts := range byPart {
+		for _, nt := range nts {
+			partOf[nt.ID()] = p
+		}
+	}
+	var removed temporal.Time
+	for _, nt := range byPart[partOf[0]] {
+		if nt.ID() != 0 {
+			continue
+		}
+		for _, e := range nt.Events() {
+			if e.Kind == graph.RemoveNode {
+				removed = e.Time
+				break
+			}
+		}
+	}
+	seen := map[int]bool{}
+	for _, nb := range son.Graph(removed - 1).Neighbors(0) {
+		seen[partOf[nb]] = true
+	}
+	if len(seen) != len(byPart) || len(byPart) < 2 {
+		t.Fatalf("hub has neighbours in %d of %d partitions", len(seen), len(byPart))
+	}
+}
+
 // BenchmarkEvolution measures Evolution of density at 8 points over a
-// generated SoN (fetched once, outside the timer).
+// generated SoN (fetched once, outside the timer). The SoN spans the
+// whole history, so every partition's initial graph is empty: a roll
+// that left an empty graph's pair count unknown would recount the view
+// at every point, which this benchmark shows as a third more time.
 func BenchmarkEvolution(b *testing.B) {
 	son, err := SON(buildHandler(b, genHistory(7, 6000, 1500), 2)).Fetch()
 	if err != nil {
@@ -332,6 +543,35 @@ func BenchmarkEvolution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		evolutionSink = Evolution(son, (*graph.Graph).Density, 8, nil)
+	}
+}
+
+// BenchmarkEvolutionTimeslice is BenchmarkEvolution on the shape of the
+// taf_evolution workload: the third quarter of a longer history, whose
+// members start with non-empty states, rolled on one and on two sparklite
+// workers over the same index. (BenchmarkEvolution's whole-history SoN
+// starts before the first event, so its initial graphs are empty.)
+//
+//	go test ./internal/taf -run '^$' -bench EvolutionTimeslice -benchmem
+func BenchmarkEvolutionTimeslice(b *testing.B) {
+	h := buildHandler(b, genHistory(7, 40000, 8000), 1)
+	lo, hi, err := h.tgi.TimeRange()
+	if err != nil {
+		b.Fatal(err)
+	}
+	iv := temporal.NewInterval(lo+(hi-lo)/2, lo+3*(hi-lo)/4)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			son, err := SON(NewHandler(h.tgi, sparklite.NewContext(w))).Timeslice(iv).Fetch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evolutionSink = Evolution(son, (*graph.Graph).Density, 8, nil)
+			}
+		})
 	}
 }
 

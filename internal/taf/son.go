@@ -160,57 +160,95 @@ func (s *SoN) Graph(tt temporal.Time) *graph.Graph {
 // and calls visit with the member-induced graph as of each point — the
 // multipoint query of DeltaGraph: the graph at the span start is built
 // once from the members' initial states, and between consecutive points
-// only the events in between are applied. visit receives the one running
-// graph, which shares the members' frozen initial states, and must not
-// modify it.
+// only the events in between are applied. visit receives a view that
+// shares the members' frozen initial states, and must not modify it.
 //
-// The running graph equals, at every point, the induced subgraph of the
-// members' own replays (NodeT.StateAt). Each member keeps a cursor into
-// its own history and, at each point, replays its events up to it as
-// inducedEvent says, on its own side: the SoN fetch gives an edge event
-// to both endpoints' histories, so an edge between two members is
+// The replay runs as one task per RDD partition on the handler's
+// workers, each on a graph of its own partition's members, and waits for
+// every partition before each visit; the view is the DisjointUnion of
+// the partitions' graphs, routed by the members map, which holds each
+// member's partition. It equals, at every point, the induced subgraph of
+// the members' own replays (NodeT.StateAt). Each member keeps a cursor
+// into its own history and, at each point, replays its events up to it
+// as inducedEvent says, on its own side: the SoN fetch gives an edge
+// event to both endpoints' histories, so an edge between two members is
 // written once from each, with no merge of the histories and no sort.
 // Stored order puts a RemoveNode's edge removals before it, so a
-// member's removal finds its edges already gone from its side.
+// member's removal finds its edges already gone from its side and
+// never reaches into another partition's graph.
 func (s *SoN) roll(points []temporal.Time, visit func(temporal.Time, *graph.Graph)) {
 	if len(points) == 0 {
 		return
 	}
-	nts := s.rdd.Collect()
-	members := make(map[graph.NodeID]struct{}, len(nts))
-	for _, nt := range nts {
-		members[nt.ID()] = struct{}{}
+	byPart := s.rdd.Partitions()
+	n := 0
+	for _, nts := range byPart {
+		n += len(nts)
+	}
+	members := make(map[graph.NodeID]int, n)
+	for p, nts := range byPart {
+		for _, nt := range nts {
+			members[nt.ID()] = p
+		}
 	}
 
-	// The induced graph at the span start, by pointer: the members'
-	// initial states are frozen (NodeT), so the graph copies one only
-	// when the replay first writes it.
+	parts := make([]rollPart, len(byPart))
+	graphs := make([]*graph.Graph, len(byPart))
+	s.h.ctx.Run(len(parts), func(p int) {
+		parts[p] = newRollPart(byPart[p], members)
+		graphs[p] = parts[p].g
+	})
+	// An id outside the SoN routes to partition 0, which does not hold it.
+	of := func(id graph.NodeID) int { return members[id] }
+	for _, tt := range points {
+		s.h.ctx.Run(len(parts), func(p int) { parts[p].advance(tt, members) })
+		visit(tt, graph.DisjointUnion(of, graphs...))
+	}
+}
+
+// rollPart is one RDD partition's share of the roll: its members, a
+// cursor into each one's history, and the graph of their states, which
+// only the partition's task writes.
+type rollPart struct {
+	nts  []*NodeT
+	next []int
+	g    *graph.Graph
+}
+
+// newRollPart builds the graph of the members nts induced by members at
+// the span start, by pointer: the members' initial states are frozen
+// (NodeT), so the graph copies one only when the replay first writes it.
+// It counts the graph's neighbour pairs here, on the partition's worker,
+// so that the views sum the partitions' counts and Density costs O(1)
+// at every point.
+func newRollPart(nts []*NodeT, members map[graph.NodeID]int) rollPart {
 	g := graph.NewWithCapacity(len(nts))
 	for _, nt := range nts {
 		if init := nt.h.Initial; init != nil {
 			g.PutNode(induced(init, members))
 		}
 	}
+	g.Density()
+	return rollPart{nts: nts, next: make([]int, len(nts)), g: g}
+}
 
-	next := make([]int, len(nts))
-	for _, tt := range points {
-		for m, nt := range nts {
-			evs := nt.h.Events
-			for ; next[m] < len(evs) && evs[next[m]].Time <= tt; next[m]++ {
-				if e, ok := inducedEvent(evs[next[m]], members); ok {
-					g.ApplySide(e, nt.ID())
-				}
+// advance replays every member of the partition up to tt.
+func (r *rollPart) advance(tt temporal.Time, members map[graph.NodeID]int) {
+	for m, nt := range r.nts {
+		evs := nt.h.Events
+		for ; r.next[m] < len(evs) && evs[r.next[m]].Time <= tt; r.next[m]++ {
+			if e, ok := inducedEvent(evs[r.next[m]], members); ok {
+				r.g.ApplySide(e, nt.ID())
 			}
 		}
-		visit(tt, g)
 	}
 }
 
 // induced returns frozen state ns restricted to the edges whose other
 // endpoint is a member: ns itself when no edge leaves the members, else
 // a frozen copy without the outside edges that shares ns's attributes
-// and edge states.
-func induced(ns *graph.NodeState, members map[graph.NodeID]struct{}) *graph.NodeState {
+// and edge states. members maps every member to its partition.
+func induced(ns *graph.NodeState, members map[graph.NodeID]int) *graph.NodeState {
 	inside := 0
 	for k := range ns.Edges {
 		if _, ok := members[k.Other]; ok {
@@ -241,7 +279,7 @@ func induced(ns *graph.NodeState, members map[graph.NodeID]struct{}) *graph.Node
 // one of its attributes still creates the member, as the member's own
 // replay does, so it becomes AddNode of the member; removing the edge or
 // deleting an attribute does nothing.
-func inducedEvent(e graph.Event, members map[graph.NodeID]struct{}) (graph.Event, bool) {
+func inducedEvent(e graph.Event, members map[graph.NodeID]int) (graph.Event, bool) {
 	_, node := members[e.Node]
 	if !e.Kind.IsEdge() {
 		return e, node
