@@ -105,7 +105,9 @@ loc:
 # filled 1/8 or 7/8, whose cost the fill no longer sets) and warm
 # snapshots (GetSnapshotWarm at one time;
 # GetSnapshotWarmSweep cycles through times over every leaf, where end
-# states stand in for most of the boundary replay), graph Density (the
+# states stand in for most of the boundary replay), k-hop reads at k=1
+# and k=2 (KHopCold: the disk engine behind a 256 KiB cache; KHopWarm:
+# the memory engine, every row cache-resident), graph Density (the
 # first, O(N+E) pair count), DensityAfterEdit (one edge edit, then the
 # count the edit kept) and DisjointUnion (a snapshot's combine of four
 # 3,750-node sid graphs, which takes over their node maps), taf Evolution

@@ -214,6 +214,7 @@ func decodeNodeState(r *reader) (*graph.NodeState, error) {
 	}
 	if n > 0 {
 		ns.Edges = make(map[graph.EdgeKey]*graph.EdgeState, n)
+		slab := make([]graph.EdgeState, n)
 		for i := 0; i < n; i++ {
 			other, err := r.varint()
 			if err != nil {
@@ -227,7 +228,8 @@ func decodeNodeState(r *reader) (*graph.NodeState, error) {
 			if err != nil {
 				return nil, err
 			}
-			ns.Edges[graph.EdgeKey{Other: graph.NodeID(other), Out: out}] = &graph.EdgeState{Attrs: ea}
+			slab[i].Attrs = ea
+			ns.Edges[graph.EdgeKey{Other: graph.NodeID(other), Out: out}] = &slab[i]
 		}
 	}
 	return ns, nil

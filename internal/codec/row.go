@@ -130,7 +130,8 @@ func encodeStateBody(b *buffer, ns *graph.NodeState) {
 }
 
 // decodeStateBody reads a body written by encodeStateBody as node id's
-// state, rejecting edges out of (Other, Out) order.
+// state, rejecting edges out of (Other, Out) order; its edge states are
+// one slab, one allocation at any degree.
 func decodeStateBody(r *reader, id graph.NodeID) (*graph.NodeState, error) {
 	attrs, err := decodeAttrs(r)
 	if err != nil {
@@ -145,6 +146,7 @@ func decodeStateBody(r *reader, id graph.NodeID) (*graph.NodeState, error) {
 		return ns, nil
 	}
 	ns.Edges = make(map[graph.EdgeKey]*graph.EdgeState, n)
+	slab := make([]graph.EdgeState, n)
 	var prev graph.EdgeKey
 	for i := 0; i < n; i++ {
 		var k graph.EdgeKey
@@ -171,7 +173,8 @@ func decodeStateBody(r *reader, id graph.NodeID) (*graph.NodeState, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns.Edges[k] = &graph.EdgeState{Attrs: ea}
+		slab[i].Attrs = ea
+		ns.Edges[k] = &slab[i]
 		prev = k
 	}
 	return ns, nil

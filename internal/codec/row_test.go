@@ -330,3 +330,59 @@ func FuzzDecodeDeltaState(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodedEdgeStatesOneAllocation requires a decoded state's edge
+// states to cost one allocation, whatever the degree: decoding an
+// attribute-free node of degree 4d allocates as often as one of degree
+// d. An edge attribute write through a Graph that holds the decoded
+// state, frozen as the fetch layer freezes it, must leave the state and
+// a second decode of the row unchanged.
+func TestDecodedEdgeStatesOneAllocation(t *testing.T) {
+	const d = 16
+	g := graph.New()
+	for i := graph.NodeID(1); i <= 4*d; i++ {
+		g.AddEdge(100, 1000+i)
+		if i <= d {
+			g.AddEdge(i, 200)
+		}
+	}
+	dl := delta.FromGraph(g)
+	blob, err := Codec{}.EncodeDelta(dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(id graph.NodeID) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, found, err := (Codec{}).DecodeDeltaState(blob, id); err != nil || !found {
+				t.Fatal(found, err)
+			}
+		})
+	}
+	if small, big := allocs(200), allocs(100); small != big {
+		t.Fatalf("decoding degree %d costs %v allocations, degree %d %v", d, small, 4*d, big)
+	}
+
+	decode := func() *graph.NodeState {
+		ns, _, err := Codec{}.DecodeDeltaState(blob, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+	ns := decode()
+	want := ns.Clone()
+	ns.Freeze()
+	held := graph.New()
+	held.PutNode(ns)
+	for _, e := range []graph.Event{
+		{Kind: graph.SetEdgeAttr, Node: 100, Other: 1001, Key: "w", Value: "2"},
+		{Kind: graph.SetEdgeAttr, Node: 100, Other: 1002, Key: "w", Value: "3"},
+	} {
+		if err := held.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ns.Equal(want) || !decode().Equal(want) || held.Node(100).Equal(want) {
+		t.Fatal("an edge attribute write through a graph reached the decoded state")
+	}
+}

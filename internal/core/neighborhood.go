@@ -33,8 +33,8 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 		return nil, err
 	}
 	leaf := tm.leafFor(tt)
-	// states holds completely reconstructed node states, read-only: they
-	// may be frozen cache states, and the answer is built from clones.
+	// states holds completely reconstructed node states, frozen to share:
+	// cache states, or private assemble and aux states frozen here.
 	states := make(map[graph.NodeID]*graph.NodeState)
 	fetched := make(map[graph.NodeID]bool) // nodes already materialized, present at tt or not
 	// chains keeps every micro-partition chain read so far, so a later
@@ -96,6 +96,7 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 			defer mu.Unlock()
 			for _, nid := range tasks[i].want {
 				if ns := g.Node(nid); ns != nil {
+					ns.Freeze()
 					states[nid] = ns
 				}
 			}
@@ -156,11 +157,12 @@ func (t *TGI) getKHopNeighborhood(id graph.NodeID, k int, tt temporal.Time, opts
 
 	// Induce the subgraph on the collected members. States assembled from
 	// aux rows may know an edge from one side only (restricted frontier
-	// adjacency); symmetrizing completes the mirrors before induction.
-	full := graph.New()
+	// adjacency); symmetrizing completes the mirrors before induction,
+	// and the induce shares the frozen states (graph.Subgraph).
+	full := graph.NewWithCapacity(len(members))
 	for nid := range members {
 		if ns := states[nid]; ns != nil {
-			full.PutNode(ns.Clone())
+			full.PutNode(ns)
 		}
 	}
 	full.Symmetrize()
@@ -208,6 +210,7 @@ func (t *TGI) applyAux(ctx context.Context, tm *TimespanMeta, states map[graph.N
 	// members at the leaf) — their states are complete through tt.
 	for _, nid := range aux.IDs() {
 		if ns := g.Node(nid); ns != nil {
+			ns.Freeze()
 			states[nid] = ns
 		}
 	}

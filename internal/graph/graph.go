@@ -192,15 +192,13 @@ func (g *Graph) writable(ns *NodeState) *NodeState {
 // writableEdge returns the edge state under k of ns, a writable state,
 // ready for writing, or nil when ns has no such edge. Edge states still
 // shared with a frozen state are first replaced by copies, all of the
-// node's at once: a node's copy does not record which of its edge states
-// it already owns, and edge attribute writes are rare next to structural
-// ones.
+// node's at once and in one slab: a node's copy does not record which of
+// its edge states it already owns, and edge attribute writes are rare
+// next to structural ones.
 func writableEdge(ns *NodeState, k EdgeKey) *EdgeState {
 	es, ok := ns.Edges[k]
 	if ok && ns.sharedEdges {
-		for ek, shared := range ns.Edges {
-			ns.Edges[ek] = shared.Clone()
-		}
+		copyEdges(ns.Edges, ns.Edges)
 		ns.sharedEdges = false
 		es = ns.Edges[k]
 	}
@@ -520,26 +518,43 @@ func (g *Graph) Equal(o *Graph) bool {
 }
 
 // Subgraph returns the subgraph induced by ids: those nodes and only the
-// edges with both endpoints in ids.
+// edges with both endpoints in ids. It writes nothing of g. A frozen
+// state with every edge inside is shared as is, any other frozen state
+// becomes a frozen copy of its inside edges that shares its attributes
+// and edge states, and a state that is not frozen is copied deeply.
 func (g *Graph) Subgraph(ids []NodeID) *Graph {
 	keep := make(map[NodeID]struct{}, len(ids))
 	for _, id := range ids {
 		keep[id] = struct{}{}
 	}
-	out := NewWithCapacity(len(ids))
+	out := NewWithCapacity(len(keep))
 	for id := range keep {
 		ns := g.Node(id)
 		if ns == nil {
 			continue
 		}
-		c := &NodeState{ID: id, Attrs: ns.Attrs.Clone()}
-		for k, es := range ns.Edges {
+		inside := 0
+		for k := range ns.Edges {
 			if _, in := keep[k.Other]; in {
-				if c.Edges == nil {
-					c.Edges = make(map[EdgeKey]*EdgeState)
-				}
-				c.Edges[k] = es.Clone()
+				inside++
 			}
+		}
+		if ns.frozen && inside == len(ns.Edges) {
+			out.nodes[id] = ns
+			continue
+		}
+		c := &NodeState{ID: id, Attrs: ns.Attrs, frozen: ns.frozen}
+		if inside > 0 {
+			c.Edges = make(map[EdgeKey]*EdgeState, inside)
+			for k, es := range ns.Edges {
+				if _, in := keep[k.Other]; in {
+					c.Edges[k] = es
+				}
+			}
+		}
+		if !ns.frozen {
+			c.Attrs = ns.Attrs.Clone()
+			copyEdges(c.Edges, c.Edges)
 		}
 		out.nodes[id] = c
 	}

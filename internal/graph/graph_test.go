@@ -3,7 +3,9 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -348,22 +350,25 @@ func frozenFixture() (frozen, want map[NodeID]*NodeState) {
 	return frozen, want
 }
 
-func TestFrozenStatesSurviveMutators(t *testing.T) {
+// mutators returns one change through each Graph mutator, named, for
+// frozenFixture's node ids. A failed Apply reports with t.Error, so the
+// changes may run off the test's goroutine.
+func mutators(t *testing.T) map[string]func(*Graph) {
 	apply := func(e Event) func(*Graph) {
 		return func(g *Graph) {
 			if err := g.Apply(e); err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 		}
 	}
 	applySide := func(e Event, id NodeID) func(*Graph) {
 		return func(g *Graph) {
 			if err := g.ApplySide(e, id); err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 		}
 	}
-	cases := map[string]func(*Graph){
+	return map[string]func(*Graph){
 		"AddNode":         func(g *Graph) { g.AddNode(1).Attrs["k"] = "z" },
 		"AddEdge":         func(g *Graph) { g.AddEdge(2, 5) },
 		"RemoveNode hub":  func(g *Graph) { g.RemoveNode(1) },
@@ -393,7 +398,10 @@ func TestFrozenStatesSurviveMutators(t *testing.T) {
 		"ApplySide DelEdgeAttr in-side": applySide(Event{Kind: DelEdgeAttr, Node: 1, Other: 2, Key: "w"}, 2),
 		"ApplySide self-loop":           applySide(Event{Kind: SetEdgeAttr, Node: 5, Other: 5, Key: "w", Value: "4"}, 5),
 	}
-	for name, mutate := range cases {
+}
+
+func TestFrozenStatesSurviveMutators(t *testing.T) {
+	for name, mutate := range mutators(t) {
 		t.Run(name, func(t *testing.T) {
 			frozen, want := frozenFixture()
 			g, private := New(), New()
@@ -415,6 +423,87 @@ func TestFrozenStatesSurviveMutators(t *testing.T) {
 				t.Fatal("the graph's view did not change")
 			}
 		})
+	}
+}
+
+// TestSubgraphSharesFrozenStates checks Subgraph's sharing rule on a
+// graph of frozenFixture's states, node 4's replaced by a private copy:
+// frozen states with every edge inside come back by pointer, frozen
+// states with edges to outside as frozen copies holding only the inside
+// edges, sharing attributes and edge states, and private states as deep
+// copies. The answer equals the induce of private copies of every
+// state, and no mutator on it changes the graph it came from, even when
+// goroutines induce and write at once.
+func TestSubgraphSharesFrozenStates(t *testing.T) {
+	ids := []NodeID{1, 2, 4, 5, 6}
+	fixture := func() (g, private *Graph) {
+		frozen, want := frozenFixture()
+		g, private = graphOf(frozen), New()
+		g.PutNode(want[4].Clone())
+		for _, ns := range want {
+			private.PutNode(ns.Clone())
+		}
+		return g, private
+	}
+	g, private := fixture()
+	sub := g.Subgraph(ids)
+	if !sub.Equal(private.Subgraph(ids)) {
+		t.Fatalf("induce %v differs from the private induce", sub)
+	}
+	for _, id := range []NodeID{5, 6} {
+		if sub.Node(id) != g.Node(id) {
+			t.Fatalf("frozen node %d has every edge inside but was copied", id)
+		}
+	}
+	for _, id := range []NodeID{1, 2} {
+		got, of := sub.Node(id), g.Node(id)
+		if got == of || !got.frozen || len(got.Edges) >= len(of.Edges) {
+			t.Fatalf("frozen node %d with edges to outside: got %v (frozen %v), want a frozen copy with fewer edges than %v", id, got, got.frozen, of)
+		}
+		for k, es := range got.Edges {
+			if of.Edges[k] != es {
+				t.Fatalf("frozen copy of %d does not share edge state %v", id, k)
+			}
+		}
+		if len(of.Attrs) == 0 || reflect.ValueOf(got.Attrs).UnsafePointer() != reflect.ValueOf(of.Attrs).UnsafePointer() {
+			t.Fatalf("frozen copy of %d does not share its attributes", id)
+		}
+	}
+	if got, of := sub.Node(4), g.Node(4); got == of || got.frozen || got.Edges[EdgeKey{Other: 1}] == of.Edges[EdgeKey{Other: 1}] {
+		t.Fatal("a private state must come back as a deep copy")
+	}
+
+	for name, mutate := range mutators(t) {
+		t.Run(name, func(t *testing.T) {
+			g, private := fixture()
+			before := g.Clone()
+			sub, want := g.Subgraph(ids), private.Subgraph(ids)
+			mutate(sub)
+			mutate(want)
+			if !g.Equal(before) {
+				t.Fatal("writing the induce changed the graph it came from")
+			}
+			if !sub.Equal(want) {
+				t.Fatal("writing the sharing induce differs from writing a private one")
+			}
+		})
+	}
+
+	g, _ = fixture()
+	before := g.Clone()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, mutate := range mutators(t) {
+				mutate(g.Subgraph(ids))
+			}
+		}()
+	}
+	wg.Wait()
+	if !g.Equal(before) {
+		t.Fatal("concurrent induces and their writes changed the graph")
 	}
 }
 

@@ -83,14 +83,6 @@ type EdgeState struct {
 	Attrs Attrs
 }
 
-// Clone returns a deep copy of the edge state.
-func (e *EdgeState) Clone() *EdgeState {
-	if e == nil {
-		return nil
-	}
-	return &EdgeState{Attrs: e.Attrs.Clone()}
-}
-
 // Equal reports deep equality of edge states.
 func (e *EdgeState) Equal(o *EdgeState) bool {
 	if e == nil || o == nil {
@@ -140,6 +132,7 @@ func (n *NodeState) Freeze() {
 }
 
 // Clone returns a deep copy of the node state; the copy is not frozen.
+// Its edge states are allocated together, as one slab (see copyEdges).
 func (n *NodeState) Clone() *NodeState {
 	if n == nil {
 		return nil
@@ -147,11 +140,23 @@ func (n *NodeState) Clone() *NodeState {
 	out := &NodeState{ID: n.ID, Attrs: n.Attrs.Clone()}
 	if n.Edges != nil {
 		out.Edges = make(map[EdgeKey]*EdgeState, len(n.Edges))
-		for k, v := range n.Edges {
-			out.Edges[k] = v.Clone()
-		}
+		copyEdges(out.Edges, n.Edges)
 	}
 	return out
+}
+
+// copyEdges stores in dst, under each key of src, a deep copy of src's
+// edge state there (dst may be src), all copies in one slab: an element
+// is written only through the state whose edge map holds it.
+func copyEdges(dst, src map[EdgeKey]*EdgeState) {
+	slab, i := make([]EdgeState, len(src)), 0
+	for k, es := range src {
+		if es != nil {
+			slab[i].Attrs = es.Attrs.Clone()
+			es, i = &slab[i], i+1
+		}
+		dst[k] = es
+	}
 }
 
 // Equal reports deep equality of two node states. It is the component
