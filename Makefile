@@ -36,7 +36,7 @@ test-race:
 	$(GO) test -race -short ./...
 
 # benchmark/ is a nested module (root ./... does not see it) that
-# imports disklog, tiered, kvstore and fetch directly.
+# imports 15 internal packages directly.
 test-benchmark:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 

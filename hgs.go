@@ -249,6 +249,10 @@ var (
 	// ErrOutOfRange: a requested time lies outside the indexed history
 	// (HTTP 416).
 	ErrOutOfRange = core.ErrOutOfRange
+	// ErrFormat: the data directory holds a store of another format
+	// than this build reads; it is refused, not migrated. Rebuild it
+	// by re-loading its event history.
+	ErrFormat = core.ErrFormat
 )
 
 // Event kind constants re-exported for event construction.
@@ -463,26 +467,21 @@ func (s *Store) beginOp() error {
 
 func (s *Store) endOp() { s.active.Done() }
 
-// clusterMeta records the cluster topology and storage engine a data
-// directory was created with, so a reopen cannot silently re-shard
-// persisted partitions or misread them through the wrong engine.
-// Placement names the partition-to-node mapping scheme ("ring" is the
-// only current one); Nodes is the explicit member set — a topology
+// clusterMeta records the store format, cluster topology and storage
+// engine a data directory was created with, so a reopen cannot silently
+// re-shard persisted partitions or misread them through the wrong
+// engine or format. Nodes is the explicit member set — a topology
 // change (AddStorageNode/RemoveStorageNode) rewrites it at the
 // rebalancer's commit point — and VirtualNodes the ring's per-node
 // point count, both of which the placement depends on.
 type clusterMeta struct {
+	Format       int    `json:"format"`
 	Machines     int    `json:"machines"`
 	Replication  int    `json:"replication"`
-	Engine       string `json:"engine,omitempty"`
-	Placement    string `json:"placement,omitempty"`
+	Engine       string `json:"engine"`
 	Nodes        []int  `json:"nodes,omitempty"`
 	VirtualNodes int    `json:"virtual_nodes,omitempty"`
 }
-
-// placementRing is the clusterMeta.Placement value of the
-// consistent-hash ring scheme.
-const placementRing = "ring"
 
 // resolvedMeta is resolveClusterMeta's outcome: the topology to open
 // with, and whether cluster.json still needs to be written.
@@ -495,18 +494,13 @@ type resolvedMeta struct {
 }
 
 // resolveClusterMeta reconciles the requested topology and engine with
-// those stored in dataDir. Explicit options conflicting with persisted
-// values are an error; unset options adopt them (directories from
-// before the engine was recorded read as EngineDisk). needsWrite
-// reports that no shape file exists yet — it is written by
+// those stored in dataDir. A directory of another store format is
+// refused with ErrFormat before anything else is read; rebuild such a
+// store by re-loading its event history. Explicit options conflicting
+// with persisted values are an error; unset options adopt them.
+// needsWrite reports that no shape file exists yet — it is written by
 // writeClusterMeta only after the store opens successfully, so a failed
 // Open cannot stamp a shape into an otherwise empty directory.
-//
-// Directories from before consistent-hash placement (no "placement"
-// field) are refused outright: their partitions were placed by node
-// modulo, so opening them through the ring would silently misroute
-// every read to nodes that do not hold the data. Rebuild such a store
-// by re-loading its event history.
 func resolveClusterMeta(dataDir string, opts Options, machines, replication, vnodes int) (resolvedMeta, error) {
 	fail := func(err error) (resolvedMeta, error) { return resolvedMeta{}, err }
 	requested := opts.Engine
@@ -521,11 +515,8 @@ func resolveClusterMeta(dataDir string, opts Options, machines, replication, vno
 		if err := json.Unmarshal(blob, &cm); err != nil {
 			return fail(fmt.Errorf("hgs: corrupt %s: %w", path, err))
 		}
-		if cm.Placement == "" {
-			return fail(fmt.Errorf("hgs: data dir %s predates consistent-hash placement; its partitions were placed by node modulo and cannot be read through the ring — rebuild the store from its event history", dataDir))
-		}
-		if cm.Placement != placementRing {
-			return fail(fmt.Errorf("hgs: corrupt %s: unknown placement %q", path, cm.Placement))
+		if cm.Format != core.Format {
+			return fail(fmt.Errorf("hgs: data dir %s holds store format %d, this build reads format %d: %w", dataDir, cm.Format, core.Format, ErrFormat))
 		}
 		if cm.Machines < 1 || cm.Replication < 1 || len(cm.Nodes) != cm.Machines || cm.VirtualNodes < 1 {
 			return fail(fmt.Errorf("hgs: corrupt %s: invalid topology m=%d r=%d nodes=%v vnodes=%d", path, cm.Machines, cm.Replication, cm.Nodes, cm.VirtualNodes))
@@ -540,10 +531,7 @@ func resolveClusterMeta(dataDir string, opts Options, machines, replication, vno
 			return fail(fmt.Errorf("hgs: data dir %s was created with %d virtual nodes, not %d", dataDir, cm.VirtualNodes, opts.VirtualNodes))
 		}
 		stored := StorageEngine(cm.Engine)
-		if stored == EngineAuto {
-			stored = EngineDisk // legacy directory, engine not recorded
-		}
-		if !stored.valid() || stored == EngineMemory {
+		if stored != EngineDisk && stored != EngineTiered {
 			return fail(fmt.Errorf("hgs: corrupt %s: invalid engine %q", path, cm.Engine))
 		}
 		if opts.Engine != EngineAuto && requested != stored {
@@ -583,10 +571,10 @@ func writeClusterMeta(dataDir string, nodes []int, replication, vnodes int, engi
 		return fmt.Errorf("hgs: %w", err)
 	}
 	blob, _ := json.Marshal(clusterMeta{
+		Format:       core.Format,
 		Machines:     len(nodes),
 		Replication:  replication,
 		Engine:       string(engine),
-		Placement:    placementRing,
 		Nodes:        nodes,
 		VirtualNodes: vnodes,
 	})

@@ -11,7 +11,6 @@ import (
 	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
 	"hgs/internal/backend/memtable"
-	"hgs/internal/reclog"
 )
 
 func open(t *testing.T, dir string, opts Options) *Store {
@@ -304,66 +303,6 @@ func dump(be backend.Backend) []byte {
 	return b.Bytes()
 }
 
-// writeLegacyWAL writes mutation records into dir/wal the way earlier
-// versions of the engine logged them.
-func writeLegacyWAL(t *testing.T, dir string, muts []reclog.Mutation) string {
-	t.Helper()
-	walDir := filepath.Join(dir, "wal")
-	w, err := reclog.Open(walDir, "wal", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range muts {
-		rec, _ := m.AppendRecord(nil)
-		if _, _, err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	return walDir
-}
-
-func TestTornWALTailTruncated(t *testing.T) {
-	// A directory written by the WAL-based engine, killed mid-append:
-	// Open carries the log into the cold tier, cutting the torn tail,
-	// and removes it.
-	dir := t.TempDir()
-	var muts []reclog.Mutation
-	for i := 0; i < 20; i++ {
-		muts = append(muts, reclog.Mutation{Op: reclog.OpPut, Table: "deltas", PKey: "p0", CKey: fmt.Sprintf("c%03d", i), Value: val(i)})
-	}
-	muts = append(muts, reclog.Mutation{Op: reclog.OpDel, Table: "deltas", PKey: "p0", CKey: "c003"})
-	walDir := writeLegacyWAL(t, dir, muts)
-	names, err := filepath.Glob(filepath.Join(walDir, "wal-*.log"))
-	if err != nil || len(names) < 2 {
-		t.Fatalf("wal segments: %v %v", names, err)
-	}
-	last := names[len(names)-1] // Glob sorts; zero-padded ids sort numerically
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("torn-half-record")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r := open(t, dir, Options{HotBytes: 1 << 30})
-	defer r.Close()
-	for i := 0; i < 20; i++ {
-		_, ok := r.Get("deltas", "p0", fmt.Sprintf("c%03d", i))
-		if ok != (i != 3) {
-			t.Fatalf("row %d present=%v after migrating the legacy WAL", i, ok)
-		}
-	}
-	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
-		t.Fatalf("legacy WAL not removed after migration: %v", err)
-	}
-}
-
 func TestDropPartitionSpansTiers(t *testing.T) {
 	s := open(t, t.TempDir(), Options{HotBytes: 40 * rowBytes})
 	defer s.Close()
@@ -636,16 +575,6 @@ func TestBackupIntoDirtyTargetLeavesItUnchanged(t *testing.T) {
 		}
 	}
 
-	t.Run("dirty wal", func(t *testing.T) {
-		target := t.TempDir()
-		if err := os.MkdirAll(filepath.Join(target, "wal"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(target, "wal", "wal-00000001.log"), []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, target)
-	})
 	t.Run("dirty cold", func(t *testing.T) {
 		target := t.TempDir()
 		if err := os.MkdirAll(filepath.Join(target, "cold"), 0o755); err != nil {

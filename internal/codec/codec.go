@@ -22,9 +22,8 @@ import (
 )
 
 // Header flags. The low bit says how the payload is framed; flagIndexed
-// marks a micro-delta row written with its id index (EncodeDelta), and
-// a row without it is the older layout, whose states each lead with
-// their own id.
+// marks a micro-delta row (EncodeDelta), which leads with its id index,
+// and no other blob.
 const (
 	flagPlain   byte = 0x00
 	flagGzip    byte = 0x01
@@ -256,7 +255,7 @@ func (c Codec) EncodeEvents(events []graph.Event) ([]byte, error) {
 
 // DecodeEvents parses a blob produced by EncodeEvents.
 func (c Codec) DecodeEvents(blob []byte) ([]graph.Event, error) {
-	data, release, err := unframe(blob)
+	data, release, err := unframe(blob, flagPlain)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +342,7 @@ func varintLen(v int64) int {
 
 // DecodeNodeState parses a blob produced by EncodeNodeState.
 func (c Codec) DecodeNodeState(blob []byte) (*graph.NodeState, error) {
-	data, release, err := unframe(blob)
+	data, release, err := unframe(blob, flagPlain)
 	if err != nil {
 		return nil, err
 	}
@@ -384,45 +383,39 @@ func (c Codec) frame(format byte, parts ...[]byte) ([]byte, error) {
 	return zbuf.Bytes(), nil
 }
 
-// unframe strips the header and decompresses as needed; decode works
-// regardless of the codec's own Compress flag. The returned data may
-// live in a pooled decompression arena: the caller must invoke release
-// once nothing references it — decode paths satisfy that by copying
-// every byte they keep (strings, parsed numbers) out of the scratch
-// before their deferred release runs. Only micro-delta rows may carry
-// flagIndexed (unframeRow).
-func unframe(blob []byte) (data []byte, release func(), err error) {
-	if len(blob) > 0 && blob[0]&flagIndexed != 0 {
+// unframe strips the header of a blob framed as format (flagIndexed
+// for micro-delta rows, flagPlain for every other blob) and
+// decompresses as needed; decode works regardless of the codec's own
+// Compress flag. A blob framed otherwise is corrupt, a micro-delta row
+// without its id index included. The returned data may live in a pooled
+// decompression arena: the caller must invoke release once nothing
+// references it — decode paths satisfy that by copying every byte they
+// keep (strings, parsed numbers) out of the scratch before their
+// deferred release runs.
+func unframe(blob []byte, format byte) (data []byte, release func(), err error) {
+	if len(blob) == 0 {
+		return nil, nil, ErrCorrupt
+	}
+	if blob[0]&flagIndexed != format {
 		return nil, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
 	}
-	data, _, release, err = unframeRow(blob)
-	return data, release, err
-}
-
-// unframeRow is unframe for micro-delta rows: it also accepts
-// flagIndexed and reports whether the header carried it.
-func unframeRow(blob []byte) (data []byte, indexed bool, release func(), err error) {
-	if len(blob) == 0 {
-		return nil, false, nil, ErrCorrupt
-	}
-	indexed = blob[0]&flagIndexed != 0
 	switch blob[0] &^ flagIndexed {
 	case flagPlain:
-		return blob[1:], indexed, releaseNone, nil
+		return blob[1:], releaseNone, nil
 	case flagGzip:
 		zr, err := getGzipReader(blob[1:])
 		if err != nil {
-			return nil, false, nil, fmt.Errorf("codec: gzip open: %w", err)
+			return nil, nil, fmt.Errorf("codec: gzip open: %w", err)
 		}
 		arena := getDecompBuffer()
 		if _, err := io.Copy(arena, zr); err != nil {
 			putGzipReader(zr)
 			putDecompBuffer(arena)
-			return nil, false, nil, fmt.Errorf("codec: gzip read: %w", err)
+			return nil, nil, fmt.Errorf("codec: gzip read: %w", err)
 		}
 		putGzipReader(zr)
-		return arena.Bytes(), indexed, func() { putDecompBuffer(arena) }, nil
+		return arena.Bytes(), func() { putDecompBuffer(arena) }, nil
 	default:
-		return nil, false, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
+		return nil, nil, fmt.Errorf("%w: unknown header 0x%02x", ErrCorrupt, blob[0])
 	}
 }

@@ -30,7 +30,7 @@ func FuzzUnframe(f *testing.F) {
 		f.Add(gz)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		data, release, err := unframe(blob)
+		data, release, err := unframe(blob, flagPlain)
 		if err != nil {
 			if data != nil {
 				t.Fatalf("unframe error %v but returned %d data bytes", err, len(data))
@@ -42,12 +42,12 @@ func FuzzUnframe(f *testing.F) {
 		// Churn the pool: a gzip round-trip grabs and returns the same
 		// arena class the first decode may have leaked a reference into.
 		if gz, ferr := (Codec{Compress: true}).frame(flagPlain, bytes.Repeat([]byte{0xAB}, 64)); ferr == nil {
-			if d2, r2, e2 := unframe(gz); e2 == nil {
+			if d2, r2, e2 := unframe(gz, flagPlain); e2 == nil {
 				_ = d2
 				r2()
 			}
 		}
-		data2, release2, err2 := unframe(blob)
+		data2, release2, err2 := unframe(blob, flagPlain)
 		if err2 != nil {
 			t.Fatalf("unframe flipped to error on identical input: %v", err2)
 		}

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,9 +25,7 @@ import (
 //	           next one as its uvarint gap from the previous, each
 //	           followed by its Out flag and attributes
 //
-// Rows written before the index (no flagIndexed) hold uvarint n, the n
-// states each leading with its id (encodeNodeState), then the
-// tombstones as plain varints. Both layouts parse into one DeltaRow.
+// A row without flagIndexed is corrupt.
 
 // EncodeDelta serializes a delta (component states + tombstones) as an
 // indexed micro-delta row.
@@ -189,19 +186,16 @@ type DeltaRow struct {
 	spans []span // where each state's encoding lies in data
 	tombs []graph.NodeID
 	data  []byte
-	// legacy marks a row written before the index: each span holds a
-	// whole encodeNodeState, id first.
-	legacy bool
 }
 
 type span struct{ lo, hi uint32 }
 
-// ParseDelta parses a micro-delta row of either layout up to its state
-// bodies. The row reads its bodies from blob itself (a compressed row,
-// from a private copy of the payload), so blob must not change while
-// the row is in use.
+// ParseDelta parses a micro-delta row up to its state bodies. The row
+// reads its bodies from blob itself (a compressed row, from a private
+// copy of the payload), so blob must not change while the row is in
+// use.
 func (c Codec) ParseDelta(blob []byte) (*DeltaRow, error) {
-	data, indexed, release, err := unframeRow(blob)
+	data, release, err := unframe(blob, flagIndexed)
 	if err != nil {
 		return nil, err
 	}
@@ -209,18 +203,18 @@ func (c Codec) ParseDelta(blob []byte) (*DeltaRow, error) {
 	if blob[0]&flagGzip != 0 {
 		data = bytes.Clone(data) // the arena goes back to its pool
 	}
-	return parseRow(data, indexed)
+	return parseRow(data)
 }
 
-// DecodeDelta parses a blob produced by EncodeDelta, or a row of the
-// older layout, decoding every state.
+// DecodeDelta parses a blob produced by EncodeDelta, decoding every
+// state.
 func (c Codec) DecodeDelta(blob []byte) (*delta.Delta, error) {
-	data, indexed, release, err := unframeRow(blob)
+	data, release, err := unframe(blob, flagIndexed)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	row, err := parseRow(data, indexed)
+	row, err := parseRow(data)
 	if err != nil {
 		return nil, err
 	}
@@ -242,12 +236,12 @@ func (c Codec) DecodeDelta(blob []byte) (*delta.Delta, error) {
 // row: found is false when the row holds no state for id (it may hold a
 // tombstone; see DeltaRow.Tombstoned).
 func (c Codec) DecodeDeltaState(blob []byte, id graph.NodeID) (ns *graph.NodeState, found bool, err error) {
-	data, indexed, release, err := unframeRow(blob)
+	data, release, err := unframe(blob, flagIndexed)
 	if err != nil {
 		return nil, false, err
 	}
 	defer release()
-	row, err := parseRow(data, indexed)
+	row, err := parseRow(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -261,13 +255,10 @@ func (c Codec) DecodeDeltaState(blob []byte, id graph.NodeID) (ns *graph.NodeSta
 	return ns, true, nil
 }
 
-// parseRow parses a row payload of either layout.
-func parseRow(data []byte, indexed bool) (*DeltaRow, error) {
+// parseRow parses a row payload.
+func parseRow(data []byte) (*DeltaRow, error) {
 	if uint64(len(data)) > 1<<32-1 {
 		return nil, fmt.Errorf("%w: row of %d bytes", ErrCorrupt, len(data))
-	}
-	if !indexed {
-		return parseLegacyRow(data)
 	}
 	r := &reader{data: data}
 	ids, err := r.sortedIDs()
@@ -313,60 +304,6 @@ func parseRow(data []byte, indexed bool) (*DeltaRow, error) {
 	return &DeltaRow{ids: ids, spans: spans, tombs: tombs, data: data}, nil
 }
 
-// parseLegacyRow parses a row written before the index. Its states need
-// not be sorted or distinct: as the old decoder did, a later state of an
-// id replaces an earlier one and a tombstone drops the id's state. Each
-// state is decoded once to find where it ends; this layout is read for
-// compatibility only.
-func parseLegacyRow(data []byte) (*DeltaRow, error) {
-	r := &reader{data: data}
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	type slot struct {
-		id graph.NodeID
-		s  span
-	}
-	slots := make([]slot, 0, n)
-	for i := 0; i < n; i++ {
-		lo := r.pos
-		ns, err := decodeNodeState(r)
-		if err != nil {
-			return nil, err
-		}
-		slots = append(slots, slot{ns.ID, span{uint32(lo), uint32(r.pos)}})
-	}
-	tn, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	tombs := make([]graph.NodeID, 0, tn)
-	for i := 0; i < tn; i++ {
-		id, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		tombs = append(tombs, graph.NodeID(id))
-	}
-	slices.Sort(tombs)
-	tombs = slices.Compact(tombs)
-	// Stable sort, then keep the last state of each id.
-	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(a.id, b.id) })
-	row := &DeltaRow{tombs: tombs, data: data, legacy: true}
-	for i, s := range slots {
-		if i+1 < len(slots) && slots[i+1].id == s.id {
-			continue
-		}
-		if _, dead := slices.BinarySearch(tombs, s.id); dead {
-			continue
-		}
-		row.ids = append(row.ids, s.id)
-		row.spans = append(row.spans, s.s)
-	}
-	return row, nil
-}
-
 // Len returns the number of states in the row.
 func (x *DeltaRow) Len() int { return len(x.ids) }
 
@@ -395,15 +332,7 @@ func (x *DeltaRow) Tombstoned(id graph.NodeID) bool {
 func (x *DeltaRow) State(i int) (*graph.NodeState, error) {
 	s := x.spans[i]
 	r := &reader{data: x.data[s.lo:s.hi]}
-	var (
-		ns  *graph.NodeState
-		err error
-	)
-	if x.legacy {
-		ns, err = decodeNodeState(r)
-	} else {
-		ns, err = decodeStateBody(r, x.ids[i])
-	}
+	ns, err := decodeStateBody(r, x.ids[i])
 	if err != nil {
 		return nil, err
 	}

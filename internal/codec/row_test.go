@@ -13,8 +13,7 @@ import (
 
 // encodeLegacyDelta writes d in the layout rows had before the id index:
 // no flagIndexed, each state leading with its id, plain tombstone ids.
-// states lists the states in the order to write them (duplicates and any
-// order allowed, as an old writer could have left them).
+// Decoders refuse it; it stays as a row-size reference and a fuzz seed.
 func encodeLegacyDelta(c Codec, states []*graph.NodeState, tombs []graph.NodeID) []byte {
 	b := &buffer{}
 	b.uvarint(uint64(len(states)))
@@ -129,39 +128,26 @@ func TestDeltaRowExtremeIDs(t *testing.T) {
 	checkStates(t, c, blob, d)
 }
 
-// TestLegacyRowsStillDecode reads rows of the layout written before the
-// id index, whole and by id: sorted ones as the old encoder wrote them,
-// and unsorted ones with a repeated id and a tombstoned state, which
-// decode as the old decoder read them (the later state wins, a tombstone
-// drops the state).
-func TestLegacyRowsStillDecode(t *testing.T) {
+// TestUnindexedRowRefused requires every reader of micro-delta rows to
+// refuse a row without the id index, of the layout written before it,
+// as corrupt: that layout is no longer read.
+func TestUnindexedRowRefused(t *testing.T) {
 	for _, c := range []Codec{{}, {Compress: true}} {
 		d := randDelta(3, 200)
 		d.MarkDeleted(1001)
 		blob := encodeLegacyDelta(c, sortedStates(d), sortedIDs(d.Tombstones))
-		if blob[0]&flagIndexed != 0 {
-			t.Fatal("legacy blob carries the index flag")
+		if _, err := c.ParseDelta(blob); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ParseDelta: %v, want ErrCorrupt", err)
 		}
-		got, err := c.DecodeDelta(blob)
-		if err != nil || !got.Equal(d) {
-			t.Fatalf("legacy whole decode: %v, %v", got, err)
+		if got, err := c.DecodeDelta(blob); got != nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeDelta: %v, %v, want ErrCorrupt", got, err)
 		}
-		checkStates(t, c, blob, d)
-
-		// Out of order, id 5 twice, id 9's state tombstoned.
-		old, newer, dead := graph.NewNodeState(5), graph.NewNodeState(5), graph.NewNodeState(9)
-		old.Attrs = graph.Attrs{"v": "old"}
-		newer.Attrs = graph.Attrs{"v": "new"}
-		messy := encodeLegacyDelta(c, []*graph.NodeState{dead, old, graph.NewNodeState(2), newer}, []graph.NodeID{9, 4, 9})
-		want := delta.New()
-		want.Put(newer)
-		want.Put(graph.NewNodeState(2))
-		want.MarkDeleted(9)
-		want.MarkDeleted(4)
-		if got, err := c.DecodeDelta(messy); err != nil || !got.Equal(want) {
-			t.Fatalf("messy legacy decode: %v, %v; want %v", got, err, want)
+		for id := range d.Nodes {
+			if _, _, err := c.DecodeDeltaState(blob, id); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeDeltaState(%d): %v, want ErrCorrupt", id, err)
+			}
+			break
 		}
-		checkStates(t, c, messy, want)
 	}
 }
 

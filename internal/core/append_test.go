@@ -1,15 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
-	"hgs/internal/delta"
 	"hgs/internal/graph"
 	"hgs/internal/kvstore"
-	"hgs/internal/partition"
-	"hgs/internal/temporal"
 )
 
 // appendConfigs are the configurations the write-path tests run: every
@@ -125,7 +121,7 @@ func TestAppendWritesOnlyWhatChanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after.Layout != layoutResumable || !slices.Equal(after.NPids, before.NPids) {
+		if !slices.Equal(after.NPids, before.NPids) {
 			continue // re-placed: the whole span is written again
 		}
 		npids := 0
@@ -168,163 +164,5 @@ func TestAppendWritesOnlyWhatChanged(t *testing.T) {
 	}
 	if !got.Equal(oracle(events, end)) {
 		t.Fatal("snapshot after the appends differs from the oracle")
-	}
-}
-
-// downgradeSpan rewrites span tsid of a random-placement index without
-// Replicate1Hop into the layout spans had before the resumable writer:
-// micro-deltas and micro-eventlists placed by partition.HashPID, and a
-// TimespanMeta without Layout and Nodes.
-func downgradeSpan(t *testing.T, tgi *TGI, tsid int) {
-	t.Helper()
-	tm, err := tgi.loadTimespanMeta(tsid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, cdc := tgi.Store(), tgi.cdc
-	for sid := 0; sid < tgi.cfg.HorizontalPartitions; sid++ {
-		pkey := placementKey(tsid, sid)
-		pid := func(id graph.NodeID) int { return partition.HashPID(id, tm.NPids[sid]) }
-		deltas := make(map[int]*delta.Delta)
-		for _, row := range store.ScanPartition(TableDeltas, pkey) {
-			var did, p int
-			if _, err := fmt.Sscanf(row.CKey, "d%d/p%d", &did, &p); err != nil {
-				t.Fatal(err)
-			}
-			d, err := cdc.DecodeDelta(row.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if deltas[did] == nil {
-				deltas[did] = delta.New()
-			}
-			deltas[did].Sum(d)
-		}
-		lists := make(map[int][][]graph.Event)
-		for _, row := range store.ScanPartition(TableEvents, pkey) {
-			var el, p int
-			if _, err := fmt.Sscanf(row.CKey, "e%d/p%d", &el, &p); err != nil {
-				t.Fatal(err)
-			}
-			evs, err := cdc.DecodeEvents(row.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lists[el] = append(lists[el], evs)
-		}
-		store.DropPartition(TableDeltas, pkey)
-		store.DropPartition(TableEvents, pkey)
-		for did, d := range deltas {
-			parts := make(map[int]*delta.Delta)
-			for id, ns := range d.Nodes {
-				if parts[pid(id)] == nil {
-					parts[pid(id)] = delta.New()
-				}
-				parts[pid(id)].Nodes[id] = ns
-			}
-			for p, part := range parts {
-				blob, err := cdc.EncodeDelta(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				store.Put(TableDeltas, pkey, deltaCKey(did, p), blob)
-			}
-		}
-		for el, ls := range lists {
-			parts := make(map[int][]graph.Event)
-			for _, e := range mergeSortEvents(ls) {
-				ends := []graph.NodeID{e.Node}
-				if e.Kind.IsEdge() && e.Other != e.Node {
-					ends = append(ends, e.Other)
-				}
-				var routed []int
-				for _, x := range ends {
-					if tgi.sidOf(x) == sid && !slices.Contains(routed, pid(x)) {
-						routed = append(routed, pid(x))
-						parts[pid(x)] = append(parts[pid(x)], e)
-					}
-				}
-			}
-			for p, evs := range parts {
-				blob, err := cdc.EncodeEvents(evs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				store.Put(TableEvents, pkey, eventCKey(el, p), blob)
-			}
-		}
-	}
-	old := *tm
-	old.Layout, old.Nodes = 0, nil
-	if err := tgi.storeTimespanMeta(&old); err != nil {
-		t.Fatal(err)
-	}
-	tgi.fx.Cache().Purge()
-}
-
-// TestAppendReplacesOldLayoutSpan: a trailing span written before the
-// resumable layout reads through HashPID, and its first Append re-places
-// it, after which the index stores exactly what one Build stores.
-func TestAppendReplacesOldLayoutSpan(t *testing.T) {
-	events := genHistory(21, 900, 40)
-	cfg := smallConfig()
-	const prefix = 190 // span 1 holds 70 events
-	tgi := buildSmall(t, cfg, events[:prefix])
-	tm, err := tgi.loadTimespanMeta(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := false
-	for id := graph.NodeID(0); id < 40; id++ {
-		n := tm.NPids[tgi.sidOf(id)]
-		moved = moved || partition.HashPID(id, n) != partition.MixPID(id, n)
-	}
-	if !moved {
-		t.Fatal("the two pid hashes agree on every node: the downgrade proves nothing")
-	}
-	downgradeSpan(t, tgi, 1)
-	end := events[prefix-1].Time
-	for _, tt := range []temporal.Time{events[130].Time, end} {
-		got, err := tgi.GetSnapshot(tt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(oracle(events, tt)) {
-			t.Fatalf("old-layout span: snapshot at %d differs from the oracle", tt)
-		}
-	}
-	for id := graph.NodeID(0); id < 40; id += 3 {
-		got, err := tgi.GetNodeAt(id, end, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oracle(events, end).Node(id); !nodeStatesEqual(got, want) {
-			t.Fatalf("old-layout span: node %d at %d differs from the oracle", id, end)
-		}
-	}
-
-	if err := tgi.Append(events[prefix : prefix+7]); err != nil {
-		t.Fatal(err)
-	}
-	if tm, err = tgi.loadTimespanMeta(1); err != nil {
-		t.Fatal(err)
-	}
-	if tm.Layout != layoutResumable || tm.Nodes == nil {
-		t.Fatalf("the first append left span 1 in layout %d", tm.Layout)
-	}
-	if err := tgi.Append(events[prefix+7:]); err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []temporal.Time{end, events[prefix+7].Time, events[len(events)-1].Time} {
-		got, err := tgi.GetSnapshot(tt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(oracle(events, tt)) {
-			t.Fatalf("after the appends: snapshot at %d differs from the oracle", tt)
-		}
-	}
-	if got, want := storeDigest(tgi.Store()), storeDigest(buildSmall(t, cfg, events).Store()); got != want {
-		t.Fatalf("stored rows digest %s after re-placing, one Build stores %s", got, want)
 	}
 }

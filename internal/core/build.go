@@ -140,7 +140,7 @@ func (t *TGI) writeSpan(tsid int, w *graph.Graph, events []graph.Event) (*graph.
 	ns := t.cfg.HorizontalPartitions
 	sw := &spanWriter{t: t, w: w, sp: sp, vcs: make(map[graph.NodeID][]vcEntry), leaves: make([][]*delta.Delta, ns),
 		tm: &TimespanMeta{TSID: tsid, Start: events[0].Time, LeafTimes: []temporal.Time{events[0].Time - 1},
-			Partitioning: t.cfg.Partitioning.String(), Arity: t.cfg.Arity, Layout: layoutResumable}}
+			Partitioning: t.cfg.Partitioning.String(), Arity: t.cfg.Arity}}
 	// Persist the locality pid maps (Micropartitions table).
 	if sp.assign != nil {
 		var tmp [binary.MaxVarintLen64]byte

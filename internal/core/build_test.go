@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hgs/internal/graph"
@@ -52,8 +54,8 @@ var goldenDigests = map[string]map[string]string{
 		TableDeltas:    "df9531596b8d88ec00b355a78291f8655be3d4c45e919a8083f497c9513ac236",
 		TableEvents:    "8748931dd87413eebd5c3a404cc9a2860c23168018660267bf82d461f2dbc93c",
 		TableVersions:  "293c5799feba69f23f39dc63bf8d9ead9ad89ffd84393e0e3c582c9c69c68418",
-		TableTimespans: "80978581158303dae6d908370628c5bc533343cc8a365ac13f54cc12af1f0c26",
-		TableGraph:     "bf3c877a9e3a4773b2a8a99f56cedfe1d7d70640290345dcb32e4ed667962984",
+		TableTimespans: "2238945e46ebc3490b1193c8238d7ad97b2f20c9f16c23052ecaf034921afc6f",
+		TableGraph:     "00e08b91d7f66c77e8d064126afbbd4a1071479f0af139867fdd7180f31f3e83",
 		TableMicroPart: emptyDigest,
 		TableAux:       emptyDigest,
 		TableAuxEvents: emptyDigest,
@@ -62,8 +64,8 @@ var goldenDigests = map[string]map[string]string{
 		TableDeltas:    "51df7318e3594e5ac2420aa97332bfc1f3406af3b9bb28218bf2d416f47e2668",
 		TableEvents:    "f2f2b454bac9e2f71f58cb33cdc64de1f40ecc25494c76675bacf150d02a3d95",
 		TableVersions:  "293c5799feba69f23f39dc63bf8d9ead9ad89ffd84393e0e3c582c9c69c68418",
-		TableTimespans: "5827c6bb4f9a3529c5ab94fb2a4b5dee33501534aaa83b1c5979bd7d2d9340f1",
-		TableGraph:     "3730238ddcd69ea796520397114e3e1ddf0c290e912e474f979344948e809d01",
+		TableTimespans: "d77e129408186d8f476814263968d9a5a7ce5ec05c978909c434450c271e17c5",
+		TableGraph:     "3dd3519028ecf786e88979587dbabb2bfec294afe86adbec6ed4ecf7573296a5",
 		TableMicroPart: "736534da082f10449c38f4b130e9eb85ca0386430c735803b04e656f0dbc2f24",
 		TableAux:       "cd2fc94df54865ffa7b90bd4d84aeac9aa563e8397943c58944667a8bb541807",
 		TableAuxEvents: "c44050fa0862dab65ec24a80e6098e75f2f14bffd6fab0a68d47f167b51c5144",
@@ -139,7 +141,8 @@ func TestGoldenIndexDigest(t *testing.T) {
 			store := buildGolden(t, cfg)
 			for table, got := range tableDigests(store) {
 				if want := goldenDigests[name][table]; got != want {
-					t.Errorf("table %s: stored rows digest = %s, want %s", table, got, want)
+					t.Errorf("table %s: stored rows digest = %s, want %s; a change to stored bytes bumps core.Format "+
+						"(see internal/reclog/testdata/compat/README.md)", table, got, want)
 				}
 			}
 			// The pinned index must also answer correctly.
@@ -148,22 +151,26 @@ func TestGoldenIndexDigest(t *testing.T) {
 	}
 }
 
-// TestAttachReadsRetiredConfigFields: a graph-meta row written when the
-// config still held the Ω and node-weighting selectors (always zero:
-// union-max, unit weights) reattaches and answers like the oracle.
-func TestAttachReadsRetiredConfigFields(t *testing.T) {
+// TestAttachRefusesOtherFormat: a graph-meta row of another format (here
+// one written before the number existed, format 0) is refused with
+// ErrFormat by Attach, by a New handle's first query and by Append.
+func TestAttachRefusesOtherFormat(t *testing.T) {
 	store := buildGolden(t, goldenConfigs()["random"])
 	store.Put(TableGraph, "graph", "info", []byte(`{"Name":"tgi","Start":10,"End":7900,"Events":790,"TimespanCount":4,`+
 		`"Config":{"TimespanEvents":200,"EventlistSize":40,"Arity":2,"HorizontalPartitions":4,"PartitionSize":8,`+
 		`"Partitioning":0,"Omega":0,"NodeWeighting":0,"Replicate1Hop":false,"Compress":false,"FetchClients":4}}`))
-	tgi, attached, err := Attach(store, DefaultConfig())
-	if err != nil || !attached {
-		t.Fatalf("Attach: attached=%v err=%v", attached, err)
+	want := fmt.Sprintf("format 0, this build reads format %d", Format)
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want ErrFormat naming %q", what, err, want)
+		}
 	}
-	if got, want := tgi.Config(), goldenConfigs()["random"]; got != want {
-		t.Fatalf("adopted config = %+v, want %+v", got, want)
-	}
-	checkGoldenAnswers(t, tgi)
+	_, _, err := Attach(store, DefaultConfig())
+	check("Attach", err)
+	_, err = New(store, DefaultConfig()).GetSnapshot(100, nil)
+	check("New then GetSnapshot", err)
+	check("Append", New(store, DefaultConfig()).Append([]graph.Event{{Time: 9000, Kind: graph.AddNode, Node: 1}}))
 }
 
 // TestAttachKeepsRuntimeKnobs: every json:"-" field of Config is a knob

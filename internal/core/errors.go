@@ -21,4 +21,7 @@ var (
 	// ErrOutOfRange reports a query time outside the indexed history
 	// where the caller asked for strict range checking.
 	ErrOutOfRange = errors.New("time out of indexed range")
+	// ErrFormat reports a store written in a format other than Format.
+	// Such a store is refused, not read or migrated.
+	ErrFormat = errors.New("unsupported store format")
 )

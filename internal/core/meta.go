@@ -14,9 +14,16 @@ import (
 	"hgs/internal/temporal"
 )
 
+// Format numbers the layout of everything the index stores (graph-meta,
+// span metas, delta, eventlist and version rows) and of cluster.json. A
+// change to stored bytes bumps it; a store of another number is refused
+// with ErrFormat, not read.
+const Format = 1
+
 // GraphMeta is the global index metadata (the paper's Graph table:
 // start, end, events, tscount, gtype).
 type GraphMeta struct {
+	Format        int // always Format; decodeGraphMeta refuses others
 	Name          string
 	Start         temporal.Time // time of the first event
 	End           temporal.Time // time of the last event
@@ -28,8 +35,8 @@ type GraphMeta struct {
 // TimespanMeta is the per-timespan metadata (the paper's Timespans table:
 // start, end, checkpoints, arity) plus the tree shape needed to plan
 // retrieval without touching delta rows, and what an Append needs to
-// extend the span in place: its raw event count, its per-sid node
-// counts and its layout.
+// extend the span in place: its raw event count and its per-sid node
+// counts.
 type TimespanMeta struct {
 	TSID  int
 	Start temporal.Time // time of the first event in the span
@@ -48,29 +55,19 @@ type TimespanMeta struct {
 	EventCount int
 	// LeafPaths[i] lists the delta ids (dids) from the tree root to leaf
 	// i; summing the corresponding deltas in order reconstructs the leaf.
-	// In the resumable layout a did names the leaves the delta covers
-	// (treeDID).
+	// A did names the leaves the delta covers (treeDID).
 	LeafPaths [][]int
 	// NPids[sid] is the number of micro-partitions in horizontal
 	// partition sid during this span: max(1, ceil(Nodes[sid]/PartitionSize)).
 	NPids []int
 	// Nodes[sid] counts sid's nodes over the span: those at its start
-	// plus every id its events touch (resumable layout only).
+	// plus every id its events touch.
 	Nodes []int
-	// Layout is layoutResumable for spans an Append can extend in place;
-	// zero marks a span written before it (BFS tree ids, HashPID pids,
-	// no Nodes), which its first Append re-places.
-	Layout int
 	// Partitioning records the strategy used ("random" or "locality").
 	Partitioning string
 	// Arity is the tree fan-in used for this span.
 	Arity int
 }
-
-// layoutResumable marks a TimespanMeta written by the resumable span
-// writer: micro-partitions by partition.MixPID, delta ids by treeDID,
-// eventlists filled by raw event count, and Nodes kept.
-const layoutResumable = 1
 
 // leafFor returns the leaf index whose checkpoint is the latest at or
 // before t, clamped to the span's leaves.
@@ -148,13 +145,26 @@ func (t *TGI) loadGraphMeta() (*GraphMeta, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: index has no graph metadata (empty index?): %w", ErrNotLoaded)
 	}
-	gm = &GraphMeta{}
-	if err := json.Unmarshal(blob, gm); err != nil {
-		return nil, fmt.Errorf("core: decode graph metadata: %w", err)
+	gm, err := decodeGraphMeta(blob)
+	if err != nil {
+		return nil, err
 	}
 	t.meta.mu.Lock()
 	t.meta.graph = gm
 	t.meta.mu.Unlock()
+	return gm, nil
+}
+
+// decodeGraphMeta decodes a stored graph-meta row, refusing one of
+// another Format.
+func decodeGraphMeta(blob []byte) (*GraphMeta, error) {
+	gm := &GraphMeta{}
+	if err := json.Unmarshal(blob, gm); err != nil {
+		return nil, fmt.Errorf("core: decode graph metadata: %w", err)
+	}
+	if gm.Format != Format {
+		return nil, fmt.Errorf("core: index stored in format %d, this build reads format %d: %w", gm.Format, Format, ErrFormat)
+	}
 	return gm, nil
 }
 
@@ -317,13 +327,12 @@ func (t *TGI) pidOf(tm *TimespanMeta, sid int, id graph.NodeID) (int, error) {
 // metadata lock once.
 type owner struct {
 	sid, sids, npids int
-	mixed            bool                 // pids by partition.MixPID, not HashPID
 	assign           map[graph.NodeID]int // locality partitioning only
 }
 
 // ownerOf resolves the owner of (tm, sid).
 func (t *TGI) ownerOf(tm *TimespanMeta, sid int) (owner, error) {
-	o := owner{sid: sid, sids: t.cfg.HorizontalPartitions, npids: 1, mixed: tm.Layout >= layoutResumable}
+	o := owner{sid: sid, sids: t.cfg.HorizontalPartitions, npids: 1}
 	if sid < len(tm.NPids) {
 		o.npids = tm.NPids[sid]
 	}
@@ -354,10 +363,7 @@ func (o *owner) pid(id graph.NodeID) int {
 	if pid, ok := o.assign[id]; ok {
 		return pid
 	}
-	if o.mixed {
-		return partition.MixPID(id, o.npids)
-	}
-	return partition.HashPID(id, o.npids)
+	return partition.MixPID(id, o.npids)
 }
 
 // owns reports whether micro-partition pid of sid owns node id.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -76,9 +75,9 @@ func Attach(store *kvstore.Cluster, cfg Config) (*TGI, bool, error) {
 	if !ok {
 		return t, false, nil
 	}
-	gm := &GraphMeta{}
-	if err := json.Unmarshal(blob, gm); err != nil {
-		return nil, false, fmt.Errorf("core: decode persisted graph metadata: %w", err)
+	gm, err := decodeGraphMeta(blob)
+	if err != nil {
+		return nil, false, err
 	}
 	// Construction parameters come from the store; the json:"-" fields
 	// (CacheBytes, TracePlans and the Obs registry) are properties of the

@@ -26,12 +26,11 @@ import (
 // timespan is extended in place by the span writer resumed from its
 // stored rows (resumeSpan), which rewrites only the rows the batch
 // reaches — unless the batch changes the span's placement (its
-// micro-partition counts, or any batch under locality partitioning) or
-// the span was written before the resumable layout: then the span is
-// re-placed, written again from its start by a fresh writer over its
-// recovered raw events and the batch. Rows are written first, then each
-// span's metadata, then the graph metadata; the decoded-delta cache is
-// purged last.
+// micro-partition counts, or any batch under locality partitioning):
+// then the span is re-placed, written again from its start by a fresh
+// writer over its recovered raw events and the batch. Rows are written
+// first, then each span's metadata, then the graph metadata; the
+// decoded-delta cache is purged last.
 func (t *TGI) Append(events []graph.Event) error {
 	start := time.Now()
 	gm, err := t.loadGraphMeta()
@@ -52,7 +51,7 @@ func (t *TGI) Append(events []graph.Event) error {
 		return err
 	}
 	w, rest, tsid := graph.New(), events, 0
-	next := GraphMeta{Name: "tgi", Start: events[0].Time, Config: t.cfg}
+	next := GraphMeta{Format: Format, Name: "tgi", Start: events[0].Time, Config: t.cfg}
 	if gm != nil {
 		if events[0].Time <= gm.End {
 			return fmt.Errorf("core: append batch starts at %d, not after indexed history end %d", events[0].Time, gm.End)
@@ -99,7 +98,7 @@ func (t *TGI) Append(events []graph.Event) error {
 // trailing span tm, extending it in place or re-placing it (see Append),
 // and returns the state at the span's end and the events left over.
 func (t *TGI) appendToSpan(tm *TimespanMeta, events []graph.Event) (*graph.Graph, []graph.Event, error) {
-	if tm.Layout == layoutResumable && t.cfg.Partitioning != partition.Locality {
+	if t.cfg.Partitioning != partition.Locality {
 		batch := events[:min(len(events), t.cfg.TimespanEvents-tm.EventCount)]
 		sw, err := t.resumeSpan(tm, batch)
 		if err != nil {

@@ -11,9 +11,7 @@ import (
 
 	"hgs/internal/backend"
 	"hgs/internal/backend/disklog"
-	"hgs/internal/backend/tiered"
 	"hgs/internal/kvstore"
-	"hgs/internal/reclog"
 )
 
 // The directories under testdata/compat were written by the storage code
@@ -77,79 +75,6 @@ func TestCompatDisklogDir(t *testing.T) {
 	}
 	if s.Segments() != 6 {
 		t.Fatalf("opened %d segments, want the fixture's 6", s.Segments())
-	}
-}
-
-// TestCompatTieredDir opens a directory written by the WAL-based tiered
-// engine: Open carries wal/ into the cold log and removes it, and the
-// store answers what the old engine answered — also after a reopen that
-// no longer finds the WAL.
-func TestCompatTieredDir(t *testing.T) {
-	dir := copyFixture(t, "tiered")
-	for pass := 0; pass < 2; pass++ {
-		s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := dump(s), wantFile(t, "tiered.expected"); !bytes.Equal(got, want) {
-			t.Fatalf("pass %d: parent-written tiered dir answers differently:\n got:\n%s\nwant:\n%s", pass, got, want)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "wal")); !os.IsNotExist(err) {
-			t.Fatalf("pass %d: wal/ left behind after migration: %v", pass, err)
-		}
-	}
-}
-
-// TestCompatTieredDirMigrationCrash builds the state a crash between
-// "cold log flushed" and "wal/ removed" leaves behind — the fixture's
-// WAL replayed into its cold log by hand, wal/ still present — and
-// requires Open to replay it again to the same answers.
-func TestCompatTieredDirMigrationCrash(t *testing.T) {
-	dir := copyFixture(t, "tiered")
-	cold, err := disklog.Open(filepath.Join(dir, "cold"), disklog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal, err := reclog.Open(filepath.Join(dir, "wal"), "wal", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = wal.Scan(func(_ *reclog.Segment, _ int64, payload []byte) error {
-		m, _, err := reclog.DecodeMutation(payload)
-		if err != nil {
-			return err
-		}
-		switch m.Op {
-		case reclog.OpPut:
-			cold.Put(m.Table, m.PKey, m.CKey, m.Value)
-		case reclog.OpDel:
-			cold.Delete(m.Table, m.PKey, m.CKey)
-		case reclog.OpDrop:
-			cold.DropPartition(m.Table, m.PKey)
-		}
-		return nil
-	})
-	wal.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dump(cold), wantFile(t, "tiered.expected"); !bytes.Equal(got, want) {
-		t.Fatalf("hand replay answers differently:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := tiered.Open(dir, tiered.Options{HotBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got, want := dump(s), wantFile(t, "tiered.expected"); !bytes.Equal(got, want) {
-		t.Fatalf("replaying the WAL a second time answers differently:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -15,8 +15,7 @@ const (
 	OpDrop Op = 3
 )
 
-// Mutation is the record payload of disklog segments (and of the
-// legacy tiered WAL):
+// Mutation is the record payload of disklog segments:
 //
 //	payload := op:byte str(table) str(pkey) [str(ckey)] [str(value)]
 //	str     := uvarint(len) bytes

@@ -1,8 +1,6 @@
 // Package reclog is the one on-disk record log under the durable
 // layers: disklog's segments and the cluster's hint log are files of
-// the same records (as is the write-ahead log that directories of the
-// earlier tiered engine carry, which the tiered engine migrates on
-// open),
+// the same records,
 //
 //	record := len:u32le crc:u32le payload
 //

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"hgs/internal/core"
 	"hgs/internal/kvstore"
 	"hgs/internal/workload"
 )
@@ -281,7 +283,7 @@ func TestAddNodePersistsTopology(t *testing.T) {
 	if err := json.Unmarshal(blob, &cm); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Machines != 3 || !reflect.DeepEqual(cm.Nodes, []int{0, 1, 2}) || cm.Placement != placementRing {
+	if cm.Machines != 3 || !reflect.DeepEqual(cm.Nodes, []int{0, 1, 2}) || cm.Format != core.Format {
 		t.Fatalf("persisted topology: %+v", cm)
 	}
 
@@ -348,18 +350,50 @@ func TestRemoveNodePersistsTopology(t *testing.T) {
 	}
 }
 
-// TestLegacyPlacementRefused: a cluster.json without the placement
-// field marks a mod-m-placed directory; opening it through the ring
-// would misroute every read, so Open must refuse.
-func TestLegacyPlacementRefused(t *testing.T) {
-	dir := t.TempDir()
-	blob, _ := json.Marshal(map[string]any{"machines": 2, "replication": 1, "engine": "disk"})
-	if err := os.WriteFile(filepath.Join(dir, "cluster.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
+// TestOpenRefusesOtherFormat: a data directory whose cluster.json
+// records another store format (none at all, as before the number
+// existed, or a later one) is refused with ErrFormat naming both numbers,
+// and the refusal leaves every file of the directory as it was.
+func TestOpenRefusesOtherFormat(t *testing.T) {
+	files := func(dir string) map[string]string {
+		out := map[string]string{}
+		filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				b, _ := os.ReadFile(p)
+				out[p] = string(b)
+			}
+			return err
+		})
+		return out
 	}
-	_, err := Open(Options{DataDir: dir})
-	if err == nil {
-		t.Fatal("legacy directory must be refused")
+	for _, tc := range []struct {
+		name   string
+		format int
+		meta   map[string]any
+	}{
+		{"none", 0, map[string]any{"machines": 2, "replication": 1, "engine": "disk"}},
+		{"later", 2, map[string]any{"format": 2, "machines": 2, "replication": 1, "engine": "disk", "nodes": []int{0, 1}, "virtual_nodes": 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.DataDir = t.TempDir()
+			store, _ := loadWiki(t, opts, 100)
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := json.Marshal(tc.meta)
+			if err := os.WriteFile(filepath.Join(opts.DataDir, "cluster.json"), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := files(opts.DataDir)
+			_, err := Open(Options{DataDir: opts.DataDir})
+			if want := fmt.Sprintf("format %d, this build reads format %d", tc.format, core.Format); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open: %v, want ErrFormat naming %q", err, want)
+			}
+			if after := files(opts.DataDir); !reflect.DeepEqual(before, after) {
+				t.Fatal("a refused Open changed the data directory")
+			}
+		})
 	}
 }
 
