@@ -135,7 +135,7 @@ bench:
 # CPU and allocation profiles over the Figure 11 bench workload
 # (snapshot retrieval with parallel fetch — the read hot path). Inspect
 # with `go tool pprof cpu.prof` / `go tool pprof -sample_index=alloc_space alloc.prof`;
-# a live store serves the same profiles on /debug/pprof/ (Options.DebugAddr).
+# a live store serves the same profiles on /debug/pprof/ (Store.DebugHandler).
 profile:
 	$(GO) test -run '^$$' -bench BenchmarkFig11SnapshotParallelFetch -benchtime 1x \
 		-cpuprofile cpu.prof -memprofile alloc.prof .

@@ -43,8 +43,8 @@
 //	hgs-inspect -data /tmp/hgs-wiki -topology
 //
 // -metrics replaces the human report with the store's complete metric
-// state in the Prometheus text exposition format — the same bytes the
-// embedded debug server serves on /metrics — after running the usual
+// state in the Prometheus text exposition format — the same bytes
+// Store.DebugHandler serves on /metrics — after running the usual
 // probe queries so the per-op latency histograms are populated. Build
 // progress goes to stderr, so stdout is a clean scrape:
 //

@@ -45,7 +45,7 @@ func TestSnapshotCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := store.SnapshotCtx(ctx, last)
+		_, err := store.SnapshotWith(last, &FetchOptions{Context: ctx})
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the fetch rounds start
@@ -84,70 +84,40 @@ func TestSnapshotCancellation(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded runs a cold read under an expired deadline.
+// TestDeadlineExceeded runs every retrieval that takes FetchOptions
+// cold under an expired deadline: each must return
+// context.DeadlineExceeded, so no entry point drops its options.
 func TestDeadlineExceeded(t *testing.T) {
 	opts := smallOptions()
 	opts.CacheBytes = -1
 	store, events := loadWiki(t, opts, 800)
 	defer store.Close()
-	last := events[len(events)-1].Time
+	first, last := events[0].Time, events[len(events)-1].Time
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	time.Sleep(time.Millisecond)
-	if _, err := store.SnapshotCtx(ctx, last); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired deadline returned %v, want context.DeadlineExceeded", err)
-	}
-	if _, err := store.NodeCtx(ctx, 1, last); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("NodeCtx under expired deadline returned %v", err)
-	}
-	if _, err := store.NodeHistoryCtx(ctx, 1, events[0].Time, last); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("NodeHistoryCtx under expired deadline returned %v", err)
-	}
-}
-
-// TestCtxVariantsMatchPlain checks the ...Ctx methods with a background
-// context return byte-identical results to the context-free methods.
-func TestCtxVariantsMatchPlain(t *testing.T) {
-	store, events := loadWiki(t, smallOptions(), 600)
-	defer store.Close()
-	lo := events[0].Time
-	last := events[len(events)-1].Time
-	mid := (lo + last) / 2
-	ctx := context.Background()
-
-	g1, err := store.Snapshot(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := store.SnapshotCtx(ctx, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.NumNodes() != g2.NumNodes() || g1.NumEdges() != g2.NumEdges() {
-		t.Fatalf("SnapshotCtx mismatch: %d/%d nodes", g2.NumNodes(), g1.NumNodes())
-	}
-	h1, err := store.NodeHistory(1, lo, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := store.NodeHistoryCtx(ctx, 1, lo, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h1.Events) != len(h2.Events) {
-		t.Fatalf("NodeHistoryCtx mismatch: %d/%d events", len(h2.Events), len(h1.Events))
-	}
-	c1, err := store.ChangeTimes(1, lo, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := store.ChangeTimesCtx(ctx, 1, lo, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c1) != len(c2) {
-		t.Fatalf("ChangeTimesCtx mismatch: %d/%d times", len(c2), len(c1))
+	<-ctx.Done()
+	fo := &FetchOptions{Context: ctx}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"SnapshotWith", func() error { _, err := store.SnapshotWith(last, fo); return err }},
+		{"SnapshotsWith", func() error { _, err := store.SnapshotsWith([]Time{first, last}, fo); return err }},
+		{"StreamSnapshot", func() error {
+			return store.StreamSnapshot(last, fo, func(int, []*NodeState) error { return nil })
+		}},
+		{"NodeWith", func() error { _, err := store.NodeWith(1, last, fo); return err }},
+		{"NodeHistoryWith", func() error { _, err := store.NodeHistoryWith(1, first, last, fo); return err }},
+		{"ChangeTimesWith", func() error { _, err := store.ChangeTimesWith(1, first, last, fo); return err }},
+		{"KHopWith", func() error { _, err := store.KHopWith(1, 1, last, fo); return err }},
+		{"KHopHistoryWith", func() error { _, err := store.KHopHistoryWith(1, 1, first, last, fo); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s under an expired deadline returned %v, want context.DeadlineExceeded", tc.name, err)
+			}
+		})
 	}
 }
 

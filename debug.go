@@ -1,14 +1,10 @@
 package hgs
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"hgs/internal/obs"
 )
@@ -16,25 +12,25 @@ import (
 // Registry returns the store's metrics registry: every cluster, tier,
 // cache and per-op latency counter of this store reports into it.
 // Useful for registering application-level metrics next to the store's
-// own, or for programmatic reads via Registry().Snapshot().
+// own; read it through its Prometheus exposition (WriteMetrics, or
+// /metrics on DebugHandler).
 func (s *Store) Registry() *obs.Registry { return s.obs }
 
 // WriteMetrics writes the store's complete metric state to w in the
-// Prometheus text exposition format — the same bytes the debug server's
+// Prometheus text exposition format — the same bytes DebugHandler's
 // /metrics endpoint serves.
 func (s *Store) WriteMetrics(w io.Writer) error { return s.obs.WritePrometheus(w) }
 
-// debugServer is one store's running observability endpoint.
-type debugServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// debugMux builds the handler the debug server exposes: Prometheus
-// metrics, the Go profiler, and the plan-trace ring. The pprof handlers
-// are registered explicitly on a private mux so an embedding process
-// never has profiling forced onto http.DefaultServeMux.
-func (s *Store) debugMux() *http.ServeMux {
+// DebugHandler returns the store's observability endpoints as a
+// mountable http.Handler: /metrics (Prometheus text format),
+// /debug/pprof/* (the Go profiler) and /traces (recent plan traces as
+// JSON; populated when Options.TracePlans is on). It is the one way to
+// serve a store's telemetry: cmd/hgs-server mounts it on its query
+// port, and an embedder serves it with
+// http.ListenAndServe(addr, store.DebugHandler()). The pprof handlers
+// are registered on a private mux so an embedding process never has
+// profiling forced onto http.DefaultServeMux.
+func (s *Store) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -52,61 +48,4 @@ func (s *Store) debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// DebugHandler returns the store's observability endpoints as a
-// mountable http.Handler: /metrics (Prometheus text format),
-// /debug/pprof/* (the Go profiler) and /traces (recent plan traces as
-// JSON). ServeDebug serves the same handler on its own listener;
-// DebugHandler exists so an embedding server — cmd/hgs-server mounts it
-// under /debug — exposes one port for queries and telemetry alike.
-func (s *Store) DebugHandler() http.Handler { return s.debugMux() }
-
-// ServeDebug starts the store's debug HTTP server on addr, serving
-// /metrics (Prometheus text format), /debug/pprof/* (the Go profiler)
-// and /traces (recent plan traces as JSON; populated when
-// Options.TracePlans is on). It returns the bound address — pass ":0"
-// to let the kernel pick a free port. The server runs until Close (or
-// until the process exits); starting a second one on the same store is
-// an error. Options.DebugAddr starts it from Open instead.
-func (s *Store) ServeDebug(addr string) (string, error) {
-	s.debugMu.Lock()
-	defer s.debugMu.Unlock()
-	if s.debug != nil {
-		return "", fmt.Errorf("hgs: debug server already running on %s", s.debug.ln.Addr())
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("hgs: debug listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.debugMux(), ReadHeaderTimeout: 5 * time.Second}
-	s.debug = &debugServer{ln: ln, srv: srv}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), nil
-}
-
-// DebugAddr reports the bound address of the running debug server, or
-// "" when none is running.
-func (s *Store) DebugAddr() string {
-	s.debugMu.Lock()
-	defer s.debugMu.Unlock()
-	if s.debug == nil {
-		return ""
-	}
-	return s.debug.ln.Addr().String()
-}
-
-// stopDebug shuts the debug server down, waiting briefly for in-flight
-// scrapes to drain.
-func (s *Store) stopDebug() error {
-	s.debugMu.Lock()
-	d := s.debug
-	s.debug = nil
-	s.debugMu.Unlock()
-	if d == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	return d.srv.Shutdown(ctx)
 }

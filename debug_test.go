@@ -2,16 +2,15 @@ package hgs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
-
-	"hgs/internal/obs"
 )
 
-// metricFamilies every store must expose regardless of workload — the
+// requiredFamilies every store must expose regardless of workload — the
 // contract CI's debug-endpoint smoke test asserts.
 var requiredFamilies = []string{
 	"hgs_kv_reads_total",
@@ -42,26 +41,23 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestDebugServerEndpoints boots a store with an ephemeral debug
-// server, runs a small workload, and asserts /metrics serves every
-// required family with the per-op histograms populated, /traces serves
-// the plan-trace ring as JSON, and /debug/pprof/ answers.
-func TestDebugServerEndpoints(t *testing.T) {
+// TestDebugHandlerEndpoints serves a store's DebugHandler, runs a small
+// workload, and asserts /metrics serves every required family with the
+// per-op histograms populated, /traces serves the plan-trace ring as
+// JSON, and /debug/pprof/ answers.
+func TestDebugHandlerEndpoints(t *testing.T) {
 	opts := smallOptions()
-	opts.DebugAddr = "127.0.0.1:0"
 	opts.TracePlans = true
 	store, _ := loadWiki(t, opts, 120)
 	defer store.Close()
+	srv := httptest.NewServer(store.DebugHandler())
+	defer srv.Close()
 
-	addr := store.DebugAddr()
-	if addr == "" {
-		t.Fatal("DebugAddr empty with Options.DebugAddr set")
-	}
 	if _, err := store.Snapshot(1_000); err != nil {
 		t.Fatal(err)
 	}
 
-	code, body := httpGet(t, "http://"+addr+"/metrics")
+	code, body := httpGet(t, srv.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
 	}
@@ -77,7 +73,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Error("/metrics missing populated build duration histogram")
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +82,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics Content-Type = %q, want Prometheus text format 0.0.4", ct)
 	}
 
-	code, body = httpGet(t, "http://"+addr+"/traces")
+	code, body = httpGet(t, srv.URL+"/traces")
 	if code != http.StatusOK {
 		t.Fatalf("/traces status = %d", code)
 	}
@@ -98,52 +94,24 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Fatalf("/traces = %d records, want trailing snapshot trace", len(recs))
 	}
 
-	code, _ = httpGet(t, "http://"+addr+"/debug/pprof/")
+	code, _ = httpGet(t, srv.URL+"/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status = %d", code)
 	}
 }
 
-// TestServeDebugLifecycle exercises the on-demand path: ServeDebug
-// after Open, double-start rejection, and shutdown on Close.
-func TestServeDebugLifecycle(t *testing.T) {
-	store, _ := loadWiki(t, smallOptions(), 60)
-	if store.DebugAddr() != "" {
-		t.Fatal("debug server running without DebugAddr")
-	}
-	addr, err := store.ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := store.DebugAddr(); got != addr {
-		t.Fatalf("DebugAddr = %q, want %q", got, addr)
-	}
-	if _, err := store.ServeDebug("127.0.0.1:0"); err == nil {
-		t.Fatal("second ServeDebug succeeded, want error")
-	}
-	if code, _ := httpGet(t, "http://"+addr+"/metrics"); code != http.StatusOK {
-		t.Fatalf("/metrics status = %d", code)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("debug server still serving after Close")
-	}
-}
-
 // TestProfileEndpointSmoke — skipped with -short — captures a 1-second
-// CPU profile from the live debug server while a query workload runs:
+// CPU profile from a served DebugHandler while a query workload runs:
 // the serving-side counterpart of `make profile` (which writes
 // cpu.prof/alloc.prof offline over the same bench workload).
 func TestProfileEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling smoke test skipped in -short runs")
 	}
-	opts := smallOptions()
-	opts.DebugAddr = "127.0.0.1:0"
-	store, events := loadWiki(t, opts, 120)
+	store, events := loadWiki(t, smallOptions(), 120)
 	defer store.Close()
+	srv := httptest.NewServer(store.DebugHandler())
+	defer srv.Close()
 
 	stop := make(chan struct{})
 	go func() {
@@ -161,7 +129,7 @@ func TestProfileEndpointSmoke(t *testing.T) {
 	}()
 	defer close(stop)
 
-	code, body := httpGet(t, "http://"+store.DebugAddr()+"/debug/pprof/profile?seconds=1")
+	code, body := httpGet(t, srv.URL+"/debug/pprof/profile?seconds=1")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/pprof/profile status = %d", code)
 	}
@@ -170,36 +138,57 @@ func TestProfileEndpointSmoke(t *testing.T) {
 	}
 }
 
+// metricValues reads the store's metrics through WriteMetrics into a
+// map from series (name plus braced labels) to value.
+func metricValues(t *testing.T, store *Store) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := store.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
 // TestWriteMetricsOffline asserts the programmatic exposition path —
-// what hgs-inspect -metrics uses — matches the served families and that
-// registry snapshots diff per-op work.
+// what hgs-inspect -metrics uses — carries the served families, the
+// cluster's read count, and exactly one snapshot observation per
+// snapshot call.
 func TestWriteMetricsOffline(t *testing.T) {
 	store, _ := loadWiki(t, smallOptions(), 60)
 	defer store.Close()
 
-	before := store.Registry().Snapshot()
+	const snapshots = `hgs_op_duration_seconds_count{op="snapshot"}`
+	before := metricValues(t, store)[snapshots]
 	if _, err := store.Snapshot(500); err != nil {
 		t.Fatal(err)
 	}
-	diff := store.Registry().Snapshot().Diff(before)
-	if h, ok := diff.Hist("hgs_op_duration_seconds", obs.L("op", "snapshot")); !ok || h.Count != 1 {
-		t.Fatalf("snapshot op histogram diff = %+v ok=%v, want exactly 1 observation", h, ok)
+	after := metricValues(t, store)
+	if got := after[snapshots] - before; got != 1 {
+		t.Fatalf("snapshot op histogram grew by %v, want exactly 1 observation", got)
+	}
+	if got, want := after["hgs_kv_reads_total"], float64(store.Cluster().Metrics().Reads); got != want {
+		t.Errorf("hgs_kv_reads_total = %v, want %v", got, want)
 	}
 
 	var b strings.Builder
 	if err := store.WriteMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
 	for _, fam := range requiredFamilies {
-		if !strings.Contains(out, "# TYPE "+fam+" ") {
+		if !strings.Contains(b.String(), "# TYPE "+fam+" ") {
 			t.Errorf("WriteMetrics missing family %s", fam)
-		}
-	}
-	if reads := store.Cluster().Metrics().Reads; reads > 0 {
-		want := fmt.Sprintf("hgs_kv_reads_total %d", reads)
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteMetrics missing %q", want)
 		}
 	}
 }

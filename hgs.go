@@ -132,13 +132,13 @@
 // drives a spawned server closed- and open-loop and reports throughput,
 // latency and the shed ratio. See README "Serving".
 //
-// Every retrieval has a ...Ctx variant (SnapshotCtx, NodeCtx, ...)
-// taking a context.Context whose deadline and cancellation propagate
+// A retrieval's deadline and cancellation travel in
+// FetchOptions.Context (SnapshotWith, NodeWith, ...) and propagate
 // through the fetch layer into the simulated cluster: batched store
 // rounds abandon their waits, decode and materialize workers stop at
 // partition boundaries, and the call returns ctx.Err() promptly without
-// leaking goroutines or polluting the cache. The context-free methods
-// are equivalent to passing context.Background().
+// leaking goroutines or polluting the cache. A nil Context, like a nil
+// FetchOptions, means context.Background().
 //
 // Failures surface as typed sentinels — ErrNotLoaded, ErrClosed,
 // ErrNodeNotFound, ErrOutOfRange — matched with errors.Is; the server
@@ -153,9 +153,9 @@
 //   - Index-construction options (Options.TimespanEvents, Arity,
 //     Compress, ...) are properties of the stored index: persisted with
 //     a DataDir, adopted on reattach, conflicting values rejected.
-//   - Process-runtime options (Options.CacheBytes, TracePlans,
-//     DebugAddr, ...) are properties of the reading process: never
-//     persisted, kept across a reattach.
+//   - Process-runtime options (Options.CacheBytes, TracePlans, ...)
+//     are properties of the reading process: never persisted, kept
+//     across a reattach.
 //   - Per-call options travel in FetchOptions — the one options struct
 //     of the query API (Context, Clients, Trace). Nil always means
 //     defaults.
@@ -388,13 +388,6 @@ type Options struct {
 	// FetchOptions.Trace works regardless of this knob. A runtime knob
 	// of this process — not persisted with a DataDir store.
 	TracePlans bool
-	// DebugAddr, when non-empty, serves the store's observability
-	// endpoints on this address for the store's lifetime: Prometheus
-	// text-format metrics on /metrics, the Go profiler on
-	// /debug/pprof/*, and the recent plan traces as JSON on /traces.
-	// Use ":0" for an ephemeral port — Store.DebugAddr reports what was
-	// bound. Store.ServeDebug starts the same server on demand instead.
-	DebugAddr string
 }
 
 func (o Options) coreConfig() core.Config {
@@ -447,9 +440,6 @@ type Store struct {
 	closeMu sync.Mutex
 	closed  bool
 	active  sync.WaitGroup
-
-	debugMu sync.Mutex
-	debug   *debugServer
 }
 
 // beginOp registers an in-flight operation. It fails with ErrClosed
@@ -721,12 +711,6 @@ func Open(opts Options) (*Store, error) {
 		engine:  engine,
 	}
 	s.loaded.Store(attached)
-	if opts.DebugAddr != "" {
-		if _, err := s.ServeDebug(opts.DebugAddr); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -786,12 +770,12 @@ func (s *Store) Durable() bool { return s.durable }
 // Engine reports the storage engine the store runs on.
 func (s *Store) Engine() StorageEngine { return s.engine }
 
-// Close flushes and closes the backing storage engines (and shuts down
-// the debug server when one is running). In-flight queries are drained
-// first: Close marks the store closed — new operations fail with
-// ErrClosed — then waits for active ones to finish before tearing down
-// the cluster, so a query can never race a disappearing engine. Close
-// is idempotent; the store must not be used afterwards.
+// Close flushes and closes the backing storage engines. In-flight
+// queries are drained first: Close marks the store closed — new
+// operations fail with ErrClosed — then waits for active ones to finish
+// before tearing down the cluster, so a query can never race a
+// disappearing engine. Close is idempotent; the store must not be used
+// afterwards.
 func (s *Store) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -801,11 +785,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.closeMu.Unlock()
 	s.active.Wait()
-	derr := s.stopDebug()
-	if err := s.cluster.Close(); err != nil {
-		return err
-	}
-	return derr
+	return s.cluster.Close()
 }
 
 // Backup writes a consistent copy of a quiesced durable store into dir:
@@ -841,11 +821,6 @@ func (s *Store) Snapshot(tt Time) (*Graph, error) {
 	return s.SnapshotWith(tt, nil)
 }
 
-// SnapshotCtx is Snapshot honoring a context's deadline/cancellation.
-func (s *Store) SnapshotCtx(ctx context.Context, tt Time) (*Graph, error) {
-	return s.SnapshotWith(tt, &FetchOptions{Context: ctx})
-}
-
 // SnapshotWith retrieves a snapshot with explicit fetch options.
 func (s *Store) SnapshotWith(tt Time, opts *FetchOptions) (*Graph, error) {
 	if err := s.beginOp(); err != nil {
@@ -874,11 +849,6 @@ func (s *Store) Node(id NodeID, tt Time) (*NodeState, error) {
 	return s.NodeWith(id, tt, nil)
 }
 
-// NodeCtx is Node honoring a context's deadline/cancellation.
-func (s *Store) NodeCtx(ctx context.Context, id NodeID, tt Time) (*NodeState, error) {
-	return s.NodeWith(id, tt, &FetchOptions{Context: ctx})
-}
-
 // NodeWith retrieves one node's state with explicit fetch options.
 func (s *Store) NodeWith(id NodeID, tt Time, opts *FetchOptions) (*NodeState, error) {
 	if err := s.beginOp(); err != nil {
@@ -891,12 +861,6 @@ func (s *Store) NodeWith(id NodeID, tt Time, opts *FetchOptions) (*NodeState, er
 // NodeHistory retrieves a node's evolution over [ts, te).
 func (s *Store) NodeHistory(id NodeID, ts, te Time) (*NodeHistory, error) {
 	return s.NodeHistoryWith(id, ts, te, nil)
-}
-
-// NodeHistoryCtx is NodeHistory honoring a context's
-// deadline/cancellation.
-func (s *Store) NodeHistoryCtx(ctx context.Context, id NodeID, ts, te Time) (*NodeHistory, error) {
-	return s.NodeHistoryWith(id, ts, te, &FetchOptions{Context: ctx})
 }
 
 // NodeHistoryWith retrieves a node's evolution with explicit fetch
@@ -915,12 +879,6 @@ func (s *Store) ChangeTimes(id NodeID, ts, te Time) ([]Time, error) {
 	return s.ChangeTimesWith(id, ts, te, nil)
 }
 
-// ChangeTimesCtx is ChangeTimes honoring a context's
-// deadline/cancellation.
-func (s *Store) ChangeTimesCtx(ctx context.Context, id NodeID, ts, te Time) ([]Time, error) {
-	return s.ChangeTimesWith(id, ts, te, &FetchOptions{Context: ctx})
-}
-
 // ChangeTimesWith returns a node's change times with explicit fetch
 // options.
 func (s *Store) ChangeTimesWith(id NodeID, ts, te Time, opts *FetchOptions) ([]Time, error) {
@@ -934,11 +892,6 @@ func (s *Store) ChangeTimesWith(id NodeID, ts, te Time, opts *FetchOptions) ([]T
 // KHop retrieves the k-hop neighborhood subgraph of id as of tt.
 func (s *Store) KHop(id NodeID, k int, tt Time) (*Graph, error) {
 	return s.KHopWith(id, k, tt, nil)
-}
-
-// KHopCtx is KHop honoring a context's deadline/cancellation.
-func (s *Store) KHopCtx(ctx context.Context, id NodeID, k int, tt Time) (*Graph, error) {
-	return s.KHopWith(id, k, tt, &FetchOptions{Context: ctx})
 }
 
 // KHopWith retrieves a k-hop neighborhood with explicit fetch options.
@@ -956,12 +909,6 @@ func (s *Store) KHopHistory(id NodeID, k int, ts, te Time) (*SubgraphHistory, er
 	return s.KHopHistoryWith(id, k, ts, te, nil)
 }
 
-// KHopHistoryCtx is KHopHistory honoring a context's
-// deadline/cancellation.
-func (s *Store) KHopHistoryCtx(ctx context.Context, id NodeID, k int, ts, te Time) (*SubgraphHistory, error) {
-	return s.KHopHistoryWith(id, k, ts, te, &FetchOptions{Context: ctx})
-}
-
 // KHopHistoryWith retrieves a neighborhood evolution with explicit
 // fetch options.
 func (s *Store) KHopHistoryWith(id NodeID, k int, ts, te Time, opts *FetchOptions) (*SubgraphHistory, error) {
@@ -977,11 +924,6 @@ func (s *Store) KHopHistoryWith(id NodeID, k int, ts, te Time, opts *FetchOption
 // times, and a repeated time gets its own graph.
 func (s *Store) Snapshots(times []Time) ([]*Graph, error) {
 	return s.SnapshotsWith(times, nil)
-}
-
-// SnapshotsCtx is Snapshots honoring a context's deadline/cancellation.
-func (s *Store) SnapshotsCtx(ctx context.Context, times []Time) ([]*Graph, error) {
-	return s.SnapshotsWith(times, &FetchOptions{Context: ctx})
 }
 
 // SnapshotsWith retrieves multiple snapshots with explicit fetch

@@ -25,9 +25,7 @@
 //     StoredBytes, Flush, Close. The cluster calls all of it
 //     unconditionally; nothing here is probed.
 //   - optional: Tiered (engines that count reads served from memory
-//     and from disk),
-//     Digester (digest a partition without copying its rows), Backuper
-//     (durable engines).
+//     and from disk), Backuper (durable engines).
 //     Each is probed by one type assertion in kvstore and has a stated
 //     behaviour for engines without it.
 package backend
@@ -149,14 +147,6 @@ func DigestRows(rows []Row) uint64 {
 		h.Write(r.Value)
 	}
 	return h.Sum64()
-}
-
-// Digester is an optional interface of engines that can digest one
-// partition without materializing caller-owned row copies the way
-// ScanPrefix must. The result must equal DigestRows over the
-// partition's rows. Engines without it are digested through a scan.
-type Digester interface {
-	DigestPartition(table, pkey string) uint64
 }
 
 // Backuper is an optional interface of durable engines that can write a

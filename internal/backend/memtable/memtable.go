@@ -162,13 +162,6 @@ func (s *Store) DropPartition(table, pkey string) {
 	delete(t, pkey)
 }
 
-// HasPartition reports whether the table holds the partition object
-// (an emptied partition still counts until dropped).
-func (s *Store) HasPartition(table, pkey string) bool {
-	_, ok := s.tables[table][pkey]
-	return ok
-}
-
 // Tables returns the sorted table names holding at least one partition.
 func (s *Store) Tables() []string {
 	out := make([]string, 0, len(s.tables))
@@ -191,17 +184,6 @@ func (s *Store) PartitionKeys(table string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DigestPartition digests one partition for anti-entropy comparison
-// straight off the sorted row slice — no per-row value copies the way
-// a ScanPrefix-then-DigestRows round trip would allocate.
-func (s *Store) DigestPartition(table, pkey string) uint64 {
-	p := s.partitionFor(table, pkey, false)
-	if p == nil {
-		return backend.DigestRows(nil)
-	}
-	return backend.DigestRows(p.rows)
 }
 
 // StoredBytes returns the logical live bytes held by this engine.

@@ -93,11 +93,7 @@ func placementKey(tsid, sid int) string { return fetch.PlacementKey(tsid, sid) }
 
 func deltaCKey(did, pid int) string { return fetch.DeltaCKey(did, pid) }
 
-func deltaPrefix(did int) string { return fetch.DeltaPrefix(did) }
-
 func eventCKey(el, pid int) string { return fetch.EventCKey(el, pid) }
-
-func eventPrefix(el int) string { return fetch.EventPrefix(el) }
 
 func nodeCKey(id graph.NodeID) string { return fetch.NodeCKey(id) }
 

@@ -631,17 +631,6 @@ func (g *Graph) Symmetrize() {
 	}
 }
 
-// FilterNodes returns the induced subgraph on nodes satisfying pred.
-func (g *Graph) FilterNodes(pred func(*NodeState) bool) *Graph {
-	var ids []NodeID
-	for id, ns := range g.all {
-		if pred(ns) {
-			ids = append(ids, id)
-		}
-	}
-	return g.Subgraph(ids)
-}
-
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph(%d nodes, %d edges)", g.NumNodes(), g.NumEdges())
 }

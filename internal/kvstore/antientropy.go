@@ -172,19 +172,13 @@ func (c *Cluster) digestOwner(id int, parts []partition) *ownerDigest {
 		return nil
 	}
 	od := &ownerDigest{node: node, leaves: make(map[partition]uint64, len(parts))}
-	dg, _ := node.be.(backend.Digester)
 	for _, p := range parts {
-		var d uint64
 		node.mu.Lock()
 		if node.closed {
 			node.mu.Unlock()
 			return nil
 		}
-		if dg != nil {
-			d = dg.DigestPartition(p.table, p.pkey)
-		} else {
-			d = backend.DigestRows(node.be.ScanPrefix(p.table, p.pkey, ""))
-		}
+		d := backend.DigestRows(node.be.ScanPrefix(p.table, p.pkey, ""))
 		node.mu.Unlock()
 		od.leaves[p] = d
 		od.buckets[aeBucket(p)] = mixDigest(od.buckets[aeBucket(p)], d)

@@ -324,9 +324,9 @@ func TestAntiEntropySkipsDownReplica(t *testing.T) {
 	}
 }
 
-// scanHookEngine wraps a node engine so a test can act inside a scan.
-// Embedding the interface hides backend.Digester, so the anti-entropy
-// digest pass scans too.
+// scanHookEngine wraps a node engine so a test can act inside a scan;
+// the anti-entropy digest pass reads through ScanPrefix as well, so it
+// counts as the first scan of each partition.
 type scanHookEngine struct {
 	backend.Backend
 	scans  int

@@ -82,10 +82,10 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// snapshot captures the histogram's current state. Buckets are read
-// without a global lock, so a snapshot taken under concurrent Observe
-// traffic is a consistent-enough view (each bucket individually
-// exact); diffs of quiesced before/after pairs are exact.
+// snapshot captures the histogram's current state for the exposition.
+// Buckets are read without a global lock, so a snapshot taken under
+// concurrent Observe traffic is a consistent-enough view (each bucket
+// individually exact); a quiesced histogram reads exactly.
 func (h *Histogram) snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
@@ -102,8 +102,8 @@ func (h *Histogram) snapshot() HistSnapshot {
 	return out
 }
 
-// HistSnapshot is an immutable copy of a histogram's state, as held in
-// a Snapshot and returned by diffs.
+// HistSnapshot is an immutable copy of a histogram's state, as the
+// Prometheus exposition renders it.
 type HistSnapshot struct {
 	// Bounds are the bucket upper bounds (ascending, +Inf implicit).
 	Bounds []float64
@@ -113,23 +113,4 @@ type HistSnapshot struct {
 	// Count and Sum are the total sample count and value sum.
 	Count uint64
 	Sum   float64
-}
-
-// Sub returns the per-bucket difference h - prev: the distribution of
-// the samples observed between the two snapshots. Mismatched bounds
-// (e.g. prev is the zero value) return h unchanged.
-func (h HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	if len(prev.Counts) != len(h.Counts) {
-		return h
-	}
-	out := HistSnapshot{
-		Bounds: h.Bounds,
-		Counts: make([]uint64, len(h.Counts)),
-		Count:  h.Count - prev.Count,
-		Sum:    h.Sum - prev.Sum,
-	}
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] - prev.Counts[i]
-	}
-	return out
 }

@@ -43,29 +43,6 @@ func TestHistogramBucketAssignment(t *testing.T) {
 	}
 }
 
-func TestHistogramSubDiff(t *testing.T) {
-	h := newHistogram([]float64{1, 10})
-	h.Observe(0.5)
-	before := h.snapshot()
-	h.Observe(5)
-	h.Observe(0.5)
-	d := h.snapshot().Sub(before)
-	if d.Count != 2 {
-		t.Fatalf("diff count = %d, want 2", d.Count)
-	}
-	if d.Counts[0] != 1 || d.Counts[1] != 1 || d.Counts[2] != 0 {
-		t.Fatalf("diff buckets = %v", d.Counts)
-	}
-	if d.Sum != 5.5 {
-		t.Fatalf("diff sum = %v, want 5.5", d.Sum)
-	}
-	// Mismatched bounds (zero prev) return the snapshot unchanged.
-	full := h.snapshot()
-	if got := full.Sub(HistSnapshot{}); got.Count != full.Count {
-		t.Fatal("Sub against zero snapshot did not return the full state")
-	}
-}
-
 func TestNilHistogramObserve(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic

@@ -2,11 +2,10 @@
 // metrics registry that every counter of the system registers into —
 // the kvstore cluster counters, the tier counters of the tiered
 // engine, the decoded-delta cache statistics, and per-operation
-// latency histograms recorded by the query layer. On top of the
-// registry sit Prometheus text-format exposition (WritePrometheus)
-// and snapshot/diff support, so the same numbers drive the debug
-// HTTP server, hgs-inspect -metrics, the bench JSON output, and the
-// perf-regression ratchet.
+// latency histograms recorded by the query layer. The registry is read
+// one way, through its Prometheus text-format exposition
+// (WritePrometheus), so the same numbers drive the /metrics endpoint
+// of a store's DebugHandler and hgs-inspect -metrics.
 //
 // The registry holds three metric kinds:
 //
@@ -27,7 +26,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -159,7 +157,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // CounterFunc registers a func-backed counter: fn is sampled at
-// exposition/snapshot time and must report a cumulative value (the
+// exposition time and must report a cumulative value (the
 // hook existing atomic counters register through). Re-registering
 // replaces the sampler.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
@@ -219,8 +217,8 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (zero for func-backed counters read
-// through Snapshot instead).
+// Value returns the current count (zero for func-backed counters,
+// which are sampled by the exposition instead).
 func (c *Counter) Value() int64 {
 	if c == nil || c.s == nil {
 		return 0
@@ -276,6 +274,3 @@ func (r *Registry) visit(fn func(f *family, s *series)) {
 		}
 	}
 }
-
-// inf is the implicit last bucket bound.
-var inf = math.Inf(1)

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -31,29 +33,51 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// exposition reads r through WritePrometheus into a map from series
+// (the text before the value: name plus braced labels) to value.
+func exposition(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestFuncBackedMetricsSampledAtSnapshot: a func-backed series reads
+// its sampler's value at exposition time, not at registration.
 func TestFuncBackedMetricsSampledAtSnapshot(t *testing.T) {
 	r := NewRegistry()
 	v := 3.0
 	r.CounterFunc("ext_total", "external", func() float64 { return v })
 	r.GaugeFunc("ext_level", "external level", func() float64 { return 2 * v })
-	s1 := r.Snapshot()
+	s1 := exposition(t, r)
 	v = 10
-	s2 := r.Snapshot()
-	if got := s1.Value("ext_total"); got != 3 {
+	s2 := exposition(t, r)
+	if got := s1["ext_total"]; got != 3 {
 		t.Fatalf("first sample = %v, want 3", got)
 	}
-	if got := s2.Value("ext_total"); got != 10 {
+	if got := s2["ext_total"]; got != 10 {
 		t.Fatalf("second sample = %v, want 10", got)
 	}
-	if got := s2.Value("ext_level"); got != 20 {
+	if got := s2["ext_level"]; got != 20 {
 		t.Fatalf("gauge sample = %v, want 20", got)
-	}
-	if got := s2.Diff(s1).Value("ext_total"); got != 7 {
-		t.Fatalf("diff = %v, want 7", got)
 	}
 	// Re-registering replaces the sampler.
 	r.CounterFunc("ext_total", "external", func() float64 { return 99 })
-	if got := r.Snapshot().Value("ext_total"); got != 99 {
+	if got := exposition(t, r)["ext_total"]; got != 99 {
 		t.Fatalf("replaced sampler reads %v, want 99", got)
 	}
 }
@@ -65,12 +89,12 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Histogram("c", "", nil).Observe(1)
 	r.CounterFunc("d", "", func() float64 { return 1 })
 	r.GaugeFunc("e", "", func() float64 { return 1 })
-	if s := r.Snapshot(); len(s.Values) != 0 || len(s.Hists) != 0 {
-		t.Fatal("nil registry snapshot not empty")
-	}
-	var sb nullWriter
-	if err := r.WritePrometheus(&sb); err != nil {
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("nil registry wrote %q, want nothing", b.String())
 	}
 }
 
@@ -89,16 +113,18 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
-// TestSnapshotDiffUnderConcurrency exercises the registry's
-// snapshot/diff path while counters, gauges and histograms are being
-// hammered from many goroutines — the -race half of the registry
-// contract. The final quiesced diff must account for every recorded
-// event exactly.
+// TestSnapshotDiffUnderConcurrency reads the registry's exposition
+// while counters and histograms are hammered from many goroutines — the
+// -race half of the registry contract. The difference between a reading
+// before and one after the quiesced writers must account for every
+// recorded event exactly.
 func TestSnapshotDiffUnderConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	h := r.Histogram("lat", "latency", nil, L("op", "x"))
-	base := r.Snapshot()
+	c.Add(5)
+	h.Observe(0.5)
+	base := exposition(t, r)
 
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -111,8 +137,6 @@ func TestSnapshotDiffUnderConcurrency(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s := r.Snapshot()
-				_ = s.Diff(base)
 				var nw nullWriter
 				r.WritePrometheus(&nw)
 			}
@@ -133,39 +157,16 @@ func TestSnapshotDiffUnderConcurrency(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	d := r.Snapshot().Diff(base)
-	if got := d.Value("ops_total"); got != workers*per {
+	end := exposition(t, r)
+	if got := end["ops_total"] - base["ops_total"]; got != workers*per {
 		t.Fatalf("counter diff = %v, want %d", got, workers*per)
 	}
-	hs, ok := d.Hist("lat", L("op", "x"))
-	if !ok {
-		t.Fatal("histogram series missing from snapshot")
+	count := `lat_count{op="x"}`
+	if got := end[count] - base[count]; got != workers*per {
+		t.Fatalf("histogram count diff = %v, want %d", got, workers*per)
 	}
-	if hs.Count != workers*per {
-		t.Fatalf("histogram count = %d, want %d", hs.Count, workers*per)
-	}
-	var bucketSum uint64
-	for _, c := range hs.Counts {
-		bucketSum += c
-	}
-	if bucketSum != hs.Count {
-		t.Fatalf("bucket sum %d != count %d", bucketSum, hs.Count)
-	}
-}
-
-func TestSnapshotKeysSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z_total", "")
-	r.Counter("a_total", "")
-	r.Histogram("m_hist", "", nil)
-	keys := r.Snapshot().Keys()
-	want := []string{"a_total", "z_total", "m_hist"}
-	if len(keys) != len(want) {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
+	// Buckets are cumulative: the +Inf bucket holds every sample.
+	if all := end[`lat_bucket{op="x",le="+Inf"}`]; all != end[count] {
+		t.Fatalf("+Inf bucket %v != count %v", all, end[count])
 	}
 }

@@ -52,6 +52,15 @@ func writeHistogram(w *bufio.Writer, name, sig string, h HistSnapshot) {
 	w.WriteString(seriesKey(name+"_count", sig) + " " + strconv.FormatUint(h.Count, 10) + "\n")
 }
 
+// seriesKey is the series part of an exposition line: the family
+// name, plus the sorted label signature in braces when labeled.
+func seriesKey(name, sig string) string {
+	if sig == "" {
+		return name
+	}
+	return name + "{" + sig + "}"
+}
+
 // formatValue renders a sample value the way Prometheus clients do:
 // shortest round-trip representation, +Inf/-Inf/NaN spelled out.
 func formatValue(v float64) string {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestFormatValue(t *testing.T) {
 		v    float64
 		want string
 	}{
-		{0, "0"}, {1024, "1024"}, {0.25, "0.25"}, {inf, "+Inf"},
+		{0, "0"}, {1024, "1024"}, {0.25, "0.25"}, {math.Inf(1), "+Inf"},
 	} {
 		if got := formatValue(tc.v); got != tc.want {
 			t.Fatalf("formatValue(%v) = %q, want %q", tc.v, got, tc.want)

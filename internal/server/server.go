@@ -629,7 +629,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) error {
 	if err := s.checkRange(hgs.Time(tt)); err != nil {
 		return err
 	}
-	ns, err := s.store.NodeCtx(r.Context(), hgs.NodeID(id), hgs.Time(tt))
+	ns, err := s.store.NodeWith(hgs.NodeID(id), hgs.Time(tt), &hgs.FetchOptions{Context: r.Context()})
 	if err != nil {
 		return err
 	}
@@ -655,7 +655,7 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	h, err := s.store.NodeHistoryCtx(r.Context(), hgs.NodeID(id), hgs.Time(ts), hgs.Time(te))
+	h, err := s.store.NodeHistoryWith(hgs.NodeID(id), hgs.Time(ts), hgs.Time(te), &hgs.FetchOptions{Context: r.Context()})
 	if err != nil {
 		return err
 	}
@@ -696,7 +696,7 @@ func (s *Server) handleChangeTimes(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	times, err := s.store.ChangeTimesCtx(r.Context(), hgs.NodeID(id), hgs.Time(ts), hgs.Time(te))
+	times, err := s.store.ChangeTimesWith(hgs.NodeID(id), hgs.Time(ts), hgs.Time(te), &hgs.FetchOptions{Context: r.Context()})
 	if err != nil {
 		return err
 	}
@@ -722,7 +722,7 @@ func (s *Server) handleKHop(w http.ResponseWriter, r *http.Request) error {
 	if err := s.checkRange(hgs.Time(tt)); err != nil {
 		return err
 	}
-	g, err := s.store.KHopCtx(r.Context(), hgs.NodeID(id), int(k), hgs.Time(tt))
+	g, err := s.store.KHopWith(hgs.NodeID(id), int(k), hgs.Time(tt), &hgs.FetchOptions{Context: r.Context()})
 	if err != nil {
 		return err
 	}
@@ -749,7 +749,7 @@ func (s *Server) handleKHopHistory(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	sh, err := s.store.KHopHistoryCtx(r.Context(), hgs.NodeID(id), int(k), hgs.Time(ts), hgs.Time(te))
+	sh, err := s.store.KHopHistoryWith(hgs.NodeID(id), int(k), hgs.Time(ts), hgs.Time(te), &hgs.FetchOptions{Context: r.Context()})
 	if err != nil {
 		return err
 	}
