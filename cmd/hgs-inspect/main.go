@@ -28,7 +28,7 @@
 // replay that rebuilds the index, so the newest rows are served from
 // memory at once.
 //
-// -trace records a plan trace for every probe query and prints each
+// -trace prints the store's plan traces of the probe queries — each
 // retrieval's planned key set and its per-table cache-hit /
 // negative-hit / KV-read breakdown, with exact round-trip and
 // simulated-wait attribution:
@@ -75,7 +75,7 @@ func main() {
 	engine := flag.String("engine", "", "storage engine for -data: disk | tiered (default: disk, or whatever the directory was created with)")
 	hotBytes := flag.Int64("hot-bytes", 0, "tiered engine: per-node memory copy budget in bytes (default 32 MiB)")
 	backup := flag.String("backup", "", "after inspecting, copy the quiesced store into this fresh directory")
-	trace := flag.Bool("trace", false, "record per-query plan traces and print each probe's plan/cache/KV breakdown")
+	trace := flag.Bool("trace", false, "print each probe's plan trace: its plan/cache/KV breakdown")
 	metrics := flag.Bool("metrics", false, "dump the store's metrics in Prometheus text format on stdout instead of the human report")
 	topology := flag.Bool("topology", false, "print the placement topology: per-node vnode count, key share, stored bytes, under-replicated partitions")
 	flag.Parse()
@@ -99,7 +99,6 @@ func main() {
 		DataDir:              *dataDir,
 		Engine:               hgs.StorageEngine(*engine),
 		HotBytes:             *hotBytes,
-		TracePlans:           *trace,
 	}
 	if *dataDir != "" {
 		if _, err := os.Stat(filepath.Join(*dataDir, "cluster.json")); err == nil {
@@ -109,9 +108,8 @@ func main() {
 			explicit := map[string]bool{}
 			flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 			probeOpts := hgs.Options{
-				DataDir:    *dataDir,
-				HotBytes:   *hotBytes,
-				TracePlans: *trace,
+				DataDir:  *dataDir,
+				HotBytes: *hotBytes,
 			}
 			if explicit["machines"] {
 				probeOpts.Machines = *machines
@@ -132,7 +130,7 @@ func main() {
 			}
 			fmt.Fprintf(banner, "reattached to existing index in %s (engine %s; no rebuild; dataset/index flags come from the store)\n",
 				*dataDir, probe.Engine())
-			inspect(probe, report)
+			inspect(probe, report, *trace)
 			dumpTopology(probe, *topology, os.Stdout)
 			dumpMetrics(probe, *metrics)
 			runBackup(probe, *backup)
@@ -176,7 +174,7 @@ func main() {
 	if err := store.Load(events); err != nil {
 		log.Fatal(err)
 	}
-	inspect(store, report)
+	inspect(store, report, *trace)
 	dumpTopology(store, *topology, os.Stdout)
 	dumpMetrics(store, *metrics)
 	runBackup(store, *backup)
@@ -246,9 +244,9 @@ func dumpMetrics(store *hgs.Store, enabled bool) {
 
 // inspect runs index statistics and a few probe queries, reporting to
 // out (io.Discard in -metrics mode: the queries still run and populate
-// the metric registry, only the prose is suppressed).
-func inspect(store *hgs.Store, out io.Writer) {
-
+// the metric registry, only the prose is suppressed). With traces it
+// also prints the store's plan traces of the probes.
+func inspect(store *hgs.Store, out io.Writer, traces bool) {
 	st, err := store.Stats()
 	if err != nil {
 		log.Fatal(err)
@@ -260,44 +258,35 @@ func inspect(store *hgs.Store, out io.Writer) {
 
 	mid := (lo + hi) / 2
 	for _, tt := range []hgs.Time{lo + (hi-lo)/4, mid, hi} {
-		store.Cluster().ResetMetrics()
-		g, err := store.Snapshot(tt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := store.Cluster().Metrics()
-		fmt.Fprintf(out, "snapshot@%-12d: %6d nodes %7d edges  (%d reads, %d round-trips, %d KB)\n",
-			tt, g.NumNodes(), g.NumEdges(), m.Reads, m.RoundTrips, m.BytesRead/1024)
+		var g *hgs.Graph
+		reads := cost(store, func() (err error) { g, err = store.Snapshot(tt); return err })
+		fmt.Fprintf(out, "snapshot@%-12d: %6d nodes %7d edges  (%s)\n", tt, g.NumNodes(), g.NumEdges(), reads)
 	}
 
 	g, _ := store.Snapshot(hi)
 	top := g.DegreeCentralityTop(3)
 	for _, id := range top {
-		store.Cluster().ResetMetrics()
-		h, err := store.NodeHistory(id, lo, hi+1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := store.Cluster().Metrics()
-		fmt.Fprintf(out, "history node %-10d: %4d changes, %d versions  (%d reads, %d round-trips, %d KB)\n",
-			id, len(h.Events), len(h.Versions()), m.Reads, m.RoundTrips, m.BytesRead/1024)
+		var h *hgs.NodeHistory
+		reads := cost(store, func() (err error) { h, err = store.NodeHistory(id, lo, hi+1); return err })
+		fmt.Fprintf(out, "history node %-10d: %4d changes, %d versions  (%s)\n",
+			id, len(h.Events), len(h.Versions()), reads)
 	}
 
 	// A second pass over the same snapshots shows the decoded-delta
 	// cache at work: warm queries mostly skip the store.
-	store.Cluster().ResetMetrics()
-	for _, tt := range []hgs.Time{lo + (hi-lo)/4, mid, hi} {
-		if _, err := store.Snapshot(tt); err != nil {
-			log.Fatal(err)
+	reads := cost(store, func() error {
+		for _, tt := range []hgs.Time{lo + (hi-lo)/4, mid, hi} {
+			if _, err := store.Snapshot(tt); err != nil {
+				return err
+			}
 		}
-	}
-	m := store.Cluster().Metrics()
+		return nil
+	})
 	st, err = store.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(out, "warm rerun: 3 snapshots in %d reads, %d round-trips; %s\n",
-		m.Reads, m.RoundTrips, st.Cache)
+	fmt.Fprintf(out, "warm rerun: 3 snapshots in %s; %s\n", reads, st.Cache)
 
 	// Disk stores also report the memory/disk split of their reads, the
 	// bytes written to disk and the log compactions since open.
@@ -306,12 +295,32 @@ func inspect(store *hgs.Store, out io.Writer) {
 			tm.TierHotReads, tm.TierColdReads, tm.TierHotBytes/1024, tm.FlushedBytes/1024, tm.Compactions)
 	}
 
-	// With -trace, every probe query above left a plan trace: print the
-	// per-query plan/cache/KV breakdown, oldest first.
-	if traces := store.PlanTraces(); len(traces) > 0 {
+	// Every probe query above left a plan trace in the store's ring:
+	// with -trace, print the per-query plan/cache/KV breakdown, oldest
+	// first.
+	if traces {
 		fmt.Fprintln(out, "plan traces (oldest first):")
-		for _, tr := range traces {
+		for _, tr := range store.PlanTraces() {
 			fmt.Fprintln(out, " ", tr)
 		}
 	}
+}
+
+// cost runs one probe query and renders what it cost the store: the
+// difference of the store's counters after and before it, which only
+// go up.
+func cost(store *hgs.Store, query func() error) string {
+	before, err := store.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := query(); err != nil {
+		log.Fatal(err)
+	}
+	after, err := store.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, b := after.StoreMetrics, before.StoreMetrics
+	return fmt.Sprintf("%d reads, %d round-trips, %d KB", a.Reads-b.Reads, a.RoundTrips-b.RoundTrips, (a.BytesRead-b.BytesRead)/1024)
 }

@@ -39,7 +39,6 @@ func main() {
 		replication = flag.Int("replication", 0, "replicas per partition (new stores; r>=2 keeps queries alive through /admin/node/fail)")
 		gen         = flag.Int("gen", 0, "load a synthetic history of this many nodes if the store is empty")
 		cacheMB     = flag.Int64("cache-mb", 0, "decoded-delta cache budget in MiB (0: default, <0: off)")
-		tracePlans  = flag.Bool("trace", false, "keep recent plan traces (served on /traces)")
 		maxInflight = flag.Int("max-inflight", 64, "concurrent request limit; excess sheds 429")
 		timeout     = flag.Duration("timeout", 5*time.Second, "default per-request deadline")
 		maxTimeout  = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested ?timeout=")
@@ -60,7 +59,6 @@ func main() {
 		Machines:    *machines,
 		Replication: *replication,
 		CacheBytes:  cacheBytes,
-		TracePlans:  *tracePlans,
 	})
 	if err != nil {
 		log.Fatalf("open store: %v", err)

@@ -23,8 +23,8 @@ func (s *Store) WriteMetrics(w io.Writer) error { return s.obs.WritePrometheus(w
 
 // DebugHandler returns the store's observability endpoints as a
 // mountable http.Handler: /metrics (Prometheus text format),
-// /debug/pprof/* (the Go profiler) and /traces (recent plan traces as
-// JSON; populated when Options.TracePlans is on). It is the one way to
+// /debug/pprof/* (the Go profiler) and /traces (the plan traces of the
+// 32 most recent retrievals as JSON). It is the one way to
 // serve a store's telemetry: cmd/hgs-server mounts it on its query
 // port, and an embedder serves it with
 // http.ListenAndServe(addr, store.DebugHandler()). The pprof handlers

@@ -46,9 +46,7 @@ func httpGet(t *testing.T, url string) (int, string) {
 // per-op histograms populated, /traces serves the plan-trace ring as
 // JSON, and /debug/pprof/ answers.
 func TestDebugHandlerEndpoints(t *testing.T) {
-	opts := smallOptions()
-	opts.TracePlans = true
-	store, _ := loadWiki(t, opts, 120)
+	store, _ := loadWiki(t, smallOptions(), 120)
 	defer store.Close()
 	srv := httptest.NewServer(store.DebugHandler())
 	defer srv.Close()

@@ -52,7 +52,7 @@ func ExampleStore_nodeHistory() {
 // planned, what the decoded-delta cache absorbed (including known
 // absences), and what actually hit the key-value store.
 func ExampleStore_planTraces() {
-	store, _ := hgs.Open(hgs.Options{TracePlans: true})
+	store, _ := hgs.Open(hgs.Options{})
 	_ = store.Load([]hgs.Event{
 		{Time: 1, Kind: hgs.AddNode, Node: 1},
 		{Time: 2, Kind: hgs.AddNode, Node: 2},

@@ -112,9 +112,10 @@
 // Every retrieval can explain itself: a plan trace records the planned
 // key set, the per-table cache-hit / negative-hit / KV-read breakdown,
 // and the exact round-trips and simulated wait the call was charged.
-// Trace one call by passing FetchOptions.Trace, or set
-// Options.TracePlans to keep a ring of recent traces store-side
-// (Store.PlanTraces, Stats().Traces, hgs-inspect -trace):
+// The store keeps the traces of its 32 most recent retrievals
+// (Store.PlanTraces, /traces on DebugHandler, hgs-inspect -trace); to
+// keep one call's trace yourself, pass FetchOptions.Trace — a trace the
+// caller supplies is the caller's and does not enter the store's ring:
 //
 //	tr := &hgs.Trace{}
 //	g, _ := store.SnapshotWith(t, &hgs.FetchOptions{Trace: tr})
@@ -153,7 +154,7 @@
 //   - Index-construction options (Options.TimespanEvents, Arity,
 //     Compress, ...) are properties of the stored index: persisted with
 //     a DataDir, adopted on reattach, conflicting values rejected.
-//   - Process-runtime options (Options.CacheBytes, TracePlans, ...)
+//   - Process-runtime options (Options.CacheBytes, HotBytes, ...)
 //     are properties of the reading process: never persisted, kept
 //     across a reattach.
 //   - Per-call options travel in FetchOptions — the one options struct
@@ -225,7 +226,7 @@ type (
 	// with Record).
 	Trace = fetch.Trace
 	// TraceRecord is the immutable snapshot of a plan trace, as returned
-	// by Trace.Record, Store.PlanTraces and Stats().Traces.
+	// by Trace.Record and Store.PlanTraces.
 	TraceRecord = fetch.TraceRecord
 	// TableTrace is the per-store-table slice of a TraceRecord.
 	TableTrace = fetch.TableTrace
@@ -380,14 +381,6 @@ type Options struct {
 	// value disables caching. A runtime knob of this process — it is
 	// not persisted with a DataDir store.
 	CacheBytes int64
-	// TracePlans keeps a plan trace for every retrieval — the planned
-	// key set and its per-table cache-hit / negative-hit / KV-read
-	// breakdown, with exact round-trip and simulated-wait attribution —
-	// in a bounded ring surfaced by Store.PlanTraces and Stats().Traces
-	// (hgs-inspect -trace prints it). Per-call tracing through
-	// FetchOptions.Trace works regardless of this knob. A runtime knob
-	// of this process — not persisted with a DataDir store.
-	TracePlans bool
 }
 
 func (o Options) coreConfig() core.Config {
@@ -416,7 +409,6 @@ func (o Options) coreConfig() core.Config {
 		cfg.FetchClients = o.FetchClients
 	}
 	cfg.CacheBytes = o.CacheBytes
-	cfg.TracePlans = o.TracePlans
 	return cfg
 }
 
@@ -954,8 +946,8 @@ func (s *Store) Stats() (core.Stats, error) {
 	return s.tgi.Stats()
 }
 
-// PlanTraces returns the most recent per-query plan traces, oldest
-// first (empty unless Options.TracePlans is set). Each record reports
+// PlanTraces returns the plan traces of the store's most recent
+// retrievals (at most 32), oldest first. Each record reports
 // one retrieval's planned key set, its cache-hit / negative-hit /
 // KV-read breakdown per table, and the round-trips and simulated wait
 // it was charged.

@@ -485,23 +485,23 @@ func TestCacheBytesOptionAndStats(t *testing.T) {
 
 	// Two identical snapshots: the second must be served mostly from the
 	// decoded-delta cache, with fewer KV reads.
-	store.Cluster().ResetMetrics()
+	before := store.Cluster().Metrics().Reads
 	g1, err := store.Snapshot(mid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := store.Cluster().Metrics().Reads
+	afterCold := store.Cluster().Metrics().Reads
+	cold := afterCold - before
 	if stCold, err := store.Stats(); err != nil {
 		t.Fatal(err)
 	} else if stCold.StoreMetrics.RoundTrips == 0 {
 		t.Fatal("round-trip counter not surfaced through Stats")
 	}
-	store.Cluster().ResetMetrics()
 	g2, err := store.Snapshot(mid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := store.Cluster().Metrics().Reads
+	warm := store.Cluster().Metrics().Reads - afterCold
 	if !g1.Equal(g2) {
 		t.Fatal("warm snapshot differs from cold")
 	}
@@ -893,14 +893,12 @@ func TestWarmOnOpenOption(t *testing.T) {
 	}
 }
 
-// TestPlanTraceSurface pins the public tracing surface: TracePlans
-// collects one record per retrieval into Store.PlanTraces/Stats, and a
-// per-call FetchOptions.Trace fills the caller's Trace with the
-// plan/cache/read breakdown.
+// TestPlanTraceSurface pins the public tracing surface: every retrieval
+// leaves one record in Store.PlanTraces, which keeps the 32 most
+// recent, and a per-call FetchOptions.Trace fills the caller's Trace
+// with the plan/cache/read breakdown and stays out of the store's ring.
 func TestPlanTraceSurface(t *testing.T) {
-	opts := smallOptions()
-	opts.TracePlans = true
-	store, _ := loadWiki(t, opts, 400)
+	store, _ := loadWiki(t, smallOptions(), 400)
 	lo, hi, _ := store.TimeRange()
 	mid := (lo + hi) / 2
 
@@ -921,15 +919,17 @@ func TestPlanTraceSurface(t *testing.T) {
 	if warm.KVReads >= cold.KVReads || warm.CacheHits+warm.NegativeHits == 0 {
 		t.Fatalf("warm trace did not show the cache at work: %+v", warm)
 	}
-	st, err := store.Stats()
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 40; i++ {
+		if _, err := store.ChangeTimes(1, lo, hi+1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(st.Traces) != len(trs) {
-		t.Fatalf("Stats.Traces = %d records, want %d", len(st.Traces), len(trs))
+	trs = store.PlanTraces()
+	if len(trs) != 32 || trs[0].Op == "snapshot" {
+		t.Fatalf("PlanTraces after 42 retrievals = %d records (first %q), want the 32 newest", len(trs), trs[0].Op)
 	}
 
-	// Per-call tracing works without the store-side ring.
+	// A caller's trace is the caller's: it stays out of the ring.
 	plain, _ := loadWiki(t, smallOptions(), 400)
 	tr := &Trace{}
 	if _, err := plain.SnapshotWith(mid, &FetchOptions{Trace: tr}); err != nil {

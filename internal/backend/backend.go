@@ -18,16 +18,12 @@
 // Future adapters (a real Cassandra client, an object-storage cold
 // tier, ...) plug in behind the same interface.
 //
-// What an engine must and may implement:
-//
-//   - required: Backend — point, batched (MultiGet) and prefix reads,
-//     writes, partition and table enumeration (PartitionKeys, Tables),
-//     StoredBytes, Flush, Close. The cluster calls all of it
-//     unconditionally; nothing here is probed.
-//   - optional: Tiered (engines that count reads served from memory
-//     and from disk), Backuper (durable engines).
-//     Each is probed by one type assertion in kvstore and has a stated
-//     behaviour for engines without it.
+// An engine implements all of Backend — point, batched (MultiGet) and
+// prefix reads, writes, partition and table enumeration, StoredBytes,
+// TierCounters, Backup, Flush, Close. The cluster calls all of it
+// unconditionally; nothing here is probed. An engine without tiers or
+// durability says so through the method: memtable reports zero tier
+// counters and refuses Backup.
 package backend
 
 import (
@@ -89,6 +85,24 @@ type Backend interface {
 	// StoredBytes returns the logical live bytes held by this node
 	// (sum over rows of clustering-key and value lengths).
 	StoredBytes() int64
+	// TierCounters reports where the engine served its reads; it feeds
+	// the cluster's Metrics, so it must be cheap and safe to call
+	// concurrently with operations (atomic counters). An engine without
+	// a disk tier returns zero counters.
+	TierCounters() TierCounters
+	// Backup writes a consistent copy of the engine's on-disk state
+	// into a fresh directory. It must tolerate concurrent foreground
+	// operations: the engine snapshots its file set under its own locks
+	// (after making accepted writes durable) and copies outside them,
+	// deferring any background work that would delete or rewrite the
+	// snapshotted files — so reads keep being served while a large
+	// backup streams. Writes accepted after the snapshot point are not
+	// part of the copy. The target must be validated in full before
+	// anything is written: a failing backup leaves the target directory
+	// unchanged. The copy must be openable by the same engine as if it
+	// were the original directory. An engine that is not durable
+	// returns an error.
+	Backup(dir string) error
 	// Flush makes all writes accepted so far durable (fsync for disk
 	// engines; no-op for memory) and reports any pending write error.
 	Flush() error
@@ -120,15 +134,6 @@ type TierCounters struct {
 	HotBytes     int64
 }
 
-// Tiered is the optional interface of engines that count reads served
-// from memory and from disk (disklog, with or without a memory budget).
-// TierCounters feeds the cluster's Metrics; it must be cheap and safe to
-// call concurrently with operations (atomic counters). Engines without
-// it report zero tier counters.
-type Tiered interface {
-	TierCounters() TierCounters
-}
-
 // DigestRows computes the canonical digest of a partition's rows for
 // anti-entropy comparison: FNV-1a over length-prefixed clustering keys
 // and values, in clustering order. Every engine must digest identical
@@ -147,21 +152,6 @@ func DigestRows(rows []Row) uint64 {
 		h.Write(r.Value)
 	}
 	return h.Sum64()
-}
-
-// Backuper is an optional interface of durable engines that can write a
-// consistent copy of their on-disk state into a fresh directory. Backup
-// must tolerate concurrent foreground operations: the engine snapshots
-// its file set under its own locks (after making accepted writes
-// durable) and copies outside them, deferring any background work that
-// would delete or rewrite the snapshotted files — so reads keep being
-// served while a large backup streams. Writes accepted after the
-// snapshot point are not part of the copy. The target must be validated
-// in full before anything is written: a failing backup leaves the
-// target directory unchanged. The copy must be openable by the same
-// engine as if it were the original directory.
-type Backuper interface {
-	Backup(dir string) error
 }
 
 // Factory creates the backend for cluster node idx. Factories are how a

@@ -929,5 +929,4 @@ func (s *Store) String() string {
 }
 
 var _ backend.Backend = (*Store)(nil)
-var _ backend.Tiered = (*Store)(nil)
 var _ io.Closer = (*Store)(nil)

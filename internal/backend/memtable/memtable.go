@@ -6,6 +6,7 @@
 package memtable
 
 import (
+	"errors"
 	"sort"
 	"strings"
 
@@ -188,6 +189,12 @@ func (s *Store) PartitionKeys(table string) []string {
 
 // StoredBytes returns the logical live bytes held by this engine.
 func (s *Store) StoredBytes() int64 { return s.stored }
+
+// TierCounters is zero: every row is in memory and nothing is on disk.
+func (s *Store) TierCounters() backend.TierCounters { return backend.TierCounters{} }
+
+// Backup fails: memory has no durable state to copy.
+func (s *Store) Backup(string) error { return errors.New("memtable: engine is not durable") }
 
 // Flush is a no-op: memory has nothing to sync.
 func (s *Store) Flush() error { return nil }

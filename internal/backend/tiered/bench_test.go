@@ -64,7 +64,7 @@ func BenchmarkGetCold(b *testing.B) {
 	// A one-byte budget keeps no row in memory once the engine settles.
 	be := openFilled(b, 1)
 	deadline := time.Now().Add(10 * time.Second)
-	for be.(backend.Tiered).TierCounters().HotBytes > 0 {
+	for be.TierCounters().HotBytes > 0 {
 		if time.Now().After(deadline) {
 			b.Fatal("rows still in memory")
 		}

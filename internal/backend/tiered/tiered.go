@@ -60,5 +60,3 @@ func (s *Store) Backup(dir string) error {
 }
 
 var _ backend.Backend = (*Store)(nil)
-var _ backend.Tiered = (*Store)(nil)
-var _ backend.Backuper = (*Store)(nil)

@@ -207,9 +207,9 @@ func TestReadCountShape(t *testing.T) {
 		}
 	}
 	readsOf := func(st *kvstore.Cluster, f func()) int64 {
-		st.ResetMetrics()
+		before := st.Metrics().Reads
 		f()
-		return st.Metrics().Reads
+		return st.Metrics().Reads - before
 	}
 	lateTime := temporal.Time(5800)
 	logReads := readsOf(logIx.store, func() { logIx.Snapshot(lateTime) })

@@ -575,16 +575,14 @@ func Table1(sc Scale) *Result {
 	hdr := []string{"index (measured)", "stored bytes", "snapshot reads", "static vertex reads", "vertex version reads"}
 	res.TableRows = append(res.TableRows, hdr)
 	for _, entry := range indexes {
-		cluster := entry.cluster
-		cluster.ResetMetrics()
-		entry.ix.Snapshot(probe)
-		snapReads := cluster.Metrics().Reads
-		cluster.ResetMetrics()
-		entry.ix.StaticNode(5, probe)
-		nodeReads := cluster.Metrics().Reads
-		cluster.ResetMetrics()
-		entry.ix.NodeVersions(5, lo, hi+1)
-		verReads := cluster.Metrics().Reads
+		reads := func(f func()) int64 {
+			before := entry.cluster.Metrics().Reads
+			f()
+			return entry.cluster.Metrics().Reads - before
+		}
+		snapReads := reads(func() { entry.ix.Snapshot(probe) })
+		nodeReads := reads(func() { entry.ix.StaticNode(5, probe) })
+		verReads := reads(func() { entry.ix.NodeVersions(5, lo, hi+1) })
 		res.TableRows = append(res.TableRows, []string{
 			entry.name,
 			fmt.Sprintf("%d", entry.ix.StorageBytes()),

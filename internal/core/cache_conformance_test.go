@@ -124,7 +124,7 @@ func TestWarmCacheReducesKVOps(t *testing.T) {
 	probes := []temporal.Time{255, 1200, 2405, 4000}
 	ids := []graph.NodeID{0, 5, 11, 23, 39}
 	pass := func() (reads, roundTrips int64) {
-		cluster.ResetMetrics()
+		before := cluster.Metrics()
 		for _, tt := range probes {
 			if _, err := tgi.GetSnapshot(tt, nil); err != nil {
 				t.Fatal(err)
@@ -136,7 +136,7 @@ func TestWarmCacheReducesKVOps(t *testing.T) {
 			}
 		}
 		m := cluster.Metrics()
-		return m.Reads, m.RoundTrips
+		return m.Reads - before.Reads, m.RoundTrips - before.RoundTrips
 	}
 	cold, coldTrips := pass()
 	warm, warmTrips := pass()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -53,11 +54,11 @@ func TestNegativeEntriesInvalidatedOnAppend(t *testing.T) {
 	// Warm re-probe: absence is served from negative entries, zero KV
 	// reads (the probe plans only delta parts — no boundary eventlist at
 	// the final checkpoint).
-	tgi.Store().ResetMetrics()
+	before := tgi.Store().Metrics().Reads
 	if ns, _ := tgi.GetNodeAt(ghost, end, nil); ns != nil {
 		t.Fatal("ghost node appeared on re-probe")
 	}
-	if reads := tgi.Store().Metrics().Reads; reads != 0 {
+	if reads := tgi.Store().Metrics().Reads - before; reads != 0 {
 		t.Fatalf("warm probe of known-absent rows issued %d KV reads, want 0", reads)
 	}
 	if st := tgi.CacheStats(); st.NegativeHits == 0 {
@@ -99,12 +100,18 @@ func TestTraceAccountingMatchesMetrics(t *testing.T) {
 	}
 
 	for _, id := range []graph.NodeID{11, 23} {
-		store.ResetMetrics()
+		before := store.Metrics()
 		tr := &fetch.Trace{}
 		if _, err := tgi.GetNodeHistory(id, lo, hi, &FetchOptions{Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
-		m := store.Metrics()
+		after := store.Metrics()
+		m := kvstore.Metrics{
+			Reads:      after.Reads - before.Reads,
+			RoundTrips: after.RoundTrips - before.RoundTrips,
+			BytesRead:  after.BytesRead - before.BytesRead,
+			SimWait:    after.SimWait - before.SimWait,
+		}
 		rec := tr.Record()
 		if rec.Op != "node-history" {
 			t.Fatalf("trace op = %q", rec.Op)
@@ -131,15 +138,13 @@ func TestTraceAccountingMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestTracePlansRing pins the store-side trace collection: with
-// TracePlans on, every retrieval leaves one record (a multipoint
-// snapshot is one retrieval with one plan execution), surfaced by
-// PlanTraces and Stats, and the ring stays bounded.
-func TestTracePlansRing(t *testing.T) {
+// TestPlanTraceRing pins the store-side trace collection: every
+// retrieval leaves one record (a multipoint snapshot is one retrieval
+// with one plan execution), surfaced by PlanTraces, and the ring keeps
+// only the newest traceKeep.
+func TestPlanTraceRing(t *testing.T) {
 	events := genHistory(22, 300, 30)
-	cfg := smallConfig()
-	cfg.TracePlans = true
-	tgi := buildSmall(t, cfg, events)
+	tgi := buildSmall(t, smallConfig(), events)
 	probes := []temporal.Time{500, 1500, 2500}
 
 	if _, err := tgi.GetSnapshotsAt(probes, nil); err != nil {
@@ -158,26 +163,46 @@ func TestTracePlansRing(t *testing.T) {
 	if trs[0].Execs != 1 {
 		t.Fatalf("multipoint trace aggregated %d execs, want 1", trs[0].Execs)
 	}
-	st, err := tgi.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Traces) != 2 {
-		t.Fatalf("Stats.Traces = %d records, want 2", len(st.Traces))
-	}
 
 	for i := 0; i < traceKeep+10; i++ {
 		if _, err := tgi.GetNodeAt(3, probes[1], nil); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := tgi.ChangeTimes(3, probes[0], probes[2], nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := len(tgi.PlanTraces()); n != traceKeep {
-		t.Fatalf("trace ring holds %d records, want the %d bound", n, traceKeep)
+	trs = tgi.PlanTraces()
+	if len(trs) != traceKeep {
+		t.Fatalf("trace ring holds %d records, want the %d bound", len(trs), traceKeep)
+	}
+	for i, tr := range trs { // oldest first, the order of the calls
+		if want := []string{"node-at", "change-times"}[i%2]; tr.Op != want {
+			t.Fatalf("ring record %d is %q, want %q", i, tr.Op, want)
+		}
 	}
 
-	// A caller-supplied trace is the caller's: filled, not ring-recorded
-	// twice.
-	before := len(tgi.PlanTraces())
+	// Concurrent retrievals write the ring while readers copy it.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := tgi.ChangeTimes(3, probes[0], probes[2], nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := len(tgi.PlanTraces()); n != traceKeep {
+					t.Errorf("a concurrent reader saw %d records, want %d", n, traceKeep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A caller-supplied trace is the caller's: filled, not ring-recorded.
 	tr := &fetch.Trace{}
 	if _, err := tgi.GetSnapshot(probes[0], &FetchOptions{Trace: tr}); err != nil {
 		t.Fatal(err)
@@ -185,7 +210,7 @@ func TestTracePlansRing(t *testing.T) {
 	if rec := tr.Record(); rec.Op != "snapshot" || rec.Execs != 1 {
 		t.Fatalf("caller trace = %+v", rec)
 	}
-	if after := len(tgi.PlanTraces()); after != before {
-		t.Fatalf("caller-supplied trace was also ring-recorded (%d -> %d)", before, after)
+	if after := tgi.PlanTraces(); after[len(after)-1].Op != "change-times" {
+		t.Fatalf("caller-supplied trace was also ring-recorded: newest record is %q", after[len(after)-1].Op)
 	}
 }

@@ -76,13 +76,6 @@ type Config struct {
 	// persisted, and a handle attached to an existing index keeps the
 	// value it was opened with.
 	CacheBytes int64 `json:"-"`
-	// TracePlans keeps a plan trace for every retrieval this handle
-	// runs — the planned key set and its cache-hit / negative-hit /
-	// KV-read breakdown — in a bounded ring surfaced by TGI.PlanTraces
-	// and Stats.Traces. A runtime knob of the reading process like
-	// CacheBytes: not persisted, kept across an Attach adoption.
-	// Per-call tracing via FetchOptions.Trace works regardless.
-	TracePlans bool `json:"-"`
 	// Obs, when non-nil, is the metrics registry this handle records
 	// into: the decoded-delta cache counters register on construction,
 	// and every retrieval and ingest operation observes its wall time

@@ -847,14 +847,14 @@ func TestNodeHistoryScanEquivalence(t *testing.T) {
 	// Each measured pass runs cold: the negative cache would otherwise
 	// let whichever pass runs second ride the first one's learned
 	// absences, skewing the comparison.
-	tgi.fx.Cache().Purge()
-	tgi.Store().ResetMetrics()
-	tgi.GetNodeHistory(1, 0, 4100, nil)
-	vcReads := tgi.Store().Metrics().Reads
-	tgi.fx.Cache().Purge()
-	tgi.Store().ResetMetrics()
-	tgi.GetNodeHistoryScan(1, 0, 4100, nil)
-	scanReads := tgi.Store().Metrics().Reads
+	reads := func(history func()) int64 {
+		tgi.fx.Cache().Purge()
+		before := tgi.Store().Metrics().Reads
+		history()
+		return tgi.Store().Metrics().Reads - before
+	}
+	vcReads := reads(func() { tgi.GetNodeHistory(1, 0, 4100, nil) })
+	scanReads := reads(func() { tgi.GetNodeHistoryScan(1, 0, 4100, nil) })
 	if scanReads < vcReads {
 		t.Fatalf("scan (%d reads) unexpectedly cheaper than VC (%d reads)", scanReads, vcReads)
 	}

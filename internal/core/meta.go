@@ -398,8 +398,7 @@ func (t *TGI) loadPidMap(key string) (map[graph.NodeID]int, error) {
 // Stats summarizes the stored index (sizes per table, spans, deltas)
 // and the query layer's runtime counters: KV operations and round-trips
 // (StoreMetrics) plus decoded-delta cache hits, misses, negative hits
-// and occupancy (Cache). With Config.TracePlans on, Traces carries the
-// most recent per-query plan traces (oldest first).
+// and occupancy (Cache). The recent plan traces are TGI.PlanTraces.
 type Stats struct {
 	Timespans    int
 	Events       int
@@ -407,7 +406,6 @@ type Stats struct {
 	LogicalBytes int64
 	StoreMetrics kvstore.Metrics
 	Cache        fetch.CacheStats
-	Traces       []fetch.TraceRecord
 }
 
 // Stats returns storage statistics for the index.
@@ -416,16 +414,12 @@ func (t *TGI) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{
+	return Stats{
 		Timespans:    gm.TimespanCount,
 		Events:       gm.Events,
 		StoredBytes:  t.store.StoredBytes(),
 		LogicalBytes: t.store.LogicalBytes(),
 		StoreMetrics: t.store.Metrics(),
 		Cache:        t.fx.Cache().Stats(),
-	}
-	if t.cfg.TracePlans {
-		st.Traces = t.PlanTraces()
-	}
-	return st, nil
+	}, nil
 }

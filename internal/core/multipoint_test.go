@@ -10,14 +10,13 @@ import (
 )
 
 // multipointIndex builds a two-timespan index over 2,000 events (times
-// 10..20,000; the spans meet at 10,000) with plan tracing on.
+// 10..20,000; the spans meet at 10,000).
 func multipointIndex(t *testing.T, cacheBytes int64) (*TGI, []graph.Event) {
 	t.Helper()
 	events := genHistory(22, 2000, 120)
 	cfg := smallConfig()
 	cfg.TimespanEvents = 1000
 	cfg.CacheBytes = cacheBytes
-	cfg.TracePlans = true
 	return buildSmall(t, cfg, events), events
 }
 

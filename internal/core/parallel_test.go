@@ -132,9 +132,15 @@ func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 	}
 
 	var totalReads int64
-	check := func(op string, tr *fetch.Trace) {
+	check := func(op string, tr *fetch.Trace, before kvstore.Metrics) {
 		t.Helper()
-		m := store.Metrics()
+		after := store.Metrics()
+		m := kvstore.Metrics{
+			Reads:      after.Reads - before.Reads,
+			RoundTrips: after.RoundTrips - before.RoundTrips,
+			BytesRead:  after.BytesRead - before.BytesRead,
+			SimWait:    after.SimWait - before.SimWait,
+		}
 		rec := tr.Record()
 		totalReads += rec.KVReads
 		if rec.Op != op {
@@ -159,20 +165,20 @@ func TestParallelTraceAccountingMatchesMetrics(t *testing.T) {
 		}
 	}
 	for _, tt := range []temporal.Time{lo + (hi-lo)/3, hi - 1} {
-		store.ResetMetrics()
+		before := store.Metrics()
 		tr := &fetch.Trace{}
 		if _, err := tgi.GetSnapshot(tt, &FetchOptions{Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
-		check("snapshot", tr)
+		check("snapshot", tr, before)
 	}
 	for _, id := range []graph.NodeID{11, 23} {
-		store.ResetMetrics()
+		before := store.Metrics()
 		tr := &fetch.Trace{}
 		if _, err := tgi.GetNodeHistory(id, lo, hi, &FetchOptions{Trace: tr}); err != nil {
 			t.Fatal(err)
 		}
-		check("node-history", tr)
+		check("node-history", tr, before)
 	}
 	if totalReads == 0 {
 		t.Fatal("no traced call read the store; the attribution check never exercised the parallel fetch path")

@@ -24,7 +24,7 @@ type TGI struct {
 	cdc    codec.Codec
 	meta   *metaStore
 	fx     *fetch.Executor
-	traces *traceRing
+	traces traceRing
 	// opHists caches the per-op latency histogram pair of each
 	// operation name, so the retrieval hot path skips the registry's
 	// family lookup (sync.Map: written once per op, read per call).
@@ -38,12 +38,11 @@ func New(store *kvstore.Cluster, cfg Config) *TGI {
 	cfg.normalize()
 	cdc := codec.Codec{Compress: cfg.Compress}
 	t := &TGI{
-		cfg:    cfg,
-		store:  store,
-		cdc:    cdc,
-		meta:   newMetaStore(),
-		fx:     fetch.NewExecutor(store, cdc, fetch.NewCache(cfg.cacheBudget())),
-		traces: newTraceRing(),
+		cfg:   cfg,
+		store: store,
+		cdc:   cdc,
+		meta:  newMetaStore(),
+		fx:    fetch.NewExecutor(store, cdc, fetch.NewCache(cfg.cacheBudget())),
 	}
 	t.fx.Cache().RegisterObs(cfg.Obs)
 	codec.RegisterObs(cfg.Obs)
@@ -80,11 +79,10 @@ func Attach(store *kvstore.Cluster, cfg Config) (*TGI, bool, error) {
 		return nil, false, err
 	}
 	// Construction parameters come from the store; the json:"-" fields
-	// (CacheBytes, TracePlans and the Obs registry) are properties of the
-	// reading process and survive the adoption.
+	// (CacheBytes and the Obs registry) are properties of the reading
+	// process and survive the adoption.
 	t.cfg = gm.Config
 	t.cfg.CacheBytes = cfg.CacheBytes
-	t.cfg.TracePlans = cfg.TracePlans
 	t.cfg.Obs = cfg.Obs
 	t.cfg.normalize()
 	t.cdc = codec.Codec{Compress: t.cfg.Compress}
@@ -110,27 +108,30 @@ func (t *TGI) CacheStats() fetch.CacheStats { return t.fx.Cache().Stats() }
 // queries to debug a workload without growing with it.
 const traceKeep = 32
 
-// traceRing keeps the most recent plan-trace records of a handle.
+// traceRing keeps the most recent plan-trace records of a handle in a
+// fixed circular buffer: an add overwrites the oldest slot and moves no
+// other record.
 type traceRing struct {
-	mu     sync.Mutex
-	recent []fetch.TraceRecord
+	mu    sync.Mutex
+	slots [traceKeep]fetch.TraceRecord
+	added int // records ever added; the next one goes to added % traceKeep
 }
-
-func newTraceRing() *traceRing { return &traceRing{} }
 
 func (r *traceRing) add(rec fetch.TraceRecord) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recent = append(r.recent, rec)
-	if len(r.recent) > traceKeep {
-		r.recent = append(r.recent[:0], r.recent[len(r.recent)-traceKeep:]...)
-	}
+	r.slots[r.added%traceKeep] = rec
+	r.added++
+	r.mu.Unlock()
 }
 
 func (r *traceRing) snapshot() []fetch.TraceRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]fetch.TraceRecord(nil), r.recent...)
+	out := make([]fetch.TraceRecord, 0, min(r.added, traceKeep))
+	for i := max(r.added-traceKeep, 0); i < r.added; i++ {
+		out = append(out, r.slots[i%traceKeep])
+	}
+	return out
 }
 
 // opHist is the per-op latency histogram pair: retrieval wall time
@@ -163,44 +164,40 @@ func (t *TGI) opHistFor(op string) *opHist {
 
 // startTrace resolves the trace one retrieval should fill and returns
 // the finisher its caller must defer. The trace is the caller-supplied
-// FetchOptions.Trace when present, else a fresh one when
-// Config.TracePlans or an Obs registry asks for per-retrieval
-// accounting, else nil (every fetch.Trace method is nil-safe, so
-// retrieval code threads the result unconditionally). The finisher
-// records an owned trace into the ring — caller-supplied traces belong
-// to the caller and are never double-recorded — and observes the operation's wall time and trace-
-// attributed simulated wait into the per-op latency histograms. For a
-// reused caller trace the simulated wait is the delta accumulated
-// during this call, so each retrieval observes only its own cost.
-func (t *TGI) startTrace(op string, opts *FetchOptions) (tr *fetch.Trace, done func()) {
+// FetchOptions.Trace when present, else a fresh one the handle owns.
+// The finisher records an owned trace into the plan-trace ring —
+// caller-supplied traces belong to the caller and are never recorded —
+// and observes the operation's wall time and trace-attributed modelled
+// wait into the per-op latency histograms. An owned trace is read once,
+// at the end; for a caller trace the modelled wait is the delta
+// accumulated during this call, so each retrieval observes only its
+// own cost.
+func (t *TGI) startTrace(op string, opts *FetchOptions) (*fetch.Trace, func()) {
 	start := time.Now()
-	own := false
-	switch {
-	case opts != nil && opts.Trace != nil:
-		tr = opts.Trace
+	if opts != nil && opts.Trace != nil {
+		tr := opts.Trace
 		tr.SetOp(op)
-	case t.cfg.TracePlans || t.cfg.Obs != nil:
-		tr = &fetch.Trace{}
-		tr.SetOp(op)
-		own = true
+		base := tr.Record().SimWait
+		return tr, func() { t.observe(op, start, tr.Record().SimWait-base) }
 	}
-	var simBase time.Duration
-	if tr != nil && t.cfg.Obs != nil {
-		simBase = tr.Record().SimWait
-	}
+	tr := &fetch.Trace{}
+	tr.SetOp(op)
 	return tr, func() {
-		if own && t.cfg.TracePlans {
-			t.traces.add(tr.Record())
-		}
-		if t.cfg.Obs == nil {
-			return
-		}
-		h := t.opHistFor(op)
-		h.dur.Observe(time.Since(start).Seconds())
-		if tr != nil {
-			h.simWait.Observe((tr.Record().SimWait - simBase).Seconds())
-		}
+		rec := tr.Record()
+		t.traces.add(rec)
+		t.observe(op, start, rec.SimWait)
 	}
+}
+
+// observe records one retrieval's wall time since start and its
+// modelled storage wait into the op's latency histograms.
+func (t *TGI) observe(op string, start time.Time, simWait time.Duration) {
+	if t.cfg.Obs == nil {
+		return
+	}
+	h := t.opHistFor(op)
+	h.dur.Observe(time.Since(start).Seconds())
+	h.simWait.Observe(simWait.Seconds())
 }
 
 // observeDur records one ingest operation's wall time into the per-op
@@ -213,8 +210,8 @@ func (t *TGI) observeDur(op string, start time.Time) {
 	t.opHistFor(op).dur.Observe(time.Since(start).Seconds())
 }
 
-// PlanTraces returns the handle's most recent per-query plan traces,
-// oldest first (empty unless Config.TracePlans is on).
+// PlanTraces returns the handle's most recent per-query plan traces
+// (at most 32, one per retrieval), oldest first.
 func (t *TGI) PlanTraces() []fetch.TraceRecord { return t.traces.snapshot() }
 
 // TimeRange returns the [first, last] event times covered by the index.

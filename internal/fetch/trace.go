@@ -79,11 +79,12 @@ func (r TraceRecord) String() string {
 }
 
 // Trace accumulates one retrieval's plan/cache/read breakdown across
-// its plan executions. The zero value is ready to use; pass it to a
-// retrieval through core.FetchOptions.Trace (or let Options.TracePlans
-// collect traces store-side) and read it back with Record once the call
-// returns. A Trace is safe for the concurrent plan executions of one
-// retrieval; a nil *Trace is valid and records nothing.
+// its plan executions. The zero value is ready to use. Every retrieval
+// fills one: an index handle creates its own and keeps its record in a
+// ring of recent traces (core.TGI.PlanTraces), unless the caller passes
+// one through core.FetchOptions.Trace and reads it back with Record once
+// the call returns. A Trace is safe for the concurrent plan executions
+// of one retrieval; a nil *Trace is valid and records nothing.
 type Trace struct {
 	mu  sync.Mutex
 	rec TraceRecord

@@ -216,13 +216,18 @@ func clampQuorum(q, def, max int) int {
 // written (or hinted) to new owners, where a row a new owner already
 // holds at least as new is not counted; RebalanceActive is a 0/1 gauge.
 //
-// The Tier* fields aggregate the per-tier counters of engines that
-// implement backend.Tiered (disklog, bare or tiered); they stay zero
-// on the memtable. TierHotReads row lookups were served from memory
-// without disk I/O, TierColdReads were read from disk; FlushedBytes
-// counts the value bytes written to disk and Compactions the disk
-// logs' compactions. TierHotBytes is a gauge of the bytes currently
-// memory-resident (not affected by ResetMetrics).
+// The Tier* fields aggregate the engines' backend.TierCounters; they
+// stay zero on the memtable. TierHotReads row lookups were served from
+// memory without disk I/O, TierColdReads were read from disk;
+// FlushedBytes counts the value bytes written to disk and Compactions
+// the disk logs' compactions. TierHotBytes is a gauge of the bytes
+// currently memory-resident.
+//
+// Every field but the two gauges (RebalanceActive, TierHotBytes) is a
+// counter that counts up from zero at Open; nothing resets it. The
+// Tier* sums count from each engine's open and cover the nodes now in
+// the cluster. The cost of one operation is the difference of a
+// snapshot taken after it and one taken before.
 type Metrics struct {
 	Reads        int64
 	Writes       int64
@@ -412,12 +417,6 @@ type Cluster struct {
 	rebalancedParts atomic.Int64
 	rebalancedRows  atomic.Int64
 	rebalancedBytes atomic.Int64
-
-	// tierBase is the engines' cumulative tier-counter totals at the
-	// last ResetMetrics, so Metrics reports deltas like the atomic
-	// counters do (the HotBytes gauge is exempt).
-	tierBaseMu sync.Mutex
-	tierBase   backend.TierCounters
 }
 
 // Open builds a cluster per the configuration, creating each node's
@@ -1292,16 +1291,11 @@ func (c *Cluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// tierTotals sums the cumulative tier counters of every node engine
-// that tracks them.
+// tierTotals sums the cumulative tier counters of every node engine.
 func (c *Cluster) tierTotals() backend.TierCounters {
 	var t backend.TierCounters
 	for _, node := range c.nodeList() {
-		tiered, ok := node.be.(backend.Tiered)
-		if !ok {
-			continue
-		}
-		tc := tiered.TierCounters()
+		tc := node.be.TierCounters()
 		t.HotHits += tc.HotHits
 		t.ColdReads += tc.ColdReads
 		t.FlushedBytes += tc.FlushedBytes
@@ -1314,9 +1308,6 @@ func (c *Cluster) tierTotals() backend.TierCounters {
 // Metrics returns a snapshot of the counters.
 func (c *Cluster) Metrics() Metrics {
 	tiers := c.tierTotals()
-	c.tierBaseMu.Lock()
-	base := c.tierBase
-	c.tierBaseMu.Unlock()
 	active := int64(0)
 	if c.Rebalancing() {
 		active = 1
@@ -1345,61 +1336,29 @@ func (c *Cluster) Metrics() Metrics {
 		RebalancedBytes:      c.rebalancedBytes.Load(),
 		RebalanceActive:      active,
 
-		TierHotReads:  tiers.HotHits - base.HotHits,
-		TierColdReads: tiers.ColdReads - base.ColdReads,
-		FlushedBytes:  tiers.FlushedBytes - base.FlushedBytes,
-		Compactions:   tiers.Compactions - base.Compactions,
+		TierHotReads:  tiers.HotHits,
+		TierColdReads: tiers.ColdReads,
+		FlushedBytes:  tiers.FlushedBytes,
+		Compactions:   tiers.Compactions,
 		TierHotBytes:  tiers.HotBytes,
 	}
-}
-
-// ResetMetrics zeroes the read/write counters (stored bytes are kept).
-// Tier counters are cumulative inside the engines, so the reset records
-// a baseline that Metrics subtracts.
-func (c *Cluster) ResetMetrics() {
-	c.reads.Store(0)
-	c.writes.Store(0)
-	c.bytesRead.Store(0)
-	c.bytesWritten.Store(0)
-	c.roundTrips.Store(0)
-	c.simWait.Store(0)
-	c.failovers.Store(0)
-	c.degradedReads.Store(0)
-	c.underRepWrites.Store(0)
-	c.hintedWrites.Store(0)
-	c.readRepairs.Store(0)
-	c.aeRuns.Store(0)
-	c.aeParts.Store(0)
-	c.aeRows.Store(0)
-	c.aeBytes.Store(0)
-	c.rebalancedParts.Store(0)
-	c.rebalancedRows.Store(0)
-	c.rebalancedBytes.Store(0)
-	totals := c.tierTotals()
-	c.tierBaseMu.Lock()
-	c.tierBase = totals
-	c.tierBaseMu.Unlock()
 }
 
 // Backup writes a consistent copy of every node engine's durable state
 // into dir (one node-NNN subdirectory each, mirroring the Factory
 // layouts of the disk engines). The engines snapshot themselves under
-// their own locks and copy outside them (backend.Backuper), so reads —
-// including reads served by the node being copied — proceed while a
-// large backup streams; the caller must not issue writes concurrently
-// if the backup is to be cluster-consistent. Engines that are not
-// durable (no Backuper) fail the backup, as does an in-flight topology
-// change (the copy would mix placements).
+// their own locks and copy outside them (backend.Backend.Backup), so
+// reads — including reads served by the node being copied — proceed
+// while a large backup streams; the caller must not issue writes
+// concurrently if the backup is to be cluster-consistent. Engines that
+// are not durable fail the backup, as does an in-flight topology change
+// (the copy would mix placements).
 func (c *Cluster) Backup(dir string) error {
 	if c.Rebalancing() {
 		return fmt.Errorf("kvstore: backup: %w", ErrRebalancing)
 	}
 	for _, node := range c.nodeList() {
-		b, ok := node.be.(backend.Backuper)
-		if !ok {
-			return fmt.Errorf("kvstore: backup: node %d engine (%T) is not durable", node.id, node.be)
-		}
-		if err := b.Backup(filepath.Join(dir, backend.NodeDir(node.id))); err != nil {
+		if err := node.be.Backup(filepath.Join(dir, backend.NodeDir(node.id))); err != nil {
 			return fmt.Errorf("kvstore: backup node %d: %w", node.id, err)
 		}
 	}

@@ -164,9 +164,10 @@ func TestMetricsCounting(t *testing.T) {
 	if m.BytesRead != 10 || m.BytesWritten != 5 {
 		t.Fatalf("byte counters = %+v", m)
 	}
-	c.ResetMetrics()
-	if m := c.Metrics(); m.Reads != 0 || m.Writes != 0 {
-		t.Fatal("reset failed")
+	// The counters only go up: a later read adds to them.
+	c.Get("t", "p", "k")
+	if after := c.Metrics(); after.Reads-m.Reads != 1 || after.Writes != m.Writes {
+		t.Fatalf("one more Get moved the counters from %+v to %+v", m, after)
 	}
 }
 
@@ -361,35 +362,35 @@ func TestMultiGetRoundTripAccounting(t *testing.T) {
 		c.Put("t", pkey, ckey, []byte("v"))
 		refs = append(refs, KeyRef{Table: "t", PKey: pkey, CKey: ckey})
 	}
-	c.ResetMetrics()
+	before := c.Metrics()
 	c.MultiGet(refs)
 	m := c.Metrics()
-	if m.Reads != int64(len(refs)) {
-		t.Fatalf("Reads = %d, want %d logical ops", m.Reads, len(refs))
+	if reads := m.Reads - before.Reads; reads != int64(len(refs)) {
+		t.Fatalf("Reads = %d, want %d logical ops", reads, len(refs))
 	}
-	if m.RoundTrips > machines {
-		t.Fatalf("RoundTrips = %d, want <= %d (one batch per node)", m.RoundTrips, machines)
+	if trips := m.RoundTrips - before.RoundTrips; trips > machines {
+		t.Fatalf("RoundTrips = %d, want <= %d (one batch per node)", trips, machines)
 	}
 	// The same keys as single Gets pay one round-trip each.
-	c.ResetMetrics()
 	for _, ref := range refs {
 		c.Get(ref.Table, ref.PKey, ref.CKey)
 	}
-	if m := c.Metrics(); m.RoundTrips != int64(len(refs)) {
-		t.Fatalf("single-key RoundTrips = %d, want %d", m.RoundTrips, len(refs))
+	if trips := c.Metrics().RoundTrips - m.RoundTrips; trips != int64(len(refs)) {
+		t.Fatalf("single-key RoundTrips = %d, want %d", trips, len(refs))
 	}
 }
 
 func TestSimWaitAccumulates(t *testing.T) {
 	c := NewCluster(Config{Machines: 1, Replication: 1, Latency: LatencyModel{BaseOp: time.Microsecond}})
 	c.Put("t", "p", "c", []byte("v"))
+	before := c.Metrics()
 	c.Get("t", "p", "c")
-	if m := c.Metrics(); m.SimWait <= 0 {
-		t.Fatalf("SimWait = %v, want > 0", m.SimWait)
+	m := c.Metrics()
+	if wait := m.SimWait - before.SimWait; wait <= 0 {
+		t.Fatalf("SimWait = %v, want > 0", wait)
 	}
-	c.ResetMetrics()
-	if m := c.Metrics(); m.SimWait != 0 || m.RoundTrips != 0 {
-		t.Fatalf("reset left %+v", m)
+	if trips := m.RoundTrips - before.RoundTrips; trips != 1 {
+		t.Fatalf("one Get paid %d round-trips, want 1", trips)
 	}
 }
 
@@ -481,16 +482,6 @@ func TestTierMetricsAggregation(t *testing.T) {
 	if m.TierHotBytes == 0 {
 		t.Fatal("TierHotBytes gauge empty with resident rows")
 	}
-	// Reset establishes a baseline for the cumulative engine counters;
-	// the gauge survives.
-	c.ResetMetrics()
-	m = c.Metrics()
-	if m.TierHotReads != 0 || m.TierColdReads != 0 {
-		t.Fatalf("tier counters after reset: %+v", m)
-	}
-	if m.TierHotBytes == 0 {
-		t.Fatal("TierHotBytes gauge must survive ResetMetrics")
-	}
 }
 
 func TestClusterBackupAndRestore(t *testing.T) {
@@ -567,15 +558,15 @@ func TestWarmUpMetricsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.ResetMetrics()
+	before := c.Metrics()
 	for i := 0; i < 200; i++ {
 		if _, ok := c.Get("deltas", fmt.Sprintf("p%d", i%8), fmt.Sprintf("c%03d", i)); !ok {
 			t.Fatalf("row %d missing after reopen", i)
 		}
 	}
 	m := c.Metrics()
-	if m.TierColdReads != 0 || m.TierHotReads != 200 {
-		t.Fatalf("reopened cluster served hot=%d cold=%d, want all 200 hot", m.TierHotReads, m.TierColdReads)
+	if hot, cold := m.TierHotReads-before.TierHotReads, m.TierColdReads-before.TierColdReads; cold != 0 || hot != 200 {
+		t.Fatalf("reopened cluster served hot=%d cold=%d, want all 200 hot", hot, cold)
 	}
 }
 
@@ -677,7 +668,7 @@ func TestCallStatsMatchMetrics(t *testing.T) {
 						}
 					}
 
-					c.ResetMetrics()
+					before := c.Metrics()
 					var cs CallStats
 					batched := false
 					switch kind {
@@ -705,7 +696,15 @@ func TestCallStatsMatchMetrics(t *testing.T) {
 							checkScan(p, rows)
 						}
 					}
-					m := c.Metrics()
+					after := c.Metrics()
+					m := Metrics{
+						Reads:         after.Reads - before.Reads,
+						RoundTrips:    after.RoundTrips - before.RoundTrips,
+						BytesRead:     after.BytesRead - before.BytesRead,
+						SimWait:       after.SimWait - before.SimWait,
+						Failovers:     after.Failovers - before.Failovers,
+						DegradedReads: after.DegradedReads - before.DegradedReads,
+					}
 					if batched && (cs.Reads != m.Reads || cs.RoundTrips != m.RoundTrips || cs.BytesRead != m.BytesRead || cs.SimWait != m.SimWait) {
 						t.Errorf("CallStats %+v != metrics {Reads:%d RoundTrips:%d BytesRead:%d SimWait:%v}",
 							cs, m.Reads, m.RoundTrips, m.BytesRead, m.SimWait)

@@ -5,13 +5,10 @@ import "hgs/internal/obs"
 // RegisterObs registers the cluster's counters into r as func-backed
 // metric families, sampled at exposition/snapshot time: the logical
 // operation counters (reads, writes, bytes, round-trips, modelled
-// wait) and the per-tier counters aggregated from engines implementing
-// backend.Tiered. The tier families report the engines' raw
-// cumulative totals (monotone for Prometheus); the operation counters
-// read the same atomics Metrics does and therefore restart from zero
-// after ResetMetrics — scrape-side rate() handles the reset like a
-// process restart. Registering the same cluster again (a re-attached
-// handle) replaces the samplers.
+// wait) and the per-tier counters aggregated from the node engines.
+// Every counter family reads the same monotone totals Metrics does.
+// Registering the same cluster again (a re-attached handle) replaces
+// the samplers.
 func (c *Cluster) RegisterObs(r *obs.Registry) {
 	if c == nil || r == nil {
 		return

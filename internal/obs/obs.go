@@ -217,26 +217,9 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (zero for func-backed counters,
-// which are sampled by the exposition instead).
-func (c *Counter) Value() int64 {
-	if c == nil || c.s == nil {
-		return 0
-	}
-	return c.s.val.Load()
-}
-
-// Gauge is a settable level. A nil *Gauge is valid and records
+// Gauge is a level that moves up and down. A nil *Gauge is valid and records
 // nothing.
 type Gauge struct{ s *series }
-
-// Set stores the gauge's current level.
-func (g *Gauge) Set(v int64) {
-	if g == nil || g.s == nil {
-		return
-	}
-	g.s.val.Store(v)
-}
 
 // Add moves the gauge by n (may be negative).
 func (g *Gauge) Add(n int64) {
@@ -244,14 +227,6 @@ func (g *Gauge) Add(n int64) {
 		return
 	}
 	g.s.val.Add(n)
-}
-
-// Value returns the gauge's current level.
-func (g *Gauge) Value() int64 {
-	if g == nil || g.s == nil {
-		return 0
-	}
-	return g.s.val.Load()
 }
 
 // visit walks every family and series in deterministic order (families

@@ -13,23 +13,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // ignored: counters only go up
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	if got := exposition(t, r)["reqs_total"]; got != 5 {
+		t.Fatalf("counter = %v, want 5", got)
 	}
 	g := r.Gauge("level", "a level")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-4)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %d, want 6", got)
+	if got := exposition(t, r)["level"]; got != 6 {
+		t.Fatalf("gauge = %v, want 6", got)
 	}
 	// Same name+labels returns the same series.
-	if r.Counter("reqs_total", "requests").Value() != 5 {
-		t.Fatal("re-lookup did not return the existing counter")
+	r.Counter("reqs_total", "requests").Inc()
+	if got := exposition(t, r)["reqs_total"]; got != 6 {
+		t.Fatalf("re-lookup did not return the existing counter: %v, want 6", got)
 	}
 	// Distinct labels are distinct series.
 	r.Counter("reqs_total", "requests", L("op", "a")).Add(7)
-	if c.Value() != 5 {
-		t.Fatal("labeled series aliased the unlabeled one")
+	if s := exposition(t, r); s["reqs_total"] != 6 || s[`reqs_total{op="a"}`] != 7 {
+		t.Fatalf("labeled series aliased the unlabeled one: %v", s)
 	}
 }
 
@@ -85,7 +86,7 @@ func TestFuncBackedMetricsSampledAtSnapshot(t *testing.T) {
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a", "").Inc()
-	r.Gauge("b", "").Set(1)
+	r.Gauge("b", "").Add(1)
 	r.Histogram("c", "", nil).Observe(1)
 	r.CounterFunc("d", "", func() float64 { return 1 })
 	r.GaugeFunc("e", "", func() float64 { return 1 })

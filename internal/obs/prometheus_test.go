@@ -14,7 +14,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hgs_reqs_total", "Total requests.").Add(42)
 	r.Counter("hgs_reqs_total", "Total requests.", L("op", "snapshot")).Add(7)
-	r.Gauge("hgs_cache_bytes", "Resident cache bytes.").Set(1024)
+	r.Gauge("hgs_cache_bytes", "Resident cache bytes.").Add(1024)
 	r.CounterFunc("hgs_ext_total", "Sampled external counter.", func() float64 { return 3 })
 	h := r.Histogram("hgs_lat_seconds", "Latency.", []float64{0.001, 0.01, 0.1}, L("op", "snapshot"))
 	h.Observe(0.0005)

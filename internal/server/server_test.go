@@ -303,7 +303,7 @@ func TestNodeShapedBodiesMatchEncodingJSON(t *testing.T) {
 // TestShedding fills every in-flight slot directly and checks the next
 // request is rejected with 429 without touching the store.
 func TestShedding(t *testing.T) {
-	srv, _, addr := testServer(t, Config{MaxInFlight: 2})
+	srv, store, addr := testServer(t, Config{MaxInFlight: 2})
 	srv.sem <- struct{}{}
 	srv.sem <- struct{}{}
 	defer func() { <-srv.sem; <-srv.sem }()
@@ -311,8 +311,12 @@ func TestShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full limiter: got %d want 429 (body %s)", resp.StatusCode, body)
 	}
-	if srv.shed.Value() == 0 {
-		t.Fatalf("shed counter not incremented")
+	var m strings.Builder
+	if err := store.WriteMetrics(&m); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.String(), "\nhgs_server_shed_total 1\n") {
+		t.Fatalf("shed counter not incremented:\n%s", m.String())
 	}
 }
 

@@ -674,12 +674,12 @@ func TestSONFetchSharesDeltaCache(t *testing.T) {
 	cluster := h.tgi.Store()
 	iv := temporal.NewInterval(500, 3000)
 	fetchOnce := func() (*SoN, int64) {
-		cluster.ResetMetrics()
+		before := cluster.Metrics().Reads
 		son, err := SON(h).Timeslice(iv).Fetch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return son, cluster.Metrics().Reads
+		return son, cluster.Metrics().Reads - before
 	}
 	cold, coldReads := fetchOnce()
 	warm, warmReads := fetchOnce()

@@ -98,13 +98,13 @@ func TestDegradedReadsAllQueryPaths(t *testing.T) {
 		if err := store.FailStorageNode(down); err != nil {
 			t.Fatal(err)
 		}
-		store.Cluster().ResetMetrics()
+		before := store.Cluster().Metrics()
 		requireSameAnswers(t, fmt.Sprintf("node %d down", down), queryAllPaths(t, store, lo, mid, hi), healthy)
 		// Batched reads route around the down replica at planning time
 		// (DegradedReads counts that), so Failovers — failed visits —
 		// need not move on these paths; DegradedReads is the signal.
 		m := store.Cluster().Metrics()
-		if m.DegradedReads == 0 {
+		if m.DegradedReads == before.DegradedReads {
 			t.Fatalf("node %d down: expected degraded reads, got %+v", down, m)
 		}
 		info, err := store.Topology()
@@ -119,10 +119,10 @@ func TestDegradedReadsAllQueryPaths(t *testing.T) {
 		}
 	}
 
-	store.Cluster().ResetMetrics()
+	before := store.Cluster().Metrics()
 	queryAllPaths(t, store, lo, mid, hi)
-	if m := store.Cluster().Metrics(); m.DegradedReads != 0 || m.Failovers != 0 {
-		t.Fatalf("counters kept growing after revive: %+v", m)
+	if m := store.Cluster().Metrics(); m.DegradedReads != before.DegradedReads || m.Failovers != before.Failovers {
+		t.Fatalf("counters kept growing after revive: %+v, before the queries %+v", m, before)
 	}
 }
 
@@ -158,21 +158,21 @@ func TestQuorumReadsMatchSingleReplica(t *testing.T) {
 		return s.Cluster().Metrics()
 	}
 
-	r1.Cluster().ResetMetrics()
+	before1 := settled(r1)
 	base := queryAllPaths(t, r1, lo, mid, hi)
 	if !base.snap.Equal(mustGraph(events, mid)) {
 		t.Fatal("R=1 snapshot mismatch")
 	}
-	m1 := settled(r1)
+	trips1 := settled(r1).RoundTrips - before1.RoundTrips
 
-	r2.Cluster().ResetMetrics()
+	before2 := settled(r2)
 	requireSameAnswers(t, "R=2", queryAllPaths(t, r2, lo, mid, hi), base)
 	m2 := settled(r2)
-	if m2.ReadRepairs != 0 {
-		t.Fatalf("healthy R=2 store repaired %d rows while serving — replicas diverged", m2.ReadRepairs)
+	if repairs := m2.ReadRepairs - before2.ReadRepairs; repairs != 0 {
+		t.Fatalf("healthy R=2 store repaired %d rows while serving — replicas diverged", repairs)
 	}
-	if m2.RoundTrips <= m1.RoundTrips {
-		t.Fatalf("R=2 did not visit more replicas: %d round-trips vs %d at R=1", m2.RoundTrips, m1.RoundTrips)
+	if trips2 := m2.RoundTrips - before2.RoundTrips; trips2 <= trips1 {
+		t.Fatalf("R=2 did not visit more replicas: %d round-trips vs %d at R=1", trips2, trips1)
 	}
 	// An anti-entropy sweep over the consistent store — run while it
 	// serves — streams nothing and disturbs no answer.
@@ -194,10 +194,10 @@ func TestQuorumReadsMatchSingleReplica(t *testing.T) {
 	if err := r2.FailStorageNode(0); err != nil {
 		t.Fatal(err)
 	}
-	r2.Cluster().ResetMetrics()
+	before2 = settled(r2)
 	requireSameAnswers(t, "R=2, node 0 down", queryAllPaths(t, r2, lo, mid, hi), base)
-	if m := settled(r2); m.DegradedReads == 0 || m.ReadRepairs != 0 {
-		t.Fatalf("R=2, node 0 down: want degraded reads and no repairs, got %+v", m)
+	if m := settled(r2); m.DegradedReads == before2.DegradedReads || m.ReadRepairs != before2.ReadRepairs {
+		t.Fatalf("R=2, node 0 down: want degraded reads and no repairs, got %+v after %+v", m, before2)
 	}
 }
 
