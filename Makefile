@@ -99,7 +99,9 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Layer microbenchmarks (plain testing.B with -benchmem) of every package
-# under internal/: codec encode/decode, fetch cache and Exec, core build
+# under internal/: codec encode/decode (EncodeDelta fresh, of states it
+# encodes, and decoded, of states carrying their stored bodies, which it
+# copies), fetch cache and Exec, core build
 # (BuildAll: an Append into the empty index, which is how an index is
 # built), append (AppendPartialSpan; AppendOpenSpan, 100 events into an open span
 # filled 1/8 or 7/8, whose cost the fill no longer sets) and warm

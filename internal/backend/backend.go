@@ -134,6 +134,12 @@ type TierCounters struct {
 	HotBytes     int64
 }
 
+// Plus returns the field-wise sum of t and o.
+func (t TierCounters) Plus(o TierCounters) TierCounters {
+	return TierCounters{t.HotHits + o.HotHits, t.ColdReads + o.ColdReads, t.FlushedBytes + o.FlushedBytes,
+		t.Compactions + o.Compactions, t.HotBytes + o.HotBytes}
+}
+
 // DigestRows computes the canonical digest of a partition's rows for
 // anti-entropy comparison: FNV-1a over length-prefixed clustering keys
 // and values, in clustering order. Every engine must digest identical

@@ -78,6 +78,10 @@ func (b *buffer) bool(v bool) {
 	}
 }
 
+// reader reads what buffer writes, and only that: every value has one
+// encoding (the shortest varint, whose last byte is not zero; a bool as
+// 0 or 1; attribute keys ascending), so a decoded state encodes back to
+// the bytes it came from.
 type reader struct {
 	data []byte
 	pos  int
@@ -85,7 +89,7 @@ type reader struct {
 
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.pos+n-1] == 0 {
 		return 0, ErrCorrupt
 	}
 	r.pos += n
@@ -94,7 +98,7 @@ func (r *reader) uvarint() (uint64, error) {
 
 func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.pos+n-1] == 0 {
 		return 0, ErrCorrupt
 	}
 	r.pos += n
@@ -119,8 +123,11 @@ func (r *reader) bool() (bool, error) {
 		return false, ErrCorrupt
 	}
 	v := r.data[r.pos]
+	if v > 1 {
+		return false, ErrCorrupt
+	}
 	r.pos++
-	return v != 0, nil
+	return v == 1, nil
 }
 
 // count validates a decoded element count against the bytes remaining
@@ -138,7 +145,8 @@ func (r *reader) count() (int, error) {
 }
 
 // encodeAttrs writes attribute maps with sorted keys for deterministic
-// output (stable blob sizes and content-addressable tests).
+// output (stable blob sizes and content-addressable tests); decodeAttrs
+// accepts no other order.
 func encodeAttrs(b *buffer, a graph.Attrs) {
 	b.uvarint(uint64(len(a)))
 	if len(a) == 0 {
@@ -165,16 +173,20 @@ func decodeAttrs(r *reader) (graph.Attrs, error) {
 		return nil, nil
 	}
 	a := make(graph.Attrs, n)
+	var prev string
 	for i := 0; i < n; i++ {
 		k, err := r.str()
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("%w: attribute keys not ascending", ErrCorrupt)
+		}
 		v, err := r.str()
 		if err != nil {
 			return nil, err
 		}
-		a[k] = v
+		a[k], prev = v, k
 	}
 	return a, nil
 }

@@ -1,14 +1,16 @@
 package codec
 
-// Native fuzz targets for the framing and delta decoders. Both encode
-// two properties beyond "no panic":
+// Native fuzz targets for the framing and delta decoders. They encode
+// properties beyond "no panic":
 //
 //   - error results carry no data: a failed unframe/decode must not
 //     hand back bytes that alias a pooled scratch buffer;
 //   - decoding is deterministic and release() is correctly paired:
 //     decoding the same blob twice (with pool churn in between) yields
 //     identical results, which fails if a decode path keeps a reference
-//     into a released decompression arena.
+//     into a released decompression arena;
+//   - every state a row yields encodes back to its own body bytes, so
+//     EncodeDelta may copy a decoded state's body instead of encoding it.
 //
 // Seed corpora live in testdata/fuzz/<Target>/; CI runs each target
 // briefly (-fuzz=<Target> -fuzztime=10s) on top of the regular
@@ -98,5 +100,27 @@ func FuzzDecodeDelta(f *testing.F) {
 		if !reflect.DeepEqual(d1, d3) {
 			t.Fatal("delta changed across encode/decode round trip")
 		}
+		checkBodiesReencode(t, blob)
 	})
+}
+
+// checkBodiesReencode requires every state that decodes from the row in
+// blob to encode back to exactly its body bytes.
+func checkBodiesReencode(t *testing.T, blob []byte) {
+	t.Helper()
+	row, err := Codec{}.ParseDelta(blob)
+	if err != nil {
+		return
+	}
+	for i := range row.Len() {
+		ns, err := row.State(i)
+		if err != nil {
+			continue
+		}
+		var b buffer
+		encodeStateBody(&b, ns)
+		if !bytes.Equal(b.buf.Bytes(), row.Body(i)) {
+			t.Fatalf("state of node %d decodes from body %x, encodes to %x", ns.ID, row.Body(i), b.buf.Bytes())
+		}
+	}
 }

@@ -28,7 +28,9 @@ import (
 // A row without flagIndexed is corrupt.
 
 // EncodeDelta serializes a delta (component states + tombstones) as an
-// indexed micro-delta row.
+// indexed micro-delta row. The body a state carries from a stored row
+// (graph.NodeState.Encoded) is copied: a decode accepts only the bytes
+// encodeStateBody writes, so it is what encoding the state would write.
 func (c Codec) EncodeDelta(d *delta.Delta) ([]byte, error) {
 	b := getEncBuffer()
 	defer putEncBuffer(b)
@@ -42,7 +44,11 @@ func (c Codec) EncodeDelta(d *delta.Delta) ([]byte, error) {
 	lens := b.lens[:0]
 	for _, id := range ids {
 		start := b.buf.Len()
-		encodeStateBody(b, d.Nodes[id])
+		if body := d.Nodes[id].Encoded(); body != "" {
+			b.buf.WriteString(body)
+		} else {
+			encodeStateBody(b, d.Nodes[id])
+		}
 		lens = append(lens, b.buf.Len()-start)
 	}
 	bodies := b.buf.Len()
@@ -327,11 +333,17 @@ func (x *DeltaRow) Tombstoned(id graph.NodeID) bool {
 	return ok
 }
 
+// Body returns the encoded body of the state in slot i, which is the
+// row's: do not modify it.
+func (x *DeltaRow) Body(i int) []byte {
+	s := x.spans[i]
+	return x.data[s.lo:s.hi:s.hi]
+}
+
 // State decodes the state in slot i, a fresh state each call; the
 // decode copies every byte it keeps out of the row.
 func (x *DeltaRow) State(i int) (*graph.NodeState, error) {
-	s := x.spans[i]
-	r := &reader{data: x.data[s.lo:s.hi]}
+	r := &reader{data: x.Body(i)}
 	ns, err := decodeStateBody(r, x.ids[i])
 	if err != nil {
 		return nil, err

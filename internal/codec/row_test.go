@@ -193,8 +193,7 @@ func TestDeltaRowRejectsNonCanonical(t *testing.T) {
 			body(b)
 			body(b)
 		},
-		"edges out of order": func(b *buffer) {
-			var e buffer
+		"edges out of order": oneState(func(e *buffer) {
 			e.uvarint(0) // no attrs
 			e.uvarint(2)
 			e.varint(7)
@@ -203,11 +202,45 @@ func TestDeltaRowRejectsNonCanonical(t *testing.T) {
 			e.uvarint(0) // same Other, in-edge after out-edge
 			e.bool(false)
 			e.uvarint(0)
-			b.sortedIDs([]graph.NodeID{3})
-			b.uvarint(uint64(e.buf.Len()))
-			b.sortedIDs(nil)
-			b.buf.Write(e.buf.Bytes())
-		},
+		}),
+		"attribute keys out of order": oneState(func(e *buffer) {
+			e.uvarint(2)
+			e.str("b")
+			e.str("1")
+			e.str("a")
+			e.str("2")
+			e.uvarint(0) // no edges
+		}),
+		"attribute key repeated": oneState(func(e *buffer) {
+			e.uvarint(2)
+			e.str("a")
+			e.str("1")
+			e.str("a")
+			e.str("2")
+			e.uvarint(0)
+		}),
+		"edge attribute keys out of order": oneState(func(e *buffer) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.varint(7)
+			e.bool(true)
+			e.uvarint(2)
+			e.str("y")
+			e.str("")
+			e.str("x")
+			e.str("")
+		}),
+		"longer varint than needed": oneState(func(e *buffer) {
+			e.buf.Write([]byte{0x80, 0x00}) // no attrs, in two bytes
+			e.uvarint(0)
+		}),
+		"edge direction neither 0 nor 1": oneState(func(e *buffer) {
+			e.uvarint(0)
+			e.uvarint(1)
+			e.varint(7)
+			e.buf.WriteByte(2)
+			e.uvarint(0)
+		}),
 	}
 	c := Codec{}
 	for name, write := range rows {
@@ -235,6 +268,18 @@ func TestDeltaRowRejectsNonCanonical(t *testing.T) {
 	}
 	if _, err := c.DecodeNodeState([]byte{flagIndexed | flagGzip, 0}); err == nil {
 		t.Error("DecodeNodeState accepted an indexed header")
+	}
+}
+
+// oneState writes a row holding node 3 alone, whose body body writes.
+func oneState(body func(e *buffer)) func(b *buffer) {
+	return func(b *buffer) {
+		var e buffer
+		body(&e)
+		b.sortedIDs([]graph.NodeID{3})
+		b.uvarint(uint64(e.buf.Len()))
+		b.sortedIDs(nil)
+		b.buf.Write(e.buf.Bytes())
 	}
 }
 
@@ -296,6 +341,7 @@ func FuzzDecodeDeltaState(f *testing.F) {
 			return
 		}
 		want, ok := whole.Nodes[nid]
+		checkBodiesReencode(t, blob)
 		if found != ok || !reflect.DeepEqual(ns, want) {
 			t.Fatalf("DecodeDeltaState(%d) = %v (found %v), whole decode holds %v (%v)", id, ns, found, want, ok)
 		}

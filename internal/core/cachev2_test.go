@@ -125,8 +125,8 @@ func TestTraceAccountingMatchesMetrics(t *testing.T) {
 		if rec.BytesRead != m.BytesRead {
 			t.Fatalf("trace BytesRead %d != metrics %d", rec.BytesRead, m.BytesRead)
 		}
-		if rec.SimWait != m.SimWait {
-			t.Fatalf("trace SimWait %v != metrics %v", rec.SimWait, m.SimWait)
+		if rec.SimWait != m.SimWait || tr.SimWait() != m.SimWait {
+			t.Fatalf("trace SimWait %v (read alone %v) != metrics %v", rec.SimWait, tr.SimWait(), m.SimWait)
 		}
 		var tableReads int64
 		for _, tt := range rec.Tables {

@@ -177,8 +177,8 @@ func (t *TGI) startTrace(op string, opts *FetchOptions) (*fetch.Trace, func()) {
 	if opts != nil && opts.Trace != nil {
 		tr := opts.Trace
 		tr.SetOp(op)
-		base := tr.Record().SimWait
-		return tr, func() { t.observe(op, start, tr.Record().SimWait-base) }
+		base := tr.SimWait()
+		return tr, func() { t.observe(op, start, tr.SimWait()-base) }
 	}
 	tr := &fetch.Trace{}
 	tr.SetOp(op)

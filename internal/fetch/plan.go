@@ -169,8 +169,10 @@ func deltaPart(pid int, row *codec.DeltaRow) Part {
 }
 
 // state returns the frozen state in slot i, decoding it on first use.
-// Readers racing on one slot may both decode it; the first to publish
-// wins and both get its state.
+// The state keeps its body's bytes in the row (graph.NodeState.Encoded),
+// so an Append that writes it again unchanged copies them. Readers
+// racing on one slot may both decode it; the first to publish wins and
+// both get its state.
 func (r *deltaRow) state(i int) (*graph.NodeState, error) {
 	if ns := r.states[i].Load(); ns != nil {
 		return ns, nil
@@ -179,7 +181,7 @@ func (r *deltaRow) state(i int) (*graph.NodeState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fetch: decode state of node %d: %w", r.IDs()[i], err)
 	}
-	ns.Freeze()
+	ns.FreezeEncoded(r.Body(i))
 	if !r.states[i].CompareAndSwap(nil, ns) {
 		return r.states[i].Load(), nil
 	}

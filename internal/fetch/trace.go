@@ -119,6 +119,16 @@ func (t *Trace) Record() TraceRecord {
 	return out
 }
 
+// SimWait returns the modelled service time the trace has accumulated.
+func (t *Trace) SimWait() time.Duration {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rec.SimWait
+}
+
 // tableLocked returns the mutable per-table slot.
 func (t *Trace) tableLocked(table string) TableTrace {
 	if t.rec.Tables == nil {

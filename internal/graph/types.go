@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"hgs/internal/temporal"
 )
@@ -101,7 +102,9 @@ func (e *EdgeState) Equal(o *EdgeState) bool {
 // frozen state on its first write, or Clone a state and change the copy.
 // The edges of a state in a graph change only through the graph's
 // methods, which keep the graph's pair count (Density) up to date; the
-// state AddNode returns may have its Attrs written.
+// state AddNode returns may have its Attrs written. A state decoded from
+// a stored row may keep its body's bytes there for an encoder to copy
+// (FreezeEncoded); no copy of a state keeps them.
 type NodeState struct {
 	ID    NodeID
 	Attrs Attrs
@@ -110,6 +113,7 @@ type NodeState struct {
 	// marks a graph's copy of a frozen state whose edge map may still
 	// hold frozen edge states.
 	frozen, sharedEdges bool
+	encoded             string // set only on a frozen state (FreezeEncoded)
 }
 
 // NewNodeState returns an empty state for the given node.
@@ -130,6 +134,17 @@ func (n *NodeState) Freeze() {
 		n.frozen = true
 	}
 }
+
+// FreezeEncoded freezes the state before it is shared, as Freeze does,
+// and records body, its encoding as read from a stored row, without a
+// copy (a string header costs 8 bytes less than a slice's): body must
+// never change. The state is not written again, so body stays valid.
+func (n *NodeState) FreezeEncoded(body []byte) {
+	n.frozen, n.encoded = true, unsafe.String(unsafe.SliceData(body), len(body))
+}
+
+// Encoded returns the body FreezeEncoded recorded, or "".
+func (n *NodeState) Encoded() string { return n.encoded }
 
 // Clone returns a deep copy of the node state; the copy is not frozen.
 // Its edge states are allocated together, as one slab (see copyEdges).

@@ -225,8 +225,9 @@ func clampQuorum(q, def, max int) int {
 //
 // Every field but the two gauges (RebalanceActive, TierHotBytes) is a
 // counter that counts up from zero at Open; nothing resets it. The
-// Tier* sums count from each engine's open and cover the nodes now in
-// the cluster. The cost of one operation is the difference of a
+// Tier* counters sum over every engine since its open, the engines of
+// removed nodes included; TierHotBytes covers the nodes now in the
+// cluster. The cost of one operation is the difference of a
 // snapshot taken after it and one taken before.
 type Metrics struct {
 	Reads        int64
@@ -360,6 +361,9 @@ type Cluster struct {
 	moved   map[string]bool // partitions already handed off (key: table\0pkey)
 	rebDone chan struct{}   // closed when the active rebalance finishes
 	rebErr  error
+	// retiredTiers sums the tier counters of removed nodes' engines, taken
+	// as each leaves nodes (HotBytes stays 0).
+	retiredTiers backend.TierCounters
 	// rebActive covers the whole background migration including the
 	// post-commit drop phase (oldRing alone clears at the ring swap).
 	rebActive  atomic.Bool
@@ -1291,16 +1295,15 @@ func (c *Cluster) Close() error {
 	return errors.Join(errs...)
 }
 
-// tierTotals sums the cumulative tier counters of every node engine.
+// tierTotals sums the cumulative tier counters of every engine the
+// cluster has had, removed nodes' included, and the hot-bytes gauge of
+// the engines of the nodes now in it.
 func (c *Cluster) tierTotals() backend.TierCounters {
-	var t backend.TierCounters
-	for _, node := range c.nodeList() {
-		tc := node.be.TierCounters()
-		t.HotHits += tc.HotHits
-		t.ColdReads += tc.ColdReads
-		t.FlushedBytes += tc.FlushedBytes
-		t.Compactions += tc.Compactions
-		t.HotBytes += tc.HotBytes
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	t := c.retiredTiers
+	for _, node := range c.nodes {
+		t = t.Plus(node.be.TierCounters())
 	}
 	return t
 }

@@ -401,7 +401,12 @@ func (c *Cluster) rebalance(retiring int) {
 				node.hlog = nil
 			}
 			node.hintMu.Unlock()
+			// The closed engine's counters move to the kept total in the
+			// same step that drops the node, so no sum ever falls.
+			tc := node.be.TierCounters()
+			tc.HotBytes = 0
 			c.topoMu.Lock()
+			c.retiredTiers = c.retiredTiers.Plus(tc)
 			delete(c.nodes, retiring)
 			c.topoMu.Unlock()
 		}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hgs/internal/backend/disklog"
+	"hgs/internal/obs"
 )
 
 // fillCluster writes n partitions of two rows each and returns a checker
@@ -299,6 +302,63 @@ func TestAddNodeRebalancesAndServes(t *testing.T) {
 		t.Fatalf("moved %d of 60 partitions — more than a consistent ring should", m.RebalancedPartitions)
 	}
 	_ = before
+}
+
+// TestRemoveNodeKeepsTierCounters removes a disk node after reads and
+// writes: the retired engine's counters stay in the cluster's sums, so
+// no Tier* counter and no exposed _total series decreases.
+func TestRemoveNodeKeepsTierCounters(t *testing.T) {
+	c, err := Open(Config{Machines: 3, Replication: 1, RebalanceRate: -1, Backend: disklog.Factory(t.TempDir(), disklog.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := obs.NewRegistry()
+	c.RegisterObs(r)
+	totals := func() map[string]float64 {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64)
+		for _, line := range strings.Split(b.String(), "\n") {
+			name, v, ok := strings.Cut(line, " ")
+			if ok && strings.HasSuffix(name, "_total") {
+				if out[name], err = strconv.ParseFloat(v, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out
+	}
+	check := fillCluster(t, c, 50)
+	check()
+	m0, e0 := c.Metrics(), totals()
+	if m0.TierColdReads == 0 {
+		t.Fatal("reads from disk engines counted no cold reads")
+	}
+	if err := c.RemoveNode(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitRebalance(); err != nil {
+		t.Fatal(err)
+	}
+	m1, e1 := c.Metrics(), totals()
+	for name, n := range map[string][2]int64{
+		"TierHotReads":  {m0.TierHotReads, m1.TierHotReads},
+		"TierColdReads": {m0.TierColdReads, m1.TierColdReads},
+		"FlushedBytes":  {m0.FlushedBytes, m1.FlushedBytes},
+		"Compactions":   {m0.Compactions, m1.Compactions},
+	} {
+		if n[1] < n[0] {
+			t.Errorf("%s fell from %d to %d when a node was removed", name, n[0], n[1])
+		}
+	}
+	for name, v := range e0 {
+		if e1[name] < v {
+			t.Errorf("%s fell from %v to %v when a node was removed", name, v, e1[name])
+		}
+	}
 }
 
 func TestRemoveNodeDrainsAndServes(t *testing.T) {
